@@ -302,8 +302,15 @@ def _write_csv(path: str, payload: dict, wall_time: float) -> None:
             )
 
 
-def _emit(args: argparse.Namespace, command: str, results: dict[str, scans.ScanResult]) -> None:
-    """Write each named table; an empty name means no suffix on the path."""
+def _emit(
+    args: argparse.Namespace,
+    command: str,
+    results: dict[str, scans.ScanResult],
+    wall: float,
+) -> None:
+    """Write each named table; an empty name means no suffix on the path.
+    wall is the run's wall time, reported beside the parameters, never in
+    them, so seeded runs keep identical params."""
     fmt = args.format
     base = args.out or f"{command.replace('-', '_')}.{fmt}"
     seed = getattr(args, "seed", None)
@@ -311,7 +318,6 @@ def _emit(args: argparse.Namespace, command: str, results: dict[str, scans.ScanR
     for name, result in results.items():
         stem, ext = os.path.splitext(base)
         path = base if not name else f"{stem}_{name}{ext or '.' + fmt}"
-        wall = result.meta.get("wall_time_s", 0.0)
         payload = _payload(command, seed, result)
         _check_schema(payload, schema)
         if fmt == "json":
@@ -337,22 +343,9 @@ def _emit(args: argparse.Namespace, command: str, results: dict[str, scans.ScanR
         print(path)
 
 
-def _timed(fn, *a, **kw):
-    t0 = time.perf_counter()
-    out = fn(*a, **kw)
-    wall = time.perf_counter() - t0
-    if isinstance(out, dict):
-        for r in out.values():
-            r.meta["wall_time_s"] = wall
-    else:
-        out.meta["wall_time_s"] = wall
-    return out
-
-
 def _run_fidelity_scan(args) -> dict[str, scans.ScanResult]:
     return {
-        "": _timed(
-            scans.fidelity_scan,
+        "": scans.fidelity_scan(
             tuple(args.nbar),
             args.gg,
             args.ge,
@@ -366,8 +359,7 @@ def _run_fidelity_scan(args) -> dict[str, scans.ScanResult]:
 
 def _run_rabi(args) -> dict[str, scans.ScanResult]:
     return {
-        "": _timed(
-            scans.rabi_curve,
+        "": scans.rabi_curve(
             float(args.nbar[0]),
             _effective_g(args),
             args.gt_max,
@@ -377,8 +369,7 @@ def _run_rabi(args) -> dict[str, scans.ScanResult]:
 
 
 def _run_wigner(args) -> dict[str, scans.ScanResult]:
-    return _timed(
-        scans.wigner_panels,
+    return scans.wigner_panels(
         float(args.nbar[0]),
         args.phi,
         _effective_g(args),
@@ -388,8 +379,7 @@ def _run_wigner(args) -> dict[str, scans.ScanResult]:
 
 def _run_ghz(args) -> dict[str, scans.ScanResult]:
     return {
-        "": _timed(
-            scans.ghz_sweep,
+        "": scans.ghz_sweep(
             tuple(args.nbar),
             args.phi,
             _effective_g(args),
@@ -404,8 +394,7 @@ def _run_bell(args) -> dict[str, scans.ScanResult]:
         lo = args.phi if args.lo_phase is None else args.lo_phase
         detection = HomodyneConfig(lo_phase=lo, efficiency=args.efficiency)
     return {
-        "": _timed(
-            scans.bell_ensemble,
+        "": scans.bell_ensemble(
             tuple(args.nbar),
             args.phi,
             _effective_g(args),
@@ -419,8 +408,7 @@ def _run_bell(args) -> dict[str, scans.ScanResult]:
 
 def _run_bell_timing(args) -> dict[str, scans.ScanResult]:
     return {
-        "": _timed(
-            scans.bell_timing,
+        "": scans.bell_timing(
             float(args.nbar[0]),
             args.phi,
             _effective_g(args),
@@ -454,8 +442,9 @@ def main(argv: list[str] | None = None) -> int:
     if code:
         return code
     try:
+        t0 = time.perf_counter()
         results = _RUNNERS[args.command](args)
-        _emit(args, args.command, results)
+        _emit(args, args.command, results, time.perf_counter() - t0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,15 @@
 The full model couples the g-i and i-e transitions of both atoms to the
 same mode within the rotating-wave approximation.  When the intermediate
 level is far detuned it can be eliminated, leaving an effective two-photon
-interaction W between |gg> and |ee> plus Stark shifts.  Both pictures are
-built here as dense operators on the shared tensor layout
-atom A (x) atom B (x) field.
+interaction W between |gg> and |ee> plus Stark shifts.
+
+Both Hamiltonians conserve the excitation number a^dag a + 2 S_ee + S_ii,
+so they are built here block by block: `sector_blocks` returns each
+excitation sector's matrix (at most 9 states for three-level atoms, 4 for
+two-level ones) straight from the parameters, and `excitation_labels` is
+the one place that knows the conserved quantity.  The dense builders on
+the shared tensor layout atom A (x) atom B (x) field remain as small-cutoff
+reference operators for tests and are refused past DENSE_DIM_LIMIT.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 from .hilbert import (
     FockCutoff,
     Operator,
+    SpaceTag,
     StateVector,
     annihilation_op,
     collective_op,
@@ -27,6 +34,7 @@ from .hilbert import (
 )
 
 __all__ = [
+    "DENSE_DIM_LIMIT",
     "FullModelParams",
     "EffectiveModelParams",
     "ValidityReport",
@@ -35,6 +43,9 @@ __all__ = [
     "two_photon_w",
     "stark_shift",
     "constant_of_motion",
+    "excitation_labels",
+    "sector_index",
+    "sector_blocks",
     "effective_coupling",
     "trapped_ion_coupling",
     "dispersive_generator",
@@ -43,6 +54,14 @@ __all__ = [
 ]
 
 VALIDITY_MARGIN = 0.1
+
+# Largest dimension a dense builder accepts: one complex matrix of 2048^2
+# entries takes 64 MiB.  The three-level model at nbar = 100 has dimension
+# 1665; the sector engine has no such limit.
+DENSE_DIM_LIMIT = 2048
+
+# Excitation carried by each atomic level, g, e or g, i, e.
+_LEVEL_EXCITATION = {2: (0, 2), 3: (0, 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -87,7 +106,22 @@ def trapped_ion_coupling(rabi: float, lamb_dicke: float) -> float:
     return -rabi * lamb_dicke**2 / 2.0
 
 
-def _field_ops(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _check_dense(cutoff: FockCutoff, levels: int) -> None:
+    """Refuse a dense tripartite build past DENSE_DIM_LIMIT before any
+    matrix is allocated."""
+    dim = levels * levels * cutoff.dim
+    if dim > DENSE_DIM_LIMIT:
+        raise ValueError(
+            f"dense build of dimension {dim} would need {16 * dim * dim:,} bytes per "
+            f"matrix, past the limit of {DENSE_DIM_LIMIT}; use the excitation-sector "
+            "engine (dynamics.sector_spectrum) instead"
+        )
+
+
+def _field_ops(
+    cutoff: FockCutoff, levels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    _check_dense(cutoff, levels)
     a = annihilation_op(cutoff).matrix
     ad = creation_op(cutoff).matrix
     n = number_op(cutoff).matrix
@@ -102,7 +136,7 @@ def full_hamiltonian(params: FullModelParams) -> Operator:
         + g_g (a S_ig + a^dag S_gi) + g_e (a S_ei + a^dag S_ie)
     """
     cutoff = params.cutoff
-    a, ad, n, eye_f = _field_ops(cutoff)
+    a, ad, n, eye_f = _field_ops(cutoff, 3)
     eye_a = np.eye(9, dtype=np.complex128)
 
     s_ee = collective_op("e", "e", 3).matrix
@@ -121,7 +155,7 @@ def full_hamiltonian(params: FullModelParams) -> Operator:
 def two_photon_w(params: EffectiveModelParams) -> Operator:
     """Two-photon interaction W = g (a^2 S_eg + a^dag^2 S_ge) on two-level atoms."""
     cutoff = params.cutoff
-    a, ad, _, _ = _field_ops(cutoff)
+    a, ad, _, _ = _field_ops(cutoff, 2)
     s_eg = collective_op("e", "g", 2).matrix
     s_ge = collective_op("g", "e", 2).matrix
     w = params.g * (np.kron(s_eg, a @ a) + np.kron(s_ge, ad @ ad))
@@ -137,7 +171,7 @@ def stark_shift(params: FullModelParams) -> Operator:
     atomic space.  The photon-dependent part vanishes when g_g = g_e.
     """
     cutoff = params.cutoff
-    a, ad, _, eye_f = _field_ops(cutoff)
+    a, ad, _, eye_f = _field_ops(cutoff, 2)
     s_ee = collective_op("e", "e", 2).matrix
     i_mat = constant_of_motion(cutoff, levels=2).matrix
     mat = -2.0 * (params.g_g**2 / params.delta) * i_mat
@@ -152,22 +186,87 @@ def constant_of_motion(cutoff: FockCutoff, levels: int = 2) -> Operator:
     Commutes with the full Hamiltonian and with W, including under
     truncation, because every interaction term conserves it exactly.
     """
-    if levels not in (2, 3):
-        raise ValueError("levels must be 2 or 3")
-    _, _, n, eye_f = _field_ops(cutoff)
-    eye_a = np.eye(levels * levels, dtype=np.complex128)
-    s_ee = collective_op("e", "e", levels).matrix
-    mat = np.kron(eye_a, n) + 2.0 * np.kron(s_ee, eye_f)
-    if levels == 3:
-        mat += np.kron(collective_op("i", "i", 3).matrix, eye_f)
+    labels = excitation_labels(cutoff, levels)
+    _check_dense(cutoff, levels)
+    mat = np.diag(labels.astype(np.complex128))
     return Operator(mat, tripartite_tag(cutoff, levels=levels), hermitian=True)
+
+
+def excitation_labels(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:
+    """Excitation number of every basis state in the flat layout
+    atom A (x) atom B (x) field: the diagonal of constant_of_motion."""
+    if levels not in _LEVEL_EXCITATION:
+        raise ValueError("levels must be 2 or 3")
+    x = np.array(_LEVEL_EXCITATION[levels])
+    return (x[:, None, None] + x[None, :, None] + np.arange(cutoff.dim)).ravel()
+
+
+def sector_index(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:
+    """Flat basis indices of each excitation sector, one row per sector in
+    increasing excitation, padded at the end with the sentinel index `dim`.
+
+    Shape (sectors, m) with m = 9 for three-level atoms and m = 4 for
+    two-level ones (once the cutoff holds a full sector).
+    """
+    labels = excitation_labels(cutoff, levels)
+    order = np.argsort(labels, kind="stable")
+    _, counts = np.unique(labels, return_counts=True)
+    sector = np.repeat(np.arange(counts.size), counts)
+    slot = np.arange(labels.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.full((counts.size, counts.max()), labels.size)
+    index[sector, slot] = order
+    return index
+
+
+def sector_blocks(
+    params: FullModelParams | EffectiveModelParams,
+) -> tuple[np.ndarray, np.ndarray, SpaceTag]:
+    """Sector index map (see sector_index), the real symmetric block of the
+    Hamiltonian in every sector, and the space it acts on: the full H for
+    FullModelParams, W for EffectiveModelParams.  Built from the
+    parameters; padded rows and columns hold arbitrary values and are
+    masked by the caller.
+
+    Every interaction term moves one atom across one coupled transition and
+    absorbs or emits `photons` quanta, with field factor
+    sqrt(n (n-1) ... (n-photons+1)) at the larger photon number n.
+    """
+    if isinstance(params, FullModelParams):
+        levels, photons, photon_energy = 3, 1, params.omega
+        level_energy = np.array([0.0, params.omega + params.delta, 2.0 * params.omega])
+        coupling = np.array(
+            [[0.0, params.g_g, 0.0], [params.g_g, 0.0, params.g_e], [0.0, params.g_e, 0.0]]
+        )
+    elif isinstance(params, EffectiveModelParams):
+        levels, photons, photon_energy = 2, 2, 0.0
+        level_energy = np.zeros(2)
+        coupling = np.array([[0.0, params.g], [params.g, 0.0]])
+    else:
+        raise TypeError("expected FullModelParams or EffectiveModelParams")
+    nf = params.cutoff.dim
+    index = sector_index(params.cutoff, levels)
+    atom_a, rest = np.divmod(np.minimum(index, levels * levels * nf - 1), levels * nf)
+    atom_b, n = np.divmod(rest, nf)
+
+    a_row, a_col = atom_a[:, :, None], atom_a[:, None, :]
+    b_row, b_col = atom_b[:, :, None], atom_b[:, None, :]
+    top = np.maximum(n[:, :, None], n[:, None, :])
+    field = np.ones(top.shape)
+    for k in range(photons):
+        field *= np.sqrt(np.maximum(top - k, 0))
+    blocks = field * (
+        coupling[a_row, a_col] * (b_row == b_col) + coupling[b_row, b_col] * (a_row == a_col)
+    )
+    diag = np.arange(index.shape[1])
+    blocks[:, diag, diag] = photon_energy * n + level_energy[atom_a] + level_energy[atom_b]
+    return index, blocks, tripartite_tag(params.cutoff, levels)
 
 
 def dispersive_generator(params: FullModelParams) -> np.ndarray:
     """Anti-Hermitian generator of the frame change that removes the
     intermediate level to first order in g/delta."""
     cutoff = params.cutoff
-    a, ad, _, _ = _field_ops(cutoff)
+    a, ad, _, _ = _field_ops(cutoff, 3)
     s_ig = collective_op("i", "g", 3).matrix
     s_gi = collective_op("g", "i", 3).matrix
     s_ei = collective_op("e", "i", 3).matrix

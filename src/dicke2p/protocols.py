@@ -18,7 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import DensityMatrix, sample_rng
-from .dynamics import coherent_branch_state, evolve_exact, revival_time
+from .dynamics import (
+    SectorSpectrum,
+    coherent_branch_state,
+    evolve_exact,
+    revival_time,
+    sector_spectrum,
+)
 from .hilbert import (
     AtomCoeffs,
     FockCutoff,
@@ -30,7 +36,7 @@ from .hilbert import (
     tensor,
     two_qubit_tag,
 )
-from .models import EffectiveModelParams, two_photon_w
+from .models import EffectiveModelParams
 
 __all__ = [
     "OutcomeLabel",
@@ -139,8 +145,9 @@ class HomodyneConfig:
 
 
 @lru_cache(maxsize=8)
-def _w_operator(g: float, n_max: int) -> Operator:
-    return two_photon_w(EffectiveModelParams(g, FockCutoff(n_max)))
+def _w_operator(g: float, n_max: int) -> SectorSpectrum:
+    """Sector spectrum of W, shared by every exact evolution at (g, n_max)."""
+    return sector_spectrum(EffectiveModelParams(g, FockCutoff(n_max)))
 
 
 def _half_revival(g: float) -> float:
@@ -321,10 +328,11 @@ def _cavity1_branches(
     t: float,
     cutoff: FockCutoff,
     engine: str,
-) -> tuple[dict[str, tuple[np.ndarray, float]], float]:
+) -> tuple[dict[str, tuple[np.ndarray, float]], float, StateVector]:
     """Evolve cavity 1 and project the field onto +-alpha.  Returns the
     unnormalized atomic amplitudes and renormalized branch probabilities,
-    plus the weight leaked outside the two reference states."""
+    the weight leaked outside the two reference states, and the evolved
+    joint state itself."""
     joint = _evolved_joint(coeffs, alpha, g, t, cutoff, engine)
     amps_p, p_raw = _project_coherent(joint, alpha, cutoff)
     amps_m, m_raw = _project_coherent(joint, -alpha, cutoff)
@@ -335,6 +343,7 @@ def _cavity1_branches(
     return (
         {"+": (amps_p, p_raw / total), "-": (amps_m, m_raw / total)},
         leaked,
+        joint,
     )
 
 
@@ -369,7 +378,7 @@ def bell_outcome_table(
     discrimination in both cavities; probabilities sum to one."""
     phi = cmath.phase(alpha)
     t = _half_revival(g) if interaction_time is None else interaction_time
-    branches1, leaked = _cavity1_branches(coeffs, alpha, g, t, cutoff, engine)
+    branches1, leaked, _ = _cavity1_branches(coeffs, alpha, g, t, cutoff, engine)
     out: list[ProtocolResult] = []
     for outcome in ALL_OUTCOMES:
         amps1, p1 = branches1[outcome.d1]
@@ -410,10 +419,9 @@ def run_bell_protocol(
     t = _half_revival(g) if interaction_time is None else interaction_time
     rng = sample_rng(rng_seed, shot_index)
 
-    branches1, leaked = _cavity1_branches(coeffs, alpha, g, t, cutoff, engine)
+    branches1, leaked, joint = _cavity1_branches(coeffs, alpha, g, t, cutoff, engine)
     record_x: float | None = None
     if isinstance(detection, HomodyneConfig):
-        joint = _evolved_joint(coeffs, alpha, g, t, cutoff, engine)
         record_x, collapsed = homodyne_measure(joint, detection, rng)
         s1 = "+" if record_x > 0 else "-"
         amps1 = collapsed.amplitudes
@@ -519,7 +527,7 @@ def homodyne_outcome_table(
     """
     phi = cmath.phase(alpha)
     t = _half_revival(g) if interaction_time is None else interaction_time
-    branches1, leaked = _cavity1_branches(coeffs, alpha, g, t, cutoff, engine)
+    branches1, leaked, _ = _cavity1_branches(coeffs, alpha, g, t, cutoff, engine)
     q_mis = config.misclassification_probability(abs(alpha))
 
     # chains[σ][s2] = (corrected post state, renormalized p2) for the true

@@ -25,6 +25,7 @@ from .dynamics import (
     evolve_exact_many,
     rabi_see_analytic,
     revival_time,
+    sector_spectrum,
 )
 from .hilbert import (
     AtomCoeffs,
@@ -37,11 +38,9 @@ from .hilbert import (
 from .models import (
     EffectiveModelParams,
     FullModelParams,
-    constant_of_motion,
     effective_coupling,
     embed_indices,
-    full_hamiltonian,
-    two_photon_w,
+    excitation_labels,
     validity_report,
 )
 from .protocols import (
@@ -117,15 +116,15 @@ def fidelity_scan(
     data: list[np.ndarray] = [grid]
     for k, nbar in enumerate(nbars):
         cutoff = FockCutoff.for_mean_photon(float(nbar))
-        h_full = full_hamiltonian(
+        full_spec = sector_spectrum(
             FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
         )
-        w_op = two_photon_w(_w_params(g, cutoff))
+        w_spec = sector_spectrum(_w_params(g, cutoff))
         idx = embed_indices(cutoff)
-        i2_diag = np.real(np.diag(constant_of_motion(cutoff, levels=3).matrix))[idx]
-        # counter-rotation by the (omega + 2g) I part of the effective model
-        rot = np.exp(2j * g * np.outer(times, i2_diag))
-        space3 = h_full.space
+        # counter-rotation by the (omega + 2g) I part of the effective model;
+        # the two-level labels equal the three-level ones on the embedded states
+        rot = np.exp(2j * g * np.outer(times, excitation_labels(cutoff, levels=2)))
+        space3 = full_spec.space
         dim3 = space3.dim
 
         def task(rng: np.random.Generator) -> np.ndarray:
@@ -135,9 +134,9 @@ def fidelity_scan(
             psi0 = tensor(coeffs.to_state(), coherent_state(alpha, cutoff))
             full0 = np.zeros(dim3, dtype=np.complex128)
             full0[idx] = psi0.amplitudes
-            traj_full = evolve_exact_many(h_full, StateVector(full0, space3), times)
+            traj_full = evolve_exact_many(full_spec, StateVector(full0, space3), times)
             sub = traj_full[:, idx] * rot
-            traj_w = evolve_exact_many(w_op, psi0, times)
+            traj_w = evolve_exact_many(w_spec, psi0, times)
             f_w = np.abs(np.einsum("td,td->t", traj_w.conj(), sub)) ** 2
             f_an = np.empty_like(f_w)
             for j, t in enumerate(times):
@@ -198,8 +197,7 @@ def rabi_curve(
 
     atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), _EE_SPACE)
     psi0 = tensor(atoms, coherent_state(alpha, cutoff))
-    w_op = two_photon_w(_w_params(g, cutoff))
-    traj = evolve_exact_many(w_op, psi0, times)
+    traj = evolve_exact_many(sector_spectrum(_w_params(g, cutoff)), psi0, times)
     numeric = np.abs(traj) ** 2 @ _see_weights(cutoff.dim)
     analytic = rabi_see_analytic(alpha, g, times)
     rows = np.column_stack([grid, numeric, analytic])
@@ -220,7 +218,7 @@ def wigner_panels(
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
     atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), _EE_SPACE)
     psi0 = tensor(atoms, coherent_state(alpha, cutoff))
-    w_op = two_photon_w(_w_params(g, cutoff))
+    w_spec = sector_spectrum(_w_params(g, cutoff))
     t_r = revival_time(g)
 
     span = math.sqrt(nbar) + 5.0
@@ -232,7 +230,7 @@ def wigner_panels(
             psi0
             if t == 0.0
             else StateVector(
-                evolve_exact_many(w_op, psi0, np.array([t]))[0], psi0.space
+                evolve_exact_many(w_spec, psi0, np.array([t]))[0], psi0.space
             )
         )
         rho_f = partial_trace(psi_t, keep="field")

@@ -95,6 +95,27 @@ class TestJsonOutput:
         assert len(payload["rows"]) == 2
         assert "wall_time_s" in payload
 
+    def test_params_of_seeded_runs_are_identical(self, tmp_path):
+        """The wall time sits beside the params, never inside them."""
+        argv = ["ghz", "--nbar", "10,12", "--engine", "analytic", "--format", "json"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        pa, pb = json.loads(a.read_text()), json.loads(b.read_text())
+        assert "wall_time_s" not in pa["params"]
+        assert json.dumps(pa["params"]) == json.dumps(pb["params"])
+        assert pa["wall_time_s"] >= 0.0
+
+    def test_csv_params_exclude_wall_time(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["ghz", "--nbar", "10", "--engine", "analytic", "--out", str(out)]) == 0
+        header, _, _ = read_csv_table(out)
+        assert float(header["wall_time_s"]) >= 0.0
+        assert "wall_time_s" not in json.loads(header["params"])
+        sidecar = json.loads((tmp_path / "g.csv.meta.json").read_text())
+        assert "wall_time_s" not in sidecar["params"]
+        assert sidecar["wall_time_s"] >= 0.0
+
     def test_seeded_scan_reproducible(self, tmp_path):
         argv = ["fidelity-scan", "--nbar", "4", "--ensemble", "2",
                 "--time-points", "3", "--seed", "9", "--format", "json"]

@@ -2,14 +2,19 @@
 collapse/revival observables."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import blockwise_state, random_coeffs
+from dicke2p import models
 from dicke2p.dynamics import (
+    SectorSpectrum,
     analytic_state,
     block_eigenvalues_approx,
     block_eigenvalues_exact,
@@ -17,10 +22,10 @@ from dicke2p.dynamics import (
     block_w_n,
     coherent_branch_state,
     evolve_exact,
-    evolve_exact_batch,
     evolve_exact_many,
     rabi_see_analytic,
     revival_time,
+    sector_spectrum,
 )
 from dicke2p.hilbert import (
     AtomCoeffs,
@@ -31,7 +36,14 @@ from dicke2p.hilbert import (
     tensor,
     two_qubit_tag,
 )
-from dicke2p.models import EffectiveModelParams, constant_of_motion, two_photon_w
+from dicke2p.models import (
+    EffectiveModelParams,
+    FullModelParams,
+    constant_of_motion,
+    embed_two_level_state,
+    full_hamiltonian,
+    two_photon_w,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,13 +155,104 @@ class TestEvolveExact:
                 row, evolve_exact(w_small, psi0, float(t)).amplitudes, atol=1e-12
             )
 
-    def test_batch_preserves_order(self, w_small, mixed_coeffs):
+
+def _dense_evolution(op, psi, times):
+    vals, vecs = np.linalg.eigh(op.matrix)
+    weights = vecs.conj().T @ psi
+    return np.array([vecs @ (np.exp(-1j * vals * t) * weights) for t in times])
+
+
+class TestSectorSpectrum:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_max=st.integers(1, 12),
+        omega=st.floats(-2.0, 2.0),
+        delta=st.floats(0.1, 50.0),
+        g_g=st.floats(0.05, 3.0),
+        g_e=st.floats(0.05, 3.0),
+        g=st.floats(0.05, 3.0),
+        g_sign=st.sampled_from((1.0, -1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_eigh(self, n_max, omega, delta, g_g, g_e, g, g_sign, seed):
+        """Sector engine against the dense eigendecomposition of both
+        reference operators: random cutoff, couplings, detuning, state and
+        times."""
+        rng = np.random.default_rng(seed)
+        cut = FockCutoff(n_max)
+        times = rng.uniform(-5.0, 5.0, size=4)
+        for params, dense in (
+            (FullModelParams(omega, delta, g_g, g_e, cut), full_hamiltonian),
+            (EffectiveModelParams(g_sign * g, cut), two_photon_w),
+        ):
+            op = dense(params)
+            psi = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+            psi /= np.linalg.norm(psi)
+            expected = _dense_evolution(op, psi, times)
+            got = sector_spectrum(params).propagate(psi, times)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+    def test_sector_sizes(self):
+        cut = FockCutoff.for_mean_photon(20.0)
+        full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
+        w = sector_spectrum(EffectiveModelParams(-0.002, cut))
+        assert full.index.shape == (cut.dim + 4, 9)
+        assert w.index.shape == (cut.dim + 4, 4)
+        assert full.vectors.shape == (cut.dim + 4, 9, 9)
+
+    def test_from_operator_matches_parameters(self, w_small, mixed_coeffs):
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
-        pairs = [(psi0, 0.2), (psi0, 0.9)]
-        out = evolve_exact_batch(w_small, pairs)
+        built = sector_spectrum(EffectiveModelParams(g=1.0, cutoff=FockCutoff(24)))
+        times = np.array([0.4, 3.3])
         np.testing.assert_allclose(
-            out[1].amplitudes, evolve_exact(w_small, psi0, 0.9).amplitudes, atol=1e-12
+            SectorSpectrum.from_operator(w_small).propagate(psi0.amplitudes, times),
+            built.propagate(psi0.amplitudes, times),
+            atol=1e-12,
         )
+
+    def test_cross_sector_element_raises(self, w_small, mixed_coeffs):
+        mat = np.array(w_small.matrix)
+        nf = 25
+        # |gg,0> <-> |ee,0> differ by four excitations
+        mat[0, 3 * nf] = mat[3 * nf, 0] = 1e-3
+        leaky = Operator(mat, w_small.space, hermitian=True)
+        with pytest.raises(ValueError, match="excitation sectors"):
+            SectorSpectrum.from_operator(leaky)
+        psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
+        with pytest.raises(ValueError, match="excitation sectors"):
+            evolve_exact(leaky, psi0, 0.1)
+
+    def test_rejects_mismatched_space(self, mixed_coeffs):
+        spec = sector_spectrum(EffectiveModelParams(g=1.0, cutoff=FockCutoff(24)))
+        psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.0, FockCutoff(12)))
+        with pytest.raises(ValueError, match="different spaces"):
+            evolve_exact(spec, psi0, 0.1)
+
+    def test_nbar_1000_without_dense_matrices(self, monkeypatch):
+        """Three-level dimension 11,322: a dense matrix would take 2 GB."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("dense builder called on the sector path")
+
+        for name in ("full_hamiltonian", "two_photon_w", "constant_of_motion"):
+            monkeypatch.setattr(models, name, refuse)
+        cut = FockCutoff.for_mean_photon(1000.0)
+        coeffs = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        psi0 = embed_two_level_state(
+            tensor(coeffs.to_state(), coherent_state(math.sqrt(1000.0), cut)), cut
+        )
+        times = np.linspace(0.0, revival_time(-0.002), 5)
+        tracemalloc.start()
+        try:
+            spec = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
+            traj = evolve_exact_many(spec, psi0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.space.dim == 11_322
+        assert traj.shape == (5, 11_322)
+        assert peak < 20 * 2**20  # one dense matrix would take 16 * 11322^2 B = 2 GB
+        np.testing.assert_allclose(np.linalg.norm(traj, axis=1), 1.0, rtol=0, atol=1e-10)
 
 
 class TestAnalyticState:

@@ -2,6 +2,7 @@
 the two-photon interaction plus Stark shifts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.linalg import expm
 from dicke2p.dynamics import block_w_n
 from dicke2p.hilbert import FockCutoff, fock_state, tensor, two_atom_tag
 from dicke2p.models import (
+    DENSE_DIM_LIMIT,
     EffectiveModelParams,
     FullModelParams,
     VALIDITY_MARGIN,
@@ -18,7 +20,9 @@ from dicke2p.models import (
     effective_coupling,
     embed_indices,
     embed_two_level_state,
+    excitation_labels,
     full_hamiltonian,
+    sector_blocks,
     stark_shift,
     trapped_ion_coupling,
     two_photon_w,
@@ -120,6 +124,74 @@ class TestTwoPhotonW:
             b = np.stack(basis, axis=1)
             rebuilt += b @ block_w_n(eff_params.g, n).matrix @ b.T
         np.testing.assert_allclose(rebuilt, w, atol=1e-14)
+
+
+class TestExcitationSectors:
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_labels_are_the_constant_of_motion(self, levels):
+        cut = FockCutoff(7)
+        np.testing.assert_array_equal(
+            excitation_labels(cut, levels), np.diag(constant_of_motion(cut, levels).matrix).real
+        )
+
+    def test_two_level_labels_embed_into_three_level(self):
+        cut = FockCutoff(9)
+        np.testing.assert_array_equal(
+            excitation_labels(cut, 3)[embed_indices(cut)], excitation_labels(cut, 2)
+        )
+
+    @pytest.mark.parametrize("which", ["full", "w"])
+    def test_blocks_equal_dense_operator_per_sector(self, which):
+        cut = FockCutoff(11)
+        if which == "full":
+            params = FullModelParams(omega=0.7, delta=3.0, g_g=1.1, g_e=0.6, cutoff=cut)
+            dense = full_hamiltonian(params).matrix
+        else:
+            params = EffectiveModelParams(g=-0.8, cutoff=cut)
+            dense = two_photon_w(params).matrix
+        index, blocks, space = sector_blocks(params)
+        assert space.dim == dense.shape[0]
+        assert index.shape[1] == (9 if which == "full" else 4)
+        real = index < dense.shape[0]
+        np.testing.assert_array_equal(np.sort(index[real]), np.arange(dense.shape[0]))
+        labels = np.diag(constant_of_motion(cut, 3 if which == "full" else 2).matrix).real
+        for row, block, ok in zip(index, blocks, real):
+            sel = row[ok]
+            assert np.all(labels[sel] == labels[sel[0]])
+            np.testing.assert_allclose(
+                block[np.ix_(ok, ok)], dense[np.ix_(sel, sel)], rtol=0, atol=1e-14
+            )
+
+
+class TestDenseGuard:
+    @pytest.mark.parametrize(
+        "build,dim",
+        [
+            (lambda c: full_hamiltonian(FullModelParams(0.0, 500.0, 1.0, 1.0, c)), 9009),
+            (lambda c: two_photon_w(EffectiveModelParams(-0.002, c)), 4004),
+            (lambda c: stark_shift(FullModelParams(0.0, 500.0, 1.0, 1.0, c)), 4004),
+            (lambda c: dispersive_generator(FullModelParams(0.0, 500.0, 1.0, 1.0, c)), 9009),
+            (lambda c: constant_of_motion(c, levels=3), 9009),
+        ],
+        ids=["full", "w", "stark", "dispersive", "constant"],
+    )
+    def test_refuses_before_allocating(self, build, dim):
+        assert dim > DENSE_DIM_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                build(FockCutoff(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        msg = str(exc.value)
+        assert f"dimension {dim}" in msg
+        assert f"{16 * dim * dim:,} bytes" in msg
+        assert "sector" in msg
+        assert peak < 2**20
+
+    def test_limit_admits_the_three_level_model_at_nbar_100(self):
+        assert 9 * FockCutoff.for_mean_photon(100.0).dim <= DENSE_DIM_LIMIT
 
 
 class TestStarkShift:

@@ -198,6 +198,32 @@ class TestRunBellProtocol:
         # the record must land near one of the two reference lobes
         assert abs(abs(shot.record_x) - math.sqrt(20.0)) < 3.0
 
+    @pytest.mark.parametrize("detection", ["ideal", "homodyne"])
+    def test_two_exact_evolutions_per_shot(self, table20, cut20, alpha20, monkeypatch, detection):
+        """One evolution per cavity; the homodyne readout reuses the cavity-1
+        state instead of evolving it again."""
+        from dicke2p import protocols
+        from dicke2p.analysis import sample_rng
+
+        calls = []
+        evolve = protocols.evolve_exact
+
+        def counting(*args):
+            calls.append(args)
+            return evolve(*args)
+
+        monkeypatch.setattr(protocols, "evolve_exact", counting)
+        c, _ = table20
+        cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
+        det = cfg if detection == "homodyne" else "ideal"
+        shot = run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=1)
+        assert len(calls) == 2
+        if detection == "homodyne":
+            # same record as measuring a freshly evolved cavity-1 state
+            joint = protocols._evolved_joint(c, alpha20, G, math.pi / (2 * abs(G)), cut20, "exact")
+            x, _ = homodyne_measure(joint, cfg, sample_rng(3, 1))
+            assert shot.record_x == x
+
 
 class TestTimingSensitivity:
     def test_optimum_matches_table(self, table20, cut20, alpha20):
