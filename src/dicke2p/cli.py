@@ -25,8 +25,6 @@ from .hilbert import FockCutoff
 from .models import FullModelParams, effective_coupling, validity_report
 from .protocols import HomodyneConfig
 
-_ENGINE = {"effective": "exact", "analytic": "analytic"}
-
 _DEF_GG = 1.0
 _DEF_GE = 1.0
 _DEF_DELTA = 500.0
@@ -99,14 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ghz", help="GHZ fidelity at half revival vs mean photon number")
     sp.add_argument("--nbar", type=_nbar_list, default=(10, 20, 50, 100))
     sp.add_argument("--phi", type=float, default=math.pi / 4.0)
-    sp.add_argument("--engine", choices=tuple(_ENGINE), default="effective")
+    sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
     coupling(sp)
     common(sp)
 
     sp = sub.add_parser("bell", help="Bell-protocol fidelity per outcome, Haar ensemble")
     sp.add_argument("--nbar", type=_nbar_list, default=(10, 20, 50))
     sp.add_argument("--phi", type=float, default=math.pi / 8.0)
-    sp.add_argument("--engine", choices=tuple(_ENGINE), default="effective")
+    sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
     sp.add_argument("--efficiency", type=float, default=None,
                     help="homodyne efficiency in (0,1]; omit for ideal detection")
     sp.add_argument("--lo-phase", type=float, default=None,
@@ -383,7 +381,7 @@ def _run_ghz(args) -> dict[str, scans.ScanResult]:
             tuple(args.nbar),
             args.phi,
             _effective_g(args),
-            _ENGINE[args.engine],
+            args.engine,
         )
     }
 
@@ -400,7 +398,7 @@ def _run_bell(args) -> dict[str, scans.ScanResult]:
             _effective_g(args),
             args.ensemble,
             args.seed,
-            _ENGINE[args.engine],
+            args.engine,
             detection,
         )
     }

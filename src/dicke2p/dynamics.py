@@ -4,11 +4,11 @@ Both Hamiltonians conserve the excitation number, so the exact engine
 works sector by sector: `sector_spectrum` stacks the (at most 9x9) sector
 blocks, diagonalizes them with one batched eigh, and the resulting
 SectorSpectrum propagates a state to any number of times without ever
-forming a matrix of the full dimension.  The analytic layer exploits the
-block-tridiagonal structure of the two-photon interaction W: each photon
-sector n couples only {|gg,n>, |psi+,n-2>, |ee,n-4>}, and for large n the
-block spectrum is linear in n, which turns a coherent-state input into a
-superposition of a few rotating coherent branches.
+forming a matrix of the full dimension.  The analytic layer runs the same
+engine on the large-N linearization of the two-photon interaction W: each
+sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in
+N, (0, +-g(2N-3)), which turns a coherent-state input into a superposition
+of a few rotating coherent branches.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import (
-    _BELL_TO_PRODUCT,
+    CAPTURE_ATOL,
     AtomCoeffs,
     FockCutoff,
     Operator,
@@ -29,6 +29,7 @@ from .hilbert import (
     StateVector,
     bell_state,
     coherent_state,
+    tensor,
     tripartite_tag,
 )
 from .models import (
@@ -40,25 +41,19 @@ from .models import (
 )
 
 __all__ = [
-    "BlockMatrix3",
     "CoherentBranch",
     "CoherentBranchState",
     "SectorSpectrum",
     "sector_spectrum",
     "evolve_exact",
     "evolve_exact_many",
-    "block_w_n",
-    "block_eigenvalues_exact",
-    "block_eigenvalues_approx",
-    "block_propagator",
+    "linearized_spectrum",
+    "evolve_linearized_many",
     "analytic_state",
     "coherent_branch_state",
     "rabi_see_analytic",
     "revival_time",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True, eq=False)
 class SectorSpectrum:
@@ -162,151 +157,61 @@ def evolve_exact_many(
     return _spectrum_for(h, psi0).propagate(psi0.amplitudes, times)
 
 
-@dataclass(frozen=True)
-class BlockMatrix3:
-    """3x3 block in the ordered basis {|gg,n>, |psi+,n-2>, |ee,n-4>}.
+def linearized_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:
+    """Sector spectrum of W linearized at large excitation N: every pair
+    coupling of sector N has the field factor (2N-3)/2 in place of
+    sqrt(m(m-1)), so the sector spectrum is (0, 0, -g(2N-3), +g(2N-3)).
 
-    For n in {2,3} the third basis slot does not exist physically; the
-    matrix keeps it decoupled (zero couplings for W, identity row for
-    propagators).
+    Built on the cutoff n_max + 4, where every amplitude stored at `cutoff`
+    sits in its complete sector (see evolve_linearized_many).
     """
-
-    matrix: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if mat.shape != (3, 3):
-            raise ValueError("block matrix must be 3x3")
-        if self.n < 2:
-            raise ValueError("photon sector n must be >= 2")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+    padded = FockCutoff(cutoff.n_max + 4)
+    index, blocks, space = sector_blocks(EffectiveModelParams(g, padded))
+    n = excitation_labels(padded)[index[:, 0], None, None]
+    # W has a zero diagonal and couples each pair with g times a positive field factor
+    blocks = np.where(blocks != 0.0, g * (2 * n - 3) / 2.0, 0.0)
+    return SectorSpectrum.from_blocks(index, blocks, space)
 
 
-def block_w_n(g: float, n: int) -> BlockMatrix3:
-    """Photon-sector-n block of W; couplings g*sqrt(2)*sqrt(n^2-n) and
-    g*sqrt(2)*sqrt(n^2-5n+6), the latter vanishing for n in {2,3}."""
-    if n < 2:
-        raise ValueError("blocks exist only for n >= 2")
-    upper = g * _SQRT2 * math.sqrt(n * n - n)
-    lower = g * _SQRT2 * math.sqrt(n * n - 5 * n + 6)
-    mat = np.array(
-        [[0.0, upper, 0.0], [upper, 0.0, lower], [0.0, lower, 0.0]],
-        dtype=np.complex128,
-    )
-    return BlockMatrix3(mat, n)
+def evolve_linearized_many(
+    spectrum: SectorSpectrum, psi0: StateVector, times: np.ndarray
+) -> np.ndarray:
+    """Amplitudes of psi0 evolved under linearized_spectrum for every t;
+    shape (len(times), psi0.dim).
 
-
-def block_eigenvalues_exact(g: float, n: int) -> tuple[float, float, float]:
-    """(0, -w_n, +w_n) with w_n = g*sqrt((2n-3)^2+3); requires n >= 4."""
-    if n < 4:
-        raise ValueError("closed-form triple spectrum requires n >= 4")
-    w = g * math.sqrt((2 * n - 3) ** 2 + 3)
-    return (0.0, -w, w)
-
-
-def block_eigenvalues_approx(g: float, n: int) -> tuple[float, float, float]:
-    """(0, -w, +w) with the large-n linearization w = g(2n-3)."""
-    if n < 2:
-        raise ValueError("blocks exist only for n >= 2")
-    w = g * (2 * n - 3)
-    return (0.0, -w, w)
-
-
-def block_propagator(g: float, n: int, t: float) -> BlockMatrix3:
-    """Approximate sector propagator exp(-i H_n t) with the linearized
-    spectrum w = g(2n-3).
-
-    For n >= 4 this is the closed trigonometric 3x3 form; for n in {2,3}
-    the generator is truncated to the physical 2x2 subspace
-    {|gg,n>, |psi+,n-2>} and exponentiated numerically.
+    psi0 is zero-padded onto the spectrum's cutoff, propagated, cut back to
+    its own cutoff and renormalized.  Raises when the weight moved past the
+    cutoff exceeds CAPTURE_ATOL at any time.
     """
-    if n < 2:
-        raise ValueError("blocks exist only for n >= 2")
-    w = g * (2 * n - 3)
-    if n >= 4:
-        th = w * t
-        c2 = math.cos(th / 2.0) ** 2
-        s2 = math.sin(th / 2.0) ** 2
-        off = math.sin(th) / (1j * _SQRT2)
-        mat = np.array(
-            [[c2, off, -s2], [off, math.cos(th), off], [-s2, off, c2]],
-            dtype=np.complex128,
+    nf = psi0.space.dims[-1]
+    if spectrum.space.dims != (2, 2, nf + 4):
+        raise ValueError("spectrum is not the linearized W for this state's cutoff")
+    padded = np.zeros((4, nf + 4), dtype=np.complex128)
+    padded[:, :nf] = psi0.amplitudes.reshape(4, nf)
+    out = spectrum.propagate(padded.ravel(), times).reshape(-1, 4, nf + 4)
+    dropped = np.max(np.sum(np.abs(out[:, :, nf:]) ** 2, axis=(1, 2)), initial=0.0)
+    if dropped > CAPTURE_ATOL:
+        raise ValueError(
+            f"linearized evolution moves weight {dropped:.3e} past the cutoff "
+            f"n_max={nf - 1} (tolerance {CAPTURE_ATOL:g}); use a larger cutoff"
         )
-        return BlockMatrix3(mat, n)
-    h2 = (w / _SQRT2) * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    vals, vecs = np.linalg.eigh(h2)
-    u2 = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    mat = np.eye(3, dtype=np.complex128)
-    mat[:2, :2] = u2
-    return BlockMatrix3(mat, n)
+    kept = out[:, :, :nf].reshape(len(out), -1)
+    return kept / np.linalg.norm(kept, axis=1, keepdims=True)
 
 
 def analytic_state(
     coeffs: AtomCoeffs, alpha: complex, g: float, t: float, cutoff: FockCutoff
 ) -> StateVector:
-    """Closed-form evolution of |atoms> (x) |alpha> under the linearized
-    block spectrum.
+    """Evolution of |atoms> (x) |alpha> to time t under the linearized
+    spectrum of W (see linearized_spectrum).
 
     The |psi-> component and the n=0,1 photon amplitudes of |gg> are
-    stationary; every other photon sector rotates independently.  Sector
-    contributions that would land beyond the cutoff are dropped (their
-    weight is bounded by the truncation tail) and the state renormalized.
+    stationary; every other excitation sector rotates independently.  Pass
+    a prebuilt spectrum to evolve_linearized_many when evolving repeatedly.
     """
-    p = coherent_state(alpha, cutoff).amplitudes
-    nf = cutoff.dim
-
-    # Sector index runs to nf+3 so every stored p_n appears in all three
-    # of its host blocks (as p_n, p_{n-2} and p_{n-4}).
-    ns = np.arange(2, nf + 4)
-    pe = np.concatenate([p, np.zeros(4, dtype=np.complex128)])
-    v1 = coeffs.c_g * pe[ns]
-    v2 = coeffs.c_plus * pe[ns - 2]
-    v3 = coeffs.c_e * pe[np.clip(ns - 4, 0, None)]
-    v3[ns < 4] = 0.0
-
-    wt = g * (2 * ns - 3) * t
-    em = np.exp(-1j * wt)
-    ep = np.exp(1j * wt)
-    d_minus = (v1 - v3) / _SQRT2
-    d_plus = (v1 + v3) / _SQRT2
-    b_plus = (v2 + d_plus) / 2.0
-    b_minus = (v2 - d_plus) / 2.0
-    rot = b_plus * em - b_minus * ep
-    a_big = (d_minus + rot) / _SQRT2
-    b_big = b_plus * em + b_minus * ep
-    c_big = (-d_minus + rot) / _SQRT2
-
-    # n=2,3: Rabi rotation in the two surviving basis states.
-    small = ns < 4
-    th = wt[small] / _SQRT2
-    a_small = np.cos(th) * v1[small] - 1j * np.sin(th) * v2[small]
-    b_small = np.cos(th) * v2[small] - 1j * np.sin(th) * v1[small]
-
-    a_n = np.where(small, 0.0, a_big)
-    b_n = np.where(small, 0.0, b_big)
-    a_n[small] = a_small
-    b_n[small] = b_small
-
-    gg_row = np.zeros(nf, dtype=np.complex128)
-    psim_row = coeffs.c_minus * p
-    psip_row = np.zeros(nf, dtype=np.complex128)
-    ee_row = np.zeros(nf, dtype=np.complex128)
-
-    gg_row[0] = coeffs.c_g * p[0]
-    if nf > 1:
-        gg_row[1] = coeffs.c_g * p[1]
-    keep_a = ns < nf
-    gg_row[ns[keep_a]] = a_n[keep_a]
-    keep_b = ns - 2 < nf
-    psip_row[ns[keep_b] - 2] = b_n[keep_b]
-    big = ~small
-    ee_row[ns[big] - 4] = c_big[big]
-
-    bell_rows = np.vstack([gg_row, psim_row, psip_row, ee_row])
-    product_rows = _BELL_TO_PRODUCT @ bell_rows
-    return StateVector.normalized(product_rows.ravel(), tripartite_tag(cutoff))
+    psi0 = tensor(coeffs.to_state(), coherent_state(alpha, cutoff))
+    amps = evolve_linearized_many(linearized_spectrum(g, cutoff), psi0, np.array([t]))[0]
+    return StateVector(amps, psi0.space)
 
 
 @dataclass(frozen=True)

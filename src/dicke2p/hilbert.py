@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 __all__ = [
     "NORM_ATOL",
+    "CAPTURE_ATOL",
     "FLAG_ATOL",
     "FockCutoff",
     "SpaceTag",
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 NORM_ATOL = 1e-10
+# Largest weight a truncation to the Fock cutoff may drop.
+CAPTURE_ATOL = 1e-10
 FLAG_ATOL = 1e-10
 
 Level = Literal["g", "i", "e"]
@@ -68,15 +71,21 @@ class FockCutoff:
 
     @classmethod
     def for_mean_photon(cls, nbar: float, margin: float = 8.0, pad: int = 4) -> "FockCutoff":
-        """Cutoff ceil(nbar + margin*sqrt(nbar)) + pad.
+        """Cutoff top + pad, with top the smallest photon number from
+        ceil(nbar + margin*sqrt(nbar)) on that leaves less than CAPTURE_ATOL
+        of the coherent photon distribution above it.
 
-        Eight standard deviations of a coherent photon distribution leave
-        less than 1e-10 of the norm outside; the pad absorbs the four-photon
-        reach of the two-photon couplings.
+        Eight standard deviations are enough from nbar = 10 on; below that
+        the Poisson tail is heavier than the Gaussian estimate and top grows.
+        The pad absorbs the four-photon reach of the two-photon couplings.
         """
         if nbar < 0:
             raise ValueError("nbar must be non-negative")
-        return cls(int(math.ceil(nbar + margin * math.sqrt(nbar))) + pad)
+        top = int(math.ceil(nbar + margin * math.sqrt(nbar)))
+        # Poisson weight above top: the regularized lower incomplete gamma
+        while gammainc(top + 1, nbar) > CAPTURE_ATOL:
+            top += 1
+        return cls(top + pad)
 
 
 @dataclass(frozen=True)
@@ -345,11 +354,11 @@ def _coherent_amplitudes(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
 def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
     """Truncated coherent state, renormalized after truncation.
 
-    Raises when the cutoff captures less than 1 - 1e-10 of the weight.
+    Raises when the cutoff captures less than 1 - CAPTURE_ATOL of the weight.
     """
     amps = _coherent_amplitudes(alpha, cutoff)
     captured = float(np.sum(np.abs(amps) ** 2))
-    if captured < 1.0 - 1e-10:
+    if captured < 1.0 - CAPTURE_ATOL:
         raise ValueError(
             f"cutoff n_max={cutoff.n_max} too small for |alpha|^2={abs(alpha) ** 2:.4g}"
             f" (captures {captured:.12f} of the norm)"

@@ -62,6 +62,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _DEGENERATE_PROB = 1e-12
+# The field of cavity 2 is that of cavity 1 turned by pi/4.
+_CAVITY2_TURN = cmath.exp(1j * math.pi / 4.0)
 
 
 @dataclass(frozen=True)
@@ -284,9 +286,7 @@ def _coeffs_of(atom_amps: np.ndarray) -> AtomCoeffs:
     return AtomCoeffs.from_state(StateVector.normalized(atom_amps, two_qubit_tag()))
 
 
-def _mixed_result(
-    outcome: OutcomeLabel, probability: float, leaked: float, phi: float
-) -> ProtocolResult:
+def _mixed_result(outcome: OutcomeLabel, probability: float, leaked: float) -> ProtocolResult:
     post = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, two_qubit_tag())
     return ProtocolResult(
         outcome,
@@ -321,7 +321,7 @@ def _finish_branch(
     )
 
 
-def _cavity1_branches(
+def _branches(
     coeffs: AtomCoeffs,
     alpha: complex,
     g: float,
@@ -329,7 +329,7 @@ def _cavity1_branches(
     cutoff: FockCutoff,
     engine: str,
 ) -> tuple[dict[str, tuple[np.ndarray, float]], float, StateVector]:
-    """Evolve cavity 1 and project the field onto +-alpha.  Returns the
+    """Evolve one cavity and project its field onto +-alpha.  Returns the
     unnormalized atomic amplitudes and renormalized branch probabilities,
     the weight leaked outside the two reference states, and the evolved
     joint state itself."""
@@ -337,33 +337,13 @@ def _cavity1_branches(
     amps_p, p_raw = _project_coherent(joint, alpha, cutoff)
     amps_m, m_raw = _project_coherent(joint, -alpha, cutoff)
     total = p_raw + m_raw
-    leaked = 1.0 - total
     if total <= 0.0:
-        raise ValueError("cavity-1 field has no weight on the reference states")
+        raise ValueError("cavity field has no weight on the reference states")
     return (
         {"+": (amps_p, p_raw / total), "-": (amps_m, m_raw / total)},
-        leaked,
+        1.0 - total,
         joint,
     )
-
-
-def _cavity2_branches(
-    atom_amps: np.ndarray,
-    alpha: complex,
-    g: float,
-    t: float,
-    cutoff: FockCutoff,
-    engine: str,
-) -> dict[str, tuple[np.ndarray, float]]:
-    alpha2 = alpha * cmath.exp(1j * math.pi / 4.0)
-    coeffs2 = _coeffs_of(atom_amps)
-    joint2 = _evolved_joint(coeffs2, alpha2, g, t, cutoff, engine)
-    amps_p, p_raw = _project_coherent(joint2, alpha2, cutoff)
-    amps_m, m_raw = _project_coherent(joint2, -alpha2, cutoff)
-    total = p_raw + m_raw
-    if total <= 0.0:
-        return {"+": (amps_p, 0.0), "-": (amps_m, 0.0)}
-    return {"+": (amps_p, p_raw / total), "-": (amps_m, m_raw / total)}
 
 
 def bell_outcome_table(
@@ -378,19 +358,19 @@ def bell_outcome_table(
     discrimination in both cavities; probabilities sum to one."""
     phi = cmath.phase(alpha)
     t = _half_revival(g) if interaction_time is None else interaction_time
-    branches1, leaked, _ = _cavity1_branches(coeffs, alpha, g, t, cutoff, engine)
+    branches1, leaked, _ = _branches(coeffs, alpha, g, t, cutoff, engine)
     out: list[ProtocolResult] = []
     for outcome in ALL_OUTCOMES:
         amps1, p1 = branches1[outcome.d1]
         if p1 < _DEGENERATE_PROB:
             prob = p1 * 0.5
-            out.append(_mixed_result(outcome, prob, leaked, phi))
+            out.append(_mixed_result(outcome, prob, leaked))
             continue
-        branches2 = _cavity2_branches(amps1, alpha, g, t, cutoff, engine)
+        branches2 = _branches(_coeffs_of(amps1), alpha * _CAVITY2_TURN, g, t, cutoff, engine)[0]
         amps2, p2 = branches2[outcome.d2]
         prob = p1 * p2
         if prob < _DEGENERATE_PROB:
-            out.append(_mixed_result(outcome, prob, leaked, phi))
+            out.append(_mixed_result(outcome, prob, leaked))
             continue
         out.append(_finish_branch(outcome, prob, amps2, phi, leaked))
     return tuple(out)
@@ -419,7 +399,7 @@ def run_bell_protocol(
     t = _half_revival(g) if interaction_time is None else interaction_time
     rng = sample_rng(rng_seed, shot_index)
 
-    branches1, leaked, joint = _cavity1_branches(coeffs, alpha, g, t, cutoff, engine)
+    branches1, leaked, joint = _branches(coeffs, alpha, g, t, cutoff, engine)
     record_x: float | None = None
     if isinstance(detection, HomodyneConfig):
         record_x, collapsed = homodyne_measure(joint, detection, rng)
@@ -434,15 +414,15 @@ def run_bell_protocol(
         raise ValueError("detection must be 'ideal' or a HomodyneConfig")
 
     if p1 < _DEGENERATE_PROB:
-        return _mixed_result(OutcomeLabel(s1, "+"), p1 * 0.5, leaked, phi)
-    branches2 = _cavity2_branches(amps1, alpha, g, t, cutoff, engine)
+        return _mixed_result(OutcomeLabel(s1, "+"), p1 * 0.5, leaked)
+    branches2 = _branches(_coeffs_of(amps1), alpha * _CAVITY2_TURN, g, t, cutoff, engine)[0]
     p2_plus = branches2["+"][1]
     s2 = "+" if rng.uniform() < p2_plus else "-"
     amps2, p2 = branches2[s2]
     outcome = OutcomeLabel(s1, s2)
     prob = p1 * p2
     if prob < _DEGENERATE_PROB:
-        return _mixed_result(outcome, prob, leaked, phi)
+        return _mixed_result(outcome, prob, leaked)
     return _finish_branch(outcome, prob, amps2, phi, leaked, record_x)
 
 
@@ -527,7 +507,7 @@ def homodyne_outcome_table(
     """
     phi = cmath.phase(alpha)
     t = _half_revival(g) if interaction_time is None else interaction_time
-    branches1, leaked, _ = _cavity1_branches(coeffs, alpha, g, t, cutoff, engine)
+    branches1, leaked, _ = _branches(coeffs, alpha, g, t, cutoff, engine)
     q_mis = config.misclassification_probability(abs(alpha))
 
     # chains[σ][s2] = (corrected post state, renormalized p2) for the true
@@ -538,7 +518,7 @@ def homodyne_outcome_table(
         if p1 < _DEGENERATE_PROB:
             chains[sigma] = {"+": (None, 0.5), "-": (None, 0.5)}
             continue
-        branches2 = _cavity2_branches(amps1, alpha, g, t, cutoff, engine)
+        branches2 = _branches(_coeffs_of(amps1), alpha * _CAVITY2_TURN, g, t, cutoff, engine)[0]
         per_s2: dict[str, tuple[np.ndarray | None, float]] = {}
         for s2 in ("+", "-"):
             amps2, p2 = branches2[s2]
@@ -569,7 +549,7 @@ def homodyne_outcome_table(
                     rho += weight * np.outer(state, state.conj())
                 prob += weight
             if prob < _DEGENERATE_PROB:
-                out.append(_mixed_result(outcome, prob, leaked, phi))
+                out.append(_mixed_result(outcome, prob, leaked))
                 continue
             rho /= prob
             target = bell_target(outcome, phi).amplitudes

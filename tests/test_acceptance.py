@@ -13,12 +13,11 @@ from conftest import blockwise_state, random_coeffs
 
 from dicke2p.dynamics import (
     analytic_state,
-    block_eigenvalues_exact,
-    block_w_n,
     rabi_see_analytic,
     revival_time,
 )
 from dicke2p.hilbert import AtomCoeffs, FockCutoff
+from dicke2p.models import EffectiveModelParams, excitation_labels, sector_blocks
 from dicke2p.protocols import (
     ALL_OUTCOMES,
     HomodyneConfig,
@@ -54,12 +53,17 @@ def report(number, ok, detail, elapsed, limit):
 
 def test_criterion_1_block_spectrum():
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in range(4, 301):
-        numeric = np.sort(np.linalg.eigvalsh(block_w_n(1.3, n).matrix))
-        zero, minus, plus = block_eigenvalues_exact(1.3, n)
-        exact = np.array([minus, zero, plus])
-        worst = max(worst, np.max(np.abs(numeric - exact)) / plus)
+    cut = FockCutoff(300)
+    index, blocks, _ = sector_blocks(EffectiveModelParams(1.3, cut))
+    n = excitation_labels(cut)[index[:, 0]]
+    full = (n >= 4) & (n <= 300)
+    assert full.sum() == 297 and np.all(index[full] < 4 * cut.dim)
+    numeric = np.linalg.eigvalsh(blocks[full])
+    # W's exact sector spectrum; the second 0 is |psi->
+    w = 1.3 * np.sqrt((2 * n[full] - 3) ** 2 + 3)
+    zero = np.zeros_like(w)
+    exact = np.stack([-w, zero, zero, w], axis=1)
+    worst = float(np.max(np.abs(numeric - exact) / w[:, None]))
     elapsed = time.perf_counter() - t0
     report(1, worst < 1e-10,
            f"eigenvalue relative error {worst:.2e} < 1e-10 for n in [4, 300]",

@@ -42,6 +42,15 @@ class TestArgumentHandling:
             main(["ghz", "--engine", "magic"])
         assert exc.value.code == 2
 
+    def test_engine_names_match_the_library(self, tmp_path):
+        out = tmp_path / "g.json"
+        argv = ["ghz", "--nbar", "4", "--engine", "exact", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["engine"] == "exact"
+        with pytest.raises(SystemExit) as exc:
+            main(["ghz", "--nbar", "4", "--engine", "effective"])
+        assert exc.value.code == 2
+
     def test_rejects_nonpositive_nbar(self):
         with pytest.raises(SystemExit) as exc:
             main(["rabi", "--nbar", "0"])

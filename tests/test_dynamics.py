@@ -16,13 +16,11 @@ from dicke2p import models
 from dicke2p.dynamics import (
     SectorSpectrum,
     analytic_state,
-    block_eigenvalues_approx,
-    block_eigenvalues_exact,
-    block_propagator,
-    block_w_n,
     coherent_branch_state,
     evolve_exact,
     evolve_exact_many,
+    evolve_linearized_many,
+    linearized_spectrum,
     rabi_see_analytic,
     revival_time,
     sector_spectrum,
@@ -51,70 +49,102 @@ def w_small():
     return two_photon_w(EffectiveModelParams(g=1.0, cutoff=FockCutoff(24)))
 
 
+def sector_propagator(spectrum, n, t):
+    """exp(-i H t) on excitation sector n of a two-level spectrum, in the
+    slot order of spectrum.index[n] (gg, ge, eg, ee)."""
+    v = spectrum.vectors[n]
+    return (v * np.exp(-1j * spectrum.values[n] * t)) @ v.conj().T
+
+
+# |gg>, |psi+>, |ee> in the slot order of a full two-level sector
+_SQ = 1 / math.sqrt(2.0)
+_BELL3 = np.array([[1, 0, 0, 0], [0, _SQ, _SQ, 0], [0, 0, 0, 1]])
+
+
 class TestBlocks:
     def test_couplings_at_n10(self):
-        m = block_w_n(1.0, 10).matrix
+        _, blocks, _ = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(12)))
+        m = _BELL3 @ blocks[10] @ _BELL3.T
         assert m[0, 1] == pytest.approx(13.416407864998739, abs=1e-12)
         assert m[1, 2] == pytest.approx(10.583005244258363, abs=1e-12)
 
     def test_hermitian(self):
-        m = block_w_n(0.7, 9).matrix
-        np.testing.assert_allclose(m, m.conj().T)
+        _, blocks, _ = models.sector_blocks(EffectiveModelParams(0.7, FockCutoff(12)))
+        np.testing.assert_allclose(blocks, blocks.transpose(0, 2, 1).conj())
 
     def test_low_sectors_decouple_third_slot(self):
+        index, _, space = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(12)))
         for n in (2, 3):
-            m = block_w_n(1.0, n).matrix
-            assert m[1, 2] == 0.0 and m[2, 1] == 0.0
-
-    def test_rejects_tiny_sector(self):
-        with pytest.raises(ValueError):
-            block_w_n(1.0, 1)
+            assert list(index[n] < space.dim) == [True, True, True, False]
 
     def test_exact_eigenvalues_at_n4(self):
-        zero, minus, plus = block_eigenvalues_exact(1.0, 4)
-        assert zero == 0.0
-        assert plus == pytest.approx(5.291502622129181, abs=1e-12)
-        assert minus == pytest.approx(-plus)
+        values = sector_spectrum(EffectiveModelParams(1.0, FockCutoff(8))).values[4]
+        np.testing.assert_allclose(values[1:3], 0.0, atol=1e-14)
+        assert values[3] == pytest.approx(5.291502622129181, abs=1e-12)
+        assert values[0] == pytest.approx(-values[3])
 
     @pytest.mark.parametrize("n", [4, 7, 23, 120])
     def test_exact_matches_numeric(self, n):
-        numeric = np.linalg.eigvalsh(block_w_n(0.31, n).matrix)
-        expected = np.sort(block_eigenvalues_exact(0.31, n))
-        np.testing.assert_allclose(numeric, expected, rtol=1e-12, atol=1e-12)
+        values = sector_spectrum(EffectiveModelParams(0.31, FockCutoff(n))).values[n]
+        w = 0.31 * math.sqrt((2 * n - 3) ** 2 + 3)
+        np.testing.assert_allclose(values, [-w, 0.0, 0.0, w], rtol=1e-12, atol=1e-12)
 
     def test_approx_frequency(self):
-        assert block_eigenvalues_approx(1.0, 10) == (0.0, -17.0, 17.0)
+        values = linearized_spectrum(1.0, FockCutoff(12)).values[10]
+        np.testing.assert_allclose(values, [-17.0, 0.0, 0.0, 17.0], atol=1e-13)
+        # every complete sector, at a negative coupling
+        n = np.arange(4, 65)
+        w = 0.4 * (2 * n - 3)
+        zero = np.zeros_like(w)
+        expected = np.stack([-w, zero, zero, w], axis=1)
+        values = linearized_spectrum(-0.4, FockCutoff(60)).values[n]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12 * w.max())
 
     @pytest.mark.parametrize("n", [8, 20, 60, 200])
     def test_asymptotic_eigenvectors(self, n):
         """The fixed large-n frame diagonalizes the sector up to a relative
         error that dies off as 1/n (the two pair couplings differ by O(1))."""
+        _, blocks, _ = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(n)))
         sq = 1 / math.sqrt(2)
         frame = np.array([[sq, 0, -sq], [0.5, -sq, 0.5], [0.5, sq, 0.5]])
-        rotated = frame @ block_w_n(1.0, n).matrix @ frame.T
-        _, minus, plus = block_eigenvalues_approx(1.0, n)
-        off = np.max(np.abs(rotated - np.diag([0.0, minus, plus])))
-        assert off / plus < 5.0 / n
+        rotated = frame @ _BELL3 @ blocks[n] @ _BELL3.T @ frame.T
+        w = 2 * n - 3
+        off = np.max(np.abs(rotated - np.diag([0.0, -w, w])))
+        assert off / w < 5.0 / n
 
 
 class TestBlockPropagator:
     def test_identity_at_t0(self):
-        np.testing.assert_allclose(block_propagator(1.0, 9, 0.0).matrix, np.eye(3), atol=1e-14)
+        spec = linearized_spectrum(1.0, FockCutoff(12))
+        for n in range(spec.index.shape[0]):
+            np.testing.assert_allclose(sector_propagator(spec, n, 0.0), np.eye(4), atol=1e-14)
 
     @pytest.mark.parametrize("n,t", [(5, 0.4), (17, 2.3)])
     def test_unitary(self, n, t):
-        u = block_propagator(0.9, n, t).matrix
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
+        u = sector_propagator(linearized_spectrum(0.9, FockCutoff(20)), n, t)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
     def test_low_sector_keeps_third_slot(self):
-        u = block_propagator(1.0, 2, 0.3).matrix
-        np.testing.assert_allclose(u[2], [0.0, 0.0, 1.0], atol=1e-14)
+        """Only |gg,n> and |psi+,n-2> exist for n in {2,3}; they rotate at
+        g(2n-3)/sqrt(2) and the padded slot stays put."""
+        spec = linearized_spectrum(1.0, FockCutoff(12))
+        for n in (2, 3):
+            u = sector_propagator(spec, n, 0.3)
+            th = (2 * n - 3) * 0.3 / math.sqrt(2.0)
+            c, s = np.cos(th), np.sin(th)
+            m = _BELL3 @ u @ _BELL3.T
+            np.testing.assert_allclose(m[:2, :2], [[c, -1j * s], [-1j * s, c]], atol=1e-14)
+            np.testing.assert_allclose(u[3], [0.0, 0.0, 0.0, 1.0], atol=1e-14)
 
     def test_approaches_exact_exponential(self):
         # the linearized spectrum converges to the true one as n grows
+        cut = FockCutoff(1996)
+        lin = linearized_spectrum(1.0, cut)
+        _, blocks, _ = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(2000)))
+
         def gap(n, t):
-            u = block_propagator(1.0, n, t).matrix
-            return np.max(np.abs(u - expm(-1j * block_w_n(1.0, n).matrix * t)))
+            u = sector_propagator(lin, n, t)
+            return np.max(np.abs(u - expm(-1j * blocks[n] * t)))
 
         assert gap(400, 0.05) < 5e-3
         assert gap(2000, 0.01) < gap(400, 0.05) / 3.0
@@ -289,6 +319,38 @@ class TestAnalyticState:
             exact = evolve_exact(w, psi0, t).amplitudes
             approx = analytic_state(c, 10.0, 1.0, t, cut).amplitudes
             assert abs(np.vdot(exact, approx)) ** 2 > 0.999
+
+
+class TestLinearizedEvolution:
+    def test_many_matches_single(self, rng):
+        cut = FockCutoff.for_mean_photon(20.0)
+        c = random_coeffs(rng)
+        alpha = math.sqrt(20.0) * np.exp(0.4j)
+        psi0 = tensor(c.to_state(), coherent_state(alpha, cut))
+        times = np.linspace(0.0, revival_time(-0.002), 7)
+        many = evolve_linearized_many(linearized_spectrum(-0.002, cut), psi0, times)
+        assert many.shape == (7, psi0.dim)
+        for row, t in zip(many, times):
+            single = analytic_state(c, alpha, -0.002, float(t), cut).amplitudes
+            np.testing.assert_allclose(row, single, rtol=0, atol=1e-14)
+
+    def test_dropped_weight_raises(self):
+        """At nbar = 4 the smallest cutoff coherent_state accepts (n_max = 22)
+        leaves the |ee> tail within four photons of the edge; half a revival
+        moves 1.4e-8 of it past the cutoff."""
+        cut = FockCutoff(22)
+        c = AtomCoeffs(0.0, 0.0, 0.0, 1.0)
+        assert analytic_state(c, 2.0, -0.002, 0.0, cut).dim == 4 * cut.dim
+        with pytest.raises(ValueError, match=r"weight 1\.\d+e-08 past the cutoff n_max=22"):
+            analytic_state(c, 2.0, -0.002, revival_time(-0.002) / 2.0, cut)
+        cut = FockCutoff.for_mean_photon(4.0)
+        analytic_state(c, 2.0, -0.002, revival_time(-0.002) / 2.0, cut)
+
+    def test_rejects_spectrum_of_another_cutoff(self, mixed_coeffs):
+        cut = FockCutoff(24)
+        psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.0, cut))
+        with pytest.raises(ValueError, match="cutoff"):
+            evolve_linearized_many(linearized_spectrum(1.0, FockCutoff(28)), psi0, [0.1])
 
 
 class TestCoherentBranches:

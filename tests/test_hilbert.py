@@ -32,9 +32,12 @@ class TestFockCutoff:
     def test_dim_counts_vacuum(self):
         assert FockCutoff(7).dim == 8
 
-    @pytest.mark.parametrize("nbar,expected", [(20.0, 60), (50.0, 111), (100.0, 184)])
+    @pytest.mark.parametrize(
+        "nbar,expected", [(4.0, 26), (20.0, 60), (50.0, 111), (100.0, 184)]
+    )
     def test_mean_photon_rule(self, nbar, expected):
-        # ceil(nbar + 8 sqrt(nbar)) + 4
+        # ceil(nbar + 8 sqrt(nbar)) + 4 from nbar = 10 on; at nbar = 4 the
+        # Poisson weight above ceil(4 + 16) = 20 is 1.9e-9, above 22 it is 6e-11
         assert FockCutoff.for_mean_photon(nbar).n_max == expected
 
     def test_rejects_negative(self):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dicke2p.dynamics import block_w_n
 from dicke2p.hilbert import FockCutoff, fock_state, tensor, two_atom_tag
 from dicke2p.models import (
     DENSE_DIM_LIMIT,
@@ -103,7 +102,9 @@ class TestTwoPhotonW:
         assert psi_plus_2 @ w @ gg4 == pytest.approx(4.898979485566356, abs=1e-12)
 
     def test_block_assembly_matches(self, eff_params):
-        """The interaction decomposes exactly into the photon-sector blocks."""
+        """The interaction decomposes exactly into the photon-sector blocks
+        of the paper: couplings g sqrt(2) sqrt(n^2-n) and
+        g sqrt(2) sqrt(n^2-5n+6) in the layout {|gg,n>, |psi+,n-2>, |ee,n-4>}."""
         w = two_photon_w(eff_params).matrix
         nf = eff_params.cutoff.dim
         n_max = eff_params.cutoff.n_max
@@ -122,7 +123,10 @@ class TestTwoPhotonW:
                         vec[level * nf + idx_f] = 1.0
                 basis.append(vec)
             b = np.stack(basis, axis=1)
-            rebuilt += b @ block_w_n(eff_params.g, n).matrix @ b.T
+            upper = eff_params.g * math.sqrt(2.0) * math.sqrt(n * n - n)
+            lower = eff_params.g * math.sqrt(2.0) * math.sqrt(n * n - 5 * n + 6)
+            block = np.array([[0.0, upper, 0.0], [upper, 0.0, lower], [0.0, lower, 0.0]])
+            rebuilt += b @ block @ b.T
         np.testing.assert_allclose(rebuilt, w, atol=1e-14)
 
 
