@@ -61,12 +61,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def expectation(self, op_matrix: np.ndarray) -> complex:
-        return complex(np.trace(self.matrix @ op_matrix))
-
 
 def fidelity(a: StateVector | DensityMatrix, b: StateVector) -> float:
     """|<b|a>|^2 for pure a, <b|a|b> for a density matrix."""

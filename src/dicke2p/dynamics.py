@@ -243,14 +243,16 @@ class CoherentBranchState:
     branches: tuple[CoherentBranch, CoherentBranch, CoherentBranch]
 
     def reconstruct(self, cutoff: FockCutoff) -> StateVector:
-        return StateVector.normalized(self._raw(cutoff), tripartite_tag(cutoff))
+        return StateVector.normalized(self.amplitudes(cutoff), tripartite_tag(cutoff))
 
     def reconstruction_defect(self, cutoff: FockCutoff) -> float:
         """|1 - norm| of the unnormalized reconstruction; measures how far
         the branch decomposition is from resolving the identity."""
-        return abs(1.0 - float(np.linalg.norm(self._raw(cutoff))))
+        return abs(1.0 - float(np.linalg.norm(self.amplitudes(cutoff))))
 
-    def _raw(self, cutoff: FockCutoff) -> np.ndarray:
+    def amplitudes(self, cutoff: FockCutoff) -> np.ndarray:
+        """Unnormalized joint amplitudes at the cutoff, linear in the atomic
+        coefficients the branches were built from."""
         out = np.zeros(4 * cutoff.dim, dtype=np.complex128)
         for br in self.branches:
             field = coherent_state(br.alpha, cutoff).amplitudes

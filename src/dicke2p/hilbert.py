@@ -170,15 +170,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if self.space.dims != other.space.dims:
-            raise ValueError("overlap requires matching spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def reshaped(self) -> np.ndarray:
         return self.amplitudes.reshape(self.space.dims)
 
@@ -219,11 +210,6 @@ class Operator:
 
     def dagger(self) -> "Operator":
         return Operator(self.matrix.conj().T, self.space, self.hermitian, self.unitary)
-
-    def expectation(self, psi: StateVector) -> complex:
-        if psi.space.dims != self.space.dims:
-            raise ValueError("expectation requires matching spaces")
-        return complex(np.vdot(psi.amplitudes, self.matrix @ psi.amplitudes))
 
 
 # Columns: gg, psi-, psi+, ee expressed in the product basis gg, ge, eg, ee.

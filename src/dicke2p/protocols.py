@@ -6,6 +6,12 @@ time, discriminate the field between two nearly orthogonal coherent states
 whose field phase is advanced by pi/4, then apply a conditional one-qubit
 gate.  The composed field measurements act on the atoms as the four
 elements of a complete Bell-basis POVM.
+
+Each cavity readout is a pair of 4x4 operators on the atoms, the finite-nbar
+form of M_phi^+- (measurement_operator).  They are computed once per
+(alpha, g, t, cutoff, engine) by evolving the four product-basis atomic
+states with the field and projecting onto |+-alpha>; every shot, outcome
+table and Haar sample then composes them on its own atomic state.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .analysis import DensityMatrix, sample_rng
 from .dynamics import (
     SectorSpectrum,
     coherent_branch_state,
-    evolve_exact,
     revival_time,
     sector_spectrum,
 )
@@ -34,6 +39,7 @@ from .hilbert import (
     bell_state,
     coherent_state,
     tensor,
+    tripartite_tag,
     two_qubit_tag,
 )
 from .models import EffectiveModelParams
@@ -186,20 +192,41 @@ def ghz_target(
     return StateVector(amps, two_qubit_tag() * coherent_state(alpha, cutoff).space)
 
 
-def _evolved_joint(
-    coeffs: AtomCoeffs,
-    alpha: complex,
-    g: float,
-    t: float,
-    cutoff: FockCutoff,
-    engine: str,
-) -> StateVector:
+@lru_cache(maxsize=16)
+def _cavity(
+    alpha: complex, g: float, t: float, n_max: int, engine: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One cavity as a linear map on the atoms, independent of their state.
+
+    Returns the four product-basis atomic states (x) |alpha> evolved to t,
+    field-resolved with shape (4, 4, dim); the readout operators onto
+    |+alpha> and |-alpha>, stacked with shape (2, 4, 4); and the Gram matrix
+    of the evolved basis, which is the identity for the unitary exact engine
+    and carries the norm of the unnormalized analytic branch form.
+    """
+    cutoff = FockCutoff(n_max)
+    field = coherent_state(alpha, cutoff).amplitudes
+    eye = np.eye(4, dtype=np.complex128)
     if engine == "exact":
-        psi0 = tensor(coeffs.to_state(), coherent_state(alpha, cutoff))
-        return evolve_exact(_w_operator(g, cutoff.n_max), psi0, t)
-    if engine == "analytic":
-        return coherent_branch_state(coeffs, alpha, g, t).reconstruct(cutoff)
-    raise ValueError(f"unknown engine {engine!r}")
+        spectrum, times = _w_operator(g, n_max), np.array([t])
+        basis = np.stack([spectrum.propagate(np.kron(e, field), times)[0] for e in eye])
+    elif engine == "analytic":
+        basis = np.stack([
+            coherent_branch_state(
+                AtomCoeffs.from_state(StateVector(e, two_qubit_tag())), alpha, g, t
+            ).amplitudes(cutoff)
+            for e in eye
+        ])
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    basis = basis.reshape(4, 4, cutoff.dim)
+    refs = np.stack([field, coherent_state(-alpha, cutoff).amplitudes])
+    readout = (basis @ refs.conj().T).transpose(2, 1, 0)
+    flat = basis.reshape(4, -1)
+    gram = flat.conj() @ flat.T
+    for arr in (basis, readout, gram):
+        arr.flags.writeable = False
+    return basis, readout, gram
 
 
 def run_ghz(
@@ -209,8 +236,10 @@ def run_ghz(
     field amplitude |alpha| e^{i phi}, against ghz_target."""
     amp = abs(alpha) * cmath.exp(1j * phi)
     coeffs, _ = ghz_input(phi)
-    t_half = _half_revival(g)
-    psi = _evolved_joint(coeffs, amp, g, t_half, cutoff, engine)
+    basis = _cavity(amp, g, _half_revival(g), cutoff.n_max, engine)[0]
+    psi = StateVector.normalized(
+        np.tensordot(coeffs.to_state().amplitudes, basis, 1), tripartite_tag(cutoff)
+    )
     target = ghz_target(amp, phi, cutoff, g_sign=1 if g > 0 else -1)
     return float(abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2)
 
@@ -271,22 +300,9 @@ def bell_target(outcome: OutcomeLabel, phi: float) -> StateVector:
     return bell_state(kind, 2.0 * phi)
 
 
-def _project_coherent(
-    joint: StateVector, alpha: complex, cutoff: FockCutoff
-) -> tuple[np.ndarray, float]:
-    """Unnormalized atomic amplitudes and probability of finding the field
-    in the truncated coherent state alpha."""
-    field = coherent_state(alpha, cutoff).amplitudes
-    mat = joint.amplitudes.reshape(4, cutoff.dim)
-    amps = mat @ field.conj()
-    return amps, float(np.real(np.vdot(amps, amps)))
-
-
-def _coeffs_of(atom_amps: np.ndarray) -> AtomCoeffs:
-    return AtomCoeffs.from_state(StateVector.normalized(atom_amps, two_qubit_tag()))
-
-
-def _mixed_result(outcome: OutcomeLabel, probability: float, leaked: float) -> ProtocolResult:
+def _mixed_result(
+    outcome: OutcomeLabel, probability: float, leaked: float, record_x: float | None = None
+) -> ProtocolResult:
     post = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, two_qubit_tag())
     return ProtocolResult(
         outcome,
@@ -295,6 +311,7 @@ def _mixed_result(outcome: OutcomeLabel, probability: float, leaked: float) -> P
         _TARGET_KIND[(outcome.d1, outcome.d2)],
         float("nan"),
         leaked,
+        record_x,
     )
 
 
@@ -321,29 +338,21 @@ def _finish_branch(
     )
 
 
-def _branches(
-    coeffs: AtomCoeffs,
-    alpha: complex,
-    g: float,
-    t: float,
-    cutoff: FockCutoff,
-    engine: str,
-) -> tuple[dict[str, tuple[np.ndarray, float]], float, StateVector]:
-    """Evolve one cavity and project its field onto +-alpha.  Returns the
-    unnormalized atomic amplitudes and renormalized branch probabilities,
-    the weight leaked outside the two reference states, and the evolved
-    joint state itself."""
-    joint = _evolved_joint(coeffs, alpha, g, t, cutoff, engine)
-    amps_p, p_raw = _project_coherent(joint, alpha, cutoff)
-    amps_m, m_raw = _project_coherent(joint, -alpha, cutoff)
-    total = p_raw + m_raw
+def _readout(
+    cavity: tuple[np.ndarray, np.ndarray, np.ndarray], atoms: np.ndarray
+) -> tuple[dict[str, tuple[np.ndarray, float]], float]:
+    """Read one cavity out on the product-basis atomic amplitudes `atoms`.
+    Returns, per field sign, the unnormalized atomic amplitudes and the
+    renormalized probability, and the weight leaked outside the two
+    reference states."""
+    _, readout, gram = cavity
+    amps = readout @ atoms
+    raw = [float(np.real(np.vdot(a, a))) for a in amps]
+    total = raw[0] + raw[1]
     if total <= 0.0:
         raise ValueError("cavity field has no weight on the reference states")
-    return (
-        {"+": (amps_p, p_raw / total), "-": (amps_m, m_raw / total)},
-        1.0 - total,
-        joint,
-    )
+    leaked = 1.0 - total / float(np.real(np.vdot(atoms, gram @ atoms)))
+    return {"+": (amps[0], raw[0] / total), "-": (amps[1], raw[1] / total)}, leaked
 
 
 def bell_outcome_table(
@@ -358,21 +367,24 @@ def bell_outcome_table(
     discrimination in both cavities; probabilities sum to one."""
     phi = cmath.phase(alpha)
     t = _half_revival(g) if interaction_time is None else interaction_time
-    branches1, leaked, _ = _branches(coeffs, alpha, g, t, cutoff, engine)
+    cavity1 = _cavity(alpha, g, t, cutoff.n_max, engine)
+    cavity2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)
+    branches1, leaked = _readout(cavity1, coeffs.to_state().amplitudes)
     out: list[ProtocolResult] = []
-    for outcome in ALL_OUTCOMES:
-        amps1, p1 = branches1[outcome.d1]
-        if p1 < _DEGENERATE_PROB:
-            prob = p1 * 0.5
-            out.append(_mixed_result(outcome, prob, leaked))
-            continue
-        branches2 = _branches(_coeffs_of(amps1), alpha * _CAVITY2_TURN, g, t, cutoff, engine)[0]
-        amps2, p2 = branches2[outcome.d2]
-        prob = p1 * p2
-        if prob < _DEGENERATE_PROB:
-            out.append(_mixed_result(outcome, prob, leaked))
-            continue
-        out.append(_finish_branch(outcome, prob, amps2, phi, leaked))
+    for s1 in ("+", "-"):
+        amps1, p1 = branches1[s1]
+        branches2 = _readout(cavity2, amps1)[0] if p1 >= _DEGENERATE_PROB else None
+        for s2 in ("+", "-"):
+            outcome = OutcomeLabel(s1, s2)
+            if branches2 is None:
+                out.append(_mixed_result(outcome, p1 * 0.5, leaked))
+                continue
+            amps2, p2 = branches2[s2]
+            prob = p1 * p2
+            if prob < _DEGENERATE_PROB:
+                out.append(_mixed_result(outcome, prob, leaked))
+            else:
+                out.append(_finish_branch(outcome, prob, amps2, phi, leaked))
     return tuple(out)
 
 
@@ -399,9 +411,15 @@ def run_bell_protocol(
     t = _half_revival(g) if interaction_time is None else interaction_time
     rng = sample_rng(rng_seed, shot_index)
 
-    branches1, leaked, joint = _branches(coeffs, alpha, g, t, cutoff, engine)
+    cavity1 = _cavity(alpha, g, t, cutoff.n_max, engine)
+    cavity2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)
+    atoms = coeffs.to_state().amplitudes
+    branches1, leaked = _readout(cavity1, atoms)
     record_x: float | None = None
     if isinstance(detection, HomodyneConfig):
+        joint = StateVector.normalized(
+            np.tensordot(atoms, cavity1[0], 1), tripartite_tag(cutoff)
+        )
         record_x, collapsed = homodyne_measure(joint, detection, rng)
         s1 = "+" if record_x > 0 else "-"
         amps1 = collapsed.amplitudes
@@ -414,15 +432,15 @@ def run_bell_protocol(
         raise ValueError("detection must be 'ideal' or a HomodyneConfig")
 
     if p1 < _DEGENERATE_PROB:
-        return _mixed_result(OutcomeLabel(s1, "+"), p1 * 0.5, leaked)
-    branches2 = _branches(_coeffs_of(amps1), alpha * _CAVITY2_TURN, g, t, cutoff, engine)[0]
+        return _mixed_result(OutcomeLabel(s1, "+"), p1 * 0.5, leaked, record_x)
+    branches2 = _readout(cavity2, amps1)[0]
     p2_plus = branches2["+"][1]
     s2 = "+" if rng.uniform() < p2_plus else "-"
     amps2, p2 = branches2[s2]
     outcome = OutcomeLabel(s1, s2)
     prob = p1 * p2
     if prob < _DEGENERATE_PROB:
-        return _mixed_result(outcome, prob, leaked)
+        return _mixed_result(outcome, prob, leaked, record_x)
     return _finish_branch(outcome, prob, amps2, phi, leaked, record_x)
 
 
@@ -498,72 +516,41 @@ def homodyne_outcome_table(
     cavity 1.
 
     The record classifies the field between the two reference states, so
-    each cavity-1 sign is a mixture of the right branch and, with the
-    Gaussian-overlap misclassification weight of the smeared record, the
-    wrong one.  The post state for each outcome is the mean over records
-    classified to that sign; no sampling is involved.  At efficiency 1 the
-    table reduces to the ideal coherent discrimination.  Cavity 2 is always
-    read out ideally.
+    each outcome mixes the ideal table entry of the right cavity-1 branch
+    and, with the Gaussian-overlap misclassification weight of the smeared
+    record, the entry of the wrong one.  The post state for each outcome is
+    the mean over records classified to that sign; no sampling is involved.
+    At efficiency 1 the table reduces to the ideal coherent discrimination.
+    Cavity 2 is always read out ideally.
     """
     phi = cmath.phase(alpha)
-    t = _half_revival(g) if interaction_time is None else interaction_time
-    branches1, leaked, _ = _branches(coeffs, alpha, g, t, cutoff, engine)
+    table = bell_outcome_table(coeffs, alpha, g, cutoff, engine, interaction_time)
+    ideal = {r.outcome: r for r in table}
+    leaked = table[0].leaked_weight
     q_mis = config.misclassification_probability(abs(alpha))
-
-    # chains[σ][s2] = (corrected post state, renormalized p2) for the true
-    # cavity-1 branch σ followed by an ideal cavity-2 readout
-    chains: dict[str, dict[str, tuple[np.ndarray | None, float]]] = {}
-    for sigma in ("+", "-"):
-        amps1, p1 = branches1[sigma]
-        if p1 < _DEGENERATE_PROB:
-            chains[sigma] = {"+": (None, 0.5), "-": (None, 0.5)}
-            continue
-        branches2 = _branches(_coeffs_of(amps1), alpha * _CAVITY2_TURN, g, t, cutoff, engine)[0]
-        per_s2: dict[str, tuple[np.ndarray | None, float]] = {}
-        for s2 in ("+", "-"):
-            amps2, p2 = branches2[s2]
-            if p2 < _DEGENERATE_PROB:
-                per_s2[s2] = (None, p2)
-                continue
-            gate = correction_gate(OutcomeLabel(sigma, s2), phi).matrix
-            corrected = gate @ amps2
-            corrected = corrected / math.sqrt(
-                float(np.real(np.vdot(corrected, corrected)))
-            )
-            per_s2[s2] = (corrected, p2)
-        chains[sigma] = per_s2
-
     out: list[ProtocolResult] = []
-    for s1 in ("+", "-"):
-        opposite = "-" if s1 == "+" else "+"
-        for s2 in ("+", "-"):
-            outcome = OutcomeLabel(s1, s2)
-            rho = np.zeros((4, 4), dtype=np.complex128)
-            prob = 0.0
-            for sigma, w_cls in ((s1, 1.0 - q_mis), (opposite, q_mis)):
-                state, p2 = chains[sigma][s2]
-                weight = w_cls * branches1[sigma][1] * p2
-                if state is None or weight <= 0.0:
-                    rho += weight * np.eye(4) / 4.0
-                else:
-                    rho += weight * np.outer(state, state.conj())
-                prob += weight
-            if prob < _DEGENERATE_PROB:
-                out.append(_mixed_result(outcome, prob, leaked))
-                continue
-            rho /= prob
-            target = bell_target(outcome, phi).amplitudes
-            fid = float(np.real(target.conj() @ rho @ target))
-            out.append(
-                ProtocolResult(
-                    outcome,
-                    prob,
-                    DensityMatrix(rho, two_qubit_tag()),
-                    _TARGET_KIND[(s1, s2)],
-                    fid,
-                    leaked,
-                )
+    for outcome in ALL_OUTCOMES:
+        misread = OutcomeLabel("-" if outcome.d1 == "+" else "+", outcome.d2)
+        # records classified as d1: the true branch d1, or the other one
+        # misread, each post state corrected with the gate of its true branch
+        mix = ((1.0 - q_mis, ideal[outcome]), (q_mis, ideal[misread]))
+        prob = sum(w * r.probability for w, r in mix)
+        if prob < _DEGENERATE_PROB:
+            out.append(_mixed_result(outcome, prob, leaked))
+            continue
+        rho = sum(w * r.probability * r.post_state.matrix for w, r in mix) / prob
+        target = bell_target(outcome, phi).amplitudes
+        fid = float(np.real(target.conj() @ rho @ target))
+        out.append(
+            ProtocolResult(
+                outcome,
+                prob,
+                DensityMatrix(rho, two_qubit_tag()),
+                _TARGET_KIND[(outcome.d1, outcome.d2)],
+                fid,
+                leaked,
             )
+        )
     return (out[0], out[1], out[2], out[3])
 
 

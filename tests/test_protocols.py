@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from dicke2p.dynamics import coherent_branch_state, evolve_exact, sector_spectrum
 from dicke2p.hilbert import AtomCoeffs, FockCutoff, bell_state, coherent_state, tensor
+from dicke2p.models import EffectiveModelParams
 from dicke2p.protocols import (
     ALL_OUTCOMES,
     HomodyneConfig,
@@ -28,6 +30,7 @@ from dicke2p.protocols import (
 
 PHI = math.pi / 8.0
 G = -0.002
+T_HALF = math.pi / (2.0 * abs(G))
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,14 @@ def alpha20():
 def table20(cut20, alpha20):
     c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
     return c, bell_outcome_table(c, alpha20, G, cut20)
+
+
+@pytest.fixture(scope="module")
+def joint20(table20, cut20, alpha20):
+    """Cavity-1 joint state at t_r/2, evolved without the protocol's maps."""
+    c, _ = table20
+    psi0 = tensor(c.to_state(), coherent_state(alpha20, cut20))
+    return evolve_exact(sector_spectrum(EffectiveModelParams(G, cut20)), psi0, T_HALF)
 
 
 class TestGhz:
@@ -158,6 +169,18 @@ class TestBellOutcomeTable:
             assert 0.0 <= r.leaked_weight < 0.05
             assert r.leaked_weight == pytest.approx(table[0].leaked_weight)
 
+    def test_analytic_leak_is_that_of_the_normalized_branch_state(self, table20, cut20, alpha20):
+        """Off t_r/2 the branch form is not normalized; the leak is still
+        measured on the normalized state."""
+        c, _ = table20
+        t = T_HALF + 0.02 / abs(G)
+        table = bell_outcome_table(c, alpha20, G, cut20, engine="analytic", interaction_time=t)
+        psi = coherent_branch_state(c, alpha20, G, t).reconstruct(cut20).amplitudes
+        refs = [coherent_state(s * alpha20, cut20).amplitudes for s in (1, -1)]
+        kept = sum(np.linalg.norm(psi.reshape(4, -1) @ ref.conj()) ** 2 for ref in refs)
+        assert table[0].leaked_weight > 1e-3
+        assert table[0].leaked_weight == pytest.approx(1.0 - kept, abs=1e-12)
+
     def test_stationary_input_pins_first_outcome(self, cut20, alpha20):
         table = bell_outcome_table(AtomCoeffs(0, 1, 0, 0), alpha20, G, cut20)
         assert table[0].probability > 0.999
@@ -199,45 +222,109 @@ class TestRunBellProtocol:
         assert abs(abs(shot.record_x) - math.sqrt(20.0)) < 3.0
 
     @pytest.mark.parametrize("detection", ["ideal", "homodyne"])
-    def test_two_exact_evolutions_per_shot(self, table20, cut20, alpha20, monkeypatch, detection):
-        """One evolution per cavity; the homodyne readout reuses the cavity-1
-        state instead of evolving it again."""
+    def test_repeated_shots_evolve_nothing(
+        self, table20, cut20, alpha20, joint20, monkeypatch, detection
+    ):
+        """The first shot builds one map per cavity (four basis evolutions
+        each); later shots at the same parameters only compose them, and
+        the homodyne record is that of the cavity-1 joint state."""
         from dicke2p import protocols
         from dicke2p.analysis import sample_rng
+        from dicke2p.dynamics import SectorSpectrum
 
         calls = []
-        evolve = protocols.evolve_exact
+        propagate = SectorSpectrum.propagate
 
-        def counting(*args):
+        def counting(self, *args):
             calls.append(args)
-            return evolve(*args)
+            return propagate(self, *args)
 
-        monkeypatch.setattr(protocols, "evolve_exact", counting)
+        monkeypatch.setattr(SectorSpectrum, "propagate", counting)
+        protocols._cavity.cache_clear()
         c, _ = table20
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
         det = cfg if detection == "homodyne" else "ideal"
-        shot = run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=1)
-        assert len(calls) == 2
+        run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=0)
+        assert len(calls) == 8
+        shots = [
+            run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=i)
+            for i in range(1, 6)
+        ]
+        assert len(calls) == 8
         if detection == "homodyne":
-            # same record as measuring a freshly evolved cavity-1 state
-            joint = protocols._evolved_joint(c, alpha20, G, math.pi / (2 * abs(G)), cut20, "exact")
-            x, _ = homodyne_measure(joint, cfg, sample_rng(3, 1))
-            assert shot.record_x == x
+            x, _ = homodyne_measure(joint20, cfg, sample_rng(3, 1))
+            assert shots[0].record_x == x
+
+    def test_degenerate_homodyne_branch_keeps_its_record(self):
+        """|psi-> never leaves |alpha>, so a misread record lands on a branch
+        of vanishing weight: the result is the mixed fallback, with the
+        record that was taken."""
+        nbar = 20.0
+        cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.05)
+        shot = run_bell_protocol(
+            AtomCoeffs(0, 1, 0, 0),
+            math.sqrt(nbar) * np.exp(1j * PHI),
+            G,
+            FockCutoff.for_mean_photon(nbar),
+            detection=cfg,
+            rng_seed=0,
+            shot_index=0,
+        )
+        assert shot.outcome == OutcomeLabel("-", "+")
+        assert shot.probability < 1e-20
+        assert math.isnan(shot.fidelity)
+        assert isinstance(shot.record_x, float) and math.isfinite(shot.record_x)
+        assert shot.record_x < 0
+
+
+class TestCavityMaps:
+    """Each cavity's cached readout operators against the paper's M_phi^+-."""
+
+    @staticmethod
+    def gaps(nbar: float, engine: str) -> list[float]:
+        from dicke2p import protocols
+
+        cut = FockCutoff.for_mean_photon(nbar)
+        out = []
+        for phi in (PHI, PHI + math.pi / 4.0):
+            alpha = math.sqrt(nbar) * np.exp(1j * phi)
+            _, readout, _ = protocols._cavity(alpha, G, T_HALF, cut.n_max, engine)
+            paper = (
+                measurement_operator(phi, "+").matrix,
+                np.sign(G) * measurement_operator(phi, "-").matrix,
+            )
+            out += [float(np.max(np.abs(k - m))) for k, m in zip(readout, paper)]
+        return out
+
+    @pytest.mark.parametrize("nbar", [20.0, 50.0, 100.0])
+    def test_analytic_maps_are_the_paper_operators(self, nbar):
+        assert max(self.gaps(nbar, "analytic")) <= 1e-12
+
+    def test_exact_maps_approach_the_paper_operators(self):
+        gaps = [max(self.gaps(nbar, "exact")) for nbar in (20.0, 50.0, 100.0)]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[1] < 0.025
+
+    def test_exact_gram_is_identity(self):
+        from dicke2p import protocols
+
+        cut = FockCutoff.for_mean_photon(50.0)
+        alpha = math.sqrt(50.0) * np.exp(1j * PHI)
+        gram = protocols._cavity(alpha, G, T_HALF, cut.n_max, "exact")[2]
+        np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
 
 class TestTimingSensitivity:
     def test_optimum_matches_table(self, table20, cut20, alpha20):
         c, table = table20
-        t_half = math.pi / (2.0 * abs(G))
-        curves = timing_sensitivity(c, alpha20, G, cut20, np.array([t_half]))
+        curves = timing_sensitivity(c, alpha20, G, cut20, np.array([T_HALF]))
         for r in table:
             assert curves.fidelities[r.outcome][0] == pytest.approx(r.fidelity, abs=1e-9)
             assert curves.probabilities[r.outcome][0] == pytest.approx(r.probability, abs=1e-9)
 
     def test_stationary_component_is_flat(self, cut20, alpha20):
         c = AtomCoeffs.normalized(0.2, 0.9, 0.3, 0.25)
-        t_half = math.pi / (2.0 * abs(G))
-        window = t_half + np.linspace(-0.05, 0.05, 5) / abs(G)
+        window = T_HALF + np.linspace(-0.05, 0.05, 5) / abs(G)
         curves = timing_sensitivity(c, alpha20, G, cut20, window)
         psi_minus = curves.fidelities[OutcomeLabel("+", "+")]
         assert np.ptp(psi_minus) < 1e-3
@@ -296,16 +383,12 @@ class TestHomodyneConfig:
 
 
 class TestHomodyneMeasurement:
-    def test_collapse_is_normalized_and_reproducible(self, table20, cut20, alpha20):
+    def test_collapse_is_normalized_and_reproducible(self, joint20):
         from dicke2p.analysis import sample_rng
 
-        c, _ = table20
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
-        from dicke2p.protocols import _evolved_joint  # noqa: PLC2701
-
-        psi = _evolved_joint(c, alpha20, G, math.pi / (2 * abs(G)), cut20, "exact")
-        x1, post1 = homodyne_measure(psi, cfg, sample_rng(8, 0))
-        x2, post2 = homodyne_measure(psi, cfg, sample_rng(8, 0))
+        x1, post1 = homodyne_measure(joint20, cfg, sample_rng(8, 0))
+        x2, post2 = homodyne_measure(joint20, cfg, sample_rng(8, 0))
         assert x1 == x2
         assert np.linalg.norm(post1.amplitudes) == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(post1.amplitudes, post2.amplitudes, atol=1e-12)
