@@ -46,6 +46,8 @@ __all__ = [
 NORM_ATOL = 1e-10
 # Largest weight a truncation to the Fock cutoff may drop.
 CAPTURE_ATOL = 1e-10
+_CUTOFF_SIGMAS = 8.0
+_CUTOFF_PAD = 4
 FLAG_ATOL = 1e-10
 
 Level = Literal["g", "i", "e"]
@@ -70,22 +72,22 @@ class FockCutoff:
         return self.n_max + 1
 
     @classmethod
-    def for_mean_photon(cls, nbar: float, margin: float = 8.0, pad: int = 4) -> "FockCutoff":
-        """Cutoff top + pad, with top the smallest photon number from
-        ceil(nbar + margin*sqrt(nbar)) on that leaves less than CAPTURE_ATOL
-        of the coherent photon distribution above it.
+    def for_mean_photon(cls, nbar: float) -> "FockCutoff":
+        """Cutoff top + _CUTOFF_PAD, with top the smallest photon number from
+        ceil(nbar + _CUTOFF_SIGMAS*sqrt(nbar)) on that leaves less than
+        CAPTURE_ATOL of the coherent photon distribution above it.
 
         Eight standard deviations are enough from nbar = 10 on; below that
         the Poisson tail is heavier than the Gaussian estimate and top grows.
-        The pad absorbs the four-photon reach of the two-photon couplings.
+        The pad of 4 absorbs the four-photon reach of the two-photon couplings.
         """
         if nbar < 0:
             raise ValueError("nbar must be non-negative")
-        top = int(math.ceil(nbar + margin * math.sqrt(nbar)))
+        top = int(math.ceil(nbar + _CUTOFF_SIGMAS * math.sqrt(nbar)))
         # Poisson weight above top: the regularized lower incomplete gamma
         while gammainc(top + 1, nbar) > CAPTURE_ATOL:
             top += 1
-        return cls(top + pad)
+        return cls(top + _CUTOFF_PAD)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import DensityMatrix, sample_rng
+from .analysis import DensityMatrix, fidelity, sample_rng
 from .dynamics import (
     SectorSpectrum,
     coherent_branch_state,
@@ -68,6 +68,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _DEGENERATE_PROB = 1e-12
+# Quadrature grid of homodyne sampling, over +-(sqrt(nbar) + 5).
+_QUADRATURE_POINTS = 2001
 # The field of cavity 2 is that of cavity 1 turned by pi/4.
 _CAVITY2_TURN = cmath.exp(1j * math.pi / 4.0)
 
@@ -126,20 +128,16 @@ class ProtocolResult:
 
 @dataclass(frozen=True)
 class HomodyneConfig:
-    """Balanced homodyne detector: local-oscillator phase, efficiency, and
-    the quadrature grid used for sampling.  efficiency < 1 smears the ideal
-    record by a Gaussian of variance (1-efficiency)/(4*efficiency)."""
+    """Balanced homodyne detector: local-oscillator phase and efficiency.
+    efficiency < 1 smears the ideal record by a Gaussian of variance
+    (1-efficiency)/(4*efficiency)."""
 
     lo_phase: float
     efficiency: float = 1.0
-    grid_points: int = 2001
-    grid_span: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
-        if self.grid_points < 16:
-            raise ValueError("grid too small to resolve the quadrature density")
 
     @property
     def smear_variance(self) -> float:
@@ -147,7 +145,8 @@ class HomodyneConfig:
 
     def misclassification_probability(self, alpha_abs: float) -> float:
         """Mass of the smeared record on the wrong side of x = 0 for a pure
-        coherent input at the optimal local-oscillator phase."""
+        coherent input whose quadrature mean along the local oscillator is
+        alpha_abs (|alpha| at the optimal phase)."""
         sigma = math.sqrt(0.25 + self.smear_variance)
         return 0.5 * math.erfc(alpha_abs / (sigma * _SQRT2))
 
@@ -156,10 +155,6 @@ class HomodyneConfig:
 def _w_operator(g: float, n_max: int) -> SectorSpectrum:
     """Sector spectrum of W, shared by every exact evolution at (g, n_max)."""
     return sector_spectrum(EffectiveModelParams(g, FockCutoff(n_max)))
-
-
-def _half_revival(g: float) -> float:
-    return revival_time(g) / 2.0
 
 
 def ghz_input(phi: float) -> tuple[AtomCoeffs, StateVector]:
@@ -236,12 +231,11 @@ def run_ghz(
     field amplitude |alpha| e^{i phi}, against ghz_target."""
     amp = abs(alpha) * cmath.exp(1j * phi)
     coeffs, _ = ghz_input(phi)
-    basis = _cavity(amp, g, _half_revival(g), cutoff.n_max, engine)[0]
+    basis = _cavity(amp, g, revival_time(g) / 2.0, cutoff.n_max, engine)[0]
     psi = StateVector.normalized(
         np.tensordot(coeffs.to_state().amplitudes, basis, 1), tripartite_tag(cutoff)
     )
-    target = ghz_target(amp, phi, cutoff, g_sign=1 if g > 0 else -1)
-    return float(abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2)
+    return fidelity(psi, ghz_target(amp, phi, cutoff, g_sign=1 if g > 0 else -1))
 
 
 def _sigma_phi(phi: float) -> np.ndarray:
@@ -278,6 +272,7 @@ def composed_measurement(phi: float, s1: str, s2: str) -> Operator:
     return Operator(m2 @ m1, two_qubit_tag())
 
 
+@lru_cache(maxsize=16)
 def correction_gate(outcome: OutcomeLabel, phi: float) -> Operator:
     """Conditional one-qubit gate on atom A completing the Bell measurement:
     (+,+) -> 1, (-,+) -> i sigma_2phi, (+,-) -> sigma_2phi sigma_z,
@@ -300,42 +295,28 @@ def bell_target(outcome: OutcomeLabel, phi: float) -> StateVector:
     return bell_state(kind, 2.0 * phi)
 
 
-def _mixed_result(
-    outcome: OutcomeLabel, probability: float, leaked: float, record_x: float | None = None
-) -> ProtocolResult:
-    post = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, two_qubit_tag())
-    return ProtocolResult(
-        outcome,
-        probability,
-        post,
-        _TARGET_KIND[(outcome.d1, outcome.d2)],
-        float("nan"),
-        leaked,
-        record_x,
-    )
+_MIXED = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, two_qubit_tag())
 
 
-def _finish_branch(
+def _result(
     outcome: OutcomeLabel,
-    probability: float,
-    atom_amps: np.ndarray,
+    prob: float,
+    amps: np.ndarray | None,
     phi: float,
     leaked: float,
     record_x: float | None = None,
 ) -> ProtocolResult:
+    """The outcome's atomic amplitudes amps, corrected, with their fidelity
+    to the Bell target; below _DEGENERATE_PROB the atoms are left maximally
+    mixed with fidelity NaN, and amps is not read."""
+    kind = _TARGET_KIND[(outcome.d1, outcome.d2)]
+    if prob < _DEGENERATE_PROB:
+        return ProtocolResult(outcome, prob, _MIXED, kind, float("nan"), leaked, record_x)
     gate = correction_gate(outcome, phi).matrix
-    corrected = StateVector.normalized(gate @ atom_amps, two_qubit_tag())
-    target = bell_target(outcome, phi)
-    fid = float(abs(np.vdot(target.amplitudes, corrected.amplitudes)) ** 2)
-    return ProtocolResult(
-        outcome,
-        probability,
-        DensityMatrix.from_pure(corrected),
-        _TARGET_KIND[(outcome.d1, outcome.d2)],
-        fid,
-        leaked,
-        record_x,
-    )
+    corrected = StateVector.normalized(gate @ amps, two_qubit_tag())
+    fid = fidelity(corrected, bell_target(outcome, phi))
+    post = DensityMatrix.from_pure(corrected)
+    return ProtocolResult(outcome, prob, post, kind, fid, leaked, record_x)
 
 
 def _readout(
@@ -355,6 +336,19 @@ def _readout(
     return {"+": (amps[0], raw[0] / total), "-": (amps[1], raw[1] / total)}, leaked
 
 
+def _second_cavity(
+    cavity2: tuple[np.ndarray, np.ndarray, np.ndarray], s1: str, amps1: np.ndarray, p1: float
+) -> list[tuple[OutcomeLabel, float, np.ndarray, float]]:
+    """Cavity 2 read out on the cavity-1 branch s1 (atomic amplitudes amps1,
+    probability p1): per s2 = +, -, the outcome, the joint probability
+    p1*p2, the atomic amplitudes and p2.  A degenerate cavity-1 branch is
+    split evenly and not read."""
+    if p1 < _DEGENERATE_PROB:
+        return [(OutcomeLabel(s1, s2), p1 * 0.5, amps1, 0.5) for s2 in ("+", "-")]
+    branches2 = _readout(cavity2, amps1)[0]
+    return [(OutcomeLabel(s1, s2), p1 * p2, amps2, p2) for s2, (amps2, p2) in branches2.items()]
+
+
 def bell_outcome_table(
     coeffs: AtomCoeffs,
     alpha: complex,
@@ -366,26 +360,15 @@ def bell_outcome_table(
     """Deterministic enumeration of all four outcomes with ideal coherent
     discrimination in both cavities; probabilities sum to one."""
     phi = cmath.phase(alpha)
-    t = _half_revival(g) if interaction_time is None else interaction_time
+    t = revival_time(g) / 2.0 if interaction_time is None else interaction_time
     cavity1 = _cavity(alpha, g, t, cutoff.n_max, engine)
     cavity2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)
     branches1, leaked = _readout(cavity1, coeffs.to_state().amplitudes)
-    out: list[ProtocolResult] = []
-    for s1 in ("+", "-"):
-        amps1, p1 = branches1[s1]
-        branches2 = _readout(cavity2, amps1)[0] if p1 >= _DEGENERATE_PROB else None
-        for s2 in ("+", "-"):
-            outcome = OutcomeLabel(s1, s2)
-            if branches2 is None:
-                out.append(_mixed_result(outcome, p1 * 0.5, leaked))
-                continue
-            amps2, p2 = branches2[s2]
-            prob = p1 * p2
-            if prob < _DEGENERATE_PROB:
-                out.append(_mixed_result(outcome, prob, leaked))
-            else:
-                out.append(_finish_branch(outcome, prob, amps2, phi, leaked))
-    return tuple(out)
+    return tuple(
+        _result(outcome, prob, amps, phi, leaked)
+        for s1, (amps1, p1) in branches1.items()
+        for outcome, prob, amps, _ in _second_cavity(cavity2, s1, amps1, p1)
+    )
 
 
 def run_bell_protocol(
@@ -397,9 +380,8 @@ def run_bell_protocol(
     detection: str | HomodyneConfig = "ideal",
     rng_seed: int = 0,
     shot_index: int = 0,
-    interaction_time: float | None = None,
 ) -> ProtocolResult:
-    """Sample one protocol shot.
+    """Sample one protocol shot at half the revival time.
 
     detection='ideal' discriminates cavity 1 by coherent-state projection;
     a HomodyneConfig instead samples a quadrature record and collapses the
@@ -408,40 +390,29 @@ def run_bell_protocol(
     probability of the realized outcome.
     """
     phi = cmath.phase(alpha)
-    t = _half_revival(g) if interaction_time is None else interaction_time
+    t = revival_time(g) / 2.0
     rng = sample_rng(rng_seed, shot_index)
-
     cavity1 = _cavity(alpha, g, t, cutoff.n_max, engine)
     cavity2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)
     atoms = coeffs.to_state().amplitudes
     branches1, leaked = _readout(cavity1, atoms)
     record_x: float | None = None
     if isinstance(detection, HomodyneConfig):
-        joint = StateVector.normalized(
-            np.tensordot(atoms, cavity1[0], 1), tripartite_tag(cutoff)
-        )
+        joint = StateVector.normalized(np.tensordot(atoms, cavity1[0], 1), tripartite_tag(cutoff))
         record_x, collapsed = homodyne_measure(joint, detection, rng)
         s1 = "+" if record_x > 0 else "-"
-        amps1 = collapsed.amplitudes
-        p1 = branches1[s1][1]
+        amps1, p1 = collapsed.amplitudes, branches1[s1][1]
     elif detection == "ideal":
-        p_plus = branches1["+"][1]
-        s1 = "+" if rng.uniform() < p_plus else "-"
+        s1 = "+" if rng.uniform() < branches1["+"][1] else "-"
         amps1, p1 = branches1[s1]
     else:
         raise ValueError("detection must be 'ideal' or a HomodyneConfig")
 
-    if p1 < _DEGENERATE_PROB:
-        return _mixed_result(OutcomeLabel(s1, "+"), p1 * 0.5, leaked, record_x)
-    branches2 = _readout(cavity2, amps1)[0]
-    p2_plus = branches2["+"][1]
-    s2 = "+" if rng.uniform() < p2_plus else "-"
-    amps2, p2 = branches2[s2]
-    outcome = OutcomeLabel(s1, s2)
-    prob = p1 * p2
-    if prob < _DEGENERATE_PROB:
-        return _mixed_result(outcome, prob, leaked, record_x)
-    return _finish_branch(outcome, prob, amps2, phi, leaked, record_x)
+    branches2 = _second_cavity(cavity2, s1, amps1, p1)
+    # a degenerate cavity-1 branch draws nothing more and reports (s1, +)
+    k = 0 if p1 < _DEGENERATE_PROB or rng.uniform() < branches2[0][3] else 1
+    outcome, prob, amps2, _ = branches2[k]
+    return _result(outcome, prob, amps2, phi, leaked, record_x)
 
 
 @dataclass(frozen=True)
@@ -510,24 +481,24 @@ def homodyne_outcome_table(
     cutoff: FockCutoff,
     config: HomodyneConfig,
     engine: str = "exact",
-    interaction_time: float | None = None,
 ) -> tuple[ProtocolResult, ProtocolResult, ProtocolResult, ProtocolResult]:
     """Deterministic per-outcome results with balanced homodyne readout of
-    cavity 1.
+    cavity 1 at half the revival time.
 
     The record classifies the field between the two reference states, so
     each outcome mixes the ideal table entry of the right cavity-1 branch
-    and, with the Gaussian-overlap misclassification weight of the smeared
-    record, the entry of the wrong one.  The post state for each outcome is
-    the mean over records classified to that sign; no sampling is involved.
-    At efficiency 1 the table reduces to the ideal coherent discrimination.
-    Cavity 2 is always read out ideally.
+    and, with the misclassification weight of the smeared record at the
+    quadrature mean |alpha| cos(phase(alpha) - lo_phase), the entry of the
+    wrong one.  The post state for each outcome is the mean over records
+    classified to that sign; no sampling is involved.  At efficiency 1 and
+    lo_phase = phase(alpha) the table reduces to the ideal coherent
+    discrimination.  Cavity 2 is always read out ideally.
     """
     phi = cmath.phase(alpha)
-    table = bell_outcome_table(coeffs, alpha, g, cutoff, engine, interaction_time)
+    table = bell_outcome_table(coeffs, alpha, g, cutoff, engine)
     ideal = {r.outcome: r for r in table}
     leaked = table[0].leaked_weight
-    q_mis = config.misclassification_probability(abs(alpha))
+    q_mis = config.misclassification_probability(abs(alpha) * math.cos(phi - config.lo_phase))
     out: list[ProtocolResult] = []
     for outcome in ALL_OUTCOMES:
         misread = OutcomeLabel("-" if outcome.d1 == "+" else "+", outcome.d2)
@@ -536,7 +507,7 @@ def homodyne_outcome_table(
         mix = ((1.0 - q_mis, ideal[outcome]), (q_mis, ideal[misread]))
         prob = sum(w * r.probability for w, r in mix)
         if prob < _DEGENERATE_PROB:
-            out.append(_mixed_result(outcome, prob, leaked))
+            out.append(_result(outcome, prob, None, phi, leaked))
             continue
         rho = sum(w * r.probability * r.post_state.matrix for w, r in mix) / prob
         target = bell_target(outcome, phi).amplitudes
@@ -552,6 +523,17 @@ def homodyne_outcome_table(
             )
         )
     return (out[0], out[1], out[2], out[3])
+
+
+@lru_cache(maxsize=4)
+def _quadrature_basis(span: float, dim: int, lo_phase: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature grid on [-span, span] and the rotated Fock wavefunctions
+    e^{-i lo_phase n} h_n(x) there, shared by repeated shots on one state."""
+    xs = np.linspace(-span, span, _QUADRATURE_POINTS)
+    bras = np.exp(-1j * lo_phase * np.arange(dim))[:, None] * hermite_functions(xs, dim)
+    for arr in (xs, bras):
+        arr.flags.writeable = False
+    return xs, bras
 
 
 def homodyne_measure(
@@ -573,15 +555,7 @@ def homodyne_measure(
 
     populations = np.sum(np.abs(mat) ** 2, axis=0)
     nbar = float(np.dot(populations, np.arange(nf)))
-    span = (
-        cfg.grid_span
-        if cfg.grid_span is not None
-        else math.sqrt(max(nbar, 0.0)) + 5.0
-    )
-    xs = np.linspace(-span, span, cfg.grid_points)
-
-    herm = hermite_functions(xs, nf)
-    bras = np.exp(-1j * cfg.lo_phase * np.arange(nf))[:, None] * herm
+    xs, bras = _quadrature_basis(math.sqrt(max(nbar, 0.0)) + 5.0, nf, cfg.lo_phase)
     amps = mat @ bras
     pdf = np.sum(np.abs(amps) ** 2, axis=0)
 

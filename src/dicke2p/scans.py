@@ -87,10 +87,6 @@ class ScanResult:
             raise ValueError("row matrix does not match the column list")
 
 
-def _w_params(g: float, cutoff: FockCutoff) -> EffectiveModelParams:
-    return EffectiveModelParams(g=g, cutoff=cutoff)
-
-
 def fidelity_scan(
     nbars: tuple[int, ...] = (20, 50, 100),
     g_g: float = 1.0,
@@ -120,7 +116,7 @@ def fidelity_scan(
         full_spec = sector_spectrum(
             FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
         )
-        w_spec = sector_spectrum(_w_params(g, cutoff))
+        w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
         lin_spec = linearized_spectrum(g, cutoff)
         idx = embed_indices(cutoff)
         # counter-rotation by the (omega + 2g) I part of the effective model;
@@ -197,7 +193,7 @@ def rabi_curve(
 
     atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), _EE_SPACE)
     psi0 = tensor(atoms, coherent_state(alpha, cutoff))
-    traj = evolve_exact_many(sector_spectrum(_w_params(g, cutoff)), psi0, times)
+    traj = evolve_exact_many(sector_spectrum(EffectiveModelParams(g, cutoff)), psi0, times)
     numeric = np.abs(traj) ** 2 @ _see_weights(cutoff.dim)
     analytic = rabi_see_analytic(alpha, g, times)
     rows = np.column_stack([grid, numeric, analytic])
@@ -218,7 +214,7 @@ def wigner_panels(
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
     atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), _EE_SPACE)
     psi0 = tensor(atoms, coherent_state(alpha, cutoff))
-    w_spec = sector_spectrum(_w_params(g, cutoff))
+    w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
     t_r = revival_time(g)
 
     span = math.sqrt(nbar) + 5.0

@@ -208,10 +208,31 @@ class TestRunBellProtocol:
         assert a.record_x is None
 
     def test_ideal_shot_consistent_with_table(self, table20, cut20, alpha20):
-        c, table = table20
-        by_outcome = {r.outcome: r for r in table}
-        shot = run_bell_protocol(c, alpha20, G, cut20, rng_seed=3, shot_index=1)
-        assert shot.fidelity == pytest.approx(by_outcome[shot.outcome].fidelity, abs=1e-9)
+        """Shots and tables share one two-cavity chain, so every shot is its
+        outcome's table entry bit for bit."""
+        inputs = (
+            table20[0],
+            AtomCoeffs.normalized(0.05, 0.99, 0.02, 0.1),  # psi- dominated
+            AtomCoeffs.normalized(1.0, 0.0, 0.0, 1j),  # |gg> + i|ee>
+        )
+        seen = set()
+        for c in inputs:
+            for engine in ("exact", "analytic"):
+                table = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
+                by_outcome = {r.outcome: r for r in table}
+                for i in range(30):
+                    shot = run_bell_protocol(
+                        c, alpha20, G, cut20, engine=engine, rng_seed=3, shot_index=i
+                    )
+                    entry = by_outcome[shot.outcome]
+                    seen.add(shot.outcome)
+                    assert shot.probability == entry.probability
+                    assert shot.fidelity == entry.fidelity
+                    assert shot.leaked_weight == entry.leaked_weight
+                    np.testing.assert_array_equal(
+                        shot.post_state.matrix, entry.post_state.matrix
+                    )
+        assert seen == set(ALL_OUTCOMES)
 
     def test_homodyne_shot_carries_record(self, table20, cut20, alpha20):
         c, _ = table20
@@ -226,31 +247,38 @@ class TestRunBellProtocol:
         self, table20, cut20, alpha20, joint20, monkeypatch, detection
     ):
         """The first shot builds one map per cavity (four basis evolutions
-        each); later shots at the same parameters only compose them, and
-        the homodyne record is that of the cavity-1 joint state."""
+        each) and, for homodyne detection, one quadrature basis; later shots
+        at the same parameters only compose them, and the homodyne record
+        is that of the cavity-1 joint state."""
         from dicke2p import protocols
         from dicke2p.analysis import sample_rng
         from dicke2p.dynamics import SectorSpectrum
 
-        calls = []
+        calls, builds = [], []
         propagate = SectorSpectrum.propagate
 
         def counting(self, *args):
             calls.append(args)
             return propagate(self, *args)
 
+        def counting_hermite(*args):
+            builds.append(args)
+            return hermite_functions(*args)
+
         monkeypatch.setattr(SectorSpectrum, "propagate", counting)
+        monkeypatch.setattr(protocols, "hermite_functions", counting_hermite)
         protocols._cavity.cache_clear()
+        protocols._quadrature_basis.cache_clear()
         c, _ = table20
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
         det = cfg if detection == "homodyne" else "ideal"
         run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=0)
-        assert len(calls) == 8
+        assert (len(calls), len(builds)) == (8, int(detection == "homodyne"))
         shots = [
             run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=i)
             for i in range(1, 6)
         ]
-        assert len(calls) == 8
+        assert (len(calls), len(builds)) == (8, int(detection == "homodyne"))
         if detection == "homodyne":
             x, _ = homodyne_measure(joint20, cfg, sample_rng(3, 1))
             assert shots[0].record_x == x
@@ -428,3 +456,39 @@ class TestHomodyneOutcomeTable:
         smeared = homodyne_outcome_table(c, alpha20, G, cut20, cfg)
         drops = [b.fidelity - a.fidelity for a, b in zip(smeared, ideal)]
         assert max(drops) > 0.01
+
+    def test_detuned_oscillator_reads_the_projected_amplitude(self, table20, cut20, alpha20):
+        """The misread weight is that of |alpha| cos(phi - lo_phase): a
+        quadrature pi/2 away carries no cavity-1 sign, pi/3 away half the
+        amplitude."""
+        c, table = table20
+        ideal = {r.outcome: r.probability for r in table}
+        blind = homodyne_outcome_table(
+            c, alpha20, G, cut20, HomodyneConfig(lo_phase=PHI + math.pi / 2, efficiency=0.2)
+        )
+        for s2 in ("+", "-"):
+            by = {r.outcome: r.probability for r in blind}
+            assert by[OutcomeLabel("+", s2)] == pytest.approx(by[OutcomeLabel("-", s2)], abs=1e-12)
+        cfg = HomodyneConfig(lo_phase=PHI + math.pi / 3, efficiency=0.2)
+        q = cfg.misclassification_probability(abs(alpha20) / 2.0)
+        for r in homodyne_outcome_table(c, alpha20, G, cut20, cfg):
+            misread = OutcomeLabel("-" if r.outcome.d1 == "+" else "+", r.outcome.d2)
+            expected = (1.0 - q) * ideal[r.outcome] + q * ideal[misread]
+            assert r.probability == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("turn", [math.pi / 3, math.pi / 2], ids=["pi_over_3", "pi_over_2"])
+    def test_cavity1_marginal_matches_shots(self, table20, cut20, alpha20, turn):
+        from scipy.stats import binomtest
+
+        c, _ = table20
+        cfg = HomodyneConfig(lo_phase=PHI + turn, efficiency=0.2)
+        table = homodyne_outcome_table(c, alpha20, G, cut20, cfg)
+        p_plus = sum(r.probability for r in table if r.outcome.d1 == "+")
+        n = 2000
+        hits = sum(
+            run_bell_protocol(
+                c, alpha20, G, cut20, detection=cfg, rng_seed=11, shot_index=i
+            ).outcome.d1 == "+"
+            for i in range(n)
+        )
+        assert binomtest(hits, n, p_plus).pvalue > 1e-4
