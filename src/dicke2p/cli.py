@@ -223,9 +223,10 @@ def _jsonable(obj):
 
 
 def _payload(command: str, seed, result: scans.ScanResult) -> dict:
-    rows = [
-        [None if math.isnan(v) else float(v) for v in row] for row in result.rows
-    ]
+    values = np.asarray(result.rows, dtype=np.float64)
+    rows = values.tolist()
+    for i, j in zip(*np.nonzero(np.isnan(values))):
+        rows[i][j] = None
     return {
         "command": command,
         "version": __version__,

@@ -38,6 +38,7 @@ __all__ = [
     "collective_op",
     "fock_state",
     "coherent_state",
+    "hermite_functions",
     "cat_state",
     "bell_state",
     "tensor",
@@ -352,6 +353,24 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
             f" (captures {captured:.12f} of the norm)"
         )
     return StateVector.normalized(amps, field_tag(cutoff))
+
+
+def hermite_functions(x: np.ndarray, dim: int) -> np.ndarray:
+    """Quadrature-representation Fock wavefunctions h_n(x) = <x|n> for the
+    convention x = (a + a^dag)/2; shape (dim, len(x)).
+
+    Three-term recurrence with normalized functions, stable to large n.
+    Their one home: `analysis.wigner` and `protocols` import them from here.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((dim, x.size), dtype=np.float64)
+    out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
+    two_x = 2.0 * x
+    if dim > 1:
+        out[1] = two_x * out[0]
+    for n in range(1, dim - 1):
+        out[n + 1] = (two_x * out[n] - math.sqrt(n) * out[n - 1]) / math.sqrt(n + 1)
+    return out
 
 
 def cat_state(alpha: complex, parity: str, cutoff: FockCutoff) -> StateVector:

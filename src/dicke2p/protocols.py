@@ -38,6 +38,7 @@ from .hilbert import (
     atom_tag,
     bell_state,
     coherent_state,
+    hermite_functions,
     tensor,
     tripartite_tag,
     two_qubit_tag,
@@ -456,22 +457,6 @@ def quadrature_overlap(x: float, alpha_abs: float, sign: str):
         raise ValueError("sign must be '+' or '-'")
     s = 1.0 if sign == "+" else -1.0
     return (2.0 / math.pi) ** 0.25 * np.exp(-((np.asarray(x) + s * alpha_abs) ** 2))
-
-
-def hermite_functions(x: np.ndarray, dim: int) -> np.ndarray:
-    """Quadrature-representation Fock wavefunctions h_n(x) = <x|n> for the
-    convention x = (a + a^dag)/2; shape (dim, len(x)).
-
-    Three-term recurrence with normalized functions, stable to large n.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((dim, x.size), dtype=np.float64)
-    out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
-    if dim > 1:
-        out[1] = 2.0 * x * out[0]
-    for n in range(1, dim - 1):
-        out[n + 1] = (2.0 * x * out[n] - math.sqrt(n) * out[n - 1]) / math.sqrt(n + 1)
-    return out
 
 
 def homodyne_outcome_table(

@@ -334,4 +334,4 @@ def test_criterion_9_wigner_structure():
            f"{100 * half_min_frac:.2f}%; t_r/4 fringes swing from "
            f"{100 * min_frac:.1f}% (< -5%) to +{100 * crest_frac:.1f}% "
            f"(>= 10%) of peak within five grid steps",
-           elapsed, 60)
+           elapsed, 5)

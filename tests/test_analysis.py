@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from conftest import random_coeffs
 from dicke2p.analysis import (
@@ -21,6 +22,7 @@ from dicke2p.hilbert import (
     bell_state,
     cat_state,
     coherent_state,
+    field_tag,
     fock_state,
     tensor,
     tripartite_tag,
@@ -28,6 +30,26 @@ from dicke2p.hilbert import (
 )
 
 VACUUM_PEAK = 0.6366197723675814  # 2/pi
+# Oracle checks compare point by point, so their sparse grids need not resolve fringes.
+POINTWISE = pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")
+
+
+def wigner_oracle(rho, beta_re, beta_im):
+    """Closed form W(beta) = (2/pi) sum_mn rho_mn <n|D(2 beta) Pi|m>, with
+    <n|D(2 beta) Pi|m> = (-1)^m sqrt(m!/n!) (2 beta)^(n-m) e^(-2|beta|^2)
+    L_m^(n-m)(4|beta|^2) for n >= m and the rest by Hermiticity."""
+    beta = beta_re[None, :] + 1j * beta_im[:, None]
+    r2 = 4.0 * np.abs(beta) ** 2
+    log_2b = np.log(np.maximum(2.0 * np.abs(beta), 1e-300))
+    phase = np.exp(1j * np.angle(beta))
+    total = np.zeros(beta.shape)
+    for m in range(rho.shape[0]):
+        for n in range(m, rho.shape[0]):
+            k = n - m
+            mag = np.exp(k * log_2b + 0.5 * (gammaln(m + 1) - gammaln(n + 1)) - 0.5 * r2)
+            elem = (-1) ** m * mag * phase**k * eval_genlaguerre(m, k, r2)
+            total += (1.0 if k == 0 else 2.0) * np.real(rho[m, n] * elem)
+    return (2.0 / math.pi) * total
 
 
 def entangled_pair_state(cutoff):
@@ -139,6 +161,56 @@ class TestWigner:
         rho = self.field_dm(cat_state(6.0, "+", cut))
         with pytest.warns(UserWarning, match="fringe"):
             wigner(rho, np.linspace(-8, 8, 9), np.linspace(-8, 8, 9))
+
+    def test_coarse_descending_grid_warns(self):
+        cut = FockCutoff.for_mean_photon(36.0)
+        rho = self.field_dm(cat_state(6.0, "+", cut))
+        with pytest.warns(UserWarning, match="fringe"):
+            wigner(rho, np.linspace(8, -8, 9), np.linspace(8, -8, 9))
+
+    def test_descending_axis_keeps_positive_integral(self, small_cutoff):
+        axes = np.linspace(-4.0, 4.0, 161)
+        grid = wigner(self.field_dm(coherent_state(0.5, small_cutoff)), axes[::-1], axes)
+        assert grid.integral() == pytest.approx(1.0, abs=1e-6)
+
+    @POINTWISE
+    def test_matches_oracle_on_full_rank_state(self):
+        # every eigenpair of rho enters the sum
+        cut = FockCutoff(19)
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(cut.dim, cut.dim)) + 1j * rng.normal(size=(cut.dim, cut.dim))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        axes = np.linspace(-6.0, 6.0, 41)
+        grid = wigner(DensityMatrix(rho, field_tag(cut)), axes, axes)
+        np.testing.assert_allclose(grid.values, wigner_oracle(rho, axes, axes), rtol=0, atol=1e-12)
+
+    @POINTWISE
+    def test_matches_oracle_on_top_fock_state(self):
+        # the widest wavefunction of the cutoff sets the y-range
+        cut = FockCutoff(19)
+        rho = self.field_dm(fock_state(cut.n_max, cut))
+        axes = np.linspace(-6.5, 6.5, 53)
+        grid = wigner(rho, axes, axes)
+        np.testing.assert_allclose(
+            grid.values, wigner_oracle(rho.matrix, axes, axes), rtol=0, atol=1e-12
+        )
+
+    @POINTWISE
+    def test_matches_oracle_on_nonuniform_axes(self):
+        # the beta_im axis reaches well past the state's support
+        cut = FockCutoff.for_mean_photon(50.0)
+        alpha = math.sqrt(50.0) * np.exp(-2j * math.pi / 3)
+        rho = self.field_dm(coherent_state(alpha, cut))
+        rng = np.random.default_rng(5)
+        beta_re = np.sort(np.append(rng.uniform(-12.0, 12.0, 30), alpha.real))
+        beta_im = np.concatenate(
+            [-np.geomspace(24.0, 0.05, 16), [alpha.imag], np.geomspace(0.03, 24.0, 16)]
+        )
+        grid = wigner(rho, beta_re, beta_im)
+        oracle = wigner_oracle(rho.matrix, beta_re, beta_im)
+        assert oracle.max() == pytest.approx(VACUUM_PEAK, rel=1e-6)
+        np.testing.assert_allclose(grid.values, oracle, rtol=0, atol=1e-12)
 
     def test_rejects_atomic_input(self):
         with pytest.raises(ValueError):

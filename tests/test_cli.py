@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dicke2p import __version__
+from dicke2p import __version__, scans
 from dicke2p.cli import main
 
 
@@ -135,6 +135,24 @@ class TestJsonOutput:
         rows_b = json.loads(b.read_text())["rows"]
         assert rows_a == rows_b
         assert json.loads(a.read_text())["seed"] == 9
+
+
+class TestNanCells:
+    @pytest.fixture(autouse=True)
+    def nan_rabi(self, monkeypatch):
+        rows = np.array([[0.0, 0.5, 0.25], [1.0, np.nan, 0.75]])
+        result = scans.ScanResult(("gt_over_pi", "see_numeric", "see_analytic"), rows, {})
+        monkeypatch.setattr(scans, "rabi_curve", lambda *args: result)
+
+    def test_nan_reaches_json_as_null(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["rabi", "--g", "-0.02", "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"] == [[0.0, 0.5, 0.25], [1.0, None, 0.75]]
+
+    def test_nan_reaches_csv_as_nan(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["rabi", "--g", "-0.02", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-2:] == ["0,0.5,0.25", "1,nan,0.75"]
 
 
 class TestConfigFile:
