@@ -109,9 +109,12 @@ class WignerGrid:
     values: np.ndarray
 
     def integral(self) -> float:
-        dre = abs(float(self.beta_re[1] - self.beta_re[0]))
-        dim = abs(float(self.beta_im[1] - self.beta_im[0]))
-        return float(np.sum(self.values)) * dre * dim
+        """Trapezoid rule on the absolute steps of each axis, uniform or not."""
+        def weights(axis: np.ndarray) -> np.ndarray:
+            steps = np.abs(np.diff(axis, prepend=axis[0], append=axis[-1]))
+            return (steps[:-1] + steps[1:]) / 2.0
+
+        return float(weights(self.beta_im) @ self.values @ weights(self.beta_re))
 
 
 def wigner(
@@ -162,7 +165,10 @@ def wigner(
     lam, rows = lam[keep], vecs[:, keep].T
     rows = np.concatenate([rows.real, rows.imag])  # one real product per table
     zs = math.sqrt(dim + 0.5) + np.arange(0.0, 6.0, 0.05)
-    z_max = float(zs[np.argmax(np.abs(hermite_functions(zs, dim)[-1]) < 1e-16)])
+    tail = np.abs(hermite_functions(zs, dim)[-1]) < 1e-16
+    if not tail.any():
+        raise ValueError(f"h_{dim - 1} stays above 1e-16 up to x = {zs[-1]:.3g}")
+    z_max = float(zs[np.argmax(tail)])
     step = math.pi / (2.0 * (z_max + max(z_max, float(np.max(np.abs(beta_im))))))
     ys = np.arange(0.0, z_max + step, step)
     kernel = (4.0 * step / math.pi) * np.exp(4j * np.outer(ys, beta_im))

@@ -3,6 +3,8 @@
 Subcommands: fidelity-scan, rabi, wigner, ghz, bell, bell-timing.
 Output is CSV with '#' metadata header lines plus a JSON sidecar
 (<out>.meta.json), or a single JSON payload per table with --format json.
+CSV cells are '.17g' text, so every float64 reads back exactly; a NaN cell
+is written 'nan' in CSV and null in JSON.
 Flag precedence: explicit flags > --config file > built-in defaults.
 Exit codes: 0 success, 2 configuration error, 3 validity warning under
 --strict.
@@ -28,6 +30,8 @@ from .protocols import HomodyneConfig
 _DEF_GG = 1.0
 _DEF_GE = 1.0
 _DEF_DELTA = 500.0
+# Rows per CSV write: one %-format per chunk, never a Python list of the table.
+_CSV_CHUNK = 4096
 
 
 def _num(text: str) -> float | int:
@@ -222,18 +226,13 @@ def _jsonable(obj):
     return obj
 
 
-def _payload(command: str, seed, result: scans.ScanResult) -> dict:
-    values = np.asarray(result.rows, dtype=np.float64)
-    rows = values.tolist()
-    for i, j in zip(*np.nonzero(np.isnan(values))):
-        rows[i][j] = None
+def _header(command: str, seed, result: scans.ScanResult) -> dict:
     return {
         "command": command,
         "version": __version__,
         "seed": None if seed is None else int(seed),
         "params": _jsonable(result.meta),
         "columns": list(result.columns),
-        "rows": rows,
     }
 
 
@@ -286,19 +285,19 @@ def _check_schema(value, schema, path="$") -> None:
                 _check_schema(v, items, f"{path}[{i}]")
 
 
-def _write_csv(path: str, payload: dict, wall_time: float) -> None:
-    meta_line = json.dumps(payload["params"], separators=(",", ":"), sort_keys=True)
+def _write_csv(path: str, header: dict, values: np.ndarray, wall_time: float) -> None:
+    meta_line = json.dumps(header["params"], separators=(",", ":"), sort_keys=True)
+    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# command: {payload['command']}\n")
-        fh.write(f"# version: {payload['version']}\n")
-        fh.write(f"# seed: {payload['seed']}\n")
+        fh.write(f"# command: {header['command']}\n")
+        fh.write(f"# version: {header['version']}\n")
+        fh.write(f"# seed: {header['seed']}\n")
         fh.write(f"# wall_time_s: {wall_time:.3f}\n")
         fh.write(f"# params: {meta_line}\n")
-        fh.write(",".join(payload["columns"]) + "\n")
-        for row in payload["rows"]:
-            fh.write(
-                ",".join("nan" if v is None else format(v, ".17g") for v in row) + "\n"
-            )
+        fh.write(",".join(header["columns"]) + "\n")
+        for lo in range(0, len(values), _CSV_CHUNK):
+            chunk = values[lo : lo + _CSV_CHUNK]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _emit(
@@ -308,34 +307,35 @@ def _emit(
     wall: float,
 ) -> None:
     """Write each named table; an empty name means no suffix on the path.
+    Every table is checked against the schema before any file is opened.
     wall is the run's wall time, reported beside the parameters, never in
     them, so seeded runs keep identical params."""
     fmt = args.format
     base = args.out or f"{command.replace('-', '_')}.{fmt}"
     seed = getattr(args, "seed", None)
     schema = _load_schema()
+    tables = []
     for name, result in results.items():
         stem, ext = os.path.splitext(base)
         path = base if not name else f"{stem}_{name}{ext or '.' + fmt}"
-        payload = _payload(command, seed, result)
-        _check_schema(payload, schema)
+        header = _header(command, seed, result)
+        values = np.asarray(result.rows, dtype=np.float64)
+        # One schema pass per table: the rows stand in as one row holding
+        # the cell kinds present (NaN is written as null).
+        sample = [0.0, None] if np.isnan(values).any() else [0.0]
+        _check_schema({**header, "rows": [sample]}, schema)
+        tables.append((path, header, values))
+    for path, header, values in tables:
         if fmt == "json":
-            body = dict(payload)
-            body["wall_time_s"] = wall
+            rows = values.tolist()
+            for i, j in zip(*np.nonzero(np.isnan(values))):
+                rows[i][j] = None
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(body, fh, indent=1)
+                json.dump({**header, "rows": rows, "wall_time_s": wall}, fh, indent=1)
                 fh.write("\n")
         else:
-            _write_csv(path, payload, wall)
-            sidecar = {
-                "command": command,
-                "version": __version__,
-                "seed": payload["seed"],
-                "params": payload["params"],
-                "columns": payload["columns"],
-                "wall_time_s": wall,
-                "rows_file": os.path.basename(path),
-            }
+            _write_csv(path, header, values, wall)
+            sidecar = {**header, "wall_time_s": wall, "rows_file": os.path.basename(path)}
             with open(path + ".meta.json", "w", encoding="utf-8") as fh:
                 json.dump(sidecar, fh, indent=1)
                 fh.write("\n")

@@ -56,6 +56,7 @@ BellKind = Literal["psi+", "psi-", "phi+", "phi-"]
 
 _LEVEL_INDEX = {2: {"g": 0, "e": 1}, 3: {"g": 0, "i": 1, "e": 2}}
 _SQRT2 = math.sqrt(2.0)
+_H0_NORMAL_X = 26.6  # exp(-x^2) is a normal float64 up to here
 
 
 @dataclass(frozen=True)
@@ -361,8 +362,14 @@ def hermite_functions(x: np.ndarray, dim: int) -> np.ndarray:
 
     Three-term recurrence with normalized functions, stable to large n.
     Their one home: `analysis.wigner` and `protocols` import them from here.
+    It starts from exp(-x^2), which is subnormal past |x| = 26.6 and 0 past
+    27.3; h_{dim-1} falls below 1e-16 within 2.4 of sqrt(dim + 1/2), so a
+    grid past 26.6 raises once sqrt(dim + 1/2) + 2 passes it too.
     """
     x = np.asarray(x, dtype=np.float64)
+    reach = float(np.max(np.abs(x), initial=0.0))
+    if reach > _H0_NORMAL_X and math.sqrt(dim + 0.5) + 2.0 > _H0_NORMAL_X:
+        raise ValueError(f"Hermite functions of dim {dim} underflow at max|x| = {reach:.4g}")
     out = np.empty((dim, x.size), dtype=np.float64)
     out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
     two_x = 2.0 * x

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
 from conftest import random_coeffs
+from dicke2p import analysis
 from dicke2p.analysis import (
     DensityMatrix,
     ensemble_average,
@@ -172,6 +173,22 @@ class TestWigner:
         axes = np.linspace(-4.0, 4.0, 161)
         grid = wigner(self.field_dm(coherent_state(0.5, small_cutoff)), axes[::-1], axes)
         assert grid.integral() == pytest.approx(1.0, abs=1e-6)
+
+    def test_integral_on_nonuniform_axes(self):
+        # 0.2 steps on [-6, 0], then 200 points on [0.1, 6]: a rule that
+        # takes the first step of each axis reads 22.9 here
+        axis = np.concatenate([np.linspace(-6.0, 0.0, 31), np.linspace(0.1, 6.0, 200)])
+        grid = wigner(self.field_dm(coherent_state(1.0, FockCutoff(30))), axis, axis)
+        nested = np.trapezoid(np.trapezoid(grid.values, axis, axis=1), axis)
+        assert grid.integral() == pytest.approx(nested, rel=1e-12)
+        assert grid.integral() == pytest.approx(1.0, abs=2e-3)  # 0.2-step error: 1.3e-3
+
+    def test_z_search_without_tail_raises(self, small_cutoff, monkeypatch):
+        flat = lambda x, dim: np.ones((dim, np.size(x)))  # noqa: E731
+        monkeypatch.setattr(analysis, "hermite_functions", flat)
+        axes = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="above 1e-16"):
+            wigner(self.field_dm(fock_state(0, small_cutoff)), axes, axes)
 
     @POINTWISE
     def test_matches_oracle_on_full_rank_state(self):

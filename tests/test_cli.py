@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dicke2p import __version__, scans
+from dicke2p import __version__, cli, scans
 from dicke2p.cli import main
 
 
@@ -137,12 +137,16 @@ class TestJsonOutput:
         assert json.loads(a.read_text())["seed"] == 9
 
 
+def fake_rabi(monkeypatch, columns, rows):
+    result = scans.ScanResult(columns, rows, {})
+    monkeypatch.setattr(scans, "rabi_curve", lambda *args: result)
+
+
 class TestNanCells:
     @pytest.fixture(autouse=True)
     def nan_rabi(self, monkeypatch):
         rows = np.array([[0.0, 0.5, 0.25], [1.0, np.nan, 0.75]])
-        result = scans.ScanResult(("gt_over_pi", "see_numeric", "see_analytic"), rows, {})
-        monkeypatch.setattr(scans, "rabi_curve", lambda *args: result)
+        fake_rabi(monkeypatch, ("gt_over_pi", "see_numeric", "see_analytic"), rows)
 
     def test_nan_reaches_json_as_null(self, tmp_path):
         out = tmp_path / "r.json"
@@ -153,6 +157,73 @@ class TestNanCells:
         out = tmp_path / "r.csv"
         assert main(["rabi", "--g", "-0.02", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[-2:] == ["0,0.5,0.25", "1,nan,0.75"]
+
+
+class TestEmit:
+    COLUMNS = ("gt_over_pi", "see_numeric", "see_analytic")
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0, 1e16, 2.0]
+
+    def test_csv_cells_are_17g_text_across_chunks(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 2 * cli._CSV_CHUNK + 3
+        rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        for k, v in enumerate(self.SPECIAL):  # on both sides of each chunk edge
+            for r in (k, cli._CSV_CHUNK - 1 - k, cli._CSV_CHUNK + k, n - 1 - k):
+                rows[r, k % 3] = v
+        fake_rabi(monkeypatch, self.COLUMNS, rows)
+        out = tmp_path / "r.csv"
+        assert main(["rabi", "--g", "-0.02", "--out", str(out)]) == 0
+        body = out.read_text().splitlines()[6:]
+        assert body == [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"extra": 1}, "unexpected keys"),
+            ({"seed": True}, r"\$\.seed"),
+            ({"columns": []}, "fewer than 1"),
+        ],
+    )
+    def test_schema_rejects_header(self, change, match):
+        header = {"command": "rabi", "version": __version__, "seed": None,
+                  "params": {}, "columns": ["a"], "rows": [[0.0]]}
+        cli._check_schema(header, cli._load_schema())
+        with pytest.raises(ValueError, match=match):
+            cli._check_schema({**header, **change}, cli._load_schema())
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            ((), np.zeros((2, 0))),
+            (COLUMNS, np.array([[0.0, "x", 1.0]], dtype=object)),
+        ],
+    )
+    def test_bad_table_exits_2_without_a_file(self, tmp_path, monkeypatch, capsys,
+                                              columns, rows):
+        fake_rabi(monkeypatch, columns, rows)
+        out = tmp_path / "r.csv"
+        assert main(["rabi", "--g", "-0.02", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")
+    def test_schema_checks_do_not_grow_with_the_table(self, tmp_path, monkeypatch):
+        calls = []
+        check = cli._check_schema
+
+        def counting(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(cli, "_check_schema", counting)
+        counts = []
+        for points in ("41", "81"):
+            calls.clear()
+            out = tmp_path / f"w{points}.csv"
+            argv = ["wigner", "--nbar", "4", "--grid-points", points, "--out", str(out)]
+            assert main(argv) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestConfigFile:

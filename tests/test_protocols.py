@@ -369,6 +369,14 @@ class TestQuadratureTools:
         gram = h @ h.T * (xs[1] - xs[0])
         np.testing.assert_allclose(gram, np.eye(12), atol=1e-8)
 
+    def test_underflow_with_weight_past_it_raises(self):
+        # exp(-x^2) is 0 past |x| = 27.3, where h_799 still carries weight
+        with pytest.raises(ValueError, match=r"dim 800 underflow at max\|x\| = 45"):
+            hermite_functions(np.linspace(-45.0, 45.0, 901), 800)
+
+    def test_underflow_without_weight_reads_zero(self):
+        assert not hermite_functions(np.array([30.0, -30.0]), 20).any()
+
     def test_overlap_is_normalized_density(self):
         xs = np.linspace(-12.0, 12.0, 4001)
         dens = quadrature_overlap(xs, math.sqrt(20.0), "-") ** 2
