@@ -3,8 +3,9 @@
 Subcommands: fidelity-scan, rabi, wigner, ghz, bell, bell-timing.
 Output is CSV with '#' metadata header lines plus a JSON sidecar
 (<out>.meta.json), or a single JSON payload per table with --format json.
-CSV cells are '.17g' text, so every float64 reads back exactly; a NaN cell
-is written 'nan' in CSV and null in JSON.
+CSV cells are '.17g' text, so every float64 reads back exactly; NaN and
++-inf cells are written 'nan', 'inf' and '-inf' in CSV, and every
+non-finite cell or parameter is null in JSON, which stays RFC 8259 valid.
 Flag precedence: explicit flags > --config file > built-in defaults.
 Exit codes: 0 success, 2 configuration error, 3 validity warning under
 --strict.
@@ -220,7 +221,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return None if math.isnan(v) else v
+        return v if math.isfinite(v) else None
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -286,7 +287,7 @@ def _check_schema(value, schema, path="$") -> None:
 
 
 def _write_csv(path: str, header: dict, values: np.ndarray, wall_time: float) -> None:
-    meta_line = json.dumps(header["params"], separators=(",", ":"), sort_keys=True)
+    meta_line = json.dumps(header["params"], separators=(",", ":"), sort_keys=True, allow_nan=False)
     line = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# command: {header['command']}\n")
@@ -321,23 +322,24 @@ def _emit(
         header = _header(command, seed, result)
         values = np.asarray(result.rows, dtype=np.float64)
         # One schema pass per table: the rows stand in as one row holding
-        # the cell kinds present (NaN is written as null).
-        sample = [0.0, None] if np.isnan(values).any() else [0.0]
+        # the cell kinds present (NaN and +-inf are written to JSON as null).
+        sample = [0.0] if np.isfinite(values).all() else [0.0, None]
         _check_schema({**header, "rows": [sample]}, schema)
         tables.append((path, header, values))
     for path, header, values in tables:
         if fmt == "json":
             rows = values.tolist()
-            for i, j in zip(*np.nonzero(np.isnan(values))):
+            for i, j in zip(*np.nonzero(~np.isfinite(values))):
                 rows[i][j] = None
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({**header, "rows": rows, "wall_time_s": wall}, fh, indent=1)
+                payload = {**header, "rows": rows, "wall_time_s": wall}
+                json.dump(payload, fh, indent=1, allow_nan=False)
                 fh.write("\n")
         else:
             _write_csv(path, header, values, wall)
             sidecar = {**header, "wall_time_s": wall, "rows_file": os.path.basename(path)}
             with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-                json.dump(sidecar, fh, indent=1)
+                json.dump(sidecar, fh, indent=1, allow_nan=False)
                 fh.write("\n")
         print(path)
 

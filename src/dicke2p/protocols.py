@@ -8,10 +8,12 @@ gate.  The composed field measurements act on the atoms as the four
 elements of a complete Bell-basis POVM.
 
 Each cavity readout is a pair of 4x4 operators on the atoms, the finite-nbar
-form of M_phi^+- (measurement_operator).  They are computed once per
-(alpha, g, t, cutoff, engine) by evolving the four product-basis atomic
-states with the field and projecting onto |+-alpha>; every shot, outcome
-table and Haar sample then composes them on its own atomic state.
+form of M_phi^+- (measurement_operator).  They are built for a whole array
+of interaction times at once, by evolving the four product-basis atomic
+states with the field and projecting onto |+-alpha>, and cached per
+(alpha, g, t, cutoff, engine) for shots and tables at one time.  One
+array-valued chain composes both cavities on any batch of atomic states:
+a shot or table at batch size 1, a Haar ensemble or a timing sweep at once.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "correction_gate",
     "bell_target",
     "bell_outcome_table",
+    "bell_outcome_arrays",
     "run_bell_protocol",
     "timing_sensitivity",
     "quadrature_overlap",
@@ -188,41 +191,52 @@ def ghz_target(
     return StateVector(amps, two_qubit_tag() * coherent_state(alpha, cutoff).space)
 
 
-@lru_cache(maxsize=16)
-def _cavity(
-    alpha: complex, g: float, t: float, n_max: int, engine: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One cavity as a linear map on the atoms, independent of their state.
+# Evolved-basis amplitudes held at once by a batched cavity build (512 KB).
+_BASIS_CHUNK = 2**15
 
-    Returns the four product-basis atomic states (x) |alpha> evolved to t,
-    field-resolved with shape (4, 4, dim); the readout operators onto
-    |+alpha> and |-alpha>, stacked with shape (2, 4, 4); and the Gram matrix
-    of the evolved basis, which is the identity for the unitary exact engine
-    and carries the norm of the unnormalized analytic branch form.
-    """
+
+def _cavity_maps(
+    alpha: complex, g: float, times: np.ndarray, n_max: int, engine: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One cavity as a linear map on the atoms at each of T times, evolved
+    _BASIS_CHUNK amplitudes at a time: the product-basis atomic states (x)
+    |alpha> evolved, (t, 4, 4, dim), for the last t times only; the readouts
+    onto |+alpha> and |-alpha>, (T, 2, 4, 4); and the Gram matrices of the
+    evolved basis, (T, 4, 4), which carry the norm of the analytic form."""
+    if engine not in ("exact", "analytic"):
+        raise ValueError(f"unknown engine {engine!r}")
     cutoff = FockCutoff(n_max)
     field = coherent_state(alpha, cutoff).amplitudes
+    refs = np.stack([field, coherent_state(-alpha, cutoff).amplitudes]).conj().T
     eye = np.eye(4, dtype=np.complex128)
-    if engine == "exact":
-        spectrum, times = _w_operator(g, n_max), np.array([t])
-        basis = np.stack([spectrum.propagate(np.kron(e, field), times)[0] for e in eye])
-    elif engine == "analytic":
-        basis = np.stack([
-            coherent_branch_state(
-                AtomCoeffs.from_state(StateVector(e, two_qubit_tag())), alpha, g, t
-            ).amplitudes(cutoff)
-            for e in eye
-        ])
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    basis = basis.reshape(4, 4, cutoff.dim)
-    refs = np.stack([field, coherent_state(-alpha, cutoff).amplitudes])
-    readout = (basis @ refs.conj().T).transpose(2, 1, 0)
-    flat = basis.reshape(4, -1)
-    gram = flat.conj() @ flat.T
-    for arr in (basis, readout, gram):
-        arr.flags.writeable = False
+    kets = np.kron(eye, field)  # row j: product-basis state j (x) |alpha>
+    times = np.asarray(times, dtype=np.float64)
+    readout = np.empty((times.size, 2, 4, 4), dtype=np.complex128)
+    gram = np.empty((times.size, 4, 4), dtype=np.complex128)
+    basis, step = None, max(1, _BASIS_CHUNK // (16 * cutoff.dim))
+    for lo in range(0, times.size, step):
+        ts = times[lo : lo + step]
+        if engine == "exact":
+            basis = np.stack([_w_operator(g, n_max).propagate(k, ts) for k in kets], axis=1)
+        else:
+            atoms = [AtomCoeffs.from_state(StateVector(e, two_qubit_tag())) for e in eye]
+            branch = [[coherent_branch_state(a, alpha, g, float(t)) for a in atoms] for t in ts]
+            basis = np.array([[b.amplitudes(cutoff) for b in row] for row in branch])
+        basis = basis.reshape(ts.size, 4, 4, cutoff.dim)
+        readout[lo : lo + ts.size] = (basis @ refs).transpose(0, 3, 2, 1)
+        flat = basis.reshape(ts.size, 4, -1)
+        gram[lo : lo + ts.size] = flat.conj() @ flat.transpose(0, 2, 1)
     return basis, readout, gram
+
+
+@lru_cache(maxsize=16)
+def _cavity(alpha: complex, g: float, t: float, n_max: int, engine: str) -> tuple[np.ndarray, ...]:
+    """_cavity_maps at the one time t, without the time axis and read-only,
+    kept for repeated shots and tables at fixed parameters."""
+    maps = tuple(arr[0] for arr in _cavity_maps(alpha, g, np.array([t]), n_max, engine))
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
 
 
 def run_ghz(
@@ -299,55 +313,67 @@ def bell_target(outcome: OutcomeLabel, phi: float) -> StateVector:
 _MIXED = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, two_qubit_tag())
 
 
-def _result(
-    outcome: OutcomeLabel,
-    prob: float,
-    amps: np.ndarray | None,
-    phi: float,
-    leaked: float,
-    record_x: float | None = None,
-) -> ProtocolResult:
-    """The outcome's atomic amplitudes amps, corrected, with their fidelity
-    to the Bell target; below _DEGENERATE_PROB the atoms are left maximally
-    mixed with fidelity NaN, and amps is not read."""
-    kind = _TARGET_KIND[(outcome.d1, outcome.d2)]
-    if prob < _DEGENERATE_PROB:
-        return ProtocolResult(outcome, prob, _MIXED, kind, float("nan"), leaked, record_x)
-    gate = correction_gate(outcome, phi).matrix
-    corrected = StateVector.normalized(gate @ amps, two_qubit_tag())
-    fid = fidelity(corrected, bell_target(outcome, phi))
-    post = DensityMatrix.from_pure(corrected)
-    return ProtocolResult(outcome, prob, post, kind, fid, leaked, record_x)
+@lru_cache(maxsize=16)
+def _corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Correction gates (2, 2, 4, 4) and Bell targets (2, 2, 4) of the four
+    outcomes, indexed [d1, d2] with '+' first (ALL_OUTCOMES order)."""
+    gates = np.stack([correction_gate(o, phi).matrix for o in ALL_OUTCOMES])
+    targets = np.stack([bell_target(o, phi).amplitudes for o in ALL_OUTCOMES])
+    for arr in (gates, targets):
+        arr.flags.writeable = False
+    return gates.reshape(2, 2, 4, 4), targets.reshape(2, 2, 4)
 
 
-def _readout(
-    cavity: tuple[np.ndarray, np.ndarray, np.ndarray], atoms: np.ndarray
-) -> tuple[dict[str, tuple[np.ndarray, float]], float]:
-    """Read one cavity out on the product-basis atomic amplitudes `atoms`.
-    Returns, per field sign, the unnormalized atomic amplitudes and the
-    renormalized probability, and the weight leaked outside the two
-    reference states."""
-    _, readout, gram = cavity
-    amps = readout @ atoms
-    raw = [float(np.real(np.vdot(a, a))) for a in amps]
-    total = raw[0] + raw[1]
-    if total <= 0.0:
+def _read(readout: np.ndarray, atoms: np.ndarray, check=True) -> tuple[np.ndarray, ...]:
+    """One cavity read out on atomic amplitudes atoms (..., 4): per field
+    sign the atomic amplitudes (..., 2, 4) and weights (..., 2), and the
+    total weight (...), which must be positive wherever check holds."""
+    amps = np.matvec(readout, atoms[..., None, :])
+    raw = np.vecdot(amps, amps).real
+    total = raw.sum(axis=-1)
+    if ((total <= 0.0) & check).any():
         raise ValueError("cavity field has no weight on the reference states")
-    leaked = 1.0 - total / float(np.real(np.vdot(atoms, gram @ atoms)))
-    return {"+": (amps[0], raw[0] / total), "-": (amps[1], raw[1] / total)}, leaked
+    return amps, raw, total
 
 
-def _second_cavity(
-    cavity2: tuple[np.ndarray, np.ndarray, np.ndarray], s1: str, amps1: np.ndarray, p1: float
-) -> list[tuple[OutcomeLabel, float, np.ndarray, float]]:
-    """Cavity 2 read out on the cavity-1 branch s1 (atomic amplitudes amps1,
-    probability p1): per s2 = +, -, the outcome, the joint probability
-    p1*p2, the atomic amplitudes and p2.  A degenerate cavity-1 branch is
-    split evenly and not read."""
-    if p1 < _DEGENERATE_PROB:
-        return [(OutcomeLabel(s1, s2), p1 * 0.5, amps1, 0.5) for s2 in ("+", "-")]
-    branches2 = _readout(cavity2, amps1)[0]
-    return [(OutcomeLabel(s1, s2), p1 * p2, amps2, p2) for s2, (amps2, p2) in branches2.items()]
+def _second_cavity(readout, amps1, p1, corrections) -> tuple[np.ndarray, ...]:
+    """Cavity 2 read out on cavity-1 branches amps1 (..., 4) of probability
+    p1 (...), corrected by (gates (..., 2, 4, 4), targets (..., 2, 4)) per
+    d2: p2, p1*p2, the states and their fidelities, (..., 2); see _chain."""
+    gates, targets = corrections
+    split = p1 < _DEGENERATE_PROB
+    amps, raw, total = _read(readout, amps1, check=~split)
+    p2 = np.divide(raw, total[..., None], out=np.full_like(raw, 0.5), where=~split[..., None])
+    prob = p1[..., None] * p2
+    dead = prob < _DEGENERATE_PROB
+    # the gates are unitary, so raw is also the squared norm of each state
+    states = np.matvec(gates, amps)
+    np.divide(states, np.sqrt(raw)[..., None], out=states, where=~dead[..., None])
+    fid = np.where(dead, np.nan, np.abs(np.vecdot(targets, states)) ** 2)
+    return p2, prob, states, fid
+
+
+def _chain(cavity1, readout2: np.ndarray, atoms: np.ndarray, phi: float) -> tuple[np.ndarray, ...]:
+    """The ideal two-cavity chain on product-basis atomic amplitudes atoms
+    (..., 4), by maps (cavity 1 as (readout, Gram)) whose batch shapes
+    broadcast against theirs.  Returns p1 (..., 2); p2, p1*p2, the corrected
+    atomic states and their fidelities, (..., 2, 2) indexed [d1, d2]; and
+    the weight leaked outside the cavity-1 reference states (...).  Below
+    _DEGENERATE_PROB a fidelity is NaN and its state unnormalized; a
+    degenerate cavity-1 branch is split evenly and not read."""
+    amps1, raw1, total1 = _read(cavity1[0], atoms)
+    p1 = raw1 / total1[..., None]
+    leaked = 1.0 - total1 / np.vecdot(atoms, np.matvec(cavity1[1], atoms)).real
+    cavity2 = _second_cavity(readout2[..., None, :, :, :], amps1, p1, _corrections(phi))
+    return (p1, *cavity2, leaked)
+
+
+def _result(outcome: OutcomeLabel, prob, fid, state, leaked, record_x=None) -> ProtocolResult:
+    """One chain outcome at the API boundary; a NaN fidelity leaves the
+    atoms maximally mixed, and state is not read."""
+    kind = _TARGET_KIND[(outcome.d1, outcome.d2)]
+    post = _MIXED if math.isnan(fid) else DensityMatrix(np.outer(state, state.conj()), _MIXED.space)
+    return ProtocolResult(outcome, float(prob), post, kind, float(fid), float(leaked), record_x)
 
 
 def bell_outcome_table(
@@ -356,20 +382,31 @@ def bell_outcome_table(
     g: float,
     cutoff: FockCutoff,
     engine: str = "exact",
-    interaction_time: float | None = None,
 ) -> tuple[ProtocolResult, ProtocolResult, ProtocolResult, ProtocolResult]:
     """Deterministic enumeration of all four outcomes with ideal coherent
     discrimination in both cavities; probabilities sum to one."""
-    phi = cmath.phase(alpha)
-    t = revival_time(g) / 2.0 if interaction_time is None else interaction_time
-    cavity1 = _cavity(alpha, g, t, cutoff.n_max, engine)
-    cavity2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)
-    branches1, leaked = _readout(cavity1, coeffs.to_state().amplitudes)
-    return tuple(
-        _result(outcome, prob, amps, phi, leaked)
-        for s1, (amps1, p1) in branches1.items()
-        for outcome, prob, amps, _ in _second_cavity(cavity2, s1, amps1, p1)
-    )
+    t = revival_time(g) / 2.0
+    _, readout1, gram1 = _cavity(alpha, g, t, cutoff.n_max, engine)
+    readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)[1]
+    atoms = coeffs.to_state().amplitudes
+    _, _, prob, states, fid, leaked = _chain((readout1, gram1), readout2, atoms, cmath.phase(alpha))
+    entries = zip(ALL_OUTCOMES, prob.ravel(), fid.ravel(), states.reshape(4, 4))
+    return tuple(_result(*entry, leaked) for entry in entries)
+
+
+def bell_outcome_arrays(
+    atoms: np.ndarray, alpha: complex, g: float, cutoff: FockCutoff, times, engine: str = "exact"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bell_outcome_table as arrays, for atomic amplitudes atoms (..., 4) in
+    the product basis at interaction times (T,) broadcast against their
+    batch shape: the outcome probabilities and fidelities (..., 4) in
+    ALL_OUTCOMES order, and the leaked weight (...).  The maps are built
+    once per time and not cached."""
+    cavity1 = _cavity_maps(alpha, g, times, cutoff.n_max, engine)[1:]
+    readout2 = _cavity_maps(alpha * _CAVITY2_TURN, g, times, cutoff.n_max, engine)[1]
+    _, _, prob, _, fid, leaked = _chain(cavity1, readout2, atoms, cmath.phase(alpha))
+    shape = prob.shape[:-2] + (4,)
+    return prob.reshape(shape), fid.reshape(shape), leaked
 
 
 def run_bell_protocol(
@@ -390,40 +427,40 @@ def run_bell_protocol(
     always read out ideally.  The reported probability is the ideal Born
     probability of the realized outcome.
     """
-    phi = cmath.phase(alpha)
-    t = revival_time(g) / 2.0
+    phi, t = cmath.phase(alpha), revival_time(g) / 2.0
     rng = sample_rng(rng_seed, shot_index)
-    cavity1 = _cavity(alpha, g, t, cutoff.n_max, engine)
-    cavity2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)
+    basis1, readout1, gram1 = _cavity(alpha, g, t, cutoff.n_max, engine)
+    readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)[1]
     atoms = coeffs.to_state().amplitudes
-    branches1, leaked = _readout(cavity1, atoms)
+    p1, p2, prob, states, fid, leaked = _chain((readout1, gram1), readout2, atoms, phi)
     record_x: float | None = None
     if isinstance(detection, HomodyneConfig):
-        joint = StateVector.normalized(np.tensordot(atoms, cavity1[0], 1), tripartite_tag(cutoff))
+        joint = StateVector.normalized(np.tensordot(atoms, basis1, 1), tripartite_tag(cutoff))
         record_x, collapsed = homodyne_measure(joint, detection, rng)
-        s1 = "+" if record_x > 0 else "-"
-        amps1, p1 = collapsed.amplitudes, branches1[s1][1]
+        s1 = 0 if record_x > 0 else 1
+        # cavity 2 reads the collapsed atoms of branch s1
+        gates, targets = _corrections(phi)
+        branch = _second_cavity(readout2, collapsed.amplitudes, p1[s1], (gates[s1], targets[s1]))
+        p2[s1], prob[s1], states[s1], fid[s1] = branch
     elif detection == "ideal":
-        s1 = "+" if rng.uniform() < branches1["+"][1] else "-"
-        amps1, p1 = branches1[s1]
+        s1 = 0 if rng.uniform() < p1[0] else 1
     else:
         raise ValueError("detection must be 'ideal' or a HomodyneConfig")
-
-    branches2 = _second_cavity(cavity2, s1, amps1, p1)
     # a degenerate cavity-1 branch draws nothing more and reports (s1, +)
-    k = 0 if p1 < _DEGENERATE_PROB or rng.uniform() < branches2[0][3] else 1
-    outcome, prob, amps2, _ = branches2[k]
-    return _result(outcome, prob, amps2, phi, leaked, record_x)
+    s2 = 0 if p1[s1] < _DEGENERATE_PROB or rng.uniform() < p2[s1, 0] else 1
+    outcome = ALL_OUTCOMES[2 * s1 + s2]
+    return _result(outcome, prob[s1, s2], fid[s1, s2], states[s1, s2], leaked, record_x)
 
 
 @dataclass(frozen=True)
 class TimingCurves:
-    """Per-outcome fidelity and probability as the interaction time of both
-    cavities sweeps through a window around t_r/2."""
+    """Per-outcome fidelity and probability, and the cavity-1 leaked weight,
+    as the interaction time of both cavities sweeps a window around t_r/2."""
 
     times: np.ndarray
     fidelities: dict[OutcomeLabel, np.ndarray]
     probabilities: dict[OutcomeLabel, np.ndarray]
+    leaked: np.ndarray
 
 
 def timing_sensitivity(
@@ -434,18 +471,13 @@ def timing_sensitivity(
     t_window: np.ndarray,
     engine: str = "exact",
 ) -> TimingCurves:
-    """Run the ideal protocol at each interaction time in t_window, keeping
-    the measurement reference states fixed at their nominal targets."""
+    """The ideal outcome table at each time in t_window, read from one
+    batched map per cavity, with the reference states at their nominal targets."""
     times = np.asarray(t_window, dtype=np.float64)
-    fids = {o: np.empty(times.size) for o in ALL_OUTCOMES}
-    probs = {o: np.empty(times.size) for o in ALL_OUTCOMES}
-    for k, t in enumerate(times):
-        for res in bell_outcome_table(
-            coeffs, alpha, g, cutoff, engine=engine, interaction_time=float(t)
-        ):
-            fids[res.outcome][k] = res.fidelity
-            probs[res.outcome][k] = res.probability
-    return TimingCurves(times, fids, probs)
+    atoms = coeffs.to_state().amplitudes
+    prob, fid, leaked = bell_outcome_arrays(atoms, alpha, g, cutoff, times, engine)
+    fids, probs = ({o: arr[:, k] for k, o in enumerate(ALL_OUTCOMES)} for arr in (fid, prob))
+    return TimingCurves(times, fids, probs, leaked)
 
 
 def quadrature_overlap(x: float, alpha_abs: float, sign: str):
@@ -492,7 +524,7 @@ def homodyne_outcome_table(
         mix = ((1.0 - q_mis, ideal[outcome]), (q_mis, ideal[misread]))
         prob = sum(w * r.probability for w, r in mix)
         if prob < _DEGENERATE_PROB:
-            out.append(_result(outcome, prob, None, phi, leaked))
+            out.append(_result(outcome, prob, math.nan, None, leaked))
             continue
         rho = sum(w * r.probability * r.post_state.matrix for w, r in mix) / prob
         target = bell_target(outcome, phi).amplitudes

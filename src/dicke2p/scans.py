@@ -47,7 +47,7 @@ from .models import (
 from .protocols import (
     ALL_OUTCOMES,
     HomodyneConfig,
-    bell_outcome_table,
+    bell_outcome_arrays,
     run_bell_protocol,
     run_ghz,
     timing_sensitivity,
@@ -275,10 +275,11 @@ def bell_ensemble(
     """Haar-ensemble Bell-protocol fidelity per outcome versus mean photon
     number.
 
-    Ideal detection enumerates all four outcomes per sample (postselected
-    averages, rate = mean Born probability).  With a HomodyneConfig one
-    shot is sampled per input and outcomes accumulate conditionally, so
-    rates become empirical frequencies.
+    Ideal detection reads all four outcomes of every Haar input (drawn
+    first, input i from sample_rng(base, 2i)) off one batched chain
+    (postselected averages, rate = mean Born probability).  With a
+    HomodyneConfig one shot is sampled per input and outcomes accumulate
+    conditionally, so rates become empirical frequencies.
     """
     n_out = len(ALL_OUTCOMES)
     cols = ["nbar"]
@@ -290,40 +291,25 @@ def bell_ensemble(
     for k, nbar in enumerate(nbars):
         cutoff = FockCutoff.for_mean_photon(float(nbar))
         alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
-        fids: dict = {o: [] for o in ALL_OUTCOMES}
-        rates: dict = {o: [] for o in ALL_OUTCOMES}
         base = seed + k * _SEED_STRIDE
-        for i in range(ensemble):
-            coeffs = haar_random_two_qubit(sample_rng(base, 2 * i))
-            if isinstance(detection, HomodyneConfig):
-                res = run_bell_protocol(
-                    coeffs,
-                    alpha,
-                    g,
-                    cutoff,
-                    engine=engine,
-                    detection=detection,
-                    rng_seed=base,
-                    shot_index=2 * i + 1,
-                )
-                if math.isfinite(res.fidelity):
-                    fids[res.outcome].append(res.fidelity)
-                for o in ALL_OUTCOMES:
-                    rates[o].append(1.0 if o == res.outcome else 0.0)
-            else:
-                for res in bell_outcome_table(coeffs, alpha, g, cutoff, engine=engine):
-                    if math.isfinite(res.fidelity):
-                        fids[res.outcome].append(res.fidelity)
-                    rates[res.outcome].append(res.probability)
+        inputs = [haar_random_two_qubit(sample_rng(base, 2 * i)) for i in range(ensemble)]
+        if isinstance(detection, HomodyneConfig):
+            fids, rates = np.full((ensemble, n_out), np.nan), np.zeros((ensemble, n_out))
+            for i, c in enumerate(inputs):
+                res = run_bell_protocol(c, alpha, g, cutoff, engine, detection, base, 2 * i + 1)
+                j = ALL_OUTCOMES.index(res.outcome)
+                fids[i, j], rates[i, j] = res.fidelity, 1.0
+        else:
+            atoms = np.array([c.to_state().amplitudes for c in inputs]).reshape(-1, 4)
+            t = [revival_time(g) / 2.0]
+            rates, fids, _ = bell_outcome_arrays(atoms, alpha, g, cutoff, t, engine)
         rows[k, 0] = nbar
-        for j, o in enumerate(ALL_OUTCOMES):
-            vals = np.array(fids[o])
+        for j in range(n_out):
+            vals = fids[:, j][np.isfinite(fids[:, j])]
             if vals.size:
-                rows[k, 1 + 3 * j] = vals.mean()
-                rows[k, 2 + 3 * j] = (
-                    vals.std(ddof=1) / math.sqrt(vals.size) if vals.size > 1 else 0.0
-                )
-            rows[k, 3 + 3 * j] = float(np.mean(rates[o]))
+                err = vals.std(ddof=1) / math.sqrt(vals.size) if vals.size > 1 else 0.0
+                rows[k, 1 + 3 * j : 3 + 3 * j] = vals.mean(), err
+            rows[k, 3 + 3 * j] = rates[:, j].mean()
 
     meta = {
         "nbars": list(nbars),

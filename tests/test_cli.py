@@ -176,6 +176,28 @@ class TestEmit:
         body = out.read_text().splitlines()[6:]
         assert body == [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
 
+    def test_infinite_values_are_null_in_json_and_inf_in_csv(self, tmp_path, monkeypatch):
+        """RFC 8259 has no Infinity token: non-finite cells and params read
+        back as null from strict JSON, while CSV cells keep inf and -inf."""
+        result = scans.ScanResult(self.COLUMNS, np.array([[0.0, np.inf, -np.inf]]),
+                                  {"span": np.inf, "low": -np.inf, "nbar": 4.0})
+        monkeypatch.setattr(scans, "rabi_curve", lambda *args: result)
+
+        def strict(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        out = tmp_path / "r.json"
+        assert main(["rabi", "--g", "-0.02", "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=strict)
+        assert payload["rows"] == [[0.0, None, None]]
+        assert payload["params"] == {"span": None, "low": None, "nbar": 4.0}
+        csv = tmp_path / "r.csv"
+        assert main(["rabi", "--g", "-0.02", "--out", str(csv)]) == 0
+        assert csv.read_text().splitlines()[-1] == "0,inf,-inf"
+        json.loads((tmp_path / "r.csv.meta.json").read_text(), parse_constant=strict)
+        params = [ln for ln in csv.read_text().splitlines() if ln.startswith("# params: ")]
+        assert json.loads(params[0][len("# params: "):], parse_constant=strict)["span"] is None
+
     @pytest.mark.parametrize(
         "change, match",
         [

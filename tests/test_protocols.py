@@ -12,6 +12,7 @@ from dicke2p.protocols import (
     ALL_OUTCOMES,
     HomodyneConfig,
     OutcomeLabel,
+    bell_outcome_arrays,
     bell_outcome_table,
     bell_target,
     composed_measurement,
@@ -174,12 +175,12 @@ class TestBellOutcomeTable:
         measured on the normalized state."""
         c, _ = table20
         t = T_HALF + 0.02 / abs(G)
-        table = bell_outcome_table(c, alpha20, G, cut20, engine="analytic", interaction_time=t)
+        leaked = timing_sensitivity(c, alpha20, G, cut20, [t], engine="analytic").leaked[0]
         psi = coherent_branch_state(c, alpha20, G, t).reconstruct(cut20).amplitudes
         refs = [coherent_state(s * alpha20, cut20).amplitudes for s in (1, -1)]
         kept = sum(np.linalg.norm(psi.reshape(4, -1) @ ref.conj()) ** 2 for ref in refs)
-        assert table[0].leaked_weight > 1e-3
-        assert table[0].leaked_weight == pytest.approx(1.0 - kept, abs=1e-12)
+        assert leaked > 1e-3
+        assert leaked == pytest.approx(1.0 - kept, abs=1e-12)
 
     def test_stationary_input_pins_first_outcome(self, cut20, alpha20):
         table = bell_outcome_table(AtomCoeffs(0, 1, 0, 0), alpha20, G, cut20)
@@ -356,6 +357,57 @@ class TestTimingSensitivity:
         curves = timing_sensitivity(c, alpha20, G, cut20, window)
         psi_minus = curves.fidelities[OutcomeLabel("+", "+")]
         assert np.ptp(psi_minus) < 1e-3
+
+
+class TestBatchedChain:
+    """The array-valued chain against its single-time, single-input use."""
+
+    @pytest.mark.parametrize("engine", ["exact", "analytic"])
+    def test_rows_across_a_chunk_edge_match_single_time_calls(self, cut20, alpha20, engine):
+        from dicke2p import protocols
+
+        c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        chunk = protocols._BASIS_CHUNK // (16 * cut20.dim)
+        window = T_HALF + np.linspace(-0.05, 0.05, chunk + 3) / abs(G)
+        curves = timing_sensitivity(c, alpha20, G, cut20, window, engine=engine)
+        for k, t in enumerate(window):
+            one = timing_sensitivity(c, alpha20, G, cut20, [t], engine=engine)
+            assert abs(curves.leaked[k] - one.leaked[0]) <= 1e-12
+            for o in ALL_OUTCOMES:
+                assert abs(curves.fidelities[o][k] - one.fidelities[o][0]) <= 1e-12
+                assert abs(curves.probabilities[o][k] - one.probabilities[o][0]) <= 1e-12
+
+    def test_zero_reference_weight_in_a_batch_raises_as_alone(self, cut20, alpha20):
+        from dicke2p import protocols
+
+        good = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3).to_state().amplitudes
+        atoms = np.stack([good, np.zeros(4), good])
+        _, readout1, gram1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max, "exact")
+        readout2 = protocols._cavity(alpha20 * protocols._CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[1]
+        with pytest.raises(ValueError) as alone:
+            protocols._chain((readout1, gram1), readout2, atoms[1], PHI)
+        with pytest.raises(ValueError) as batch:
+            bell_outcome_arrays(atoms, alpha20, G, cut20, [T_HALF])
+        assert str(batch.value) == str(alone.value) == (
+            "cavity field has no weight on the reference states"
+        )
+
+    def test_second_cavity_reads_only_branches_of_weight(self, cut20, alpha20):
+        """An empty cavity-1 branch of probability 0.5 raises in cavity 2;
+        one below the degeneracy threshold is split evenly, unread."""
+        from dicke2p import protocols
+
+        readout2 = protocols._cavity(alpha20 * protocols._CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[1]
+        branches = np.stack([np.array([0.3, 0.85, 0.35, 0.3], dtype=complex), np.zeros(4)])
+        corrections = protocols._corrections(PHI)
+        with pytest.raises(ValueError, match="no weight on the reference states"):
+            protocols._second_cavity(readout2[None], branches, np.array([0.5, 0.5]), corrections)
+        p2, prob, _, fid = protocols._second_cavity(
+            readout2[None], branches, np.array([1.0, 0.0]), corrections
+        )
+        np.testing.assert_array_equal(p2[1], [0.5, 0.5])
+        np.testing.assert_array_equal(prob[1], [0.0, 0.0])
+        assert np.isnan(fid[1]).all() and np.isfinite(fid[0]).all()
 
 
 class TestQuadratureTools:

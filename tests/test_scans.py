@@ -1,10 +1,15 @@
 """Batch runners that back the CLI subcommands."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dicke2p.dynamics import rabi_see_analytic
-from dicke2p.protocols import ALL_OUTCOMES
+from dicke2p import protocols, scans
+from dicke2p.analysis import sample_rng
+from dicke2p.dynamics import SectorSpectrum, rabi_see_analytic
+from dicke2p.hilbert import AtomCoeffs, FockCutoff
+from dicke2p.protocols import ALL_OUTCOMES, bell_outcome_table
 from dicke2p.scans import (
     OUTCOME_SUFFIX,
     bell_ensemble,
@@ -80,6 +85,43 @@ class TestBellEnsemble:
         means = r.rows[0, [1, 4, 7, 10]]
         assert np.all((means >= 0.0) & (means <= 1.0))
 
+    def test_ideal_rows_match_per_sample_tables(self):
+        """The batched means, errors and rates equal those of one
+        bell_outcome_table per Haar input on the same sample_rng(seed, 2i)
+        draws, while the ensemble itself builds no per-sample result and
+        leaves the single-time cavity cache alone.  Input 3 is |psi->,
+        whose (-, .) outcomes have NaN fidelity."""
+        nbar, seed, n, psi_minus = 20, 4, 12, AtomCoeffs(0, 1, 0, 0)
+        haar, draws = scans.haar_random_two_qubit, []
+
+        def with_psi_minus(rng):
+            draws.append(rng)
+            return psi_minus if len(draws) == 4 else haar(rng)
+
+        def forbidden(*args):
+            raise AssertionError("the batched ensemble built a per-sample result")
+
+        cache = protocols._cavity.cache_info()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scans, "haar_random_two_qubit", with_psi_minus)
+            mp.setattr(protocols, "ProtocolResult", forbidden)
+            mp.setattr(protocols, "DensityMatrix", forbidden)
+            row = bell_ensemble(nbars=(nbar,), ensemble=n, seed=seed).rows[0]
+        assert protocols._cavity.cache_info() == cache
+
+        cut = FockCutoff.for_mean_photon(float(nbar))
+        alpha = math.sqrt(nbar) * np.exp(1j * math.pi / 8.0)
+        inputs = [haar(sample_rng(seed, 2 * i)) for i in range(n)]
+        inputs[3] = psi_minus
+        tables = [bell_outcome_table(c, alpha, -0.002, cut) for c in inputs]
+        assert np.isnan([r.fidelity for r in tables[3][2:]]).all()
+        for j in range(len(ALL_OUTCOMES)):
+            fids = np.array([t[j].fidelity for t in tables])
+            fids = fids[np.isfinite(fids)]
+            want = [fids.mean(), fids.std(ddof=1) / math.sqrt(fids.size),
+                    np.mean([t[j].probability for t in tables])]
+            np.testing.assert_allclose(row[1 + 3 * j : 4 + 3 * j], want, rtol=0, atol=1e-12)
+
 
 class TestBellTiming:
     def test_probabilities_normalized_along_sweep(self):
@@ -87,6 +129,24 @@ class TestBellTiming:
         probs = r.rows[:, [2, 4, 6, 8]]
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert r.rows[0, 0] < 0.5 < r.rows[-1, 0]
+
+    def test_sweep_builds_each_map_once_per_chunk(self, monkeypatch):
+        """The default 321-point sweep evolves each cavity's four basis
+        states once per chunk of times, and leaves the single-time cache
+        alone."""
+        calls = []
+        propagate = SectorSpectrum.propagate
+
+        def counting(self, *args):
+            calls.append(1)
+            return propagate(self, *args)
+
+        monkeypatch.setattr(SectorSpectrum, "propagate", counting)
+        misses = protocols._cavity.cache_info().misses
+        bell_timing(points=321)
+        chunk = protocols._BASIS_CHUNK // (16 * FockCutoff.for_mean_photon(50.0).dim)
+        assert 0 < len(calls) <= 8 * math.ceil(321 / chunk)
+        assert protocols._cavity.cache_info().misses == misses
 
 
 class TestWignerPanels:
