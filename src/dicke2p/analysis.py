@@ -19,6 +19,7 @@ __all__ = [
     "wigner",
     "haar_random_two_qubit",
     "sample_rng",
+    "ensemble_stats",
     "ensemble_average",
 ]
 
@@ -201,6 +202,17 @@ def sample_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def ensemble_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the first axis of per-sample values
+    (ddof = 1; zeros for a single sample)."""
+    if len(values) < 1:
+        raise ValueError("n_samples must be >= 1")
+    mean = values.mean(axis=0)
+    if len(values) == 1:
+        return mean, np.zeros_like(mean)
+    return mean, values.std(axis=0, ddof=1) / math.sqrt(len(values))
+
+
 def ensemble_average(
     task: Callable[[np.random.Generator], float | np.ndarray],
     n_samples: int,
@@ -211,14 +223,8 @@ def ensemble_average(
     Each sample gets the stream sample_rng(master_seed, i), so results are
     reproducible bit for bit no matter how the loop is scheduled.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     values = np.array([task(sample_rng(master_seed, i)) for i in range(n_samples)])
-    mean = values.mean(axis=0)
-    if n_samples == 1:
-        stderr = np.zeros_like(mean)
-    else:
-        stderr = values.std(axis=0, ddof=1) / math.sqrt(n_samples)
+    mean, stderr = ensemble_stats(values)
     if np.ndim(mean) == 0:
         return float(mean), float(stderr)
     return mean, stderr

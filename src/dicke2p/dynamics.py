@@ -4,7 +4,11 @@ Both Hamiltonians conserve the excitation number, so the exact engine
 works sector by sector: `sector_spectrum` stacks the (at most 9x9) sector
 blocks, diagonalizes them with one batched eigh, and the resulting
 SectorSpectrum propagates a state to any number of times without ever
-forming a matrix of the full dimension.  The analytic layer runs the same
+forming a matrix of the full dimension.  Propagation has three stages: a
+state is projected onto the sector eigenvectors once, the phase table
+exp(-i lambda t) is built once per spectrum and set of times, and the
+rotation back to the flat basis combines the two, so many states evolved
+to the same times share one table.  The analytic layer runs the same
 engine on the large-N linearization of the two-photon interaction W: each
 sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in
 N, (0, +-g(2N-3)), which turns a coherent-state input into a superposition
@@ -17,6 +21,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +53,7 @@ __all__ = [
     "evolve_exact",
     "evolve_exact_many",
     "linearized_spectrum",
+    "linearized_evolution",
     "evolve_linearized_many",
     "analytic_state",
     "coherent_branch_state",
@@ -62,7 +68,12 @@ class SectorSpectrum:
     index[s] lists the flat basis indices of sector s, padded with the
     sentinel space.dim (see models.sector_index); values[s] and vectors[s]
     are the eigenvalues and eigenvector columns of that sector's block.
-    position maps each flat basis index to its slot in index.ravel().
+    position maps each flat basis index to its slot in index.ravel(), and
+    rows holds each vectors[s].T as a complex array.
+
+    propagate(psi, times) is rotate(project(psi), phases(times)): project
+    depends on the state alone and phases on the times alone, so a caller
+    evolving many states to the same times builds each once.
     """
 
     index: np.ndarray
@@ -70,12 +81,17 @@ class SectorSpectrum:
     vectors: np.ndarray
     space: SpaceTag
     position: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         real = self.index < self.space.dim
         position = np.empty(self.space.dim, dtype=np.intp)
         position[self.index[real]] = np.flatnonzero(real)
         object.__setattr__(self, "position", position)
+        # the eigenvectors as rows, complex and contiguous: the right factor
+        # of every rotate, which would otherwise be cast anew on each call
+        rows = np.ascontiguousarray(self.vectors.transpose(0, 2, 1), dtype=np.complex128)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_blocks(
@@ -114,19 +130,32 @@ class SectorSpectrum:
         blocks = op.matrix[safe[:, :, None], safe[:, None, :]]
         return cls.from_blocks(index, blocks, op.space)
 
-    def propagate(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Amplitudes of exp(-i H t) psi for every t; shape (len(times), dim)."""
-        times = np.asarray(times, dtype=np.float64)
+    def project(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Weights of flat amplitudes on the sector eigenvectors; shape
+        (sectors, m), m the padded sector size."""
         per_slot = np.zeros(self.index.size, dtype=np.complex128)
         per_slot[self.position] = amplitudes
-        weights = (per_slot.reshape(self.index.shape)[:, None, :] @ self.vectors.conj())[:, 0]
-        # exp(-i values t) from real cos and sin: half the cost of a complex exp
-        angle = times[:, None, None] * self.values
+        return (per_slot.reshape(self.index.shape)[:, None, :] @ self.vectors.conj())[:, 0]
+
+    def phases(self, times: np.ndarray) -> np.ndarray:
+        """exp(-i values t) for every t, shared by every state propagated to
+        these times; shape (len(times), sectors, m)."""
+        # from real cos and sin: half the cost of a complex exp
+        angle = np.asarray(times, dtype=np.float64)[:, None, None] * self.values
         phases = np.empty(angle.shape, dtype=np.complex128)
         np.cos(angle, out=phases.real)
         np.sin(-angle, out=phases.imag)
-        rotated = (phases * weights).transpose(1, 0, 2) @ self.vectors.transpose(0, 2, 1)
-        return rotated.transpose(1, 0, 2).reshape(times.size, -1)[:, self.position]
+        return phases
+
+    def rotate(self, weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """Flat amplitudes of the eigenvector weights (project) advanced by
+        a phase table (phases); shape (len(phases), dim)."""
+        rotated = (phases * weights).transpose(1, 0, 2) @ self.rows
+        return rotated.transpose(1, 0, 2).reshape(len(phases), -1)[:, self.position]
+
+    def propagate(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Amplitudes of exp(-i H t) psi for every t; shape (len(times), dim)."""
+        return self.rotate(self.project(amplitudes), self.phases(times))
 
 
 def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpectrum:
@@ -173,30 +202,45 @@ def linearized_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:
     return SectorSpectrum.from_blocks(index, blocks, space)
 
 
-def evolve_linearized_many(
-    spectrum: SectorSpectrum, psi0: StateVector, times: np.ndarray
-) -> np.ndarray:
-    """Amplitudes of psi0 evolved under linearized_spectrum for every t;
-    shape (len(times), psi0.dim).
+def linearized_evolution(
+    spectrum: SectorSpectrum, psi0: StateVector
+) -> Callable[[np.ndarray], np.ndarray]:
+    """psi0 under linearized_spectrum as a function of a phase table
+    (spectrum.phases) that returns the amplitudes at its times; shape
+    (len(phases), psi0.dim).
 
-    psi0 is zero-padded onto the spectrum's cutoff, propagated, cut back to
-    its own cutoff and renormalized.  Raises when the weight moved past the
-    cutoff exceeds CAPTURE_ATOL at any time.
+    psi0 is zero-padded onto the spectrum's cutoff and projected once; each
+    call rotates it, cuts it back to its own cutoff and renormalizes.  A call
+    raises when the weight moved past the cutoff exceeds CAPTURE_ATOL at any
+    of its times.
     """
     nf = psi0.space.dims[-1]
     if spectrum.space.dims != (2, 2, nf + 4):
         raise ValueError("spectrum is not the linearized W for this state's cutoff")
     padded = np.zeros((4, nf + 4), dtype=np.complex128)
     padded[:, :nf] = psi0.amplitudes.reshape(4, nf)
-    out = spectrum.propagate(padded.ravel(), times).reshape(-1, 4, nf + 4)
-    dropped = np.max(np.sum(np.abs(out[:, :, nf:]) ** 2, axis=(1, 2)), initial=0.0)
-    if dropped > CAPTURE_ATOL:
-        raise ValueError(
-            f"linearized evolution moves weight {dropped:.3e} past the cutoff "
-            f"n_max={nf - 1} (tolerance {CAPTURE_ATOL:g}); use a larger cutoff"
-        )
-    kept = out[:, :, :nf].reshape(len(out), -1)
-    return kept / np.linalg.norm(kept, axis=1, keepdims=True)
+    weights = spectrum.project(padded.ravel())
+
+    def evolve(phases: np.ndarray) -> np.ndarray:
+        out = spectrum.rotate(weights, phases).reshape(-1, 4, nf + 4)
+        dropped = np.max(np.sum(np.abs(out[:, :, nf:]) ** 2, axis=(1, 2)), initial=0.0)
+        if dropped > CAPTURE_ATOL:
+            raise ValueError(
+                f"linearized evolution moves weight {dropped:.3e} past the cutoff "
+                f"n_max={nf - 1} (tolerance {CAPTURE_ATOL:g}); use a larger cutoff"
+            )
+        kept = out[:, :, :nf].reshape(len(out), -1)
+        return kept / np.linalg.norm(kept, axis=1, keepdims=True)
+
+    return evolve
+
+
+def evolve_linearized_many(
+    spectrum: SectorSpectrum, psi0: StateVector, times: np.ndarray
+) -> np.ndarray:
+    """Amplitudes of psi0 evolved under linearized_spectrum for every t;
+    shape (len(times), psi0.dim); see linearized_evolution."""
+    return linearized_evolution(spectrum, psi0)(spectrum.phases(times))
 
 
 def analytic_state(
@@ -253,9 +297,14 @@ class CoherentBranchState:
     def amplitudes(self, cutoff: FockCutoff) -> np.ndarray:
         """Unnormalized joint amplitudes at the cutoff, linear in the atomic
         coefficients the branches were built from."""
-        out = np.zeros(4 * cutoff.dim, dtype=np.complex128)
-        for br in self.branches:
-            field = coherent_state(br.alpha, cutoff).amplitudes
+        return self.combine([coherent_state(br.alpha, cutoff).amplitudes for br in self.branches])
+
+    def combine(self, fields: list[np.ndarray]) -> np.ndarray:
+        """amplitudes with the field amplitudes of the three branch labels
+        given, in branch order; states that share the labels (one time and
+        alpha) can share the fields."""
+        out = np.zeros(4 * len(fields[0]), dtype=np.complex128)
+        for br, field in zip(self.branches, fields):
             out += br.phase * np.kron(br.atoms, field)
         return out
 

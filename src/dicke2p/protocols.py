@@ -220,8 +220,13 @@ def _cavity_maps(
             basis = np.stack([_w_operator(g, n_max).propagate(k, ts) for k in kets], axis=1)
         else:
             atoms = [AtomCoeffs.from_state(StateVector(e, two_qubit_tag())) for e in eye]
-            branch = [[coherent_branch_state(a, alpha, g, float(t)) for a in atoms] for t in ts]
-            basis = np.array([[b.amplitudes(cutoff) for b in row] for row in branch])
+            basis = []
+            for t in ts:
+                states = [coherent_branch_state(a, alpha, g, float(t)) for a in atoms]
+                # the four states share their three coherent labels at t
+                fields = [coherent_state(br.alpha, cutoff).amplitudes for br in states[0].branches]
+                basis.append([state.combine(fields) for state in states])
+            basis = np.array(basis)
         basis = basis.reshape(ts.size, 4, 4, cutoff.dim)
         readout[lo : lo + ts.size] = (basis @ refs).transpose(0, 3, 2, 1)
         flat = basis.reshape(ts.size, 4, -1)
@@ -353,6 +358,15 @@ def _second_cavity(readout, amps1, p1, corrections) -> tuple[np.ndarray, ...]:
     return p2, prob, states, fid
 
 
+def _first_cavity(cavity1, atoms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cavity 1, as (readout, Gram), read out on atoms (..., 4): the atomic
+    amplitudes (..., 2, 4) and probabilities p1 (..., 2) per field sign, and
+    the weight leaked outside the reference states (...)."""
+    amps1, raw1, total1 = _read(cavity1[0], atoms)
+    leaked = 1.0 - total1 / np.vecdot(atoms, np.matvec(cavity1[1], atoms)).real
+    return amps1, raw1 / total1[..., None], leaked
+
+
 def _chain(cavity1, readout2: np.ndarray, atoms: np.ndarray, phi: float) -> tuple[np.ndarray, ...]:
     """The ideal two-cavity chain on product-basis atomic amplitudes atoms
     (..., 4), by maps (cavity 1 as (readout, Gram)) whose batch shapes
@@ -361,9 +375,7 @@ def _chain(cavity1, readout2: np.ndarray, atoms: np.ndarray, phi: float) -> tupl
     the weight leaked outside the cavity-1 reference states (...).  Below
     _DEGENERATE_PROB a fidelity is NaN and its state unnormalized; a
     degenerate cavity-1 branch is split evenly and not read."""
-    amps1, raw1, total1 = _read(cavity1[0], atoms)
-    p1 = raw1 / total1[..., None]
-    leaked = 1.0 - total1 / np.vecdot(atoms, np.matvec(cavity1[1], atoms)).real
+    amps1, p1, leaked = _first_cavity(cavity1, atoms)
     cavity2 = _second_cavity(readout2[..., None, :, :, :], amps1, p1, _corrections(phi))
     return (p1, *cavity2, leaked)
 
@@ -432,24 +444,27 @@ def run_bell_protocol(
     basis1, readout1, gram1 = _cavity(alpha, g, t, cutoff.n_max, engine)
     readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)[1]
     atoms = coeffs.to_state().amplitudes
-    p1, p2, prob, states, fid, leaked = _chain((readout1, gram1), readout2, atoms, phi)
     record_x: float | None = None
     if isinstance(detection, HomodyneConfig):
+        _, p1, leaked = _first_cavity((readout1, gram1), atoms)
         joint = StateVector.normalized(np.tensordot(atoms, basis1, 1), tripartite_tag(cutoff))
         record_x, collapsed = homodyne_measure(joint, detection, rng)
         s1 = 0 if record_x > 0 else 1
-        # cavity 2 reads the collapsed atoms of branch s1
+        # cavity 2 reads the collapsed atoms of branch s1 only
         gates, targets = _corrections(phi)
-        branch = _second_cavity(readout2, collapsed.amplitudes, p1[s1], (gates[s1], targets[s1]))
-        p2[s1], prob[s1], states[s1], fid[s1] = branch
+        p2, prob, states, fid = _second_cavity(
+            readout2, collapsed.amplitudes, p1[s1], (gates[s1], targets[s1])
+        )
     elif detection == "ideal":
+        p1, p2, prob, states, fid, leaked = _chain((readout1, gram1), readout2, atoms, phi)
         s1 = 0 if rng.uniform() < p1[0] else 1
+        p2, prob, states, fid = p2[s1], prob[s1], states[s1], fid[s1]
     else:
         raise ValueError("detection must be 'ideal' or a HomodyneConfig")
     # a degenerate cavity-1 branch draws nothing more and reports (s1, +)
-    s2 = 0 if p1[s1] < _DEGENERATE_PROB or rng.uniform() < p2[s1, 0] else 1
+    s2 = 0 if p1[s1] < _DEGENERATE_PROB or rng.uniform() < p2[0] else 1
     outcome = ALL_OUTCOMES[2 * s1 + s2]
-    return _result(outcome, prob[s1, s2], fid[s1, s2], states[s1, s2], leaked, record_x)
+    return _result(outcome, prob[s2], fid[s2], states[s2], leaked, record_x)
 
 
 @dataclass(frozen=True)

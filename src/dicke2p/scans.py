@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    ensemble_average,
+    ensemble_stats,
     haar_random_two_qubit,
     partial_trace,
     sample_rng,
@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .dynamics import (
     evolve_exact_many,
-    evolve_linearized_many,
+    linearized_evolution,
     linearized_spectrum,
     rabi_see_analytic,
     revival_time,
@@ -69,6 +69,11 @@ OUTCOME_SUFFIX = {o: f"{'p' if o.d1 == '+' else 'm'}{'p' if o.d2 == '+' else 'm'
 
 # Stride between per-nbar seed offsets so RNG streams never collide.
 _SEED_STRIDE = 10007
+# Phase-table entries of one fidelity_scan time chunk, summed over its three
+# spectra (1 MB).  Longer chunks spread the per-sector matrix products over
+# more times; the fidelity-scan CLI's peak RSS stays flat up to 2**16 entries
+# and rises by 5 MB at 2**17.
+_PHASE_TABLE = 2**16
 
 _EE_SPACE = two_qubit_tag()
 
@@ -104,6 +109,9 @@ def fidelity_scan(
     two-photon interaction alone, and the closed-form large-n solution.
     Both are compared in the rotating frame of the conserved excitation
     number, which carries the only surviving Stark contribution.
+
+    Sample i at the k-th nbar draws from sample_rng(seed + k * _SEED_STRIDE,
+    i); all samples share one phase table per spectrum and chunk of times.
     """
     g = effective_coupling(g_g, g_e, delta)
     grid = np.linspace(0.0, 1.0, time_points)
@@ -122,25 +130,37 @@ def fidelity_scan(
         # counter-rotation by the (omega + 2g) I part of the effective model;
         # the two-level labels equal the three-level ones on the embedded states
         rot = np.exp(2j * g * np.outer(times, excitation_labels(cutoff, levels=2)))
-        space3 = full_spec.space
-        dim3 = space3.dim
 
-        def task(rng: np.random.Generator) -> np.ndarray:
+        inputs = []
+        for i in range(ensemble):
+            rng = sample_rng(seed + k * _SEED_STRIDE, i)
             coeffs = haar_random_two_qubit(rng)
             phi = 2.0 * math.pi * rng.uniform()
             alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
-            psi0 = tensor(coeffs.to_state(), coherent_state(alpha, cutoff))
-            full0 = np.zeros(dim3, dtype=np.complex128)
-            full0[idx] = psi0.amplitudes
-            traj_full = evolve_exact_many(full_spec, StateVector(full0, space3), times)
-            sub = traj_full[:, idx] * rot
-            traj_w = evolve_exact_many(w_spec, psi0, times)
-            traj_an = evolve_linearized_many(lin_spec, psi0, times)
-            f_w = np.abs(np.einsum("td,td->t", traj_w.conj(), sub)) ** 2
-            f_an = np.abs(np.einsum("td,td->t", traj_an.conj(), sub)) ** 2
-            return np.stack([f_w, f_an])
+            inputs.append(tensor(coeffs.to_state(), coherent_state(alpha, cutoff)))
+        full0 = np.zeros((ensemble, full_spec.space.dim), dtype=np.complex128)
+        full0[:, idx] = [psi0.amplitudes for psi0 in inputs]
+        weights_full = [full_spec.project(amps) for amps in full0]
+        weights_w = [w_spec.project(psi0.amplitudes) for psi0 in inputs]
+        evolve_an = [linearized_evolution(lin_spec, psi0) for psi0 in inputs]
 
-        mean, err = ensemble_average(task, ensemble, seed + k * _SEED_STRIDE)
+        values = np.empty((ensemble, 2, time_points))
+        specs = (full_spec, w_spec, lin_spec)
+        chunks = -(-time_points // max(1, _PHASE_TABLE // sum(spec.index.size for spec in specs)))
+        # chunks of equal length, never a short remainder: products over one
+        # or a few times take other BLAS paths and round differently
+        edges = [time_points * j // chunks for j in range(chunks + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            ph_full, ph_w, ph_lin = (spec.phases(times[lo:hi]) for spec in specs)
+            for i in range(ensemble):
+                sub = full_spec.rotate(weights_full[i], ph_full)[:, idx]
+                sub *= rot[lo:hi]
+                traj_w = w_spec.rotate(weights_w[i], ph_w)
+                traj_an = evolve_an[i](ph_lin)
+                values[i, 0, lo:hi] = np.abs(np.einsum("td,td->t", traj_w.conj(), sub)) ** 2
+                values[i, 1, lo:hi] = np.abs(np.einsum("td,td->t", traj_an.conj(), sub)) ** 2
+
+        mean, err = ensemble_stats(values)
         cols += [
             f"mean_FW_nbar{nbar}",
             f"stderr_FW_nbar{nbar}",

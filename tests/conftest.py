@@ -85,3 +85,62 @@ def blockwise_state(coeffs, alpha, g, t, cutoff):
         ]
     ).ravel()
     return prod / np.linalg.norm(prod)
+
+
+def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, delta=500.0):
+    """Rows of scans.fidelity_scan computed one Haar sample at a time: each
+    sample propagated to every time by the three evolve_*_many calls and
+    averaged by ensemble_average.  Deliberately free of shared phase tables
+    and time chunks."""
+    import cmath
+    import math
+
+    from dicke2p.analysis import ensemble_average, haar_random_two_qubit
+    from dicke2p.dynamics import (
+        evolve_exact_many,
+        evolve_linearized_many,
+        linearized_spectrum,
+        sector_spectrum,
+    )
+    from dicke2p.hilbert import StateVector, coherent_state, tensor
+    from dicke2p.models import (
+        EffectiveModelParams,
+        FullModelParams,
+        effective_coupling,
+        embed_indices,
+        excitation_labels,
+    )
+    from dicke2p.scans import _SEED_STRIDE
+
+    g = effective_coupling(g_g, g_e, delta)
+    grid = np.linspace(0.0, 1.0, time_points)
+    times = grid * math.pi / abs(g)
+    data = [grid]
+    for k, nbar in enumerate(nbars):
+        cutoff = FockCutoff.for_mean_photon(float(nbar))
+        full_spec = sector_spectrum(
+            FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
+        )
+        w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
+        lin_spec = linearized_spectrum(g, cutoff)
+        idx = embed_indices(cutoff)
+        rot = np.exp(2j * g * np.outer(times, excitation_labels(cutoff, levels=2)))
+
+        def task(rng):
+            coeffs = haar_random_two_qubit(rng)
+            phi = 2.0 * math.pi * rng.uniform()
+            alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
+            psi0 = tensor(coeffs.to_state(), coherent_state(alpha, cutoff))
+            full0 = np.zeros(full_spec.space.dim, dtype=np.complex128)
+            full0[idx] = psi0.amplitudes
+            traj_full = evolve_exact_many(full_spec, StateVector(full0, full_spec.space), times)
+            sub = traj_full[:, idx] * rot
+            traj_w = evolve_exact_many(w_spec, psi0, times)
+            traj_an = evolve_linearized_many(lin_spec, psi0, times)
+            f_w = np.abs(np.einsum("td,td->t", traj_w.conj(), sub)) ** 2
+            f_an = np.abs(np.einsum("td,td->t", traj_an.conj(), sub)) ** 2
+            return np.stack([f_w, f_an])
+
+        mean, err = ensemble_average(task, ensemble, seed + k * _SEED_STRIDE)
+        data += [mean[0], err[0], mean[1], err[1]]
+    return np.column_stack(data)

@@ -284,6 +284,24 @@ class TestRunBellProtocol:
             x, _ = homodyne_measure(joint20, cfg, sample_rng(3, 1))
             assert shots[0].record_x == x
 
+    def test_homodyne_shot_reads_each_cavity_once(self, table20, cut20, alpha20, monkeypatch):
+        """Cavity 1 is read for p1 and the leaked weight, and cavity 2 only
+        on the atoms the homodyne record collapsed."""
+        from dicke2p import protocols
+
+        reads = []
+        read = protocols._read
+
+        def counting(readout, atoms, check=True):
+            reads.append(atoms.shape)
+            return read(readout, atoms, check)
+
+        monkeypatch.setattr(protocols, "_read", counting)
+        c, _ = table20
+        cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.8)
+        run_bell_protocol(c, alpha20, G, cut20, detection=cfg, rng_seed=3, shot_index=0)
+        assert reads == [(4,), (4,)]
+
     def test_degenerate_homodyne_branch_keeps_its_record(self):
         """|psi-> never leaves |alpha>, so a misread record lands on a branch
         of vanishing weight: the result is the mixed fallback, with the
@@ -344,6 +362,25 @@ class TestCavityMaps:
 
 
 class TestTimingSensitivity:
+    def test_analytic_sweep_builds_each_label_once_per_time(self, cut20, alpha20, monkeypatch):
+        """The four basis states of a cavity share their three coherent
+        labels at each time, so their fields are built once."""
+        from dicke2p import dynamics, protocols
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return coherent_state(*args)
+
+        monkeypatch.setattr(dynamics, "coherent_state", counting)
+        monkeypatch.setattr(protocols, "coherent_state", counting)
+        window = T_HALF + np.linspace(-0.05, 0.05, 7) / abs(G)
+        c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        timing_sensitivity(c, alpha20, G, cut20, window, engine="analytic")
+        # two cavities: three labels per time, plus |+-alpha> for the readout
+        assert 0 < len(calls) <= 2 * (3 * window.size + 2)
+
     def test_optimum_matches_table(self, table20, cut20, alpha20):
         c, table = table20
         curves = timing_sensitivity(c, alpha20, G, cut20, np.array([T_HALF]))

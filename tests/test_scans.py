@@ -5,10 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from dicke2p import protocols, scans
+from conftest import fidelity_scan_oracle
+from dicke2p import dynamics, protocols, scans
 from dicke2p.analysis import sample_rng
-from dicke2p.dynamics import SectorSpectrum, rabi_see_analytic
+from dicke2p.dynamics import (
+    SectorSpectrum,
+    linearized_spectrum,
+    rabi_see_analytic,
+    sector_spectrum,
+)
 from dicke2p.hilbert import AtomCoeffs, FockCutoff
+from dicke2p.models import EffectiveModelParams, FullModelParams, effective_coupling
 from dicke2p.protocols import ALL_OUTCOMES, bell_outcome_table
 from dicke2p.scans import (
     OUTCOME_SUFFIX,
@@ -67,6 +74,58 @@ class TestFidelityScan:
         a = fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=3)
         b = fidelity_scan(nbars=(4,), ensemble=2, seed=10, time_points=3)
         assert not np.array_equal(a.rows[1:], b.rows[1:])
+
+    @staticmethod
+    def _chunk_spy(monkeypatch, times_per_chunk):
+        """Make fidelity_scan cut its times into chunks of about
+        times_per_chunk at nbar 4 and record the length of every phase
+        table it builds."""
+        cutoff = FockCutoff.for_mean_photon(4.0)
+        g = effective_coupling(1.0, 1.0, 500.0)
+        entries = sum(
+            spec.index.size
+            for spec in (
+                sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cutoff)),
+                sector_spectrum(EffectiveModelParams(g, cutoff)),
+                linearized_spectrum(g, cutoff),
+            )
+        )
+        monkeypatch.setattr(scans, "_PHASE_TABLE", times_per_chunk * entries)
+        built = []
+        phases = SectorSpectrum.phases
+
+        def counting(self, times):
+            built.append(len(times))
+            return phases(self, times)
+
+        monkeypatch.setattr(SectorSpectrum, "phases", counting)
+        return built
+
+    def test_chunked_scan_matches_per_sample_oracle(self, monkeypatch):
+        """Shared phase tables over ragged time chunks give the rows of the
+        one-sample-at-a-time computation bit for bit."""
+        built = self._chunk_spy(monkeypatch, 5)
+        r = fidelity_scan(nbars=(4,), ensemble=3, seed=9, time_points=17)
+        # 17 times in four chunks, one table per spectrum and chunk
+        assert sorted(set(built)) == [4, 5] and len(built) == 3 * 4
+        np.testing.assert_array_equal(r.rows, fidelity_scan_oracle((4,), 3, 9, 17))
+
+    def test_phase_tables_do_not_grow_with_the_ensemble(self, monkeypatch):
+        built = self._chunk_spy(monkeypatch, 5)
+        fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=17)
+        small = len(built)
+        fidelity_scan(nbars=(4,), ensemble=5, seed=9, time_points=17)
+        assert len(built) - small == small
+
+    def test_single_sample_has_zero_stderr(self):
+        r = fidelity_scan(nbars=(4,), ensemble=1, seed=9, time_points=5)
+        assert np.all(r.rows[:, [2, 4]] == 0.0)
+        assert np.all(r.rows[1:, [1, 3]] < 1.0)
+
+    def test_capture_check_runs_in_the_scan(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "CAPTURE_ATOL", -1.0)
+        with pytest.raises(ValueError, match="linearized evolution moves weight"):
+            fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=3)
 
 
 class TestGhzSweep:
