@@ -155,31 +155,6 @@ def _load_config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _splice_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv and not any(a.startswith("--config=") for a in argv):
-        return argv
-    out: list[str] = []
-    path: str | None = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        out.append(tok)
-        i += 1
-    if not out:
-        raise ValueError("--config requires a subcommand")
-    return [out[0]] + _load_config_tokens(str(path)) + out[1:]
-
-
 def _effective_g(args: argparse.Namespace) -> float:
     if getattr(args, "g", None) is not None:
         return args.g
@@ -431,13 +406,18 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    try:
-        spliced = _splice_config(raw)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    args = parser.parse_args(spliced)
+    # --config may stand anywhere; its tokens go right after the subcommand,
+    # so explicit flags win and config values meet each flag's type and choices
+    pre = argparse.ArgumentParser(prog="dicke2p", add_help=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(raw)
+    if known.config is not None:
+        try:
+            rest = rest[:1] + _load_config_tokens(known.config) + rest[1:]
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    args = build_parser().parse_args(rest)
 
     code = _check_validity(args, max(float(n) for n in args.nbar))
     if code:

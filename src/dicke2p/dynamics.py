@@ -12,7 +12,11 @@ to the same times share one table.  The analytic layer runs the same
 engine on the large-N linearization of the two-photon interaction W: each
 sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in
 N, (0, +-g(2N-3)), which turns a coherent-state input into a superposition
-of a few rotating coherent branches.
+of a few rotating coherent branches.  coherent_branch_basis is the paper's
+large-nbar form of that result, the protocols' analytic engine: three
+branches on the labels alpha and e^{-+2igt} alpha, for the four
+product-basis atomic states at every time in one array map, from one
+coherent state.
 """
 
 from __future__ import annotations
@@ -32,10 +36,8 @@ from .hilbert import (
     Operator,
     SpaceTag,
     StateVector,
-    bell_state,
     coherent_state,
     tensor,
-    tripartite_tag,
 )
 from .models import (
     EffectiveModelParams,
@@ -46,8 +48,6 @@ from .models import (
 )
 
 __all__ = [
-    "CoherentBranch",
-    "CoherentBranchState",
     "SectorSpectrum",
     "sector_spectrum",
     "evolve_exact",
@@ -56,7 +56,7 @@ __all__ = [
     "linearized_evolution",
     "evolve_linearized_many",
     "analytic_state",
-    "coherent_branch_state",
+    "coherent_branch_basis",
     "rabi_see_analytic",
     "revival_time",
 ]
@@ -258,65 +258,20 @@ def analytic_state(
     return StateVector(amps, psi0.space)
 
 
-@dataclass(frozen=True)
-class CoherentBranch:
-    """One rotating component: unnormalized two-qubit amplitudes (product
-    basis), the coherent label it multiplies, and a scalar prefactor."""
+def coherent_branch_basis(
+    alpha: complex, g: float, times: np.ndarray, cutoff: FockCutoff
+) -> np.ndarray:
+    """The paper's large-nbar three-branch form: each product-basis atomic
+    state (x) |alpha> at every t, unnormalized; shape (len(times), 4, 4,
+    dim), indexed [t, input state, atoms, field] as SectorSpectrum.propagate
+    gives them for the exact engine.
 
-    atoms: np.ndarray
-    alpha: complex
-    phase: complex
-
-    def __post_init__(self) -> None:
-        vec = np.array(np.ravel(self.atoms), dtype=np.complex128)
-        if vec.size != 4:
-            raise ValueError("branch atomic vector must have 4 amplitudes")
-        vec.setflags(write=False)
-        object.__setattr__(self, "atoms", vec)
-
-
-def _bell_vec(kind: str, phi: float = 0.0) -> np.ndarray:
-    return bell_state(kind, phi).amplitudes
-
-
-@dataclass(frozen=True)
-class CoherentBranchState:
-    """Large-nbar closed form: a stationary branch plus two branches whose
-    coherent labels counter-rotate at 2g."""
-
-    branches: tuple[CoherentBranch, CoherentBranch, CoherentBranch]
-
-    def reconstruct(self, cutoff: FockCutoff) -> StateVector:
-        return StateVector.normalized(self.amplitudes(cutoff), tripartite_tag(cutoff))
-
-    def reconstruction_defect(self, cutoff: FockCutoff) -> float:
-        """|1 - norm| of the unnormalized reconstruction; measures how far
-        the branch decomposition is from resolving the identity."""
-        return abs(1.0 - float(np.linalg.norm(self.amplitudes(cutoff))))
-
-    def amplitudes(self, cutoff: FockCutoff) -> np.ndarray:
-        """Unnormalized joint amplitudes at the cutoff, linear in the atomic
-        coefficients the branches were built from."""
-        return self.combine([coherent_state(br.alpha, cutoff).amplitudes for br in self.branches])
-
-    def combine(self, fields: list[np.ndarray]) -> np.ndarray:
-        """amplitudes with the field amplitudes of the three branch labels
-        given, in branch order; states that share the labels (one time and
-        alpha) can share the fields."""
-        out = np.zeros(4 * len(fields[0]), dtype=np.complex128)
-        for br, field in zip(self.branches, fields):
-            out += br.phase * np.kron(br.atoms, field)
-        return out
-
-
-def coherent_branch_state(
-    coeffs: AtomCoeffs, alpha: complex, g: float, t: float
-) -> CoherentBranchState:
-    """Three-branch approximation of analytic_state for |alpha|^2 >> 1.
-
-    branch0 carries the stationary |psi-> and odd-phase content with the
-    unrotated label alpha; the other two branches carry |psi+>-like content
-    with labels exp(-+ i 2 g t) alpha and drifting even-phase Bell states.
+    The form is linear in the atoms.  The projector onto span{|psi->,
+    |phi_2phi^->} keeps the label alpha; the maps
+    (1/2) e^{-+igt} |psi+ +- phi_{2phi-+4gt}^+><psi+ +- phi_2phi^+| carry the
+    rest to the counter-rotating labels e^{-+2igt} alpha.  Since
+    |e^{i theta} alpha| = |alpha|, every label's field is that of alpha
+    turned by e^{i theta n}, so one coherent state serves all of them.
     """
     if abs(alpha) ** 2 < 10.0:
         warnings.warn(
@@ -324,30 +279,30 @@ def coherent_branch_state(
             f"got |alpha|^2 = {abs(alpha) ** 2:.3g}",
             stacklevel=2,
         )
-    phi = cmath.phase(alpha)
-    d_plus, d_minus = coeffs.d_pair(2.0 * phi)
-    psi_minus = _bell_vec("psi-")
-    psi_plus = _bell_vec("psi+")
+    sign = np.array([1.0, -1.0])  # the branches to the labels e^{-+2igt} alpha
+    gt = g * np.asarray(times, dtype=np.float64)[:, None] * sign  # (T, 2)
+    two_phi = 2.0 * cmath.phase(alpha)
 
-    branch0 = CoherentBranch(
-        coeffs.c_minus * psi_minus + d_minus * _bell_vec("phi-", 2.0 * phi),
-        alpha,
-        1.0,
-    )
-    gt = g * t
-    branch_m = CoherentBranch(
-        ((coeffs.c_plus + d_plus) / 2.0)
-        * (psi_plus + _bell_vec("phi+", 2.0 * phi - 4.0 * gt)),
-        cmath.exp(-2j * gt) * alpha,
-        cmath.exp(-1j * gt),
-    )
-    branch_p = CoherentBranch(
-        ((coeffs.c_plus - d_plus) / 2.0)
-        * (psi_plus - _bell_vec("phi+", 2.0 * phi + 4.0 * gt)),
-        cmath.exp(2j * gt) * alpha,
-        cmath.exp(1j * gt),
-    )
-    return CoherentBranchState((branch0, branch_m, branch_p))
+    def psi_phi_plus(theta: np.ndarray) -> np.ndarray:
+        """|psi+> +- |phi_theta^+> in the product basis, one sign per branch."""
+        edge = sign * np.exp(-1j * theta)
+        ones = np.ones_like(edge)
+        return np.stack([edge, ones, ones, edge.conj()], axis=-1) / math.sqrt(2.0)
+
+    # maps[t, b, j, a]: amplitude of atomic state a in branch b of input j.
+    # The moving branches start from the projector onto |psi+>, |phi_2phi^+>;
+    # the stationary one keeps its complement.
+    bras = psi_phi_plus(np.full(2, two_phi)).conj()  # (2, 4)
+    kets = psi_phi_plus(two_phi - 4.0 * gt)  # (T, 2, 4)
+    maps = np.empty((len(gt), 3, 4, 4), dtype=np.complex128)
+    maps[:, 0] = np.eye(4) - 0.5 * bras.T @ bras.conj()
+    maps[:, 1:] = 0.5 * np.exp(-1j * gt)[..., None, None] * bras[:, :, None] * kets[..., None, :]
+    field = coherent_state(alpha, cutoff).amplitudes
+    fields = np.empty((len(gt), 3, cutoff.dim), dtype=np.complex128)
+    fields[:, 0] = field
+    fields[:, 1:] = field * np.exp(-2j * gt[..., None] * np.arange(cutoff.dim))
+    flat = maps.reshape(len(gt), 3, 16).transpose(0, 2, 1) @ fields
+    return flat.reshape(len(gt), 4, 4, cutoff.dim)
 
 
 def rabi_see_analytic(alpha: complex, g: float, t):

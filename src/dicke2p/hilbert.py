@@ -270,17 +270,6 @@ class AtomCoeffs:
     def to_state(self) -> StateVector:
         return StateVector(_BELL_TO_PRODUCT @ self.as_array(), two_qubit_tag())
 
-    def d_pair(self, phase: float) -> tuple[complex, complex]:
-        """(d+, d-) = (c_g e^{i phase} +- c_e e^{-i phase})/sqrt(2).
-
-        Callers working with a coherent field of phase phi pass 2*phi.
-        """
-        ep = cmath.exp(1j * phase)
-        return (
-            (self.c_g * ep + self.c_e / ep) / _SQRT2,
-            (self.c_g * ep - self.c_e / ep) / _SQRT2,
-        )
-
 
 def annihilation_op(cutoff: FockCutoff) -> Operator:
     """Photon annihilation: <n-1|a|n> = sqrt(n)."""

@@ -284,12 +284,9 @@ def embed_two_level_state(state: StateVector, cutoff: FockCutoff) -> StateVector
     space, leaving the intermediate level unpopulated."""
     if state.space.dims != (2, 2, cutoff.dim):
         raise ValueError("expected a two-level tripartite state matching the cutoff")
-    src = state.reshaped()
-    out = np.zeros((3, 3, cutoff.dim), dtype=np.complex128)
-    for i2, i3 in enumerate(_EMBED_ATOM):
-        for j2, j3 in enumerate(_EMBED_ATOM):
-            out[i3, j3, :] = src[i2, j2, :]
-    return StateVector(out.ravel(), tripartite_tag(cutoff, levels=3))
+    out = np.zeros(9 * cutoff.dim, dtype=np.complex128)
+    out[embed_indices(cutoff)] = state.amplitudes
+    return StateVector(out, tripartite_tag(cutoff, levels=3))
 
 
 def embed_indices(cutoff: FockCutoff) -> np.ndarray:

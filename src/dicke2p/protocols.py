@@ -28,7 +28,7 @@ import numpy as np
 from .analysis import DensityMatrix, fidelity, sample_rng
 from .dynamics import (
     SectorSpectrum,
-    coherent_branch_state,
+    coherent_branch_basis,
     revival_time,
     sector_spectrum,
 )
@@ -219,14 +219,7 @@ def _cavity_maps(
         if engine == "exact":
             basis = np.stack([_w_operator(g, n_max).propagate(k, ts) for k in kets], axis=1)
         else:
-            atoms = [AtomCoeffs.from_state(StateVector(e, two_qubit_tag())) for e in eye]
-            basis = []
-            for t in ts:
-                states = [coherent_branch_state(a, alpha, g, float(t)) for a in atoms]
-                # the four states share their three coherent labels at t
-                fields = [coherent_state(br.alpha, cutoff).amplitudes for br in states[0].branches]
-                basis.append([state.combine(fields) for state in states])
-            basis = np.array(basis)
+            basis = coherent_branch_basis(alpha, g, ts, cutoff)
         basis = basis.reshape(ts.size, 4, 4, cutoff.dim)
         readout[lo : lo + ts.size] = (basis @ refs).transpose(0, 3, 2, 1)
         flat = basis.reshape(ts.size, 4, -1)

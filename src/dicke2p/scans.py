@@ -327,8 +327,7 @@ def bell_ensemble(
         for j in range(n_out):
             vals = fids[:, j][np.isfinite(fids[:, j])]
             if vals.size:
-                err = vals.std(ddof=1) / math.sqrt(vals.size) if vals.size > 1 else 0.0
-                rows[k, 1 + 3 * j : 3 + 3 * j] = vals.mean(), err
+                rows[k, 1 + 3 * j : 3 + 3 * j] = ensemble_stats(vals)
             rows[k, 3 + 3 * j] = rates[:, j].mean()
 
     meta = {

@@ -87,6 +87,48 @@ def blockwise_state(coeffs, alpha, g, t, cutoff):
     return prod / np.linalg.norm(prod)
 
 
+def three_branch_state(coeffs, alpha, g, t, cutoff):
+    """The large-nbar three-branch form of |atoms>|alpha> at one time t,
+    unnormalized flat amplitudes in the product atomic basis x Fock.
+
+    Deliberately independent of coherent_branch_basis: scalars and np.kron
+    only, the Bell vectors written out, d+- = (c_g e^{2i phi} +- c_e
+    e^{-2i phi})/sqrt(2) from the Bell-basis coefficients, and one
+    coherent_state per label:
+      (c_- psi- + d_- phi-_2phi) |alpha>
+      + e^{-+igt} (c_+ +- d_+)/2 (psi+ +- phi+_{2phi-+4gt}) |e^{-+2igt} alpha>.
+    """
+    import cmath
+
+    from dicke2p.hilbert import coherent_state
+
+    sq = 1.0 / np.sqrt(2.0)
+    psi_minus = sq * np.array([0.0, 1.0, -1.0, 0.0])
+    psi_plus = sq * np.array([0.0, 1.0, 1.0, 0.0])
+
+    def phi_bell(theta, sign):
+        return sq * np.array([cmath.exp(-1j * theta), 0.0, 0.0, sign * cmath.exp(1j * theta)])
+
+    two_phi = 2.0 * cmath.phase(alpha)
+    ep = cmath.exp(1j * two_phi)
+    d_plus = sq * (coeffs.c_g * ep + coeffs.c_e / ep)
+    d_minus = sq * (coeffs.c_g * ep - coeffs.c_e / ep)
+    gt = g * t
+    out = np.kron(
+        coeffs.c_minus * psi_minus + d_minus * phi_bell(two_phi, -1.0),
+        coherent_state(alpha, cutoff).amplitudes,
+    )
+    for s in (1.0, -1.0):
+        atoms = (coeffs.c_plus + s * d_plus) / 2.0 * (
+            psi_plus + s * phi_bell(two_phi - 4.0 * s * gt, 1.0)
+        )
+        label = cmath.exp(-2j * s * gt) * alpha
+        out = out + cmath.exp(-1j * s * gt) * np.kron(
+            atoms, coherent_state(label, cutoff).amplitudes
+        )
+    return out
+
+
 def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, delta=500.0):
     """Rows of scans.fidelity_scan computed one Haar sample at a time: each
     sample propagated to every time by the three evolve_*_many calls and

@@ -91,10 +91,11 @@ class TestCsvOutput:
 class TestJsonOutput:
     def test_payload_shape(self, tmp_path):
         out = tmp_path / "g.json"
-        code = main(
-            ["ghz", "--nbar", "4,6", "--engine", "analytic",
-             "--format", "json", "--out", str(out)]
-        )
+        with pytest.warns(UserWarning, match="alpha"):
+            code = main(
+                ["ghz", "--nbar", "4,6", "--engine", "analytic",
+                 "--format", "json", "--out", str(out)]
+            )
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["command"] == "ghz"
@@ -277,6 +278,40 @@ class TestConfigFile:
         outer.write_text(f"config = {inner}\n")
         assert main(["rabi", "--config", str(outer)]) == 2
         assert "nest" in capsys.readouterr().err
+
+
+    @staticmethod
+    def exit_code(argv):
+        """main's return value, or the code of the SystemExit argparse raises."""
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    @pytest.mark.parametrize("line", ["engine = foo", "bogus = 1"])
+    def test_config_values_meet_the_flag_checks(self, tmp_path, line):
+        """Config entries are parsed as flags: choices and unknown keys fail."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert self.exit_code(["ghz", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("where", ["before-subcommand", "equals-sign"])
+    def test_config_found_in_any_form(self, tmp_path, where):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nbar = 4\ng = -0.02\npoints = 9\n")
+        out = tmp_path / "r.csv"
+        argv = {
+            "before-subcommand": ["--config", str(cfg), "rabi"],
+            "equals-sign": ["rabi", f"--config={cfg}"],
+        }[where]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, _, rows = read_csv_table(out)
+        assert rows.shape[0] == 9
+
+    def test_config_needs_a_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nbar = 4\n")
+        assert self.exit_code(["--config", str(cfg)]) == 2
 
 
 class TestValidityGate:

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import blockwise_state, random_coeffs
+from conftest import blockwise_state, random_coeffs, three_branch_state
 from dicke2p import models
 from dicke2p.dynamics import (
     SectorSpectrum,
     analytic_state,
-    coherent_branch_state,
+    coherent_branch_basis,
     evolve_exact,
     evolve_exact_many,
     evolve_linearized_many,
@@ -29,6 +29,7 @@ from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
     Operator,
+    StateVector,
     bell_state,
     coherent_state,
     tensor,
@@ -353,23 +354,46 @@ class TestLinearizedEvolution:
             evolve_linearized_many(linearized_spectrum(1.0, FockCutoff(28)), psi0, [0.1])
 
 
+def branch_states(coeffs, alpha, g, times, cutoff):
+    """The three-branch form of |atoms>|alpha> at each t, normalized, and
+    the |1 - norm| defects of the unnormalized sums; (T, dim) and (T,)."""
+    basis = coherent_branch_basis(alpha, g, times, cutoff)
+    amps = np.tensordot(coeffs.to_state().amplitudes, basis, axes=(0, 1)).reshape(len(times), -1)
+    norms = np.linalg.norm(amps, axis=1)
+    return amps / norms[:, None], np.abs(1.0 - norms)
+
+
 class TestCoherentBranches:
+    @pytest.mark.parametrize("nbar", [20.0, 50.0, 100.0])
+    def test_basis_matches_per_time_oracle(self, nbar):
+        cut = FockCutoff.for_mean_photon(nbar)
+        alpha = math.sqrt(nbar) * np.exp(0.7j)
+        times = np.linspace(0.0, revival_time(-0.002), 50)
+        basis = coherent_branch_basis(alpha, -0.002, times, cut)
+        assert basis.shape == (50, 4, 4, cut.dim)
+        for j, atoms in enumerate(np.eye(4)):
+            c = AtomCoeffs.from_state(StateVector(atoms, two_qubit_tag()))
+            for k, t in enumerate(times):
+                oracle = three_branch_state(c, alpha, -0.002, t, cut)
+                np.testing.assert_allclose(basis[k, j].ravel(), oracle, rtol=0, atol=1e-13)
+
     def test_t0_reconstruction(self, rng):
         cut = FockCutoff.for_mean_photon(30.0)
         c = random_coeffs(rng)
         alpha = math.sqrt(30.0)
         psi0 = tensor(c.to_state(), coherent_state(alpha, cut))
-        rec = coherent_branch_state(c, alpha, 1.0, 0.0).reconstruct(cut)
-        assert np.linalg.norm(rec.amplitudes - psi0.amplitudes) < 1e-10
+        rec, _ = branch_states(c, alpha, 1.0, [0.0], cut)
+        assert np.linalg.norm(rec[0] - psi0.amplitudes) < 1e-10
 
     def test_half_revival_form(self, mixed_coeffs):
         """At t_r/2 the state splits into a stationary part riding |alpha>
         and a flipped part riding |-alpha>."""
         alpha = 5.0 * np.exp(0.45j)
         cut = FockCutoff.for_mean_photon(25.0)
-        state = coherent_branch_state(mixed_coeffs, alpha, 1.0, math.pi / 2.0)
-        rec = state.reconstruct(cut).amplitudes
-        d_plus, d_minus = mixed_coeffs.d_pair(0.9)
+        rec, _ = branch_states(mixed_coeffs, alpha, 1.0, [math.pi / 2.0], cut)
+        cg, ce = mixed_coeffs.c_g, mixed_coeffs.c_e
+        d_plus = (cg * np.exp(0.9j) + ce * np.exp(-0.9j)) / np.sqrt(2)
+        d_minus = (cg * np.exp(0.9j) - ce * np.exp(-0.9j)) / np.sqrt(2)
         stay = (
             mixed_coeffs.c_minus * bell_state("psi-").amplitudes
             + d_minus * bell_state("phi-", 0.9).amplitudes
@@ -382,18 +406,28 @@ class TestCoherentBranches:
             flip, coherent_state(-alpha, cut).amplitudes
         )
         expected /= np.linalg.norm(expected)
-        assert np.linalg.norm(rec - expected) < 1e-10
+        assert np.linalg.norm(rec[0] - expected) < 1e-10
 
-    def test_warns_for_few_photons(self, mixed_coeffs):
+    def test_warns_for_few_photons(self):
         with pytest.warns(UserWarning, match="alpha"):
-            coherent_branch_state(mixed_coeffs, 2.0, 1.0, 0.5)
+            coherent_branch_basis(2.0, 1.0, [0.5], FockCutoff(24))
 
-    def test_branch_labels_counter_rotate(self, mixed_coeffs):
-        t = 0.37
-        state = coherent_branch_state(mixed_coeffs, 6.0, 1.0, t)
-        assert any(abs(br.alpha - 6.0) < 1e-12 for br in state.branches)
-        assert any(abs(br.alpha - 6.0 * np.exp(-2j * t)) < 1e-12 for br in state.branches)
-        assert any(abs(br.alpha - 6.0 * np.exp(+2j * t)) < 1e-12 for br in state.branches)
+    def test_branch_labels_counter_rotate(self):
+        """|psi-> keeps the label alpha; |psi+> moves onto the labels
+        e^{-+2igt} alpha and nothing else."""
+        t, alpha = 0.37, 6.0
+        cut = FockCutoff.for_mean_photon(36.0)
+        basis = coherent_branch_basis(alpha, 1.0, [t], cut)[0]
+        psi_minus, psi_plus = (bell_state(k).amplitudes for k in ("psi-", "psi+"))
+        field = coherent_state(alpha, cut).amplitudes
+        np.testing.assert_allclose(
+            np.tensordot(psi_minus, basis, 1), np.outer(psi_minus, field), rtol=0, atol=1e-12
+        )
+        moved = np.tensordot(psi_plus, basis, 1)  # (atoms, field)
+        labels = np.stack([coherent_state(alpha * np.exp(s * 2j * t), cut).amplitudes for s in (-1, 1)])
+        q, _ = np.linalg.qr(labels.T)
+        assert np.linalg.norm(moved) > 0.5
+        assert np.max(np.abs(moved - (moved @ q.conj()) @ q.T)) < 1e-12
 
     @pytest.mark.parametrize("nbar,floor", [(50.0, 0.975), (100.0, 0.986)])
     def test_reconstruction_accuracy_grows_with_photons(self, nbar, floor):
@@ -402,14 +436,15 @@ class TestCoherentBranches:
         cut = FockCutoff.for_mean_photon(nbar)
         w = two_photon_w(EffectiveModelParams(g=1.0, cutoff=cut))
         alpha = math.sqrt(nbar)
+        times = np.linspace(0.0, math.pi, 11)
         fids = []
         for k in range(8):
             c = haar_random_two_qubit(sample_rng(77, k))
             psi0 = tensor(c.to_state(), coherent_state(alpha, cut))
-            for t in np.linspace(0.0, math.pi, 11):
+            rec, _ = branch_states(c, alpha, 1.0, times, cut)
+            for t, row in zip(times, rec):
                 exact = evolve_exact(w, psi0, float(t)).amplitudes
-                rec = coherent_branch_state(c, alpha, 1.0, float(t)).reconstruct(cut)
-                fids.append(abs(np.vdot(exact, rec.amplitudes)) ** 2)
+                fids.append(abs(np.vdot(exact, row)) ** 2)
         assert np.mean(fids) > floor
 
     def test_reconstruction_has_unit_norm(self):
@@ -417,10 +452,9 @@ class TestCoherentBranches:
         # overlaps can disturb the norm, and they are tiny already here
         for nbar, t in ((16.0, 0.8), (64.0, 1.2)):
             cut = FockCutoff.for_mean_photon(nbar)
-            state = coherent_branch_state(
-                AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5), math.sqrt(nbar), 1.0, t
-            )
-            assert state.reconstruction_defect(cut) < 1e-6
+            c = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
+            _, defect = branch_states(c, math.sqrt(nbar), 1.0, [t], cut)
+            assert defect[0] < 1e-6
 
 
 class TestRabiClosedForm:

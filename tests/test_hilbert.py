@@ -202,9 +202,3 @@ class TestAtomCoeffs:
     def test_bell_component_extraction(self):
         psi_minus = AtomCoeffs.from_state(bell_state("psi-"))
         np.testing.assert_allclose(psi_minus.as_array(), [0, 1, 0, 0], atol=1e-12)
-
-    def test_d_pair_formula(self, mixed_coeffs):
-        d_plus, d_minus = mixed_coeffs.d_pair(0.6)
-        cg, ce = mixed_coeffs.c_g, mixed_coeffs.c_e
-        assert d_plus == pytest.approx((cg * np.exp(0.6j) + ce * np.exp(-0.6j)) / np.sqrt(2))
-        assert d_minus == pytest.approx((cg * np.exp(0.6j) - ce * np.exp(-0.6j)) / np.sqrt(2))

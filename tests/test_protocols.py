@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dicke2p.dynamics import coherent_branch_state, evolve_exact, sector_spectrum
+from dicke2p.dynamics import coherent_branch_basis, evolve_exact, sector_spectrum
 from dicke2p.hilbert import AtomCoeffs, FockCutoff, bell_state, coherent_state, tensor
 from dicke2p.models import EffectiveModelParams
 from dicke2p.protocols import (
@@ -176,7 +176,9 @@ class TestBellOutcomeTable:
         c, _ = table20
         t = T_HALF + 0.02 / abs(G)
         leaked = timing_sensitivity(c, alpha20, G, cut20, [t], engine="analytic").leaked[0]
-        psi = coherent_branch_state(c, alpha20, G, t).reconstruct(cut20).amplitudes
+        basis = coherent_branch_basis(alpha20, G, [t], cut20)[0]
+        psi = np.tensordot(c.to_state().amplitudes, basis, 1).ravel()
+        psi /= np.linalg.norm(psi)
         refs = [coherent_state(s * alpha20, cut20).amplitudes for s in (1, -1)]
         kept = sum(np.linalg.norm(psi.reshape(4, -1) @ ref.conj()) ** 2 for ref in refs)
         assert leaked > 1e-3
@@ -362,24 +364,34 @@ class TestCavityMaps:
 
 
 class TestTimingSensitivity:
-    def test_analytic_sweep_builds_each_label_once_per_time(self, cut20, alpha20, monkeypatch):
-        """The four basis states of a cavity share their three coherent
-        labels at each time, so their fields are built once."""
+    def test_analytic_sweep_builds_one_field_per_chunk(self, monkeypatch):
+        """The 321-time analytic sweep at nbar = 50 builds no Bell state and
+        one coherent state per chunk of times and cavity, besides each
+        cavity's |+-alpha> references."""
         from dicke2p import dynamics, protocols
 
-        calls = []
+        cut = FockCutoff.for_mean_photon(50.0)
+        alpha = math.sqrt(50.0) * np.exp(1j * PHI)
+        protocols._corrections(np.angle(alpha))  # the outcome targets, cached per phase
+        calls = {"bell_state": 0, "coherent_state": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return coherent_state(*args)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(dynamics, "coherent_state", counting)
-        monkeypatch.setattr(protocols, "coherent_state", counting)
-        window = T_HALF + np.linspace(-0.05, 0.05, 7) / abs(G)
-        c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
-        timing_sensitivity(c, alpha20, G, cut20, window, engine="analytic")
-        # two cavities: three labels per time, plus |+-alpha> for the readout
-        assert 0 < len(calls) <= 2 * (3 * window.size + 2)
+            return wrapper
+
+        for module in (dynamics, protocols):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        window = T_HALF + np.linspace(-0.08, 0.08, 321) / abs(G)
+        c = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
+        timing_sensitivity(c, alpha, G, cut, window, engine="analytic")
+        chunks = math.ceil(321 / (protocols._BASIS_CHUNK // (16 * cut.dim)))
+        assert calls["bell_state"] == 0
+        assert 0 < calls["coherent_state"] <= 2 * (chunks + 2)
 
     def test_optimum_matches_table(self, table20, cut20, alpha20):
         c, table = table20

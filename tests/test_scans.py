@@ -130,7 +130,8 @@ class TestFidelityScan:
 
 class TestGhzSweep:
     def test_analytic_engine_saturates(self):
-        r = ghz_sweep(nbars=(4, 6), engine="analytic")
+        with pytest.warns(UserWarning, match="alpha"):
+            r = ghz_sweep(nbars=(4, 6), engine="analytic")
         assert r.columns == ("nbar", "fidelity_ghz")
         np.testing.assert_allclose(r.rows[:, 1], 1.0, atol=1e-12)
 
