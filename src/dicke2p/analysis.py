@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.random  # lazy in NumPy 2: load it with the package, not at the first draw
 
 from .hilbert import AtomCoeffs, SpaceTag, StateVector, hermite_functions, two_qubit_tag
 

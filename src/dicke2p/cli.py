@@ -412,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(raw)
     if known.config is not None:
+        if not rest or rest[0] not in _RUNNERS:
+            print("error: --config requires a subcommand", file=sys.stderr)
+            return 2
         try:
             rest = rest[:1] + _load_config_tokens(known.config) + rest[1:]
         except (ValueError, OSError) as exc:

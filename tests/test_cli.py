@@ -308,10 +308,11 @@ class TestConfigFile:
         _, _, rows = read_csv_table(out)
         assert rows.shape[0] == 9
 
-    def test_config_needs_a_subcommand(self, tmp_path):
+    def test_config_needs_a_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nbar = 4\n")
         assert self.exit_code(["--config", str(cfg)]) == 2
+        assert "error: --config requires a subcommand" in capsys.readouterr().err
 
 
 class TestValidityGate:

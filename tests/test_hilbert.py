@@ -1,10 +1,17 @@
 """State and operator construction on the atom-atom-field spaces."""
 
+import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaln
 
+import dicke2p
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
@@ -33,16 +40,48 @@ class TestFockCutoff:
         assert FockCutoff(7).dim == 8
 
     @pytest.mark.parametrize(
-        "nbar,expected", [(4.0, 26), (20.0, 60), (50.0, 111), (100.0, 184)]
+        "nbar,expected", [(4.0, 26), (20.0, 60), (50.0, 111), (100.0, 184), (0.0, 4)]
     )
     def test_mean_photon_rule(self, nbar, expected):
         # ceil(nbar + 8 sqrt(nbar)) + 4 from nbar = 10 on; at nbar = 4 the
-        # Poisson weight above ceil(4 + 16) = 20 is 1.9e-9, above 22 it is 6e-11
+        # Poisson weight above ceil(4 + 16) = 20 is 1.9e-9, above 22 it is 6e-11;
+        # the vacuum has no tail and keeps only the pad
         assert FockCutoff.for_mean_photon(nbar).n_max == expected
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             FockCutoff.for_mean_photon(-1.0)
+
+    @staticmethod
+    def gammainc_cutoff(nbar):
+        """The rule with the Poisson tail above top as P(top + 1, nbar)."""
+        top = int(math.ceil(nbar + 8.0 * math.sqrt(nbar)))
+        while gammainc(top + 1, nbar) > 1e-10:
+            top += 1
+        return top + 4
+
+    # the grid holds 0.5, 1 and 2, and every nbar the suite builds a cutoff
+    # for: 4, 6, 10, 12, 14, 16, 20, 25, 30, 36, 50, 64, 100 and 1000
+    def test_matches_gammainc_oracle_on_a_grid(self):
+        grid = np.arange(0.0, 1000.25, 0.25)
+        got = [FockCutoff.for_mean_photon(float(x)).n_max for x in grid]
+        want = [self.gammainc_cutoff(float(x)) for x in grid]
+        assert got == want
+
+
+def test_runtime_imports_numpy_only():
+    """The package, its CLI and its scans load without SciPy, and with
+    numpy.random already in place for the first seeded draw."""
+    src = str(Path(dicke2p.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, dicke2p, dicke2p.cli, dicke2p.scans;"
+        "print('scipy' in sys.modules, 'numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 class TestFieldStates:
@@ -63,6 +102,21 @@ class TestFieldStates:
         amps = coherent_state(1.4, small_cutoff).amplitudes
         nbar = float(np.sum(np.arange(small_cutoff.dim) * np.abs(amps) ** 2))
         assert nbar == pytest.approx(1.96, abs=1e-9)
+
+    @pytest.mark.parametrize("nbar,rtol", [(4.0, 1e-13), (20.0, 1e-13), (50.0, 1e-13),
+                                           (100.0, 1e-13), (1000.0, 1e-12)])
+    def test_coherent_matches_gammaln_oracle(self, nbar, rtol):
+        """max|delta| / max|amp| against the log-domain form with gammaln."""
+        cut = FockCutoff.for_mean_photon(nbar)
+        n = np.arange(cut.dim)
+        for k in range(7):
+            alpha = cmath.rect(math.sqrt(nbar), 2.0 * math.pi * k / 7)
+            r = abs(alpha)
+            logmag = -0.5 * r * r + n * math.log(r) - 0.5 * gammaln(n + 1)
+            ref = np.exp(logmag + 1j * n * cmath.phase(alpha))
+            ref /= np.linalg.norm(ref)
+            amps = coherent_state(alpha, cut).amplitudes
+            assert np.max(np.abs(amps - ref)) <= rtol * np.max(np.abs(ref))
 
     def test_coherent_cutoff_guard(self):
         with pytest.raises(ValueError, match="too small"):
