@@ -58,7 +58,24 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, psi: StateVector) -> "DensityMatrix":
-        return cls(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.space)
+        return cls.outer(psi.amplitudes, psi.space)
+
+    @classmethod
+    def outer(cls, vec: np.ndarray, space: SpaceTag) -> "DensityMatrix":
+        """|v><v| of a unit vector v.  It is Hermitian and positive by
+        construction, so only its trace |v|^2 is checked; no eigvalsh."""
+        vec = np.asarray(vec, dtype=np.complex128)
+        if vec.shape != (space.dim,):
+            raise ValueError(f"vector shape {vec.shape} != space dim {space.dim}")
+        tr = float(np.vdot(vec, vec).real)
+        if abs(tr - 1.0) > _TRACE_ATOL:
+            raise ValueError(f"trace {tr!r} deviates from 1")
+        mat = np.outer(vec, vec.conj())
+        mat.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", mat)
+        object.__setattr__(rho, "space", space)
+        return rho
 
     @property
     def dim(self) -> int:

@@ -88,6 +88,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(4, dtype=complex), two_qubit_tag())
 
+    def test_outer_product_checks_the_norm(self):
+        v = bell_state("psi+").amplitudes * (1.0 + 1e-6)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.outer(v, two_qubit_tag())
+        with pytest.raises(ValueError, match="shape"):
+            DensityMatrix.outer(bell_state("psi+").amplitudes[:3], two_qubit_tag())
+
     def test_purity_of_pure_state(self):
         rho = DensityMatrix.from_pure(bell_state("psi+"))
         assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from dicke2p.dynamics import coherent_branch_basis, evolve_exact, sector_spectrum
-from dicke2p.hilbert import AtomCoeffs, FockCutoff, bell_state, coherent_state, tensor
+from dicke2p.hilbert import (
+    AtomCoeffs,
+    FockCutoff,
+    bell_state,
+    coherent_state,
+    tensor,
+    two_qubit_tag,
+)
 from dicke2p.models import EffectiveModelParams
 from dicke2p.protocols import (
     ALL_OUTCOMES,
@@ -200,6 +207,22 @@ class TestBellOutcomeTable:
         for r in table:
             assert np.trace(r.post_state.matrix).real == pytest.approx(1.0, abs=1e-9)
 
+    def test_post_states_are_trusted_outer_products(self, table20, cut20, alpha20):
+        """Chain states skip the eigenvalue check, not its result."""
+        from dicke2p import protocols
+        from dicke2p.analysis import DensityMatrix
+
+        c, table = table20
+        _, readout1, gram1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max, "exact")
+        readout2 = protocols._cavity(alpha20 * protocols._CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[1]
+        atoms, phi = c.to_state().amplitudes, float(np.angle(alpha20))
+        states = protocols._chain((readout1, gram1), readout2, atoms, phi)[3]
+        for v, r in zip(states.reshape(4, 4), table):
+            full = DensityMatrix(np.outer(v, v.conj()), two_qubit_tag())
+            np.testing.assert_array_equal(r.post_state.matrix, full.matrix)
+            np.testing.assert_array_equal(DensityMatrix.outer(v, two_qubit_tag()).matrix, full.matrix)
+            assert not r.post_state.matrix.flags.writeable
+
 
 class TestRunBellProtocol:
     def test_ideal_shot_reproducible(self, table20, cut20, alpha20):
@@ -250,9 +273,9 @@ class TestRunBellProtocol:
         self, table20, cut20, alpha20, joint20, monkeypatch, detection
     ):
         """The first shot builds one map per cavity (four basis evolutions
-        each) and, for homodyne detection, one quadrature basis; later shots
+        each) and, for homodyne detection, one quadrature map; later shots
         at the same parameters only compose them, and the homodyne record
-        is that of the cavity-1 joint state."""
+        is the one drawn from the cavity-1 joint state on the shots' grid."""
         from dicke2p import protocols
         from dicke2p.analysis import sample_rng
         from dicke2p.dynamics import SectorSpectrum
@@ -272,6 +295,7 @@ class TestRunBellProtocol:
         monkeypatch.setattr(protocols, "hermite_functions", counting_hermite)
         protocols._cavity.cache_clear()
         protocols._quadrature_basis.cache_clear()
+        protocols._quadrature_map.cache_clear()
         c, _ = table20
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
         det = cfg if detection == "homodyne" else "ideal"
@@ -283,7 +307,9 @@ class TestRunBellProtocol:
         ]
         assert (len(calls), len(builds)) == (8, int(detection == "homodyne"))
         if detection == "homodyne":
-            x, _ = homodyne_measure(joint20, cfg, sample_rng(3, 1))
+            xs, bras = protocols._quadrature_basis(abs(alpha20) + 5.0, cut20.dim, PHI)
+            flat = joint20.amplitudes.reshape(4, -1) @ bras
+            x, _ = protocols._draw_quadrature(xs, flat, cfg, sample_rng(3, 1))
             assert shots[0].record_x == x
 
     def test_homodyne_shot_reads_each_cavity_once(self, table20, cut20, alpha20, monkeypatch):
@@ -324,6 +350,32 @@ class TestRunBellProtocol:
         assert math.isnan(shot.fidelity)
         assert isinstance(shot.record_x, float) and math.isfinite(shot.record_x)
         assert shot.record_x < 0
+
+
+class TestQuadratureMap:
+    """Cavity 1 read by homodyne detection as one cached Kraus map."""
+
+    @pytest.mark.parametrize("engine", ["exact", "analytic"])
+    def test_map_matches_the_projected_joint_state(self, table20, cut20, alpha20, joint20, engine):
+        """The record density |K c|^2 and the collapsed atoms at every grid
+        point are those of the flat joint state projected on the same grid."""
+        from dicke2p import protocols
+
+        c, _ = table20
+        atoms = c.to_state().amplitudes
+        if engine == "exact":
+            flat = joint20.amplitudes.reshape(4, -1)
+        else:
+            flat = np.tensordot(atoms, coherent_branch_basis(alpha20, G, [T_HALF], cut20)[0], 1)
+        xs, kraus = protocols._quadrature_map(alpha20, G, T_HALF, cut20.n_max, engine, PHI)
+        grid, bras = protocols._quadrature_basis(abs(alpha20) + 5.0, cut20.dim, PHI)
+        np.testing.assert_array_equal(xs, grid)
+        assert xs[-1] == abs(alpha20) + 5.0
+        assert kraus.shape == (4, 4, xs.size) and not kraus.flags.writeable
+        amps, ref = np.tensordot(atoms, kraus, 1), flat @ bras
+        density = np.sum(np.abs(amps) ** 2, axis=0)
+        np.testing.assert_allclose(density, np.sum(np.abs(ref) ** 2, axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(amps, ref, rtol=0, atol=1e-12)
 
 
 class TestCavityMaps:
@@ -529,6 +581,19 @@ class TestHomodyneMeasurement:
         assert x1 == x2
         assert np.linalg.norm(post1.amplitudes) == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(post1.amplitudes, post2.amplitudes, atol=1e-12)
+
+    def test_records_are_frozen(self, joint20):
+        """The shared draw keeps homodyne_measure's grid and its seeded
+        records bit for bit."""
+        from dicke2p.analysis import sample_rng
+
+        frozen = {
+            1.0: (5.768957588923335, 4.205939522958886, 5.020603484613083),
+            0.5: (4.931488118327624, 4.582313861942847, 3.49847136428061),
+        }
+        for eff, records in frozen.items():
+            cfg, rng = HomodyneConfig(lo_phase=PHI, efficiency=eff), sample_rng(8, 0)
+            assert tuple(homodyne_measure(joint20, cfg, rng)[0] for _ in records) == records
 
     def test_vacuum_record_variance(self):
         from dicke2p.analysis import sample_rng

@@ -182,6 +182,25 @@ class TestBellEnsemble:
                     np.mean([t[j].probability for t in tables])]
             np.testing.assert_allclose(row[1 + 3 * j : 4 + 3 * j], want, rtol=0, atol=1e-12)
 
+    def test_homodyne_ensemble_builds_one_quadrature_map(self, monkeypatch):
+        """Every Haar input reads cavity 1 through the one quadrature map of
+        (alpha, lo_phase): one Hermite build for 50 shots."""
+        builds = []
+        hermite = protocols.hermite_functions
+
+        def counting(*args):
+            builds.append(args)
+            return hermite(*args)
+
+        monkeypatch.setattr(protocols, "hermite_functions", counting)
+        protocols._quadrature_map.cache_clear()
+        cfg = protocols.HomodyneConfig(lo_phase=math.pi / 8.0, efficiency=0.5)
+        r = bell_ensemble(nbars=(20,), ensemble=50, seed=0, detection=cfg)
+        assert r.rows[0, [3, 6, 9, 12]].sum() == pytest.approx(1.0, abs=1e-12)
+        assert len(builds) == 1
+        info = protocols._quadrature_map.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+
 
 class TestBellTiming:
     def test_probabilities_normalized_along_sweep(self):
