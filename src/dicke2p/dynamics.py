@@ -4,11 +4,12 @@ Both Hamiltonians conserve the excitation number, so the exact engine
 works sector by sector: `sector_spectrum` stacks the (at most 9x9) sector
 blocks, diagonalizes them with one batched eigh, and the resulting
 SectorSpectrum propagates a state to any number of times without ever
-forming a matrix of the full dimension.  Propagation has three stages: a
-state is projected onto the sector eigenvectors once, the phase table
-exp(-i lambda t) is built once per spectrum and set of times, and the
-rotation back to the flat basis combines the two, so many states evolved
-to the same times share one table.  The analytic layer runs the same
+forming a matrix of the full dimension.  Propagation has three stages:
+project a state onto the sector eigenvectors once, build the phase table
+exp(-i lambda t) once per spectrum and set of times, and rotate back to the
+flat basis.  An overlap between states of two spectra skips the rotation:
+it is a sum over sector pairs of weights, phases and the small eigenvector
+overlap maps of sector_overlaps.  The analytic layer runs the same
 engine on the large-N linearization of the two-photon interaction W: each
 sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in
 N, (0, +-g(2N-3)), which turns a coherent-state input into a superposition
@@ -25,7 +26,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -53,8 +53,9 @@ __all__ = [
     "evolve_exact",
     "evolve_exact_many",
     "linearized_spectrum",
-    "linearized_evolution",
+    "sector_overlaps",
     "evolve_linearized_many",
+    "check_capture",
     "analytic_state",
     "coherent_branch_basis",
     "rabi_see_analytic",
@@ -68,8 +69,7 @@ class SectorSpectrum:
     index[s] lists the flat basis indices of sector s, padded with the
     sentinel space.dim (see models.sector_index); values[s] and vectors[s]
     are the eigenvalues and eigenvector columns of that sector's block.
-    position maps each flat basis index to its slot in index.ravel(), and
-    rows holds each vectors[s].T as a complex array.
+    position maps each flat basis index to its slot in index.ravel().
 
     propagate(psi, times) is rotate(project(psi), phases(times)): project
     depends on the state alone and phases on the times alone, so a caller
@@ -81,17 +81,12 @@ class SectorSpectrum:
     vectors: np.ndarray
     space: SpaceTag
     position: np.ndarray = field(init=False, repr=False)
-    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         real = self.index < self.space.dim
         position = np.empty(self.space.dim, dtype=np.intp)
         position[self.index[real]] = np.flatnonzero(real)
         object.__setattr__(self, "position", position)
-        # the eigenvectors as rows, complex and contiguous: the right factor
-        # of every rotate, which would otherwise be cast anew on each call
-        rows = np.ascontiguousarray(self.vectors.transpose(0, 2, 1), dtype=np.complex128)
-        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_blocks(
@@ -130,12 +125,15 @@ class SectorSpectrum:
         blocks = op.matrix[safe[:, :, None], safe[:, None, :]]
         return cls.from_blocks(index, blocks, op.space)
 
-    def project(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Weights of flat amplitudes on the sector eigenvectors; shape
-        (sectors, m), m the padded sector size."""
-        per_slot = np.zeros(self.index.size, dtype=np.complex128)
-        per_slot[self.position] = amplitudes
-        return (per_slot.reshape(self.index.shape)[:, None, :] @ self.vectors.conj())[:, 0]
+    def project(self, amplitudes: np.ndarray, at: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Weights on the sector eigenvectors of flat amplitudes (..., n) at
+        the flat indices `at` (all of them by default) and zero elsewhere;
+        shape (..., sectors, m), m the padded sector size."""
+        lead = np.shape(amplitudes)[:-1]
+        per_slot = np.zeros(lead + (self.index.size,), dtype=np.complex128)
+        per_slot[..., self.position[at]] = amplitudes
+        slots = per_slot.reshape(lead + self.index.shape)[..., None, :]
+        return (slots @ self.vectors.conj())[..., 0, :]
 
     def phases(self, times: np.ndarray) -> np.ndarray:
         """exp(-i values t) for every t, shared by every state propagated to
@@ -150,7 +148,7 @@ class SectorSpectrum:
     def rotate(self, weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """Flat amplitudes of the eigenvector weights (project) advanced by
         a phase table (phases); shape (len(phases), dim)."""
-        rotated = (phases * weights).transpose(1, 0, 2) @ self.rows
+        rotated = (phases * weights).transpose(1, 0, 2) @ self.vectors.transpose(0, 2, 1)
         return rotated.transpose(1, 0, 2).reshape(len(phases), -1)[:, self.position]
 
     def propagate(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -202,45 +200,48 @@ def linearized_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:
     return SectorSpectrum.from_blocks(index, blocks, space)
 
 
-def linearized_evolution(
-    spectrum: SectorSpectrum, psi0: StateVector
-) -> Callable[[np.ndarray], np.ndarray]:
-    """psi0 under linearized_spectrum as a function of a phase table
-    (spectrum.phases) that returns the amplitudes at its times; shape
-    (len(phases), psi0.dim).
+def sector_overlaps(
+    bra: SectorSpectrum, ket: SectorSpectrum, to_ket: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overlap maps V_bra^dag P V_ket of the sector eigenvectors of two
+    spectra, through the index map P that sends bra's flat index i to ket's
+    flat index to_ket[i], or drops it where to_ket[i] = -1.  Returns the bra
+    sectors that keep a state, the ket sector that receives each of them and
+    their maps, shape (pairs, m_bra, m_ket); raises when P splits a sector."""
+    target = np.append(to_ket, -1)[bra.index]  # the sentinel slots drop too
+    kept = target >= 0
+    sector, slot = np.divmod(ket.position[np.where(kept, target, 0)], ket.index.shape[1])
+    pairs = np.flatnonzero(kept.any(axis=1))
+    partner = sector[pairs, np.argmax(kept[pairs], axis=1)]
+    if np.any(kept[pairs] & (sector[pairs] != partner[:, None])):
+        raise ValueError("the index map splits an excitation sector")
+    rows = np.where(kept[pairs, :, None], ket.vectors[partner[:, None], slot[pairs]], 0.0)
+    return pairs, partner, bra.vectors[pairs].conj().transpose(0, 2, 1) @ rows
 
-    psi0 is zero-padded onto the spectrum's cutoff and projected once; each
-    call rotates it, cuts it back to its own cutoff and renormalizes.  A call
-    raises when the weight moved past the cutoff exceeds CAPTURE_ATOL at any
-    of its times.
-    """
-    nf = psi0.space.dims[-1]
-    if spectrum.space.dims != (2, 2, nf + 4):
-        raise ValueError("spectrum is not the linearized W for this state's cutoff")
-    padded = np.zeros((4, nf + 4), dtype=np.complex128)
-    padded[:, :nf] = psi0.amplitudes.reshape(4, nf)
-    weights = spectrum.project(padded.ravel())
 
-    def evolve(phases: np.ndarray) -> np.ndarray:
-        out = spectrum.rotate(weights, phases).reshape(-1, 4, nf + 4)
-        dropped = np.max(np.sum(np.abs(out[:, :, nf:]) ** 2, axis=(1, 2)), initial=0.0)
-        if dropped > CAPTURE_ATOL:
-            raise ValueError(
-                f"linearized evolution moves weight {dropped:.3e} past the cutoff "
-                f"n_max={nf - 1} (tolerance {CAPTURE_ATOL:g}); use a larger cutoff"
-            )
-        kept = out[:, :, :nf].reshape(len(out), -1)
-        return kept / np.linalg.norm(kept, axis=1, keepdims=True)
-
-    return evolve
+def check_capture(dropped: np.ndarray, n_max: int) -> None:
+    """Raise when any weight in dropped, moved past n_max, exceeds CAPTURE_ATOL."""
+    if (worst := np.max(dropped, initial=0.0)) > CAPTURE_ATOL:
+        raise ValueError(
+            f"linearized evolution moves weight {worst:.3e} past the cutoff "
+            f"n_max={n_max} (tolerance {CAPTURE_ATOL:g}); use a larger cutoff"
+        )
 
 
 def evolve_linearized_many(
     spectrum: SectorSpectrum, psi0: StateVector, times: np.ndarray
 ) -> np.ndarray:
-    """Amplitudes of psi0 evolved under linearized_spectrum for every t;
-    shape (len(times), psi0.dim); see linearized_evolution."""
-    return linearized_evolution(spectrum, psi0)(spectrum.phases(times))
+    """Amplitudes of psi0 evolved under linearized_spectrum for every t,
+    zero-padded onto the spectrum's cutoff and cut back and renormalized
+    after check_capture; shape (len(times), psi0.dim)."""
+    nf = psi0.space.dims[-1]
+    if spectrum.space.dims != (2, 2, nf + 4):
+        raise ValueError("spectrum is not the linearized W for this state's cutoff")
+    padded = np.pad(psi0.amplitudes.reshape(4, nf), ((0, 0), (0, 4)))
+    out = spectrum.propagate(padded.ravel(), times).reshape(-1, 4, nf + 4)
+    check_capture(np.sum(np.abs(out[:, :, nf:]) ** 2, axis=(1, 2)), nf - 1)
+    kept = out[:, :, :nf].reshape(len(out), -1)
+    return kept / np.linalg.norm(kept, axis=1, keepdims=True)
 
 
 def analytic_state(

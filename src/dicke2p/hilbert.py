@@ -196,9 +196,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def reshaped(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.space.dims)
-
 
 @dataclass(frozen=True, eq=False)
 class Operator:

@@ -21,11 +21,12 @@ from .analysis import (
     wigner,
 )
 from .dynamics import (
+    check_capture,
     evolve_exact_many,
-    linearized_evolution,
     linearized_spectrum,
     rabi_see_analytic,
     revival_time,
+    sector_overlaps,
     sector_spectrum,
 )
 from .hilbert import (
@@ -69,11 +70,11 @@ OUTCOME_SUFFIX = {o: f"{'p' if o.d1 == '+' else 'm'}{'p' if o.d2 == '+' else 'm'
 
 # Stride between per-nbar seed offsets so RNG streams never collide.
 _SEED_STRIDE = 10007
-# Phase-table entries of one fidelity_scan time chunk, summed over its three
-# spectra (1 MB).  Longer chunks spread the per-sector matrix products over
-# more times; the fidelity-scan CLI's peak RSS stays flat up to 2**16 entries
-# and rises by 5 MB at 2**17.
-_PHASE_TABLE = 2**16
+# Entries of the fidelity_scan overlap tables for one chunk of times, and of
+# their coefficients for one chunk of samples (2 MB each).  At 2**18 the
+# scan at nbar 20/50/100 and ensemble 10 keeps the coefficients of all its
+# samples, but its tracemalloc peak rises from 4.9 to 8.2 MB.
+_CHUNK = 2**17
 
 _EE_SPACE = two_qubit_tag()
 
@@ -111,7 +112,11 @@ def fidelity_scan(
     number, which carries the only surviving Stark contribution.
 
     Sample i at the k-th nbar draws from sample_rng(seed + k * _SEED_STRIDE,
-    i); all samples share one phase table per spectrum and chunk of times.
+    i).  Overlaps are taken in the sector eigenbasis (sector_overlaps): per
+    chunk of times a table E of phase products times overlap maps, per chunk
+    of samples a matrix A of eigenvector weights, and E @ A for all of them.
+    The closed form is renormalized by its weight past the cutoff, a
+    quadratic form taken the same way.
     """
     g = effective_coupling(g_g, g_e, delta)
     grid = np.linspace(0.0, 1.0, time_points)
@@ -119,54 +124,66 @@ def fidelity_scan(
 
     cols: list[str] = ["gt_over_pi"]
     data: list[np.ndarray] = [grid]
+    validity: dict[str, bool] = {}
     for k, nbar in enumerate(nbars):
         cutoff = FockCutoff.for_mean_photon(float(nbar))
-        full_spec = sector_spectrum(
-            FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
-        )
+        params = FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
+        validity[str(nbar)] = validity_report(params, float(nbar)).ok
+        full_spec = sector_spectrum(params)
         w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
         lin_spec = linearized_spectrum(g, cutoff)
         idx = embed_indices(cutoff)
-        # counter-rotation by the (omega + 2g) I part of the effective model;
-        # the two-level labels equal the three-level ones on the embedded states
-        rot = np.exp(2j * g * np.outer(times, excitation_labels(cutoff, levels=2)))
-
-        inputs = []
+        inputs = np.empty((ensemble, idx.size), dtype=np.complex128)
         for i in range(ensemble):
             rng = sample_rng(seed + k * _SEED_STRIDE, i)
             coeffs = haar_random_two_qubit(rng)
-            phi = 2.0 * math.pi * rng.uniform()
-            alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
-            inputs.append(tensor(coeffs.to_state(), coherent_state(alpha, cutoff)))
-        full0 = np.zeros((ensemble, full_spec.space.dim), dtype=np.complex128)
-        full0[:, idx] = [psi0.amplitudes for psi0 in inputs]
-        weights_full = [full_spec.project(amps) for amps in full0]
-        weights_w = [w_spec.project(psi0.amplitudes) for psi0 in inputs]
-        evolve_an = [linearized_evolution(lin_spec, psi0) for psi0 in inputs]
-
-        values = np.empty((ensemble, 2, time_points))
-        specs = (full_spec, w_spec, lin_spec)
-        chunks = -(-time_points // max(1, _PHASE_TABLE // sum(spec.index.size for spec in specs)))
-        # chunks of equal length, never a short remainder: products over one
-        # or a few times take other BLAS paths and round differently
-        edges = [time_points * j // chunks for j in range(chunks + 1)]
-        for lo, hi in zip(edges, edges[1:]):
-            ph_full, ph_w, ph_lin = (spec.phases(times[lo:hi]) for spec in specs)
-            for i in range(ensemble):
-                sub = full_spec.rotate(weights_full[i], ph_full)[:, idx]
-                sub *= rot[lo:hi]
-                traj_w = w_spec.rotate(weights_w[i], ph_w)
-                traj_an = evolve_an[i](ph_lin)
-                values[i, 0, lo:hi] = np.abs(np.einsum("td,td->t", traj_w.conj(), sub)) ** 2
-                values[i, 1, lo:hi] = np.abs(np.einsum("td,td->t", traj_an.conj(), sub)) ** 2
-
-        mean, err = ensemble_stats(values)
-        cols += [
-            f"mean_FW_nbar{nbar}",
-            f"stderr_FW_nbar{nbar}",
-            f"mean_F_nbar{nbar}",
-            f"stderr_F_nbar{nbar}",
+            alpha = math.sqrt(nbar) * cmath.exp(2j * math.pi * rng.uniform())
+            inputs[i] = tensor(coeffs.to_state(), coherent_state(alpha, cutoff)).amplitudes
+        # the closed form lives on the cutoff n_max + 4 (linearized_spectrum)
+        at = np.flatnonzero(np.arange(lin_spec.space.dim) % (cutoff.dim + 4) < cutoff.dim)
+        kept = np.full(lin_spec.space.dim, -1)
+        kept[at] = idx
+        weights = {full_spec: full_spec.project(inputs, idx), w_spec: w_spec.project(inputs)}
+        weights[lin_spec] = lin_spec.project(inputs, at)
+        # (bra, ket, pairs, partner, M) of <psi_W|R psi_full>, of <kept psi_lin|R psi_full>,
+        # and of the weight of psi_lin past the cutoff
+        overlaps = [
+            (bra, ket, *sector_overlaps(bra, ket, to_ket))
+            for bra, ket, to_ket in (
+                (w_spec, full_spec, idx),
+                (lin_spec, full_spec, kept),
+                (lin_spec, lin_spec, np.where(kept < 0, np.arange(kept.size), -1)),
+            )
         ]
+        step = max(1, _CHUNK // sum(m.size for *_, m in overlaps))
+        # the counter-rotation by the (omega + 2g) I part of the effective model
+        labels = excitation_labels(cutoff, levels=3)[full_spec.index[:, 0]]
+
+        def coefficients(bra, ket, pairs, partner, s: slice) -> np.ndarray:
+            """A: conj(w_bra) w_ket of the samples s per sector pair, flattened."""
+            wa, wb = weights[bra][s].take(pairs, axis=1), weights[ket][s].take(partner, axis=1)
+            return np.einsum("npk,npl->npkl", wa.conj(), wb).reshape(len(wa), -1)
+
+        spans = [slice(lo, lo + step) for lo in range(0, ensemble, step)]
+        held = [coefficients(*o[:4], spans[0]) for o in overlaps] if len(spans) == 1 else None
+        values = np.empty((3, time_points, ensemble), dtype=np.complex128)
+        for lo in range(0, time_points, step):
+            t = times[lo : lo + step]
+            ph = {spec: spec.phases(t) for spec in weights}
+            ph[full_spec] *= np.exp(2j * g * np.outer(t, labels))[:, :, None]
+            for b, (bra, ket, pairs, partner, m) in enumerate(overlaps):
+                # E: the phase products times the overlap maps
+                table = ph[bra].take(pairs, axis=1)[..., None].conj() * m
+                table *= ph[ket].take(partner, axis=1)[..., None, :]
+                for s in spans:
+                    a = held[b] if held else coefficients(bra, ket, pairs, partner, s)
+                    values[b, lo : lo + step, s] = table.reshape(len(t), -1) @ a.T
+                del table  # before the next overlap builds its own
+        check_capture(values[2].real, cutoff.n_max)
+        fids = np.abs(values[:2]) ** 2
+        fids[1] /= np.sum(np.abs(weights[lin_spec]) ** 2, axis=(1, 2)) - values[2].real
+        mean, err = ensemble_stats(fids.transpose(2, 0, 1))
+        cols += [f"{c}_nbar{nbar}" for c in ("mean_FW", "stderr_FW", "mean_F", "stderr_F")]
         data += [mean[0], err[0], mean[1], err[1]]
 
     meta = {
@@ -177,25 +194,9 @@ def fidelity_scan(
         "g": g,
         "ensemble": ensemble,
         "seed": seed,
-        "validity": {
-            str(n): validity_report(
-                FullModelParams(
-                    omega=0.0,
-                    delta=delta,
-                    g_g=g_g,
-                    g_e=g_e,
-                    cutoff=FockCutoff.for_mean_photon(float(n)),
-                ),
-                float(n),
-            ).ok
-            for n in nbars
-        },
+        "validity": validity,
     }
     return ScanResult(tuple(cols), np.column_stack(data), meta)
-
-
-def _see_weights(nf: int) -> np.ndarray:
-    return np.repeat(np.array([0.0, 1.0, 1.0, 2.0]), nf)
 
 
 def rabi_curve(
@@ -214,7 +215,7 @@ def rabi_curve(
     atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), _EE_SPACE)
     psi0 = tensor(atoms, coherent_state(alpha, cutoff))
     traj = evolve_exact_many(sector_spectrum(EffectiveModelParams(g, cutoff)), psi0, times)
-    numeric = np.abs(traj) ** 2 @ _see_weights(cutoff.dim)
+    numeric = np.abs(traj) ** 2 @ np.repeat([0.0, 1.0, 1.0, 2.0], cutoff.dim)
     analytic = rabi_see_analytic(alpha, g, times)
     rows = np.column_stack([grid, numeric, analytic])
     meta = {"nbar": nbar, "g": g, "alpha": alpha, "points": points}

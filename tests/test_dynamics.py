@@ -23,6 +23,7 @@ from dicke2p.dynamics import (
     linearized_spectrum,
     rabi_see_analytic,
     revival_time,
+    sector_overlaps,
     sector_spectrum,
 )
 from dicke2p.hilbert import (
@@ -39,6 +40,8 @@ from dicke2p.models import (
     EffectiveModelParams,
     FullModelParams,
     constant_of_motion,
+    effective_coupling,
+    embed_indices,
     embed_two_level_state,
     full_hamiltonian,
     two_photon_w,
@@ -284,6 +287,71 @@ class TestSectorSpectrum:
         assert traj.shape == (5, 11_322)
         assert peak < 20 * 2**20  # one dense matrix would take 16 * 11322^2 B = 2 GB
         np.testing.assert_allclose(np.linalg.norm(traj, axis=1), 1.0, rtol=0, atol=1e-10)
+
+
+def dense_vectors(spectrum):
+    """The sector eigenvectors as the columns of one flat matrix, column
+    s * m + k for eigenvector k of sector s; padded slots stay zero."""
+    sectors, m = spectrum.index.shape
+    out = np.zeros((spectrum.space.dim + 1, sectors * m))
+    cols = np.arange(sectors * m).reshape(sectors, 1, m)
+    out[spectrum.index[:, :, None], cols] = spectrum.vectors
+    return out[:-1]
+
+
+class TestSectorOverlaps:
+    def test_maps_match_dense_overlap(self):
+        """Every M_s is its block of V_W^dag P V_full, built densely from
+        index and vectors through the embedding P, and W sector N pairs with
+        full sector N."""
+        cut = FockCutoff.for_mean_photon(4.0)
+        full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
+        w = sector_spectrum(EffectiveModelParams(effective_coupling(1.0, 1.0, 500.0), cut))
+        embed = np.zeros((w.space.dim, full.space.dim))
+        embed[np.arange(w.space.dim), embed_indices(cut)] = 1.0
+        dense = dense_vectors(w).T @ embed @ dense_vectors(full)
+
+        pairs, partner, maps = sector_overlaps(w, full, embed_indices(cut))
+        np.testing.assert_array_equal(pairs, np.arange(cut.dim + 4))
+        np.testing.assert_array_equal(partner, pairs)
+        blocks = dense.reshape(len(pairs), 4, len(pairs), 9)[pairs, :, partner]
+        np.testing.assert_allclose(maps, blocks, rtol=0, atol=1e-14)
+
+    def test_map_that_splits_a_sector_raises(self):
+        cut = FockCutoff(6)
+        w = sector_spectrum(EffectiveModelParams(1.0, cut))
+        with pytest.raises(ValueError, match="splits an excitation sector"):
+            sector_overlaps(w, w, np.roll(np.arange(w.space.dim), 1))
+
+    def test_dropped_weight_is_a_quadratic_form(self):
+        """The linearized weight past the cutoff from the overlap maps of the
+        sectors that hold such states equals the flat weight there, for |ee>
+        at half a revival on the tightest cutoff at nbar = 4, where it is
+        large enough to raise."""
+        g, cut = -0.002, FockCutoff(22)
+        lin = linearized_spectrum(g, cut)
+        padded = np.zeros((4, cut.dim + 4), dtype=np.complex128)
+        padded[3, : cut.dim] = coherent_state(2.0, cut).amplitudes
+        t = np.array([revival_time(g) / 2.0])
+        flat = lin.propagate(padded.ravel(), t).reshape(4, cut.dim + 4)
+        expected = np.sum(np.abs(flat[:, cut.dim :]) ** 2)
+
+        inside = np.arange(lin.space.dim) % (cut.dim + 4) < cut.dim
+        pairs, partner, maps = sector_overlaps(lin, lin, np.where(inside, -1, np.arange(inside.size)))
+        assert len(pairs) == 8
+        u = lin.phases(t)[0] * lin.project(padded.ravel())
+        dropped = np.einsum("pk,pkl,pl->", u[pairs].conj(), maps, u[partner])
+        assert 1.3e-8 < expected < 1.5e-8
+        assert dropped.real == pytest.approx(expected, rel=1e-9)
+        assert abs(dropped.imag) < 1e-20
+
+    def test_project_takes_a_batch_of_states(self, rng):
+        w = sector_spectrum(EffectiveModelParams(1.0, FockCutoff(9)))
+        amps = rng.normal(size=(3, 2, w.space.dim)) + 1j * rng.normal(size=(3, 2, w.space.dim))
+        batch = w.project(amps)
+        assert batch.shape == (3, 2) + w.index.shape
+        for i, j in np.ndindex(3, 2):
+            np.testing.assert_allclose(batch[i, j], w.project(amps[i, j]), rtol=0, atol=1e-14)
 
 
 class TestAnalyticState:

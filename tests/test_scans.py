@@ -1,6 +1,7 @@
 """Batch runners that back the CLI subcommands."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,9 @@ import pytest
 from conftest import fidelity_scan_oracle
 from dicke2p import dynamics, protocols, scans
 from dicke2p.analysis import sample_rng
-from dicke2p.dynamics import (
-    SectorSpectrum,
-    linearized_spectrum,
-    rabi_see_analytic,
-    sector_spectrum,
-)
+from dicke2p.dynamics import SectorSpectrum, rabi_see_analytic, sector_spectrum
 from dicke2p.hilbert import AtomCoeffs, FockCutoff
-from dicke2p.models import EffectiveModelParams, FullModelParams, effective_coupling
+from dicke2p.models import FullModelParams
 from dicke2p.protocols import ALL_OUTCOMES, bell_outcome_table
 from dicke2p.scans import (
     OUTCOME_SUFFIX,
@@ -76,21 +72,16 @@ class TestFidelityScan:
         assert not np.array_equal(a.rows[1:], b.rows[1:])
 
     @staticmethod
-    def _chunk_spy(monkeypatch, times_per_chunk):
-        """Make fidelity_scan cut its times into chunks of about
-        times_per_chunk at nbar 4 and record the length of every phase
-        table it builds."""
+    def _chunk_spy(monkeypatch, step):
+        """Make fidelity_scan cut its times and its samples into chunks of
+        `step` at nbar 4 and record the length of every phase table it
+        builds."""
         cutoff = FockCutoff.for_mean_photon(4.0)
-        g = effective_coupling(1.0, 1.0, 500.0)
-        entries = sum(
-            spec.index.size
-            for spec in (
-                sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cutoff)),
-                sector_spectrum(EffectiveModelParams(g, cutoff)),
-                linearized_spectrum(g, cutoff),
-            )
-        )
-        monkeypatch.setattr(scans, "_PHASE_TABLE", times_per_chunk * entries)
+        sectors = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cutoff)).index.shape[0]
+        # overlap entries per time: the W and the kept linearized sectors
+        # against the full ones (4 x 9 each), and the 8 linearized sectors
+        # past the cutoff against themselves (4 x 4)
+        monkeypatch.setattr(scans, "_CHUNK", step * (2 * sectors * 4 * 9 + 8 * 4 * 4))
         built = []
         phases = SectorSpectrum.phases
 
@@ -102,20 +93,47 @@ class TestFidelityScan:
         return built
 
     def test_chunked_scan_matches_per_sample_oracle(self, monkeypatch):
-        """Shared phase tables over ragged time chunks give the rows of the
-        one-sample-at-a-time computation bit for bit."""
-        built = self._chunk_spy(monkeypatch, 5)
-        r = fidelity_scan(nbars=(4,), ensemble=3, seed=9, time_points=17)
-        # 17 times in four chunks, one table per spectrum and chunk
-        assert sorted(set(built)) == [4, 5] and len(built) == 3 * 4
-        np.testing.assert_array_equal(r.rows, fidelity_scan_oracle((4,), 3, 9, 17))
+        """Ragged chunks of times and of samples give the rows of the
+        one-sample-at-a-time computation in the flat basis."""
+        built = self._chunk_spy(monkeypatch, 4)
+        r = fidelity_scan(nbars=(4,), ensemble=7, seed=9, time_points=17)
+        # 17 times in chunks of 4, 4, 4, 4, 1 and 7 samples in 4, 3; one
+        # table per spectrum and chunk of times
+        assert sorted(set(built)) == [1, 4] and len(built) == 3 * 5
+        oracle = fidelity_scan_oracle((4,), 7, 9, 17)
+        np.testing.assert_allclose(r.rows, oracle, rtol=0, atol=1e-13)
 
     def test_phase_tables_do_not_grow_with_the_ensemble(self, monkeypatch):
         built = self._chunk_spy(monkeypatch, 5)
         fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=17)
         small = len(built)
-        fidelity_scan(nbars=(4,), ensemble=5, seed=9, time_points=17)
+        # 12 samples in three chunks
+        fidelity_scan(nbars=(4,), ensemble=12, seed=9, time_points=17)
         assert len(built) - small == small
+
+    def test_scan_never_rotates_to_the_flat_basis(self, monkeypatch):
+        calls = []
+        rotate = SectorSpectrum.rotate
+
+        def counting(self, *args):
+            calls.append(1)
+            return rotate(self, *args)
+
+        monkeypatch.setattr(SectorSpectrum, "rotate", counting)
+        fidelity_scan(nbars=(4, 6), ensemble=3, seed=9, time_points=5)
+        assert calls == []
+
+    def test_memory_stays_flat_at_the_bench_size(self):
+        """The hierarchy benchmark's scan (nbar 20/50/100, ensemble 10, 101
+        times) in chunks: its coefficient matrix for nbar 100 alone would
+        take 2.2 MB, its full table of phase products 22 MB."""
+        tracemalloc.start()
+        try:
+            fidelity_scan(nbars=(20, 50, 100), ensemble=10, seed=0, time_points=101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
 
     def test_single_sample_has_zero_stderr(self):
         r = fidelity_scan(nbars=(4,), ensemble=1, seed=9, time_points=5)
@@ -125,6 +143,15 @@ class TestFidelityScan:
     def test_capture_check_runs_in_the_scan(self, monkeypatch):
         monkeypatch.setattr(dynamics, "CAPTURE_ATOL", -1.0)
         with pytest.raises(ValueError, match="linearized evolution moves weight"):
+            fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=3)
+
+
+    def test_scan_raises_past_a_tight_cutoff(self, monkeypatch):
+        """On n_max = 22 at nbar 4, where half a revival moves 1.4e-8 of the
+        |ee> weight past the cutoff, the closed form's capture check
+        raises in the scan."""
+        monkeypatch.setattr(FockCutoff, "for_mean_photon", staticmethod(lambda nbar: FockCutoff(22)))
+        with pytest.raises(ValueError, match=r"past the cutoff n_max=22"):
             fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=3)
 
 
