@@ -57,10 +57,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def from_pure(cls, psi: StateVector) -> "DensityMatrix":
-        return cls.outer(psi.amplitudes, psi.space)
-
-    @classmethod
     def outer(cls, vec: np.ndarray, space: SpaceTag) -> "DensityMatrix":
         """|v><v| of a unit vector v.  It is Hermitian and positive by
         construction, so only its trace |v|^2 is checked; no eigvalsh."""

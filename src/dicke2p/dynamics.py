@@ -33,29 +33,22 @@ from .hilbert import (
     CAPTURE_ATOL,
     AtomCoeffs,
     FockCutoff,
-    Operator,
     SpaceTag,
     StateVector,
     coherent_state,
     tensor,
 )
-from .models import (
-    EffectiveModelParams,
-    FullModelParams,
-    excitation_labels,
-    sector_blocks,
-    sector_index,
-)
+from .models import EffectiveModelParams, FullModelParams, excitation_labels, sector_blocks
 
 __all__ = [
     "SectorSpectrum",
     "sector_spectrum",
-    "evolve_exact",
     "evolve_exact_many",
     "linearized_spectrum",
     "sector_overlaps",
     "evolve_linearized_many",
     "check_capture",
+    "check_branch_regime",
     "analytic_state",
     "coherent_branch_basis",
     "rabi_see_analytic",
@@ -100,31 +93,6 @@ class SectorSpectrum:
         values, vectors = np.linalg.eigh(blocks)
         return cls(index, values, vectors, space)
 
-    @classmethod
-    def from_operator(cls, op: Operator) -> "SectorSpectrum":
-        """Sector spectrum of a dense two- or three-level tripartite operator.
-
-        Raises when the operator is not flagged Hermitian or has any nonzero
-        element between different excitation sectors.
-        """
-        if op.hermitian is not True:
-            raise ValueError("evolution requires an operator flagged hermitian=True")
-        dims = op.space.dims
-        if len(dims) != 3 or dims[0] != dims[1] or dims[0] not in (2, 3):
-            raise ValueError("expected an operator on two atoms (x) field")
-        cutoff = FockCutoff(dims[2] - 1)
-        labels = excitation_labels(cutoff, dims[0])
-        leak = np.max(np.abs(op.matrix[labels[:, None] != labels[None, :]]), initial=0.0)
-        if leak != 0.0:
-            raise ValueError(
-                f"operator couples different excitation sectors (largest element "
-                f"{leak:.3e}); the sector engine needs an excitation-conserving Hamiltonian"
-            )
-        index = sector_index(cutoff, dims[0])
-        safe = np.minimum(index, op.dim - 1)
-        blocks = op.matrix[safe[:, :, None], safe[:, None, :]]
-        return cls.from_blocks(index, blocks, op.space)
-
     def project(self, amplitudes: np.ndarray, at: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Weights on the sector eigenvectors of flat amplitudes (..., n) at
         the flat indices `at` (all of them by default) and zero elsewhere;
@@ -163,25 +131,12 @@ def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpe
     return SectorSpectrum.from_blocks(*sector_blocks(params))
 
 
-def _spectrum_for(h: SectorSpectrum | Operator, psi0: StateVector) -> SectorSpectrum:
-    spectrum = h if isinstance(h, SectorSpectrum) else SectorSpectrum.from_operator(h)
+def evolve_exact_many(spectrum: SectorSpectrum, psi0: StateVector, times: np.ndarray) -> np.ndarray:
+    """Amplitudes of exp(-i H t) psi0 for every t under the Hamiltonian of
+    spectrum; shape (len(times), dim)."""
     if spectrum.space.dims != psi0.space.dims:
-        raise ValueError("operator and state live on different spaces")
-    return spectrum
-
-
-def evolve_exact(h: SectorSpectrum | Operator, psi0: StateVector, t: float) -> StateVector:
-    """exp(-i h t) psi0; an Operator is split into its excitation sectors
-    first, so pass a SectorSpectrum when evolving repeatedly."""
-    amps = _spectrum_for(h, psi0).propagate(psi0.amplitudes, np.array([t]))[0]
-    return StateVector(amps, psi0.space)
-
-
-def evolve_exact_many(
-    h: SectorSpectrum | Operator, psi0: StateVector, times: np.ndarray
-) -> np.ndarray:
-    """Amplitudes of exp(-i h t) psi0 for every t; shape (len(times), dim)."""
-    return _spectrum_for(h, psi0).propagate(psi0.amplitudes, times)
+        raise ValueError("spectrum and state live on different spaces")
+    return spectrum.propagate(psi0.amplitudes, times)
 
 
 def linearized_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:
@@ -259,13 +214,25 @@ def analytic_state(
     return StateVector(amps, psi0.space)
 
 
+def check_branch_regime(alpha: complex, stacklevel: int = 1) -> None:
+    """Warn when |alpha|^2 < 10, where the three-branch form of
+    coherent_branch_basis leaves its regime |alpha|^2 >> 1.  stacklevel 1
+    names the caller, 2 the caller's caller."""
+    if abs(alpha) ** 2 < 10.0:
+        warnings.warn(
+            "coherent branch form assumes |alpha|^2 >> 1; "
+            f"got |alpha|^2 = {abs(alpha) ** 2:.3g}",
+            stacklevel=stacklevel + 1,
+        )
+
+
 def coherent_branch_basis(
     alpha: complex, g: float, times: np.ndarray, cutoff: FockCutoff
 ) -> np.ndarray:
     """The paper's large-nbar three-branch form: each product-basis atomic
     state (x) |alpha> at every t, unnormalized; shape (len(times), 4, 4,
     dim), indexed [t, input state, atoms, field] as SectorSpectrum.propagate
-    gives them for the exact engine.
+    gives them for the exact engine.  Warns by check_branch_regime.
 
     The form is linear in the atoms.  The projector onto span{|psi->,
     |phi_2phi^->} keeps the label alpha; the maps
@@ -274,12 +241,13 @@ def coherent_branch_basis(
     |e^{i theta} alpha| = |alpha|, every label's field is that of alpha
     turned by e^{i theta n}, so one coherent state serves all of them.
     """
-    if abs(alpha) ** 2 < 10.0:
-        warnings.warn(
-            "coherent branch form assumes |alpha|^2 >> 1; "
-            f"got |alpha|^2 = {abs(alpha) ** 2:.3g}",
-            stacklevel=2,
-        )
+    check_branch_regime(alpha, stacklevel=2)
+    return _branch_basis(alpha, g, times, cutoff)
+
+
+def _branch_basis(alpha: complex, g: float, times: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
+    """coherent_branch_basis without the warning, for callers that warn
+    once per call of their own while building many time chunks."""
     sign = np.array([1.0, -1.0])  # the branches to the labels e^{-+2igt} alpha
     gt = g * np.asarray(times, dtype=np.float64)[:, None] * sign  # (T, 2)
     two_phi = 2.0 * cmath.phase(alpha)

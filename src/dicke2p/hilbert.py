@@ -1,10 +1,11 @@
-"""Truncated Fock spaces, two-atom operators, and elementary states.
+"""Truncated Fock spaces, elementary states, and the containers they live in.
 
-Dense complex matrices throughout, wrapped in thin immutable containers
-that record the tensor factorization.  The tensor ordering is fixed
-globally as atom A (x) atom B (x) field; every module relies on it.
-Atomic levels are ordered g, e for two-level atoms and g, i, e for
-three-level atoms.
+States and the small atomic operators are complex arrays wrapped in thin
+immutable containers that record the tensor factorization.  The tensor
+ordering is fixed globally as atom A (x) atom B (x) field; every module
+relies on it.  Atomic levels are ordered g, e for two-level atoms and
+g, i, e for three-level atoms.  The Hamiltonians are never built here as
+matrices of the full dimension: see models.sector_blocks.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ __all__ = [
     "two_qubit_tag",
     "two_atom_tag",
     "tripartite_tag",
-    "annihilation_op",
-    "creation_op",
-    "number_op",
-    "identity_op",
-    "collective_op",
     "fock_state",
     "coherent_state",
     "hermite_functions",
@@ -51,10 +47,8 @@ _CUTOFF_SIGMAS = 8.0
 _CUTOFF_PAD = 4
 FLAG_ATOL = 1e-10
 
-Level = Literal["g", "i", "e"]
 BellKind = Literal["psi+", "psi-", "phi+", "phi-"]
 
-_LEVEL_INDEX = {2: {"g": 0, "e": 1}, 3: {"g": 0, "i": 1, "e": 2}}
 _SQRT2 = math.sqrt(2.0)
 _H0_NORMAL_X = 26.6  # exp(-x^2) is a normal float64 up to here
 
@@ -231,9 +225,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.space, self.hermitian, self.unitary)
-
 
 # Columns: gg, psi-, psi+, ee expressed in the product basis gg, ge, eg, ee.
 _BELL_TO_PRODUCT = np.array(
@@ -288,44 +279,6 @@ class AtomCoeffs:
 
     def to_state(self) -> StateVector:
         return StateVector(_BELL_TO_PRODUCT @ self.as_array(), two_qubit_tag())
-
-
-def annihilation_op(cutoff: FockCutoff) -> Operator:
-    """Photon annihilation: <n-1|a|n> = sqrt(n)."""
-    n = cutoff.dim
-    mat = np.diag(np.sqrt(np.arange(1, n)), k=1).astype(np.complex128)
-    return Operator(mat, field_tag(cutoff))
-
-
-def creation_op(cutoff: FockCutoff) -> Operator:
-    return annihilation_op(cutoff).dagger()
-
-
-def number_op(cutoff: FockCutoff) -> Operator:
-    mat = np.diag(np.arange(cutoff.dim, dtype=np.float64)).astype(np.complex128)
-    return Operator(mat, field_tag(cutoff), hermitian=True)
-
-
-def identity_op(space: SpaceTag) -> Operator:
-    return Operator(np.eye(space.dim, dtype=np.complex128), space, hermitian=True, unitary=True)
-
-
-def collective_op(mu: Level, nu: Level, levels_per_atom: int = 2) -> Operator:
-    """Two-atom collective operator |mu><nu|_A + |mu><nu|_B.
-
-    Acts on the bare two-atom space (no field factor).  The intermediate
-    level 'i' exists only for three-level atoms.
-    """
-    if levels_per_atom not in (2, 3):
-        raise ValueError("levels_per_atom must be 2 or 3")
-    index = _LEVEL_INDEX[levels_per_atom]
-    if mu not in index or nu not in index:
-        raise ValueError(f"level {mu!r}/{nu!r} not available with {levels_per_atom} levels")
-    single = np.zeros((levels_per_atom, levels_per_atom), dtype=np.complex128)
-    single[index[mu], index[nu]] = 1.0
-    eye = np.eye(levels_per_atom, dtype=np.complex128)
-    mat = np.kron(single, eye) + np.kron(eye, single)
-    return Operator(mat, two_atom_tag(levels_per_atom), hermitian=True if mu == nu else None)
 
 
 def fock_state(n: int, cutoff: FockCutoff) -> StateVector:
@@ -436,12 +389,8 @@ def bell_state(kind: BellKind, phi: float = 0.0) -> StateVector:
     return StateVector(amps, two_qubit_tag())
 
 
-def tensor(a, b):
-    """Kronecker product of two states or two operators, tags concatenated."""
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two states, tags concatenated."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(np.kron(a.amplitudes, b.amplitudes), a.space * b.space)
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        herm = True if (a.hermitian and b.hermitian) else None
-        unit = True if (a.unitary and b.unitary) else None
-        return Operator(np.kron(a.matrix, b.matrix), a.space * b.space, herm, unit)
-    raise TypeError("tensor requires two StateVectors or two Operators")
+    raise TypeError("tensor requires two StateVectors")

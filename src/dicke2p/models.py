@@ -9,9 +9,9 @@ Both Hamiltonians conserve the excitation number a^dag a + 2 S_ee + S_ii,
 so they are built here block by block: `sector_blocks` returns each
 excitation sector's matrix (at most 9 states for three-level atoms, 4 for
 two-level ones) straight from the parameters, and `excitation_labels` is
-the one place that knows the conserved quantity.  The dense builders on
-the shared tensor layout atom A (x) atom B (x) field remain as small-cutoff
-reference operators for tests and are refused past DENSE_DIM_LIMIT.
+the one place that knows the conserved quantity.  No matrix of the full
+dimension is ever formed; the sector engine in dynamics diagonalizes these
+blocks and nothing else.
 """
 
 from __future__ import annotations
@@ -21,44 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    FockCutoff,
-    Operator,
-    SpaceTag,
-    StateVector,
-    annihilation_op,
-    collective_op,
-    creation_op,
-    number_op,
-    tripartite_tag,
-)
+from .hilbert import FockCutoff, SpaceTag, tripartite_tag
 
 __all__ = [
-    "DENSE_DIM_LIMIT",
     "FullModelParams",
     "EffectiveModelParams",
     "ValidityReport",
     "VALIDITY_MARGIN",
-    "full_hamiltonian",
-    "two_photon_w",
-    "stark_shift",
-    "constant_of_motion",
     "excitation_labels",
     "sector_index",
     "sector_blocks",
     "effective_coupling",
     "trapped_ion_coupling",
-    "dispersive_generator",
-    "embed_two_level_state",
     "validity_report",
 ]
 
 VALIDITY_MARGIN = 0.1
-
-# Largest dimension a dense builder accepts: one complex matrix of 2048^2
-# entries takes 64 MiB.  The three-level model at nbar = 100 has dimension
-# 1665; the sector engine has no such limit.
-DENSE_DIM_LIMIT = 2048
 
 # Excitation carried by each atomic level, g, e or g, i, e.
 _LEVEL_EXCITATION = {2: (0, 2), 3: (0, 1, 2)}
@@ -106,95 +84,11 @@ def trapped_ion_coupling(rabi: float, lamb_dicke: float) -> float:
     return -rabi * lamb_dicke**2 / 2.0
 
 
-def _check_dense(cutoff: FockCutoff, levels: int) -> None:
-    """Refuse a dense tripartite build past DENSE_DIM_LIMIT before any
-    matrix is allocated."""
-    dim = levels * levels * cutoff.dim
-    if dim > DENSE_DIM_LIMIT:
-        raise ValueError(
-            f"dense build of dimension {dim} would need {16 * dim * dim:,} bytes per "
-            f"matrix, past the limit of {DENSE_DIM_LIMIT}; use the excitation-sector "
-            "engine (dynamics.sector_spectrum) instead"
-        )
-
-
-def _field_ops(
-    cutoff: FockCutoff, levels: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    _check_dense(cutoff, levels)
-    a = annihilation_op(cutoff).matrix
-    ad = creation_op(cutoff).matrix
-    n = number_op(cutoff).matrix
-    eye = np.eye(cutoff.dim, dtype=np.complex128)
-    return a, ad, n, eye
-
-
-def full_hamiltonian(params: FullModelParams) -> Operator:
-    """RWA Hamiltonian of both cascade atoms coupled to one mode.
-
-    H = omega a^dag a + 2 omega S_ee + (omega + delta) S_ii
-        + g_g (a S_ig + a^dag S_gi) + g_e (a S_ei + a^dag S_ie)
-    """
-    cutoff = params.cutoff
-    a, ad, n, eye_f = _field_ops(cutoff, 3)
-    eye_a = np.eye(9, dtype=np.complex128)
-
-    s_ee = collective_op("e", "e", 3).matrix
-    s_ii = collective_op("i", "i", 3).matrix
-    s_ig = collective_op("i", "g", 3).matrix
-    s_ei = collective_op("e", "i", 3).matrix
-
-    h = params.omega * np.kron(eye_a, n)
-    h += 2.0 * params.omega * np.kron(s_ee, eye_f)
-    h += (params.omega + params.delta) * np.kron(s_ii, eye_f)
-    h += params.g_g * (np.kron(s_ig, a) + np.kron(s_ig.conj().T, ad))
-    h += params.g_e * (np.kron(s_ei, a) + np.kron(s_ei.conj().T, ad))
-    return Operator(h, tripartite_tag(cutoff, levels=3), hermitian=True)
-
-
-def two_photon_w(params: EffectiveModelParams) -> Operator:
-    """Two-photon interaction W = g (a^2 S_eg + a^dag^2 S_ge) on two-level atoms."""
-    cutoff = params.cutoff
-    a, ad, _, _ = _field_ops(cutoff, 2)
-    s_eg = collective_op("e", "g", 2).matrix
-    s_ge = collective_op("g", "e", 2).matrix
-    w = params.g * (np.kron(s_eg, a @ a) + np.kron(s_ge, ad @ ad))
-    return Operator(w, tripartite_tag(cutoff, levels=2), hermitian=True)
-
-
-def stark_shift(params: FullModelParams) -> Operator:
-    """Level shifts accompanying W after the intermediate level is removed.
-
-    S = -2(g_g^2/delta) I - ((g_e^2 - g_g^2)/delta) a a^dag S_ee
-        + 3(g_g^2/delta) S_ee,
-    with I the excitation counter a^dag a + 2 S_ee, on the two-level
-    atomic space.  The photon-dependent part vanishes when g_g = g_e.
-    """
-    cutoff = params.cutoff
-    a, ad, _, eye_f = _field_ops(cutoff, 2)
-    s_ee = collective_op("e", "e", 2).matrix
-    i_mat = constant_of_motion(cutoff, levels=2).matrix
-    mat = -2.0 * (params.g_g**2 / params.delta) * i_mat
-    mat += -((params.g_e**2 - params.g_g**2) / params.delta) * np.kron(s_ee, a @ ad)
-    mat += 3.0 * (params.g_g**2 / params.delta) * np.kron(s_ee, eye_f)
-    return Operator(mat, tripartite_tag(cutoff, levels=2), hermitian=True)
-
-
-def constant_of_motion(cutoff: FockCutoff, levels: int = 2) -> Operator:
-    """Excitation counter a^dag a + 2 S_ee (+ S_ii for three-level atoms).
-
-    Commutes with the full Hamiltonian and with W, including under
-    truncation, because every interaction term conserves it exactly.
-    """
-    labels = excitation_labels(cutoff, levels)
-    _check_dense(cutoff, levels)
-    mat = np.diag(labels.astype(np.complex128))
-    return Operator(mat, tripartite_tag(cutoff, levels=levels), hermitian=True)
-
-
 def excitation_labels(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:
-    """Excitation number of every basis state in the flat layout
-    atom A (x) atom B (x) field: the diagonal of constant_of_motion."""
+    """Excitation number a^dag a + 2 S_ee (+ S_ii for three-level atoms) of
+    every basis state in the flat layout atom A (x) atom B (x) field.  Every
+    interaction term conserves it, so both Hamiltonians split into sectors
+    of equal label (see sector_index)."""
     if levels not in _LEVEL_EXCITATION:
         raise ValueError("levels must be 2 or 3")
     x = np.array(_LEVEL_EXCITATION[levels])
@@ -262,31 +156,7 @@ def sector_blocks(
     return index, blocks, tripartite_tag(params.cutoff, levels)
 
 
-def dispersive_generator(params: FullModelParams) -> np.ndarray:
-    """Anti-Hermitian generator of the frame change that removes the
-    intermediate level to first order in g/delta."""
-    cutoff = params.cutoff
-    a, ad, _, _ = _field_ops(cutoff, 3)
-    s_ig = collective_op("i", "g", 3).matrix
-    s_gi = collective_op("g", "i", 3).matrix
-    s_ei = collective_op("e", "i", 3).matrix
-    s_ie = collective_op("i", "e", 3).matrix
-    g = (params.g_g / params.delta) * (np.kron(s_ig, a) - np.kron(s_gi, ad))
-    g -= (params.g_e / params.delta) * (np.kron(s_ei, a) - np.kron(s_ie, ad))
-    return g
-
-
 _EMBED_ATOM = (0, 2)  # two-level g, e -> three-level indices
-
-
-def embed_two_level_state(state: StateVector, cutoff: FockCutoff) -> StateVector:
-    """Lift a state of two two-level atoms + field into the three-level
-    space, leaving the intermediate level unpopulated."""
-    if state.space.dims != (2, 2, cutoff.dim):
-        raise ValueError("expected a two-level tripartite state matching the cutoff")
-    out = np.zeros(9 * cutoff.dim, dtype=np.complex128)
-    out[embed_indices(cutoff)] = state.amplitudes
-    return StateVector(out, tripartite_tag(cutoff, levels=3))
 
 
 def embed_indices(cutoff: FockCutoff) -> np.ndarray:

@@ -34,7 +34,8 @@ import numpy as np
 from .analysis import DensityMatrix, fidelity, sample_rng
 from .dynamics import (
     SectorSpectrum,
-    coherent_branch_basis,
+    _branch_basis,
+    check_branch_regime,
     revival_time,
     sector_spectrum,
 )
@@ -70,8 +71,6 @@ __all__ = [
     "bell_outcome_arrays",
     "run_bell_protocol",
     "timing_sensitivity",
-    "quadrature_overlap",
-    "hermite_functions",
     "homodyne_measure",
     "homodyne_outcome_table",
 ]
@@ -226,12 +225,19 @@ def _cavity_maps(
         if engine == "exact":
             basis = np.stack([_w_operator(g, n_max).propagate(k, ts) for k in kets], axis=1)
         else:
-            basis = coherent_branch_basis(alpha, g, ts, cutoff)
+            basis = _branch_basis(alpha, g, ts, cutoff)
         basis = basis.reshape(ts.size, 4, 4, cutoff.dim)
         readout[lo : lo + ts.size] = (basis @ refs).transpose(0, 3, 2, 1)
         flat = basis.reshape(ts.size, 4, -1)
         gram[lo : lo + ts.size] = flat.conj() @ flat.transpose(0, 2, 1)
     return basis, readout, gram
+
+
+def _check_regime(alpha: complex, engine: str) -> None:
+    """The analytic engine's |alpha|^2 >> 1 warning, once per public call,
+    whether its maps come from the cache or are built afresh."""
+    if engine == "analytic":
+        check_branch_regime(alpha, stacklevel=3)
 
 
 @lru_cache(maxsize=16)
@@ -250,6 +256,7 @@ def run_ghz(
     """Fidelity of the state generated at t_r/2 from ghz_input(phi) with
     field amplitude |alpha| e^{i phi}, against ghz_target."""
     amp = abs(alpha) * cmath.exp(1j * phi)
+    _check_regime(amp, engine)
     coeffs, _ = ghz_input(phi)
     basis = _cavity(amp, g, revival_time(g) / 2.0, cutoff.n_max, engine)[0]
     psi = StateVector.normalized(
@@ -397,6 +404,7 @@ def bell_outcome_table(
 ) -> tuple[ProtocolResult, ProtocolResult, ProtocolResult, ProtocolResult]:
     """Deterministic enumeration of all four outcomes with ideal coherent
     discrimination in both cavities; probabilities sum to one."""
+    _check_regime(alpha, engine)
     t = revival_time(g) / 2.0
     _, readout1, gram1 = _cavity(alpha, g, t, cutoff.n_max, engine)
     readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)[1]
@@ -414,6 +422,7 @@ def bell_outcome_arrays(
     batch shape: the outcome probabilities and fidelities (..., 4) in
     ALL_OUTCOMES order, and the leaked weight (...).  The maps are built
     once per time and not cached."""
+    _check_regime(alpha, engine)
     cavity1 = _cavity_maps(alpha, g, times, cutoff.n_max, engine)[1:]
     readout2 = _cavity_maps(alpha * _CAVITY2_TURN, g, times, cutoff.n_max, engine)[1]
     _, _, prob, _, fid, leaked = _chain(cavity1, readout2, atoms, cmath.phase(alpha))
@@ -442,6 +451,7 @@ def run_bell_protocol(
     Cavity 2 is always read out ideally.  The reported probability is the
     ideal Born probability of the realized outcome.
     """
+    _check_regime(alpha, engine)
     phi, t = cmath.phase(alpha), revival_time(g) / 2.0
     rng = sample_rng(rng_seed, shot_index)
     _, readout1, gram1 = _cavity(alpha, g, t, cutoff.n_max, engine)
@@ -498,17 +508,6 @@ def timing_sensitivity(
     prob, fid, leaked = bell_outcome_arrays(atoms, alpha, g, cutoff, times, engine)
     fids, probs = ({o: arr[:, k] for k, o in enumerate(ALL_OUTCOMES)} for arr in (fid, prob))
     return TimingCurves(times, fids, probs, leaked)
-
-
-def quadrature_overlap(x: float, alpha_abs: float, sign: str):
-    """(2/pi)^{1/4} exp(-(x +- |alpha|)^2): quadrature wavefunction
-    magnitude of the coherent state with amplitude -(+-)|alpha| along the
-    optimal local-oscillator phase.  The sign argument is the sign inside
-    the exponent, so '+' peaks at x = -|alpha|."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    s = 1.0 if sign == "+" else -1.0
-    return (2.0 / math.pi) ** 0.25 * np.exp(-((np.asarray(x) + s * alpha_abs) ** 2))
 
 
 def homodyne_outcome_table(

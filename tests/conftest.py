@@ -1,7 +1,23 @@
+from typing import Literal
+
 import numpy as np
 import pytest
 
-from dicke2p.hilbert import AtomCoeffs, FockCutoff
+from dicke2p.hilbert import (
+    AtomCoeffs,
+    FockCutoff,
+    Operator,
+    StateVector,
+    field_tag,
+    tripartite_tag,
+    two_atom_tag,
+)
+from dicke2p.models import (
+    EffectiveModelParams,
+    FullModelParams,
+    embed_indices,
+    excitation_labels,
+)
 
 
 @pytest.fixture
@@ -186,3 +202,166 @@ def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, d
         mean, err = ensemble_average(task, ensemble, seed + k * _SEED_STRIDE)
         data += [mean[0], err[0], mean[1], err[1]]
     return np.column_stack(data)
+
+
+# Dense reference operators on the flat layout atom A (x) atom B (x) field.
+# The library builds each Hamiltonian only as excitation-sector blocks
+# (models.sector_blocks); these Kronecker-product forms are the independent
+# oracles the blocks are checked against, and the Stark-shift and
+# dispersive-reduction tests check the elimination of the intermediate
+# level on them.
+
+
+Level = Literal["g", "i", "e"]
+
+_LEVEL_INDEX = {2: {"g": 0, "e": 1}, 3: {"g": 0, "i": 1, "e": 2}}
+
+
+def annihilation_op(cutoff: FockCutoff) -> Operator:
+    """Photon annihilation: <n-1|a|n> = sqrt(n)."""
+    n = cutoff.dim
+    mat = np.diag(np.sqrt(np.arange(1, n)), k=1).astype(np.complex128)
+    return Operator(mat, field_tag(cutoff))
+
+
+def creation_op(cutoff: FockCutoff) -> Operator:
+    return Operator(annihilation_op(cutoff).matrix.conj().T, field_tag(cutoff))
+
+
+def number_op(cutoff: FockCutoff) -> Operator:
+    mat = np.diag(np.arange(cutoff.dim, dtype=np.float64)).astype(np.complex128)
+    return Operator(mat, field_tag(cutoff), hermitian=True)
+
+
+def collective_op(mu: Level, nu: Level, levels_per_atom: int = 2) -> Operator:
+    """Two-atom collective operator |mu><nu|_A + |mu><nu|_B.
+
+    Acts on the bare two-atom space (no field factor).  The intermediate
+    level 'i' exists only for three-level atoms.
+    """
+    if levels_per_atom not in (2, 3):
+        raise ValueError("levels_per_atom must be 2 or 3")
+    index = _LEVEL_INDEX[levels_per_atom]
+    if mu not in index or nu not in index:
+        raise ValueError(f"level {mu!r}/{nu!r} not available with {levels_per_atom} levels")
+    single = np.zeros((levels_per_atom, levels_per_atom), dtype=np.complex128)
+    single[index[mu], index[nu]] = 1.0
+    eye = np.eye(levels_per_atom, dtype=np.complex128)
+    mat = np.kron(single, eye) + np.kron(eye, single)
+    return Operator(mat, two_atom_tag(levels_per_atom), hermitian=True if mu == nu else None)
+
+
+# Largest dimension a dense builder accepts: one complex matrix of 2048^2
+# entries takes 64 MiB.  The three-level model at nbar = 100 has dimension
+# 1665; the sector engine has no such limit.
+DENSE_DIM_LIMIT = 2048
+
+
+def _check_dense(cutoff: FockCutoff, levels: int) -> None:
+    """Refuse a dense tripartite build past DENSE_DIM_LIMIT before any
+    matrix is allocated."""
+    dim = levels * levels * cutoff.dim
+    if dim > DENSE_DIM_LIMIT:
+        raise ValueError(
+            f"dense build of dimension {dim} would need {16 * dim * dim:,} bytes per "
+            f"matrix, past the limit of {DENSE_DIM_LIMIT}; use the excitation-sector "
+            "engine (dynamics.sector_spectrum) instead"
+        )
+
+
+def _field_ops(
+    cutoff: FockCutoff, levels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    _check_dense(cutoff, levels)
+    a = annihilation_op(cutoff).matrix
+    ad = creation_op(cutoff).matrix
+    n = number_op(cutoff).matrix
+    eye = np.eye(cutoff.dim, dtype=np.complex128)
+    return a, ad, n, eye
+
+
+def full_hamiltonian(params: FullModelParams) -> Operator:
+    """RWA Hamiltonian of both cascade atoms coupled to one mode.
+
+    H = omega a^dag a + 2 omega S_ee + (omega + delta) S_ii
+        + g_g (a S_ig + a^dag S_gi) + g_e (a S_ei + a^dag S_ie)
+    """
+    cutoff = params.cutoff
+    a, ad, n, eye_f = _field_ops(cutoff, 3)
+    eye_a = np.eye(9, dtype=np.complex128)
+
+    s_ee = collective_op("e", "e", 3).matrix
+    s_ii = collective_op("i", "i", 3).matrix
+    s_ig = collective_op("i", "g", 3).matrix
+    s_ei = collective_op("e", "i", 3).matrix
+
+    h = params.omega * np.kron(eye_a, n)
+    h += 2.0 * params.omega * np.kron(s_ee, eye_f)
+    h += (params.omega + params.delta) * np.kron(s_ii, eye_f)
+    h += params.g_g * (np.kron(s_ig, a) + np.kron(s_ig.conj().T, ad))
+    h += params.g_e * (np.kron(s_ei, a) + np.kron(s_ei.conj().T, ad))
+    return Operator(h, tripartite_tag(cutoff, levels=3), hermitian=True)
+
+
+def two_photon_w(params: EffectiveModelParams) -> Operator:
+    """Two-photon interaction W = g (a^2 S_eg + a^dag^2 S_ge) on two-level atoms."""
+    cutoff = params.cutoff
+    a, ad, _, _ = _field_ops(cutoff, 2)
+    s_eg = collective_op("e", "g", 2).matrix
+    s_ge = collective_op("g", "e", 2).matrix
+    w = params.g * (np.kron(s_eg, a @ a) + np.kron(s_ge, ad @ ad))
+    return Operator(w, tripartite_tag(cutoff, levels=2), hermitian=True)
+
+
+def stark_shift(params: FullModelParams) -> Operator:
+    """Level shifts accompanying W after the intermediate level is removed.
+
+    S = -2(g_g^2/delta) I - ((g_e^2 - g_g^2)/delta) a a^dag S_ee
+        + 3(g_g^2/delta) S_ee,
+    with I the excitation counter a^dag a + 2 S_ee, on the two-level
+    atomic space.  The photon-dependent part vanishes when g_g = g_e.
+    """
+    cutoff = params.cutoff
+    a, ad, _, eye_f = _field_ops(cutoff, 2)
+    s_ee = collective_op("e", "e", 2).matrix
+    i_mat = constant_of_motion(cutoff, levels=2).matrix
+    mat = -2.0 * (params.g_g**2 / params.delta) * i_mat
+    mat += -((params.g_e**2 - params.g_g**2) / params.delta) * np.kron(s_ee, a @ ad)
+    mat += 3.0 * (params.g_g**2 / params.delta) * np.kron(s_ee, eye_f)
+    return Operator(mat, tripartite_tag(cutoff, levels=2), hermitian=True)
+
+
+def constant_of_motion(cutoff: FockCutoff, levels: int = 2) -> Operator:
+    """Excitation counter a^dag a + 2 S_ee (+ S_ii for three-level atoms).
+
+    Commutes with the full Hamiltonian and with W, including under
+    truncation, because every interaction term conserves it exactly.
+    """
+    labels = excitation_labels(cutoff, levels)
+    _check_dense(cutoff, levels)
+    mat = np.diag(labels.astype(np.complex128))
+    return Operator(mat, tripartite_tag(cutoff, levels=levels), hermitian=True)
+
+
+def dispersive_generator(params: FullModelParams) -> np.ndarray:
+    """Anti-Hermitian generator of the frame change that removes the
+    intermediate level to first order in g/delta."""
+    cutoff = params.cutoff
+    a, ad, _, _ = _field_ops(cutoff, 3)
+    s_ig = collective_op("i", "g", 3).matrix
+    s_gi = collective_op("g", "i", 3).matrix
+    s_ei = collective_op("e", "i", 3).matrix
+    s_ie = collective_op("i", "e", 3).matrix
+    g = (params.g_g / params.delta) * (np.kron(s_ig, a) - np.kron(s_gi, ad))
+    g -= (params.g_e / params.delta) * (np.kron(s_ei, a) - np.kron(s_ie, ad))
+    return g
+
+
+def embed_two_level_state(state: StateVector, cutoff: FockCutoff) -> StateVector:
+    """Lift a state of two two-level atoms + field into the three-level
+    space, leaving the intermediate level unpopulated."""
+    if state.space.dims != (2, 2, cutoff.dim):
+        raise ValueError("expected a two-level tripartite state matching the cutoff")
+    out = np.zeros(9 * cutoff.dim, dtype=np.complex128)
+    out[embed_indices(cutoff)] = state.amplitudes
+    return StateVector(out, tripartite_tag(cutoff, levels=3))

@@ -96,7 +96,7 @@ class TestDensityMatrix:
             DensityMatrix.outer(bell_state("psi+").amplitudes[:3], two_qubit_tag())
 
     def test_purity_of_pure_state(self):
-        rho = DensityMatrix.from_pure(bell_state("psi+"))
+        rho = DensityMatrix.outer(bell_state("psi+").amplitudes, two_qubit_tag())
         assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0)
 
 
@@ -123,7 +123,7 @@ class TestPartialTrace:
 
     def test_density_matrix_input(self, small_cutoff, mixed_coeffs):
         psi = tensor(mixed_coeffs.to_state(), fock_state(1, small_cutoff))
-        via_dm = partial_trace(DensityMatrix.from_pure(psi), keep="atoms")
+        via_dm = partial_trace(DensityMatrix.outer(psi.amplitudes, psi.space), keep="atoms")
         via_sv = partial_trace(psi, keep="atoms")
         np.testing.assert_allclose(via_dm.matrix, via_sv.matrix, atol=1e-12)
 
@@ -135,7 +135,7 @@ class TestPartialTrace:
 
 class TestWigner:
     def field_dm(self, state):
-        return DensityMatrix.from_pure(state)
+        return DensityMatrix.outer(state.amplitudes, state.space)
 
     def test_vacuum_peak_and_norm(self, small_cutoff):
         axes = np.linspace(-4.0, 4.0, 161)
@@ -238,7 +238,7 @@ class TestWigner:
 
     def test_rejects_atomic_input(self):
         with pytest.raises(ValueError):
-            wigner(DensityMatrix.from_pure(bell_state("psi+")))
+            wigner(DensityMatrix.outer(bell_state("psi+").amplitudes, two_qubit_tag()))
 
 
 class TestRandomness:

@@ -11,13 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import blockwise_state, random_coeffs, three_branch_state
+from conftest import (
+    blockwise_state,
+    constant_of_motion,
+    embed_two_level_state,
+    full_hamiltonian,
+    random_coeffs,
+    three_branch_state,
+    two_photon_w,
+)
 from dicke2p import models
 from dicke2p.dynamics import (
-    SectorSpectrum,
     analytic_state,
     coherent_branch_basis,
-    evolve_exact,
     evolve_exact_many,
     evolve_linearized_many,
     linearized_spectrum,
@@ -29,7 +35,6 @@ from dicke2p.dynamics import (
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
-    Operator,
     StateVector,
     bell_state,
     coherent_state,
@@ -39,18 +44,14 @@ from dicke2p.hilbert import (
 from dicke2p.models import (
     EffectiveModelParams,
     FullModelParams,
-    constant_of_motion,
     effective_coupling,
     embed_indices,
-    embed_two_level_state,
-    full_hamiltonian,
-    two_photon_w,
 )
 
 
 @pytest.fixture(scope="module")
 def w_small():
-    return two_photon_w(EffectiveModelParams(g=1.0, cutoff=FockCutoff(24)))
+    return sector_spectrum(EffectiveModelParams(g=1.0, cutoff=FockCutoff(24)))
 
 
 def sector_propagator(spectrum, n, t):
@@ -157,28 +158,22 @@ class TestBlockPropagator:
 class TestEvolveExact:
     def test_t0_identity(self, w_small, mixed_coeffs):
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
-        out = evolve_exact(w_small, psi0, 0.0)
-        np.testing.assert_allclose(out.amplitudes, psi0.amplitudes, atol=1e-12)
+        out = evolve_exact_many(w_small, psi0, [0.0])[0]
+        np.testing.assert_allclose(out, psi0.amplitudes, atol=1e-12)
 
     def test_unitary_norm(self, w_small, mixed_coeffs):
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
-        out = evolve_exact(w_small, psi0, math.pi)
-        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
+        out = evolve_exact_many(w_small, psi0, [math.pi])[0]
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_excitation_number_conserved(self, w_small, mixed_coeffs):
         cut = FockCutoff(24)
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, cut))
         i2 = constant_of_motion(cut, levels=2).matrix
         before = np.vdot(psi0.amplitudes, i2 @ psi0.amplitudes).real
-        amps = evolve_exact(w_small, psi0, 2.7).amplitudes
+        amps = evolve_exact_many(w_small, psi0, [2.7])[0]
         after = np.vdot(amps, i2 @ amps).real
         assert after == pytest.approx(before, abs=1e-9)
-
-    def test_rejects_unflagged_operator(self, w_small, mixed_coeffs):
-        psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
-        bare = Operator(w_small.matrix, w_small.space, hermitian=False)
-        with pytest.raises(ValueError, match="hermitian"):
-            evolve_exact(bare, psi0, 0.1)
 
     def test_many_matches_single(self, w_small, mixed_coeffs):
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
@@ -186,7 +181,7 @@ class TestEvolveExact:
         traj = evolve_exact_many(w_small, psi0, times)
         for row, t in zip(traj, times):
             np.testing.assert_allclose(
-                row, evolve_exact(w_small, psi0, float(t)).amplitudes, atol=1e-12
+                row, evolve_exact_many(w_small, psi0, [t])[0], atol=1e-12
             )
 
 
@@ -234,42 +229,13 @@ class TestSectorSpectrum:
         assert w.index.shape == (cut.dim + 4, 4)
         assert full.vectors.shape == (cut.dim + 4, 9, 9)
 
-    def test_from_operator_matches_parameters(self, w_small, mixed_coeffs):
-        psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
-        built = sector_spectrum(EffectiveModelParams(g=1.0, cutoff=FockCutoff(24)))
-        times = np.array([0.4, 3.3])
-        np.testing.assert_allclose(
-            SectorSpectrum.from_operator(w_small).propagate(psi0.amplitudes, times),
-            built.propagate(psi0.amplitudes, times),
-            atol=1e-12,
-        )
-
-    def test_cross_sector_element_raises(self, w_small, mixed_coeffs):
-        mat = np.array(w_small.matrix)
-        nf = 25
-        # |gg,0> <-> |ee,0> differ by four excitations
-        mat[0, 3 * nf] = mat[3 * nf, 0] = 1e-3
-        leaky = Operator(mat, w_small.space, hermitian=True)
-        with pytest.raises(ValueError, match="excitation sectors"):
-            SectorSpectrum.from_operator(leaky)
-        psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
-        with pytest.raises(ValueError, match="excitation sectors"):
-            evolve_exact(leaky, psi0, 0.1)
-
-    def test_rejects_mismatched_space(self, mixed_coeffs):
-        spec = sector_spectrum(EffectiveModelParams(g=1.0, cutoff=FockCutoff(24)))
+    def test_rejects_mismatched_space(self, w_small, mixed_coeffs):
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.0, FockCutoff(12)))
         with pytest.raises(ValueError, match="different spaces"):
-            evolve_exact(spec, psi0, 0.1)
+            evolve_exact_many(w_small, psi0, [0.1])
 
-    def test_nbar_1000_without_dense_matrices(self, monkeypatch):
+    def test_nbar_1000_without_dense_matrices(self):
         """Three-level dimension 11,322: a dense matrix would take 2 GB."""
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("dense builder called on the sector path")
-
-        for name in ("full_hamiltonian", "two_photon_w", "constant_of_motion"):
-            monkeypatch.setattr(models, name, refuse)
         cut = FockCutoff.for_mean_photon(1000.0)
         coeffs = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
         psi0 = embed_two_level_state(
@@ -381,11 +347,11 @@ class TestAnalyticState:
 
     def test_tracks_exact_evolution_at_high_photon_number(self):
         cut = FockCutoff.for_mean_photon(100.0)
-        w = two_photon_w(EffectiveModelParams(g=1.0, cutoff=cut))
+        w = sector_spectrum(EffectiveModelParams(g=1.0, cutoff=cut))
         c = AtomCoeffs.normalized(0.5, 0.1, 0.6, 0.45)
         psi0 = tensor(c.to_state(), coherent_state(10.0, cut))
         for t in (0.3 * math.pi, 0.8 * math.pi):
-            exact = evolve_exact(w, psi0, t).amplitudes
+            exact = evolve_exact_many(w, psi0, [t])[0]
             approx = analytic_state(c, 10.0, 1.0, t, cut).amplitudes
             assert abs(np.vdot(exact, approx)) ** 2 > 0.999
 
@@ -502,7 +468,7 @@ class TestCoherentBranches:
         from dicke2p.analysis import haar_random_two_qubit, sample_rng
 
         cut = FockCutoff.for_mean_photon(nbar)
-        w = two_photon_w(EffectiveModelParams(g=1.0, cutoff=cut))
+        w = sector_spectrum(EffectiveModelParams(g=1.0, cutoff=cut))
         alpha = math.sqrt(nbar)
         times = np.linspace(0.0, math.pi, 11)
         fids = []
@@ -511,7 +477,7 @@ class TestCoherentBranches:
             psi0 = tensor(c.to_state(), coherent_state(alpha, cut))
             rec, _ = branch_states(c, alpha, 1.0, times, cut)
             for t, row in zip(times, rec):
-                exact = evolve_exact(w, psi0, float(t)).amplitudes
+                exact = evolve_exact_many(w, psi0, [t])[0]
                 fids.append(abs(np.vdot(exact, row)) ** 2)
         assert np.mean(fids) > floor
 

@@ -12,25 +12,22 @@ import pytest
 from scipy.special import gammainc, gammaln
 
 import dicke2p
+from conftest import annihilation_op, collective_op, creation_op, number_op
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
     Operator,
     StateVector,
-    annihilation_op,
     atom_tag,
     bell_state,
     cat_state,
     coherent_state,
-    collective_op,
-    creation_op,
     fock_state,
-    identity_op,
-    number_op,
     tensor,
     tripartite_tag,
     two_qubit_tag,
 )
+from dicke2p.protocols import measurement_operator
 
 SQRT12 = 3.4641016151377544  # sqrt(12), the |4> -> |2> pair-lowering element
 
@@ -186,9 +183,6 @@ class TestAtomicOperators:
         op = collective_op("i", "g", levels_per_atom=3)
         assert op.matrix.shape == (9, 9)
 
-    def test_identity(self):
-        assert np.array_equal(identity_op(two_qubit_tag()).matrix, np.eye(4))
-
 
 class TestBellStates:
     def test_orthonormal_family(self):
@@ -214,15 +208,9 @@ class TestTensorAndTags:
         assert psi.space.dims == (2, 2, small_cutoff.dim)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0)
 
-    def test_operator_tensor_is_kron(self, small_cutoff):
-        left = collective_op("e", "e")
-        right = number_op(small_cutoff)
-        prod = tensor(left, right)
-        np.testing.assert_allclose(prod.matrix, np.kron(left.matrix, right.matrix))
-
     def test_mixed_tensor_rejected(self, small_cutoff):
         with pytest.raises(TypeError):
-            tensor(collective_op("e", "e"), fock_state(0, small_cutoff))
+            tensor(measurement_operator(0.0, "+"), fock_state(0, small_cutoff))
 
     def test_tripartite_tag_dims(self, small_cutoff):
         assert tripartite_tag(small_cutoff).dims == (2, 2, small_cutoff.dim)

@@ -8,23 +8,25 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import (
+    DENSE_DIM_LIMIT,
+    constant_of_motion,
+    dispersive_generator,
+    embed_two_level_state,
+    full_hamiltonian,
+    stark_shift,
+    two_photon_w,
+)
 from dicke2p.hilbert import FockCutoff, fock_state, tensor, two_atom_tag
 from dicke2p.models import (
-    DENSE_DIM_LIMIT,
     EffectiveModelParams,
     FullModelParams,
     VALIDITY_MARGIN,
-    constant_of_motion,
-    dispersive_generator,
     effective_coupling,
     embed_indices,
-    embed_two_level_state,
     excitation_labels,
-    full_hamiltonian,
     sector_blocks,
-    stark_shift,
     trapped_ion_coupling,
-    two_photon_w,
     validity_report,
 )
 

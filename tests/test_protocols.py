@@ -1,16 +1,19 @@
 """GHZ generation, the two-cavity Bell measurement, and homodyne readout."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dicke2p.dynamics import coherent_branch_basis, evolve_exact, sector_spectrum
+from dicke2p.dynamics import coherent_branch_basis, evolve_exact_many, sector_spectrum
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
+    StateVector,
     bell_state,
     coherent_state,
+    hermite_functions,
     tensor,
     two_qubit_tag,
 )
@@ -26,11 +29,9 @@ from dicke2p.protocols import (
     correction_gate,
     ghz_input,
     ghz_target,
-    hermite_functions,
     homodyne_measure,
     homodyne_outcome_table,
     measurement_operator,
-    quadrature_overlap,
     run_bell_protocol,
     run_ghz,
     timing_sensitivity,
@@ -62,7 +63,8 @@ def joint20(table20, cut20, alpha20):
     """Cavity-1 joint state at t_r/2, evolved without the protocol's maps."""
     c, _ = table20
     psi0 = tensor(c.to_state(), coherent_state(alpha20, cut20))
-    return evolve_exact(sector_spectrum(EffectiveModelParams(G, cut20)), psi0, T_HALF)
+    amps = evolve_exact_many(sector_spectrum(EffectiveModelParams(G, cut20)), psi0, [T_HALF])[0]
+    return StateVector(amps, psi0.space)
 
 
 class TestGhz:
@@ -378,6 +380,39 @@ class TestQuadratureMap:
         np.testing.assert_allclose(amps, ref, rtol=0, atol=1e-12)
 
 
+class TestRegimeWarning:
+    """The analytic engine warns at |alpha|^2 < 10 exactly once per call,
+    also on the second of two calls, which reads its cavity maps from the
+    cache (timing_sensitivity caches none but builds them in chunks)."""
+
+    @pytest.mark.parametrize("entry", ["ghz", "table", "shot", "timing"])
+    def test_exactly_one_warning_per_call(self, entry):
+        # 80 times build each cavity's maps in two chunks at this cutoff
+        cut, alpha = FockCutoff.for_mean_photon(4.0), 2.0 * np.exp(1j * PHI)
+        c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        call = {
+            "ghz": lambda: run_ghz(2.0, PHI, G, cut, engine="analytic"),
+            "table": lambda: bell_outcome_table(c, alpha, G, cut, engine="analytic"),
+            "shot": lambda: run_bell_protocol(c, alpha, G, cut, engine="analytic"),
+            "timing": lambda: timing_sensitivity(
+                c, alpha, G, cut, T_HALF + np.linspace(-5.0, 5.0, 80), engine="analytic"
+            ),
+        }[entry]
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [str(w.message) for w in caught] == [
+                "coherent branch form assumes |alpha|^2 >> 1; got |alpha|^2 = 4"
+            ]
+
+    def test_exact_engine_does_not_warn(self):
+        c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bell_outcome_table(c, 2.0, G, FockCutoff.for_mean_photon(4.0))
+
+
 class TestCavityMaps:
     """Each cavity's cached readout operators against the paper's M_phi^+-."""
 
@@ -530,23 +565,15 @@ class TestQuadratureTools:
     def test_underflow_without_weight_reads_zero(self):
         assert not hermite_functions(np.array([30.0, -30.0]), 20).any()
 
-    def test_overlap_is_normalized_density(self):
-        xs = np.linspace(-12.0, 12.0, 4001)
-        dens = quadrature_overlap(xs, math.sqrt(20.0), "-") ** 2
-        assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-9)
-        assert xs[np.argmax(dens)] == pytest.approx(math.sqrt(20.0), abs=0.01)
-
-    def test_overlap_sign_convention(self):
-        # '+' is the sign inside the exponent, peaking at -|alpha|
-        assert quadrature_overlap(-2.0, 2.0, "+") > quadrature_overlap(2.0, 2.0, "+")
-
     def test_overlap_matches_fock_expansion(self):
+        """The coherent state |2> in the quadrature x = (a + a^dag)/2 is the
+        Gaussian (2/pi)^{1/4} exp(-(x - 2)^2)."""
         cut = FockCutoff(48)
         xs = np.array([0.4, 1.7])
         h = hermite_functions(xs, cut.dim)
         amps = coherent_state(2.0, cut).amplitudes.real
         via_fock = amps @ h
-        direct = quadrature_overlap(xs, 2.0, "-")
+        direct = (2.0 / math.pi) ** 0.25 * np.exp(-((xs - 2.0) ** 2))
         np.testing.assert_allclose(via_fock, direct, atol=1e-8)
 
 
