@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 import numpy.random  # lazy in NumPy 2: load it with the package, not at the first draw
+from numpy.lib.stride_tricks import as_strided
 
 from .hilbert import AtomCoeffs, SpaceTag, StateVector, hermite_functions, two_qubit_tag
 
@@ -27,8 +28,10 @@ __all__ = [
 _HERM_ATOL = 1e-10
 _TRACE_ATOL = 1e-10
 _EIG_FLOOR = -1e-9
-# Floats in one chunk of the Wigner Hermite table (4 MB).
+# Floats in one Hermite table of a Wigner quadrature lattice (4 MB), and
+# complex entries in one gather of wavefunctions from it (2 MB).
 _HERMITE_TABLE = 2**19
+_GATHER = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +135,57 @@ class WignerGrid:
         return float(weights(self.beta_im) @ self.values @ weights(self.beta_re))
 
 
+def _runs(axis: np.ndarray) -> list[tuple[int, int, float]]:
+    """Split axis into [lo, hi) ranges with their spacing dx: runs of at
+    least three points whose steps agree with the run's first to a few
+    ulps of max|axis|, none of them zero, and between them stretches of
+    points in no such run, which have dx = 0."""
+    steps = np.diff(axis)
+    tol = 8.0 * np.finfo(np.float64).eps * float(np.max(np.abs(axis), initial=0.0))
+    runs: list[tuple[int, int, float]] = []
+    lo = 0
+    while lo < axis.size:
+        if lo + 1 < steps.size and abs(steps[lo]) > tol >= abs(steps[lo + 1] - steps[lo]):
+            off = np.flatnonzero(np.abs(steps[lo:] - steps[lo]) > tol)
+            hi = lo + 1 + (int(off[0]) if off.size else steps.size - lo)
+            runs.append((lo, hi, float(axis[hi - 1] - axis[lo]) / (hi - 1 - lo)))
+        else:
+            hi = lo + 1
+            start = runs.pop()[0] if runs and runs[-1][2] == 0.0 else lo
+            runs.append((start, hi, 0.0))
+        lo = hi
+    return runs
+
+
+def _lattices(axis: np.ndarray, step: float, z_max: float, dim: int):
+    """Pieces of axis that each take one Hermite table, as (lo, hi,
+    lattice, dx_n, dy_n, K, dy): with x_i = axis[lo + i] and y_k = k dy for
+    k = 0..K, x_i -+ y_k is the lattice point of index |dy_n| K + i dx_n -+
+    k dy_n.  A run (h, m, q as in `wigner`) is cut into pieces whose table
+    holds at most _HERMITE_TABLE floats.  It goes point by point, like the
+    points in no run, where its lattice would be longer than theirs: dy =
+    step, and as many blocks of 2K + 1 points to a table as fit."""
+    k_one = math.ceil(z_max / step)
+    for lo, hi, dx in _runs(axis):
+        if dx:
+            m = math.ceil(abs(dx) / step)
+            h = dx / m
+            q = math.floor(step / abs(h))
+            k = math.ceil(z_max / (q * abs(h)))
+            per = min(hi - lo, (_HERMITE_TABLE // dim - 2 * q * k - 1) // m + 1)
+            if per > 1 and (per - 1) * m + 2 * q * k + 1 <= per * (2 * k_one + 1):
+                for a in range(lo, hi, per):
+                    b = min(a + per, hi)
+                    lattice = axis[a] + np.arange(-q * k, (b - a - 1) * m + q * k + 1) * h
+                    yield a, b, lattice, m, int(math.copysign(q, h)), k, q * abs(h)
+                continue
+        per = max(1, _HERMITE_TABLE // (dim * (2 * k_one + 1)))
+        for a in range(lo, hi, per):
+            b = min(a + per, hi)
+            lattice = (axis[a:b, None] + np.arange(-k_one, k_one + 1) * step).ravel()
+            yield a, b, lattice, 2 * k_one + 1, 1, k_one, step
+
+
 def wigner(
     rho_f: DensityMatrix,
     beta_re: np.ndarray | None = None,
@@ -150,10 +204,23 @@ def wigner(
     cutoff, has fallen below 1e-16 (at most 4.9 past its turning point
     sqrt(dim + 1/2)); the trapezoid sum runs over 0 <= y <= z_max, and
     y < 0 follows by Hermitian symmetry.  The integrand's y-frequencies
-    reach 4(|p| + z_max), so the step pi / (2 (z_max + max(z_max, |p|)))
-    leaves no alias; inside the state's support it is pi / (4 z_max).  x
-    goes in chunks that keep the Hermite table near 4 MB, each chunk one
-    matrix product over y.
+    reach 4(|p| + z_max), so a y step up to pi / (2 (z_max + max(z_max,
+    |p|))) leaves no alias; inside the state's support it is pi / (4 z_max).
+
+    The sum runs on quadrature lattices.  beta_re splits into runs of
+    equal spacing dx (`_runs`, to a few ulps); a uniform axis is one run.
+    A run takes the lattice step h = dx/m with m = ceil(|dx| / step) and
+    the y step dy = q|h|, where q = floor(step / |h|) is 1 unless |dx| <=
+    step/2; the default axes have q = 1 and dy = |dx|/m.  Every x_i +- y_k,
+    k = 0..K = ceil(z_max / dy), then lies on the one lattice u_n = x_0 +
+    n h of (N - 1) m + 2qK + 1 points.  One Hermite table on it, cut into
+    pieces of at most _HERMITE_TABLE floats on long runs, gives
+    every psi_j.  rho(x - y, x + y) is read from them through strided
+    views, for as many x at a time as keep the J products psi_j(x - y)
+    conj psi_j(x + y) within _GATHER complex entries, and the y sum is one
+    matrix product with the run's kernel.  Points in no run go with dy =
+    step and 2K + 1 lattice points each, as does a run whose spacing lies
+    so far below step that its lattice would be longer (`_lattices`).
 
     Default axes span |beta| <= sqrt(<n>) + 5 with 201 points each; a
     warning is raised when the spacing is too coarse to resolve the
@@ -177,27 +244,37 @@ def wigner(
 
     lam, vecs = np.linalg.eigh(rho_f.matrix)
     keep = np.abs(lam) > 1e-14 * np.max(np.abs(lam))
-    lam, rows = lam[keep], vecs[:, keep].T
-    rows = np.concatenate([rows.real, rows.imag])  # one real product per table
+    lam, vecs = lam[keep], vecs[:, keep]
+    # v_j and conj v_j as interleaved real columns: one real product with a
+    # Hermite table reads as psi_j and conj psi_j, (lattice, 2 J) complex
+    cols = np.ascontiguousarray(np.concatenate([vecs, vecs.conj()], axis=1)).view(np.float64)
     zs = math.sqrt(dim + 0.5) + np.arange(0.0, 6.0, 0.05)
     tail = np.abs(hermite_functions(zs, dim)[-1]) < 1e-16
     if not tail.any():
         raise ValueError(f"h_{dim - 1} stays above 1e-16 up to x = {zs[-1]:.3g}")
     z_max = float(zs[np.argmax(tail)])
     step = math.pi / (2.0 * (z_max + max(z_max, float(np.max(np.abs(beta_im))))))
-    ys = np.arange(0.0, z_max + step, step)
-    kernel = (4.0 * step / math.pi) * np.exp(4j * np.outer(ys, beta_im))
-    kernel[0] /= 2.0  # trapezoid end point at y = 0
 
     values = np.empty((beta_im.size, beta_re.size))
-    chunk = max(1, _HERMITE_TABLE // (2 * dim * ys.size))
-    for lo in range(0, beta_re.size, chunk):
-        xs = beta_re[lo : lo + chunk, None]
-        z = np.concatenate([(xs - ys).ravel(), (xs + ys).ravel()])
-        parts = (rows @ hermite_functions(z, dim)).reshape(2, lam.size, 2, xs.size, ys.size)
-        psi = parts[0] + 1j * parts[1]
-        rho_xy = np.einsum("j,jxy,jxy->xy", lam, psi[:, 0], psi[:, 1].conj())
-        values[:, lo : lo + chunk] = (rho_xy @ kernel).real.T
+    kernels: dict[float, np.ndarray] = {}
+    for lo, hi, lattice, dx_n, dy_n, k_max, dy in _lattices(beta_re, step, z_max, dim):
+        if dy not in kernels:
+            ys = np.arange(k_max + 1) * dy
+            kernels[dy] = (4.0 * dy / math.pi) * np.exp(4j * np.outer(ys, beta_im))
+            kernels[dy][0] /= 2.0  # trapezoid end point at y = 0
+        psi = (hermite_functions(lattice, dim).T @ cols).view(np.complex128)
+        s_n, s_j = psi.strides
+        chunk = max(1, _GATHER // (lam.size * (k_max + 1)))
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            # psi at x_i - y_k and conj psi at x_i + y_k, as read-only strided views
+            at, shape = abs(dy_n) * k_max + (a - lo) * dx_n, (b - a, k_max + 1, lam.size)
+            minus, plus = (
+                as_strided(part, shape, (dx_n * s_n, sign * dy_n * s_n, s_j), writeable=False)
+                for part, sign in ((psi[at:, : lam.size], -1), (psi[at:, lam.size :], 1))
+            )
+            rho_xy = (minus * plus) @ lam
+            values[:, a:b] = (rho_xy @ kernels[dy]).real.T
     return WignerGrid(beta_re, beta_im, values)
 
 

@@ -50,6 +50,16 @@ def _nbar_list(text: str) -> tuple[float | int, ...]:
     return vals
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dicke2p",
@@ -66,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="escalate validity warnings to exit code 3")
         if seeded:
             sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--ensemble", type=int, default=100)
+            sp.add_argument("--ensemble", type=_positive_int, default=100)
 
     def coupling(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--g", type=float, default=None,
@@ -82,20 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gg", type=float, default=_DEF_GG)
     sp.add_argument("--ge", type=float, default=_DEF_GE)
     sp.add_argument("--delta", type=float, default=_DEF_DELTA)
-    sp.add_argument("--time-points", type=int, default=101)
+    sp.add_argument("--time-points", type=_positive_int, default=101)
     common(sp, seeded=True)
 
     sp = sub.add_parser("rabi", help="collapse and revival of <S_ee> for |ee>|alpha>")
     sp.add_argument("--nbar", type=_nbar_list, default=(50,))
     sp.add_argument("--gt-max", type=float, default=1.2, help="window end in units of pi")
-    sp.add_argument("--points", type=int, default=481)
+    sp.add_argument("--points", type=_positive_int, default=481)
     coupling(sp)
     common(sp)
 
     sp = sub.add_parser("wigner", help="field Wigner function at t=0, tr/4, tr/2")
     sp.add_argument("--nbar", type=_nbar_list, default=(50,))
     sp.add_argument("--phi", type=float, default=2.0 * math.pi / 3.0)
-    sp.add_argument("--grid-points", type=int, default=201)
+    sp.add_argument("--grid-points", type=_positive_int, default=201)
     coupling(sp)
     common(sp)
 
@@ -122,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", type=float, default=math.pi / 8.0)
     sp.add_argument("--half-width", type=float, default=0.08,
                     help="half width of the gt window")
-    sp.add_argument("--points", type=int, default=321)
+    sp.add_argument("--points", type=_positive_int, default=321)
     coupling(sp)
     common(sp)
 

@@ -208,7 +208,8 @@ def _cavity_maps(
     _BASIS_CHUNK amplitudes at a time: the product-basis atomic states (x)
     |alpha> evolved, (t, 4, 4, dim), for the last t times only; the readouts
     onto |+alpha> and |-alpha>, (T, 2, 4, 4); and the Gram matrices of the
-    evolved basis, (T, 4, 4), which carry the norm of the analytic form."""
+    evolved basis, (T, 4, 4), which carry the norm of the analytic form.
+    The exact evolution is unitary, so its Gram matrices are the identity."""
     if engine not in ("exact", "analytic"):
         raise ValueError(f"unknown engine {engine!r}")
     cutoff = FockCutoff(n_max)
@@ -218,7 +219,7 @@ def _cavity_maps(
     kets = np.kron(eye, field)  # row j: product-basis state j (x) |alpha>
     times = np.asarray(times, dtype=np.float64)
     readout = np.empty((times.size, 2, 4, 4), dtype=np.complex128)
-    gram = np.empty((times.size, 4, 4), dtype=np.complex128)
+    gram = np.tile(eye, (times.size, 1, 1))  # the analytic engine overwrites it
     basis, step = None, max(1, _BASIS_CHUNK // (16 * cutoff.dim))
     for lo in range(0, times.size, step):
         ts = times[lo : lo + step]
@@ -226,10 +227,10 @@ def _cavity_maps(
             basis = np.stack([_w_operator(g, n_max).propagate(k, ts) for k in kets], axis=1)
         else:
             basis = _branch_basis(alpha, g, ts, cutoff)
+            flat = basis.reshape(ts.size, 4, -1)
+            gram[lo : lo + ts.size] = flat.conj() @ flat.transpose(0, 2, 1)
         basis = basis.reshape(ts.size, 4, 4, cutoff.dim)
         readout[lo : lo + ts.size] = (basis @ refs).transpose(0, 3, 2, 1)
-        flat = basis.reshape(ts.size, 4, -1)
-        gram[lo : lo + ts.size] = flat.conj() @ flat.transpose(0, 2, 1)
     return basis, readout, gram
 
 

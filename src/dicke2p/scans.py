@@ -302,6 +302,8 @@ def bell_ensemble(
     HomodyneConfig one shot is sampled per input and outcomes accumulate
     conditionally, so rates become empirical frequencies.
     """
+    if ensemble < 1:
+        raise ValueError(f"ensemble must be >= 1, got {ensemble}")
     n_out = len(ALL_OUTCOMES)
     cols = ["nbar"]
     for o in ALL_OUTCOMES:

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
 from conftest import random_coeffs
-from dicke2p import analysis
+from dicke2p import analysis, scans
 from dicke2p.analysis import (
     DensityMatrix,
     ensemble_average,
@@ -25,6 +25,7 @@ from dicke2p.hilbert import (
     coherent_state,
     field_tag,
     fock_state,
+    hermite_functions,
     tensor,
     tripartite_tag,
     two_qubit_tag,
@@ -198,16 +199,35 @@ class TestWigner:
             wigner(self.field_dm(fock_state(0, small_cutoff)), axes, axes)
 
     @POINTWISE
-    def test_matches_oracle_on_full_rank_state(self):
+    @pytest.mark.parametrize(
+        "beta_re, table",
+        [
+            (np.linspace(-6.0, 6.0, 41), None),
+            (np.linspace(6.0, -6.0, 41), None),
+            (np.array([0.7]), None),
+            # runs of step 0.2 and 0.0296 with a 0.1 step between them
+            (np.concatenate([np.linspace(-6.0, 0.0, 31), np.linspace(0.1, 6.0, 200)]), None),
+            # a spacing so far below the y step that the run goes point by point
+            (np.linspace(0.3, 0.31, 11), None),
+            # Hermite tables of 300 points: the run in three pieces
+            (np.linspace(-6.0, 6.0, 41), 20 * 300),
+        ],
+        ids=["uniform", "descending", "one-point", "two-runs", "fine-run", "pieces"],
+    )
+    def test_matches_oracle_on_full_rank_state(self, beta_re, table, monkeypatch):
         # every eigenpair of rho enters the sum
+        if table:
+            monkeypatch.setattr(analysis, "_HERMITE_TABLE", table)
         cut = FockCutoff(19)
         rng = np.random.default_rng(3)
         g = rng.normal(size=(cut.dim, cut.dim)) + 1j * rng.normal(size=(cut.dim, cut.dim))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         axes = np.linspace(-6.0, 6.0, 41)
-        grid = wigner(DensityMatrix(rho, field_tag(cut)), axes, axes)
-        np.testing.assert_allclose(grid.values, wigner_oracle(rho, axes, axes), rtol=0, atol=1e-12)
+        grid = wigner(DensityMatrix(rho, field_tag(cut)), beta_re, axes)
+        np.testing.assert_allclose(
+            grid.values, wigner_oracle(rho, beta_re, axes), rtol=0, atol=1e-12
+        )
 
     @POINTWISE
     def test_matches_oracle_on_top_fock_state(self):
@@ -220,8 +240,7 @@ class TestWigner:
             grid.values, wigner_oracle(rho.matrix, axes, axes), rtol=0, atol=1e-12
         )
 
-    @POINTWISE
-    def test_matches_oracle_on_nonuniform_axes(self):
+    def coherent_on_nonuniform_axes(self):
         # the beta_im axis reaches well past the state's support
         cut = FockCutoff.for_mean_photon(50.0)
         alpha = math.sqrt(50.0) * np.exp(-2j * math.pi / 3)
@@ -231,10 +250,64 @@ class TestWigner:
         beta_im = np.concatenate(
             [-np.geomspace(24.0, 0.05, 16), [alpha.imag], np.geomspace(0.03, 24.0, 16)]
         )
-        grid = wigner(rho, beta_re, beta_im)
+        return rho, beta_re, beta_im, wigner(rho, beta_re, beta_im).values
+
+    def half_revival_panel(self):
+        # the t_r/2 panel of wigner_panels(50), read at every 10th point
+        calls = []
+
+        def keep(rho_f, beta_re, beta_im):
+            calls.append((rho_f, wigner(rho_f, beta_re, beta_im)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scans, "wigner", keep)
+            scans.wigner_panels(50.0)
+        rho, grid = calls[2]
+        return rho, grid.beta_re[::10], grid.beta_im[::10], grid.values[::10, ::10]
+
+    @POINTWISE
+    @pytest.mark.parametrize(
+        "case, peak, rel",
+        [
+            # a grid point sits on alpha, where W = 2/pi
+            ("coherent_on_nonuniform_axes", VACUUM_PEAK, 1e-6),
+            # two lobes of peak 1/pi; the 1.2 steps of the subgrid pass near one
+            ("half_revival_panel", VACUUM_PEAK / 2, 0.1),
+        ],
+        ids=["nonuniform-axes", "half-revival-panel"],
+    )
+    def test_matches_oracle_at_nbar_50(self, case, peak, rel):
+        rho, beta_re, beta_im, values = getattr(self, case)()
         oracle = wigner_oracle(rho.matrix, beta_re, beta_im)
-        assert oracle.max() == pytest.approx(VACUUM_PEAK, rel=1e-6)
-        np.testing.assert_allclose(grid.values, oracle, rtol=0, atol=1e-12)
+        assert oracle.max() == pytest.approx(peak, rel=rel)
+        np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")  # criterion 9's grid
+    def test_hermite_work_stays_on_one_lattice(self, monkeypatch):
+        """A criterion-9 panel (nbar = 50, 201 points) builds its Hermite
+        values on one lattice of (N - 1) m + 2K + 1 points besides the
+        120-point z_max search, about 157k values where a table over every
+        x +- y built 10.9M."""
+        built = []
+
+        def counting(x, dim):
+            built.append(np.size(x) * dim)
+            return hermite_functions(x, dim)
+
+        cut = FockCutoff.for_mean_photon(50.0)
+        rho = self.field_dm(coherent_state(math.sqrt(50.0) * np.exp(2j * math.pi / 3), cut))
+        axis = np.linspace(-math.sqrt(50.0) - 5.0, math.sqrt(50.0) + 5.0, 201)
+        monkeypatch.setattr(analysis, "hermite_functions", counting)
+        wigner(rho, axis, axis)
+
+        zs = math.sqrt(cut.dim + 0.5) + np.arange(0.0, 6.0, 0.05)
+        z_max = zs[np.argmax(np.abs(hermite_functions(zs, cut.dim)[-1]) < 1e-16)]
+        step = math.pi / (2.0 * (z_max + max(z_max, axis[-1])))
+        dx = (axis[-1] - axis[0]) / (axis.size - 1)
+        m = math.ceil(dx / step)
+        k = math.ceil(z_max / (dx / m))
+        assert sum(built) <= cut.dim * ((axis.size - 1) * m + 2 * k + 1 + zs.size)
 
     def test_rejects_atomic_input(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,32 @@ class TestArgumentHandling:
             main(["rabi", "--nbar", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bell", "--nbar", "4", "--ensemble", "0"],
+            ["bell-timing", "--nbar", "4", "--points", "0"],
+            ["fidelity-scan", "--nbar", "4", "--ensemble", "2", "--time-points", "0"],
+            ["wigner", "--nbar", "4", "--grid-points", "0"],
+            ["rabi", "--nbar", "4", "--points", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rejects_sizes_below_one(self, tmp_path, capsys, argv):
+        """A size of 0 exits 2 with a message that names its flag, and
+        writes nothing."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_one_grid_point_writes_three_panels(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "--nbar", "4", "--grid-points", "1", "--out", str(out)]) == 0
+        for label in ("t0", "tr4", "tr2"):
+            assert read_csv_table(tmp_path / f"w_{label}.csv")[2].shape == (1, 3)
+
 
 class TestCsvOutput:
     def test_rabi_writes_table_and_sidecar(self, tmp_path):

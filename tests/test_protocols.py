@@ -442,12 +442,16 @@ class TestCavityMaps:
         assert gaps[1] < 0.025
 
     def test_exact_gram_is_identity(self):
+        """The exact map takes its Gram matrix to be the identity: the
+        evolved basis it is built from is orthonormal."""
         from dicke2p import protocols
 
         cut = FockCutoff.for_mean_photon(50.0)
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
-        gram = protocols._cavity(alpha, G, T_HALF, cut.n_max, "exact")[2]
-        np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
+        basis, _, gram = protocols._cavity(alpha, G, T_HALF, cut.n_max, "exact")
+        flat = basis.reshape(4, -1)
+        np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
+        np.testing.assert_array_equal(gram, np.eye(4))
 
 
 class TestTimingSensitivity:

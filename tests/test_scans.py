@@ -164,6 +164,10 @@ class TestGhzSweep:
 
 
 class TestBellEnsemble:
+    def test_rejects_an_empty_ensemble(self):
+        with pytest.raises(ValueError, match="ensemble must be >= 1"):
+            bell_ensemble(nbars=(6,), ensemble=0)
+
     def test_tiny_run_structure(self):
         r = bell_ensemble(nbars=(6,), ensemble=4, seed=2)
         assert r.rows.shape == (1, 13)
