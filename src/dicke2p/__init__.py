@@ -3,7 +3,6 @@
 from .hilbert import (
     AtomCoeffs,
     FockCutoff,
-    Operator,
     SpaceTag,
     StateVector,
     bell_state,
@@ -44,7 +43,6 @@ from .protocols import (
     homodyne_outcome_table,
     run_bell_protocol,
     run_ghz,
-    timing_sensitivity,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomCoeffs",
     "FockCutoff",
-    "Operator",
     "SpaceTag",
     "StateVector",
     "bell_state",
@@ -85,6 +82,5 @@ __all__ = [
     "homodyne_outcome_table",
     "run_bell_protocol",
     "run_ghz",
-    "timing_sensitivity",
     "__version__",
 ]

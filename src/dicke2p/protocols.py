@@ -7,13 +7,17 @@ whose field phase is advanced by pi/4, then apply a conditional one-qubit
 gate.  The composed field measurements act on the atoms as the four
 elements of a complete Bell-basis POVM.
 
-Each cavity readout is a pair of 4x4 operators on the atoms, the finite-nbar
-form of M_phi^+- (measurement_operator).  They are built for a whole array
+The paper's operators are plain read-only 4x4 arrays in the product basis
+(gg, ge, eg, ee): the readouts M_phi^+- (measurement_operator), the two
+cavities composed (composed_measurement) and the corrections on atom A
+(correction_gate).  Each cavity readout is a pair of 4x4 operators on the
+atoms, the finite-nbar form of M_phi^+-.  They are built for a whole array
 of interaction times at once, by evolving the four product-basis atomic
 states with the field and projecting onto |+-alpha>, and cached per
 (alpha, g, t, cutoff, engine) for shots and tables at one time.  One
 array-valued chain composes both cavities on any batch of atomic states:
-a shot or table at batch size 1, a Haar ensemble or a timing sweep at once.
+a shot or table at batch size 1, a Haar ensemble or a timing sweep at once
+(bell_outcome_arrays).
 
 Homodyne detection of cavity 1 reads the same evolved basis through the
 rotated quadrature wavefunctions on +-(|alpha| + 5): a Kraus map from the
@@ -42,8 +46,8 @@ from .dynamics import (
 from .hilbert import (
     AtomCoeffs,
     FockCutoff,
-    Operator,
     StateVector,
+    _freeze,
     atom_tag,
     bell_state,
     coherent_state,
@@ -59,7 +63,6 @@ __all__ = [
     "ALL_OUTCOMES",
     "ProtocolResult",
     "HomodyneConfig",
-    "TimingCurves",
     "ghz_input",
     "ghz_target",
     "run_ghz",
@@ -70,7 +73,6 @@ __all__ = [
     "bell_outcome_table",
     "bell_outcome_arrays",
     "run_bell_protocol",
-    "timing_sensitivity",
     "homodyne_measure",
     "homodyne_outcome_table",
 ]
@@ -276,33 +278,34 @@ def _sigma_phi(phi: float) -> np.ndarray:
 _SIGMA_Z = np.diag([-1.0 + 0j, 1.0 + 0j])
 
 
-def measurement_operator(phi: float, sign: str) -> Operator:
-    """Atomic back-action of finding one cavity field along +-|alpha|e^{i phi}:
-    '+' projects onto span{|psi->, |phi_2phi^->}; '-' swaps |psi+> with
+def measurement_operator(phi: float, sign: str) -> np.ndarray:
+    """Atomic back-action of finding one cavity field along +-|alpha|e^{i phi},
+    as a read-only 4x4 array in the product basis (gg, ge, eg, ee): '+'
+    projects onto span{|psi->, |phi_2phi^->}; '-' swaps |psi+> with
     |phi_2phi^+> (times -i)."""
     if sign == "+":
         psi_m = bell_state("psi-").amplitudes
         phi_m = bell_state("phi-", 2.0 * phi).amplitudes
-        mat = np.outer(psi_m, psi_m.conj()) + np.outer(phi_m, phi_m.conj())
-        return Operator(mat, two_qubit_tag(), hermitian=True)
+        return _freeze(np.outer(psi_m, psi_m.conj()) + np.outer(phi_m, phi_m.conj()))
     if sign == "-":
         psi_p = bell_state("psi+").amplitudes
         phi_p = bell_state("phi+", 2.0 * phi).amplitudes
-        mat = -1j * (np.outer(phi_p, psi_p.conj()) + np.outer(psi_p, phi_p.conj()))
-        return Operator(mat, two_qubit_tag())
+        return _freeze(-1j * (np.outer(phi_p, psi_p.conj()) + np.outer(psi_p, phi_p.conj())))
     raise ValueError("sign must be '+' or '-'")
 
 
-def composed_measurement(phi: float, s1: str, s2: str) -> Operator:
-    """Both cavities in sequence: M_{phi+pi/4}^{s2} M_phi^{s1}."""
-    m1 = measurement_operator(phi, s1).matrix
-    m2 = measurement_operator(phi + math.pi / 4.0, s2).matrix
-    return Operator(m2 @ m1, two_qubit_tag())
+def composed_measurement(phi: float, s1: str, s2: str) -> np.ndarray:
+    """Both cavities in sequence, M_{phi+pi/4}^{s2} M_phi^{s1}, as a
+    read-only 4x4 array in the product basis."""
+    m1 = measurement_operator(phi, s1)
+    m2 = measurement_operator(phi + math.pi / 4.0, s2)
+    return _freeze(m2 @ m1)
 
 
 @lru_cache(maxsize=16)
-def correction_gate(outcome: OutcomeLabel, phi: float) -> Operator:
-    """Conditional one-qubit gate on atom A completing the Bell measurement:
+def correction_gate(outcome: OutcomeLabel, phi: float) -> np.ndarray:
+    """Conditional one-qubit gate on atom A completing the Bell measurement,
+    as a read-only 4x4 array in the product basis (it is cached and shared):
     (+,+) -> 1, (-,+) -> i sigma_2phi, (+,-) -> sigma_2phi sigma_z,
     (-,-) -> i sigma_z."""
     key = (outcome.d1, outcome.d2)
@@ -314,7 +317,7 @@ def correction_gate(outcome: OutcomeLabel, phi: float) -> Operator:
         u = _sigma_phi(2.0 * phi) @ _SIGMA_Z
     else:
         u = 1j * _SIGMA_Z
-    return Operator(np.kron(u, np.eye(2)), two_qubit_tag(), unitary=True)
+    return _freeze(np.kron(u, np.eye(2)))
 
 
 def bell_target(outcome: OutcomeLabel, phi: float) -> StateVector:
@@ -330,7 +333,7 @@ _MIXED = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, two_qubit_tag())
 def _corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Correction gates (2, 2, 4, 4) and Bell targets (2, 2, 4) of the four
     outcomes, indexed [d1, d2] with '+' first (ALL_OUTCOMES order)."""
-    gates = np.stack([correction_gate(o, phi).matrix for o in ALL_OUTCOMES])
+    gates = np.stack([correction_gate(o, phi) for o in ALL_OUTCOMES])
     targets = np.stack([bell_target(o, phi).amplitudes for o in ALL_OUTCOMES])
     for arr in (gates, targets):
         arr.flags.writeable = False
@@ -422,7 +425,9 @@ def bell_outcome_arrays(
     the product basis at interaction times (T,) broadcast against their
     batch shape: the outcome probabilities and fidelities (..., 4) in
     ALL_OUTCOMES order, and the leaked weight (...).  The maps are built
-    once per time and not cached."""
+    once per time, in chunks, and not cached.  This serves the Haar
+    ensemble (a batch of inputs at one time) and the timing sweep (one
+    input, atoms (4,), at T times: columns fid[:, k] and prob[:, k])."""
     _check_regime(alpha, engine)
     cavity1 = _cavity_maps(alpha, g, times, cutoff.n_max, engine)[1:]
     readout2 = _cavity_maps(alpha * _CAVITY2_TURN, g, times, cutoff.n_max, engine)[1]
@@ -483,34 +488,6 @@ def run_bell_protocol(
     return _result(outcome, prob[s2], fid[s2], states[s2], leaked, record_x)
 
 
-@dataclass(frozen=True)
-class TimingCurves:
-    """Per-outcome fidelity and probability, and the cavity-1 leaked weight,
-    as the interaction time of both cavities sweeps a window around t_r/2."""
-
-    times: np.ndarray
-    fidelities: dict[OutcomeLabel, np.ndarray]
-    probabilities: dict[OutcomeLabel, np.ndarray]
-    leaked: np.ndarray
-
-
-def timing_sensitivity(
-    coeffs: AtomCoeffs,
-    alpha: complex,
-    g: float,
-    cutoff: FockCutoff,
-    t_window: np.ndarray,
-    engine: str = "exact",
-) -> TimingCurves:
-    """The ideal outcome table at each time in t_window, read from one
-    batched map per cavity, with the reference states at their nominal targets."""
-    times = np.asarray(t_window, dtype=np.float64)
-    atoms = coeffs.to_state().amplitudes
-    prob, fid, leaked = bell_outcome_arrays(atoms, alpha, g, cutoff, times, engine)
-    fids, probs = ({o: arr[:, k] for k, o in enumerate(ALL_OUTCOMES)} for arr in (fid, prob))
-    return TimingCurves(times, fids, probs, leaked)
-
-
 def homodyne_outcome_table(
     coeffs: AtomCoeffs,
     alpha: complex,
@@ -540,15 +517,14 @@ def homodyne_outcome_table(
     """
     phi = cmath.phase(alpha)
     table = bell_outcome_table(coeffs, alpha, g, cutoff, engine)
-    ideal = {r.outcome: r for r in table}
     leaked = table[0].leaked_weight
     q_mis = config.misclassification_probability(abs(alpha) * math.cos(phi - config.lo_phase))
     out: list[ProtocolResult] = []
-    for outcome in ALL_OUTCOMES:
-        misread = OutcomeLabel("-" if outcome.d1 == "+" else "+", outcome.d2)
+    for k, outcome in enumerate(ALL_OUTCOMES):
         # records classified as d1: the true branch d1, or the other one
-        # misread, each post state corrected with the gate of its true branch
-        mix = ((1.0 - q_mis, ideal[outcome]), (q_mis, ideal[misread]))
+        # misread (the entry of the other d1, at k ^ 2), each post state
+        # corrected with the gate of its true branch
+        mix = ((1.0 - q_mis, table[k]), (q_mis, table[k ^ 2]))
         prob = sum(w * r.probability for w, r in mix)
         if prob < _DEGENERATE_PROB:
             out.append(_result(outcome, prob, math.nan, None, leaked))

@@ -51,7 +51,6 @@ from .protocols import (
     bell_outcome_arrays,
     run_bell_protocol,
     run_ghz,
-    timing_sensitivity,
 )
 
 __all__ = [
@@ -118,6 +117,8 @@ def fidelity_scan(
     The closed form is renormalized by its weight past the cutoff, a
     quadratic form taken the same way.
     """
+    if time_points < 1:
+        raise ValueError(f"time_points must be >= 1, got {time_points}")
     g = effective_coupling(g_g, g_e, delta)
     grid = np.linspace(0.0, 1.0, time_points)
     times = grid * math.pi / abs(g)
@@ -207,6 +208,8 @@ def rabi_curve(
 ) -> ScanResult:
     """Collapse and revival of <S_ee> for |ee>|alpha>: exact two-photon
     evolution next to the closed-form collapse/revival expression."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     cutoff = FockCutoff.for_mean_photon(nbar)
     alpha = math.sqrt(nbar)
     grid = np.linspace(0.0, gt_max_over_pi, points)
@@ -231,6 +234,8 @@ def wigner_panels(
     """Field Wigner function of |ee>|alpha e^{i phi}> under the two-photon
     interaction at t = 0, t_r/4, t_r/2: single Gaussian, then correlated
     coherent components, then a fringe-free two-lobe mixture."""
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     cutoff = FockCutoff.for_mean_photon(nbar)
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
     atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), _EE_SPACE)
@@ -364,20 +369,23 @@ def bell_timing(
     The default input weights the four Bell components equally, which at
     phi = pi/8 balances all outcome probabilities at 1/4.
     """
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     if coeffs is None:
         coeffs = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
     cutoff = FockCutoff.for_mean_photon(nbar)
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
     center = math.pi / 2.0
     gts = np.linspace(center - half_width_gt, center + half_width_gt, points)
-    curves = timing_sensitivity(coeffs, alpha, g, cutoff, gts / abs(g))
+    atoms = coeffs.to_state().amplitudes
+    prob, fid, _ = bell_outcome_arrays(atoms, alpha, g, cutoff, gts / abs(g))
 
     cols = ["gt_over_pi"]
     data = [gts / math.pi]
-    for o in ALL_OUTCOMES:
+    for k, o in enumerate(ALL_OUTCOMES):
         s = OUTCOME_SUFFIX[o]
         cols += [f"fidelity_{s}", f"probability_{s}"]
-        data += [curves.fidelities[o], curves.probabilities[o]]
+        data += [fid[:, k], prob[:, k]]
     meta = {
         "nbar": nbar,
         "phi": phi,

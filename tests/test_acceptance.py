@@ -152,9 +152,9 @@ def test_criterion_6_bell_measurement():
     total = np.zeros((4, 4), dtype=complex)
     op_gap = 0.0
     for out in ALL_OUTCOMES:
-        m = composed_measurement(PHI, out.d1, out.d2).matrix
+        m = composed_measurement(PHI, out.d1, out.d2)
         total += m.conj().T @ m
-        p = correction_gate(out, PHI).matrix @ m
+        p = correction_gate(out, PHI) @ m
         t = bell_target(out, PHI).amplitudes
         proj = np.outer(t, t.conj())
         op_gap = max(op_gap, np.max(np.abs(p @ p.conj().T - proj)))

@@ -34,7 +34,6 @@ from dicke2p.protocols import (
     measurement_operator,
     run_bell_protocol,
     run_ghz,
-    timing_sensitivity,
 )
 
 PHI = math.pi / 8.0
@@ -104,33 +103,31 @@ class TestMeasurementAlgebra:
     def test_povm_completeness(self):
         total = np.zeros((4, 4), dtype=complex)
         for out in ALL_OUTCOMES:
-            m = composed_measurement(0.37, out.d1, out.d2).matrix
+            m = composed_measurement(0.37, out.d1, out.d2)
             total += m.conj().T @ m
         np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
     def test_composition_order(self):
-        m = composed_measurement(PHI, "+", "-").matrix
-        manual = (
-            measurement_operator(PHI + math.pi / 4.0, "-").matrix
-            @ measurement_operator(PHI, "+").matrix
-        )
+        m = composed_measurement(PHI, "+", "-")
+        manual = measurement_operator(PHI + math.pi / 4.0, "-") @ measurement_operator(PHI, "+")
         np.testing.assert_allclose(m, manual, atol=1e-14)
 
     def test_plus_operator_projects(self):
-        m = measurement_operator(PHI, "+").matrix
+        m = measurement_operator(PHI, "+")
         np.testing.assert_allclose(m @ m, m, atol=1e-12)
+        np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
         assert abs(np.vdot(bell_state("psi+").amplitudes,
                            m @ bell_state("psi+").amplitudes)) < 1e-12
 
     def test_minus_operator_swaps_even_pair(self):
-        m = measurement_operator(PHI, "-").matrix
+        m = measurement_operator(PHI, "-")
         out = m @ bell_state("psi+").amplitudes
         expected = -1j * bell_state("phi+", 2 * PHI).amplitudes
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_correction_gates_unitary_and_local(self):
         for out in ALL_OUTCOMES:
-            u = correction_gate(out, PHI).matrix
+            u = correction_gate(out, PHI)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
             # acts on atom A only: commutes with anything on atom B
             other = np.kron(np.eye(2), np.diag([1.0, -1.0]))
@@ -138,11 +135,20 @@ class TestMeasurementAlgebra:
 
     def test_corrected_operators_point_at_bell_targets(self):
         for out in ALL_OUTCOMES:
-            m = composed_measurement(PHI, out.d1, out.d2).matrix
-            p = correction_gate(out, PHI).matrix @ m
+            m = composed_measurement(PHI, out.d1, out.d2)
+            p = correction_gate(out, PHI) @ m
             t = bell_target(out, PHI).amplitudes
             projector = p @ p.conj().T
             np.testing.assert_allclose(projector, np.outer(t, t.conj()), atol=1e-12)
+
+    def test_operators_are_read_only_arrays(self):
+        """The gates are cached and shared, so no caller may write to them."""
+        ops = [measurement_operator(PHI, s) for s in ("+", "-")]
+        for out in ALL_OUTCOMES:
+            ops += [composed_measurement(PHI, out.d1, out.d2), correction_gate(out, PHI)]
+        for m in ops:
+            assert isinstance(m, np.ndarray) and m.shape == (4, 4) and m.dtype == np.complex128
+            assert not m.flags.writeable
 
     def test_target_kind_table(self):
         assert np.allclose(
@@ -184,9 +190,10 @@ class TestBellOutcomeTable:
         measured on the normalized state."""
         c, _ = table20
         t = T_HALF + 0.02 / abs(G)
-        leaked = timing_sensitivity(c, alpha20, G, cut20, [t], engine="analytic").leaked[0]
+        atoms = c.to_state().amplitudes
+        leaked = bell_outcome_arrays(atoms, alpha20, G, cut20, [t], engine="analytic")[2][0]
         basis = coherent_branch_basis(alpha20, G, [t], cut20)[0]
-        psi = np.tensordot(c.to_state().amplitudes, basis, 1).ravel()
+        psi = np.tensordot(atoms, basis, 1).ravel()
         psi /= np.linalg.norm(psi)
         refs = [coherent_state(s * alpha20, cut20).amplitudes for s in (1, -1)]
         kept = sum(np.linalg.norm(psi.reshape(4, -1) @ ref.conj()) ** 2 for ref in refs)
@@ -383,7 +390,7 @@ class TestQuadratureMap:
 class TestRegimeWarning:
     """The analytic engine warns at |alpha|^2 < 10 exactly once per call,
     also on the second of two calls, which reads its cavity maps from the
-    cache (timing_sensitivity caches none but builds them in chunks)."""
+    cache (bell_outcome_arrays caches none but builds them in chunks)."""
 
     @pytest.mark.parametrize("entry", ["ghz", "table", "shot", "timing"])
     def test_exactly_one_warning_per_call(self, entry):
@@ -394,8 +401,13 @@ class TestRegimeWarning:
             "ghz": lambda: run_ghz(2.0, PHI, G, cut, engine="analytic"),
             "table": lambda: bell_outcome_table(c, alpha, G, cut, engine="analytic"),
             "shot": lambda: run_bell_protocol(c, alpha, G, cut, engine="analytic"),
-            "timing": lambda: timing_sensitivity(
-                c, alpha, G, cut, T_HALF + np.linspace(-5.0, 5.0, 80), engine="analytic"
+            "timing": lambda: bell_outcome_arrays(
+                c.to_state().amplitudes,
+                alpha,
+                G,
+                cut,
+                T_HALF + np.linspace(-5.0, 5.0, 80),
+                engine="analytic",
             ),
         }[entry]
         for _ in range(2):
@@ -426,8 +438,8 @@ class TestCavityMaps:
             alpha = math.sqrt(nbar) * np.exp(1j * phi)
             _, readout, _ = protocols._cavity(alpha, G, T_HALF, cut.n_max, engine)
             paper = (
-                measurement_operator(phi, "+").matrix,
-                np.sign(G) * measurement_operator(phi, "-").matrix,
+                measurement_operator(phi, "+"),
+                np.sign(G) * measurement_operator(phi, "-"),
             )
             out += [float(np.max(np.abs(k - m))) for k, m in zip(readout, paper)]
         return out
@@ -479,23 +491,24 @@ class TestTimingSensitivity:
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         window = T_HALF + np.linspace(-0.08, 0.08, 321) / abs(G)
         c = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
-        timing_sensitivity(c, alpha, G, cut, window, engine="analytic")
+        bell_outcome_arrays(c.to_state().amplitudes, alpha, G, cut, window, engine="analytic")
         chunks = math.ceil(321 / (protocols._BASIS_CHUNK // (16 * cut.dim)))
         assert calls["bell_state"] == 0
         assert 0 < calls["coherent_state"] <= 2 * (chunks + 2)
 
     def test_optimum_matches_table(self, table20, cut20, alpha20):
         c, table = table20
-        curves = timing_sensitivity(c, alpha20, G, cut20, np.array([T_HALF]))
-        for r in table:
-            assert curves.fidelities[r.outcome][0] == pytest.approx(r.fidelity, abs=1e-9)
-            assert curves.probabilities[r.outcome][0] == pytest.approx(r.probability, abs=1e-9)
+        atoms = c.to_state().amplitudes
+        prob, fid, _ = bell_outcome_arrays(atoms, alpha20, G, cut20, np.array([T_HALF]))
+        for k, r in enumerate(table):
+            assert fid[0, k] == pytest.approx(r.fidelity, abs=1e-9)
+            assert prob[0, k] == pytest.approx(r.probability, abs=1e-9)
 
     def test_stationary_component_is_flat(self, cut20, alpha20):
         c = AtomCoeffs.normalized(0.2, 0.9, 0.3, 0.25)
         window = T_HALF + np.linspace(-0.05, 0.05, 5) / abs(G)
-        curves = timing_sensitivity(c, alpha20, G, cut20, window)
-        psi_minus = curves.fidelities[OutcomeLabel("+", "+")]
+        fid = bell_outcome_arrays(c.to_state().amplitudes, alpha20, G, cut20, window)[1]
+        psi_minus = fid[:, ALL_OUTCOMES.index(OutcomeLabel("+", "+"))]
         assert np.ptp(psi_minus) < 1e-3
 
 
@@ -509,13 +522,14 @@ class TestBatchedChain:
         c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
         chunk = protocols._BASIS_CHUNK // (16 * cut20.dim)
         window = T_HALF + np.linspace(-0.05, 0.05, chunk + 3) / abs(G)
-        curves = timing_sensitivity(c, alpha20, G, cut20, window, engine=engine)
+        atoms = c.to_state().amplitudes
+        prob, fid, leaked = bell_outcome_arrays(atoms, alpha20, G, cut20, window, engine=engine)
         for k, t in enumerate(window):
-            one = timing_sensitivity(c, alpha20, G, cut20, [t], engine=engine)
-            assert abs(curves.leaked[k] - one.leaked[0]) <= 1e-12
-            for o in ALL_OUTCOMES:
-                assert abs(curves.fidelities[o][k] - one.fidelities[o][0]) <= 1e-12
-                assert abs(curves.probabilities[o][k] - one.probabilities[o][0]) <= 1e-12
+            prob1, fid1, leaked1 = bell_outcome_arrays(atoms, alpha20, G, cut20, [t], engine=engine)
+            assert abs(leaked[k] - leaked1[0]) <= 1e-12
+            for j in range(len(ALL_OUTCOMES)):
+                assert abs(fid[k, j] - fid1[0, j]) <= 1e-12
+                assert abs(prob[k, j] - prob1[0, j]) <= 1e-12
 
     def test_zero_reference_weight_in_a_batch_raises_as_alone(self, cut20, alpha20):
         from dicke2p import protocols

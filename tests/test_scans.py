@@ -29,6 +29,27 @@ def test_outcome_suffixes_cover_all_outcomes():
     assert sorted(OUTCOME_SUFFIX.values()) == ["mm", "mp", "pm", "pp"]
 
 
+@pytest.mark.parametrize(
+    "scan, size",
+    [
+        (rabi_curve, "points"),
+        (wigner_panels, "grid_points"),
+        (bell_timing, "points"),
+        (fidelity_scan, "time_points"),
+    ],
+)
+def test_scans_reject_sizes_below_one(scan, size, monkeypatch):
+    """An empty grid is refused by name before any work, not run into a
+    NumPy error or an empty table."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan started work on an empty grid")
+
+    monkeypatch.setattr(scans, "FockCutoff", forbidden)
+    with pytest.raises(ValueError, match=rf"^{size} must be >= 1, got 0$"):
+        scan(**{size: 0})
+
+
 class TestRabiCurve:
     def test_columns_and_start(self):
         r = rabi_curve(nbar=4.0, points=9)
