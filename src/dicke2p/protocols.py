@@ -11,16 +11,17 @@ The paper's operators are plain read-only 4x4 arrays in the product basis
 (gg, ge, eg, ee): the readouts M_phi^+- (measurement_operator), the two
 cavities composed (composed_measurement) and the corrections on atom A
 (correction_gate).  Each cavity readout is a pair of 4x4 operators on the
-atoms, the finite-nbar form of M_phi^+-.  They are built for a whole array
-of interaction times at once, by evolving the four product-basis atomic
-states with the field and projecting onto |+-alpha>, and cached per
-(alpha, g, t, cutoff, engine) for shots and tables at one time.  One
-array-valued chain composes both cavities on any batch of atomic states:
-a shot or table at batch size 1, a Haar ensemble or a timing sweep at once
-(bell_outcome_arrays).
+atoms, the finite-nbar form of M_phi^+-, read for a whole array of
+interaction times at once: by the exact engine as one matmul of the phase
+table against the sector-eigenbasis weights of the product-basis states
+(x) |+-alpha>, by the analytic one from its three-branch form.  They are
+cached per (alpha, g, t, cutoff, engine) at one time.  One array-valued
+chain composes both cavities on any batch of atomic states
+(bell_outcome_arrays).  Repeated shots on one input draw from its cached
+law, each from its seeded stream on one Philox generator per thread.
 
-Homodyne detection of cavity 1 reads the same evolved basis through the
-rotated quadrature wavefunctions on +-(|alpha| + 5): a Kraus map from the
+Homodyne detection of cavity 1 reads the evolved basis at one time through
+the rotated quadrature wavefunctions on +-(|alpha| + 5): a Kraus map from the
 atoms to the (atoms, record) amplitudes, cached like the readouts.  A shot
 draws the true quadrature from it, collapses the atoms there and smears
 only the reported record.
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import DensityMatrix, fidelity, sample_rng
+from .analysis import DensityMatrix, _thread_rng, fidelity
 from .dynamics import (
     SectorSpectrum,
     _branch_basis,
@@ -199,58 +200,79 @@ def ghz_target(
     return StateVector(amps, two_qubit_tag() * coherent_state(alpha, cutoff).space)
 
 
-# Evolved-basis amplitudes held at once by a batched cavity build (512 KB).
+# Entries held at once by a batched cavity build (512 KB): phase-table
+# entries for the exact engine, evolved-basis amplitudes for the analytic one.
 _BASIS_CHUNK = 2**15
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only in place: cached values are shared."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _cavity_maps(
     alpha: complex, g: float, times: np.ndarray, n_max: int, engine: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One cavity as a linear map on the atoms at each of T times, evolved
-    _BASIS_CHUNK amplitudes at a time: the product-basis atomic states (x)
-    |alpha> evolved, (t, 4, 4, dim), for the last t times only; the readouts
-    onto |+alpha> and |-alpha>, (T, 2, 4, 4); and the Gram matrices of the
-    evolved basis, (T, 4, 4), which carry the norm of the analytic form.
-    The exact evolution is unitary, so its Gram matrices are the identity."""
-    if engine not in ("exact", "analytic"):
-        raise ValueError(f"unknown engine {engine!r}")
+) -> tuple[np.ndarray, np.ndarray]:
+    """One cavity as a linear map on the atoms at each of T times, built
+    _BASIS_CHUNK entries at a time: the readouts of the product-basis atomic
+    states (x) |alpha> onto |+-alpha>, (T, 2, 4, 4) indexed [t, sign, atoms,
+    input], and the Gram matrices of the evolved basis, (T, 4, 4), which
+    carry the analytic form's norm.  The exact evolution is unitary (Gram =
+    identity); with w[+-, a] the sector eigenvector weights of e_a (x)
+    |+-alpha>, its readout[t, +-, a, j] = sum conj(w[+-, a]) e^{-i lambda t}
+    w[+, j] is a matmul of the phase table, and no state is evolved."""
     cutoff = FockCutoff(n_max)
-    field = coherent_state(alpha, cutoff).amplitudes
-    refs = np.stack([field, coherent_state(-alpha, cutoff).amplitudes]).conj().T
+    refs = np.stack([coherent_state(a, cutoff).amplitudes for a in (alpha, -alpha)])
     eye = np.eye(4, dtype=np.complex128)
-    kets = np.kron(eye, field)  # row j: product-basis state j (x) |alpha>
     times = np.asarray(times, dtype=np.float64)
     readout = np.empty((times.size, 2, 4, 4), dtype=np.complex128)
     gram = np.tile(eye, (times.size, 1, 1))  # the analytic engine overwrites it
-    basis, step = None, max(1, _BASIS_CHUNK // (16 * cutoff.dim))
+    per_time = 16 * cutoff.dim
+    if engine == "exact":
+        spectrum = _w_operator(g, n_max)
+        w = spectrum.project(np.kron(eye, refs[:, None])).reshape(8, -1)  # rows [sign, a]
+        pairs = (w.conj()[:, None] * w[:4]).reshape(32, -1).T  # columns [sign, a, j]
+        per_time = len(pairs)
+    step = max(1, _BASIS_CHUNK // per_time)
     for lo in range(0, times.size, step):
-        ts = times[lo : lo + step]
+        chunk = slice(lo, lo + step)
         if engine == "exact":
-            basis = np.stack([_w_operator(g, n_max).propagate(k, ts) for k in kets], axis=1)
+            phases = spectrum.phases(times[chunk]).reshape(-1, per_time)
+            readout[chunk] = (phases @ pairs).reshape(-1, 2, 4, 4)
         else:
-            basis = _branch_basis(alpha, g, ts, cutoff)
-            flat = basis.reshape(ts.size, 4, -1)
-            gram[lo : lo + ts.size] = flat.conj() @ flat.transpose(0, 2, 1)
-        basis = basis.reshape(ts.size, 4, 4, cutoff.dim)
-        readout[lo : lo + ts.size] = (basis @ refs).transpose(0, 3, 2, 1)
-    return basis, readout, gram
+            basis = _branch_basis(alpha, g, times[chunk], cutoff)
+            flat = basis.reshape(len(basis), 4, -1)
+            gram[chunk] = flat.conj() @ flat.transpose(0, 2, 1)
+            readout[chunk] = (basis @ refs.conj().T).transpose(0, 3, 2, 1)
+    return readout, gram
+
+
+def _evolved_basis(alpha: complex, g: float, t: float, n_max: int, engine: str) -> np.ndarray:
+    """The product-basis atomic states (x) |alpha> evolved to the one time
+    t, (4 inputs, 4 atoms, dim), for callers that read the field itself."""
+    cutoff, ts = FockCutoff(n_max), np.array([t])
+    if engine == "analytic":
+        return _branch_basis(alpha, g, ts, cutoff)[0]
+    kets = np.kron(np.eye(4, dtype=np.complex128), coherent_state(alpha, cutoff).amplitudes)
+    return np.stack([_w_operator(g, n_max).propagate(k, ts)[0] for k in kets]).reshape(4, 4, -1)
 
 
 def _check_regime(alpha: complex, engine: str) -> None:
-    """The analytic engine's |alpha|^2 >> 1 warning, once per public call,
-    whether its maps come from the cache or are built afresh."""
+    """The engine name, and the analytic engine's |alpha|^2 >> 1 warning,
+    once per public call, whether its maps come from the cache or not."""
+    if engine not in ("exact", "analytic"):
+        raise ValueError(f"unknown engine {engine!r}")
     if engine == "analytic":
         check_branch_regime(alpha, stacklevel=3)
 
 
 @lru_cache(maxsize=16)
 def _cavity(alpha: complex, g: float, t: float, n_max: int, engine: str) -> tuple[np.ndarray, ...]:
-    """_cavity_maps at the one time t, without the time axis and read-only,
-    kept for repeated shots and tables at fixed parameters."""
-    maps = tuple(arr[0] for arr in _cavity_maps(alpha, g, np.array([t]), n_max, engine))
-    for arr in maps:
-        arr.flags.writeable = False
-    return maps
+    """_cavity_maps (readout, Gram) at the one time t, without the time axis
+    and read-only, kept for repeated shots and tables at fixed parameters."""
+    return _frozen(*(arr[0] for arr in _cavity_maps(alpha, g, np.array([t]), n_max, engine)))
 
 
 def run_ghz(
@@ -261,7 +283,7 @@ def run_ghz(
     amp = abs(alpha) * cmath.exp(1j * phi)
     _check_regime(amp, engine)
     coeffs, _ = ghz_input(phi)
-    basis = _cavity(amp, g, revival_time(g) / 2.0, cutoff.n_max, engine)[0]
+    basis = _evolved_basis(amp, g, revival_time(g) / 2.0, cutoff.n_max, engine)
     psi = StateVector.normalized(
         np.tensordot(coeffs.to_state().amplitudes, basis, 1), tripartite_tag(cutoff)
     )
@@ -335,8 +357,7 @@ def _corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
     outcomes, indexed [d1, d2] with '+' first (ALL_OUTCOMES order)."""
     gates = np.stack([correction_gate(o, phi) for o in ALL_OUTCOMES])
     targets = np.stack([bell_target(o, phi).amplitudes for o in ALL_OUTCOMES])
-    for arr in (gates, targets):
-        arr.flags.writeable = False
+    _frozen(gates, targets)
     return gates.reshape(2, 2, 4, 4), targets.reshape(2, 2, 4)
 
 
@@ -399,6 +420,20 @@ def _result(outcome: OutcomeLabel, prob, fid, state, leaked, record_x=None) -> P
     return ProtocolResult(outcome, float(prob), post, kind, float(fid), float(leaked), record_x)
 
 
+@lru_cache(maxsize=64)
+def _ideal_law(coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int, engine: str) -> tuple:
+    """One input's ideal Bell measurement at half the revival time as its
+    four-outcome law, kept for repeated shots and tables: p1 (2,), p2 (2, 2)
+    indexed [d1, d2], and the results of ALL_OUTCOMES."""
+    t = revival_time(g) / 2.0
+    cavity1 = _cavity(alpha, g, t, n_max, engine)
+    readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, n_max, engine)[0]
+    atoms = coeffs.to_state().amplitudes
+    p1, p2, prob, states, fid, leaked = _chain(cavity1, readout2, atoms, cmath.phase(alpha))
+    entries = zip(ALL_OUTCOMES, prob.ravel(), fid.ravel(), states.reshape(4, 4))
+    return *_frozen(p1, p2), tuple(_result(*entry, leaked) for entry in entries)
+
+
 def bell_outcome_table(
     coeffs: AtomCoeffs,
     alpha: complex,
@@ -409,13 +444,7 @@ def bell_outcome_table(
     """Deterministic enumeration of all four outcomes with ideal coherent
     discrimination in both cavities; probabilities sum to one."""
     _check_regime(alpha, engine)
-    t = revival_time(g) / 2.0
-    _, readout1, gram1 = _cavity(alpha, g, t, cutoff.n_max, engine)
-    readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)[1]
-    atoms = coeffs.to_state().amplitudes
-    _, _, prob, states, fid, leaked = _chain((readout1, gram1), readout2, atoms, cmath.phase(alpha))
-    entries = zip(ALL_OUTCOMES, prob.ravel(), fid.ravel(), states.reshape(4, 4))
-    return tuple(_result(*entry, leaked) for entry in entries)
+    return _ideal_law(coeffs, alpha, g, cutoff.n_max, engine)[2]
 
 
 def bell_outcome_arrays(
@@ -425,15 +454,31 @@ def bell_outcome_arrays(
     the product basis at interaction times (T,) broadcast against their
     batch shape: the outcome probabilities and fidelities (..., 4) in
     ALL_OUTCOMES order, and the leaked weight (...).  The maps are built
-    once per time, in chunks, and not cached.  This serves the Haar
+    once per call for all times and not cached.  This serves the Haar
     ensemble (a batch of inputs at one time) and the timing sweep (one
     input, atoms (4,), at T times: columns fid[:, k] and prob[:, k])."""
     _check_regime(alpha, engine)
-    cavity1 = _cavity_maps(alpha, g, times, cutoff.n_max, engine)[1:]
-    readout2 = _cavity_maps(alpha * _CAVITY2_TURN, g, times, cutoff.n_max, engine)[1]
+    cavity1 = _cavity_maps(alpha, g, times, cutoff.n_max, engine)
+    readout2 = _cavity_maps(alpha * _CAVITY2_TURN, g, times, cutoff.n_max, engine)[0]
     _, _, prob, _, fid, leaked = _chain(cavity1, readout2, atoms, cmath.phase(alpha))
     shape = prob.shape[:-2] + (4,)
     return prob.reshape(shape), fid.reshape(shape), leaked
+
+
+@lru_cache(maxsize=4)
+def _homodyne_law(
+    coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int, engine: str, lo_phase: float
+) -> tuple:
+    """One input's cavity 1 read by homodyne detection at half the revival
+    time, kept for repeated shots (a miss does one shot's work): the grid,
+    the (atoms, record) amplitudes (4, points), their cumulative density,
+    and the ideal readout's p1 (2,) and leaked weight."""
+    t = revival_time(g) / 2.0
+    atoms = coeffs.to_state().amplitudes
+    _, p1, leaked = _first_cavity(_cavity(alpha, g, t, n_max, engine), atoms)
+    xs, kraus = _quadrature_map(alpha, g, t, n_max, engine, lo_phase)
+    amps = (atoms @ kraus.reshape(4, -1)).reshape(4, -1)
+    return xs, *_frozen(amps, _record_cdf(amps), p1), leaked
 
 
 def run_bell_protocol(
@@ -448,44 +493,43 @@ def run_bell_protocol(
 ) -> ProtocolResult:
     """Sample one protocol shot at half the revival time.
 
-    detection='ideal' discriminates cavity 1 by coherent-state projection.
-    A HomodyneConfig instead draws the true quadrature from the cavity-1
-    quadrature map on the grid +-(|alpha| + 5) and collapses the atoms with
-    the quadrature projector there; the record, whose sign picks the
-    cavity-1 branch, is that value smeared by the detector's read noise,
-    so the atoms collapse at the true quadrature, not at the record.
-    Cavity 2 is always read out ideally.  The reported probability is the
-    ideal Born probability of the realized outcome.
+    detection='ideal' discriminates cavity 1 by coherent-state projection:
+    the shot is its outcome's bell_outcome_table entry.  A HomodyneConfig
+    instead draws the true quadrature from the cavity-1 quadrature map on
+    the grid +-(|alpha| + 5) and collapses the atoms with the quadrature
+    projector there; the record, whose sign picks the cavity-1 branch, is
+    that value smeared by the detector's read noise, so the atoms collapse
+    at the true quadrature, not at the record.  Cavity 2 is always read out
+    ideally.  The reported probability is the ideal Born probability of the
+    realized outcome.  The draws are those of sample_rng(rng_seed,
+    shot_index).
     """
     _check_regime(alpha, engine)
-    phi, t = cmath.phase(alpha), revival_time(g) / 2.0
-    rng = sample_rng(rng_seed, shot_index)
-    _, readout1, gram1 = _cavity(alpha, g, t, cutoff.n_max, engine)
-    readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)[1]
-    atoms = coeffs.to_state().amplitudes
-    record_x: float | None = None
+    rng = _thread_rng(rng_seed, shot_index)
     if isinstance(detection, HomodyneConfig):
-        _, p1, leaked = _first_cavity((readout1, gram1), atoms)
-        xs, kraus = _quadrature_map(alpha, g, t, cutoff.n_max, engine, detection.lo_phase)
-        amps = (atoms @ kraus.reshape(4, -1)).reshape(4, -1)
-        record_x, idx = _draw_quadrature(xs, amps, detection, rng)
+        law = _homodyne_law(coeffs, alpha, g, cutoff.n_max, engine, detection.lo_phase)
+        xs, amps, cdf, p1, leaked = law
+        record_x, idx = _draw_quadrature(xs, cdf, detection, rng)
         s1 = 0 if record_x > 0 else 1
         # cavity 2 reads the collapsed atoms of branch s1 only; their norm
         # cancels in p2 and the normalized states
-        gates, targets = _corrections(phi)
+        t = revival_time(g) / 2.0
+        readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)[0]
+        gates, targets = _corrections(cmath.phase(alpha))
         p2, prob, states, fid = _second_cavity(
             readout2, amps[:, idx], p1[s1], (gates[s1], targets[s1])
         )
     elif detection == "ideal":
-        p1, p2, prob, states, fid, leaked = _chain((readout1, gram1), readout2, atoms, phi)
+        p1, p2, table = _ideal_law(coeffs, alpha, g, cutoff.n_max, engine)
         s1 = 0 if rng.uniform() < p1[0] else 1
-        p2, prob, states, fid = p2[s1], prob[s1], states[s1], fid[s1]
+        p2, record_x = p2[s1], None
     else:
         raise ValueError("detection must be 'ideal' or a HomodyneConfig")
     # a degenerate cavity-1 branch draws nothing more and reports (s1, +)
     s2 = 0 if p1[s1] < _DEGENERATE_PROB or rng.uniform() < p2[0] else 1
-    outcome = ALL_OUTCOMES[2 * s1 + s2]
-    return _result(outcome, prob[s2], fid[s2], states[s2], leaked, record_x)
+    if record_x is None:
+        return table[2 * s1 + s2]
+    return _result(ALL_OUTCOMES[2 * s1 + s2], prob[s2], fid[s2], states[s2], leaked, record_x)
 
 
 def homodyne_outcome_table(
@@ -551,9 +595,7 @@ def _quadrature_basis(span: float, dim: int, lo_phase: float) -> tuple[np.ndarra
     e^{-i lo_phase n} h_n(x) there, shared by repeated shots on one state."""
     xs = np.linspace(-span, span, _QUADRATURE_POINTS)
     bras = np.exp(-1j * lo_phase * np.arange(dim))[:, None] * hermite_functions(xs, dim)
-    for arr in (xs, bras):
-        arr.flags.writeable = False
-    return xs, bras
+    return _frozen(xs, bras)
 
 
 @lru_cache(maxsize=8)
@@ -567,27 +609,41 @@ def _quadrature_map(
     sum_j atoms[j] K[j].  The Hermite table is not cached: shots need only
     K, and at nbar = 50 the table is seven times its size."""
     xs, bras = _quadrature_basis.__wrapped__(abs(alpha) + 5.0, n_max + 1, lo_phase)
-    kraus = _cavity(alpha, g, t, n_max, engine)[0] @ bras
-    kraus.flags.writeable = False
-    return xs, kraus
+    return xs, *_frozen(_evolved_basis(alpha, g, t, n_max, engine) @ bras)
+
+
+def _record_cdf(amps: np.ndarray) -> np.ndarray:
+    """Cumulative density over the grid of (atoms, record) amplitudes amps
+    (4, points), normalized to end at 1."""
+    cdf = np.cumsum(np.sum(np.abs(amps) ** 2, axis=0))
+    return cdf / cdf[-1]
 
 
 def _draw_quadrature(
-    xs: np.ndarray, amps: np.ndarray, cfg: HomodyneConfig, rng: np.random.Generator
+    xs: np.ndarray, cdf: np.ndarray, cfg: HomodyneConfig, rng: np.random.Generator
 ) -> tuple[float, int]:
-    """One homodyne record from atomic amplitudes amps (4, points) on the
-    grid xs.  The true quadrature is drawn from the density |amps|^2 by one
-    uniform; the record is that value smeared by one normal of the
-    detector's read-noise variance.  Returns the record and the grid index
-    of the true quadrature."""
-    pdf = np.sum(np.abs(amps) ** 2, axis=0)
-    cdf = np.cumsum(pdf)
-    cdf /= cdf[-1]
+    """One homodyne record on the grid xs of cumulative density cdf
+    (_record_cdf).  The true quadrature is drawn by one uniform; the record
+    is that value smeared by one normal of the detector's read-noise
+    variance.  Returns the record and the grid index of the true
+    quadrature."""
     idx = min(int(np.searchsorted(cdf, rng.uniform())), xs.size - 1)
     x_rec = float(xs[idx])
     if cfg.smear_variance > 0.0:
         x_rec += float(rng.normal(0.0, math.sqrt(cfg.smear_variance)))
     return x_rec, idx
+
+
+@lru_cache(maxsize=4)
+def _measure_law(amplitudes: bytes, dims: tuple[int, ...], lo_phase: float) -> tuple:
+    """homodyne_measure's law for the joint state of these amplitude bytes,
+    kept for repeated draws: the grid on +-(sqrt(nbar) + 5), the (atoms,
+    record) amplitudes (4, points) and their cumulative density."""
+    mat = np.frombuffer(amplitudes, dtype=np.complex128).reshape(4, dims[2])
+    nbar = float(np.dot(np.sum(np.abs(mat) ** 2, axis=0), np.arange(dims[2])))
+    xs, bras = _quadrature_basis(math.sqrt(max(nbar, 0.0)) + 5.0, dims[2], lo_phase)
+    amps = mat @ bras
+    return xs, *_frozen(amps, _record_cdf(amps))
 
 
 def homodyne_measure(
@@ -604,13 +660,6 @@ def homodyne_measure(
     dims = state.space.dims
     if len(dims) != 3 or dims[0] != 2 or dims[1] != 2:
         raise ValueError("expected a two-qubit + field state")
-    nf = dims[2]
-    mat = state.amplitudes.reshape(4, nf)
-
-    populations = np.sum(np.abs(mat) ** 2, axis=0)
-    nbar = float(np.dot(populations, np.arange(nf)))
-    xs, bras = _quadrature_basis(math.sqrt(max(nbar, 0.0)) + 5.0, nf, cfg.lo_phase)
-    amps = mat @ bras
-    x_rec, idx = _draw_quadrature(xs, amps, cfg, rng)
-    collapsed = StateVector.normalized(amps[:, idx], two_qubit_tag())
-    return x_rec, collapsed
+    xs, amps, cdf = _measure_law(state.amplitudes.tobytes(), dims, cfg.lo_phase)
+    x_rec, idx = _draw_quadrature(xs, cdf, cfg, rng)
+    return x_rec, StateVector.normalized(amps[:, idx], two_qubit_tag())

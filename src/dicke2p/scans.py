@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    _thread_rng,
     ensemble_stats,
     haar_random_two_qubit,
     partial_trace,
@@ -320,7 +321,7 @@ def bell_ensemble(
         cutoff = FockCutoff.for_mean_photon(float(nbar))
         alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
         base = seed + k * _SEED_STRIDE
-        inputs = [haar_random_two_qubit(sample_rng(base, 2 * i)) for i in range(ensemble)]
+        inputs = [haar_random_two_qubit(_thread_rng(base, 2 * i)) for i in range(ensemble)]
         if isinstance(detection, HomodyneConfig):
             fids, rates = np.full((ensemble, n_out), np.nan), np.zeros((ensemble, n_out))
             for i, c in enumerate(inputs):

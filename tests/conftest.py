@@ -145,6 +145,32 @@ def three_branch_state(coeffs, alpha, g, t, cutoff):
     return out
 
 
+def cavity_maps_oracle(alpha, g, times, n_max, engine):
+    """One cavity's readouts (T, 2, 4, 4) and Gram matrices (T, 4, 4) by
+    evolving the product-basis atomic states (x) |alpha> to every time and
+    projecting them on |+-alpha>: with SectorSpectrum.propagate for the
+    exact engine (Gram = identity, as the evolution is unitary), and by the
+    three-branch form for the analytic one.  Deliberately free of the
+    sector-eigenbasis readout that protocols._cavity_maps takes."""
+    from dicke2p.dynamics import coherent_branch_basis, sector_spectrum
+    from dicke2p.hilbert import coherent_state
+
+    cutoff, times = FockCutoff(n_max), np.asarray(times, dtype=np.float64)
+    field = coherent_state(alpha, cutoff).amplitudes
+    refs = np.stack([field, coherent_state(-alpha, cutoff).amplitudes]).conj().T
+    if engine == "exact":
+        spectrum = sector_spectrum(EffectiveModelParams(g, cutoff))
+        kets = np.kron(np.eye(4), field)
+        basis = np.stack([spectrum.propagate(k, times) for k in kets], axis=1)
+        gram = np.tile(np.eye(4, dtype=np.complex128), (times.size, 1, 1))
+    else:
+        basis = coherent_branch_basis(alpha, g, times, cutoff)
+        flat = basis.reshape(times.size, 4, -1)
+        gram = flat.conj() @ flat.transpose(0, 2, 1)
+    basis = basis.reshape(times.size, 4, 4, cutoff.dim)
+    return (basis @ refs).transpose(0, 3, 2, 1), gram
+
+
 def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, delta=500.0):
     """Rows of scans.fidelity_scan computed one Haar sample at a time: each
     sample propagated to every time by the three evolve_*_many calls and

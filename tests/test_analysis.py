@@ -1,6 +1,8 @@
 """Reductions, fidelities, phase-space pictures, and ensemble plumbing."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dicke2p.analysis import (
     wigner,
 )
 from dicke2p.hilbert import (
+    AtomCoeffs,
     FockCutoff,
     StateVector,
     bell_state,
@@ -335,6 +338,66 @@ class TestRandomness:
         for k in range(2000):
             acc += np.abs(haar_random_two_qubit(sample_rng(31, k)).as_array()) ** 2
         np.testing.assert_allclose(acc / 2000, 0.25, atol=0.02)
+
+
+class TestThreadStream:
+    """The library's internal draws: one Philox generator per thread, reset
+    to each shot's key, must be the public stream sample_rng."""
+
+    @pytest.mark.parametrize("seed,index", [(0, 0), (12345, 7), (-3, 5), (9, 2**64 + 11)])
+    def test_reset_stream_is_sample_rng(self, seed, index):
+        from dicke2p.analysis import _thread_rng
+
+        # leave the generator mid-stream, with a half-used 32-bit buffer
+        _thread_rng(seed + 1, index).random(3, dtype=np.float32)
+        got, want = _thread_rng(seed, index), sample_rng(seed, index)
+        draws = (
+            lambda r: r.uniform(),
+            lambda r: r.normal(),
+            lambda r: r.uniform(),
+            lambda r: r.random(dtype=np.float32),
+        )
+        assert [d(got) for d in draws] == [d(want) for d in draws]
+
+    def test_threads_keep_their_own_streams(self):
+        """Threads sampling 200 seeded ideal and 200 homodyne shots each at
+        once, more of them than cores, give the shots of a serial run."""
+        from dicke2p.protocols import HomodyneConfig, run_bell_protocol
+
+        cut = FockCutoff.for_mean_photon(20.0)
+        alpha = math.sqrt(20.0) * np.exp(1j * math.pi / 8.0)
+        c = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
+        homodyne = HomodyneConfig(lo_phase=math.pi / 8.0, efficiency=0.5)
+
+        def shots(seed):
+            out = []
+            for det in ("ideal", homodyne):
+                for i in range(200):
+                    r = run_bell_protocol(c, alpha, -0.002, cut, detection=det, rng_seed=seed,
+                                          shot_index=i)
+                    out.append((r.outcome, r.probability, r.record_x))
+            return out
+
+        serial = {seed: shots(seed) for seed in (1, 2, 3, 4)}
+        start, found = threading.Barrier(len(serial), timeout=60.0), {}
+
+        def worker(seed):
+            start.wait()
+            found[seed] = shots(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between shots and within them
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in serial]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert found == serial
+        assert len({o for o, *_ in serial[1]}) == 4
 
 
 class TestEnsembleAverage:

@@ -1,11 +1,13 @@
 """GHZ generation, the two-cavity Bell measurement, and homodyne readout."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import cavity_maps_oracle
 from dicke2p.dynamics import coherent_branch_basis, evolve_exact_many, sector_spectrum
 from dicke2p.hilbert import (
     AtomCoeffs,
@@ -22,6 +24,7 @@ from dicke2p.protocols import (
     ALL_OUTCOMES,
     HomodyneConfig,
     OutcomeLabel,
+    ProtocolResult,
     bell_outcome_arrays,
     bell_outcome_table,
     bell_target,
@@ -39,6 +42,16 @@ from dicke2p.protocols import (
 PHI = math.pi / 8.0
 G = -0.002
 T_HALF = math.pi / (2.0 * abs(G))
+
+
+def assert_same_result(a: ProtocolResult, b: ProtocolResult) -> None:
+    """Every field equal bit for bit; a NaN fidelity equals a NaN."""
+    for f in dataclasses.fields(ProtocolResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "post_state":
+            np.testing.assert_array_equal(x.matrix, y.matrix)
+        else:
+            assert x == y or (x != x and y != y), f.name
 
 
 @pytest.fixture(scope="module")
@@ -222,10 +235,10 @@ class TestBellOutcomeTable:
         from dicke2p.analysis import DensityMatrix
 
         c, table = table20
-        _, readout1, gram1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max, "exact")
-        readout2 = protocols._cavity(alpha20 * protocols._CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[1]
+        cavity1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max, "exact")
+        readout2 = protocols._cavity(alpha20 * protocols._CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[0]
         atoms, phi = c.to_state().amplitudes, float(np.angle(alpha20))
-        states = protocols._chain((readout1, gram1), readout2, atoms, phi)[3]
+        states = protocols._chain(cavity1, readout2, atoms, phi)[3]
         for v, r in zip(states.reshape(4, 4), table):
             full = DensityMatrix(np.outer(v, v.conj()), two_qubit_tag())
             np.testing.assert_array_equal(r.post_state.matrix, full.matrix)
@@ -281,49 +294,56 @@ class TestRunBellProtocol:
     def test_repeated_shots_evolve_nothing(
         self, table20, cut20, alpha20, joint20, monkeypatch, detection
     ):
-        """The first shot builds one map per cavity (four basis evolutions
-        each) and, for homodyne detection, one quadrature map; later shots
-        at the same parameters only compose them, and the homodyne record
-        is the one drawn from the cavity-1 joint state on the shots' grid."""
+        """The first shot projects each cavity's references on the sector
+        eigenvectors once and evolves no state for its readouts; homodyne
+        detection also evolves the four cavity-1 basis states once, for one
+        Hermite build and one quadrature map.  Later shots on the same input
+        read the cached laws only, a shot read from them equals the same
+        shot built afresh, and the homodyne record is the one drawn from
+        the cavity-1 joint state on the shots' grid."""
         from dicke2p import protocols
         from dicke2p.analysis import sample_rng
         from dicke2p.dynamics import SectorSpectrum
 
-        calls, builds = [], []
-        propagate = SectorSpectrum.propagate
+        counts = {"project": 0, "propagate": 0, "hermite": 0}
 
-        def counting(self, *args):
-            calls.append(args)
-            return propagate(self, *args)
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
 
-        def counting_hermite(*args):
-            builds.append(args)
-            return hermite_functions(*args)
+            return wrapper
 
-        monkeypatch.setattr(SectorSpectrum, "propagate", counting)
-        monkeypatch.setattr(protocols, "hermite_functions", counting_hermite)
-        protocols._cavity.cache_clear()
-        protocols._quadrature_basis.cache_clear()
-        protocols._quadrature_map.cache_clear()
+        for name in ("project", "propagate"):
+            monkeypatch.setattr(SectorSpectrum, name, counting(name, getattr(SectorSpectrum, name)))
+        monkeypatch.setattr(protocols, "hermite_functions", counting("hermite", hermite_functions))
+        for cache in (protocols._cavity, protocols._ideal_law, protocols._homodyne_law,
+                      protocols._quadrature_basis, protocols._quadrature_map):
+            cache.cache_clear()
         c, _ = table20
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
         det = cfg if detection == "homodyne" else "ideal"
-        run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=0)
-        assert (len(calls), len(builds)) == (8, int(detection == "homodyne"))
+        fresh = run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=1)
+        # the propagations project their basis states once each
+        first = {"project": 6, "propagate": 4, "hermite": 1} if detection == "homodyne" else {
+            "project": 2, "propagate": 0, "hermite": 0}
+        assert counts == first
         shots = [
             run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=i)
             for i in range(1, 6)
         ]
-        assert (len(calls), len(builds)) == (8, int(detection == "homodyne"))
+        assert counts == first
+        assert_same_result(shots[0], fresh)
         if detection == "homodyne":
             xs, bras = protocols._quadrature_basis(abs(alpha20) + 5.0, cut20.dim, PHI)
-            flat = joint20.amplitudes.reshape(4, -1) @ bras
-            x, _ = protocols._draw_quadrature(xs, flat, cfg, sample_rng(3, 1))
+            cdf = protocols._record_cdf(joint20.amplitudes.reshape(4, -1) @ bras)
+            x, _ = protocols._draw_quadrature(xs, cdf, cfg, sample_rng(3, 1))
             assert shots[0].record_x == x
 
     def test_homodyne_shot_reads_each_cavity_once(self, table20, cut20, alpha20, monkeypatch):
-        """Cavity 1 is read for p1 and the leaked weight, and cavity 2 only
-        on the atoms the homodyne record collapsed."""
+        """Cavity 1 is read for p1 and the leaked weight once per input,
+        and cavity 2 on every shot, only on the atoms the homodyne record
+        collapsed."""
         from dicke2p import protocols
 
         reads = []
@@ -334,10 +354,12 @@ class TestRunBellProtocol:
             return read(readout, atoms, check)
 
         monkeypatch.setattr(protocols, "_read", counting)
+        protocols._homodyne_law.cache_clear()
         c, _ = table20
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.8)
-        run_bell_protocol(c, alpha20, G, cut20, detection=cfg, rng_seed=3, shot_index=0)
-        assert reads == [(4,), (4,)]
+        for i in range(2):
+            run_bell_protocol(c, alpha20, G, cut20, detection=cfg, rng_seed=3, shot_index=i)
+        assert reads == [(4,), (4,), (4,)]
 
     def test_degenerate_homodyne_branch_keeps_its_record(self):
         """|psi-> never leaves |alpha>, so a misread record lands on a branch
@@ -425,6 +447,68 @@ class TestRegimeWarning:
             bell_outcome_table(c, 2.0, G, FockCutoff.for_mean_photon(4.0))
 
 
+@pytest.fixture
+def fresh_caches():
+    """Empty the per-parameter and per-input caches before and after, so no
+    map built under a patched builder outlives the test."""
+    from dicke2p import protocols
+
+    caches = (protocols._cavity, protocols._ideal_law, protocols._homodyne_law)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestReadoutOracle:
+    """The sector-eigenbasis readouts against the evolve-and-project path
+    (conftest.cavity_maps_oracle) that they replace."""
+
+    SWEEP = T_HALF + np.linspace(-0.08, 0.08, 321) / abs(G)
+
+    @pytest.mark.parametrize("nbar", [20.0, 50.0])
+    def test_eigenbasis_readouts_match_the_oracle(self, nbar):
+        from dicke2p import protocols
+
+        n_max = FockCutoff.for_mean_photon(nbar).n_max
+        for turn in (1.0, protocols._CAVITY2_TURN):
+            alpha = math.sqrt(nbar) * np.exp(1j * PHI) * turn
+            for times in (self.SWEEP, np.array([0.0])):
+                got, gram = protocols._cavity_maps(alpha, G, times, n_max, "exact")
+                want, want_gram = cavity_maps_oracle(alpha, G, times, n_max, "exact")
+                assert got.shape == want.shape == (times.size, 2, 4, 4)
+                assert np.max(np.abs(got - want)) <= 1e-14
+                np.testing.assert_array_equal(gram, want_gram)
+
+    def test_bell_timing_rows_match_the_oracle_path(self, monkeypatch):
+        from dicke2p import protocols, scans
+
+        rows = scans.bell_timing(points=321).rows
+        monkeypatch.setattr(protocols, "_cavity_maps", cavity_maps_oracle)
+        want = scans.bell_timing(points=321).rows
+        assert np.isfinite(rows).all()
+        assert np.max(np.abs(rows - want)) <= 1e-14
+
+    @pytest.mark.parametrize("engine", ["exact", "analytic"])
+    def test_tables_match_the_oracle_path(self, table20, cut20, alpha20, engine, fresh_caches):
+        from dicke2p import protocols
+
+        c, _ = table20
+        table = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocols, "_cavity_maps", cavity_maps_oracle)
+            for cache in (protocols._cavity, protocols._ideal_law):
+                cache.cache_clear()
+            want = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
+        for a, b in zip(table, want):
+            assert a.outcome == b.outcome
+            assert abs(a.probability - b.probability) <= 1e-14
+            assert abs(a.fidelity - b.fidelity) <= 1e-14
+            assert abs(a.leaked_weight - b.leaked_weight) <= 1e-14
+            assert np.max(np.abs(a.post_state.matrix - b.post_state.matrix)) <= 1e-14
+
+
 class TestCavityMaps:
     """Each cavity's cached readout operators against the paper's M_phi^+-."""
 
@@ -436,7 +520,7 @@ class TestCavityMaps:
         out = []
         for phi in (PHI, PHI + math.pi / 4.0):
             alpha = math.sqrt(nbar) * np.exp(1j * phi)
-            _, readout, _ = protocols._cavity(alpha, G, T_HALF, cut.n_max, engine)
+            readout = protocols._cavity(alpha, G, T_HALF, cut.n_max, engine)[0]
             paper = (
                 measurement_operator(phi, "+"),
                 np.sign(G) * measurement_operator(phi, "-"),
@@ -455,12 +539,13 @@ class TestCavityMaps:
 
     def test_exact_gram_is_identity(self):
         """The exact map takes its Gram matrix to be the identity: the
-        evolved basis it is built from is orthonormal."""
+        evolved basis is orthonormal."""
         from dicke2p import protocols
 
         cut = FockCutoff.for_mean_photon(50.0)
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
-        basis, _, gram = protocols._cavity(alpha, G, T_HALF, cut.n_max, "exact")
+        gram = protocols._cavity(alpha, G, T_HALF, cut.n_max, "exact")[1]
+        basis = protocols._evolved_basis(alpha, G, T_HALF, cut.n_max, "exact")
         flat = basis.reshape(4, -1)
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
         np.testing.assert_array_equal(gram, np.eye(4))
@@ -520,7 +605,9 @@ class TestBatchedChain:
         from dicke2p import protocols
 
         c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
-        chunk = protocols._BASIS_CHUNK // (16 * cut20.dim)
+        # entries per time: of the exact phase table, or of the analytic basis
+        per_time = protocols._w_operator(G, cut20.n_max).values.size
+        chunk = protocols._BASIS_CHUNK // (per_time if engine == "exact" else 16 * cut20.dim)
         window = T_HALF + np.linspace(-0.05, 0.05, chunk + 3) / abs(G)
         atoms = c.to_state().amplitudes
         prob, fid, leaked = bell_outcome_arrays(atoms, alpha20, G, cut20, window, engine=engine)
@@ -536,10 +623,10 @@ class TestBatchedChain:
 
         good = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3).to_state().amplitudes
         atoms = np.stack([good, np.zeros(4), good])
-        _, readout1, gram1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max, "exact")
-        readout2 = protocols._cavity(alpha20 * protocols._CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[1]
+        cavity1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max, "exact")
+        readout2 = protocols._cavity(alpha20 * protocols._CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[0]
         with pytest.raises(ValueError) as alone:
-            protocols._chain((readout1, gram1), readout2, atoms[1], PHI)
+            protocols._chain(cavity1, readout2, atoms[1], PHI)
         with pytest.raises(ValueError) as batch:
             bell_outcome_arrays(atoms, alpha20, G, cut20, [T_HALF])
         assert str(batch.value) == str(alone.value) == (
@@ -551,7 +638,7 @@ class TestBatchedChain:
         one below the degeneracy threshold is split evenly, unread."""
         from dicke2p import protocols
 
-        readout2 = protocols._cavity(alpha20 * protocols._CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[1]
+        readout2 = protocols._cavity(alpha20 * protocols._CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[0]
         branches = np.stack([np.array([0.3, 0.85, 0.35, 0.3], dtype=complex), np.zeros(4)])
         corrections = protocols._corrections(PHI)
         with pytest.raises(ValueError, match="no weight on the reference states"):

@@ -261,22 +261,29 @@ class TestBellTiming:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert r.rows[0, 0] < 0.5 < r.rows[-1, 0]
 
-    def test_sweep_builds_each_map_once_per_chunk(self, monkeypatch):
-        """The default 321-point sweep evolves each cavity's four basis
-        states once per chunk of times, and leaves the single-time cache
-        alone."""
-        calls = []
-        propagate = SectorSpectrum.propagate
+    def test_sweep_evolves_nothing_and_projects_each_cavity_once(self, monkeypatch):
+        """The default 321-point sweep reads each cavity from one projection
+        of its references on the sector eigenvectors and its phase table,
+        built in chunks of times; it evolves no state and leaves the
+        single-time cache alone."""
+        counts = {"project": 0, "phases": 0, "propagate": 0}
 
-        def counting(self, *args):
-            calls.append(1)
-            return propagate(self, *args)
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(SectorSpectrum, "propagate", counting)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(SectorSpectrum, name, counting(name, getattr(SectorSpectrum, name)))
         misses = protocols._cavity.cache_info().misses
         bell_timing(points=321)
-        chunk = protocols._BASIS_CHUNK // (16 * FockCutoff.for_mean_photon(50.0).dim)
-        assert 0 < len(calls) <= 8 * math.ceil(321 / chunk)
+        cut = FockCutoff.for_mean_photon(50.0)
+        entries = protocols._w_operator(-0.002, cut.n_max).values.size
+        chunks = math.ceil(321 / (protocols._BASIS_CHUNK // entries))
+        assert chunks > 1
+        assert counts == {"project": 2, "phases": 2 * chunks, "propagate": 0}
         assert protocols._cavity.cache_info().misses == misses
 
 
