@@ -31,7 +31,9 @@ from .protocols import HomodyneConfig
 _DEF_GG = 1.0
 _DEF_GE = 1.0
 _DEF_DELTA = 500.0
-# Rows per CSV write: one %-format per chunk, never a Python list of the table.
+# Rows per CSV write: each distinct float64 bit pattern of a chunk is
+# formatted once and the chunk is filled from that lookup, so the text
+# and the memory stay per chunk, never per table.
 _CSV_CHUNK = 4096
 
 
@@ -47,6 +49,13 @@ def _nbar_list(text: str) -> tuple[float | int, ...]:
         raise argparse.ArgumentTypeError(f"bad nbar list {text!r}") from exc
     if not vals or any(v <= 0 for v in vals):
         raise argparse.ArgumentTypeError("nbar values must be positive")
+    return vals
+
+
+def _one_nbar(text: str) -> tuple[float | int, ...]:
+    vals = _nbar_list(text)
+    if len(vals) > 1:
+        raise argparse.ArgumentTypeError(f"takes one value, got {len(vals)}")
     return vals
 
 
@@ -96,14 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seeded=True)
 
     sp = sub.add_parser("rabi", help="collapse and revival of <S_ee> for |ee>|alpha>")
-    sp.add_argument("--nbar", type=_nbar_list, default=(50,))
+    sp.add_argument("--nbar", type=_one_nbar, default=(50,))
     sp.add_argument("--gt-max", type=float, default=1.2, help="window end in units of pi")
     sp.add_argument("--points", type=_positive_int, default=481)
     coupling(sp)
     common(sp)
 
     sp = sub.add_parser("wigner", help="field Wigner function at t=0, tr/4, tr/2")
-    sp.add_argument("--nbar", type=_nbar_list, default=(50,))
+    sp.add_argument("--nbar", type=_one_nbar, default=(50,))
     sp.add_argument("--phi", type=float, default=2.0 * math.pi / 3.0)
     sp.add_argument("--grid-points", type=_positive_int, default=201)
     coupling(sp)
@@ -128,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seeded=True)
 
     sp = sub.add_parser("bell-timing", help="protocol fidelity around the optimal gt = pi/2")
-    sp.add_argument("--nbar", type=_nbar_list, default=(50,))
+    sp.add_argument("--nbar", type=_one_nbar, default=(50,))
     sp.add_argument("--phi", type=float, default=math.pi / 8.0)
     sp.add_argument("--half-width", type=float, default=0.08,
                     help="half width of the gt window")
@@ -273,7 +282,7 @@ def _check_schema(value, schema, path="$") -> None:
 
 def _write_csv(path: str, header: dict, values: np.ndarray, wall_time: float) -> None:
     meta_line = json.dumps(header["params"], separators=(",", ":"), sort_keys=True, allow_nan=False)
-    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    line = ",".join(["%s"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# command: {header['command']}\n")
         fh.write(f"# version: {header['version']}\n")
@@ -282,8 +291,16 @@ def _write_csv(path: str, header: dict, values: np.ndarray, wall_time: float) ->
         fh.write(f"# params: {meta_line}\n")
         fh.write(",".join(header["columns"]) + "\n")
         for lo in range(0, len(values), _CSV_CHUNK):
-            chunk = values[lo : lo + _CSV_CHUNK]
-            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+            fh.write(_csv_rows(values[lo : lo + _CSV_CHUNK], line))
+
+
+def _csv_rows(chunk: np.ndarray, line: str) -> str:
+    """The rows of one chunk, each distinct float64 formatted '.17g' once.
+    Keyed on the bits, since a float unique would merge -0.0 into 0.0."""
+    keys, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
+    floats = keys.view(np.float64).tolist()
+    text = np.array(("%.17g\n" * len(floats) % tuple(floats)).split(), dtype=object)
+    return (line * len(chunk)) % tuple(text[inverse.ravel()].tolist())
 
 
 def _emit(

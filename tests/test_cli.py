@@ -1,12 +1,15 @@
 """Command-line entry point: argument handling, outputs, exit codes."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dicke2p import __version__, cli, scans
 from dicke2p.cli import main
+from dicke2p.models import effective_coupling
 
 
 def read_csv_table(path):
@@ -74,6 +77,24 @@ class TestArgumentHandling:
             main(argv + ["--out", str(tmp_path / "out.csv")])
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rabi", "--nbar", "4,400", "--strict"],
+            ["wigner", "--nbar", "4,7"],
+            ["bell-timing", "--nbar", "4,7"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_single_nbar_commands_reject_a_list(self, tmp_path, capsys, argv):
+        """These commands run at one mean photon number: a second value
+        exits 2 naming --nbar, before any validity check or scan."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert "argument --nbar: takes one value, got 2" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_one_grid_point_writes_three_panels(self, tmp_path):
@@ -202,6 +223,72 @@ class TestEmit:
         assert main(["rabi", "--g", "-0.02", "--out", str(out)]) == 0
         body = out.read_text().splitlines()[6:]
         assert body == [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
+
+    @staticmethod
+    def edge_table():
+        """Three chunks and five rows holding the repeats that a float-keyed
+        lookup gets wrong: 0.0 beside -0.0, NaNs with two payloads, one
+        negative, one value down a column and across columns over a chunk
+        edge, and a middle chunk of one constant."""
+        c = cli._CSV_CHUNK
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((3 * c + 5, 3))
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64)
+        nan_a, nan_b = nans.view(np.float64)
+        rows[c - 50 : c, 0] = 1.0 / 3.0  # repeated down a column ...
+        rows[c - 50 : c, 2] = 1.0 / 3.0  # ... and across columns
+        rows[c : 2 * c] = 7.25  # a whole chunk of one constant
+        rows[2 * c : 2 * c + 50, 1] = 1.0 / 3.0
+        for r in (0, c - 2, 2 * c + 1, 3 * c + 3):
+            rows[r] = [0.0, -0.0, nan_a]
+            rows[r + 1] = [-0.0, nan_b, 0.0]
+        return rows
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda rows: rows,
+            np.asfortranarray,
+            lambda rows: rows[:, ::-1],
+        ],
+        ids=["c-order", "fortran", "reversed-columns"],
+    )
+    def test_repeated_cells_keep_their_own_text(self, tmp_path, monkeypatch, layout):
+        rows = layout(self.edge_table())
+        assert np.signbit(rows).any() and np.isnan(rows).sum() == 8
+        fake_rabi(monkeypatch, self.COLUMNS, rows)
+        out = tmp_path / "r.csv"
+        assert main(["rabi", "--g", "-0.02", "--out", str(out)]) == 0
+        body = out.read_text().splitlines()[6:]
+        assert body == [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
+
+    def test_writer_memory_stays_per_chunk(self, tmp_path):
+        """The peak of writing 12 chunks stays near that of one chunk, so
+        no step holds the text or the lookup of the whole table."""
+        rng = np.random.default_rng(3)
+        header = {"command": "rabi", "version": __version__, "seed": None,
+                  "params": {}, "columns": list(self.COLUMNS)}
+        peaks = []
+        for chunks in (1, 12):
+            values = rng.standard_normal((chunks * cli._CSV_CHUNK, 3))
+            tracemalloc.start()
+            try:
+                cli._write_csv(str(tmp_path / f"r{chunks}.csv"), header, values, 0.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")
+    def test_wigner_panels_are_their_rows_as_17g_text(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "--nbar", "4", "--grid-points", "41", "--out", str(out)]) == 0
+        g = effective_coupling(cli._DEF_GG, cli._DEF_GE, cli._DEF_DELTA)
+        panels = scans.wigner_panels(4.0, 2.0 * math.pi / 3.0, g, 41)
+        for label, result in panels.items():
+            body = (tmp_path / f"w_{label}.csv").read_text().splitlines()[6:]
+            rows = np.asarray(result.rows, dtype=np.float64).tolist()
+            assert body == [",".join(format(v, ".17g") for v in row) for row in rows]
 
     def test_infinite_values_are_null_in_json_and_inf_in_csv(self, tmp_path, monkeypatch):
         """RFC 8259 has no Infinity token: non-finite cells and params read
