@@ -6,6 +6,10 @@ Output is CSV with '#' metadata header lines plus a JSON sidecar
 CSV cells are '.17g' text, so every float64 reads back exactly; NaN and
 +-inf cells are written 'nan', 'inf' and '-inf' in CSV, and every
 non-finite cell or parameter is null in JSON, which stays RFC 8259 valid.
+The '.17g' text is written by an exact array formatter: a cell whose
+rounding the extended-precision bound cannot prove falls back to CPython's
+formatter, and where np.longdouble is float64 every cell does, so the bytes
+are the same on every platform; only the speed differs.
 Flag precedence: explicit flags > --config file > built-in defaults.
 Exit codes: 0 success, 2 configuration error, 3 validity warning under
 --strict.
@@ -14,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 validity warning under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,10 +36,14 @@ from .protocols import HomodyneConfig
 _DEF_GG = 1.0
 _DEF_GE = 1.0
 _DEF_DELTA = 500.0
-# Rows per CSV write: each distinct float64 bit pattern of a chunk is
-# formatted once and the chunk is filled from that lookup, so the text
-# and the memory stay per chunk, never per table.
+# Rows per CSV write: _csv_bytes builds a chunk's '.17g' text as one array,
+# exact to the byte, with CPython's formatter only for the cells whose
+# rounding the extended-precision bound cannot prove, so the text and the
+# memory stay per chunk, never per table.
 _CSV_CHUNK = 4096
+# Powers of ten 10**k for k in _POW_LO.._POW_HI: 10**(16 - e) over the
+# float64 decimal exponents e from 308 down to -324.
+_POW_LO, _POW_HI = -292, 340
 
 
 def _num(text: str) -> float | int:
@@ -282,25 +291,135 @@ def _check_schema(value, schema, path="$") -> None:
 
 def _write_csv(path: str, header: dict, values: np.ndarray, wall_time: float) -> None:
     meta_line = json.dumps(header["params"], separators=(",", ":"), sort_keys=True, allow_nan=False)
-    line = ",".join(["%s"] * values.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# command: {header['command']}\n")
-        fh.write(f"# version: {header['version']}\n")
-        fh.write(f"# seed: {header['seed']}\n")
-        fh.write(f"# wall_time_s: {wall_time:.3f}\n")
-        fh.write(f"# params: {meta_line}\n")
-        fh.write(",".join(header["columns"]) + "\n")
+    lines = [
+        f"# command: {header['command']}",
+        f"# version: {header['version']}",
+        f"# seed: {header['seed']}",
+        f"# wall_time_s: {wall_time:.3f}",
+        f"# params: {meta_line}",
+        ",".join(header["columns"]),
+    ]
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
         for lo in range(0, len(values), _CSV_CHUNK):
-            fh.write(_csv_rows(values[lo : lo + _CSV_CHUNK], line))
+            fh.write(_csv_bytes(values[lo : lo + _CSV_CHUNK]))
 
 
-def _csv_rows(chunk: np.ndarray, line: str) -> str:
-    """The rows of one chunk, each distinct float64 formatted '.17g' once.
-    Keyed on the bits, since a float unique would merge -0.0 into 0.0."""
-    keys, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
-    floats = keys.view(np.float64).tolist()
-    text = np.array(("%.17g\n" * len(floats) % tuple(floats)).split(), dtype=object)
-    return (line * len(chunk)) % tuple(text[inverse.ravel()].tolist())
+@functools.cache
+def _g17_tables() -> tuple:
+    """The '.17g' formatter's tables, built on first use, not at import:
+    - pow10: 10**k for k in _POW_LO.._POW_HI, correctly rounded np.longdouble;
+    - wide[q], q < 10**4: the 4 digits of q in ASCII, one per 16-bit lane;
+    - zeros[q]: trailing zeros of q as 4 digits (4 for q = 0);
+    - head[5 * negative + lead]: the sign, then for lead = -e in 1..4 the
+      '0.' and lead - 1 zeros of fixed notation below 1;
+    - tail[2 * (e + 324) + last]: a free byte for digit 17, then 'e+XX' or
+      'e-XXX' outside fixed notation (-4 <= e <= 16), then ',' or, for the
+      last cell of a row, '\n';
+    - lanes[k]: the mask of the first k 16-bit lanes;
+    - point[lane + 1]: '.' in the high byte of lane 0..3, and 0 for lane
+      -1 or 4, outside the word;
+    - tol: 2 eps of np.longdouble, or infinite where np.longdouble is no
+      IEEE binary format with one rounding per multiply (x87 extended or
+      quad), which sends every cell to the fallback."""
+    ld = np.longdouble
+    ks = range(_POW_LO, _POW_HI + 1)
+    pow10 = np.fromstring("1e%d " * len(ks) % tuple(ks), dtype=ld, sep=" ")
+    ascii_digits = np.arange(48, 58, dtype=np.uint64)
+    pairs = (ascii_digits[:, None] | ascii_digits << np.uint64(16)).ravel()
+    wide = (pairs[:, None] | pairs << np.uint64(32)).ravel()
+    ones_zero = (np.arange(10) == 0).astype(np.uint8)
+    pair_zeros = (ones_zero * (1 + ones_zero[:, None])).ravel()
+    zeros = np.where(np.arange(100) == 0, 2 + pair_zeros[:, None], pair_zeros).ravel()
+    heads = [sign + ("0." + "0" * (lead - 1) if lead else "") for sign in ("", "-") for lead in range(5)]
+    head = np.array(heads, dtype="S8").view(np.uint64)
+    e = np.repeat(np.arange(-324, 309), 2)
+    m = np.abs(e)
+    sci = (e < -4) | (e > 16)
+    tail = np.zeros((e.size, 8), np.uint8)
+    tail[:, 1] = sci * ord("e")
+    tail[:, 2] = sci * np.where(e < 0, ord("-"), ord("+"))
+    tail[:, 3] = sci * (m >= 100) * (m // 100 + 48)
+    tail[:, 4] = sci * (m // 10 % 10 + 48)
+    tail[:, 5] = sci * (m % 10 + 48)
+    tail[:, 6] = np.tile([ord(","), ord("\n")], e.size // 2)
+    lanes = np.array([(1 << 16 * k) - 1 for k in range(5)], dtype=np.uint64)
+    point = np.array([0, *(ord(".") << 8 + 16 * k for k in range(4)), 0], dtype=np.uint64)
+    info = np.finfo(ld)
+    tol = 2.0 * float(info.eps) if info.nmant in (63, 112) else math.inf
+    return pow10, wide, zeros, head, tail.view(np.uint64).ravel(), lanes, point, tol
+
+
+def _g17_significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, e, fast) for the flat float64 array x.
+
+    Where fast, digits is the 17-digit significand of |x| that '%.17g'
+    prints, correctly rounded, and e its decimal exponent. With e =
+    floor(log10|x|) and w = |x| 10**(16 - e) in np.longdouble, split as
+    d = trunc(w) and f = w - d, a cell is fast iff it is finite and nonzero,
+    10**16 <= d < 10**17 - 1 and |f - 1/2| > 2 eps d. The table entry and
+    the product each round by at most eps/2 of w, so then d + (f > 1/2) is
+    the rounding of the exact |x| 10**(16 - e), and it stays below 10**17.
+    Exact ties never pass, so round-half-even is never decided here; nor
+    are zeros, NaN, infinities, or an e that log10 set one off near a power
+    of ten. Elsewhere digits is 10**16."""
+    pow10, *_, tol = _g17_tables()
+    ok = np.isfinite(x) & (x != 0)
+    a = np.where(ok, np.abs(x), 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    w = a.astype(np.longdouble) * pow10[16 - _POW_LO - e]
+    d = w.astype(np.int64)
+    f = (w - d).astype(np.float64) - 0.5
+    fast = ok & (d >= 10**16) & (d < 10**17 - 1) & (np.abs(f) > tol * d)
+    return np.where(fast, d + (f > 0), 10**16), e, fast
+
+
+def _csv_bytes(chunk: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D float64 array as ASCII: each cell byte for byte
+    '%.17g' % v, cells joined by ',' and each row ended by '\n'. Cells off
+    the fast path of _g17_significand are '%.17g' % v as text."""
+    cols = chunk.shape[1]
+    x = np.ascontiguousarray(chunk).ravel()
+    last = np.arange(x.size) % cols == cols - 1
+    words, fast = _g17_words(x, last)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = zip(x[slow].tolist(), np.where(last[slow], "\n", ",").tolist())
+        text = np.array(["%.17g%s" % cell for cell in cells], dtype="S48")
+        words[:, slow] = text.view(np.uint64).reshape(-1, 6).T
+    return words.T.tobytes().translate(None, b"\0")
+
+
+def _g17_words(x: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(words, fast): the '.17g' text of each cell of x on the fast path,
+    and its separator (',' or, where last, '\n'), laid out in six 64-bit
+    words, words[:, i] for cell i, padded with zero bytes:
+    - word 0: the sign and the '0.000' lead of fixed notation below 1;
+    - words 1-4: significand digits 1-16 in the low bytes of 16-bit lanes,
+      the decimal point in the high byte of the lane of the digit before it,
+      and trailing zeros after the point masked away;
+    - word 5: digit 17, the exponent in scientific notation, the separator."""
+    _, wide, zeros, head, tail, lanes, point, _ = _g17_tables()
+    digits, e, fast = _g17_significand(x)
+    groups = np.empty((5, x.size), np.intp)  # digits 1-4, .., 13-16, then 17
+    groups[4] = digits
+    for j, p in enumerate((10**13, 10**9, 10**5, 10)):
+        groups[j] = groups[4] // p
+        groups[4] -= groups[j] * p
+    z = zeros[groups[:4]]
+    nz = groups != 0
+    trailing = ~nz[4] * (1 + z[3] + ~nz[3] * (z[2] + ~nz[2] * (z[1] + ~nz[1] * z[0])))
+    sci = (e < -4) | (e > 16)
+    ints = np.where(sci, 1, np.maximum(e + 1, 0))  # digits before the point
+    kept = np.maximum(17 - trailing, ints)
+    after = np.where((kept > ints) & (ints > 0), ints - 1, -1)  # digit before the point
+    words = np.empty((6, x.size), np.uint64)
+    words[0] = head[np.where(sci | (e >= 0), 0, -e) + 5 * (x < 0)]
+    for j in range(4):  # word 1 + j holds digits 4j + 1 to 4j + 4
+        words[1 + j] = wide[groups[j]] & lanes[np.clip(kept - 4 * j, 0, 4)]
+        words[1 + j] |= point[np.clip(after - 4 * j, -1, 4) + 1]
+    words[5] = tail[2 * (e + 324) + last] | np.where(kept == 17, groups[4] + 48, 0).astype(np.uint64)
+    return words, fast
 
 
 def _emit(

@@ -170,21 +170,33 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amps = _freeze(np.ravel(self.amplitudes))
-        if amps.size != self.space.dim:
-            raise ValueError(f"amplitude length {amps.size} != space dim {self.space.dim}")
+        self._adopt(amps)
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
+
+    def _adopt(self, amps: np.ndarray) -> None:
+        if amps.size != self.space.dim:
+            raise ValueError(f"amplitude length {amps.size} != space dim {self.space.dim}")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def normalized(cls, amplitudes: np.ndarray, space: SpaceTag) -> "StateVector":
-        """Build a state from unnormalized amplitudes, rescaling explicitly."""
+        """Build a state from unnormalized amplitudes, rescaling explicitly.
+
+        The rescaled array is the state's own, frozen in place: one norm and
+        one copy, where the constructor would copy again and re-check the norm.
+        """
         amps = np.ravel(np.asarray(amplitudes, dtype=np.complex128))
         nrm = float(np.linalg.norm(amps))
         if nrm < 1e-12:
             raise ValueError("cannot normalize a (near-)zero vector")
-        return cls(amps / nrm, space)
+        amps = amps / nrm
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "space", space)
+        state._adopt(amps)
+        return state
 
     @property
     def dim(self) -> int:

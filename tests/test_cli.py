@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicke2p import __version__, cli, scans
 from dicke2p.cli import main
@@ -289,6 +295,90 @@ class TestEmit:
             body = (tmp_path / f"w_{label}.csv").read_text().splitlines()[6:]
             rows = np.asarray(result.rows, dtype=np.float64).tolist()
             assert body == [",".join(format(v, ".17g") for v in row) for row in rows]
+
+    @staticmethod
+    def g17_lines(rows):
+        return [",".join(format(v, ".17g") for v in row) for row in np.asarray(rows).tolist()]
+
+    @staticmethod
+    def as_rows(values):
+        """values in rows of 3, padded with zeros."""
+        return np.append(values, np.zeros(-len(values) % 3)).reshape(-1, 3)
+
+    # Exact ties at 17 digits, which '%.17g' rounds half to even: quarters
+    # in [2**50, 2**51) and eighths in [2**49, 1e15) have 18 significant
+    # digits ending in 5.
+    TIES = np.concatenate([
+        (4 * np.arange(2**50, 2**50 + 200) + 1) / 4.0,
+        (4 * np.arange(2**51 - 200, 2**51) + 3) / 4.0,
+        (8 * np.arange(7 * 10**14, 7 * 10**14 + 200) + 1) / 8.0,
+    ])
+    # Doubles just under 10**k whose '.17g' significand carries to '1e-k'.
+    CARRIES = np.array([1e-305, 1e-243, 1e-176, 1e-79, 1e-14])
+    # Within 2 eps d of a tie, where an x87 extended product alone rounds
+    # the 17th digit the wrong way.
+    NEAR_TIES = np.array([8.959129978518228e-298, -7.0720813606911665e+106,
+                          2.612739370971875e-121, 1.7229106732411994e-160,
+                          -2.7717156422263804e-127, 6.041878509078511e-71])
+
+    def test_edge_values_are_17g_text(self, tmp_path, monkeypatch):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([
+            powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0),
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            self.TIES, self.CARRIES, self.NEAR_TIES,
+            [1e-5, 9.9999999999999999e-5, 1e-4, 1e16, 1e17],  # fixed/scientific switch
+            [1.234e100, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308],
+        ])
+        assert {format(v, ".17g")[-1] for v in self.TIES} >= {"2", "8"}
+        rows = self.as_rows(np.concatenate([values, -values]))
+        fake_rabi(monkeypatch, self.COLUMNS, rows)
+        out = tmp_path / "r.csv"
+        assert main(["rabi", "--g", "-0.02", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[6:] == self.g17_lines(rows)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+    def test_float64_bit_patterns_are_17g_text(self, bits):
+        rows = self.as_rows(np.array(bits, dtype=np.uint64).view(np.float64))
+        assert cli._csv_bytes(rows).decode("ascii").splitlines() == self.g17_lines(rows)
+
+    @pytest.mark.parametrize("case", ["every-cell-falls-back", "no-cell-falls-back", "mixed"])
+    def test_fast_path_and_fallback_write_the_same_text(self, case):
+        """The extended-precision path takes exact multiples of 1/4; ties,
+        carries, zeros and non-finite cells fall back to '%.17g'. Where
+        np.longdouble is float64, every cell falls back."""
+        fall_back = np.concatenate([self.TIES, self.CARRIES, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+        fast = np.arange(1, 1000) / 4.0
+        values = {"every-cell-falls-back": fall_back, "no-cell-falls-back": fast,
+                  "mixed": np.concatenate([fast[:300], fall_back, self.NEAR_TIES, fast[300:]])}[case]
+        rows = self.as_rows(np.concatenate([values, -values]))
+        on_fast_path = cli._g17_significand(rows.ravel())[2]
+        extended = np.finfo(np.longdouble).nmant in (63, 112)  # x87 extended or quad
+        if case == "every-cell-falls-back" or not extended:
+            assert not on_fast_path.any()
+        elif case == "no-cell-falls-back":
+            assert on_fast_path.all()
+        else:
+            assert 0 < on_fast_path.sum() < on_fast_path.size - 3
+        assert cli._csv_bytes(rows).decode("ascii").splitlines() == self.g17_lines(rows)
+
+    def test_powers_of_ten_are_correctly_rounded(self):
+        pow10 = cli._g17_tables()[0]
+        zero, inf = np.longdouble(0), np.longdouble(np.inf)
+        for k, p in zip(range(cli._POW_LO, cli._POW_HI + 1), pow10, strict=True):
+            exact = Fraction(10) ** k
+            err = abs(Fraction(*p.as_integer_ratio()) - exact)
+            for q in (np.nextafter(p, zero), np.nextafter(p, inf)):
+                assert err <= abs(Fraction(*q.as_integer_ratio()) - exact)
+
+    def test_import_builds_no_formatter_tables(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import dicke2p.cli as c; print(c._g17_tables.cache_info().currsize)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.strip() == "0"
 
     def test_infinite_values_are_null_in_json_and_inf_in_csv(self, tmp_path, monkeypatch):
         """RFC 8259 has no Infinity token: non-finite cells and params read

@@ -227,6 +227,16 @@ class TestStateVector:
         v = StateVector.normalized(np.array([3.0, 0, 0, 4.0]), two_qubit_tag())
         assert np.linalg.norm(v.amplitudes) == pytest.approx(1.0)
 
+    def test_normalized_owns_a_frozen_copy_and_checks_the_size(self):
+        raw = np.array([1.0, 2.0j, 0.5, -1.0])
+        expected = raw / np.linalg.norm(raw)
+        v = StateVector.normalized(raw, two_qubit_tag())
+        raw[0] = 7.0
+        assert np.array_equal(v.amplitudes, expected)
+        assert not v.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="amplitude length"):
+            StateVector.normalized(np.ones(3), two_qubit_tag())
+
     def test_operator_hermitian_flag(self, small_cutoff):
         assert number_op(small_cutoff).hermitian is True
         assert annihilation_op(small_cutoff).hermitian is not True
