@@ -3,7 +3,6 @@
 from .hilbert import (
     AtomCoeffs,
     FockCutoff,
-    SpaceTag,
     StateVector,
     bell_state,
     cat_state,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomCoeffs",
     "FockCutoff",
-    "SpaceTag",
     "StateVector",
     "bell_state",
     "cat_state",

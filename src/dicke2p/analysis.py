@@ -12,7 +12,7 @@ import numpy as np
 import numpy.random  # lazy in NumPy 2: load it with the package, not at the first draw
 from numpy.lib.stride_tricks import as_strided
 
-from .hilbert import AtomCoeffs, SpaceTag, StateVector, hermite_functions, two_qubit_tag
+from .hilbert import AtomCoeffs, StateVector, hermite_functions
 
 __all__ = [
     "DensityMatrix",
@@ -40,14 +40,14 @@ class DensityMatrix:
     """Validated density operator: Hermitian, unit trace, nonnegative."""
 
     matrix: np.ndarray
-    space: SpaceTag
+    dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=np.complex128, copy=True)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        if mat.shape[0] != self.space.dim:
-            raise ValueError(f"matrix dim {mat.shape[0]} != space dim {self.space.dim}")
+        if mat.shape[0] != (dim := math.prod(self.dims)):
+            raise ValueError(f"matrix dim {mat.shape[0]} != space dim {dim}")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
         if herm > _HERM_ATOL:
             raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
@@ -61,12 +61,12 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def outer(cls, vec: np.ndarray, space: SpaceTag) -> "DensityMatrix":
+    def outer(cls, vec: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
         """|v><v| of a unit vector v.  It is Hermitian and positive by
         construction, so only its trace |v|^2 is checked; no eigvalsh."""
         vec = np.asarray(vec, dtype=np.complex128)
-        if vec.shape != (space.dim,):
-            raise ValueError(f"vector shape {vec.shape} != space dim {space.dim}")
+        if vec.shape != (dim := math.prod(dims),):
+            raise ValueError(f"vector shape {vec.shape} != space dim {dim}")
         tr = float(np.vdot(vec, vec).real)
         if abs(tr - 1.0) > _TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1")
@@ -74,7 +74,7 @@ class DensityMatrix:
         mat.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", mat)
-        object.__setattr__(rho, "space", space)
+        object.__setattr__(rho, "dims", dims)
         return rho
 
     @property
@@ -84,39 +84,32 @@ class DensityMatrix:
 
 def fidelity(a: StateVector | DensityMatrix, b: StateVector) -> float:
     """|<b|a>|^2 for pure a, <b|a|b> for a density matrix."""
-    if a.space.dims != b.space.dims:
+    if not isinstance(a, (StateVector, DensityMatrix)):
+        raise TypeError("first argument must be StateVector or DensityMatrix")
+    if a.dims != b.dims:
         raise ValueError("fidelity requires matching spaces")
     if isinstance(a, StateVector):
         return float(abs(np.vdot(b.amplitudes, a.amplitudes)) ** 2)
-    if isinstance(a, DensityMatrix):
-        return float(np.real(np.vdot(b.amplitudes, a.matrix @ b.amplitudes)))
-    raise TypeError("first argument must be StateVector or DensityMatrix")
-
-
-def _tripartite_dims(space: SpaceTag) -> tuple[int, int]:
-    kinds = space.kinds
-    if kinds != ("atom", "atom", "field"):
-        raise ValueError(f"expected atom/atom/field factors, got {kinds}")
-    d_a = space.dims[0] * space.dims[1]
-    return d_a, space.dims[2]
+    return float(np.real(np.vdot(b.amplitudes, a.matrix @ b.amplitudes)))
 
 
 def partial_trace(state: StateVector | DensityMatrix, keep: str) -> DensityMatrix:
     """Reduce a tripartite state to its atomic or field factor."""
     if keep not in ("atoms", "field"):
         raise ValueError("keep must be 'atoms' or 'field'")
-    d_a, d_f = _tripartite_dims(state.space)
-    atom_space = SpaceTag(state.space.factors[:2])
-    field_space = SpaceTag(state.space.factors[2:])
+    if len(state.dims) != 3:
+        raise ValueError(f"expected atom A, atom B and field factors, got dims {state.dims}")
+    atom_dims, field_dims = state.dims[:2], state.dims[2:]
+    d_a, d_f = math.prod(atom_dims), field_dims[0]
     if isinstance(state, StateVector):
         mat = state.amplitudes.reshape(d_a, d_f)
         if keep == "atoms":
-            return DensityMatrix(mat @ mat.conj().T, atom_space)
-        return DensityMatrix(mat.T @ mat.conj(), field_space)
+            return DensityMatrix(mat @ mat.conj().T, atom_dims)
+        return DensityMatrix(mat.T @ mat.conj(), field_dims)
     rho = state.matrix.reshape(d_a, d_f, d_a, d_f)
     if keep == "atoms":
-        return DensityMatrix(np.einsum("ambm->ab", rho), atom_space)
-    return DensityMatrix(np.einsum("aman->mn", rho), field_space)
+        return DensityMatrix(np.einsum("ambm->ab", rho), atom_dims)
+    return DensityMatrix(np.einsum("aman->mn", rho), field_dims)
 
 
 @dataclass(frozen=True)
@@ -196,7 +189,8 @@ def wigner(
     wavefunctions, W(x, p) = (2/pi) int <x-y|rho|x+y> e^{4ipy} dy at
     beta = x + ip (Hillery, O'Connell, Scully and Wigner, Phys. Rep. 106,
     121 (1984)), in the convention x = (a + a^dag)/2 of
-    `hilbert.hermite_functions`.
+    `hilbert.hermite_functions`.  rho_f has one factor, read as a field
+    mode cut at n_max = dim - 1.
 
     rho = sum_j lam_j |v_j><v_j| keeps the pairs with |lam_j| > 1e-14
     max|lam|; a normalized pure state has |W| <= 2/pi, so the dropped pairs
@@ -227,7 +221,7 @@ def wigner(
     warning is raised when the spacing is too coarse to resolve the
     interference fringes a state of that size can carry.
     """
-    if rho_f.space.kinds != ("field",):
+    if len(rho_f.dims) != 1:
         raise ValueError("wigner expects a single-mode field density matrix")
     dim = rho_f.dim
     nbar = max(float(np.real(np.sum(np.diag(rho_f.matrix) * np.arange(dim)))), 0.0)
@@ -285,7 +279,7 @@ def haar_random_two_qubit(rng: np.random.Generator) -> AtomCoeffs:
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(z)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return AtomCoeffs.from_state(StateVector(q[:, 0], two_qubit_tag()))
+    return AtomCoeffs.from_state(StateVector(q[:, 0], (2, 2)))
 
 
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -56,8 +56,8 @@ def _nbar_list(text: str) -> tuple[float | int, ...]:
         vals = tuple(_num(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad nbar list {text!r}") from exc
-    if not vals or any(v <= 0 for v in vals):
-        raise argparse.ArgumentTypeError("nbar values must be positive")
+    if not vals or not all(0 < v < math.inf for v in vals):
+        raise argparse.ArgumentTypeError("nbar values must be positive and finite")
     return vals
 
 
@@ -567,6 +567,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     args = build_parser().parse_args(rest)
+    if getattr(args, "lo_phase", None) is not None and args.efficiency is None:
+        print("error: --lo-phase needs --efficiency: it sets the homodyne detector",
+              file=sys.stderr)
+        return 2
 
     code = _check_validity(args, max(float(n) for n in args.nbar))
     if code:

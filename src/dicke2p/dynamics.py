@@ -33,7 +33,6 @@ from .hilbert import (
     CAPTURE_ATOL,
     AtomCoeffs,
     FockCutoff,
-    SpaceTag,
     StateVector,
     coherent_state,
     tensor,
@@ -60,7 +59,7 @@ class SectorSpectrum:
     """Eigensystem of an excitation-conserving Hamiltonian, sector by sector.
 
     index[s] lists the flat basis indices of sector s, padded with the
-    sentinel space.dim (see models.sector_index); values[s] and vectors[s]
+    sentinel prod(dims) (see models.sector_index); values[s] and vectors[s]
     are the eigenvalues and eigenvector columns of that sector's block.
     position maps each flat basis index to its slot in index.ravel().
 
@@ -72,26 +71,27 @@ class SectorSpectrum:
     index: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
-    space: SpaceTag
+    dims: tuple[int, ...]
     position: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        real = self.index < self.space.dim
-        position = np.empty(self.space.dim, dtype=np.intp)
+        dim = math.prod(self.dims)
+        real = self.index < dim
+        position = np.empty(dim, dtype=np.intp)
         position[self.index[real]] = np.flatnonzero(real)
         object.__setattr__(self, "position", position)
 
     @classmethod
     def from_blocks(
-        cls, index: np.ndarray, blocks: np.ndarray, space: SpaceTag
+        cls, index: np.ndarray, blocks: np.ndarray, dims: tuple[int, ...]
     ) -> "SectorSpectrum":
         """Diagonalize all sector blocks with one batched eigh.  Padded rows
         and columns are zeroed first, so padding never mixes into a sector's
         propagator."""
-        real = index < space.dim
+        real = index < math.prod(dims)
         blocks = np.where(real[:, :, None] & real[:, None, :], blocks, 0.0)
         values, vectors = np.linalg.eigh(blocks)
-        return cls(index, values, vectors, space)
+        return cls(index, values, vectors, dims)
 
     def project(self, amplitudes: np.ndarray, at: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Weights on the sector eigenvectors of flat amplitudes (..., n) at
@@ -134,7 +134,7 @@ def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpe
 def evolve_exact_many(spectrum: SectorSpectrum, psi0: StateVector, times: np.ndarray) -> np.ndarray:
     """Amplitudes of exp(-i H t) psi0 for every t under the Hamiltonian of
     spectrum; shape (len(times), dim)."""
-    if spectrum.space.dims != psi0.space.dims:
+    if spectrum.dims != psi0.dims:
         raise ValueError("spectrum and state live on different spaces")
     return spectrum.propagate(psi0.amplitudes, times)
 
@@ -148,11 +148,11 @@ def linearized_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:
     sits in its complete sector (see evolve_linearized_many).
     """
     padded = FockCutoff(cutoff.n_max + 4)
-    index, blocks, space = sector_blocks(EffectiveModelParams(g, padded))
+    index, blocks, dims = sector_blocks(EffectiveModelParams(g, padded))
     n = excitation_labels(padded)[index[:, 0], None, None]
     # W has a zero diagonal and couples each pair with g times a positive field factor
     blocks = np.where(blocks != 0.0, g * (2 * n - 3) / 2.0, 0.0)
-    return SectorSpectrum.from_blocks(index, blocks, space)
+    return SectorSpectrum.from_blocks(index, blocks, dims)
 
 
 def sector_overlaps(
@@ -189,8 +189,8 @@ def evolve_linearized_many(
     """Amplitudes of psi0 evolved under linearized_spectrum for every t,
     zero-padded onto the spectrum's cutoff and cut back and renormalized
     after check_capture; shape (len(times), psi0.dim)."""
-    nf = psi0.space.dims[-1]
-    if spectrum.space.dims != (2, 2, nf + 4):
+    nf = psi0.dims[-1]
+    if spectrum.dims != (2, 2, nf + 4):
         raise ValueError("spectrum is not the linearized W for this state's cutoff")
     padded = np.pad(psi0.amplitudes.reshape(4, nf), ((0, 0), (0, 4)))
     out = spectrum.propagate(padded.ravel(), times).reshape(-1, 4, nf + 4)
@@ -211,7 +211,7 @@ def analytic_state(
     """
     psi0 = tensor(coeffs.to_state(), coherent_state(alpha, cutoff))
     amps = evolve_linearized_many(linearized_spectrum(g, cutoff), psi0, np.array([t]))[0]
-    return StateVector(amps, psi0.space)
+    return StateVector(amps, psi0.dims)
 
 
 def check_branch_regime(alpha: complex, stacklevel: int = 1) -> None:

@@ -1,11 +1,14 @@
 """Truncated Fock spaces, elementary states, and the containers they live in.
 
 States and the small atomic operators are complex arrays wrapped in thin
-immutable containers that record the tensor factorization.  The tensor
-ordering is fixed globally as atom A (x) atom B (x) field; every module
-relies on it.  Atomic levels are ordered g, e for two-level atoms and
-g, i, e for three-level atoms.  The Hamiltonians are never built here as
-matrices of the full dimension: see models.sector_blocks.
+immutable containers that record their space.  A space is its dims tuple,
+in the tensor order atom A (x) atom B (x) field fixed for the whole
+package: (2, 2, n_max + 1) for two-level atoms and the field, (3, 3,
+n_max + 1) for three-level ones, (2, 2) for the atoms alone and
+(n_max + 1,) for the field alone; every module relies on it.  Atomic
+levels are ordered g, e for two-level atoms and g, i, e for three-level
+atoms.  The Hamiltonians are never built here as matrices of the full
+dimension: see models.sector_blocks.
 """
 
 from __future__ import annotations
@@ -23,15 +26,9 @@ __all__ = [
     "CAPTURE_ATOL",
     "FLAG_ATOL",
     "FockCutoff",
-    "SpaceTag",
     "StateVector",
     "Operator",
     "AtomCoeffs",
-    "atom_tag",
-    "field_tag",
-    "two_qubit_tag",
-    "two_atom_tag",
-    "tripartite_tag",
     "fock_state",
     "coherent_state",
     "hermite_functions",
@@ -78,8 +75,8 @@ class FockCutoff:
         The pad of 4 absorbs the four-photon reach of the two-photon couplings.
         The tail is `_poisson_tail`; nbar = 0 has none and gives n_max = 4.
         """
-        if nbar < 0:
-            raise ValueError("nbar must be non-negative")
+        if not 0 <= nbar < math.inf:
+            raise ValueError("nbar must be finite and non-negative")
         top = int(math.ceil(nbar + _CUTOFF_SIGMAS * math.sqrt(nbar)))
         while _poisson_tail(nbar, top) > CAPTURE_ATOL:
             top += 1
@@ -108,53 +105,6 @@ def _poisson_tail(nbar: float, top: int) -> float:
         k += 1
 
 
-@dataclass(frozen=True)
-class SpaceTag:
-    """Tensor factorization record: tuple of (kind, dimension) factors."""
-
-    factors: tuple[tuple[str, int], ...]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.factors)
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.factors)
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
-    def __mul__(self, other: "SpaceTag") -> "SpaceTag":
-        return SpaceTag(self.factors + other.factors)
-
-
-def atom_tag(levels: int = 2) -> SpaceTag:
-    if levels not in (2, 3):
-        raise ValueError("atoms have 2 or 3 levels")
-    return SpaceTag((("atom", levels),))
-
-
-def field_tag(cutoff: FockCutoff) -> SpaceTag:
-    return SpaceTag((("field", cutoff.dim),))
-
-
-def two_qubit_tag() -> SpaceTag:
-    return atom_tag(2) * atom_tag(2)
-
-
-def two_atom_tag(levels: int = 2) -> SpaceTag:
-    return atom_tag(levels) * atom_tag(levels)
-
-
-def tripartite_tag(cutoff: FockCutoff, levels: int = 2) -> SpaceTag:
-    return two_atom_tag(levels) * field_tag(cutoff)
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=np.complex128, copy=True)
     arr.setflags(write=False)
@@ -163,10 +113,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm pure state over a tagged tensor space."""
+    """Unit-norm pure state; dims are its tensor factors in the fixed order
+    atom A, atom B, field (see the module docstring)."""
 
     amplitudes: np.ndarray
-    space: SpaceTag
+    dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
         amps = _freeze(np.ravel(self.amplitudes))
@@ -176,12 +127,12 @@ class StateVector:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
 
     def _adopt(self, amps: np.ndarray) -> None:
-        if amps.size != self.space.dim:
-            raise ValueError(f"amplitude length {amps.size} != space dim {self.space.dim}")
+        if amps.size != (dim := math.prod(self.dims)):
+            raise ValueError(f"amplitude length {amps.size} != space dim {dim}")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def normalized(cls, amplitudes: np.ndarray, space: SpaceTag) -> "StateVector":
+    def normalized(cls, amplitudes: np.ndarray, dims: tuple[int, ...]) -> "StateVector":
         """Build a state from unnormalized amplitudes, rescaling explicitly.
 
         The rescaled array is the state's own, frozen in place: one norm and
@@ -194,7 +145,7 @@ class StateVector:
         amps = amps / nrm
         amps.setflags(write=False)
         state = object.__new__(cls)
-        object.__setattr__(state, "space", space)
+        object.__setattr__(state, "dims", dims)
         state._adopt(amps)
         return state
 
@@ -212,7 +163,7 @@ class Operator:
     """
 
     matrix: np.ndarray
-    space: SpaceTag
+    dims: tuple[int, ...]
     hermitian: bool | None = None
     unitary: bool | None = None
 
@@ -220,8 +171,8 @@ class Operator:
         mat = _freeze(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
-        if mat.shape[0] != self.space.dim:
-            raise ValueError(f"matrix dim {mat.shape[0]} != space dim {self.space.dim}")
+        if mat.shape[0] != (dim := math.prod(self.dims)):
+            raise ValueError(f"matrix dim {mat.shape[0]} != space dim {dim}")
         if self.hermitian:
             dev = float(np.max(np.abs(mat - mat.conj().T)))
             if dev > FLAG_ATOL:
@@ -281,7 +232,7 @@ class AtomCoeffs:
 
     @classmethod
     def from_state(cls, state: StateVector) -> "AtomCoeffs":
-        if state.space.dims != (2, 2):
+        if state.dims != (2, 2):
             raise ValueError("expected a two-qubit state")
         v = _BELL_TO_PRODUCT.conj().T @ state.amplitudes
         return cls(complex(v[0]), complex(v[1]), complex(v[2]), complex(v[3]))
@@ -290,7 +241,7 @@ class AtomCoeffs:
         return np.array([self.c_g, self.c_minus, self.c_plus, self.c_e], dtype=np.complex128)
 
     def to_state(self) -> StateVector:
-        return StateVector(_BELL_TO_PRODUCT @ self.as_array(), two_qubit_tag())
+        return StateVector(_BELL_TO_PRODUCT @ self.as_array(), (2, 2))
 
 
 def fock_state(n: int, cutoff: FockCutoff) -> StateVector:
@@ -298,7 +249,7 @@ def fock_state(n: int, cutoff: FockCutoff) -> StateVector:
         raise ValueError(f"Fock index {n} outside 0..{cutoff.n_max}")
     amps = np.zeros(cutoff.dim, dtype=np.complex128)
     amps[n] = 1.0
-    return StateVector(amps, field_tag(cutoff))
+    return StateVector(amps, (cutoff.dim,))
 
 
 @lru_cache(maxsize=16)
@@ -342,7 +293,7 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
             f"cutoff n_max={cutoff.n_max} too small for |alpha|^2={abs(alpha) ** 2:.4g}"
             f" (captures {captured:.12f} of the norm)"
         )
-    return StateVector.normalized(amps, field_tag(cutoff))
+    return StateVector.normalized(amps, (cutoff.dim,))
 
 
 def hermite_functions(x: np.ndarray, dim: int) -> np.ndarray:
@@ -378,7 +329,7 @@ def cat_state(alpha: complex, parity: str, cutoff: FockCutoff) -> StateVector:
     plus = coherent_state(alpha, cutoff).amplitudes
     minus = coherent_state(-alpha, cutoff).amplitudes
     raw = plus + minus if parity == "+" else plus - minus
-    return StateVector.normalized(raw, field_tag(cutoff))
+    return StateVector.normalized(raw, (cutoff.dim,))
 
 
 def bell_state(kind: BellKind, phi: float = 0.0) -> StateVector:
@@ -398,11 +349,11 @@ def bell_state(kind: BellKind, phi: float = 0.0) -> StateVector:
         amps[3] = -cmath.exp(1j * phi) / _SQRT2
     else:
         raise ValueError(f"unknown Bell state kind {kind!r}")
-    return StateVector(amps, two_qubit_tag())
+    return StateVector(amps, (2, 2))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two states, tags concatenated."""
+    """Kronecker product of two states, dims concatenated."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes), a.space * b.space)
+        return StateVector(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
     raise TypeError("tensor requires two StateVectors")

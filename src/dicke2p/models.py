@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import FockCutoff, SpaceTag, tripartite_tag
+from .hilbert import FockCutoff
 
 __all__ = [
     "FullModelParams",
@@ -114,9 +114,9 @@ def sector_index(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:
 
 def sector_blocks(
     params: FullModelParams | EffectiveModelParams,
-) -> tuple[np.ndarray, np.ndarray, SpaceTag]:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
     """Sector index map (see sector_index), the real symmetric block of the
-    Hamiltonian in every sector, and the space it acts on: the full H for
+    Hamiltonian in every sector, and the dims it acts on: the full H for
     FullModelParams, W for EffectiveModelParams.  Built from the
     parameters; padded rows and columns hold arbitrary values and are
     masked by the caller.
@@ -153,7 +153,7 @@ def sector_blocks(
     )
     diag = np.arange(index.shape[1])
     blocks[:, diag, diag] = photon_energy * n + level_energy[atom_a] + level_energy[atom_b]
-    return index, blocks, tripartite_tag(params.cutoff, levels)
+    return index, blocks, (levels, levels, nf)
 
 
 _EMBED_ATOM = (0, 2)  # two-level g, e -> three-level indices

@@ -49,13 +49,10 @@ from .hilbert import (
     FockCutoff,
     StateVector,
     _freeze,
-    atom_tag,
     bell_state,
     coherent_state,
     hermite_functions,
     tensor,
-    tripartite_tag,
-    two_qubit_tag,
 )
 from .models import EffectiveModelParams
 
@@ -177,7 +174,7 @@ def ghz_input(phi: float) -> tuple[AtomCoeffs, StateVector]:
         cmath.exp(1j * math.pi / 4.0)
         * np.array([cmath.exp(-1j * phi), -1j * cmath.exp(1j * phi)])
         / _SQRT2,
-        atom_tag(2),
+        (2,),
     )
     coeffs = AtomCoeffs.from_state(tensor(single, single))
     return coeffs, single
@@ -197,7 +194,7 @@ def ghz_target(
         np.kron(bell_state("phi-", 2.0 * phi).amplitudes, field_p)
         - g_sign * np.kron(bell_state("phi+", 2.0 * phi).amplitudes, field_m)
     )
-    return StateVector(amps, two_qubit_tag() * coherent_state(alpha, cutoff).space)
+    return StateVector(amps, (2, 2, cutoff.dim))
 
 
 # Entries held at once by a batched cavity build (512 KB): phase-table
@@ -285,7 +282,7 @@ def run_ghz(
     coeffs, _ = ghz_input(phi)
     basis = _evolved_basis(amp, g, revival_time(g) / 2.0, cutoff.n_max, engine)
     psi = StateVector.normalized(
-        np.tensordot(coeffs.to_state().amplitudes, basis, 1), tripartite_tag(cutoff)
+        np.tensordot(coeffs.to_state().amplitudes, basis, 1), (2, 2, cutoff.dim)
     )
     return fidelity(psi, ghz_target(amp, phi, cutoff, g_sign=1 if g > 0 else -1))
 
@@ -348,7 +345,7 @@ def bell_target(outcome: OutcomeLabel, phi: float) -> StateVector:
     return bell_state(kind, 2.0 * phi)
 
 
-_MIXED = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, two_qubit_tag())
+_MIXED = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, (2, 2))
 
 
 @lru_cache(maxsize=16)
@@ -416,7 +413,7 @@ def _result(outcome: OutcomeLabel, prob, fid, state, leaked, record_x=None) -> P
     """One chain outcome at the API boundary; a NaN fidelity leaves the
     atoms maximally mixed, and state is not read."""
     kind = _TARGET_KIND[(outcome.d1, outcome.d2)]
-    post = _MIXED if math.isnan(fid) else DensityMatrix.outer(state, _MIXED.space)
+    post = _MIXED if math.isnan(fid) else DensityMatrix.outer(state, (2, 2))
     return ProtocolResult(outcome, float(prob), post, kind, float(fid), float(leaked), record_x)
 
 
@@ -580,7 +577,7 @@ def homodyne_outcome_table(
             ProtocolResult(
                 outcome,
                 prob,
-                DensityMatrix(rho, two_qubit_tag()),
+                DensityMatrix(rho, (2, 2)),
                 _TARGET_KIND[(outcome.d1, outcome.d2)],
                 fid,
                 leaked,
@@ -657,9 +654,9 @@ def homodyne_measure(
     Gaussian read noise of variance (1-efficiency)/(4*efficiency), so
     inefficiency only blurs the classical record, never the collapse.
     """
-    dims = state.space.dims
-    if len(dims) != 3 or dims[0] != 2 or dims[1] != 2:
+    dims = state.dims
+    if len(dims) != 3 or dims[:2] != (2, 2):
         raise ValueError("expected a two-qubit + field state")
     xs, amps, cdf = _measure_law(state.amplitudes.tobytes(), dims, cfg.lo_phase)
     x_rec, idx = _draw_quadrature(xs, cdf, cfg, rng)
-    return x_rec, StateVector.normalized(amps[:, idx], two_qubit_tag())
+    return x_rec, StateVector.normalized(amps[:, idx], (2, 2))

@@ -36,7 +36,6 @@ from .hilbert import (
     StateVector,
     coherent_state,
     tensor,
-    two_qubit_tag,
 )
 from .models import (
     EffectiveModelParams,
@@ -75,8 +74,6 @@ _SEED_STRIDE = 10007
 # scan at nbar 20/50/100 and ensemble 10 keeps the coefficients of all its
 # samples, but its tracemalloc peak rises from 4.9 to 8.2 MB.
 _CHUNK = 2**17
-
-_EE_SPACE = two_qubit_tag()
 
 
 @dataclass(frozen=True)
@@ -120,6 +117,8 @@ def fidelity_scan(
     """
     if time_points < 1:
         raise ValueError(f"time_points must be >= 1, got {time_points}")
+    if ensemble < 1:
+        raise ValueError(f"ensemble must be >= 1, got {ensemble}")
     g = effective_coupling(g_g, g_e, delta)
     grid = np.linspace(0.0, 1.0, time_points)
     times = grid * math.pi / abs(g)
@@ -142,8 +141,9 @@ def fidelity_scan(
             alpha = math.sqrt(nbar) * cmath.exp(2j * math.pi * rng.uniform())
             inputs[i] = tensor(coeffs.to_state(), coherent_state(alpha, cutoff)).amplitudes
         # the closed form lives on the cutoff n_max + 4 (linearized_spectrum)
-        at = np.flatnonzero(np.arange(lin_spec.space.dim) % (cutoff.dim + 4) < cutoff.dim)
-        kept = np.full(lin_spec.space.dim, -1)
+        n_lin = math.prod(lin_spec.dims)
+        at = np.flatnonzero(np.arange(n_lin) % (cutoff.dim + 4) < cutoff.dim)
+        kept = np.full(n_lin, -1)
         kept[at] = idx
         weights = {full_spec: full_spec.project(inputs, idx), w_spec: w_spec.project(inputs)}
         weights[lin_spec] = lin_spec.project(inputs, at)
@@ -216,7 +216,7 @@ def rabi_curve(
     grid = np.linspace(0.0, gt_max_over_pi, points)
     times = grid * math.pi / abs(g)
 
-    atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), _EE_SPACE)
+    atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), (2, 2))
     psi0 = tensor(atoms, coherent_state(alpha, cutoff))
     traj = evolve_exact_many(sector_spectrum(EffectiveModelParams(g, cutoff)), psi0, times)
     numeric = np.abs(traj) ** 2 @ np.repeat([0.0, 1.0, 1.0, 2.0], cutoff.dim)
@@ -239,7 +239,7 @@ def wigner_panels(
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     cutoff = FockCutoff.for_mean_photon(nbar)
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
-    atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), _EE_SPACE)
+    atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), (2, 2))
     psi0 = tensor(atoms, coherent_state(alpha, cutoff))
     w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
     t_r = revival_time(g)
@@ -253,7 +253,7 @@ def wigner_panels(
             psi0
             if t == 0.0
             else StateVector(
-                evolve_exact_many(w_spec, psi0, np.array([t]))[0], psi0.space
+                evolve_exact_many(w_spec, psi0, np.array([t]))[0], psi0.dims
             )
         )
         rho_f = partial_trace(psi_t, keep="field")

@@ -8,9 +8,6 @@ from dicke2p.hilbert import (
     FockCutoff,
     Operator,
     StateVector,
-    field_tag,
-    tripartite_tag,
-    two_atom_tag,
 )
 from dicke2p.models import (
     EffectiveModelParams,
@@ -215,9 +212,9 @@ def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, d
             phi = 2.0 * math.pi * rng.uniform()
             alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
             psi0 = tensor(coeffs.to_state(), coherent_state(alpha, cutoff))
-            full0 = np.zeros(full_spec.space.dim, dtype=np.complex128)
+            full0 = np.zeros(math.prod(full_spec.dims), dtype=np.complex128)
             full0[idx] = psi0.amplitudes
-            traj_full = evolve_exact_many(full_spec, StateVector(full0, full_spec.space), times)
+            traj_full = evolve_exact_many(full_spec, StateVector(full0, full_spec.dims), times)
             sub = traj_full[:, idx] * rot
             traj_w = evolve_exact_many(w_spec, psi0, times)
             traj_an = evolve_linearized_many(lin_spec, psi0, times)
@@ -247,16 +244,16 @@ def annihilation_op(cutoff: FockCutoff) -> Operator:
     """Photon annihilation: <n-1|a|n> = sqrt(n)."""
     n = cutoff.dim
     mat = np.diag(np.sqrt(np.arange(1, n)), k=1).astype(np.complex128)
-    return Operator(mat, field_tag(cutoff))
+    return Operator(mat, (cutoff.dim,))
 
 
 def creation_op(cutoff: FockCutoff) -> Operator:
-    return Operator(annihilation_op(cutoff).matrix.conj().T, field_tag(cutoff))
+    return Operator(annihilation_op(cutoff).matrix.conj().T, (cutoff.dim,))
 
 
 def number_op(cutoff: FockCutoff) -> Operator:
     mat = np.diag(np.arange(cutoff.dim, dtype=np.float64)).astype(np.complex128)
-    return Operator(mat, field_tag(cutoff), hermitian=True)
+    return Operator(mat, (cutoff.dim,), hermitian=True)
 
 
 def collective_op(mu: Level, nu: Level, levels_per_atom: int = 2) -> Operator:
@@ -274,7 +271,7 @@ def collective_op(mu: Level, nu: Level, levels_per_atom: int = 2) -> Operator:
     single[index[mu], index[nu]] = 1.0
     eye = np.eye(levels_per_atom, dtype=np.complex128)
     mat = np.kron(single, eye) + np.kron(eye, single)
-    return Operator(mat, two_atom_tag(levels_per_atom), hermitian=True if mu == nu else None)
+    return Operator(mat, (levels_per_atom, levels_per_atom), hermitian=True if mu == nu else None)
 
 
 # Largest dimension a dense builder accepts: one complex matrix of 2048^2
@@ -326,7 +323,7 @@ def full_hamiltonian(params: FullModelParams) -> Operator:
     h += (params.omega + params.delta) * np.kron(s_ii, eye_f)
     h += params.g_g * (np.kron(s_ig, a) + np.kron(s_ig.conj().T, ad))
     h += params.g_e * (np.kron(s_ei, a) + np.kron(s_ei.conj().T, ad))
-    return Operator(h, tripartite_tag(cutoff, levels=3), hermitian=True)
+    return Operator(h, (3, 3, cutoff.dim), hermitian=True)
 
 
 def two_photon_w(params: EffectiveModelParams) -> Operator:
@@ -336,7 +333,7 @@ def two_photon_w(params: EffectiveModelParams) -> Operator:
     s_eg = collective_op("e", "g", 2).matrix
     s_ge = collective_op("g", "e", 2).matrix
     w = params.g * (np.kron(s_eg, a @ a) + np.kron(s_ge, ad @ ad))
-    return Operator(w, tripartite_tag(cutoff, levels=2), hermitian=True)
+    return Operator(w, (2, 2, cutoff.dim), hermitian=True)
 
 
 def stark_shift(params: FullModelParams) -> Operator:
@@ -354,7 +351,7 @@ def stark_shift(params: FullModelParams) -> Operator:
     mat = -2.0 * (params.g_g**2 / params.delta) * i_mat
     mat += -((params.g_e**2 - params.g_g**2) / params.delta) * np.kron(s_ee, a @ ad)
     mat += 3.0 * (params.g_g**2 / params.delta) * np.kron(s_ee, eye_f)
-    return Operator(mat, tripartite_tag(cutoff, levels=2), hermitian=True)
+    return Operator(mat, (2, 2, cutoff.dim), hermitian=True)
 
 
 def constant_of_motion(cutoff: FockCutoff, levels: int = 2) -> Operator:
@@ -366,7 +363,7 @@ def constant_of_motion(cutoff: FockCutoff, levels: int = 2) -> Operator:
     labels = excitation_labels(cutoff, levels)
     _check_dense(cutoff, levels)
     mat = np.diag(labels.astype(np.complex128))
-    return Operator(mat, tripartite_tag(cutoff, levels=levels), hermitian=True)
+    return Operator(mat, (levels, levels, cutoff.dim), hermitian=True)
 
 
 def dispersive_generator(params: FullModelParams) -> np.ndarray:
@@ -386,8 +383,8 @@ def dispersive_generator(params: FullModelParams) -> np.ndarray:
 def embed_two_level_state(state: StateVector, cutoff: FockCutoff) -> StateVector:
     """Lift a state of two two-level atoms + field into the three-level
     space, leaving the intermediate level unpopulated."""
-    if state.space.dims != (2, 2, cutoff.dim):
+    if state.dims != (2, 2, cutoff.dim):
         raise ValueError("expected a two-level tripartite state matching the cutoff")
     out = np.zeros(9 * cutoff.dim, dtype=np.complex128)
     out[embed_indices(cutoff)] = state.amplitudes
-    return StateVector(out, tripartite_tag(cutoff, levels=3))
+    return StateVector(out, (3, 3, cutoff.dim))

@@ -26,12 +26,9 @@ from dicke2p.hilbert import (
     bell_state,
     cat_state,
     coherent_state,
-    field_tag,
     fock_state,
     hermite_functions,
     tensor,
-    tripartite_tag,
-    two_qubit_tag,
 )
 
 VACUUM_PEAK = 0.6366197723675814  # 2/pi
@@ -62,7 +59,7 @@ def entangled_pair_state(cutoff):
     amps = np.zeros(4 * cutoff.dim, dtype=np.complex128)
     amps[0] = 1 / math.sqrt(2)
     amps[3 * cutoff.dim + 2] = 1 / math.sqrt(2)
-    return StateVector(amps, tripartite_tag(cutoff))
+    return StateVector(amps, (2, 2, cutoff.dim))
 
 
 class TestFidelity:
@@ -73,12 +70,16 @@ class TestFidelity:
         assert fidelity(a, b) == pytest.approx(0.0, abs=1e-14)
 
     def test_density_matrix_expectation(self):
-        rho = DensityMatrix(np.eye(4) / 4.0, two_qubit_tag())
+        rho = DensityMatrix(np.eye(4) / 4.0, (2, 2))
         assert fidelity(rho, bell_state("phi+", 0.2)) == pytest.approx(0.25)
 
     def test_space_mismatch_rejected(self, small_cutoff):
         with pytest.raises(ValueError):
             fidelity(bell_state("psi+"), fock_state(0, small_cutoff))
+
+    def test_bare_array_rejected(self):
+        with pytest.raises(TypeError, match="StateVector or DensityMatrix"):
+            fidelity(np.ones(4) / 2, bell_state("psi+"))
 
 
 class TestDensityMatrix:
@@ -86,21 +87,21 @@ class TestDensityMatrix:
         bad = np.eye(4, dtype=complex) / 4.0
         bad[0, 1] = 0.3
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(bad, two_qubit_tag())
+            DensityMatrix(bad, (2, 2))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(4, dtype=complex), two_qubit_tag())
+            DensityMatrix(np.eye(4, dtype=complex), (2, 2))
 
     def test_outer_product_checks_the_norm(self):
         v = bell_state("psi+").amplitudes * (1.0 + 1e-6)
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix.outer(v, two_qubit_tag())
+            DensityMatrix.outer(v, (2, 2))
         with pytest.raises(ValueError, match="shape"):
-            DensityMatrix.outer(bell_state("psi+").amplitudes[:3], two_qubit_tag())
+            DensityMatrix.outer(bell_state("psi+").amplitudes[:3], (2, 2))
 
     def test_purity_of_pure_state(self):
-        rho = DensityMatrix.outer(bell_state("psi+").amplitudes, two_qubit_tag())
+        rho = DensityMatrix.outer(bell_state("psi+").amplitudes, (2, 2))
         assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0)
 
 
@@ -127,7 +128,7 @@ class TestPartialTrace:
 
     def test_density_matrix_input(self, small_cutoff, mixed_coeffs):
         psi = tensor(mixed_coeffs.to_state(), fock_state(1, small_cutoff))
-        via_dm = partial_trace(DensityMatrix.outer(psi.amplitudes, psi.space), keep="atoms")
+        via_dm = partial_trace(DensityMatrix.outer(psi.amplitudes, psi.dims), keep="atoms")
         via_sv = partial_trace(psi, keep="atoms")
         np.testing.assert_allclose(via_dm.matrix, via_sv.matrix, atol=1e-12)
 
@@ -139,7 +140,7 @@ class TestPartialTrace:
 
 class TestWigner:
     def field_dm(self, state):
-        return DensityMatrix.outer(state.amplitudes, state.space)
+        return DensityMatrix.outer(state.amplitudes, state.dims)
 
     def test_vacuum_peak_and_norm(self, small_cutoff):
         axes = np.linspace(-4.0, 4.0, 161)
@@ -227,7 +228,7 @@ class TestWigner:
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         axes = np.linspace(-6.0, 6.0, 41)
-        grid = wigner(DensityMatrix(rho, field_tag(cut)), beta_re, axes)
+        grid = wigner(DensityMatrix(rho, (cut.dim,)), beta_re, axes)
         np.testing.assert_allclose(
             grid.values, wigner_oracle(rho, beta_re, axes), rtol=0, atol=1e-12
         )
@@ -314,7 +315,7 @@ class TestWigner:
 
     def test_rejects_atomic_input(self):
         with pytest.raises(ValueError):
-            wigner(DensityMatrix.outer(bell_state("psi+").amplitudes, two_qubit_tag()))
+            wigner(DensityMatrix.outer(bell_state("psi+").amplitudes, (2, 2)))
 
 
 class TestRandomness:

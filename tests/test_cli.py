@@ -60,10 +60,21 @@ class TestArgumentHandling:
             main(["ghz", "--nbar", "4", "--engine", "effective"])
         assert exc.value.code == 2
 
-    def test_rejects_nonpositive_nbar(self):
+    @pytest.mark.parametrize("nbar", ["0", "nan", "inf", "1e400"])
+    def test_rejects_nonpositive_nbar(self, nbar):
         with pytest.raises(SystemExit) as exc:
-            main(["rabi", "--nbar", "0"])
+            main(["rabi", "--nbar", nbar])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--nbar", "100", "--strict"]], ids=["ok", "strict"])
+    def test_lo_phase_needs_efficiency(self, tmp_path, capsys, extra):
+        """A local-oscillator phase without homodyne detection is refused,
+        not dropped from an ideal run, and before any validity check."""
+        argv = ["bell", "--nbar", "10", "--ensemble", "2", "--lo-phase", "0.3"]
+        assert main(argv + extra + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "--lo-phase" in err and "--efficiency" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

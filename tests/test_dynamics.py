@@ -39,7 +39,6 @@ from dicke2p.hilbert import (
     bell_state,
     coherent_state,
     tensor,
-    two_qubit_tag,
 )
 from dicke2p.models import (
     EffectiveModelParams,
@@ -78,9 +77,9 @@ class TestBlocks:
         np.testing.assert_allclose(blocks, blocks.transpose(0, 2, 1).conj())
 
     def test_low_sectors_decouple_third_slot(self):
-        index, _, space = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(12)))
+        index, _, dims = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(12)))
         for n in (2, 3):
-            assert list(index[n] < space.dim) == [True, True, True, False]
+            assert list(index[n] < math.prod(dims)) == [True, True, True, False]
 
     def test_exact_eigenvalues_at_n4(self):
         values = sector_spectrum(EffectiveModelParams(1.0, FockCutoff(8))).values[4]
@@ -249,7 +248,7 @@ class TestSectorSpectrum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert spec.space.dim == 11_322
+        assert math.prod(spec.dims) == 11_322
         assert traj.shape == (5, 11_322)
         assert peak < 20 * 2**20  # one dense matrix would take 16 * 11322^2 B = 2 GB
         np.testing.assert_allclose(np.linalg.norm(traj, axis=1), 1.0, rtol=0, atol=1e-10)
@@ -259,7 +258,7 @@ def dense_vectors(spectrum):
     """The sector eigenvectors as the columns of one flat matrix, column
     s * m + k for eigenvector k of sector s; padded slots stay zero."""
     sectors, m = spectrum.index.shape
-    out = np.zeros((spectrum.space.dim + 1, sectors * m))
+    out = np.zeros((math.prod(spectrum.dims) + 1, sectors * m))
     cols = np.arange(sectors * m).reshape(sectors, 1, m)
     out[spectrum.index[:, :, None], cols] = spectrum.vectors
     return out[:-1]
@@ -273,8 +272,8 @@ class TestSectorOverlaps:
         cut = FockCutoff.for_mean_photon(4.0)
         full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
         w = sector_spectrum(EffectiveModelParams(effective_coupling(1.0, 1.0, 500.0), cut))
-        embed = np.zeros((w.space.dim, full.space.dim))
-        embed[np.arange(w.space.dim), embed_indices(cut)] = 1.0
+        embed = np.zeros((math.prod(w.dims), math.prod(full.dims)))
+        embed[np.arange(math.prod(w.dims)), embed_indices(cut)] = 1.0
         dense = dense_vectors(w).T @ embed @ dense_vectors(full)
 
         pairs, partner, maps = sector_overlaps(w, full, embed_indices(cut))
@@ -287,7 +286,7 @@ class TestSectorOverlaps:
         cut = FockCutoff(6)
         w = sector_spectrum(EffectiveModelParams(1.0, cut))
         with pytest.raises(ValueError, match="splits an excitation sector"):
-            sector_overlaps(w, w, np.roll(np.arange(w.space.dim), 1))
+            sector_overlaps(w, w, np.roll(np.arange(math.prod(w.dims)), 1))
 
     def test_dropped_weight_is_a_quadratic_form(self):
         """The linearized weight past the cutoff from the overlap maps of the
@@ -302,7 +301,7 @@ class TestSectorOverlaps:
         flat = lin.propagate(padded.ravel(), t).reshape(4, cut.dim + 4)
         expected = np.sum(np.abs(flat[:, cut.dim :]) ** 2)
 
-        inside = np.arange(lin.space.dim) % (cut.dim + 4) < cut.dim
+        inside = np.arange(math.prod(lin.dims)) % (cut.dim + 4) < cut.dim
         pairs, partner, maps = sector_overlaps(lin, lin, np.where(inside, -1, np.arange(inside.size)))
         assert len(pairs) == 8
         u = lin.phases(t)[0] * lin.project(padded.ravel())
@@ -313,7 +312,8 @@ class TestSectorOverlaps:
 
     def test_project_takes_a_batch_of_states(self, rng):
         w = sector_spectrum(EffectiveModelParams(1.0, FockCutoff(9)))
-        amps = rng.normal(size=(3, 2, w.space.dim)) + 1j * rng.normal(size=(3, 2, w.space.dim))
+        shape = (3, 2, math.prod(w.dims))
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         batch = w.project(amps)
         assert batch.shape == (3, 2) + w.index.shape
         for i, j in np.ndindex(3, 2):
@@ -406,7 +406,7 @@ class TestCoherentBranches:
         basis = coherent_branch_basis(alpha, -0.002, times, cut)
         assert basis.shape == (50, 4, 4, cut.dim)
         for j, atoms in enumerate(np.eye(4)):
-            c = AtomCoeffs.from_state(StateVector(atoms, two_qubit_tag()))
+            c = AtomCoeffs.from_state(StateVector(atoms, (2, 2)))
             for k, t in enumerate(times):
                 oracle = three_branch_state(c, alpha, -0.002, t, cut)
                 np.testing.assert_allclose(basis[k, j].ravel(), oracle, rtol=0, atol=1e-13)

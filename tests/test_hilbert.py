@@ -18,14 +18,11 @@ from dicke2p.hilbert import (
     FockCutoff,
     Operator,
     StateVector,
-    atom_tag,
     bell_state,
     cat_state,
     coherent_state,
     fock_state,
     tensor,
-    tripartite_tag,
-    two_qubit_tag,
 )
 from dicke2p.protocols import measurement_operator
 
@@ -48,6 +45,11 @@ class TestFockCutoff:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             FockCutoff.for_mean_photon(-1.0)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, nbar):
+        with pytest.raises(ValueError, match="^nbar must be finite and non-negative$"):
+            FockCutoff.for_mean_photon(nbar)
 
     @staticmethod
     def gammainc_cutoff(nbar):
@@ -205,37 +207,32 @@ class TestBellStates:
 class TestTensorAndTags:
     def test_state_tensor_dims(self, small_cutoff, mixed_coeffs):
         psi = tensor(mixed_coeffs.to_state(), coherent_state(1.0, small_cutoff))
-        assert psi.space.dims == (2, 2, small_cutoff.dim)
+        assert psi.dims == (2, 2, small_cutoff.dim)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0)
 
     def test_mixed_tensor_rejected(self, small_cutoff):
         with pytest.raises(TypeError):
             tensor(measurement_operator(0.0, "+"), fock_state(0, small_cutoff))
 
-    def test_tripartite_tag_dims(self, small_cutoff):
-        assert tripartite_tag(small_cutoff).dims == (2, 2, small_cutoff.dim)
-        assert tripartite_tag(small_cutoff, levels=3).dims == (3, 3, small_cutoff.dim)
-        assert atom_tag(3).dims == (3,)
-
 
 class TestStateVector:
     def test_normalized_rejects_zero(self):
         with pytest.raises(ValueError, match="zero"):
-            StateVector.normalized(np.zeros(4), two_qubit_tag())
+            StateVector.normalized(np.zeros(4), (2, 2))
 
     def test_normalized_rescales(self):
-        v = StateVector.normalized(np.array([3.0, 0, 0, 4.0]), two_qubit_tag())
+        v = StateVector.normalized(np.array([3.0, 0, 0, 4.0]), (2, 2))
         assert np.linalg.norm(v.amplitudes) == pytest.approx(1.0)
 
     def test_normalized_owns_a_frozen_copy_and_checks_the_size(self):
         raw = np.array([1.0, 2.0j, 0.5, -1.0])
         expected = raw / np.linalg.norm(raw)
-        v = StateVector.normalized(raw, two_qubit_tag())
+        v = StateVector.normalized(raw, (2, 2))
         raw[0] = 7.0
         assert np.array_equal(v.amplitudes, expected)
         assert not v.amplitudes.flags.writeable
         with pytest.raises(ValueError, match="amplitude length"):
-            StateVector.normalized(np.ones(3), two_qubit_tag())
+            StateVector.normalized(np.ones(3), (2, 2))
 
     def test_operator_hermitian_flag(self, small_cutoff):
         assert number_op(small_cutoff).hermitian is True

@@ -17,7 +17,7 @@ from conftest import (
     stark_shift,
     two_photon_w,
 )
-from dicke2p.hilbert import FockCutoff, fock_state, tensor, two_atom_tag
+from dicke2p.hilbert import FockCutoff, fock_state, tensor
 from dicke2p.models import (
     EffectiveModelParams,
     FullModelParams,
@@ -155,8 +155,8 @@ class TestExcitationSectors:
         else:
             params = EffectiveModelParams(g=-0.8, cutoff=cut)
             dense = two_photon_w(params).matrix
-        index, blocks, space = sector_blocks(params)
-        assert space.dim == dense.shape[0]
+        index, blocks, dims = sector_blocks(params)
+        assert math.prod(dims) == dense.shape[0]
         assert index.shape[1] == (9 if which == "full" else 4)
         real = index < dense.shape[0]
         np.testing.assert_array_equal(np.sort(index[real]), np.arange(dense.shape[0]))
@@ -265,7 +265,7 @@ class TestDispersiveReduction:
     def test_embedding_round_trip(self, small_cutoff, mixed_coeffs):
         psi = tensor(mixed_coeffs.to_state(), fock_state(2, small_cutoff))
         lifted = embed_two_level_state(psi, small_cutoff)
-        assert lifted.space.dims == (3, 3, small_cutoff.dim)
+        assert lifted.dims == (3, 3, small_cutoff.dim)
         back = lifted.amplitudes[embed_indices(small_cutoff)]
         np.testing.assert_allclose(back, psi.amplitudes, atol=1e-14)
 

@@ -17,7 +17,6 @@ from dicke2p.hilbert import (
     coherent_state,
     hermite_functions,
     tensor,
-    two_qubit_tag,
 )
 from dicke2p.models import EffectiveModelParams
 from dicke2p.protocols import (
@@ -76,7 +75,7 @@ def joint20(table20, cut20, alpha20):
     c, _ = table20
     psi0 = tensor(c.to_state(), coherent_state(alpha20, cut20))
     amps = evolve_exact_many(sector_spectrum(EffectiveModelParams(G, cut20)), psi0, [T_HALF])[0]
-    return StateVector(amps, psi0.space)
+    return StateVector(amps, psi0.dims)
 
 
 class TestGhz:
@@ -240,9 +239,9 @@ class TestBellOutcomeTable:
         atoms, phi = c.to_state().amplitudes, float(np.angle(alpha20))
         states = protocols._chain(cavity1, readout2, atoms, phi)[3]
         for v, r in zip(states.reshape(4, 4), table):
-            full = DensityMatrix(np.outer(v, v.conj()), two_qubit_tag())
+            full = DensityMatrix(np.outer(v, v.conj()), (2, 2))
             np.testing.assert_array_equal(r.post_state.matrix, full.matrix)
-            np.testing.assert_array_equal(DensityMatrix.outer(v, two_qubit_tag()).matrix, full.matrix)
+            np.testing.assert_array_equal(DensityMatrix.outer(v, (2, 2)).matrix, full.matrix)
             assert not r.post_state.matrix.flags.writeable
 
 

@@ -36,6 +36,8 @@ def test_outcome_suffixes_cover_all_outcomes():
         (wigner_panels, "grid_points"),
         (bell_timing, "points"),
         (fidelity_scan, "time_points"),
+        (fidelity_scan, "ensemble"),
+        (bell_ensemble, "ensemble"),
     ],
 )
 def test_scans_reject_sizes_below_one(scan, size, monkeypatch):
@@ -185,10 +187,6 @@ class TestGhzSweep:
 
 
 class TestBellEnsemble:
-    def test_rejects_an_empty_ensemble(self):
-        with pytest.raises(ValueError, match="ensemble must be >= 1"):
-            bell_ensemble(nbars=(6,), ensemble=0)
-
     def test_tiny_run_structure(self):
         r = bell_ensemble(nbars=(6,), ensemble=4, seed=2)
         assert r.rows.shape == (1, 13)
