@@ -62,24 +62,22 @@ class DensityMatrix:
 
     @classmethod
     def outer(cls, vec: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
-        """|v><v| of a unit vector v.  It is Hermitian and positive by
-        construction, so only its trace |v|^2 is checked; no eigvalsh."""
+        """|v><v| of a unit vector v, positive by construction (_positive)."""
         vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape != (dim := math.prod(dims),):
             raise ValueError(f"vector shape {vec.shape} != space dim {dim}")
-        tr = float(np.vdot(vec, vec).real)
+        return cls._positive(np.outer(vec, vec.conj()), dims, float(np.vdot(vec, vec).real))
+
+    @classmethod
+    def _positive(cls, mat: np.ndarray, dims: tuple[int, ...], tr: float) -> "DensityMatrix":
+        """A A^dag with tr = |A|^2, positive by construction: only tr is checked."""
         if abs(tr - 1.0) > _TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1")
-        mat = np.outer(vec, vec.conj())
         mat.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", mat)
         object.__setattr__(rho, "dims", dims)
         return rho
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def fidelity(a: StateVector | DensityMatrix, b: StateVector) -> float:
@@ -103,9 +101,10 @@ def partial_trace(state: StateVector | DensityMatrix, keep: str) -> DensityMatri
     d_a, d_f = math.prod(atom_dims), field_dims[0]
     if isinstance(state, StateVector):
         mat = state.amplitudes.reshape(d_a, d_f)
+        tr = float(np.vdot(mat, mat).real)  # the trace of either reduction
         if keep == "atoms":
-            return DensityMatrix(mat @ mat.conj().T, atom_dims)
-        return DensityMatrix(mat.T @ mat.conj(), field_dims)
+            return DensityMatrix._positive(mat @ mat.conj().T, atom_dims, tr)
+        return DensityMatrix._positive(mat.T @ mat.conj(), field_dims, tr)
     rho = state.matrix.reshape(d_a, d_f, d_a, d_f)
     if keep == "atoms":
         return DensityMatrix(np.einsum("ambm->ab", rho), atom_dims)
@@ -192,9 +191,11 @@ def wigner(
     `hilbert.hermite_functions`.  rho_f has one factor, read as a field
     mode cut at n_max = dim - 1.
 
-    rho = sum_j lam_j |v_j><v_j| keeps the pairs with |lam_j| > 1e-14
-    max|lam|; a normalized pure state has |W| <= 2/pi, so the dropped pairs
-    move W by at most (2/pi) sum |lam_dropped|.  The integrand vanishes once
+    The sum runs over the pairs of rho = sum_j lam_j |v_j><v_j| from one
+    eigh (`_wigner_pairs`; `scans.wigner_panels` passes it a field of rank
+    <= 4 from one thin SVD), keeping those with |lam_j| > 1e-14 max|lam|;
+    a normalized pure state has |W| <= 2/pi, so the dropped pairs move W
+    by at most (2/pi) sum |lam_dropped|.  The integrand vanishes once
     |x +- y| passes z_max, where h_{dim-1}, the widest wavefunction of the
     cutoff, has fallen below 1e-16 (at most 4.9 past its turning point
     sqrt(dim + 1/2)); the trapezoid sum runs over 0 <= y <= z_max, and
@@ -223,8 +224,13 @@ def wigner(
     """
     if len(rho_f.dims) != 1:
         raise ValueError("wigner expects a single-mode field density matrix")
-    dim = rho_f.dim
-    nbar = max(float(np.real(np.sum(np.diag(rho_f.matrix) * np.arange(dim)))), 0.0)
+    return _wigner_pairs(*np.linalg.eigh(rho_f.matrix), beta_re, beta_im)
+
+
+def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> WignerGrid:
+    """`wigner` of rho = sum_j lam_j |v_j><v_j|, v_j the columns of vecs."""
+    dim = vecs.shape[0]
+    nbar = max(float(np.arange(dim) @ np.abs(vecs) ** 2 @ lam), 0.0)
     beta_re, beta_im = (
         np.linspace(-math.sqrt(nbar) - 5.0, math.sqrt(nbar) + 5.0, 201)
         if axis is None
@@ -234,10 +240,9 @@ def wigner(
     fringe_scale = math.pi / (4.0 * (math.sqrt(nbar) + 1.0))
     if any(a.size > 1 and np.max(np.abs(np.diff(a))) > fringe_scale for a in (beta_re, beta_im)):
         warnings.warn(
-            "grid spacing may be too coarse to resolve interference fringes", stacklevel=2
+            "grid spacing may be too coarse to resolve interference fringes", stacklevel=3
         )
 
-    lam, vecs = np.linalg.eigh(rho_f.matrix)
     keep = np.abs(lam) > 1e-14 * np.max(np.abs(lam))
     lam, vecs = lam[keep], vecs[:, keep]
     # v_j and conj v_j as interleaved real columns: one real product with a

@@ -571,11 +571,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --lo-phase needs --efficiency: it sets the homodyne detector",
               file=sys.stderr)
         return 2
-
-    code = _check_validity(args, max(float(n) for n in args.nbar))
-    if code:
-        return code
     try:
+        if getattr(args, "efficiency", None) is not None:
+            HomodyneConfig(0.0, args.efficiency)  # its range check: --strict must not exit 3 on it
+        if code := _check_validity(args, max(float(n) for n in args.nbar)):
+            return code
         t0 = time.perf_counter()
         results = _RUNNERS[args.command](args)
         _emit(args, args.command, results, time.perf_counter() - t0)

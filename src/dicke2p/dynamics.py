@@ -9,7 +9,8 @@ project a state onto the sector eigenvectors once, build the phase table
 exp(-i lambda t) once per spectrum and set of times, and rotate back to the
 flat basis.  An overlap between states of two spectra skips the rotation:
 it is a sum over sector pairs of weights, phases and the small eigenvector
-overlap maps of sector_overlaps.  The analytic layer runs the same
+overlap maps of sector_overlaps; an expectation value (scans.rabi_curve) is
+a sum over the sector frequency pairs.  The analytic layer runs the same
 engine on the large-N linearization of the two-photon interaction W: each
 sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in
 N, (0, +-g(2N-3)), which turns a coherent-state input into a superposition
@@ -65,7 +66,9 @@ class SectorSpectrum:
 
     propagate(psi, times) is rotate(project(psi), phases(times)): project
     depends on the state alone and phases on the times alone, so a caller
-    evolving many states to the same times builds each once.
+    evolving many states to the same times builds each once.  Only the
+    evolve_*_many functions, scans.wigner_panels and protocols._evolved_basis
+    rotate; overlaps and expectation values stop at the phases.
     """
 
     index: np.ndarray

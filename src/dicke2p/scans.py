@@ -15,15 +15,13 @@ import numpy as np
 
 from .analysis import (
     _thread_rng,
+    _wigner_pairs,
     ensemble_stats,
     haar_random_two_qubit,
-    partial_trace,
     sample_rng,
-    wigner,
 )
 from .dynamics import (
     check_capture,
-    evolve_exact_many,
     linearized_spectrum,
     rabi_see_analytic,
     revival_time,
@@ -33,7 +31,6 @@ from .dynamics import (
 from .hilbert import (
     AtomCoeffs,
     FockCutoff,
-    StateVector,
     coherent_state,
     tensor,
 )
@@ -69,10 +66,10 @@ OUTCOME_SUFFIX = {o: f"{'p' if o.d1 == '+' else 'm'}{'p' if o.d2 == '+' else 'm'
 
 # Stride between per-nbar seed offsets so RNG streams never collide.
 _SEED_STRIDE = 10007
-# Entries of the fidelity_scan overlap tables for one chunk of times, and of
-# their coefficients for one chunk of samples (2 MB each).  At 2**18 the
-# scan at nbar 20/50/100 and ensemble 10 keeps the coefficients of all its
-# samples, but its tracemalloc peak rises from 4.9 to 8.2 MB.
+# Entries of a fidelity_scan overlap table or a rabi_curve phase table for one
+# chunk of times, and of the scan's coefficients for one chunk of samples (2 MB
+# as complex).  At 2**18 the scan at nbar 20/50/100 and ensemble 10 keeps the
+# coefficients of all its samples, but its tracemalloc peak rises to 8.2 MB.
 _CHUNK = 2**17
 
 
@@ -208,7 +205,11 @@ def rabi_curve(
     points: int = 481,
 ) -> ScanResult:
     """Collapse and revival of <S_ee> for |ee>|alpha>: exact two-photon
-    evolution next to the closed-form collapse/revival expression."""
+    evolution next to the closed-form collapse/revival expression.  The
+    exact curve evolves no state: with b_ik = V_ik w_k in each sector and
+    o_i the excited atoms of slot i, it sums C_kl e^{i(lam_k - lam_l) t},
+    C = b^dag diag(o) b, as tr C plus a cosine sum over k < l, a chunk of
+    times at a time."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     cutoff = FockCutoff.for_mean_photon(nbar)
@@ -216,10 +217,17 @@ def rabi_curve(
     grid = np.linspace(0.0, gt_max_over_pi, points)
     times = grid * math.pi / abs(g)
 
-    atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), (2, 2))
-    psi0 = tensor(atoms, coherent_state(alpha, cutoff))
-    traj = evolve_exact_many(sector_spectrum(EffectiveModelParams(g, cutoff)), psi0, times)
-    numeric = np.abs(traj) ** 2 @ np.repeat([0.0, 1.0, 1.0, 2.0], cutoff.dim)
+    spec = sector_spectrum(EffectiveModelParams(g, cutoff))
+    o = np.append(np.repeat([0.0, 1.0, 1.0, 2.0], cutoff.dim), 0.0)[spec.index, None]
+    psi0 = np.kron([0, 0, 0, 1], coherent_state(alpha, cutoff).amplitudes)  # |ee>|alpha>
+    b = spec.vectors * spec.project(psi0)[:, None, :]
+    c = (b.conj() * o).transpose(0, 2, 1) @ b
+    k, l = np.triu_indices(spec.index.shape[1], 1)
+    # W and |ee>|alpha> are real, so is C: a pair k < l adds 2 C_kl cos((lam_k - lam_l) t)
+    pairs, freqs = 2.0 * c[:, k, l].real.ravel(), (spec.values[:, k] - spec.values[:, l]).ravel()
+    numeric = np.full(points, np.trace(c, axis1=1, axis2=2).sum().real)
+    for lo in range(0, points, step := max(1, _CHUNK // freqs.size)):
+        numeric[lo : lo + step] += np.cos(np.outer(times[lo : lo + step], freqs)) @ pairs
     analytic = rabi_see_analytic(alpha, g, times)
     rows = np.column_stack([grid, numeric, analytic])
     meta = {"nbar": nbar, "g": g, "alpha": alpha, "points": points}
@@ -239,25 +247,19 @@ def wigner_panels(
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     cutoff = FockCutoff.for_mean_photon(nbar)
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
-    atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), (2, 2))
-    psi0 = tensor(atoms, coherent_state(alpha, cutoff))
+    psi0 = np.kron([0, 0, 0, 1], coherent_state(alpha, cutoff).amplitudes)  # |ee>|alpha>
     w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
-    t_r = revival_time(g)
 
     span = math.sqrt(nbar) + 5.0
     axis = np.linspace(-span, span, grid_points)
 
     panels: dict[str, ScanResult] = {}
-    for label, t in (("t0", 0.0), ("tr4", t_r / 4.0), ("tr2", t_r / 2.0)):
-        psi_t = (
-            psi0
-            if t == 0.0
-            else StateVector(
-                evolve_exact_many(w_spec, psi0, np.array([t]))[0], psi0.dims
-            )
-        )
-        rho_f = partial_trace(psi_t, keep="field")
-        grid = wigner(rho_f, beta_re=axis, beta_im=axis)
+    times = (0.0, revival_time(g) / 4.0, revival_time(g) / 2.0)
+    amplitudes = w_spec.propagate(psi0, np.array(times)).reshape(3, 4, cutoff.dim)
+    for label, t, m in zip(("t0", "tr4", "tr2"), times, amplitudes):
+        # rho_f = M^T M* = U diag(s^2) U^dag, from the thin SVD M^T = U diag(s) V^dag
+        u, s, _ = np.linalg.svd(m.T, full_matrices=False)
+        grid = _wigner_pairs(s**2, u, axis, axis)
         re_m, im_m = np.meshgrid(grid.beta_re, grid.beta_im)
         rows = np.column_stack([re_m.ravel(), im_m.ravel(), grid.values.ravel()])
         meta = {

@@ -168,6 +168,29 @@ def cavity_maps_oracle(alpha, g, times, n_max, engine):
     return (basis @ refs).transpose(0, 3, 2, 1), gram
 
 
+def excited_state_evolved(nbar, phi, g, times):
+    """|ee>|sqrt(nbar) e^{i phi}> on the cutoff for nbar, evolved under W to
+    every time by SectorSpectrum.propagate; amplitudes (T, 4 dim)."""
+    from dicke2p.dynamics import evolve_exact_many, sector_spectrum
+    from dicke2p.hilbert import coherent_state, tensor
+
+    cutoff = FockCutoff.for_mean_photon(nbar)
+    atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), (2, 2))
+    psi0 = tensor(atoms, coherent_state(np.sqrt(nbar) * np.exp(1j * phi), cutoff))
+    spectrum = sector_spectrum(EffectiveModelParams(g, cutoff))
+    return evolve_exact_many(spectrum, psi0, np.asarray(times, dtype=np.float64))
+
+
+def rabi_oracle(nbar, g=-0.002, gt_max_over_pi=1.2, points=481):
+    """The see_numeric column of scans.rabi_curve in the flat basis: the
+    populations of the evolved state at every time, summed with the excited
+    atoms (0, 1, 1, 2) of each atomic basis state.  Deliberately free of
+    the sector-eigenbasis pair sum that rabi_curve takes."""
+    times = np.linspace(0.0, gt_max_over_pi, points) * np.pi / abs(g)
+    traj = excited_state_evolved(nbar, 0.0, g, times)
+    return np.abs(traj) ** 2 @ np.repeat([0.0, 1.0, 1.0, 2.0], traj.shape[1] // 4)
+
+
 def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, delta=500.0):
     """Rows of scans.fidelity_scan computed one Haar sample at a time: each
     sample propagated to every time by the three evolve_*_many calls and

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from conftest import random_coeffs
+from conftest import excited_state_evolved, random_coeffs
 from dicke2p import analysis, scans
 from dicke2p.analysis import (
     DensityMatrix,
@@ -19,6 +19,7 @@ from dicke2p.analysis import (
     sample_rng,
     wigner,
 )
+from dicke2p.dynamics import revival_time
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
@@ -131,6 +132,25 @@ class TestPartialTrace:
         via_dm = partial_trace(DensityMatrix.outer(psi.amplitudes, psi.dims), keep="atoms")
         via_sv = partial_trace(psi, keep="atoms")
         np.testing.assert_allclose(via_dm.matrix, via_sv.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("keep", ["atoms", "field"])
+    def test_pure_state_reduction_runs_no_eigvalsh(self, small_cutoff, keep, monkeypatch):
+        """M M^dag and M^T M* are positive by construction: the reduction of
+        a state vector checks its trace only, and equals the fully checked
+        density matrix."""
+        coeffs = random_coeffs(np.random.default_rng(4))
+        psi = tensor(coeffs.to_state(), coherent_state(1.2 - 0.4j, small_cutoff))
+        m = psi.amplitudes.reshape(4, small_cutoff.dim)
+        if keep == "atoms":
+            checked = DensityMatrix(m @ m.conj().T, (2, 2))
+        else:
+            checked = DensityMatrix(m.T @ m.conj(), (small_cutoff.dim,))
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or [])
+        rho = partial_trace(psi, keep=keep)
+        assert not calls and rho.dims == checked.dims
+        np.testing.assert_array_equal(rho.matrix, checked.matrix)
+        assert not rho.matrix.flags.writeable
 
     def test_keep_label_guard(self, small_cutoff, mixed_coeffs):
         psi = tensor(mixed_coeffs.to_state(), fock_state(0, small_cutoff))
@@ -257,18 +277,13 @@ class TestWigner:
         return rho, beta_re, beta_im, wigner(rho, beta_re, beta_im).values
 
     def half_revival_panel(self):
-        # the t_r/2 panel of wigner_panels(50), read at every 10th point
-        calls = []
-
-        def keep(rho_f, beta_re, beta_im):
-            calls.append((rho_f, wigner(rho_f, beta_re, beta_im)))
-            return calls[-1][1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scans, "wigner", keep)
-            scans.wigner_panels(50.0)
-        rho, grid = calls[2]
-        return rho, grid.beta_re[::10], grid.beta_im[::10], grid.values[::10, ::10]
+        # the t_r/2 panel of wigner_panels(50), read at every 10th point,
+        # and the field reduced from the same evolved state
+        rows = scans.wigner_panels(50.0)["tr2"].rows
+        amps = excited_state_evolved(50.0, 2.0 * math.pi / 3.0, -0.002, [revival_time(-0.002) / 2])
+        rho = partial_trace(StateVector(amps[0], (2, 2, amps.shape[1] // 4)), keep="field")
+        values = rows[:, 2].reshape(201, 201)
+        return rho, rows[:201:10, 0], rows[::2010, 1], values[::10, ::10]
 
     @POINTWISE
     @pytest.mark.parametrize(

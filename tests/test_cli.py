@@ -77,6 +77,26 @@ class TestArgumentHandling:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bell", "--nbar", "10", "--ensemble", "2", "--efficiency", "2"],
+             "efficiency must lie in (0, 1]"),
+            (["bell", "--nbar", "100", "--ensemble", "2", "--efficiency", "2", "--strict"],
+             "efficiency must lie in (0, 1]"),
+            (["rabi", "--nbar", "4", "--delta", "0", "--strict"], "delta must be positive"),
+        ],
+        ids=["efficiency", "efficiency-strict", "delta"],
+    )
+    def test_out_of_range_values_exit_2(self, tmp_path, capsys, argv, message):
+        """A value that a library constructor refuses exits 2 with its
+        message, before and inside the validity check, so --strict cannot
+        turn it into exit 3."""
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "validity warning" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["bell", "--nbar", "4", "--ensemble", "0"],

@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fidelity_scan_oracle
+from conftest import excited_state_evolved, fidelity_scan_oracle, rabi_oracle
 from dicke2p import dynamics, protocols, scans
-from dicke2p.analysis import sample_rng
-from dicke2p.dynamics import SectorSpectrum, rabi_see_analytic, sector_spectrum
-from dicke2p.hilbert import AtomCoeffs, FockCutoff
+from dicke2p.analysis import partial_trace, sample_rng, wigner
+from dicke2p.dynamics import SectorSpectrum, rabi_see_analytic, revival_time, sector_spectrum
+from dicke2p.hilbert import AtomCoeffs, FockCutoff, StateVector
 from dicke2p.models import FullModelParams
 from dicke2p.protocols import ALL_OUTCOMES, bell_outcome_table
 from dicke2p.scans import (
@@ -67,6 +67,35 @@ class TestRabiCurve:
         np.testing.assert_allclose(
             r.rows[:, 2], rabi_see_analytic(2.0, -0.002, t), atol=1e-12
         )
+
+    @pytest.mark.parametrize("nbar", [4.0, 20.0, 50.0])
+    def test_matches_flat_basis_oracle(self, nbar):
+        """The pair sum in the sector eigenbasis reads the populations of
+        the evolved state to rounding."""
+        r = rabi_curve(nbar=nbar)
+        np.testing.assert_allclose(r.rows[:, 1], rabi_oracle(nbar), rtol=0, atol=1e-14)
+
+
+def test_rabi_evolves_no_state_and_revival_diagonalizes_only_sectors(monkeypatch):
+    """rabi_curve evolves no state, and neither revival command runs an
+    eigh or eigvalsh past a sector block: no 112 x 112 field matrix at
+    nbar 50."""
+    shapes, propagated = [], []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    propagate = SectorSpectrum.propagate
+    monkeypatch.setattr(
+        SectorSpectrum, "propagate", lambda *a: propagated.append(1) or propagate(*a)
+    )
+    rabi_curve(nbar=50.0)
+    assert not propagated
+    with pytest.warns(UserWarning, match="fringe"):
+        wigner_panels(nbar=50.0, grid_points=21)
+    assert shapes and max(shape[-1] for shape in shapes) <= 9
 
 
 class TestFidelityScan:
@@ -286,6 +315,20 @@ class TestBellTiming:
 
 
 class TestWignerPanels:
+    @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")
+    @pytest.mark.parametrize("nbar", [20.0, 50.0, 100.0])
+    def test_svd_pairs_match_wigner_of_the_reduced_field(self, nbar):
+        """Each panel, summed over the thin-SVD pairs of the joint
+        amplitudes, is wigner() of the field reduced from the same state."""
+        panels = wigner_panels(nbar=nbar)
+        times = [0.0, revival_time(-0.002) / 4.0, revival_time(-0.002) / 2.0]
+        states = excited_state_evolved(nbar, 2.0 * math.pi / 3.0, -0.002, times)
+        for label, amps in zip(("t0", "tr4", "tr2"), states):
+            rows = panels[label].rows
+            rho = partial_trace(StateVector(amps, (2, 2, amps.size // 4)), keep="field")
+            grid = wigner(rho, rows[:201, 0], rows[::201, 1])
+            np.testing.assert_allclose(rows[:, 2], grid.values.ravel(), rtol=0, atol=1e-13)
+
     def test_three_panels_with_metadata(self):
         with pytest.warns(UserWarning, match="fringe"):
             panels = wigner_panels(nbar=4.0, grid_points=41)
