@@ -12,7 +12,7 @@ import numpy as np
 import numpy.random  # lazy in NumPy 2: load it with the package, not at the first draw
 from numpy.lib.stride_tricks import as_strided
 
-from .hilbert import AtomCoeffs, StateVector, hermite_functions
+from .hilbert import AtomCoeffs, StateVector, hermite_sum
 
 __all__ = [
     "DensityMatrix",
@@ -29,10 +29,7 @@ __all__ = [
 _HERM_ATOL = 1e-10
 _TRACE_ATOL = 1e-10
 _EIG_FLOOR = -1e-9
-# Floats in one Hermite table of a Wigner quadrature lattice (4 MB), and
-# complex entries in one gather of wavefunctions from it (2 MB).
-_HERMITE_TABLE = 2**19
-_GATHER = 2**17
+_GATHER = 2**17  # complex entries in one lattice's wavefunctions, and in one gather
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +147,14 @@ def _runs(axis: np.ndarray) -> list[tuple[int, int, float]]:
     return runs
 
 
-def _lattices(axis: np.ndarray, step: float, z_max: float, dim: int):
-    """Pieces of axis that each take one Hermite table, as (lo, hi,
-    lattice, dx_n, dy_n, K, dy): with x_i = axis[lo + i] and y_k = k dy for
-    k = 0..K, x_i -+ y_k is the lattice point of index |dy_n| K + i dx_n -+
-    k dy_n.  A run (h, m, q as in `wigner`) is cut into pieces whose table
-    holds at most _HERMITE_TABLE floats.  It goes point by point, like the
-    points in no run, where its lattice would be longer than theirs: dy =
-    step, and as many blocks of 2K + 1 points to a table as fit."""
+def _lattices(axis: np.ndarray, step: float, z_max: float, width: int):
+    """Pieces of axis that each take one lattice, as (lo, hi, lattice, dx_n,
+    dy_n, K, dy): with x_i = axis[lo + i] and y_k = k dy for k = 0..K, x_i
+    -+ y_k is the lattice point of index |dy_n| K + i dx_n -+ k dy_n.  A run
+    (h, m, q as in `wigner`) is cut into pieces whose wavefunctions, width
+    complex entries a point, hold at most _GATHER.  It goes point by point,
+    like the points in no run, where its lattice would be longer than
+    theirs: dy = step, and as many blocks of 2K + 1 points as fit."""
     k_one = math.ceil(z_max / step)
     for lo, hi, dx in _runs(axis):
         if dx:
@@ -165,14 +162,14 @@ def _lattices(axis: np.ndarray, step: float, z_max: float, dim: int):
             h = dx / m
             q = math.floor(step / abs(h))
             k = math.ceil(z_max / (q * abs(h)))
-            per = min(hi - lo, (_HERMITE_TABLE // dim - 2 * q * k - 1) // m + 1)
+            per = min(hi - lo, (_GATHER // width - 2 * q * k - 1) // m + 1)
             if per > 1 and (per - 1) * m + 2 * q * k + 1 <= per * (2 * k_one + 1):
                 for a in range(lo, hi, per):
                     b = min(a + per, hi)
                     lattice = axis[a] + np.arange(-q * k, (b - a - 1) * m + q * k + 1) * h
                     yield a, b, lattice, m, int(math.copysign(q, h)), k, q * abs(h)
                 continue
-        per = max(1, _HERMITE_TABLE // (dim * (2 * k_one + 1)))
+        per = max(1, _GATHER // (width * (2 * k_one + 1)))
         for a in range(lo, hi, per):
             b = min(a + per, hi)
             lattice = (axis[a:b, None] + np.arange(-k_one, k_one + 1) * step).ravel()
@@ -188,7 +185,7 @@ def wigner(
     wavefunctions, W(x, p) = (2/pi) int <x-y|rho|x+y> e^{4ipy} dy at
     beta = x + ip (Hillery, O'Connell, Scully and Wigner, Phys. Rep. 106,
     121 (1984)), in the convention x = (a + a^dag)/2 of
-    `hilbert.hermite_functions`.  rho_f has one factor, read as a field
+    `hilbert.hermite_sum`.  rho_f has one factor, read as a field
     mode cut at n_max = dim - 1.
 
     The sum runs over the pairs of rho = sum_j lam_j |v_j><v_j| from one
@@ -209,14 +206,14 @@ def wigner(
     the y step dy = q|h|, where q = floor(step / |h|) is 1 unless |dx| <=
     step/2; the default axes have q = 1 and dy = |dx|/m.  Every x_i +- y_k,
     k = 0..K = ceil(z_max / dy), then lies on the one lattice u_n = x_0 +
-    n h of (N - 1) m + 2qK + 1 points.  One Hermite table on it, cut into
-    pieces of at most _HERMITE_TABLE floats on long runs, gives
-    every psi_j.  rho(x - y, x + y) is read from them through strided
-    views, for as many x at a time as keep the J products psi_j(x - y)
-    conj psi_j(x + y) within _GATHER complex entries, and the y sum is one
-    matrix product with the run's kernel.  Points in no run go with dy =
-    step and 2K + 1 lattice points each, as does a run whose spacing lies
-    so far below step that its lattice would be longer (`_lattices`).
+    n h of (N - 1) m + 2qK + 1 points, where one `hermite_sum` gives every
+    psi_j (in pieces of at most _GATHER complex values on long runs).
+    rho(x - y, x + y) is read from them through strided views, for as many
+    x at a time as keep the J products psi_j(x - y) conj psi_j(x + y)
+    within _GATHER complex entries, and the y sum is one matrix product
+    with the run's kernel.  Points in no run go with dy = step and 2K + 1
+    lattice points each, as does a run whose spacing lies so far below
+    step that its lattice would be longer (`_lattices`).
 
     Default axes span |beta| <= sqrt(<n>) + 5 with 201 points each; a
     warning is raised when the spacing is too coarse to resolve the
@@ -245,11 +242,9 @@ def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> Wigner
 
     keep = np.abs(lam) > 1e-14 * np.max(np.abs(lam))
     lam, vecs = lam[keep], vecs[:, keep]
-    # v_j and conj v_j as interleaved real columns: one real product with a
-    # Hermite table reads as psi_j and conj psi_j, (lattice, 2 J) complex
-    cols = np.ascontiguousarray(np.concatenate([vecs, vecs.conj()], axis=1)).view(np.float64)
+    cols = np.concatenate([vecs, vecs.conj()], axis=1)  # psi_j and conj psi_j
     zs = math.sqrt(dim + 0.5) + np.arange(0.0, 6.0, 0.05)
-    tail = np.abs(hermite_functions(zs, dim)[-1]) < 1e-16
+    tail = np.abs(hermite_sum(zs, np.arange(dim) == dim - 1)) < 1e-16  # h_{dim-1}
     if not tail.any():
         raise ValueError(f"h_{dim - 1} stays above 1e-16 up to x = {zs[-1]:.3g}")
     z_max = float(zs[np.argmax(tail)])
@@ -257,12 +252,12 @@ def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> Wigner
 
     values = np.empty((beta_im.size, beta_re.size))
     kernels: dict[float, np.ndarray] = {}
-    for lo, hi, lattice, dx_n, dy_n, k_max, dy in _lattices(beta_re, step, z_max, dim):
+    for lo, hi, lattice, dx_n, dy_n, k_max, dy in _lattices(beta_re, step, z_max, 2 * lam.size):
         if dy not in kernels:
             ys = np.arange(k_max + 1) * dy
             kernels[dy] = (4.0 * dy / math.pi) * np.exp(4j * np.outer(ys, beta_im))
             kernels[dy][0] /= 2.0  # trapezoid end point at y = 0
-        psi = (hermite_functions(lattice, dim).T @ cols).view(np.complex128)
+        psi = hermite_sum(lattice, cols)
         s_n, s_j = psi.strides
         chunk = max(1, _GATHER // (lam.size * (k_max + 1)))
         for a in range(lo, hi, chunk):

@@ -68,6 +68,16 @@ def _one_nbar(text: str) -> tuple[float | int, ...]:
     return vals
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -97,58 +107,58 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--ensemble", type=_positive_int, default=100)
 
     def coupling(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--g", type=float, default=None,
+        sp.add_argument("--g", type=_finite, default=None,
                         help="effective two-photon coupling "
                              "(default -gg*ge/delta; passing it skips validity checks)")
-        sp.add_argument("--gg", type=float, default=_DEF_GG)
-        sp.add_argument("--ge", type=float, default=_DEF_GE)
-        sp.add_argument("--delta", type=float, default=_DEF_DELTA)
+        sp.add_argument("--gg", type=_finite, default=_DEF_GG)
+        sp.add_argument("--ge", type=_finite, default=_DEF_GE)
+        sp.add_argument("--delta", type=_finite, default=_DEF_DELTA)
 
     sp = sub.add_parser("fidelity-scan",
                         help="Haar-ensemble fidelity of reduced models vs the full one")
     sp.add_argument("--nbar", type=_nbar_list, default=(20, 50, 100))
-    sp.add_argument("--gg", type=float, default=_DEF_GG)
-    sp.add_argument("--ge", type=float, default=_DEF_GE)
-    sp.add_argument("--delta", type=float, default=_DEF_DELTA)
+    sp.add_argument("--gg", type=_finite, default=_DEF_GG)
+    sp.add_argument("--ge", type=_finite, default=_DEF_GE)
+    sp.add_argument("--delta", type=_finite, default=_DEF_DELTA)
     sp.add_argument("--time-points", type=_positive_int, default=101)
     common(sp, seeded=True)
 
     sp = sub.add_parser("rabi", help="collapse and revival of <S_ee> for |ee>|alpha>")
     sp.add_argument("--nbar", type=_one_nbar, default=(50,))
-    sp.add_argument("--gt-max", type=float, default=1.2, help="window end in units of pi")
+    sp.add_argument("--gt-max", type=_finite, default=1.2, help="window end in units of pi")
     sp.add_argument("--points", type=_positive_int, default=481)
     coupling(sp)
     common(sp)
 
     sp = sub.add_parser("wigner", help="field Wigner function at t=0, tr/4, tr/2")
     sp.add_argument("--nbar", type=_one_nbar, default=(50,))
-    sp.add_argument("--phi", type=float, default=2.0 * math.pi / 3.0)
+    sp.add_argument("--phi", type=_finite, default=2.0 * math.pi / 3.0)
     sp.add_argument("--grid-points", type=_positive_int, default=201)
     coupling(sp)
     common(sp)
 
     sp = sub.add_parser("ghz", help="GHZ fidelity at half revival vs mean photon number")
     sp.add_argument("--nbar", type=_nbar_list, default=(10, 20, 50, 100))
-    sp.add_argument("--phi", type=float, default=math.pi / 4.0)
+    sp.add_argument("--phi", type=_finite, default=math.pi / 4.0)
     sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
     coupling(sp)
     common(sp)
 
     sp = sub.add_parser("bell", help="Bell-protocol fidelity per outcome, Haar ensemble")
     sp.add_argument("--nbar", type=_nbar_list, default=(10, 20, 50))
-    sp.add_argument("--phi", type=float, default=math.pi / 8.0)
+    sp.add_argument("--phi", type=_finite, default=math.pi / 8.0)
     sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
-    sp.add_argument("--efficiency", type=float, default=None,
+    sp.add_argument("--efficiency", type=_finite, default=None,
                     help="homodyne efficiency in (0,1]; omit for ideal detection")
-    sp.add_argument("--lo-phase", type=float, default=None,
+    sp.add_argument("--lo-phase", type=_finite, default=None,
                     help="local-oscillator phase (default: the field phase phi)")
     coupling(sp)
     common(sp, seeded=True)
 
     sp = sub.add_parser("bell-timing", help="protocol fidelity around the optimal gt = pi/2")
     sp.add_argument("--nbar", type=_one_nbar, default=(50,))
-    sp.add_argument("--phi", type=float, default=math.pi / 8.0)
-    sp.add_argument("--half-width", type=float, default=0.08,
+    sp.add_argument("--phi", type=_finite, default=math.pi / 8.0)
+    sp.add_argument("--half-width", type=_finite, default=0.08,
                     help="half width of the gt window")
     sp.add_argument("--points", type=_positive_int, default=321)
     coupling(sp)

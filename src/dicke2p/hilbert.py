@@ -8,7 +8,7 @@ n_max + 1) for three-level ones, (2, 2) for the atoms alone and
 (n_max + 1,) for the field alone; every module relies on it.  Atomic
 levels are ordered g, e for two-level atoms and g, i, e for three-level
 atoms.  The Hamiltonians are never built here as matrices of the full
-dimension: see models.sector_blocks.
+dimension (see models.sector_blocks), nor <x|n> as a table (hermite_sum).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Literal
 import numpy as np
 
 __all__ = [
-    "NORM_ATOL",
     "CAPTURE_ATOL",
     "FLAG_ATOL",
     "FockCutoff",
@@ -31,7 +30,7 @@ __all__ = [
     "AtomCoeffs",
     "fock_state",
     "coherent_state",
-    "hermite_functions",
+    "hermite_sum",
     "cat_state",
     "bell_state",
     "tensor",
@@ -47,7 +46,8 @@ FLAG_ATOL = 1e-10
 BellKind = Literal["psi+", "psi-", "phi+", "phi-"]
 
 _SQRT2 = math.sqrt(2.0)
-_H0_NORMAL_X = 26.6  # exp(-x^2) is a normal float64 up to here
+_BIG, _HALF_BIG = 2.0**450, 2.0**225  # hermite_sum's rescale thresholds
+_BLOCK = 32  # rows per matmul in hermite_sum
 
 
 @dataclass(frozen=True)
@@ -296,28 +296,36 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
     return StateVector.normalized(amps, (cutoff.dim,))
 
 
-def hermite_functions(x: np.ndarray, dim: int) -> np.ndarray:
-    """Quadrature-representation Fock wavefunctions h_n(x) = <x|n> for the
-    convention x = (a + a^dag)/2; shape (dim, len(x)).
-
-    Three-term recurrence with normalized functions, stable to large n.
-    Their one home: `analysis.wigner` and `protocols` import them from here.
-    It starts from exp(-x^2), which is subnormal past |x| = 26.6 and 0 past
-    27.3; h_{dim-1} falls below 1e-16 within 2.4 of sqrt(dim + 1/2), so a
-    grid past 26.6 raises once sqrt(dim + 1/2) + 2 passes it too.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    reach = float(np.max(np.abs(x), initial=0.0))
-    if reach > _H0_NORMAL_X and math.sqrt(dim + 0.5) + 2.0 > _H0_NORMAL_X:
-        raise ValueError(f"Hermite functions of dim {dim} underflow at max|x| = {reach:.4g}")
-    out = np.empty((dim, x.size), dtype=np.float64)
-    out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
-    two_x = 2.0 * x
-    if dim > 1:
-        out[1] = two_x * out[0]
-    for n in range(1, dim - 1):
-        out[n + 1] = (two_x * out[n] - math.sqrt(n) * out[n - 1]) / math.sqrt(n + 1)
-    return out
+def hermite_sum(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] h_n(x), shape (len(x),) + coeffs.shape[1:], h_n(x) =
+    <x|n> for the quadrature x = (a + a^dag)/2, by the normalized recurrence
+    h_{n+1} = (2x h_n - sqrt(n) h_{n-1}) / sqrt(n + 1) (Bunck, BIT Numer.
+    Math. 49, 2009) on h_n e^{x^2} 2^{-shift}, times exp(shift ln 2 - x^2)
+    at the end.  Points above _HALF_BIG in a row whose norm passes _BIG are
+    scaled to [1/2, 1) by exact powers of two (a row grows at most 2|x| + 1
+    times: finite while len(x) (2|x| + 1)^2 < 2^124).  _BLOCK rows go into
+    each real matmul, complex coeffs as their float64 view; no table."""
+    flat = np.ascontiguousarray(np.reshape(coeffs, (len(coeffs), -1)), np.result_type(coeffs, 1.0))
+    cols = flat.view(np.float64)
+    two_x, shift = 2.0 * x, np.zeros(x.size)
+    total = np.zeros((x.size, cols.shape[1]))
+    # row n at ring[n % _BLOCK], from h_0 e^{x^2}; h_{-1} enters times sqrt(0)
+    ring = np.full((_BLOCK, x.size), (2.0 / math.pi) ** 0.25)
+    for first in range(0, len(cols), _BLOCK):
+        block = cols[first : first + _BLOCK]
+        for n in range(max(first, 1), first + len(block)):
+            row = ring[n % _BLOCK]
+            np.multiply(two_x, ring[(n - 1) % _BLOCK], out=row)
+            row -= math.sqrt(n - 1) * ring[(n - 2) % _BLOCK]
+            row /= math.sqrt(n)
+            if row @ row > _BIG * _BIG:
+                exponent = np.where(np.abs(row) > _HALF_BIG, np.frexp(row)[1], 0)
+                np.ldexp(ring, -exponent, out=ring)
+                np.ldexp(total, -exponent[:, None], out=total)
+                shift += exponent
+        total += ring[: len(block)].T @ block
+    total *= np.exp(shift * math.log(2.0) - x * x)[:, None]
+    return total.view(flat.dtype).reshape(x.shape + np.shape(coeffs)[1:])
 
 
 def cat_state(alpha: complex, parity: str, cutoff: FockCutoff) -> StateVector:

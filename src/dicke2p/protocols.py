@@ -51,7 +51,7 @@ from .hilbert import (
     _freeze,
     bell_state,
     coherent_state,
-    hermite_functions,
+    hermite_sum,
     tensor,
 )
 from .models import EffectiveModelParams
@@ -586,13 +586,13 @@ def homodyne_outcome_table(
     return (out[0], out[1], out[2], out[3])
 
 
-@lru_cache(maxsize=4)
-def _quadrature_basis(span: float, dim: int, lo_phase: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature grid on [-span, span] and the rotated Fock wavefunctions
-    e^{-i lo_phase n} h_n(x) there, shared by repeated shots on one state."""
+def _quadrature(span: float, amps: np.ndarray, lo_phase: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid on [-span, span] and the field amplitudes amps (..., dim) read
+    there, sum_n amps[..., n] e^{-i lo_phase n} h_n(x), shape (..., points)."""
     xs = np.linspace(-span, span, _QUADRATURE_POINTS)
-    bras = np.exp(-1j * lo_phase * np.arange(dim))[:, None] * hermite_functions(xs, dim)
-    return _frozen(xs, bras)
+    rotated = amps * np.exp(-1j * lo_phase * np.arange(amps.shape[-1]))
+    read = hermite_sum(xs, np.moveaxis(rotated, -1, 0))
+    return xs, np.ascontiguousarray(np.moveaxis(read, 0, -1))
 
 
 @lru_cache(maxsize=8)
@@ -601,12 +601,10 @@ def _quadrature_map(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cavity 1 read by homodyne detection as a Kraus map on the atoms: the
     grid on +-(|alpha| + 5) and K (4 inputs, 4 atoms, points), the evolved
-    product-basis states projected on the rotated quadrature wavefunctions,
-    so that atoms (4,) give the (atoms, record) amplitudes
-    sum_j atoms[j] K[j].  The Hermite table is not cached: shots need only
-    K, and at nbar = 50 the table is seven times its size."""
-    xs, bras = _quadrature_basis.__wrapped__(abs(alpha) + 5.0, n_max + 1, lo_phase)
-    return xs, *_frozen(_evolved_basis(alpha, g, t, n_max, engine) @ bras)
+    product-basis states read by `_quadrature`, so that atoms (4,) give the
+    (atoms, record) amplitudes sum_j atoms[j] K[j]."""
+    basis = _evolved_basis(alpha, g, t, n_max, engine)
+    return _frozen(*_quadrature(abs(alpha) + 5.0, basis, lo_phase))
 
 
 def _record_cdf(amps: np.ndarray) -> np.ndarray:
@@ -638,9 +636,8 @@ def _measure_law(amplitudes: bytes, dims: tuple[int, ...], lo_phase: float) -> t
     record) amplitudes (4, points) and their cumulative density."""
     mat = np.frombuffer(amplitudes, dtype=np.complex128).reshape(4, dims[2])
     nbar = float(np.dot(np.sum(np.abs(mat) ** 2, axis=0), np.arange(dims[2])))
-    xs, bras = _quadrature_basis(math.sqrt(max(nbar, 0.0)) + 5.0, dims[2], lo_phase)
-    amps = mat @ bras
-    return xs, *_frozen(amps, _record_cdf(amps))
+    xs, amps = _quadrature(math.sqrt(max(nbar, 0.0)) + 5.0, mat, lo_phase)
+    return _frozen(xs, amps, _record_cdf(amps))
 
 
 def homodyne_measure(

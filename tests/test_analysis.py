@@ -28,7 +28,7 @@ from dicke2p.hilbert import (
     cat_state,
     coherent_state,
     fock_state,
-    hermite_functions,
+    hermite_sum,
     tensor,
 )
 
@@ -216,15 +216,15 @@ class TestWigner:
         assert grid.integral() == pytest.approx(1.0, abs=2e-3)  # 0.2-step error: 1.3e-3
 
     def test_z_search_without_tail_raises(self, small_cutoff, monkeypatch):
-        flat = lambda x, dim: np.ones((dim, np.size(x)))  # noqa: E731
-        monkeypatch.setattr(analysis, "hermite_functions", flat)
+        flat = lambda x, coeffs: np.ones(np.shape(x) + np.shape(coeffs)[1:])  # noqa: E731
+        monkeypatch.setattr(analysis, "hermite_sum", flat)
         axes = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(ValueError, match="above 1e-16"):
             wigner(self.field_dm(fock_state(0, small_cutoff)), axes, axes)
 
     @POINTWISE
     @pytest.mark.parametrize(
-        "beta_re, table",
+        "beta_re, gather",
         [
             (np.linspace(-6.0, 6.0, 41), None),
             (np.linspace(6.0, -6.0, 41), None),
@@ -233,15 +233,20 @@ class TestWigner:
             (np.concatenate([np.linspace(-6.0, 0.0, 31), np.linspace(0.1, 6.0, 200)]), None),
             # a spacing so far below the y step that the run goes point by point
             (np.linspace(0.3, 0.31, 11), None),
-            # Hermite tables of 300 points: the run in three pieces
-            (np.linspace(-6.0, 6.0, 41), 20 * 300),
+            # lattices of 300 points (2 J = 40 wavefunctions): the run in pieces
+            (np.linspace(-6.0, 6.0, 41), 40 * 300),
         ],
         ids=["uniform", "descending", "one-point", "two-runs", "fine-run", "pieces"],
     )
-    def test_matches_oracle_on_full_rank_state(self, beta_re, table, monkeypatch):
+    def test_matches_oracle_on_full_rank_state(self, beta_re, gather, monkeypatch):
         # every eigenpair of rho enters the sum
-        if table:
-            monkeypatch.setattr(analysis, "_HERMITE_TABLE", table)
+        pieces = []
+        if gather:
+            monkeypatch.setattr(analysis, "_GATHER", gather)
+            lattices = analysis._lattices
+            monkeypatch.setattr(
+                analysis, "_lattices", lambda *a: (pieces.append(p) or p for p in lattices(*a))
+            )
         cut = FockCutoff(19)
         rng = np.random.default_rng(3)
         g = rng.normal(size=(cut.dim, cut.dim)) + 1j * rng.normal(size=(cut.dim, cut.dim))
@@ -252,6 +257,8 @@ class TestWigner:
         np.testing.assert_allclose(
             grid.values, wigner_oracle(rho, beta_re, axes), rtol=0, atol=1e-12
         )
+        if gather:
+            assert len(pieces) >= 3
 
     @POINTWISE
     def test_matches_oracle_on_top_fock_state(self):
@@ -310,18 +317,18 @@ class TestWigner:
         x +- y built 10.9M."""
         built = []
 
-        def counting(x, dim):
-            built.append(np.size(x) * dim)
-            return hermite_functions(x, dim)
+        def counting(x, coeffs):
+            built.append(np.size(x) * len(coeffs))
+            return hermite_sum(x, coeffs)
 
         cut = FockCutoff.for_mean_photon(50.0)
         rho = self.field_dm(coherent_state(math.sqrt(50.0) * np.exp(2j * math.pi / 3), cut))
         axis = np.linspace(-math.sqrt(50.0) - 5.0, math.sqrt(50.0) + 5.0, 201)
-        monkeypatch.setattr(analysis, "hermite_functions", counting)
+        monkeypatch.setattr(analysis, "hermite_sum", counting)
         wigner(rho, axis, axis)
 
         zs = math.sqrt(cut.dim + 0.5) + np.arange(0.0, 6.0, 0.05)
-        z_max = zs[np.argmax(np.abs(hermite_functions(zs, cut.dim)[-1]) < 1e-16)]
+        z_max = zs[np.argmax(np.abs(hermite_sum(zs, np.eye(cut.dim)[-1])) < 1e-16)]
         step = math.pi / (2.0 * (z_max + max(z_max, axis[-1])))
         dx = (axis[-1] - axis[0]) / (axis.size - 1)
         m = math.ceil(dx / step)

@@ -119,6 +119,40 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["ghz", "--nbar", "4", "--phi", "nan"],
+            ["wigner", "--nbar", "4", "--phi", "inf"],
+            ["rabi", "--nbar", "4", "--g", "nan"],
+            ["rabi", "--nbar", "4", "--gg", "inf"],
+            ["rabi", "--nbar", "4", "--ge", "inf"],
+            ["rabi", "--nbar", "4", "--delta", "nan"],
+            ["rabi", "--nbar", "4", "--gt-max", "nan"],
+            ["bell-timing", "--nbar", "4", "--half-width", "inf"],
+            ["bell", "--nbar", "4", "--ensemble", "2", "--efficiency", "0.5", "--lo-phase", "nan"],
+            ["bell", "--nbar", "4", "--ensemble", "2", "--efficiency", "nan"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_rejects_non_finite_floats(self, tmp_path, capsys, argv):
+        """A nan or infinite value of a float flag exits 2 naming the flag,
+        before any scan, and writes nothing."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be finite, got {argv[-1]!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_config_floats_meet_the_same_type(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("phi = nan\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["ghz", "--nbar", "4", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "argument --phi: must be finite, got 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["rabi", "--nbar", "4,400", "--strict"],
             ["wigner", "--nbar", "4,7"],
             ["bell-timing", "--nbar", "4,7"],
@@ -139,6 +173,22 @@ class TestArgumentHandling:
         assert main(["wigner", "--nbar", "4", "--grid-points", "1", "--out", str(out)]) == 0
         for label in ("t0", "tr4", "tr2"):
             assert read_csv_table(tmp_path / f"w_{label}.csv")[2].shape == (1, 3)
+
+    def test_wigner_runs_where_exp_of_minus_x2_underflows(self, tmp_path):
+        """At nbar = 500 the lattice reaches |x| = 32, past the 26.6 where
+        exp(-x^2) leaves the normal floats: the panels come out finite."""
+        out = tmp_path / "w.csv"
+        with pytest.warns(UserWarning, match="fringes"):  # 41 points are coarse here
+            assert main(["wigner", "--nbar", "500", "--grid-points", "41", "--out", str(out)]) == 0
+        for label in ("t0", "tr4", "tr2"):
+            rows = read_csv_table(tmp_path / f"w_{label}.csv")[2]
+            assert rows.shape == (41 * 41, 3) and np.isfinite(rows).all()
+
+    def test_homodyne_bell_runs_where_exp_of_minus_x2_underflows(self, tmp_path):
+        out = tmp_path / "b.csv"
+        argv = ["bell", "--nbar", "500", "--ensemble", "2", "--efficiency", "0.5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert read_csv_table(out)[2].shape[0] == 1
 
 
 class TestCsvOutput:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from dicke2p.hilbert import (
     StateVector,
     bell_state,
     coherent_state,
-    hermite_functions,
+    hermite_sum,
     tensor,
 )
 from dicke2p.models import EffectiveModelParams
@@ -296,7 +297,7 @@ class TestRunBellProtocol:
         """The first shot projects each cavity's references on the sector
         eigenvectors once and evolves no state for its readouts; homodyne
         detection also evolves the four cavity-1 basis states once, for one
-        Hermite build and one quadrature map.  Later shots on the same input
+        Hermite sum and one quadrature map.  Later shots on the same input
         read the cached laws only, a shot read from them equals the same
         shot built afresh, and the homodyne record is the one drawn from
         the cavity-1 joint state on the shots' grid."""
@@ -315,9 +316,9 @@ class TestRunBellProtocol:
 
         for name in ("project", "propagate"):
             monkeypatch.setattr(SectorSpectrum, name, counting(name, getattr(SectorSpectrum, name)))
-        monkeypatch.setattr(protocols, "hermite_functions", counting("hermite", hermite_functions))
+        monkeypatch.setattr(protocols, "hermite_sum", counting("hermite", hermite_sum))
         for cache in (protocols._cavity, protocols._ideal_law, protocols._homodyne_law,
-                      protocols._quadrature_basis, protocols._quadrature_map):
+                      protocols._quadrature_map):
             cache.cache_clear()
         c, _ = table20
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
@@ -334,8 +335,8 @@ class TestRunBellProtocol:
         assert counts == first
         assert_same_result(shots[0], fresh)
         if detection == "homodyne":
-            xs, bras = protocols._quadrature_basis(abs(alpha20) + 5.0, cut20.dim, PHI)
-            cdf = protocols._record_cdf(joint20.amplitudes.reshape(4, -1) @ bras)
+            xs, amps = protocols._quadrature(abs(alpha20) + 5.0, joint20.amplitudes.reshape(4, -1), PHI)
+            cdf = protocols._record_cdf(amps)
             x, _ = protocols._draw_quadrature(xs, cdf, cfg, sample_rng(3, 1))
             assert shots[0].record_x == x
 
@@ -398,7 +399,8 @@ class TestQuadratureMap:
         else:
             flat = np.tensordot(atoms, coherent_branch_basis(alpha20, G, [T_HALF], cut20)[0], 1)
         xs, kraus = protocols._quadrature_map(alpha20, G, T_HALF, cut20.n_max, engine, PHI)
-        grid, bras = protocols._quadrature_basis(abs(alpha20) + 5.0, cut20.dim, PHI)
+        grid = np.linspace(-abs(alpha20) - 5.0, abs(alpha20) + 5.0, protocols._QUADRATURE_POINTS)
+        bras = np.exp(-1j * PHI * np.arange(cut20.dim))[:, None] * hermite_sum(grid, np.eye(cut20.dim)).T
         np.testing.assert_array_equal(xs, grid)
         assert xs[-1] == abs(alpha20) + 5.0
         assert kraus.shape == (4, 4, xs.size) and not kraus.flags.writeable
@@ -652,33 +654,64 @@ class TestBatchedChain:
 
 class TestQuadratureTools:
     def test_base_wavefunction_value(self):
-        h = hermite_functions(np.array([0.0]), 1)
-        assert h[0, 0] == pytest.approx(0.8932438417380023, abs=1e-14)
+        h = hermite_sum(np.array([0.0]), np.ones(1))
+        assert h[0] == pytest.approx(0.8932438417380023, abs=1e-14)
 
     def test_orthonormal_family(self):
         xs = np.linspace(-8.0, 8.0, 3201)
-        h = hermite_functions(xs, 12)
+        h = hermite_sum(xs, np.eye(12)).T
         gram = h @ h.T * (xs[1] - xs[0])
         np.testing.assert_allclose(gram, np.eye(12), atol=1e-8)
 
-    def test_underflow_with_weight_past_it_raises(self):
-        # exp(-x^2) is 0 past |x| = 27.3, where h_799 still carries weight
-        with pytest.raises(ValueError, match=r"dim 800 underflow at max\|x\| = 45"):
-            hermite_functions(np.linspace(-45.0, 45.0, 901), 800)
+    @pytest.mark.parametrize("dim", [800, 1258, 2000])
+    def test_normalized_far_past_exp_underflow(self, dim):
+        """h_n for n = dim - 1 and dim/2 keep unit norm on +-50, where
+        exp(-x^2) is 0 from |x| = 27.3 on; h_{dim-1} reaches |x| = 31 at
+        dim 800 and 47 at dim 2000."""
+        xs = np.linspace(-50.0, 50.0, 20001)
+        coeffs = np.zeros((dim, 2))
+        coeffs[dim - 1, 0] = coeffs[dim // 2, 1] = 1.0
+        h = hermite_sum(xs, coeffs)
+        assert np.all(np.isfinite(h))
+        np.testing.assert_allclose(np.sum(h**2, axis=0) * (xs[1] - xs[0]), 1.0, rtol=0, atol=1e-12)
 
     def test_underflow_without_weight_reads_zero(self):
-        assert not hermite_functions(np.array([30.0, -30.0]), 20).any()
+        assert not hermite_sum(np.array([30.0, -30.0]), np.eye(20)).any()
 
     def test_overlap_matches_fock_expansion(self):
         """The coherent state |2> in the quadrature x = (a + a^dag)/2 is the
         Gaussian (2/pi)^{1/4} exp(-(x - 2)^2)."""
         cut = FockCutoff(48)
         xs = np.array([0.4, 1.7])
-        h = hermite_functions(xs, cut.dim)
         amps = coherent_state(2.0, cut).amplitudes.real
-        via_fock = amps @ h
+        via_fock = hermite_sum(xs, amps)
         direct = (2.0 / math.pi) ** 0.25 * np.exp(-((xs - 2.0) ** 2))
         np.testing.assert_allclose(via_fock, direct, atol=1e-8)
+
+    def test_overlap_matches_fock_expansion_past_x_26(self):
+        """|30> reads (2/pi)^{1/4} exp(-(x - 30)^2) around x = 30, where
+        exp(-x^2) itself is 0.  The cutoff runs 17 sigma past nbar = 900:
+        for_mean_photon's tail of 1e-10 would move the sum by 1e-8."""
+        cut = FockCutoff(1400)
+        xs = np.array([28.0, 30.0, 32.0])
+        via_fock = hermite_sum(xs, coherent_state(30.0, cut).amplitudes.real)
+        direct = (2.0 / math.pi) ** 0.25 * np.exp(-((xs - 30.0) ** 2))
+        np.testing.assert_allclose(via_fock, direct, rtol=0, atol=1e-10)
+
+    def test_memory_does_not_grow_with_dim(self):
+        """No (dim, points) table: the peak at dim 2000 stays within 1.5
+        times the peak at dim 100 on the same points."""
+        xs = np.linspace(-50.0, 50.0, 2001)
+        peaks = []
+        for dim in (100, 2000):
+            coeffs = np.ones((dim, 4))
+            tracemalloc.start()
+            try:
+                hermite_sum(xs, coeffs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestHomodyneConfig:

@@ -263,15 +263,15 @@ class TestBellEnsemble:
 
     def test_homodyne_ensemble_builds_one_quadrature_map(self, monkeypatch):
         """Every Haar input reads cavity 1 through the one quadrature map of
-        (alpha, lo_phase): one Hermite build for 50 shots."""
+        (alpha, lo_phase): one Hermite sum for 50 shots."""
         builds = []
-        hermite = protocols.hermite_functions
+        hermite = protocols.hermite_sum
 
         def counting(*args):
             builds.append(args)
             return hermite(*args)
 
-        monkeypatch.setattr(protocols, "hermite_functions", counting)
+        monkeypatch.setattr(protocols, "hermite_sum", counting)
         protocols._quadrature_map.cache_clear()
         cfg = protocols.HomodyneConfig(lo_phase=math.pi / 8.0, efficiency=0.5)
         r = bell_ensemble(nbars=(20,), ensemble=50, seed=0, detection=cfg)
