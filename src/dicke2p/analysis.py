@@ -6,7 +6,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import numpy.random  # lazy in NumPy 2: load it with the package, not at the first draw
@@ -276,10 +276,16 @@ def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> Wigner
 def haar_random_two_qubit(rng: np.random.Generator) -> AtomCoeffs:
     """Haar-distributed pure two-qubit state (first column of a Haar
     unitary from QR of a complex Ginibre matrix with phase fixing)."""
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return AtomCoeffs.from_state(StateVector(_haar_atoms([rng])[0], (2, 2)))
+
+
+def _haar_atoms(rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Product-basis amplitudes (N, 4) of one Haar two-qubit state per
+    generator: two 4x4 normal draws from each in turn, one stacked QR (bit
+    for bit each matrix's own) and the phase fix of the first column."""
+    z = np.array([rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for rng in rngs])
     q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return AtomCoeffs.from_state(StateVector(q[:, 0], (2, 2)))
+    return q[:, :, 0] * (r[:, :1, 0] / np.abs(r[:, :1, 0]))
 
 
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -58,6 +58,8 @@ def _nbar_list(text: str) -> tuple[float | int, ...]:
         raise argparse.ArgumentTypeError(f"bad nbar list {text!r}") from exc
     if not vals or not all(0 < v < math.inf for v in vals):
         raise argparse.ArgumentTypeError("nbar values must be positive and finite")
+    if len(set(vals)) < len(vals):
+        raise argparse.ArgumentTypeError(f"repeated nbar value in {text!r}")
     return vals
 
 

@@ -7,14 +7,16 @@ SectorSpectrum propagates a state to any number of times without ever
 forming a matrix of the full dimension.  Propagation has three stages:
 project a state onto the sector eigenvectors once, build the phase table
 exp(-i lambda t) once per spectrum and set of times, and rotate back to the
-flat basis.  An overlap between states of two spectra skips the rotation:
-it is a sum over sector pairs of weights, phases and the small eigenvector
-overlap maps of sector_overlaps; an expectation value (scans.rabi_curve) is
-a sum over the sector frequency pairs.  The analytic layer runs the same
-engine on the large-N linearization of the two-photon interaction W: each
-sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in
-N, (0, +-g(2N-3)), which turns a coherent-state input into a superposition
-of a few rotating coherent branches.  coherent_branch_basis is the paper's
+flat basis.  Every phase table comes from one cos/sin kernel, _unit_phases:
+SectorSpectrum.phases and scans.fidelity_scan (per chunk of sectors) call
+it.  An overlap between states of two spectra skips the rotation: it is a
+sum over sector pairs of weights, phases and the eigenvector overlap maps
+of sector_overlaps; an expectation value (scans.rabi_curve) is a sum over
+the sector frequency pairs.  The analytic layer runs the same engine on the
+large-N linearization of the two-photon interaction W: each sector N
+couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in N,
+(0, +-g(2N-3)), which turns a coherent-state input into a superposition of
+a few rotating coherent branches.  coherent_branch_basis is the paper's
 large-nbar form of that result, the protocols' analytic engine: three
 branches on the labels alpha and e^{-+2igt} alpha, for the four
 product-basis atomic states at every time in one array map, from one
@@ -68,7 +70,8 @@ class SectorSpectrum:
     depends on the state alone and phases on the times alone, so a caller
     evolving many states to the same times builds each once.  Only the
     evolve_*_many functions, scans.wigner_panels and protocols._evolved_basis
-    rotate; overlaps and expectation values stop at the phases.
+    rotate; overlaps and expectation values stop at the phases, which
+    scans.fidelity_scan takes from values through _unit_phases directly.
     """
 
     index: np.ndarray
@@ -109,12 +112,7 @@ class SectorSpectrum:
     def phases(self, times: np.ndarray) -> np.ndarray:
         """exp(-i values t) for every t, shared by every state propagated to
         these times; shape (len(times), sectors, m)."""
-        # from real cos and sin: half the cost of a complex exp
-        angle = np.asarray(times, dtype=np.float64)[:, None, None] * self.values
-        phases = np.empty(angle.shape, dtype=np.complex128)
-        np.cos(angle, out=phases.real)
-        np.sin(-angle, out=phases.imag)
-        return phases
+        return _unit_phases(np.asarray(times, dtype=np.float64)[:, None, None] * self.values)
 
     def rotate(self, weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """Flat amplitudes of the eigenvector weights (project) advanced by
@@ -125,6 +123,14 @@ class SectorSpectrum:
     def propagate(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Amplitudes of exp(-i H t) psi for every t; shape (len(times), dim)."""
         return self.rotate(self.project(amplitudes), self.phases(times))
+
+
+def _unit_phases(angle: np.ndarray) -> np.ndarray:
+    """exp(-i angle) from real cos and sin: half the cost of a complex exp."""
+    phases = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=phases.real)
+    np.sin(-angle, out=phases.imag)
+    return phases
 
 
 def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpectrum:

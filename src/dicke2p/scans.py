@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    _haar_atoms,
     _thread_rng,
     _wigner_pairs,
     ensemble_stats,
-    haar_random_two_qubit,
     sample_rng,
 )
 from .dynamics import (
+    _unit_phases,
     check_capture,
     linearized_spectrum,
     rabi_see_analytic,
@@ -31,8 +32,8 @@ from .dynamics import (
 from .hilbert import (
     AtomCoeffs,
     FockCutoff,
+    StateVector,
     coherent_state,
-    tensor,
 )
 from .models import (
     EffectiveModelParams,
@@ -66,10 +67,9 @@ OUTCOME_SUFFIX = {o: f"{'p' if o.d1 == '+' else 'm'}{'p' if o.d2 == '+' else 'm'
 
 # Stride between per-nbar seed offsets so RNG streams never collide.
 _SEED_STRIDE = 10007
-# Entries of a fidelity_scan overlap table or a rabi_curve phase table for one
-# chunk of times, and of the scan's coefficients for one chunk of samples (2 MB
-# as complex).  At 2**18 the scan at nbar 20/50/100 and ensemble 10 keeps the
-# coefficients of all its samples, but its tracemalloc peak rises to 8.2 MB.
+# Entries of the phase tables, sample coefficients C and phase products E of
+# one chunk of fidelity_scan sectors together, or of a rabi_curve cosine table
+# for one chunk of times (2 MB as complex).
 _CHUNK = 2**17
 
 
@@ -85,6 +85,8 @@ class ScanResult:
     def __post_init__(self) -> None:
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
             raise ValueError("row matrix does not match the column list")
+        if len(set(self.columns)) < len(self.columns):
+            raise ValueError(f"repeated column names in {self.columns}")
 
 
 def fidelity_scan(
@@ -105,12 +107,16 @@ def fidelity_scan(
     Both are compared in the rotating frame of the conserved excitation
     number, which carries the only surviving Stark contribution.
 
-    Sample i at the k-th nbar draws from sample_rng(seed + k * _SEED_STRIDE,
-    i).  Overlaps are taken in the sector eigenbasis (sector_overlaps): per
-    chunk of times a table E of phase products times overlap maps, per chunk
-    of samples a matrix A of eigenvector weights, and E @ A for all of them.
-    The closed form is renormalized by its weight past the cutoff, a
-    quadratic form taken the same way.
+    Sample i at the k-th nbar draws two 4x4 normals (the Haar state), then
+    one uniform (the phase) from sample_rng(seed + k * _SEED_STRIDE, i).
+    Overlaps are taken in the sector eigenbasis (sector_overlaps), whose
+    maps pair each sector with the same index in all three spectra (each
+    sorts its sectors by excitation number).  So one chunk of sectors at a time
+    gets its phase tables exp(-i lambda t), the full model's eigenvalues
+    shifted by -2gN for the counter-rotation, and adds C @ E per overlap:
+    C the samples' weights conj(w_bra) w_ket times the map, E the phase
+    products.  The closed form is renormalized by its weight past the
+    cutoff, a quadratic form taken the same way.
     """
     if time_points < 1:
         raise ValueError(f"time_points must be >= 1, got {time_points}")
@@ -131,12 +137,12 @@ def fidelity_scan(
         w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
         lin_spec = linearized_spectrum(g, cutoff)
         idx = embed_indices(cutoff)
-        inputs = np.empty((ensemble, idx.size), dtype=np.complex128)
-        for i in range(ensemble):
-            rng = sample_rng(seed + k * _SEED_STRIDE, i)
-            coeffs = haar_random_two_qubit(rng)
-            alpha = math.sqrt(nbar) * cmath.exp(2j * math.pi * rng.uniform())
-            inputs[i] = tensor(coeffs.to_state(), coherent_state(alpha, cutoff)).amplitudes
+        rngs = [sample_rng(seed + k * _SEED_STRIDE, i) for i in range(ensemble)]
+        atoms = _haar_atoms(rngs)
+        theta = 2.0 * math.pi * np.array([rng.uniform() for rng in rngs])
+        fields = np.exp(1j * np.outer(theta, np.arange(cutoff.dim)))  # e^{i n theta} on |n>
+        fields *= coherent_state(math.sqrt(nbar), cutoff).amplitudes
+        inputs = (atoms[:, :, None] * fields[:, None, :]).reshape(ensemble, -1)
         # the closed form lives on the cutoff n_max + 4 (linearized_spectrum)
         n_lin = math.prod(lin_spec.dims)
         at = np.flatnonzero(np.arange(n_lin) % (cutoff.dim + 4) < cutoff.dim)
@@ -144,44 +150,42 @@ def fidelity_scan(
         kept[at] = idx
         weights = {full_spec: full_spec.project(inputs, idx), w_spec: w_spec.project(inputs)}
         weights[lin_spec] = lin_spec.project(inputs, at)
-        # (bra, ket, pairs, partner, M) of <psi_W|R psi_full>, of <kept psi_lin|R psi_full>,
+        # (bra, ket, sectors, M) of <psi_W|R psi_full>, of <kept psi_lin|R psi_full>,
         # and of the weight of psi_lin past the cutoff
-        overlaps = [
-            (bra, ket, *sector_overlaps(bra, ket, to_ket))
-            for bra, ket, to_ket in (
-                (w_spec, full_spec, idx),
-                (lin_spec, full_spec, kept),
-                (lin_spec, lin_spec, np.where(kept < 0, np.arange(kept.size), -1)),
-            )
-        ]
-        step = max(1, _CHUNK // sum(m.size for *_, m in overlaps))
-        # the counter-rotation by the (omega + 2g) I part of the effective model
-        labels = excitation_labels(cutoff, levels=3)[full_spec.index[:, 0]]
-
-        def coefficients(bra, ket, pairs, partner, s: slice) -> np.ndarray:
-            """A: conj(w_bra) w_ket of the samples s per sector pair, flattened."""
-            wa, wb = weights[bra][s].take(pairs, axis=1), weights[ket][s].take(partner, axis=1)
-            return np.einsum("npk,npl->npkl", wa.conj(), wb).reshape(len(wa), -1)
-
-        spans = [slice(lo, lo + step) for lo in range(0, ensemble, step)]
-        held = [coefficients(*o[:4], spans[0]) for o in overlaps] if len(spans) == 1 else None
-        values = np.empty((3, time_points, ensemble), dtype=np.complex128)
-        for lo in range(0, time_points, step):
-            t = times[lo : lo + step]
-            ph = {spec: spec.phases(t) for spec in weights}
-            ph[full_spec] *= np.exp(2j * g * np.outer(t, labels))[:, :, None]
-            for b, (bra, ket, pairs, partner, m) in enumerate(overlaps):
-                # E: the phase products times the overlap maps
-                table = ph[bra].take(pairs, axis=1)[..., None].conj() * m
-                table *= ph[ket].take(partner, axis=1)[..., None, :]
-                for s in spans:
-                    a = held[b] if held else coefficients(bra, ket, pairs, partner, s)
-                    values[b, lo : lo + step, s] = table.reshape(len(t), -1) @ a.T
-                del table  # before the next overlap builds its own
+        overlaps = []
+        for bra, ket, to_ket in (
+            (w_spec, full_spec, idx),
+            (lin_spec, full_spec, kept),
+            (lin_spec, lin_spec, np.where(kept < 0, np.arange(kept.size), -1)),
+        ):
+            pairs, partner, m = sector_overlaps(bra, ket, to_ket)
+            if not np.array_equal(pairs, partner):
+                raise ValueError("an overlap map pairs sectors of different index")
+            overlaps.append((bra, ket, pairs, m))
+        # the counter-rotation R by the (omega + 2g) I part of the effective model
+        shift = 2.0 * g * excitation_labels(cutoff, levels=3)[full_spec.index[:, :1]]
+        lam = {full_spec: full_spec.values - shift, w_spec: w_spec.values, lin_spec: lin_spec.values}
+        # per sector: the phase tables, and C and E of every overlap
+        per_sector = time_points * sum(v.shape[1] for v in lam.values())
+        per_sector += (ensemble + time_points) * sum(m[0].size for *_, m in overlaps)
+        step = max(1, _CHUNK // per_sector)
+        values = np.zeros((3, ensemble, time_points), dtype=np.complex128)
+        # every E is written into one buffer: a fresh table per overlap and
+        # chunk would take a page fault per 4 KiB of it
+        work = np.empty(step * max(m[0].size for *_, m in overlaps) * time_points, np.complex128)
+        for lo in range(0, max(len(v) for v in lam.values()), step):
+            ph = {spec: _unit_phases(v[lo : lo + step, :, None] * times) for spec, v in lam.items()}
+            for b, (bra, ket, pairs, m) in enumerate(overlaps):
+                first, end = np.searchsorted(pairs, (lo, lo + step))
+                p, m = pairs[first:end], m[first:end]
+                c = weights[bra][:, p, :, None].conj() * weights[ket][:, p, None, :] * m
+                e = work[: m.size * time_points].reshape(m.shape + (time_points,))
+                np.multiply(ph[bra][p - lo, :, None].conj(), ph[ket][p - lo, None], out=e)
+                values[b] += c.reshape(ensemble, -1) @ e.reshape(-1, time_points)
         check_capture(values[2].real, cutoff.n_max)
         fids = np.abs(values[:2]) ** 2
-        fids[1] /= np.sum(np.abs(weights[lin_spec]) ** 2, axis=(1, 2)) - values[2].real
-        mean, err = ensemble_stats(fids.transpose(2, 0, 1))
+        fids[1] /= np.sum(np.abs(weights[lin_spec]) ** 2, axis=(1, 2))[:, None] - values[2].real
+        mean, err = ensemble_stats(fids.transpose(1, 0, 2))
         cols += [f"{c}_nbar{nbar}" for c in ("mean_FW", "stderr_FW", "mean_F", "stderr_F")]
         data += [mean[0], err[0], mean[1], err[1]]
 
@@ -323,15 +327,16 @@ def bell_ensemble(
         cutoff = FockCutoff.for_mean_photon(float(nbar))
         alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
         base = seed + k * _SEED_STRIDE
-        inputs = [haar_random_two_qubit(_thread_rng(base, 2 * i)) for i in range(ensemble)]
+        # lazily: each reset stream is drawn from before the next reset
+        atoms = _haar_atoms(_thread_rng(base, 2 * i) for i in range(ensemble))
         if isinstance(detection, HomodyneConfig):
             fids, rates = np.full((ensemble, n_out), np.nan), np.zeros((ensemble, n_out))
-            for i, c in enumerate(inputs):
+            for i, a in enumerate(atoms):
+                c = AtomCoeffs.from_state(StateVector(a, (2, 2)))
                 res = run_bell_protocol(c, alpha, g, cutoff, engine, detection, base, 2 * i + 1)
                 j = ALL_OUTCOMES.index(res.outcome)
                 fids[i, j], rates[i, j] = res.fidelity, 1.0
         else:
-            atoms = np.array([c.to_state().amplitudes for c in inputs]).reshape(-1, 4)
             t = [revival_time(g) / 2.0]
             rates, fids, _ = bell_outcome_arrays(atoms, alpha, g, cutoff, t, engine)
         rows[k, 0] = nbar

@@ -66,6 +66,16 @@ class TestArgumentHandling:
             main(["rabi", "--nbar", nbar])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("nbar", ["4,4", "4,6,4.0"])
+    def test_rejects_repeated_nbar(self, tmp_path, capsys, nbar):
+        """A repeated mean photon number would give two tables the same
+        column names; it is refused before any file is written."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fidelity-scan", "--nbar", nbar, "--ensemble", "1", "--out", str(tmp_path / "f.csv")])
+        assert exc.value.code == 2
+        assert "repeated nbar value" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("extra", [[], ["--nbar", "100", "--strict"]], ids=["ok", "strict"])
     def test_lo_phase_needs_efficiency(self, tmp_path, capsys, extra):
         """A local-oscillator phase without homodyne detection is refused,

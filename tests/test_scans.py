@@ -1,5 +1,6 @@
 """Batch runners that back the CLI subcommands."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -8,13 +9,20 @@ import pytest
 
 from conftest import excited_state_evolved, fidelity_scan_oracle, rabi_oracle
 from dicke2p import dynamics, protocols, scans
-from dicke2p.analysis import partial_trace, sample_rng, wigner
-from dicke2p.dynamics import SectorSpectrum, rabi_see_analytic, revival_time, sector_spectrum
+from dicke2p.analysis import haar_random_two_qubit, partial_trace, sample_rng, wigner
+from dicke2p.dynamics import (
+    SectorSpectrum,
+    linearized_spectrum,
+    rabi_see_analytic,
+    revival_time,
+    sector_spectrum,
+)
 from dicke2p.hilbert import AtomCoeffs, FockCutoff, StateVector
-from dicke2p.models import FullModelParams
+from dicke2p.models import EffectiveModelParams, FullModelParams, effective_coupling
 from dicke2p.protocols import ALL_OUTCOMES, bell_outcome_table
 from dicke2p.scans import (
     OUTCOME_SUFFIX,
+    ScanResult,
     bell_ensemble,
     bell_timing,
     fidelity_scan,
@@ -124,44 +132,95 @@ class TestFidelityScan:
         assert not np.array_equal(a.rows[1:], b.rows[1:])
 
     @staticmethod
-    def _chunk_spy(monkeypatch, step):
-        """Make fidelity_scan cut its times and its samples into chunks of
-        `step` at nbar 4 and record the length of every phase table it
-        builds."""
-        cutoff = FockCutoff.for_mean_photon(4.0)
-        sectors = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cutoff)).index.shape[0]
-        # overlap entries per time: the W and the kept linearized sectors
-        # against the full ones (4 x 9 each), and the 8 linearized sectors
-        # past the cutoff against themselves (4 x 4)
-        monkeypatch.setattr(scans, "_CHUNK", step * (2 * sectors * 4 * 9 + 8 * 4 * 4))
-        built = []
-        phases = SectorSpectrum.phases
+    def _spectra(nbar):
+        """The full, W and linearized spectra that fidelity_scan builds at nbar."""
+        cutoff = FockCutoff.for_mean_photon(float(nbar))
+        g = effective_coupling(1.0, 1.0, 500.0)
+        full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cutoff))
+        return full, sector_spectrum(EffectiveModelParams(g, cutoff)), linearized_spectrum(g, cutoff)
 
-        def counting(self, times):
-            built.append(len(times))
-            return phases(self, times)
+    @staticmethod
+    def _sector_chunks(monkeypatch, step, ensemble, time_points):
+        """Make fidelity_scan take `step` sectors per chunk.  Per sector a
+        chunk holds the phase tables of the full, W and linearized spectra
+        (9 + 4 + 4 slots per time) and C and E of its three overlaps (4 x 9,
+        4 x 9 and 4 x 4 entries per sample and per time)."""
+        per_sector = time_points * (9 + 4 + 4) + (ensemble + time_points) * (36 + 36 + 16)
+        monkeypatch.setattr(scans, "_CHUNK", step * per_sector)
 
-        monkeypatch.setattr(SectorSpectrum, "phases", counting)
-        return built
+    @staticmethod
+    def _phase_spy(monkeypatch):
+        """Record the shape of every angle table fidelity_scan hands to its
+        phase kernel."""
+        shapes = []
+        unit_phases = scans._unit_phases
+
+        def counting(angle):
+            shapes.append(angle.shape)
+            return unit_phases(angle)
+
+        monkeypatch.setattr(scans, "_unit_phases", counting)
+        return shapes
 
     def test_chunked_scan_matches_per_sample_oracle(self, monkeypatch):
-        """Ragged chunks of times and of samples give the rows of the
-        one-sample-at-a-time computation in the flat basis."""
-        built = self._chunk_spy(monkeypatch, 4)
+        """Ragged chunks of sectors give the rows of the one-sample-at-a-time
+        computation in the flat basis."""
+        shapes = self._phase_spy(monkeypatch)
+        self._sector_chunks(monkeypatch, 4, 7, 17)
         r = fidelity_scan(nbars=(4,), ensemble=7, seed=9, time_points=17)
-        # 17 times in chunks of 4, 4, 4, 4, 1 and 7 samples in 4, 3; one
-        # table per spectrum and chunk of times
-        assert sorted(set(built)) == [1, 4] and len(built) == 3 * 5
+        full, _, lin = self._spectra(4)
+        # one table per spectrum and chunk of 4 sectors, times last; the last
+        # chunk of each spectrum is ragged
+        chunks = math.ceil(len(lin.values) / 4)
+        assert len(shapes) == 3 * chunks and {s[2] for s in shapes} == {17}
+        assert len(full.values) % 4 and len(lin.values) % 4
+        want = [len(full.values[lo : lo + 4]) for lo in range(0, 4 * chunks, 4)]
+        assert [s[0] for s in shapes if s[1] == 9] == want
         oracle = fidelity_scan_oracle((4,), 7, 9, 17)
         np.testing.assert_allclose(r.rows, oracle, rtol=0, atol=1e-13)
 
     def test_phase_tables_do_not_grow_with_the_ensemble(self, monkeypatch):
-        built = self._chunk_spy(monkeypatch, 5)
-        fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=17)
-        small = len(built)
-        # 12 samples in three chunks
-        fidelity_scan(nbars=(4,), ensemble=12, seed=9, time_points=17)
-        assert len(built) - small == small
+        """Each phase exp(-i lambda t) of every spectrum, sector slot and time
+        is evaluated exactly once, however many samples share it."""
+        shapes = self._phase_spy(monkeypatch)
+        for nbar, ensemble in itertools.product((4, 20), (2, 12)):
+            shapes.clear()
+            self._sector_chunks(monkeypatch, 5, ensemble, 17)
+            fidelity_scan(nbars=(nbar,), ensemble=ensemble, seed=9, time_points=17)
+            want = 17 * sum(spec.values.size for spec in self._spectra(nbar))
+            assert sum(math.prod(s) for s in shapes) == want
+
+    def test_overlap_maps_pair_each_sector_with_its_own_index(self, monkeypatch):
+        maps = []
+        overlaps = scans.sector_overlaps
+
+        def recording(*args):
+            maps.append(overlaps(*args))
+            return maps[-1]
+
+        monkeypatch.setattr(scans, "sector_overlaps", recording)
+        fidelity_scan(nbars=(4, 20), ensemble=2, seed=9, time_points=3)
+        assert len(maps) == 6
+        for pairs, partner, _ in maps:
+            np.testing.assert_array_equal(pairs, partner)
+
+    def test_a_map_between_different_sectors_raises(self, monkeypatch):
+        overlaps = scans.sector_overlaps
+
+        def shifted(*args):
+            pairs, partner, m = overlaps(*args)
+            return pairs, partner + 1, m
+
+        monkeypatch.setattr(scans, "sector_overlaps", shifted)
+        with pytest.raises(ValueError, match="pairs sectors of different index"):
+            fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=3)
+
+    def test_repeated_nbar_is_refused(self):
+        """Two tables under the same column names are refused, not written."""
+        with pytest.raises(ValueError, match="repeated column names"):
+            ScanResult(("gt_over_pi", "gt_over_pi"), np.zeros((1, 2)), {})
+        with pytest.raises(ValueError, match="repeated column names"):
+            fidelity_scan(nbars=(4, 4), ensemble=1, seed=9, time_points=2)
 
     def test_scan_never_rotates_to_the_flat_basis(self, monkeypatch):
         calls = []
@@ -231,18 +290,19 @@ class TestBellEnsemble:
         leaves the single-time cavity cache alone.  Input 3 is |psi->,
         whose (-, .) outcomes have NaN fidelity."""
         nbar, seed, n, psi_minus = 20, 4, 12, AtomCoeffs(0, 1, 0, 0)
-        haar, draws = scans.haar_random_two_qubit, []
+        haar_atoms = scans._haar_atoms
 
-        def with_psi_minus(rng):
-            draws.append(rng)
-            return psi_minus if len(draws) == 4 else haar(rng)
+        def with_psi_minus(rngs):
+            atoms = haar_atoms(rngs)
+            atoms[3] = psi_minus.to_state().amplitudes
+            return atoms
 
         def forbidden(*args):
             raise AssertionError("the batched ensemble built a per-sample result")
 
         cache = protocols._cavity.cache_info()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scans, "haar_random_two_qubit", with_psi_minus)
+            mp.setattr(scans, "_haar_atoms", with_psi_minus)
             mp.setattr(protocols, "ProtocolResult", forbidden)
             mp.setattr(protocols, "DensityMatrix", forbidden)
             row = bell_ensemble(nbars=(nbar,), ensemble=n, seed=seed).rows[0]
@@ -250,7 +310,7 @@ class TestBellEnsemble:
 
         cut = FockCutoff.for_mean_photon(float(nbar))
         alpha = math.sqrt(nbar) * np.exp(1j * math.pi / 8.0)
-        inputs = [haar(sample_rng(seed, 2 * i)) for i in range(n)]
+        inputs = [haar_random_two_qubit(sample_rng(seed, 2 * i)) for i in range(n)]
         inputs[3] = psi_minus
         tables = [bell_outcome_table(c, alpha, -0.002, cut) for c in inputs]
         assert np.isnan([r.fidelity for r in tables[3][2:]]).all()
