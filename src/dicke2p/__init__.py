@@ -5,16 +5,13 @@ from .hilbert import (
     FockCutoff,
     StateVector,
     bell_state,
-    cat_state,
     coherent_state,
-    fock_state,
     tensor,
 )
 from .models import (
     EffectiveModelParams,
     FullModelParams,
     effective_coupling,
-    trapped_ion_coupling,
     validity_report,
 )
 from .dynamics import (
@@ -25,7 +22,6 @@ from .dynamics import (
 )
 from .analysis import (
     DensityMatrix,
-    ensemble_average,
     fidelity,
     haar_random_two_qubit,
     partial_trace,
@@ -51,21 +47,17 @@ __all__ = [
     "FockCutoff",
     "StateVector",
     "bell_state",
-    "cat_state",
     "coherent_state",
-    "fock_state",
     "tensor",
     "EffectiveModelParams",
     "FullModelParams",
     "effective_coupling",
-    "trapped_ion_coupling",
     "validity_report",
     "analytic_state",
     "coherent_branch_basis",
     "rabi_see_analytic",
     "revival_time",
     "DensityMatrix",
-    "ensemble_average",
     "fidelity",
     "haar_random_two_qubit",
     "partial_trace",

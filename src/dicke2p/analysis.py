@@ -6,7 +6,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 import numpy.random  # lazy in NumPy 2: load it with the package, not at the first draw
@@ -23,7 +23,6 @@ __all__ = [
     "haar_random_two_qubit",
     "sample_rng",
     "ensemble_stats",
-    "ensemble_average",
 ]
 
 _HERM_ATOL = 1e-10
@@ -125,55 +124,37 @@ class WignerGrid:
         return float(weights(self.beta_im) @ self.values @ weights(self.beta_re))
 
 
-def _runs(axis: np.ndarray) -> list[tuple[int, int, float]]:
-    """Split axis into [lo, hi) ranges with their spacing dx: runs of at
-    least three points whose steps agree with the run's first to a few
-    ulps of max|axis|, none of them zero, and between them stretches of
-    points in no such run, which have dx = 0."""
-    steps = np.diff(axis)
-    tol = 8.0 * np.finfo(np.float64).eps * float(np.max(np.abs(axis), initial=0.0))
-    runs: list[tuple[int, int, float]] = []
-    lo = 0
-    while lo < axis.size:
-        if lo + 1 < steps.size and abs(steps[lo]) > tol >= abs(steps[lo + 1] - steps[lo]):
-            off = np.flatnonzero(np.abs(steps[lo:] - steps[lo]) > tol)
-            hi = lo + 1 + (int(off[0]) if off.size else steps.size - lo)
-            runs.append((lo, hi, float(axis[hi - 1] - axis[lo]) / (hi - 1 - lo)))
-        else:
-            hi = lo + 1
-            start = runs.pop()[0] if runs and runs[-1][2] == 0.0 else lo
-            runs.append((start, hi, 0.0))
-        lo = hi
-    return runs
-
-
 def _lattices(axis: np.ndarray, step: float, z_max: float, width: int):
     """Pieces of axis that each take one lattice, as (lo, hi, lattice, dx_n,
     dy_n, K, dy): with x_i = axis[lo + i] and y_k = k dy for k = 0..K, x_i
-    -+ y_k is the lattice point of index |dy_n| K + i dx_n -+ k dy_n.  A run
-    (h, m, q as in `wigner`) is cut into pieces whose wavefunctions, width
-    complex entries a point, hold at most _GATHER.  It goes point by point,
-    like the points in no run, where its lattice would be longer than
-    theirs: dy = step, and as many blocks of 2K + 1 points as fit."""
+    -+ y_k is the lattice point of index |dy_n| K + i dx_n -+ k dy_n.  The
+    whole axis is one run of spacing dx (h, m, q as in `wigner`) when it has
+    at least three points and every step agrees with the first, nonzero one
+    to a few ulps of max|axis|; the run is cut into pieces whose
+    wavefunctions, width complex entries a point, hold at most _GATHER.  Any
+    other axis goes point by point, as does a run whose lattice would be
+    longer than that: dy = step, and as many blocks of 2K + 1 points as fit."""
     k_one = math.ceil(z_max / step)
-    for lo, hi, dx in _runs(axis):
-        if dx:
-            m = math.ceil(abs(dx) / step)
-            h = dx / m
-            q = math.floor(step / abs(h))
-            k = math.ceil(z_max / (q * abs(h)))
-            per = min(hi - lo, (_GATHER // width - 2 * q * k - 1) // m + 1)
-            if per > 1 and (per - 1) * m + 2 * q * k + 1 <= per * (2 * k_one + 1):
-                for a in range(lo, hi, per):
-                    b = min(a + per, hi)
-                    lattice = axis[a] + np.arange(-q * k, (b - a - 1) * m + q * k + 1) * h
-                    yield a, b, lattice, m, int(math.copysign(q, h)), k, q * abs(h)
-                continue
-        per = max(1, _GATHER // (width * (2 * k_one + 1)))
-        for a in range(lo, hi, per):
-            b = min(a + per, hi)
-            lattice = (axis[a:b, None] + np.arange(-k_one, k_one + 1) * step).ravel()
-            yield a, b, lattice, 2 * k_one + 1, 1, k_one, step
+    steps = np.diff(axis)
+    tol = 8.0 * np.finfo(np.float64).eps * float(np.max(np.abs(axis), initial=0.0))
+    if steps.size > 1 and abs(steps[0]) > tol and np.all(np.abs(steps - steps[0]) <= tol):
+        dx = float(axis[-1] - axis[0]) / (axis.size - 1)
+        m = math.ceil(abs(dx) / step)
+        h = dx / m
+        q = math.floor(step / abs(h))
+        k = math.ceil(z_max / (q * abs(h)))
+        per = min(axis.size, (_GATHER // width - 2 * q * k - 1) // m + 1)
+        if per > 1 and (per - 1) * m + 2 * q * k + 1 <= per * (2 * k_one + 1):
+            for a in range(0, axis.size, per):
+                b = min(a + per, axis.size)
+                lattice = axis[a] + np.arange(-q * k, (b - a - 1) * m + q * k + 1) * h
+                yield a, b, lattice, m, int(math.copysign(q, h)), k, q * abs(h)
+            return
+    per = max(1, _GATHER // (width * (2 * k_one + 1)))
+    for a in range(0, axis.size, per):
+        b = min(a + per, axis.size)
+        lattice = (axis[a:b, None] + np.arange(-k_one, k_one + 1) * step).ravel()
+        yield a, b, lattice, 2 * k_one + 1, 1, k_one, step
 
 
 def wigner(
@@ -200,20 +181,21 @@ def wigner(
     reach 4(|p| + z_max), so a y step up to pi / (2 (z_max + max(z_max,
     |p|))) leaves no alias; inside the state's support it is pi / (4 z_max).
 
-    The sum runs on quadrature lattices.  beta_re splits into runs of
-    equal spacing dx (`_runs`, to a few ulps); a uniform axis is one run.
-    A run takes the lattice step h = dx/m with m = ceil(|dx| / step) and
-    the y step dy = q|h|, where q = floor(step / |h|) is 1 unless |dx| <=
-    step/2; the default axes have q = 1 and dy = |dx|/m.  Every x_i +- y_k,
+    The sum runs on quadrature lattices.  A beta_re of at least three
+    points whose steps agree to a few ulps is one run of spacing dx
+    (`_lattices`); a uniform axis, as the default, is one.  The run takes
+    the lattice step h = dx/m with m = ceil(|dx| / step) and the y step
+    dy = q|h|, where q = floor(step / |h|) is 1 unless |dx| <= step/2; the
+    default axes have q = 1 and dy = |dx|/m.  Every x_i +- y_k,
     k = 0..K = ceil(z_max / dy), then lies on the one lattice u_n = x_0 +
     n h of (N - 1) m + 2qK + 1 points, where one `hermite_sum` gives every
     psi_j (in pieces of at most _GATHER complex values on long runs).
     rho(x - y, x + y) is read from them through strided views, for as many
     x at a time as keep the J products psi_j(x - y) conj psi_j(x + y)
     within _GATHER complex entries, and the y sum is one matrix product
-    with the run's kernel.  Points in no run go with dy = step and 2K + 1
-    lattice points each, as does a run whose spacing lies so far below
-    step that its lattice would be longer (`_lattices`).
+    with the run's kernel.  Any other axis goes point by point, with dy =
+    step and 2K + 1 lattice points each, as does a run whose spacing lies
+    so far below step that its lattice would be longer.
 
     Default axes span |beta| <= sqrt(<n>) + 5 with 201 points each; a
     warning is raised when the spacing is too coarse to resolve the
@@ -251,12 +233,11 @@ def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> Wigner
     step = math.pi / (2.0 * (z_max + max(z_max, float(np.max(np.abs(beta_im))))))
 
     values = np.empty((beta_im.size, beta_re.size))
-    kernels: dict[float, np.ndarray] = {}
     for lo, hi, lattice, dx_n, dy_n, k_max, dy in _lattices(beta_re, step, z_max, 2 * lam.size):
-        if dy not in kernels:
+        if lo == 0:  # every piece of the axis has the same dy
             ys = np.arange(k_max + 1) * dy
-            kernels[dy] = (4.0 * dy / math.pi) * np.exp(4j * np.outer(ys, beta_im))
-            kernels[dy][0] /= 2.0  # trapezoid end point at y = 0
+            kernel = (4.0 * dy / math.pi) * np.exp(4j * np.outer(ys, beta_im))
+            kernel[0] /= 2.0  # trapezoid end point at y = 0
         psi = hermite_sum(lattice, cols)
         s_n, s_j = psi.strides
         chunk = max(1, _GATHER // (lam.size * (k_max + 1)))
@@ -269,7 +250,7 @@ def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> Wigner
                 for part, sign in ((psi[at:, : lam.size], -1), (psi[at:, lam.size :], 1))
             )
             rho_xy = (minus * plus) @ lam
-            values[:, a:b] = (rho_xy @ kernels[dy]).real.T
+            values[:, a:b] = (rho_xy @ kernel).real.T
     return WignerGrid(beta_re, beta_im, values)
 
 
@@ -319,20 +300,3 @@ def ensemble_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(values) == 1:
         return mean, np.zeros_like(mean)
     return mean, values.std(axis=0, ddof=1) / math.sqrt(len(values))
-
-
-def ensemble_average(
-    task: Callable[[np.random.Generator], float | np.ndarray],
-    n_samples: int,
-    master_seed: int,
-) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Mean and standard error of task over per-sample RNG streams.
-
-    Each sample gets the stream sample_rng(master_seed, i), so results are
-    reproducible bit for bit no matter how the loop is scheduled.
-    """
-    values = np.array([task(sample_rng(master_seed, i)) for i in range(n_samples)])
-    mean, stderr = ensemble_stats(values)
-    if np.ndim(mean) == 0:
-        return float(mean), float(stderr)
-    return mean, stderr

@@ -1,26 +1,28 @@
 """Exact and analytic time evolution for the two-photon two-atom model.
 
-Both Hamiltonians conserve the excitation number, so the exact engine
-works sector by sector: `sector_spectrum` stacks the (at most 9x9) sector
-blocks, diagonalizes them with one batched eigh, and the resulting
-SectorSpectrum propagates a state to any number of times without ever
-forming a matrix of the full dimension.  Propagation has three stages:
-project a state onto the sector eigenvectors once, build the phase table
-exp(-i lambda t) once per spectrum and set of times, and rotate back to the
-flat basis.  Every phase table comes from one cos/sin kernel, _unit_phases:
-SectorSpectrum.phases and scans.fidelity_scan (per chunk of sectors) call
-it.  An overlap between states of two spectra skips the rotation: it is a
-sum over sector pairs of weights, phases and the eigenvector overlap maps
-of sector_overlaps; an expectation value (scans.rabi_curve) is a sum over
-the sector frequency pairs.  The analytic layer runs the same engine on the
-large-N linearization of the two-photon interaction W: each sector N
-couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in N,
-(0, +-g(2N-3)), which turns a coherent-state input into a superposition of
-a few rotating coherent branches.  coherent_branch_basis is the paper's
-large-nbar form of that result, the protocols' analytic engine: three
-branches on the labels alpha and e^{-+2igt} alpha, for the four
-product-basis atomic states at every time in one array map, from one
-coherent state.
+Both Hamiltonians conserve the excitation number, so the exact engine works
+sector by sector: `sector_spectrum` stacks the (at most 9x9) sector blocks,
+diagonalizes them with one batched eigh, and the resulting SectorSpectrum
+propagates a state to any number of times without ever forming a matrix of
+the full dimension.  Propagation has three stages: project a state onto the
+sector eigenvectors once, build the phase table exp(-i lambda t) once per
+spectrum and set of times, and rotate back to the flat basis.
+SectorSpectrum.propagate is the exact engine's one entry point; in the
+package only evolve_linearized_many, scans.wigner_panels and the homodyne
+quadrature map rotate.  Every phase table comes from one cos/sin kernel,
+_unit_phases: SectorSpectrum.phases and scans.fidelity_scan (per chunk of
+sectors) call it.  An overlap between states of two spectra skips the
+rotation: it is a sum over sector pairs of weights, phases and the
+eigenvector overlap maps of sector_overlaps; an expectation value
+(scans.rabi_curve) is a sum over the sector frequency pairs.  The analytic
+layer runs the same engine on the large-N linearization of the two-photon
+interaction W: each sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a
+spectrum linear in N, (0, +-g(2N-3)), which turns a coherent-state input
+into a superposition of a few rotating coherent branches.
+coherent_branch_basis is the paper's large-nbar form of that result, the
+protocols' analytic engine: three branches on the labels alpha and
+e^{-+2igt} alpha, for the four product-basis atomic states at every time in
+one array map, from one coherent state.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .models import EffectiveModelParams, FullModelParams, excitation_labels, se
 __all__ = [
     "SectorSpectrum",
     "sector_spectrum",
-    "evolve_exact_many",
     "linearized_spectrum",
     "sector_overlaps",
     "evolve_linearized_many",
@@ -68,10 +69,11 @@ class SectorSpectrum:
 
     propagate(psi, times) is rotate(project(psi), phases(times)): project
     depends on the state alone and phases on the times alone, so a caller
-    evolving many states to the same times builds each once.  Only the
-    evolve_*_many functions, scans.wigner_panels and protocols._evolved_basis
-    rotate; overlaps and expectation values stop at the phases, which
-    scans.fidelity_scan takes from values through _unit_phases directly.
+    evolving many states to the same times builds each once.  Only
+    evolve_linearized_many, scans.wigner_panels and the homodyne quadrature
+    map (protocols._evolved_basis) rotate; overlaps and expectation values
+    stop at the phases, which scans.fidelity_scan takes from values through
+    _unit_phases directly.
     """
 
     index: np.ndarray
@@ -138,14 +140,6 @@ def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpe
     two-photon interaction W (EffectiveModelParams), built block by block
     from the parameters."""
     return SectorSpectrum.from_blocks(*sector_blocks(params))
-
-
-def evolve_exact_many(spectrum: SectorSpectrum, psi0: StateVector, times: np.ndarray) -> np.ndarray:
-    """Amplitudes of exp(-i H t) psi0 for every t under the Hamiltonian of
-    spectrum; shape (len(times), dim)."""
-    if spectrum.dims != psi0.dims:
-        raise ValueError("spectrum and state live on different spaces")
-    return spectrum.propagate(psi0.amplitudes, times)
 
 
 def linearized_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:

@@ -28,10 +28,8 @@ __all__ = [
     "StateVector",
     "Operator",
     "AtomCoeffs",
-    "fock_state",
     "coherent_state",
     "hermite_sum",
-    "cat_state",
     "bell_state",
     "tensor",
 ]
@@ -244,14 +242,6 @@ class AtomCoeffs:
         return StateVector(_BELL_TO_PRODUCT @ self.as_array(), (2, 2))
 
 
-def fock_state(n: int, cutoff: FockCutoff) -> StateVector:
-    if not 0 <= n <= cutoff.n_max:
-        raise ValueError(f"Fock index {n} outside 0..{cutoff.n_max}")
-    amps = np.zeros(cutoff.dim, dtype=np.complex128)
-    amps[n] = 1.0
-    return StateVector(amps, (cutoff.dim,))
-
-
 @lru_cache(maxsize=16)
 def _half_log_factorials(dim: int) -> np.ndarray:
     """Read-only 0.5 log(n!) for n = 0..dim-1, each from `math.lgamma`.
@@ -326,18 +316,6 @@ def hermite_sum(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         total += ring[: len(block)].T @ block
     total *= np.exp(shift * math.log(2.0) - x * x)[:, None]
     return total.view(flat.dtype).reshape(x.shape + np.shape(coeffs)[1:])
-
-
-def cat_state(alpha: complex, parity: str, cutoff: FockCutoff) -> StateVector:
-    """Normalized |alpha> +- |-alpha>, built from the truncated vectors."""
-    if parity not in ("+", "-"):
-        raise ValueError("parity must be '+' or '-'")
-    if parity == "-" and alpha == 0:
-        raise ValueError("odd cat state is undefined for alpha = 0")
-    plus = coherent_state(alpha, cutoff).amplitudes
-    minus = coherent_state(-alpha, cutoff).amplitudes
-    raw = plus + minus if parity == "+" else plus - minus
-    return StateVector.normalized(raw, (cutoff.dim,))
 
 
 def bell_state(kind: BellKind, phi: float = 0.0) -> StateVector:

@@ -32,7 +32,6 @@ __all__ = [
     "sector_index",
     "sector_blocks",
     "effective_coupling",
-    "trapped_ion_coupling",
     "validity_report",
 ]
 
@@ -77,11 +76,6 @@ def effective_coupling(g_g: float, g_e: float, delta: float) -> float:
     if delta == 0:
         raise ValueError("delta must be nonzero")
     return -g_g * g_e / delta
-
-
-def trapped_ion_coupling(rabi: float, lamb_dicke: float) -> float:
-    """Effective coupling of the motional analogue: -rabi * eta^2 / 2."""
-    return -rabi * lamb_dicke**2 / 2.0
 
 
 def excitation_labels(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:

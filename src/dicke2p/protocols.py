@@ -15,10 +15,11 @@ atoms, the finite-nbar form of M_phi^+-, read for a whole array of
 interaction times at once: by the exact engine as one matmul of the phase
 table against the sector-eigenbasis weights of the product-basis states
 (x) |+-alpha>, by the analytic one from its three-branch form.  They are
-cached per (alpha, g, t, cutoff, engine) at one time.  One array-valued
-chain composes both cavities on any batch of atomic states
-(bell_outcome_arrays).  Repeated shots on one input draw from its cached
-law, each from its seeded stream on one Philox generator per thread.
+cached per (alpha, g, t, cutoff, engine) at one time, and run_ghz reads
+the GHZ overlap from the same map.  One array-valued chain composes both
+cavities on any batch of atomic states (bell_outcome_arrays).  Repeated
+shots on one input draw from its cached law, each from its seeded stream
+on one Philox generator per thread.
 
 Homodyne detection of cavity 1 reads the evolved basis at one time through
 the rotated quadrature wavefunctions on +-(|alpha| + 5): a Kraus map from the
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import DensityMatrix, _thread_rng, fidelity
+from .analysis import DensityMatrix, _thread_rng
 from .dynamics import (
     SectorSpectrum,
     _branch_basis,
@@ -146,6 +147,8 @@ class HomodyneConfig:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.lo_phase):
+            raise ValueError("lo_phase must be finite")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
 
@@ -248,7 +251,8 @@ def _cavity_maps(
 
 def _evolved_basis(alpha: complex, g: float, t: float, n_max: int, engine: str) -> np.ndarray:
     """The product-basis atomic states (x) |alpha> evolved to the one time
-    t, (4 inputs, 4 atoms, dim), for callers that read the field itself."""
+    t, (4 inputs, 4 atoms, dim), for the homodyne quadrature map, which
+    reads the field itself."""
     cutoff, ts = FockCutoff(n_max), np.array([t])
     if engine == "analytic":
         return _branch_basis(alpha, g, ts, cutoff)[0]
@@ -275,16 +279,22 @@ def _cavity(alpha: complex, g: float, t: float, n_max: int, engine: str) -> tupl
 def run_ghz(
     alpha: complex, phi: float, g: float, cutoff: FockCutoff, engine: str = "exact"
 ) -> float:
-    """Fidelity of the state generated at t_r/2 from ghz_input(phi) with
-    field amplitude |alpha| e^{i phi}, against ghz_target."""
+    """Fidelity of the state psi generated at t_r/2 from ghz_input(phi) with
+    field amplitude |alpha| e^{i phi}, against ghz_target, read from the
+    cached cavity map (_cavity): with plus and minus the atomic amplitudes
+    of psi along the same normalized |+-alpha> that ghz_target holds,
+    |<GHZ|psi>| = |<phi_2phi^-|plus> - s <phi_2phi^+|minus>| / sqrt(2), s
+    the sign of g, over the norm of psi from the cavity's Gram matrix."""
     amp = abs(alpha) * cmath.exp(1j * phi)
     _check_regime(amp, engine)
-    coeffs, _ = ghz_input(phi)
-    basis = _evolved_basis(amp, g, revival_time(g) / 2.0, cutoff.n_max, engine)
-    psi = StateVector.normalized(
-        np.tensordot(coeffs.to_state().amplitudes, basis, 1), (2, 2, cutoff.dim)
+    readout, gram = _cavity(amp, g, revival_time(g) / 2.0, cutoff.n_max, engine)
+    atoms = ghz_input(phi)[0].to_state().amplitudes
+    plus, minus = readout @ atoms
+    sign = 1.0 if g > 0 else -1.0
+    overlap = np.vdot(bell_state("phi-", 2.0 * phi).amplitudes, plus) - sign * np.vdot(
+        bell_state("phi+", 2.0 * phi).amplitudes, minus
     )
-    return fidelity(psi, ghz_target(amp, phi, cutoff, g_sign=1 if g > 0 else -1))
+    return float(abs(overlap) ** 2 / (2.0 * np.vdot(atoms, gram @ atoms).real))
 
 
 def _sigma_phi(phi: float) -> np.ndarray:

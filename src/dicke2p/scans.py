@@ -213,7 +213,7 @@ def rabi_curve(
     exact curve evolves no state: with b_ik = V_ik w_k in each sector and
     o_i the excited atoms of slot i, it sums C_kl e^{i(lam_k - lam_l) t},
     C = b^dag diag(o) b, as tr C plus a cosine sum over k < l, a chunk of
-    times at a time."""
+    times at a time in one reused table."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     cutoff = FockCutoff.for_mean_photon(nbar)
@@ -230,8 +230,12 @@ def rabi_curve(
     # W and |ee>|alpha> are real, so is C: a pair k < l adds 2 C_kl cos((lam_k - lam_l) t)
     pairs, freqs = 2.0 * c[:, k, l].real.ravel(), (spec.values[:, k] - spec.values[:, l]).ravel()
     numeric = np.full(points, np.trace(c, axis1=1, axis2=2).sum().real)
-    for lo in range(0, points, step := max(1, _CHUNK // freqs.size)):
-        numeric[lo : lo + step] += np.cos(np.outer(times[lo : lo + step], freqs)) @ pairs
+    step = max(1, _CHUNK // freqs.size)
+    table = np.empty((min(step, points), freqs.size))  # one cosine table for every chunk
+    for lo in range(0, points, step):
+        cos_t = table[: min(step, points - lo)]
+        np.cos(np.outer(times[lo : lo + step], freqs, out=cos_t), out=cos_t)
+        numeric[lo : lo + step] += cos_t @ pairs
     analytic = rabi_see_analytic(alpha, g, times)
     rows = np.column_stack([grid, numeric, analytic])
     meta = {"nbar": nbar, "g": g, "alpha": alpha, "points": points}

@@ -1,13 +1,15 @@
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 import pytest
 
+from dicke2p.analysis import ensemble_stats, sample_rng
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
     Operator,
     StateVector,
+    coherent_state,
 )
 from dicke2p.models import (
     EffectiveModelParams,
@@ -39,6 +41,53 @@ def random_coeffs(rng):
     return AtomCoeffs.normalized(*raw)
 
 
+# Test-only builders and statistics.  The library reaches its results
+# through coherent states, the sector engine and ensemble_stats; these
+# helpers serve the tests and their oracles alone.
+
+
+def fock_state(n: int, cutoff: FockCutoff) -> StateVector:
+    if not 0 <= n <= cutoff.n_max:
+        raise ValueError(f"Fock index {n} outside 0..{cutoff.n_max}")
+    amps = np.zeros(cutoff.dim, dtype=np.complex128)
+    amps[n] = 1.0
+    return StateVector(amps, (cutoff.dim,))
+
+
+def cat_state(alpha: complex, parity: str, cutoff: FockCutoff) -> StateVector:
+    """Normalized |alpha> +- |-alpha>, built from the truncated vectors."""
+    if parity not in ("+", "-"):
+        raise ValueError("parity must be '+' or '-'")
+    if parity == "-" and alpha == 0:
+        raise ValueError("odd cat state is undefined for alpha = 0")
+    plus = coherent_state(alpha, cutoff).amplitudes
+    minus = coherent_state(-alpha, cutoff).amplitudes
+    raw = plus + minus if parity == "+" else plus - minus
+    return StateVector.normalized(raw, (cutoff.dim,))
+
+
+def trapped_ion_coupling(rabi: float, lamb_dicke: float) -> float:
+    """Effective coupling of the motional analogue: -rabi * eta^2 / 2."""
+    return -rabi * lamb_dicke**2 / 2.0
+
+
+def ensemble_average(
+    task: Callable[[np.random.Generator], float | np.ndarray],
+    n_samples: int,
+    master_seed: int,
+) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """Mean and standard error of task over per-sample RNG streams.
+
+    Each sample gets the stream sample_rng(master_seed, i), so results are
+    reproducible bit for bit no matter how the loop is scheduled.
+    """
+    values = np.array([task(sample_rng(master_seed, i)) for i in range(n_samples)])
+    mean, stderr = ensemble_stats(values)
+    if np.ndim(mean) == 0:
+        return float(mean), float(stderr)
+    return mean, stderr
+
+
 def linearized_propagator(g, n, t):
     """exp(-i H_n t) for photon sector n of W with the linearized spectrum
     w = g(2n-3), in the layout {|gg,n>, |psi+,n-2>, |ee,n-4>}.
@@ -65,8 +114,6 @@ def blockwise_state(coeffs, alpha, g, t, cutoff):
     the cutoff are dropped, and the result is renormalized.  Returns flat
     amplitudes in the product atomic basis (gg, ge, eg, ee) x Fock.
     """
-    from dicke2p.hilbert import coherent_state
-
     nf = cutoff.dim
     p = coherent_state(alpha, cutoff).amplitudes
 
@@ -113,8 +160,6 @@ def three_branch_state(coeffs, alpha, g, t, cutoff):
     """
     import cmath
 
-    from dicke2p.hilbert import coherent_state
-
     sq = 1.0 / np.sqrt(2.0)
     psi_minus = sq * np.array([0.0, 1.0, -1.0, 0.0])
     psi_plus = sq * np.array([0.0, 1.0, 1.0, 0.0])
@@ -150,7 +195,6 @@ def cavity_maps_oracle(alpha, g, times, n_max, engine):
     three-branch form for the analytic one.  Deliberately free of the
     sector-eigenbasis readout that protocols._cavity_maps takes."""
     from dicke2p.dynamics import coherent_branch_basis, sector_spectrum
-    from dicke2p.hilbert import coherent_state
 
     cutoff, times = FockCutoff(n_max), np.asarray(times, dtype=np.float64)
     field = coherent_state(alpha, cutoff).amplitudes
@@ -171,14 +215,14 @@ def cavity_maps_oracle(alpha, g, times, n_max, engine):
 def excited_state_evolved(nbar, phi, g, times):
     """|ee>|sqrt(nbar) e^{i phi}> on the cutoff for nbar, evolved under W to
     every time by SectorSpectrum.propagate; amplitudes (T, 4 dim)."""
-    from dicke2p.dynamics import evolve_exact_many, sector_spectrum
-    from dicke2p.hilbert import coherent_state, tensor
+    from dicke2p.dynamics import sector_spectrum
+    from dicke2p.hilbert import tensor
 
     cutoff = FockCutoff.for_mean_photon(nbar)
     atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), (2, 2))
     psi0 = tensor(atoms, coherent_state(np.sqrt(nbar) * np.exp(1j * phi), cutoff))
     spectrum = sector_spectrum(EffectiveModelParams(g, cutoff))
-    return evolve_exact_many(spectrum, psi0, np.asarray(times, dtype=np.float64))
+    return spectrum.propagate(psi0.amplitudes, np.asarray(times, dtype=np.float64))
 
 
 def rabi_oracle(nbar, g=-0.002, gt_max_over_pi=1.2, points=481):
@@ -193,20 +237,16 @@ def rabi_oracle(nbar, g=-0.002, gt_max_over_pi=1.2, points=481):
 
 def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, delta=500.0):
     """Rows of scans.fidelity_scan computed one Haar sample at a time: each
-    sample propagated to every time by the three evolve_*_many calls and
-    averaged by ensemble_average.  Deliberately free of shared phase tables
-    and time chunks."""
+    sample propagated to every time by SectorSpectrum.propagate (the full
+    model and W) and evolve_linearized_many, and averaged by
+    ensemble_average.  Deliberately free of shared phase tables and time
+    chunks."""
     import cmath
     import math
 
-    from dicke2p.analysis import ensemble_average, haar_random_two_qubit
-    from dicke2p.dynamics import (
-        evolve_exact_many,
-        evolve_linearized_many,
-        linearized_spectrum,
-        sector_spectrum,
-    )
-    from dicke2p.hilbert import StateVector, coherent_state, tensor
+    from dicke2p.analysis import haar_random_two_qubit
+    from dicke2p.dynamics import evolve_linearized_many, linearized_spectrum, sector_spectrum
+    from dicke2p.hilbert import tensor
     from dicke2p.models import (
         EffectiveModelParams,
         FullModelParams,
@@ -237,9 +277,9 @@ def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, d
             psi0 = tensor(coeffs.to_state(), coherent_state(alpha, cutoff))
             full0 = np.zeros(math.prod(full_spec.dims), dtype=np.complex128)
             full0[idx] = psi0.amplitudes
-            traj_full = evolve_exact_many(full_spec, StateVector(full0, full_spec.dims), times)
+            traj_full = full_spec.propagate(full0, times)
             sub = traj_full[:, idx] * rot
-            traj_w = evolve_exact_many(w_spec, psi0, times)
+            traj_w = w_spec.propagate(psi0.amplitudes, times)
             traj_an = evolve_linearized_many(lin_spec, psi0, times)
             f_w = np.abs(np.einsum("td,td->t", traj_w.conj(), sub)) ** 2
             f_an = np.abs(np.einsum("td,td->t", traj_an.conj(), sub)) ** 2

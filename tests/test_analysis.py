@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from conftest import excited_state_evolved, random_coeffs
+from conftest import cat_state, ensemble_average, excited_state_evolved, fock_state, random_coeffs
 from dicke2p import analysis, scans
 from dicke2p.analysis import (
     DensityMatrix,
-    ensemble_average,
     fidelity,
     haar_random_two_qubit,
     partial_trace,
@@ -25,9 +24,7 @@ from dicke2p.hilbert import (
     FockCutoff,
     StateVector,
     bell_state,
-    cat_state,
     coherent_state,
-    fock_state,
     hermite_sum,
     tensor,
 )
@@ -229,7 +226,7 @@ class TestWigner:
             (np.linspace(-6.0, 6.0, 41), None),
             (np.linspace(6.0, -6.0, 41), None),
             (np.array([0.7]), None),
-            # runs of step 0.2 and 0.0296 with a 0.1 step between them
+            # steps of 0.2, then 0.1, then 0.0296: no one run, so point by point
             (np.concatenate([np.linspace(-6.0, 0.0, 31), np.linspace(0.1, 6.0, 200)]), None),
             # a spacing so far below the y step that the run goes point by point
             (np.linspace(0.3, 0.31, 11), None),

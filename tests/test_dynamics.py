@@ -24,7 +24,6 @@ from dicke2p import models
 from dicke2p.dynamics import (
     analytic_state,
     coherent_branch_basis,
-    evolve_exact_many,
     evolve_linearized_many,
     linearized_spectrum,
     rabi_see_analytic,
@@ -157,12 +156,12 @@ class TestBlockPropagator:
 class TestEvolveExact:
     def test_t0_identity(self, w_small, mixed_coeffs):
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
-        out = evolve_exact_many(w_small, psi0, [0.0])[0]
+        out = w_small.propagate(psi0.amplitudes, [0.0])[0]
         np.testing.assert_allclose(out, psi0.amplitudes, atol=1e-12)
 
     def test_unitary_norm(self, w_small, mixed_coeffs):
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
-        out = evolve_exact_many(w_small, psi0, [math.pi])[0]
+        out = w_small.propagate(psi0.amplitudes, [math.pi])[0]
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_excitation_number_conserved(self, w_small, mixed_coeffs):
@@ -170,17 +169,17 @@ class TestEvolveExact:
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, cut))
         i2 = constant_of_motion(cut, levels=2).matrix
         before = np.vdot(psi0.amplitudes, i2 @ psi0.amplitudes).real
-        amps = evolve_exact_many(w_small, psi0, [2.7])[0]
+        amps = w_small.propagate(psi0.amplitudes, [2.7])[0]
         after = np.vdot(amps, i2 @ amps).real
         assert after == pytest.approx(before, abs=1e-9)
 
     def test_many_matches_single(self, w_small, mixed_coeffs):
         psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.5, FockCutoff(24)))
         times = np.array([0.0, 0.3, 1.1])
-        traj = evolve_exact_many(w_small, psi0, times)
+        traj = w_small.propagate(psi0.amplitudes, times)
         for row, t in zip(traj, times):
             np.testing.assert_allclose(
-                row, evolve_exact_many(w_small, psi0, [t])[0], atol=1e-12
+                row, w_small.propagate(psi0.amplitudes, [t])[0], atol=1e-12
             )
 
 
@@ -228,11 +227,6 @@ class TestSectorSpectrum:
         assert w.index.shape == (cut.dim + 4, 4)
         assert full.vectors.shape == (cut.dim + 4, 9, 9)
 
-    def test_rejects_mismatched_space(self, w_small, mixed_coeffs):
-        psi0 = tensor(mixed_coeffs.to_state(), coherent_state(1.0, FockCutoff(12)))
-        with pytest.raises(ValueError, match="different spaces"):
-            evolve_exact_many(w_small, psi0, [0.1])
-
     def test_nbar_1000_without_dense_matrices(self):
         """Three-level dimension 11,322: a dense matrix would take 2 GB."""
         cut = FockCutoff.for_mean_photon(1000.0)
@@ -244,7 +238,7 @@ class TestSectorSpectrum:
         tracemalloc.start()
         try:
             spec = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
-            traj = evolve_exact_many(spec, psi0, times)
+            traj = spec.propagate(psi0.amplitudes, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,7 +345,7 @@ class TestAnalyticState:
         c = AtomCoeffs.normalized(0.5, 0.1, 0.6, 0.45)
         psi0 = tensor(c.to_state(), coherent_state(10.0, cut))
         for t in (0.3 * math.pi, 0.8 * math.pi):
-            exact = evolve_exact_many(w, psi0, [t])[0]
+            exact = w.propagate(psi0.amplitudes, [t])[0]
             approx = analytic_state(c, 10.0, 1.0, t, cut).amplitudes
             assert abs(np.vdot(exact, approx)) ** 2 > 0.999
 
@@ -477,7 +471,7 @@ class TestCoherentBranches:
             psi0 = tensor(c.to_state(), coherent_state(alpha, cut))
             rec, _ = branch_states(c, alpha, 1.0, times, cut)
             for t, row in zip(times, rec):
-                exact = evolve_exact_many(w, psi0, [t])[0]
+                exact = w.propagate(psi0.amplitudes, [t])[0]
                 fids.append(abs(np.vdot(exact, row)) ** 2)
         assert np.mean(fids) > floor
 

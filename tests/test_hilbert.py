@@ -12,16 +12,14 @@ import pytest
 from scipy.special import gammainc, gammaln
 
 import dicke2p
-from conftest import annihilation_op, collective_op, creation_op, number_op
+from conftest import annihilation_op, cat_state, collective_op, creation_op, fock_state, number_op
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
     Operator,
     StateVector,
     bell_state,
-    cat_state,
     coherent_state,
-    fock_state,
     tensor,
 )
 from dicke2p.protocols import measurement_operator

@@ -13,11 +13,13 @@ from conftest import (
     constant_of_motion,
     dispersive_generator,
     embed_two_level_state,
+    fock_state,
     full_hamiltonian,
     stark_shift,
+    trapped_ion_coupling,
     two_photon_w,
 )
-from dicke2p.hilbert import FockCutoff, fock_state, tensor
+from dicke2p.hilbert import FockCutoff, tensor
 from dicke2p.models import (
     EffectiveModelParams,
     FullModelParams,
@@ -26,7 +28,6 @@ from dicke2p.models import (
     embed_indices,
     excitation_labels,
     sector_blocks,
-    trapped_ion_coupling,
     validity_report,
 )
 

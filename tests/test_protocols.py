@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import cavity_maps_oracle
-from dicke2p.dynamics import coherent_branch_basis, evolve_exact_many, sector_spectrum
+from dicke2p.dynamics import coherent_branch_basis, sector_spectrum
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
@@ -75,7 +75,8 @@ def joint20(table20, cut20, alpha20):
     """Cavity-1 joint state at t_r/2, evolved without the protocol's maps."""
     c, _ = table20
     psi0 = tensor(c.to_state(), coherent_state(alpha20, cut20))
-    amps = evolve_exact_many(sector_spectrum(EffectiveModelParams(G, cut20)), psi0, [T_HALF])[0]
+    spectrum = sector_spectrum(EffectiveModelParams(G, cut20))
+    amps = spectrum.propagate(psi0.amplitudes, [T_HALF])[0]
     return StateVector(amps, psi0.dims)
 
 
@@ -110,6 +111,20 @@ class TestGhz:
         f20 = run_ghz(math.sqrt(20.0), math.pi / 4, G, FockCutoff.for_mean_photon(20.0))
         assert f10 == pytest.approx(0.7917574084397762, abs=1e-9)
         assert f20 == pytest.approx(0.9124782220769261, abs=1e-9)
+
+    def test_exact_engine_evolves_no_state(self, monkeypatch):
+        """run_ghz reads the cavity map, which stops at the phase table:
+        with the cache cleared and propagation refused it still runs."""
+        from dicke2p import protocols
+        from dicke2p.dynamics import SectorSpectrum
+
+        def refuse(*args):
+            raise AssertionError("run_ghz propagated a state")
+
+        protocols._cavity.cache_clear()
+        monkeypatch.setattr(SectorSpectrum, "propagate", refuse)
+        fid = run_ghz(math.sqrt(10.0), math.pi / 4, G, FockCutoff.for_mean_photon(10.0), "exact")
+        assert fid == pytest.approx(0.7917574084397762, abs=1e-9)
 
 
 class TestMeasurementAlgebra:
@@ -724,6 +739,11 @@ class TestHomodyneConfig:
             HomodyneConfig(lo_phase=0.0, efficiency=0.0)
         with pytest.raises(ValueError):
             HomodyneConfig(lo_phase=0.0, efficiency=1.2)
+
+    @pytest.mark.parametrize("lo_phase", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lo_phase(self, lo_phase):
+        with pytest.raises(ValueError, match="lo_phase must be finite"):
+            HomodyneConfig(lo_phase=lo_phase, efficiency=0.5)
 
     def test_misclassification_shrinks_with_efficiency(self):
         alpha = math.sqrt(50.0)
