@@ -45,13 +45,13 @@ class DensityMatrix:
         if mat.shape[0] != (dim := math.prod(self.dims)):
             raise ValueError(f"matrix dim {mat.shape[0]} != space dim {dim}")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > _HERM_ATOL:
+        if not herm <= _HERM_ATOL:
             raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > _TRACE_ATOL:
+        if not abs(tr - 1.0) <= _TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1")
         low = float(np.min(np.linalg.eigvalsh(mat)))
-        if low < _EIG_FLOOR:
+        if not low >= _EIG_FLOOR:
             raise ValueError(f"negative eigenvalue {low:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -67,7 +67,7 @@ class DensityMatrix:
     @classmethod
     def _positive(cls, mat: np.ndarray, dims: tuple[int, ...], tr: float) -> "DensityMatrix":
         """A A^dag with tr = |A|^2, positive by construction: only tr is checked."""
-        if abs(tr - 1.0) > _TRACE_ATOL:
+        if not abs(tr - 1.0) <= _TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1")
         mat.setflags(write=False)
         rho = object.__new__(cls)

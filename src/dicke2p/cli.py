@@ -10,6 +10,9 @@ The '.17g' text is written by an exact array formatter: a cell whose
 rounding the extended-precision bound cannot prove falls back to CPython's
 formatter, and where np.longdouble is float64 every cell does, so the bytes
 are the same on every platform; only the speed differs.
+Each subcommand's flags are its scan's keyword arguments (--gg is g_g):
+main calls the scan by keyword, once --gg/--ge/--delta have given g (unless
+--g is set) and --efficiency/--lo-phase the detection.
 Flag precedence: explicit flags > --config file > built-in defaults.
 Exit codes: 0 success, 2 configuration error, 3 validity warning under
 --strict.
@@ -63,11 +66,11 @@ def _nbar_list(text: str) -> tuple[float | int, ...]:
     return vals
 
 
-def _one_nbar(text: str) -> tuple[float | int, ...]:
+def _one_nbar(text: str) -> float:
     vals = _nbar_list(text)
     if len(vals) > 1:
         raise argparse.ArgumentTypeError(f"takes one value, got {len(vals)}")
-    return vals
+    return float(vals[0])
 
 
 def _finite(text: str) -> float:
@@ -108,46 +111,51 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--ensemble", type=_positive_int, default=100)
 
+    def couplings(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--gg", dest="g_g", metavar="GG", type=_finite, default=_DEF_GG)
+        sp.add_argument("--ge", dest="g_e", metavar="GE", type=_finite, default=_DEF_GE)
+        sp.add_argument("--delta", type=_finite, default=_DEF_DELTA)
+
     def coupling(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--g", type=_finite, default=None,
                         help="effective two-photon coupling "
                              "(default -gg*ge/delta; passing it skips validity checks)")
-        sp.add_argument("--gg", type=_finite, default=_DEF_GG)
-        sp.add_argument("--ge", type=_finite, default=_DEF_GE)
-        sp.add_argument("--delta", type=_finite, default=_DEF_DELTA)
+        couplings(sp)
+
+    def nbars(sp: argparse.ArgumentParser, default: tuple[int, ...]) -> None:
+        sp.add_argument("--nbar", dest="nbars", metavar="NBAR", type=_nbar_list, default=default)
 
     sp = sub.add_parser("fidelity-scan",
                         help="Haar-ensemble fidelity of reduced models vs the full one")
-    sp.add_argument("--nbar", type=_nbar_list, default=(20, 50, 100))
-    sp.add_argument("--gg", type=_finite, default=_DEF_GG)
-    sp.add_argument("--ge", type=_finite, default=_DEF_GE)
-    sp.add_argument("--delta", type=_finite, default=_DEF_DELTA)
+    nbars(sp, (20, 50, 100))
+    couplings(sp)
     sp.add_argument("--time-points", type=_positive_int, default=101)
     common(sp, seeded=True)
 
     sp = sub.add_parser("rabi", help="collapse and revival of <S_ee> for |ee>|alpha>")
-    sp.add_argument("--nbar", type=_one_nbar, default=(50,))
-    sp.add_argument("--gt-max", type=_finite, default=1.2, help="window end in units of pi")
+    sp.add_argument("--nbar", type=_one_nbar, default=50.0)
+    sp.add_argument("--gt-max", dest="gt_max_over_pi", metavar="GT_MAX", type=_finite,
+                    default=1.2, help="window end in units of pi")
     sp.add_argument("--points", type=_positive_int, default=481)
     coupling(sp)
     common(sp)
 
     sp = sub.add_parser("wigner", help="field Wigner function at t=0, tr/4, tr/2")
-    sp.add_argument("--nbar", type=_one_nbar, default=(50,))
+    sp.add_argument("--nbar", type=_one_nbar, default=50.0)
     sp.add_argument("--phi", type=_finite, default=2.0 * math.pi / 3.0)
     sp.add_argument("--grid-points", type=_positive_int, default=201)
     coupling(sp)
     common(sp)
 
     sp = sub.add_parser("ghz", help="GHZ fidelity at half revival vs mean photon number")
-    sp.add_argument("--nbar", type=_nbar_list, default=(10, 20, 50, 100))
+    nbars(sp, (10, 20, 50, 100))
     sp.add_argument("--phi", type=_finite, default=math.pi / 4.0)
     sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
     coupling(sp)
     common(sp)
 
     sp = sub.add_parser("bell", help="Bell-protocol fidelity per outcome, Haar ensemble")
-    sp.add_argument("--nbar", type=_nbar_list, default=(10, 20, 50))
+    nbars(sp, (10, 20, 50))
     sp.add_argument("--phi", type=_finite, default=math.pi / 8.0)
     sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
     sp.add_argument("--efficiency", type=_finite, default=None,
@@ -158,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seeded=True)
 
     sp = sub.add_parser("bell-timing", help="protocol fidelity around the optimal gt = pi/2")
-    sp.add_argument("--nbar", type=_one_nbar, default=(50,))
+    sp.add_argument("--nbar", type=_one_nbar, default=50.0)
     sp.add_argument("--phi", type=_finite, default=math.pi / 8.0)
-    sp.add_argument("--half-width", type=_finite, default=0.08,
-                    help="half width of the gt window")
+    sp.add_argument("--half-width", dest="half_width_gt", metavar="HALF_WIDTH", type=_finite,
+                    default=0.08, help="half width of the gt window")
     sp.add_argument("--points", type=_positive_int, default=321)
     coupling(sp)
     common(sp)
@@ -195,10 +203,24 @@ def _load_config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _effective_g(args: argparse.Namespace) -> float:
-    if getattr(args, "g", None) is not None:
-        return args.g
-    return effective_coupling(args.gg, args.ge, args.delta)
+def _scan_kwargs(args: argparse.Namespace) -> dict:
+    """The keyword arguments of the command's scan: the parsed flags less the
+    CLI's own, with --efficiency and --lo-phase made into detection and,
+    where the command has --g, --gg, --ge and --delta into g."""
+    kwargs = vars(args).copy()
+    for key in ("command", "out", "format", "config", "strict"):
+        del kwargs[key]
+    if "efficiency" in kwargs:
+        efficiency, lo_phase = kwargs.pop("efficiency"), kwargs.pop("lo_phase")
+        if efficiency is None and lo_phase is not None:
+            raise ValueError("--lo-phase needs --efficiency: it sets the homodyne detector")
+        lo = kwargs["phi"] if lo_phase is None else lo_phase
+        kwargs["detection"] = "ideal" if efficiency is None else HomodyneConfig(lo, efficiency)
+    if "g" in kwargs:
+        g_g, g_e, delta = kwargs.pop("g_g"), kwargs.pop("g_e"), kwargs.pop("delta")
+        if kwargs["g"] is None:
+            kwargs["g"] = effective_coupling(g_g, g_e, delta)
+    return kwargs
 
 
 def _check_validity(args: argparse.Namespace, nbar_max: float) -> int:
@@ -208,8 +230,8 @@ def _check_validity(args: argparse.Namespace, nbar_max: float) -> int:
     params = FullModelParams(
         omega=0.0,
         delta=args.delta,
-        g_g=args.gg,
-        g_e=args.ge,
+        g_g=args.g_g,
+        g_e=args.g_e,
         cutoff=FockCutoff.for_mean_photon(float(nbar_max)),
     )
     report = validity_report(params, float(nbar_max))
@@ -221,7 +243,7 @@ def _check_validity(args: argparse.Namespace, nbar_max: float) -> int:
     if not report.revival_reachable_ok:
         parts.append(
             f"revival time exceeds the adiabatic horizon (ge*nbar*pi = "
-            f"{args.ge * nbar_max * math.pi:.4g} vs 0.1*delta = {0.1 * args.delta:.4g})"
+            f"{args.g_e * nbar_max * math.pi:.4g} vs 0.1*delta = {0.1 * args.delta:.4g})"
         )
     print("validity warning: " + "; ".join(parts), file=sys.stderr)
     return 3 if args.strict else 0
@@ -477,88 +499,15 @@ def _emit(
         print(path)
 
 
-def _run_fidelity_scan(args) -> dict[str, scans.ScanResult]:
-    return {
-        "": scans.fidelity_scan(
-            tuple(args.nbar),
-            args.gg,
-            args.ge,
-            args.delta,
-            args.ensemble,
-            args.seed,
-            args.time_points,
-        )
-    }
-
-
-def _run_rabi(args) -> dict[str, scans.ScanResult]:
-    return {
-        "": scans.rabi_curve(
-            float(args.nbar[0]),
-            _effective_g(args),
-            args.gt_max,
-            args.points,
-        )
-    }
-
-
-def _run_wigner(args) -> dict[str, scans.ScanResult]:
-    return scans.wigner_panels(
-        float(args.nbar[0]),
-        args.phi,
-        _effective_g(args),
-        args.grid_points,
-    )
-
-
-def _run_ghz(args) -> dict[str, scans.ScanResult]:
-    return {
-        "": scans.ghz_sweep(
-            tuple(args.nbar),
-            args.phi,
-            _effective_g(args),
-            args.engine,
-        )
-    }
-
-
-def _run_bell(args) -> dict[str, scans.ScanResult]:
-    detection: str | HomodyneConfig = "ideal"
-    if args.efficiency is not None:
-        lo = args.phi if args.lo_phase is None else args.lo_phase
-        detection = HomodyneConfig(lo_phase=lo, efficiency=args.efficiency)
-    return {
-        "": scans.bell_ensemble(
-            tuple(args.nbar),
-            args.phi,
-            _effective_g(args),
-            args.ensemble,
-            args.seed,
-            args.engine,
-            detection,
-        )
-    }
-
-
-def _run_bell_timing(args) -> dict[str, scans.ScanResult]:
-    return {
-        "": scans.bell_timing(
-            float(args.nbar[0]),
-            args.phi,
-            _effective_g(args),
-            args.half_width,
-            args.points,
-        )
-    }
-
-
-_RUNNERS = {
-    "fidelity-scan": _run_fidelity_scan,
-    "rabi": _run_rabi,
-    "wigner": _run_wigner,
-    "ghz": _run_ghz,
-    "bell": _run_bell,
-    "bell-timing": _run_bell_timing,
+# Each subcommand's scan by name, looked up in scans at call time, so that a
+# function replaced on the module (a test's fake, a tracer) is the one that runs.
+_SCANS = {
+    "fidelity-scan": "fidelity_scan",
+    "rabi": "rabi_curve",
+    "wigner": "wigner_panels",
+    "ghz": "ghz_sweep",
+    "bell": "bell_ensemble",
+    "bell-timing": "bell_timing",
 }
 
 
@@ -570,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(raw)
     if known.config is not None:
-        if not rest or rest[0] not in _RUNNERS:
+        if not rest or rest[0] not in _SCANS:
             print("error: --config requires a subcommand", file=sys.stderr)
             return 2
         try:
@@ -579,17 +528,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     args = build_parser().parse_args(rest)
-    if getattr(args, "lo_phase", None) is not None and args.efficiency is None:
-        print("error: --lo-phase needs --efficiency: it sets the homodyne detector",
-              file=sys.stderr)
-        return 2
     try:
-        if getattr(args, "efficiency", None) is not None:
-            HomodyneConfig(0.0, args.efficiency)  # its range check: --strict must not exit 3 on it
-        if code := _check_validity(args, max(float(n) for n in args.nbar)):
+        # before the validity check, so --strict cannot exit 3 on a bad input
+        kwargs = _scan_kwargs(args)
+        if code := _check_validity(args, max(kwargs.get("nbars") or [kwargs["nbar"]])):
             return code
         t0 = time.perf_counter()
-        results = _RUNNERS[args.command](args)
+        results = getattr(scans, _SCANS[args.command])(**kwargs)
+        if isinstance(results, scans.ScanResult):
+            results = {"": results}
         _emit(args, args.command, results, time.perf_counter() - t0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -292,6 +292,8 @@ def rabi_see_analytic(alpha: complex, g: float, t):
 
 def revival_time(g: float) -> float:
     """Revival period pi/|g|; independent of the field amplitude."""
+    if not math.isfinite(g):
+        raise ValueError(f"revival time needs a finite g, got {g}")
     if g == 0:
         raise ValueError("revival time undefined for g = 0")
     return math.pi / abs(g)

@@ -121,7 +121,7 @@ class StateVector:
         amps = _freeze(np.ravel(self.amplitudes))
         self._adopt(amps)
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > NORM_ATOL:
+        if not abs(nrm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
 
     def _adopt(self, amps: np.ndarray) -> None:
@@ -138,8 +138,8 @@ class StateVector:
         """
         amps = np.ravel(np.asarray(amplitudes, dtype=np.complex128))
         nrm = float(np.linalg.norm(amps))
-        if nrm < 1e-12:
-            raise ValueError("cannot normalize a (near-)zero vector")
+        if not 1e-12 <= nrm < math.inf:
+            raise ValueError("cannot normalize a (near-)zero or non-finite vector")
         amps = amps / nrm
         amps.setflags(write=False)
         state = object.__new__(cls)
@@ -216,15 +216,15 @@ class AtomCoeffs:
         nrm = math.sqrt(
             abs(self.c_g) ** 2 + abs(self.c_minus) ** 2 + abs(self.c_plus) ** 2 + abs(self.c_e) ** 2
         )
-        if abs(nrm - 1.0) > NORM_ATOL:
+        if not abs(nrm - 1.0) <= NORM_ATOL:
             raise ValueError(f"coefficient norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
 
     @classmethod
     def normalized(cls, c_g: complex, c_minus: complex, c_plus: complex, c_e: complex) -> "AtomCoeffs":
         v = np.array([c_g, c_minus, c_plus, c_e], dtype=np.complex128)
         nrm = float(np.linalg.norm(v))
-        if nrm < 1e-12:
-            raise ValueError("cannot normalize a (near-)zero coefficient vector")
+        if not 1e-12 <= nrm < math.inf:
+            raise ValueError("cannot normalize (near-)zero or non-finite coefficients")
         v = v / nrm
         return cls(complex(v[0]), complex(v[1]), complex(v[2]), complex(v[3]))
 
@@ -276,9 +276,11 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
 
     Raises when the cutoff captures less than 1 - CAPTURE_ATOL of the weight.
     """
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     amps = _coherent_amplitudes(alpha, cutoff)
     captured = float(np.sum(np.abs(amps) ** 2))
-    if captured < 1.0 - CAPTURE_ATOL:
+    if not captured >= 1.0 - CAPTURE_ATOL:
         raise ValueError(
             f"cutoff n_max={cutoff.n_max} too small for |alpha|^2={abs(alpha) ** 2:.4g}"
             f" (captures {captured:.12f} of the norm)"

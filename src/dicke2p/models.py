@@ -53,9 +53,11 @@ class FullModelParams:
     cutoff: FockCutoff
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
+        if not all(map(math.isfinite, (self.omega, self.delta, self.g_g, self.g_e))):
+            raise ValueError("omega, delta, g_g and g_e must be finite")
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.g_g <= 0 or self.g_e <= 0:
+        if not (self.g_g > 0 and self.g_e > 0):
             raise ValueError("couplings g_g, g_e must be positive")
 
 
@@ -67,14 +69,17 @@ class EffectiveModelParams:
     cutoff: FockCutoff
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite, got {self.g}")
         if self.g == 0:
             raise ValueError("coupling g must be nonzero")
 
 
 def effective_coupling(g_g: float, g_e: float, delta: float) -> float:
-    """Two-photon coupling after adiabatic elimination: -g_g g_e / delta."""
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
+    """Two-photon coupling after adiabatic elimination: -g_g g_e / delta,
+    for a positive delta as in FullModelParams."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     return -g_g * g_e / delta
 
 
@@ -183,7 +188,7 @@ class ValidityReport:
 
 
 def validity_report(params: FullModelParams, nbar: float) -> ValidityReport:
-    if nbar <= 0:
+    if not nbar > 0:
         raise ValueError("nbar must be positive")
     horizon = VALIDITY_MARGIN * params.delta**2 / (params.g_e**3 * nbar)
     stark_ok = abs(params.g_e**2 - params.g_g**2) < params.g_e**3 / params.delta

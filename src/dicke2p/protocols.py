@@ -331,22 +331,12 @@ def composed_measurement(phi: float, s1: str, s2: str) -> np.ndarray:
     return _freeze(m2 @ m1)
 
 
-@lru_cache(maxsize=16)
 def correction_gate(outcome: OutcomeLabel, phi: float) -> np.ndarray:
     """Conditional one-qubit gate on atom A completing the Bell measurement,
     as a read-only 4x4 array in the product basis (it is cached and shared):
     (+,+) -> 1, (-,+) -> i sigma_2phi, (+,-) -> sigma_2phi sigma_z,
     (-,-) -> i sigma_z."""
-    key = (outcome.d1, outcome.d2)
-    if key == ("+", "+"):
-        u = np.eye(2, dtype=np.complex128)
-    elif key == ("-", "+"):
-        u = 1j * _sigma_phi(2.0 * phi)
-    elif key == ("+", "-"):
-        u = _sigma_phi(2.0 * phi) @ _SIGMA_Z
-    else:
-        u = 1j * _SIGMA_Z
-    return _freeze(np.kron(u, np.eye(2)))
+    return _corrections(phi)[0][int(outcome.d1 == "-"), int(outcome.d2 == "-")]
 
 
 def bell_target(outcome: OutcomeLabel, phi: float) -> StateVector:
@@ -362,7 +352,8 @@ _MIXED = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, (2, 2))
 def _corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Correction gates (2, 2, 4, 4) and Bell targets (2, 2, 4) of the four
     outcomes, indexed [d1, d2] with '+' first (ALL_OUTCOMES order)."""
-    gates = np.stack([correction_gate(o, phi) for o in ALL_OUTCOMES])
+    s = _sigma_phi(2.0 * phi)
+    gates = np.kron(np.stack([np.eye(2), s @ _SIGMA_Z, 1j * s, 1j * _SIGMA_Z]), np.eye(2))
     targets = np.stack([bell_target(o, phi).amplitudes for o in ALL_OUTCOMES])
     _frozen(gates, targets)
     return gates.reshape(2, 2, 4, 4), targets.reshape(2, 2, 4)

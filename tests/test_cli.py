@@ -1,5 +1,7 @@
 """Command-line entry point: argument handling, outputs, exit codes."""
 
+import argparse
+import inspect
 import json
 import math
 import os
@@ -201,6 +203,40 @@ class TestArgumentHandling:
         assert read_csv_table(out)[2].shape[0] == 1
 
 
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestDispatch:
+    """Each subcommand's flags are its scan's keyword arguments."""
+
+    OWN = {"help", "out", "format", "config", "strict"}
+
+    def test_every_dest_is_a_keyword_of_the_scan(self):
+        assert set(cli._SCANS) == set(subparsers())
+        for command, sp in subparsers().items():
+            assert cli._SCANS[command] in scans.__all__
+            params = inspect.signature(getattr(scans, cli._SCANS[command])).parameters
+            dests = {a.dest for a in sp._actions} - self.OWN
+            if "g" in dests:  # --gg, --ge and --delta give g unless --g is set
+                dests -= {"g_g", "g_e", "delta"}
+            if "efficiency" in dests:
+                dests = dests - {"efficiency", "lo_phase"} | {"detection"}
+            assert dests <= set(params), command
+            assert all(params[d].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for d in dests)
+
+    def test_usage_keeps_the_flag_metavars(self):
+        shown = {"--nbar": "--nbar NBAR", "--gg": "--gg GG", "--ge": "--ge GE",
+                 "--gt-max": "--gt-max GT_MAX", "--half-width": "--half-width HALF_WIDTH"}
+        for command, sp in subparsers().items():
+            usage = sp.format_usage()
+            flags = {o for a in sp._actions for o in a.option_strings}
+            for flag in flags & set(shown):
+                assert shown[flag] in usage, (command, flag)
+
+
 class TestCsvOutput:
     def test_rabi_writes_table_and_sidecar(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -284,7 +320,7 @@ class TestJsonOutput:
 
 def fake_rabi(monkeypatch, columns, rows):
     result = scans.ScanResult(columns, rows, {})
-    monkeypatch.setattr(scans, "rabi_curve", lambda *args: result)
+    monkeypatch.setattr(scans, "rabi_curve", lambda **kwargs: result)
 
 
 class TestNanCells:
@@ -476,7 +512,7 @@ class TestEmit:
         back as null from strict JSON, while CSV cells keep inf and -inf."""
         result = scans.ScanResult(self.COLUMNS, np.array([[0.0, np.inf, -np.inf]]),
                                   {"span": np.inf, "low": -np.inf, "nbar": 4.0})
-        monkeypatch.setattr(scans, "rabi_curve", lambda *args: result)
+        monkeypatch.setattr(scans, "rabi_curve", lambda **kwargs: result)
 
         def strict(token):
             raise ValueError(f"non-standard JSON token {token}")

@@ -22,7 +22,10 @@ from dicke2p.hilbert import (
     coherent_state,
     tensor,
 )
-from dicke2p.protocols import measurement_operator
+from dicke2p.analysis import DensityMatrix
+from dicke2p.dynamics import revival_time
+from dicke2p.models import EffectiveModelParams, FullModelParams, effective_coupling
+from dicke2p.protocols import bell_outcome_table, measurement_operator
 
 SQRT12 = 3.4641016151377544  # sqrt(12), the |4> -> |2> pair-lowering element
 
@@ -249,3 +252,45 @@ class TestAtomCoeffs:
     def test_bell_component_extraction(self):
         psi_minus = AtomCoeffs.from_state(bell_state("psi-"))
         np.testing.assert_allclose(psi_minus.as_array(), [0, 1, 0, 0], atol=1e-12)
+
+
+_CUT = FockCutoff(40)
+
+
+def _full_params(**changes):
+    return FullModelParams(**{"omega": 0.0, "delta": 500.0, "g_g": 1.0, "g_e": 1.0,
+                              "cutoff": _CUT, **changes})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AtomCoeffs(math.nan, 0, 0, 0),
+        lambda: AtomCoeffs.normalized(math.nan, 1, 0, 0),
+        lambda: StateVector(np.array([math.nan, 0]), (2,)),
+        lambda: StateVector.normalized(np.array([math.nan, 1]), (2,)),
+        lambda: DensityMatrix(np.full((2, 2), math.nan), (2,)),
+        lambda: DensityMatrix.outer(np.array([math.nan, 0]), (2,)),
+        lambda: coherent_state(math.nan, _CUT),
+        lambda: bell_outcome_table(AtomCoeffs(1, 0, 0, 0), math.nan, -0.002, _CUT),
+        lambda: EffectiveModelParams(math.nan, _CUT),
+        lambda: EffectiveModelParams(math.inf, _CUT),
+        lambda: _full_params(delta=math.nan),
+        lambda: _full_params(g_g=math.nan),
+        lambda: _full_params(g_e=math.nan),
+        lambda: _full_params(omega=math.nan),
+        lambda: revival_time(math.nan),
+        lambda: revival_time(math.inf),
+        lambda: effective_coupling(1.0, 1.0, math.nan),
+    ],
+    ids=["AtomCoeffs", "AtomCoeffs.normalized", "StateVector", "StateVector.normalized",
+         "DensityMatrix", "DensityMatrix.outer", "coherent_state", "bell_outcome_table",
+         "EffectiveModelParams-nan", "EffectiveModelParams-inf", "FullModelParams-delta",
+         "FullModelParams-g_g", "FullModelParams-g_e", "FullModelParams-omega",
+         "revival_time-nan", "revival_time-inf", "effective_coupling"],
+)
+def test_validators_refuse_non_finite_input(build):
+    """Every bound is written as 'not <accept condition>', so NaN fails it,
+    and the model parameters and the revival time need finite values."""
+    with pytest.raises(ValueError):
+        build()

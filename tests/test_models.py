@@ -59,6 +59,10 @@ class TestCouplings:
         with pytest.raises(ValueError):
             effective_coupling(1.0, 1.0, 0.0)
 
+    def test_negative_detuning_rejected_as_in_the_full_model(self):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            effective_coupling(1.0, 1.0, -500.0)
+
     def test_trapped_ion_magnitude(self):
         # Omega eta^2 / 2 at Omega = 2 pi kHz, eta = 1e-2
         g = trapped_ion_coupling(2.0 * math.pi * 1e3, 1e-2)
