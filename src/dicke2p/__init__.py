@@ -23,8 +23,6 @@ from .dynamics import (
 from .analysis import (
     DensityMatrix,
     fidelity,
-    haar_random_two_qubit,
-    partial_trace,
     wigner,
 )
 from .protocols import (
@@ -59,8 +57,6 @@ __all__ = [
     "revival_time",
     "DensityMatrix",
     "fidelity",
-    "haar_random_two_qubit",
-    "partial_trace",
     "wigner",
     "HomodyneConfig",
     "OutcomeLabel",

@@ -1,4 +1,4 @@
-"""Fidelities, reductions, Wigner functions, and ensemble statistics."""
+"""Fidelities, Wigner functions, and ensemble statistics."""
 
 from __future__ import annotations
 
@@ -12,15 +12,13 @@ import numpy as np
 import numpy.random  # lazy in NumPy 2: load it with the package, not at the first draw
 from numpy.lib.stride_tricks import as_strided
 
-from .hilbert import AtomCoeffs, StateVector, hermite_sum
+from .hilbert import StateVector, hermite_sum
 
 __all__ = [
     "DensityMatrix",
     "WignerGrid",
     "fidelity",
-    "partial_trace",
     "wigner",
-    "haar_random_two_qubit",
     "sample_rng",
     "ensemble_stats",
 ]
@@ -85,26 +83,6 @@ def fidelity(a: StateVector | DensityMatrix, b: StateVector) -> float:
     if isinstance(a, StateVector):
         return float(abs(np.vdot(b.amplitudes, a.amplitudes)) ** 2)
     return float(np.real(np.vdot(b.amplitudes, a.matrix @ b.amplitudes)))
-
-
-def partial_trace(state: StateVector | DensityMatrix, keep: str) -> DensityMatrix:
-    """Reduce a tripartite state to its atomic or field factor."""
-    if keep not in ("atoms", "field"):
-        raise ValueError("keep must be 'atoms' or 'field'")
-    if len(state.dims) != 3:
-        raise ValueError(f"expected atom A, atom B and field factors, got dims {state.dims}")
-    atom_dims, field_dims = state.dims[:2], state.dims[2:]
-    d_a, d_f = math.prod(atom_dims), field_dims[0]
-    if isinstance(state, StateVector):
-        mat = state.amplitudes.reshape(d_a, d_f)
-        tr = float(np.vdot(mat, mat).real)  # the trace of either reduction
-        if keep == "atoms":
-            return DensityMatrix._positive(mat @ mat.conj().T, atom_dims, tr)
-        return DensityMatrix._positive(mat.T @ mat.conj(), field_dims, tr)
-    rho = state.matrix.reshape(d_a, d_f, d_a, d_f)
-    if keep == "atoms":
-        return DensityMatrix(np.einsum("ambm->ab", rho), atom_dims)
-    return DensityMatrix(np.einsum("aman->mn", rho), field_dims)
 
 
 @dataclass(frozen=True)
@@ -252,12 +230,6 @@ def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> Wigner
             rho_xy = (minus * plus) @ lam
             values[:, a:b] = (rho_xy @ kernel).real.T
     return WignerGrid(beta_re, beta_im, values)
-
-
-def haar_random_two_qubit(rng: np.random.Generator) -> AtomCoeffs:
-    """Haar-distributed pure two-qubit state (first column of a Haar
-    unitary from QR of a complex Ginibre matrix with phase fixing)."""
-    return AtomCoeffs.from_state(StateVector(_haar_atoms([rng])[0], (2, 2)))
 
 
 def _haar_atoms(rngs: Iterable[np.random.Generator]) -> np.ndarray:

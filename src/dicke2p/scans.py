@@ -75,14 +75,18 @@ _CHUNK = 2**17
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Tabular scan output: column names, an (R, C) float matrix (NaN
-    allowed), and the parameters that produced it."""
+    """Tabular scan output: one or more column names, an (R, C) float
+    matrix (NaN allowed), and the dict of parameters that produced it."""
 
     columns: tuple[str, ...]
     rows: np.ndarray
     meta: dict
 
     def __post_init__(self) -> None:
+        if not self.columns or not all(isinstance(c, str) for c in self.columns):
+            raise ValueError(f"columns must be one or more names, got {self.columns!r}")
+        if not isinstance(self.meta, dict):
+            raise ValueError(f"meta must be a dict, got {type(self.meta).__name__}")
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
             raise ValueError("row matrix does not match the column list")
         if len(set(self.columns)) < len(self.columns):
@@ -218,10 +222,10 @@ def rabi_curve(
         raise ValueError(f"points must be >= 1, got {points}")
     cutoff = FockCutoff.for_mean_photon(nbar)
     alpha = math.sqrt(nbar)
+    spec = sector_spectrum(EffectiveModelParams(g, cutoff))  # refuses g = 0 before the division
     grid = np.linspace(0.0, gt_max_over_pi, points)
     times = grid * math.pi / abs(g)
 
-    spec = sector_spectrum(EffectiveModelParams(g, cutoff))
     o = np.append(np.repeat([0.0, 1.0, 1.0, 2.0], cutoff.dim), 0.0)[spec.index, None]
     psi0 = np.kron([0, 0, 0, 1], coherent_state(alpha, cutoff).amplitudes)  # |ee>|alpha>
     b = spec.vectors * spec.project(psi0)[:, None, :]
@@ -386,6 +390,7 @@ def bell_timing(
     if coeffs is None:
         coeffs = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
     cutoff = FockCutoff.for_mean_photon(nbar)
+    EffectiveModelParams(g, cutoff)  # refuses g = 0 before the division
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
     center = math.pi / 2.0
     gts = np.linspace(center - half_width_gt, center + half_width_gt, points)

@@ -1,9 +1,10 @@
+import math
 from typing import Callable, Literal
 
 import numpy as np
 import pytest
 
-from dicke2p.analysis import ensemble_stats, sample_rng
+from dicke2p.analysis import DensityMatrix, _haar_atoms, ensemble_stats, sample_rng
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
@@ -86,6 +87,32 @@ def ensemble_average(
     if np.ndim(mean) == 0:
         return float(mean), float(stderr)
     return mean, stderr
+
+
+def partial_trace(state: StateVector | DensityMatrix, keep: str) -> DensityMatrix:
+    """Reduce a tripartite state to its atomic or field factor."""
+    if keep not in ("atoms", "field"):
+        raise ValueError("keep must be 'atoms' or 'field'")
+    if len(state.dims) != 3:
+        raise ValueError(f"expected atom A, atom B and field factors, got dims {state.dims}")
+    atom_dims, field_dims = state.dims[:2], state.dims[2:]
+    d_a, d_f = math.prod(atom_dims), field_dims[0]
+    if isinstance(state, StateVector):
+        mat = state.amplitudes.reshape(d_a, d_f)
+        tr = float(np.vdot(mat, mat).real)  # the trace of either reduction
+        if keep == "atoms":
+            return DensityMatrix._positive(mat @ mat.conj().T, atom_dims, tr)
+        return DensityMatrix._positive(mat.T @ mat.conj(), field_dims, tr)
+    rho = state.matrix.reshape(d_a, d_f, d_a, d_f)
+    if keep == "atoms":
+        return DensityMatrix(np.einsum("ambm->ab", rho), atom_dims)
+    return DensityMatrix(np.einsum("aman->mn", rho), field_dims)
+
+
+def haar_random_two_qubit(rng: np.random.Generator) -> AtomCoeffs:
+    """Haar-distributed pure two-qubit state (first column of a Haar
+    unitary from QR of a complex Ginibre matrix with phase fixing)."""
+    return AtomCoeffs.from_state(StateVector(_haar_atoms([rng])[0], (2, 2)))
 
 
 def linearized_propagator(g, n, t):
@@ -242,9 +269,7 @@ def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, d
     ensemble_average.  Deliberately free of shared phase tables and time
     chunks."""
     import cmath
-    import math
 
-    from dicke2p.analysis import haar_random_two_qubit
     from dicke2p.dynamics import evolve_linearized_many, linearized_spectrum, sector_spectrum
     from dicke2p.hilbert import tensor
     from dicke2p.models import (

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from conftest import cat_state, ensemble_average, excited_state_evolved, fock_state, random_coeffs
-from dicke2p import analysis, scans
-from dicke2p.analysis import (
-    DensityMatrix,
-    fidelity,
-    haar_random_two_qubit,
+from conftest import (
+    cat_state,
+    ensemble_average,
+    excited_state_evolved,
+    fock_state,
     partial_trace,
-    sample_rng,
-    wigner,
+    random_coeffs,
 )
+from dicke2p import analysis, scans
+from dicke2p.analysis import DensityMatrix, fidelity, sample_rng, wigner
 from dicke2p.dynamics import revival_time
 from dicke2p.hilbert import (
     AtomCoeffs,
@@ -349,15 +349,14 @@ class TestRandomness:
         assert np.max(np.abs(a - b)) > 1e-3
 
     def test_haar_state_normalized(self):
-        c = haar_random_two_qubit(sample_rng(9, 0))
-        assert np.linalg.norm(c.as_array()) == pytest.approx(1.0, abs=1e-12)
+        atoms = analysis._haar_atoms([sample_rng(9, 0)])
+        assert atoms.shape == (1, 4)
+        assert np.linalg.norm(atoms[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_first_moments_uniform(self):
         # E|c_i|^2 = 1/4; with N=2000 the standard error is ~0.004
-        acc = np.zeros(4)
-        for k in range(2000):
-            acc += np.abs(haar_random_two_qubit(sample_rng(31, k)).as_array()) ** 2
-        np.testing.assert_allclose(acc / 2000, 0.25, atol=0.02)
+        atoms = analysis._haar_atoms(sample_rng(31, k) for k in range(2000))
+        np.testing.assert_allclose(np.mean(np.abs(atoms) ** 2, axis=0), 0.25, atol=0.02)
 
 
 class TestThreadStream:

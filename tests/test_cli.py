@@ -9,11 +9,13 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft7Validator, ValidationError
 
 from dicke2p import __version__, cli, scans
 from dicke2p.cli import main
@@ -96,8 +98,10 @@ class TestArgumentHandling:
             (["bell", "--nbar", "100", "--ensemble", "2", "--efficiency", "2", "--strict"],
              "efficiency must lie in (0, 1]"),
             (["rabi", "--nbar", "4", "--delta", "0", "--strict"], "delta must be positive"),
+            (["rabi", "--nbar", "4", "--g", "0"], "coupling g must be nonzero"),
+            (["bell-timing", "--nbar", "4", "--g", "0"], "coupling g must be nonzero"),
         ],
-        ids=["efficiency", "efficiency-strict", "delta"],
+        ids=["efficiency", "efficiency-strict", "delta", "rabi-g0", "bell-timing-g0"],
     )
     def test_out_of_range_values_exit_2(self, tmp_path, capsys, argv, message):
         """A value that a library constructor refuses exits 2 with its
@@ -319,8 +323,8 @@ class TestJsonOutput:
 
 
 def fake_rabi(monkeypatch, columns, rows):
-    result = scans.ScanResult(columns, rows, {})
-    monkeypatch.setattr(scans, "rabi_curve", lambda **kwargs: result)
+    """rabi_curve replaced by a scan that builds its table inside main."""
+    monkeypatch.setattr(scans, "rabi_curve", lambda **kwargs: scans.ScanResult(columns, rows, {}))
 
 
 class TestNanCells:
@@ -530,21 +534,6 @@ class TestEmit:
         assert json.loads(params[0][len("# params: "):], parse_constant=strict)["span"] is None
 
     @pytest.mark.parametrize(
-        "change, match",
-        [
-            ({"extra": 1}, "unexpected keys"),
-            ({"seed": True}, r"\$\.seed"),
-            ({"columns": []}, "fewer than 1"),
-        ],
-    )
-    def test_schema_rejects_header(self, change, match):
-        header = {"command": "rabi", "version": __version__, "seed": None,
-                  "params": {}, "columns": ["a"], "rows": [[0.0]]}
-        cli._check_schema(header, cli._load_schema())
-        with pytest.raises(ValueError, match=match):
-            cli._check_schema({**header, **change}, cli._load_schema())
-
-    @pytest.mark.parametrize(
         "columns, rows",
         [
             ((), np.zeros((2, 0))),
@@ -553,30 +542,63 @@ class TestEmit:
     )
     def test_bad_table_exits_2_without_a_file(self, tmp_path, monkeypatch, capsys,
                                               columns, rows):
+        """A table that ScanResult or the float64 conversion refuses exits 2
+        before any file is opened."""
         fake_rabi(monkeypatch, columns, rows)
         out = tmp_path / "r.csv"
         assert main(["rabi", "--g", "-0.02", "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")
-    def test_schema_checks_do_not_grow_with_the_table(self, tmp_path, monkeypatch):
-        calls = []
-        check = cli._check_schema
 
-        def counting(*args):
-            calls.append(1)
-            return check(*args)
+@pytest.fixture(scope="module")
+def output_schema():
+    """A validator for the published shape of a --format json payload."""
+    text = resources.files("dicke2p").joinpath("data/output_schema.json").read_text("utf-8")
+    schema = json.loads(text)
+    Draft7Validator.check_schema(schema)
+    return Draft7Validator(schema)
 
-        monkeypatch.setattr(cli, "_check_schema", counting)
-        counts = []
-        for points in ("41", "81"):
-            calls.clear()
-            out = tmp_path / f"w{points}.csv"
-            argv = ["wigner", "--nbar", "4", "--grid-points", points, "--out", str(out)]
-            assert main(argv) == 0
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+
+class TestOutputSchema:
+    """data/output_schema.json, checked by a JSON Schema validator against
+    what the CLI writes. The CSV sidecar has no rows and adds rows_file, so
+    it is not a payload of this shape."""
+
+    RUNS = {
+        "fidelity-scan": ["--nbar", "4,6", "--ensemble", "2", "--time-points", "3"],
+        "rabi": ["--nbar", "4", "--points", "5"],
+        "wigner": ["--nbar", "4", "--grid-points", "81"],
+        "ghz": ["--nbar", "4,6"],
+        "bell": ["--nbar", "4", "--ensemble", "2", "--efficiency", "0.5"],
+        "bell-timing": ["--nbar", "4", "--points", "5"],
+    }
+
+    @pytest.mark.parametrize("command", list(subparsers()))
+    def test_every_payload_meets_the_schema(self, tmp_path, output_schema, command):
+        out = tmp_path / "out.json"
+        assert main([command, *self.RUNS[command], "--format", "json", "--out", str(out)]) == 0
+        paths = sorted(tmp_path.iterdir())
+        assert len(paths) == (3 if command == "wigner" else 1)
+        for path in paths:
+            output_schema.validate(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize(
+        "change, keyword, where",
+        [
+            ({"extra": 1}, "additionalProperties", "$"),
+            ({"seed": True}, "type", "$.seed"),
+            ({"columns": []}, "minItems", "$.columns"),
+        ],
+        ids=["extra-key", "bool-seed", "no-columns"],
+    )
+    def test_schema_refuses_header(self, output_schema, change, keyword, where):
+        header = {"command": "rabi", "version": __version__, "seed": None,
+                  "params": {}, "columns": ["a"], "rows": [[0.0]]}
+        output_schema.validate(header)
+        with pytest.raises(ValidationError) as exc:
+            output_schema.validate({**header, **change})
+        assert (exc.value.validator, exc.value.json_path) == (keyword, where)
 
 
 class TestConfigFile:

@@ -16,11 +16,13 @@ from conftest import (
     constant_of_motion,
     embed_two_level_state,
     full_hamiltonian,
+    haar_random_two_qubit,
     random_coeffs,
     three_branch_state,
     two_photon_w,
 )
 from dicke2p import models
+from dicke2p.analysis import sample_rng
 from dicke2p.dynamics import (
     analytic_state,
     coherent_branch_basis,
@@ -459,8 +461,6 @@ class TestCoherentBranches:
 
     @pytest.mark.parametrize("nbar,floor", [(50.0, 0.975), (100.0, 0.986)])
     def test_reconstruction_accuracy_grows_with_photons(self, nbar, floor):
-        from dicke2p.analysis import haar_random_two_qubit, sample_rng
-
         cut = FockCutoff.for_mean_photon(nbar)
         w = sector_spectrum(EffectiveModelParams(g=1.0, cutoff=cut))
         alpha = math.sqrt(nbar)

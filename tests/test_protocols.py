@@ -553,6 +553,39 @@ class TestCavityMaps:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[1] < 0.025
 
+    @pytest.mark.parametrize("nbar", [100.0, 400.0, 1000.0])
+    def test_exact_engine_converges_at_its_rates(self, nbar):
+        """The exact engine approaches the analytic one at t_r/2: readouts
+        as 1/nbar and Bell fidelities as 1/nbar^2.
+
+        The largest readout gap is the gg -> gg entry of the + readout. In
+        photon sector m, |gg, m> couples to the symmetric one-excitation
+        state with A = g sqrt(2m(m-1)), and that to |ee, m-4> with B =
+        g sqrt(2(m-2)(m-3)). At gt = pi/2 the bright pair adds
+        cos(Lambda t) = +-3 pi/(8m) with a sign that alternates in m and
+        averages out, so the entry is the dark weight B^2/Lambda^2 = 1/2 -
+        (2m-3)/(2(m^2-3m+3)), where the linearized engine has 1/2. The gap
+        is the Poisson mean of that term, 1/nbar + 5/(2 nbar^2) + ....
+        The analytic fidelities are 1, so the fidelity gap is second order
+        in the readout gap; its constant, 13.34 for this input, is measured."""
+        from dicke2p import protocols
+
+        cut = FockCutoff.for_mean_photon(nbar)
+        alpha = math.sqrt(nbar) * np.exp(1j * PHI)
+        coeffs = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        readout, fids = {}, {}
+        for engine in ("exact", "analytic"):
+            readout[engine] = protocols._cavity(alpha, G, T_HALF, cut.n_max, engine)[0]
+            table = bell_outcome_table(coeffs, alpha, G, cut, engine)
+            fids[engine] = np.array([row.fidelity for row in table])
+        gap = float(np.max(np.abs(readout["exact"] - readout["analytic"])))
+        m = np.arange(cut.dim)
+        poisson = np.exp(m * math.log(nbar) - nbar - np.array([math.lgamma(k + 1) for k in m]))
+        dark_loss = poisson @ ((2 * m - 3) / (2 * (m * m - 3 * m + 3)))
+        assert gap == pytest.approx(dark_loss, rel=1e-6)
+        assert 1.0 <= gap * nbar <= 1.04
+        assert 13.2 <= float(np.max(np.abs(fids["exact"] - fids["analytic"]))) * nbar**2 <= 13.5
+
     def test_exact_gram_is_identity(self):
         """The exact map takes its Gram matrix to be the identity: the
         evolved basis is orthonormal."""

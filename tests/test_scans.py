@@ -7,9 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import excited_state_evolved, fidelity_scan_oracle, rabi_oracle
+from conftest import (
+    excited_state_evolved,
+    fidelity_scan_oracle,
+    haar_random_two_qubit,
+    partial_trace,
+    rabi_oracle,
+)
 from dicke2p import dynamics, protocols, scans
-from dicke2p.analysis import haar_random_two_qubit, partial_trace, sample_rng, wigner
+from dicke2p.analysis import sample_rng, wigner
 from dicke2p.dynamics import (
     SectorSpectrum,
     linearized_spectrum,
@@ -58,6 +64,30 @@ def test_scans_reject_sizes_below_one(scan, size, monkeypatch):
     monkeypatch.setattr(scans, "FockCutoff", forbidden)
     with pytest.raises(ValueError, match=rf"^{size} must be >= 1, got 0$"):
         scan(**{size: 0})
+
+
+@pytest.mark.parametrize("scan", [rabi_curve, bell_timing])
+def test_time_scans_refuse_zero_coupling_before_dividing(scan):
+    """g = 0 is refused by the coupling check, not run into a division by
+    zero (a RuntimeWarning, which the suite turns into an error)."""
+    with pytest.raises(ValueError, match="^coupling g must be nonzero$"):
+        scan(g=0.0)
+
+
+@pytest.mark.parametrize(
+    "columns, meta, match",
+    [
+        ((), {}, "columns must be one or more names"),
+        (("gt_over_pi", 1), {}, "columns must be one or more names"),
+        (("gt_over_pi",), [("nbar", 4.0)], "meta must be a dict"),
+    ],
+    ids=["no-columns", "non-str-column", "non-dict-meta"],
+)
+def test_scan_result_refuses_a_header_outside_the_schema(columns, meta, match):
+    """What data/output_schema.json asks of columns and params holds for
+    every table: at least one column, every name a string, params a dict."""
+    with pytest.raises(ValueError, match=match):
+        ScanResult(columns, np.zeros((2, len(columns))), meta)
 
 
 class TestRabiCurve:
