@@ -18,11 +18,11 @@ eigenvector overlap maps of sector_overlaps; an expectation value
 layer runs the same engine on the large-N linearization of the two-photon
 interaction W: each sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a
 spectrum linear in N, (0, +-g(2N-3)), which turns a coherent-state input
-into a superposition of a few rotating coherent branches.
-coherent_branch_basis is the paper's large-nbar form of that result, the
-protocols' analytic engine: three branches on the labels alpha and
-e^{-+2igt} alpha, for the four product-basis atomic states at every time in
-one array map, from one coherent state.
+into a superposition of a few rotating coherent branches.  _branch_maps is
+the paper's large-nbar form of that result: three branches on the labels
+alpha and e^{-+2igt} alpha, as maps on the atoms at every time.  The
+protocols' analytic engine reads them through closed-form coherent-state
+overlaps; coherent_branch_basis writes them out on the Fock basis.
 """
 
 from __future__ import annotations
@@ -232,25 +232,22 @@ def check_branch_regime(alpha: complex, stacklevel: int = 1) -> None:
 def coherent_branch_basis(
     alpha: complex, g: float, times: np.ndarray, cutoff: FockCutoff
 ) -> np.ndarray:
-    """The paper's large-nbar three-branch form: each product-basis atomic
-    state (x) |alpha> at every t, unnormalized; shape (len(times), 4, 4,
-    dim), indexed [t, input state, atoms, field] as SectorSpectrum.propagate
-    gives them for the exact engine.  Warns by check_branch_regime.
-
-    The form is linear in the atoms.  The projector onto span{|psi->,
-    |phi_2phi^->} keeps the label alpha; the maps
-    (1/2) e^{-+igt} |psi+ +- phi_{2phi-+4gt}^+><psi+ +- phi_2phi^+| carry the
-    rest to the counter-rotating labels e^{-+2igt} alpha.  Since
-    |e^{i theta} alpha| = |alpha|, every label's field is that of alpha
-    turned by e^{i theta n}, so one coherent state serves all of them.
-    """
+    """The paper's large-nbar three-branch form (_branch_maps) on the Fock
+    basis: each product-basis atomic state (x) |alpha> at every t,
+    unnormalized; shape (len(times), 4, 4, dim), indexed [t, input state,
+    atoms, field] as SectorSpectrum.propagate gives them for the exact
+    engine.  Warns by check_branch_regime."""
     check_branch_regime(alpha, stacklevel=2)
     return _branch_basis(alpha, g, times, cutoff)
 
 
-def _branch_basis(alpha: complex, g: float, times: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
-    """coherent_branch_basis without the warning, for callers that warn
-    once per call of their own while building many time chunks."""
+def _branch_maps(alpha: complex, g: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The three-branch form as maps on the atoms, (T, 3, 4, 4) indexed [t,
+    branch, atoms, input], and the angles theta (T, 3) = (0, -2gt, 2gt) of
+    the branch labels alpha e^{i theta}.  The projector onto span{|psi->,
+    |phi_2phi^->} keeps the label alpha; the maps (1/2) e^{-+igt}
+    |psi+ +- phi_{2phi-+4gt}^+><psi+ +- phi_2phi^+| carry the rest to the
+    counter-rotating labels e^{-+2igt} alpha."""
     sign = np.array([1.0, -1.0])  # the branches to the labels e^{-+2igt} alpha
     gt = g * np.asarray(times, dtype=np.float64)[:, None] * sign  # (T, 2)
     two_phi = 2.0 * cmath.phase(alpha)
@@ -261,20 +258,23 @@ def _branch_basis(alpha: complex, g: float, times: np.ndarray, cutoff: FockCutof
         ones = np.ones_like(edge)
         return np.stack([edge, ones, ones, edge.conj()], axis=-1) / math.sqrt(2.0)
 
-    # maps[t, b, j, a]: amplitude of atomic state a in branch b of input j.
-    # The moving branches start from the projector onto |psi+>, |phi_2phi^+>;
-    # the stationary one keeps its complement.
     bras = psi_phi_plus(np.full(2, two_phi)).conj()  # (2, 4)
     kets = psi_phi_plus(two_phi - 4.0 * gt)  # (T, 2, 4)
     maps = np.empty((len(gt), 3, 4, 4), dtype=np.complex128)
-    maps[:, 0] = np.eye(4) - 0.5 * bras.T @ bras.conj()
-    maps[:, 1:] = 0.5 * np.exp(-1j * gt)[..., None, None] * bras[:, :, None] * kets[..., None, :]
-    field = coherent_state(alpha, cutoff).amplitudes
-    fields = np.empty((len(gt), 3, cutoff.dim), dtype=np.complex128)
-    fields[:, 0] = field
-    fields[:, 1:] = field * np.exp(-2j * gt[..., None] * np.arange(cutoff.dim))
-    flat = maps.reshape(len(gt), 3, 16).transpose(0, 2, 1) @ fields
-    return flat.reshape(len(gt), 4, 4, cutoff.dim)
+    maps[:, 0] = np.eye(4) - 0.5 * bras.conj().T @ bras
+    maps[:, 1:] = 0.5 * np.exp(-1j * gt)[..., None, None] * bras[:, None, :] * kets[..., None]
+    return maps, np.concatenate([np.zeros((len(gt), 1)), -2.0 * gt], axis=1)
+
+
+def _branch_basis(alpha: complex, g: float, times: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
+    """coherent_branch_basis without the warning, for the homodyne quadrature
+    map.  |alpha e^{i theta}> is |alpha> turned by e^{i theta n}, so one
+    coherent state serves every label."""
+    maps, theta = _branch_maps(alpha, g, times)
+    n = np.arange(cutoff.dim)
+    fields = coherent_state(alpha, cutoff).amplitudes * np.exp(1j * theta[..., None] * n)
+    flat = maps.transpose(0, 3, 2, 1).reshape(len(maps), 16, 3) @ fields
+    return flat.reshape(len(maps), 4, 4, cutoff.dim)
 
 
 def rabi_see_analytic(alpha: complex, g: float, t):

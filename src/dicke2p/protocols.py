@@ -14,12 +14,13 @@ cavities composed (composed_measurement) and the corrections on atom A
 atoms, the finite-nbar form of M_phi^+-, read for a whole array of
 interaction times at once: by the exact engine as one matmul of the phase
 table against the sector-eigenbasis weights of the product-basis states
-(x) |+-alpha>, by the analytic one from its three-branch form.  They are
-cached per (alpha, g, t, cutoff, engine) at one time, and run_ghz reads
-the GHZ overlap from the same map.  One array-valued chain composes both
-cavities on any batch of atomic states (bell_outcome_arrays).  Repeated
-shots on one input draw from its cached law, each from its seeded stream
-on one Philox generator per thread.
+(x) |+-alpha>, by the analytic one from its three-branch maps and
+closed-form coherent overlaps.  They are cached per (alpha, g, t, cutoff,
+engine) at one time, and run_ghz reads the GHZ overlap from the same map.
+One array-valued chain composes both cavities on any batch of atomic
+states (bell_outcome_arrays).  Repeated shots on one input draw from its
+cached law, each from its seeded stream on one Philox generator per
+thread.
 
 Homodyne detection of cavity 1 reads the evolved basis at one time through
 the rotated quadrature wavefunctions on +-(|alpha| + 5): a Kraus map from the
@@ -41,6 +42,7 @@ from .analysis import DensityMatrix, _thread_rng
 from .dynamics import (
     SectorSpectrum,
     _branch_basis,
+    _branch_maps,
     check_branch_regime,
     revival_time,
     sector_spectrum,
@@ -200,8 +202,7 @@ def ghz_target(
     return StateVector(amps, (2, 2, cutoff.dim))
 
 
-# Entries held at once by a batched cavity build (512 KB): phase-table
-# entries for the exact engine, evolved-basis amplitudes for the analytic one.
+# Phase-table entries held at once by the exact engine's cavity build (512 KB).
 _BASIS_CHUNK = 2**15
 
 
@@ -215,38 +216,37 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _cavity_maps(
     alpha: complex, g: float, times: np.ndarray, n_max: int, engine: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One cavity as a linear map on the atoms at each of T times, built
-    _BASIS_CHUNK entries at a time: the readouts of the product-basis atomic
-    states (x) |alpha> onto |+-alpha>, (T, 2, 4, 4) indexed [t, sign, atoms,
-    input], and the Gram matrices of the evolved basis, (T, 4, 4), which
-    carry the analytic form's norm.  The exact evolution is unitary (Gram =
-    identity); with w[+-, a] the sector eigenvector weights of e_a (x)
-    |+-alpha>, its readout[t, +-, a, j] = sum conj(w[+-, a]) e^{-i lambda t}
-    w[+, j] is a matmul of the phase table, and no state is evolved."""
-    cutoff = FockCutoff(n_max)
-    refs = np.stack([coherent_state(a, cutoff).amplitudes for a in (alpha, -alpha)])
-    eye = np.eye(4, dtype=np.complex128)
+    """One cavity as a linear map on the atoms at each of T times: the
+    readouts of the product-basis atomic states (x) |alpha> onto |+-alpha>,
+    (T, 2, 4, 4) indexed [t, sign, atoms, input], and the Gram matrices of
+    the evolved basis, (T, 4, 4), which carry the analytic form's norm.
+    Analytic: with M_b the maps of _branch_maps and <alpha e^{ia}|alpha
+    e^{ib}> = exp(nbar (e^{i(b-a)} - 1)), readout[+-] = sum_b <+-alpha|b> M_b
+    and Gram = sum_bc M_b^dag <b|c> M_c; no field is built.  Exact: the
+    evolution is unitary (Gram = identity); with w[+-, a] the sector
+    eigenvector weights of e_a (x) |+-alpha>, readout[t, +-, a, j] =
+    sum conj(w[+-, a]) e^{-i lambda t} w[+, j] is a matmul of the phase
+    table, _BASIS_CHUNK entries at a time, and no state is evolved."""
     times = np.asarray(times, dtype=np.float64)
+    if engine == "analytic":
+        maps, theta = _branch_maps(alpha, g, times)
+        # bra labels: the references +-alpha, then the branches themselves
+        bras = np.concatenate([np.broadcast_to([0.0, math.pi], (times.size, 2)), theta], axis=1)
+        overlaps = np.exp(abs(alpha) ** 2 * np.expm1(1j * (theta[:, None] - bras[..., None])))
+        mixed = overlaps @ maps.reshape(times.size, 3, 16)  # sum_b <bra|b> M_b
+        gram = maps.reshape(times.size, 12, 4).conj().mT @ mixed[:, 2:].reshape(times.size, 12, 4)
+        return mixed[:, :2].reshape(times.size, 2, 4, 4), gram
+    refs = np.stack([coherent_state(a, FockCutoff(n_max)).amplitudes for a in (alpha, -alpha)])
+    eye = np.eye(4, dtype=np.complex128)
+    spectrum = _w_operator(g, n_max)
+    w = spectrum.project(np.kron(eye, refs[:, None])).reshape(8, -1)  # rows [sign, a]
+    pairs = (w.conj()[:, None] * w[:4]).reshape(32, -1).T  # columns [sign, a, j]
     readout = np.empty((times.size, 2, 4, 4), dtype=np.complex128)
-    gram = np.tile(eye, (times.size, 1, 1))  # the analytic engine overwrites it
-    per_time = 16 * cutoff.dim
-    if engine == "exact":
-        spectrum = _w_operator(g, n_max)
-        w = spectrum.project(np.kron(eye, refs[:, None])).reshape(8, -1)  # rows [sign, a]
-        pairs = (w.conj()[:, None] * w[:4]).reshape(32, -1).T  # columns [sign, a, j]
-        per_time = len(pairs)
-    step = max(1, _BASIS_CHUNK // per_time)
+    step = max(1, _BASIS_CHUNK // len(pairs))
     for lo in range(0, times.size, step):
-        chunk = slice(lo, lo + step)
-        if engine == "exact":
-            phases = spectrum.phases(times[chunk]).reshape(-1, per_time)
-            readout[chunk] = (phases @ pairs).reshape(-1, 2, 4, 4)
-        else:
-            basis = _branch_basis(alpha, g, times[chunk], cutoff)
-            flat = basis.reshape(len(basis), 4, -1)
-            gram[chunk] = flat.conj() @ flat.transpose(0, 2, 1)
-            readout[chunk] = (basis @ refs.conj().T).transpose(0, 3, 2, 1)
-    return readout, gram
+        phases = spectrum.phases(times[lo : lo + step]).reshape(-1, len(pairs))
+        readout[lo : lo + step] = (phases @ pairs).reshape(-1, 2, 4, 4)
+    return readout, np.tile(eye, (times.size, 1, 1))
 
 
 def _evolved_basis(alpha: complex, g: float, t: float, n_max: int, engine: str) -> np.ndarray:

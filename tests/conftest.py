@@ -219,8 +219,9 @@ def cavity_maps_oracle(alpha, g, times, n_max, engine):
     evolving the product-basis atomic states (x) |alpha> to every time and
     projecting them on |+-alpha>: with SectorSpectrum.propagate for the
     exact engine (Gram = identity, as the evolution is unitary), and by the
-    three-branch form for the analytic one.  Deliberately free of the
-    sector-eigenbasis readout that protocols._cavity_maps takes."""
+    three-branch form on the Fock basis for the analytic one.  Deliberately
+    free of the sector-eigenbasis readout and the closed-form coherent
+    overlaps that protocols._cavity_maps takes."""
     from dicke2p.dynamics import coherent_branch_basis, sector_spectrum
 
     cutoff, times = FockCutoff(n_max), np.asarray(times, dtype=np.float64)

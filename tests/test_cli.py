@@ -563,7 +563,7 @@ def output_schema():
 class TestOutputSchema:
     """data/output_schema.json, checked by a JSON Schema validator against
     what the CLI writes. The CSV sidecar has no rows and adds rows_file, so
-    it is not a payload of this shape."""
+    it has its own shape, definitions/sidecar."""
 
     RUNS = {
         "fidelity-scan": ["--nbar", "4,6", "--ensemble", "2", "--time-points", "3"],
@@ -582,6 +582,18 @@ class TestOutputSchema:
         assert len(paths) == (3 if command == "wigner" else 1)
         for path in paths:
             output_schema.validate(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("command", list(subparsers()))
+    def test_every_sidecar_meets_its_definition(self, tmp_path, output_schema, command):
+        out = tmp_path / "out.csv"
+        assert main([command, *self.RUNS[command], "--out", str(out)]) == 0
+        sidecars = sorted(tmp_path.glob("*.meta.json"))
+        assert len(sidecars) == (3 if command == "wigner" else 1)
+        sidecar = output_schema.evolve(schema=output_schema.schema["definitions"]["sidecar"])
+        for path in sidecars:
+            meta = json.loads(path.read_text())
+            sidecar.validate(meta)
+            assert (tmp_path / meta["rows_file"]).is_file()
 
     @pytest.mark.parametrize(
         "change, keyword, where",

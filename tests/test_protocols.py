@@ -483,19 +483,28 @@ class TestReadoutOracle:
 
     SWEEP = T_HALF + np.linspace(-0.08, 0.08, 321) / abs(G)
 
-    @pytest.mark.parametrize("nbar", [20.0, 50.0])
+    @pytest.mark.parametrize("nbar", [20.0, 50.0, 100.0, 1000.0])
     def test_eigenbasis_readouts_match_the_oracle(self, nbar):
+        """The exact engine's readouts (to 1e-14, at nbar 20 and 50) and the
+        analytic engine's closed-form overlaps (to 1e-12) against the Fock
+        form, which carries its own truncation; at nbar = 20 the analytic
+        gaps read 1.7e-13 (readouts) and 2.5e-14 (Gram)."""
         from dicke2p import protocols
 
         n_max = FockCutoff.for_mean_photon(nbar).n_max
-        for turn in (1.0, protocols._CAVITY2_TURN):
-            alpha = math.sqrt(nbar) * np.exp(1j * PHI) * turn
-            for times in (self.SWEEP, np.array([0.0])):
-                got, gram = protocols._cavity_maps(alpha, G, times, n_max, "exact")
-                want, want_gram = cavity_maps_oracle(alpha, G, times, n_max, "exact")
-                assert got.shape == want.shape == (times.size, 2, 4, 4)
-                assert np.max(np.abs(got - want)) <= 1e-14
-                np.testing.assert_array_equal(gram, want_gram)
+        for engine in ("exact", "analytic") if nbar <= 50.0 else ("analytic",):
+            for turn in (1.0, protocols._CAVITY2_TURN):
+                alpha = math.sqrt(nbar) * np.exp(1j * PHI) * turn
+                for times in (self.SWEEP, np.array([0.0])):
+                    got, gram = protocols._cavity_maps(alpha, G, times, n_max, engine)
+                    want, want_gram = cavity_maps_oracle(alpha, G, times, n_max, engine)
+                    assert got.shape == want.shape == (times.size, 2, 4, 4)
+                    if engine == "exact":
+                        assert np.max(np.abs(got - want)) <= 1e-14
+                        np.testing.assert_array_equal(gram, want_gram)
+                    else:
+                        assert np.max(np.abs(got - want)) <= 1e-12
+                        assert np.max(np.abs(gram - want_gram)) <= 1e-12
 
     def test_bell_timing_rows_match_the_oracle_path(self, monkeypatch):
         from dicke2p import protocols, scans
@@ -508,8 +517,12 @@ class TestReadoutOracle:
 
     @pytest.mark.parametrize("engine", ["exact", "analytic"])
     def test_tables_match_the_oracle_path(self, table20, cut20, alpha20, engine, fresh_caches):
+        """The analytic engine's closed-form overlaps and the truncated Fock
+        form of the oracle differ by the truncation (post states up to
+        2.0e-13 apart), so it has the 1e-12 of TestCavityMaps."""
         from dicke2p import protocols
 
+        tol = 1e-14 if engine == "exact" else 1e-12
         c, _ = table20
         table = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
         with pytest.MonkeyPatch.context() as mp:
@@ -519,10 +532,10 @@ class TestReadoutOracle:
             want = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
         for a, b in zip(table, want):
             assert a.outcome == b.outcome
-            assert abs(a.probability - b.probability) <= 1e-14
-            assert abs(a.fidelity - b.fidelity) <= 1e-14
-            assert abs(a.leaked_weight - b.leaked_weight) <= 1e-14
-            assert np.max(np.abs(a.post_state.matrix - b.post_state.matrix)) <= 1e-14
+            assert abs(a.probability - b.probability) <= tol
+            assert abs(a.fidelity - b.fidelity) <= tol
+            assert abs(a.leaked_weight - b.leaked_weight) <= tol
+            assert np.max(np.abs(a.post_state.matrix - b.post_state.matrix)) <= tol
 
 
 class TestCavityMaps:
@@ -601,10 +614,10 @@ class TestCavityMaps:
 
 
 class TestTimingSensitivity:
-    def test_analytic_sweep_builds_one_field_per_chunk(self, monkeypatch):
-        """The 321-time analytic sweep at nbar = 50 builds no Bell state and
-        one coherent state per chunk of times and cavity, besides each
-        cavity's |+-alpha> references."""
+    def test_analytic_sweep_builds_no_field(self, monkeypatch):
+        """The 321-time analytic sweep at nbar = 50 reads both cavities from
+        closed-form coherent overlaps: it builds no coherent state and no
+        Bell state."""
         from dicke2p import dynamics, protocols
 
         cut = FockCutoff.for_mean_photon(50.0)
@@ -626,9 +639,24 @@ class TestTimingSensitivity:
         window = T_HALF + np.linspace(-0.08, 0.08, 321) / abs(G)
         c = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
         bell_outcome_arrays(c.to_state().amplitudes, alpha, G, cut, window, engine="analytic")
-        chunks = math.ceil(321 / (protocols._BASIS_CHUNK // (16 * cut.dim)))
-        assert calls["bell_state"] == 0
-        assert 0 < calls["coherent_state"] <= 2 * (chunks + 2)
+        assert calls == {"bell_state": 0, "coherent_state": 0}
+
+    def test_analytic_memory_does_not_grow_with_nbar(self):
+        """One analytic call holds no field, so its tracemalloc peak at
+        nbar = 1e5 (dim 102,535) is within 1 MB of the peak at nbar = 100."""
+        atoms = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3).to_state().amplitudes
+        window = T_HALF + np.linspace(-0.05, 0.05, 5) / abs(G)
+        peaks = []
+        for nbar in (100.0, 100.0, 1e5):  # the first call fills the per-phase caches
+            alpha = math.sqrt(nbar) * np.exp(1j * PHI)
+            cut = FockCutoff.for_mean_photon(nbar)
+            tracemalloc.start()
+            try:
+                bell_outcome_arrays(atoms, alpha, G, cut, window, engine="analytic")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + 2**20
 
     def test_optimum_matches_table(self, table20, cut20, alpha20):
         c, table = table20
@@ -654,9 +682,9 @@ class TestBatchedChain:
         from dicke2p import protocols
 
         c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
-        # entries per time: of the exact phase table, or of the analytic basis
-        per_time = protocols._w_operator(G, cut20.n_max).values.size
-        chunk = protocols._BASIS_CHUNK // (per_time if engine == "exact" else 16 * cut20.dim)
+        # across the exact engine's phase-table chunk; the analytic engine
+        # has no chunks, and its batch must match single-time calls too
+        chunk = protocols._BASIS_CHUNK // protocols._w_operator(G, cut20.n_max).values.size
         window = T_HALF + np.linspace(-0.05, 0.05, chunk + 3) / abs(G)
         atoms = c.to_state().amplitudes
         prob, fid, leaked = bell_outcome_arrays(atoms, alpha20, G, cut20, window, engine=engine)
