@@ -26,7 +26,7 @@ __all__ = [
 _HERM_ATOL = 1e-10
 _TRACE_ATOL = 1e-10
 _EIG_FLOOR = -1e-9
-_GATHER = 2**17  # complex entries in one lattice's wavefunctions, and in one gather
+_GATHER = 2**17  # complex entries in one lattice's wavefunctions, one y-kernel block, one gather
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,12 +168,16 @@ def wigner(
     k = 0..K = ceil(z_max / dy), then lies on the one lattice u_n = x_0 +
     n h of (N - 1) m + 2qK + 1 points, where one `hermite_sum` gives every
     psi_j (in pieces of at most _GATHER complex values on long runs).
-    rho(x - y, x + y) is read from them through strided views, for as many
-    x at a time as keep the J products psi_j(x - y) conj psi_j(x + y)
-    within _GATHER complex entries, and the y sum is one matrix product
-    with the run's kernel.  Any other axis goes point by point, with dy =
-    step and 2K + 1 lattice points each, as does a run whose spacing lies
-    so far below step that its lattice would be longer.
+    The y sum runs over blocks of rows of the kernel (4 dy/pi) e^{4i y_k p},
+    each of at most _GATHER complex entries and built in place, once (once
+    a piece if the kernel takes several blocks).  For each block, rho(x -
+    y, x + y) is read from the psi_j through strided views, for as many x
+    at a time as keep the J products psi_j(x - y) conj psi_j(x + y) within
+    _GATHER complex entries, and one matrix product adds the block's share
+    to W.  So the working memory is O(_GATHER) plus the output, and does
+    not grow with the photon number.  Any other axis goes point by point,
+    with dy = step and 2K + 1 lattice points each, as does a run whose
+    spacing lies so far below step that its lattice would be longer.
 
     Default axes span |beta| <= sqrt(<n>) + 5 with 201 points each; a
     warning is raised when the spacing is too coarse to resolve the
@@ -211,24 +215,40 @@ def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> Wigner
     step = math.pi / (2.0 * (z_max + max(z_max, float(np.max(np.abs(beta_im))))))
 
     values = np.empty((beta_im.size, beta_re.size))
+    rows = max(1, _GATHER // beta_im.size)  # kernel rows in one block
     for lo, hi, lattice, dx_n, dy_n, k_max, dy in _lattices(beta_re, step, z_max, 2 * lam.size):
-        if lo == 0:  # every piece of the axis has the same dy
-            ys = np.arange(k_max + 1) * dy
-            kernel = (4.0 * dy / math.pi) * np.exp(4j * np.outer(ys, beta_im))
-            kernel[0] /= 2.0  # trapezoid end point at y = 0
         psi = hermite_sum(lattice, cols)
         s_n, s_j = psi.strides
-        chunk = max(1, _GATHER // (lam.size * (k_max + 1)))
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            # psi at x_i - y_k and conj psi at x_i + y_k, as read-only strided views
-            at, shape = abs(dy_n) * k_max + (a - lo) * dx_n, (b - a, k_max + 1, lam.size)
-            minus, plus = (
-                as_strided(part, shape, (dx_n * s_n, sign * dy_n * s_n, s_j), writeable=False)
-                for part, sign in ((psi[at:, : lam.size], -1), (psi[at:, lam.size :], 1))
-            )
-            rho_xy = (minus * plus) @ lam
-            values[:, a:b] = (rho_xy @ kernel).real.T
+        if lo == 0:  # every piece of the axis has the same dy and K
+            block = np.empty((min(rows, k_max + 1), beta_im.size), dtype=np.complex128)
+        for k0 in range(0, k_max + 1, rows):
+            k1 = min(k0 + rows, k_max + 1)
+            kernel = block[: k1 - k0]
+            if lo == 0 or rows <= k_max:  # a one-block kernel serves every piece
+                # (4 dy / pi) e^{4i y_k p_j} in place, the phases in the real part
+                arg = np.outer(np.arange(k0, k1) * dy, 4.0 * beta_im, out=kernel.real)
+                np.sin(arg, out=kernel.imag)
+                np.cos(arg, out=arg)
+                kernel *= 4.0 * dy / math.pi
+                if k0 == 0:
+                    kernel[0] /= 2.0  # trapezoid end point at y = 0
+            chunk = max(1, _GATHER // (lam.size * (k1 - k0)))
+            for a in range(lo, hi, chunk):
+                b = min(a + chunk, hi)
+                # psi at x_i - y_k and conj psi at x_i + y_k, as read-only strided views
+                at, shape = abs(dy_n) * k_max + (a - lo) * dx_n, (b - a, k1 - k0, lam.size)
+                minus, plus = (
+                    as_strided(part, shape, (dx_n * s_n, sign * dy_n * s_n, s_j), writeable=False)
+                    for part, sign in (
+                        (psi[at - k0 * dy_n :, : lam.size], -1),
+                        (psi[at + k0 * dy_n :, lam.size :], 1),
+                    )
+                )
+                w = ((minus * plus) @ lam @ kernel).real.T
+                if k0 == 0:
+                    values[:, a:b] = w
+                else:
+                    values[:, a:b] += w
     return WignerGrid(beta_re, beta_im, values)
 
 

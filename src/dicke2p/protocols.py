@@ -214,7 +214,7 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _cavity_maps(
-    alpha: complex, g: float, times: np.ndarray, n_max: int, engine: str
+    alpha: complex, g: float, times: np.ndarray, n_max: int | None, engine: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """One cavity as a linear map on the atoms at each of T times: the
     readouts of the product-basis atomic states (x) |alpha> onto |+-alpha>,
@@ -269,8 +269,15 @@ def _check_regime(alpha: complex, engine: str) -> None:
         check_branch_regime(alpha, stacklevel=3)
 
 
+def _map_cut(n_max: int, engine: str) -> int | None:
+    """n_max as the cavity caches key it: the analytic maps build no field."""
+    return n_max if engine == "exact" else None
+
+
 @lru_cache(maxsize=16)
-def _cavity(alpha: complex, g: float, t: float, n_max: int, engine: str) -> tuple[np.ndarray, ...]:
+def _cavity(
+    alpha: complex, g: float, t: float, n_max: int | None, engine: str
+) -> tuple[np.ndarray, ...]:
     """_cavity_maps (readout, Gram) at the one time t, without the time axis
     and read-only, kept for repeated shots and tables at fixed parameters."""
     return _frozen(*(arr[0] for arr in _cavity_maps(alpha, g, np.array([t]), n_max, engine)))
@@ -287,7 +294,7 @@ def run_ghz(
     the sign of g, over the norm of psi from the cavity's Gram matrix."""
     amp = abs(alpha) * cmath.exp(1j * phi)
     _check_regime(amp, engine)
-    readout, gram = _cavity(amp, g, revival_time(g) / 2.0, cutoff.n_max, engine)
+    readout, gram = _cavity(amp, g, revival_time(g) / 2.0, _map_cut(cutoff.n_max, engine), engine)
     atoms = ghz_input(phi)[0].to_state().amplitudes
     plus, minus = readout @ atoms
     sign = 1.0 if g > 0 else -1.0
@@ -419,7 +426,9 @@ def _result(outcome: OutcomeLabel, prob, fid, state, leaked, record_x=None) -> P
 
 
 @lru_cache(maxsize=64)
-def _ideal_law(coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int, engine: str) -> tuple:
+def _ideal_law(
+    coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int | None, engine: str
+) -> tuple:
     """One input's ideal Bell measurement at half the revival time as its
     four-outcome law, kept for repeated shots and tables: p1 (2,), p2 (2, 2)
     indexed [d1, d2], and the results of ALL_OUTCOMES."""
@@ -442,7 +451,7 @@ def bell_outcome_table(
     """Deterministic enumeration of all four outcomes with ideal coherent
     discrimination in both cavities; probabilities sum to one."""
     _check_regime(alpha, engine)
-    return _ideal_law(coeffs, alpha, g, cutoff.n_max, engine)[2]
+    return _ideal_law(coeffs, alpha, g, _map_cut(cutoff.n_max, engine), engine)[2]
 
 
 def bell_outcome_arrays(
@@ -473,7 +482,7 @@ def _homodyne_law(
     and the ideal readout's p1 (2,) and leaked weight."""
     t = revival_time(g) / 2.0
     atoms = coeffs.to_state().amplitudes
-    _, p1, leaked = _first_cavity(_cavity(alpha, g, t, n_max, engine), atoms)
+    _, p1, leaked = _first_cavity(_cavity(alpha, g, t, _map_cut(n_max, engine), engine), atoms)
     xs, kraus = _quadrature_map(alpha, g, t, n_max, engine, lo_phase)
     amps = (atoms @ kraus.reshape(4, -1)).reshape(4, -1)
     return xs, *_frozen(amps, _record_cdf(amps), p1), leaked
@@ -512,13 +521,13 @@ def run_bell_protocol(
         # cavity 2 reads the collapsed atoms of branch s1 only; their norm
         # cancels in p2 and the normalized states
         t = revival_time(g) / 2.0
-        readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, cutoff.n_max, engine)[0]
+        readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, _map_cut(cutoff.n_max, engine), engine)[0]
         gates, targets = _corrections(cmath.phase(alpha))
         p2, prob, states, fid = _second_cavity(
             readout2, amps[:, idx], p1[s1], (gates[s1], targets[s1])
         )
     elif detection == "ideal":
-        p1, p2, table = _ideal_law(coeffs, alpha, g, cutoff.n_max, engine)
+        p1, p2, table = _ideal_law(coeffs, alpha, g, _map_cut(cutoff.n_max, engine), engine)
         s1 = 0 if rng.uniform() < p1[0] else 1
         p2, record_x = p2[s1], None
     else:

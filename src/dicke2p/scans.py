@@ -272,8 +272,9 @@ def wigner_panels(
         # rho_f = M^T M* = U diag(s^2) U^dag, from the thin SVD M^T = U diag(s) V^dag
         u, s, _ = np.linalg.svd(m.T, full_matrices=False)
         grid = _wigner_pairs(s**2, u, axis, axis)
-        re_m, im_m = np.meshgrid(grid.beta_re, grid.beta_im)
-        rows = np.column_stack([re_m.ravel(), im_m.ravel(), grid.values.ravel()])
+        rows = np.empty((grid_points, grid_points, 3))  # [i, j] = (re_j, im_i, W_ij)
+        rows[..., 0], rows[..., 1], rows[..., 2] = grid.beta_re, grid.beta_im[:, None], grid.values
+        rows = rows.reshape(-1, 3)
         meta = {
             "nbar": nbar,
             "phi": phi,

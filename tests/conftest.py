@@ -1,4 +1,7 @@
+import contextlib
 import math
+import tracemalloc
+import types
 from typing import Callable, Literal
 
 import numpy as np
@@ -40,6 +43,19 @@ def random_coeffs(rng):
     """Uniform-ish normalized atomic amplitudes, complex entries."""
     raw = rng.normal(size=4) + 1j * rng.normal(size=4)
     return AtomCoeffs.normalized(*raw)
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace allocations over the block; its tracemalloc peak, in bytes, is
+    the yielded record's `peak` once the block has run."""
+    record = types.SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield record
+        record.peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # Test-only builders and statistics.  The library reaches its results

@@ -232,8 +232,10 @@ class TestWigner:
             (np.linspace(0.3, 0.31, 11), None),
             # lattices of 300 points (2 J = 40 wavefunctions): the run in pieces
             (np.linspace(-6.0, 6.0, 41), 40 * 300),
+            # point by point, with a y kernel of three blocks rebuilt for every piece
+            (np.linspace(-6.0, 6.0, 41), 40 * 40),
         ],
-        ids=["uniform", "descending", "one-point", "two-runs", "fine-run", "pieces"],
+        ids=["uniform", "descending", "one-point", "two-runs", "fine-run", "pieces", "blocks"],
     )
     def test_matches_oracle_on_full_rank_state(self, beta_re, gather, monkeypatch):
         # every eigenpair of rho enters the sum
@@ -331,6 +333,32 @@ class TestWigner:
         m = math.ceil(dx / step)
         k = math.ceil(z_max / (dx / m))
         assert sum(built) <= cut.dim * ((axis.size - 1) * m + 2 * k + 1 + zs.size)
+
+    @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")  # the scale row's grid
+    def test_kernel_blocks_only_reorder_the_y_sum(self, monkeypatch):
+        """At nbar = 1000 on 401-point axes the y kernel takes several
+        blocks of at most _GATHER entries; one block instead, on the same
+        lattice pieces, moves no cell by more than rounding."""
+        cut = FockCutoff.for_mean_photon(1000.0)
+        field = coherent_state(math.sqrt(1000.0) * np.exp(2j * math.pi / 3), cut).amplitudes
+        axis = np.linspace(-math.sqrt(1000.0) - 5.0, math.sqrt(1000.0) + 5.0, 401)
+        lattices, rows = analysis._lattices, analysis._GATHER // axis.size  # kernel rows a block
+        runs = []
+        for gather in (analysis._GATHER, 2**20):
+            pieces = []
+            monkeypatch.setattr(analysis, "_GATHER", gather)
+            monkeypatch.setattr(
+                analysis, "_lattices", lambda *a: (pieces.append(p) or p for p in lattices(*a))
+            )
+            runs.append((pieces, analysis._wigner_pairs(np.ones(1), field[:, None], axis, axis)))
+        (blocked, grid), (whole, one) = runs
+        for p, q in zip(blocked, whole, strict=True):
+            np.testing.assert_array_equal(p[2], q[2])
+            assert p[:2] + p[3:] == q[:2] + q[3:]
+        k_max = blocked[0][5]
+        assert k_max + 1 > 5 * rows and (k_max + 1) * axis.size <= 2**20
+        assert np.max(np.abs(one.values)) > 0.6
+        np.testing.assert_allclose(grid.values, one.values, rtol=0, atol=1e-15)
 
     def test_rejects_atomic_input(self):
         with pytest.raises(ValueError):

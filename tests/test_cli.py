@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -17,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator, ValidationError
 
+from conftest import traced_peak
 from dicke2p import __version__, cli, scans
 from dicke2p.cli import main
 from dicke2p.models import effective_coupling
@@ -408,12 +408,9 @@ class TestEmit:
         peaks = []
         for chunks in (1, 12):
             values = rng.standard_normal((chunks * cli._CSV_CHUNK, 3))
-            tracemalloc.start()
-            try:
+            with traced_peak() as mem:
                 cli._write_csv(str(tmp_path / f"r{chunks}.csv"), header, values, 0.0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(mem.peak)
         assert peaks[1] <= 1.5 * peaks[0]
 
     @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")

@@ -2,7 +2,6 @@
 collapse/revival observables."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +18,7 @@ from conftest import (
     haar_random_two_qubit,
     random_coeffs,
     three_branch_state,
+    traced_peak,
     two_photon_w,
 )
 from dicke2p import models
@@ -237,16 +237,12 @@ class TestSectorSpectrum:
             tensor(coeffs.to_state(), coherent_state(math.sqrt(1000.0), cut)), cut
         )
         times = np.linspace(0.0, revival_time(-0.002), 5)
-        tracemalloc.start()
-        try:
+        with traced_peak() as mem:
             spec = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
             traj = spec.propagate(psi0.amplitudes, times)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert math.prod(spec.dims) == 11_322
         assert traj.shape == (5, 11_322)
-        assert peak < 20 * 2**20  # one dense matrix would take 16 * 11322^2 B = 2 GB
+        assert mem.peak < 20 * 2**20  # one dense matrix would take 16 * 11322^2 B = 2 GB
         np.testing.assert_allclose(np.linalg.norm(traj, axis=1), 1.0, rtol=0, atol=1e-10)
 
 

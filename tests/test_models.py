@@ -2,7 +2,6 @@
 the two-photon interaction plus Stark shifts."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from conftest import (
     fock_state,
     full_hamiltonian,
     stark_shift,
+    traced_peak,
     trapped_ion_coupling,
     two_photon_w,
 )
@@ -188,18 +188,13 @@ class TestDenseGuard:
     )
     def test_refuses_before_allocating(self, build, dim):
         assert dim > DENSE_DIM_LIMIT
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError) as exc:
-                build(FockCutoff(1000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with traced_peak() as mem, pytest.raises(ValueError) as exc:
+            build(FockCutoff(1000))
         msg = str(exc.value)
         assert f"dimension {dim}" in msg
         assert f"{16 * dim * dim:,} bytes" in msg
         assert "sector" in msg
-        assert peak < 2**20
+        assert mem.peak < 2**20
 
     def test_limit_admits_the_three_level_model_at_nbar_100(self):
         assert 9 * FockCutoff.for_mean_photon(100.0).dim <= DENSE_DIM_LIMIT

@@ -2,13 +2,12 @@
 
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import cavity_maps_oracle
+from conftest import cavity_maps_oracle, traced_peak
 from dicke2p.dynamics import coherent_branch_basis, sector_spectrum
 from dicke2p.hilbert import (
     AtomCoeffs,
@@ -527,6 +526,9 @@ class TestReadoutOracle:
         table = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocols, "_cavity_maps", cavity_maps_oracle)
+            # the oracle builds the truncated fields, so it needs the cutoff
+            # that the analytic cache keys leave out
+            mp.setattr(protocols, "_map_cut", lambda n_max, engine: n_max)
             for cache in (protocols._cavity, protocols._ideal_law):
                 cache.cache_clear()
             want = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
@@ -612,6 +614,19 @@ class TestCavityMaps:
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
         np.testing.assert_array_equal(gram, np.eye(4))
 
+    def test_analytic_caches_ignore_the_cutoff(self, fresh_caches):
+        """The analytic maps build no field, so two cutoffs share one
+        cavity pair and one law."""
+        from dicke2p import protocols
+
+        alpha = math.sqrt(50.0) * np.exp(1j * PHI)
+        coeffs = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        tables = [bell_outcome_table(coeffs, alpha, G, FockCutoff(n), "analytic") for n in (60, 80)]
+        for a, b in zip(*tables):
+            assert_same_result(a, b)
+        assert protocols._cavity.cache_info().misses == 2
+        assert protocols._ideal_law.cache_info().misses == 1
+
 
 class TestTimingSensitivity:
     def test_analytic_sweep_builds_no_field(self, monkeypatch):
@@ -650,12 +665,9 @@ class TestTimingSensitivity:
         for nbar in (100.0, 100.0, 1e5):  # the first call fills the per-phase caches
             alpha = math.sqrt(nbar) * np.exp(1j * PHI)
             cut = FockCutoff.for_mean_photon(nbar)
-            tracemalloc.start()
-            try:
+            with traced_peak() as mem:
                 bell_outcome_arrays(atoms, alpha, G, cut, window, engine="analytic")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(mem.peak)
         assert peaks[2] <= peaks[1] + 2**20
 
     def test_optimum_matches_table(self, table20, cut20, alpha20):
@@ -781,12 +793,9 @@ class TestQuadratureTools:
         peaks = []
         for dim in (100, 2000):
             coeffs = np.ones((dim, 4))
-            tracemalloc.start()
-            try:
+            with traced_peak() as mem:
                 hermite_sum(xs, coeffs)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(mem.peak)
         assert peaks[1] <= 1.5 * peaks[0]
 
 

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from conftest import (
     haar_random_two_qubit,
     partial_trace,
     rabi_oracle,
+    traced_peak,
 )
 from dicke2p import dynamics, protocols, scans
 from dicke2p.analysis import sample_rng, wigner
@@ -268,13 +268,9 @@ class TestFidelityScan:
         """The hierarchy benchmark's scan (nbar 20/50/100, ensemble 10, 101
         times) in chunks: its coefficient matrix for nbar 100 alone would
         take 2.2 MB, its full table of phase products 22 MB."""
-        tracemalloc.start()
-        try:
+        with traced_peak() as mem:
             fidelity_scan(nbars=(20, 50, 100), ensemble=10, seed=0, time_points=101)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6e6
+        assert mem.peak <= 6e6
 
     def test_single_sample_has_zero_stderr(self):
         r = fidelity_scan(nbars=(4,), ensemble=1, seed=9, time_points=5)
@@ -418,6 +414,16 @@ class TestWignerPanels:
             rho = partial_trace(StateVector(amps, (2, 2, amps.size // 4)), keep="field")
             grid = wigner(rho, rows[:201, 0], rows[::201, 1])
             np.testing.assert_allclose(rows[:, 2], grid.values.ravel(), rtol=0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")
+    def test_working_memory_stays_bounded(self):
+        """Past their three (n, 3) row matrices, the panels at nbar = 300 on
+        401-point axes hold at most 8 MB at once: one kernel block and one
+        gather of _GATHER entries each, the lattice wavefunctions and the
+        grid, not the (K + 1) x 401 kernel of 5.4 MB and its temporaries."""
+        with traced_peak() as mem:
+            panels = wigner_panels(nbar=300.0, grid_points=401)
+        assert mem.peak - sum(p.rows.nbytes for p in panels.values()) <= 8e6
 
     def test_three_panels_with_metadata(self):
         with pytest.warns(UserWarning, match="fringe"):
