@@ -22,7 +22,8 @@ into a superposition of a few rotating coherent branches.  _branch_maps is
 the paper's large-nbar form of that result: three branches on the labels
 alpha and e^{-+2igt} alpha, as maps on the atoms at every time.  The
 protocols' analytic engine reads them through closed-form coherent-state
-overlaps; coherent_branch_basis writes them out on the Fock basis.
+overlaps and quadrature wavefunctions; coherent_branch_basis writes them out
+on the Fock basis, as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -218,9 +219,9 @@ def analytic_state(
 
 
 def check_branch_regime(alpha: complex, stacklevel: int = 1) -> None:
-    """Warn when |alpha|^2 < 10, where the three-branch form of
-    coherent_branch_basis leaves its regime |alpha|^2 >> 1.  stacklevel 1
-    names the caller, 2 the caller's caller."""
+    """Warn when |alpha|^2 < 10, where the three-branch form (_branch_maps)
+    leaves its regime |alpha|^2 >> 1.  stacklevel 1 names the caller, 2 the
+    caller's caller."""
     if abs(alpha) ** 2 < 10.0:
         warnings.warn(
             "coherent branch form assumes |alpha|^2 >> 1; "
@@ -236,9 +237,15 @@ def coherent_branch_basis(
     basis: each product-basis atomic state (x) |alpha> at every t,
     unnormalized; shape (len(times), 4, 4, dim), indexed [t, input state,
     atoms, field] as SectorSpectrum.propagate gives them for the exact
-    engine.  Warns by check_branch_regime."""
+    engine: the tests' Fock oracle, read by no engine.  Warns by
+    check_branch_regime.  |alpha e^{i theta}> is |alpha> turned by
+    e^{i theta n}, so one coherent state serves every label."""
     check_branch_regime(alpha, stacklevel=2)
-    return _branch_basis(alpha, g, times, cutoff)
+    maps, theta = _branch_maps(alpha, g, times)
+    n = np.arange(cutoff.dim)
+    fields = coherent_state(alpha, cutoff).amplitudes * np.exp(1j * theta[..., None] * n)
+    flat = maps.transpose(0, 3, 2, 1).reshape(len(maps), 16, 3) @ fields
+    return flat.reshape(len(maps), 4, 4, cutoff.dim)
 
 
 def _branch_maps(alpha: complex, g: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,17 +271,6 @@ def _branch_maps(alpha: complex, g: float, times: np.ndarray) -> tuple[np.ndarra
     maps[:, 0] = np.eye(4) - 0.5 * bras.conj().T @ bras
     maps[:, 1:] = 0.5 * np.exp(-1j * gt)[..., None, None] * bras[:, None, :] * kets[..., None]
     return maps, np.concatenate([np.zeros((len(gt), 1)), -2.0 * gt], axis=1)
-
-
-def _branch_basis(alpha: complex, g: float, times: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
-    """coherent_branch_basis without the warning, for the homodyne quadrature
-    map.  |alpha e^{i theta}> is |alpha> turned by e^{i theta n}, so one
-    coherent state serves every label."""
-    maps, theta = _branch_maps(alpha, g, times)
-    n = np.arange(cutoff.dim)
-    fields = coherent_state(alpha, cutoff).amplitudes * np.exp(1j * theta[..., None] * n)
-    flat = maps.transpose(0, 3, 2, 1).reshape(len(maps), 16, 3) @ fields
-    return flat.reshape(len(maps), 4, 4, cutoff.dim)
 
 
 def rabi_see_analytic(alpha: complex, g: float, t):

@@ -15,18 +15,18 @@ atoms, the finite-nbar form of M_phi^+-, read for a whole array of
 interaction times at once: by the exact engine as one matmul of the phase
 table against the sector-eigenbasis weights of the product-basis states
 (x) |+-alpha>, by the analytic one from its three-branch maps and
-closed-form coherent overlaps.  They are cached per (alpha, g, t, cutoff,
-engine) at one time, and run_ghz reads the GHZ overlap from the same map.
-One array-valued chain composes both cavities on any batch of atomic
-states (bell_outcome_arrays).  Repeated shots on one input draw from its
-cached law, each from its seeded stream on one Philox generator per
-thread.
+closed-form coherent overlaps.  They are cached per (alpha, g, t, engine)
+at one time, the exact ones per cutoff too; run_ghz reads the GHZ overlap
+from the same map.  One array-valued chain composes both cavities on any
+batch of atomic states (bell_outcome_arrays).  Repeated shots on one input
+draw from its cached law, each from its seeded stream on one Philox
+generator per thread.
 
 Homodyne detection of cavity 1 reads the evolved basis at one time through
-the rotated quadrature wavefunctions on +-(|alpha| + 5): a Kraus map from the
-atoms to the (atoms, record) amplitudes, cached like the readouts.  A shot
-draws the true quadrature from it, collapses the atoms there and smears
-only the reported record.
+the rotated quadrature wavefunctions on +-(|alpha| + 5), in closed form for
+the analytic engine: a Kraus map from the atoms to the (atoms, record)
+amplitudes, cached like the readouts.  A shot draws the true quadrature from
+it, collapses the atoms there and smears only the reported record.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import numpy as np
 from .analysis import DensityMatrix, _thread_rng
 from .dynamics import (
     SectorSpectrum,
-    _branch_basis,
     _branch_maps,
     check_branch_regime,
     revival_time,
@@ -249,15 +248,10 @@ def _cavity_maps(
     return readout, np.tile(eye, (times.size, 1, 1))
 
 
-def _evolved_basis(alpha: complex, g: float, t: float, n_max: int, engine: str) -> np.ndarray:
-    """The product-basis atomic states (x) |alpha> evolved to the one time
-    t, (4 inputs, 4 atoms, dim), for the homodyne quadrature map, which
-    reads the field itself."""
-    cutoff, ts = FockCutoff(n_max), np.array([t])
-    if engine == "analytic":
-        return _branch_basis(alpha, g, ts, cutoff)[0]
-    kets = np.kron(np.eye(4, dtype=np.complex128), coherent_state(alpha, cutoff).amplitudes)
-    return np.stack([_w_operator(g, n_max).propagate(k, ts)[0] for k in kets]).reshape(4, 4, -1)
+def _evolved_basis(alpha: complex, g: float, t: float, n_max: int) -> np.ndarray:
+    """The product-basis states (x) |alpha> evolved exactly to t, (4 inputs, 4 atoms, dim)."""
+    kets = np.kron(np.eye(4), coherent_state(alpha, FockCutoff(n_max)).amplitudes)
+    return np.stack([_w_operator(g, n_max).propagate(k, [t])[0] for k in kets]).reshape(4, 4, -1)
 
 
 def _check_regime(alpha: complex, engine: str) -> None:
@@ -465,8 +459,9 @@ def bell_outcome_arrays(
     ensemble (a batch of inputs at one time) and the timing sweep (one
     input, atoms (4,), at T times: columns fid[:, k] and prob[:, k])."""
     _check_regime(alpha, engine)
-    cavity1 = _cavity_maps(alpha, g, times, cutoff.n_max, engine)
-    readout2 = _cavity_maps(alpha * _CAVITY2_TURN, g, times, cutoff.n_max, engine)[0]
+    n_max = _map_cut(cutoff.n_max, engine)
+    cavity1 = _cavity_maps(alpha, g, times, n_max, engine)
+    readout2 = _cavity_maps(alpha * _CAVITY2_TURN, g, times, n_max, engine)[0]
     _, _, prob, _, fid, leaked = _chain(cavity1, readout2, atoms, cmath.phase(alpha))
     shape = prob.shape[:-2] + (4,)
     return prob.reshape(shape), fid.reshape(shape), leaked
@@ -474,7 +469,7 @@ def bell_outcome_arrays(
 
 @lru_cache(maxsize=4)
 def _homodyne_law(
-    coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int, engine: str, lo_phase: float
+    coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int | None, engine: str, lo_phase: float
 ) -> tuple:
     """One input's cavity 1 read by homodyne detection at half the revival
     time, kept for repeated shots (a miss does one shot's work): the grid,
@@ -482,7 +477,7 @@ def _homodyne_law(
     and the ideal readout's p1 (2,) and leaked weight."""
     t = revival_time(g) / 2.0
     atoms = coeffs.to_state().amplitudes
-    _, p1, leaked = _first_cavity(_cavity(alpha, g, t, _map_cut(n_max, engine), engine), atoms)
+    _, p1, leaked = _first_cavity(_cavity(alpha, g, t, n_max, engine), atoms)
     xs, kraus = _quadrature_map(alpha, g, t, n_max, engine, lo_phase)
     amps = (atoms @ kraus.reshape(4, -1)).reshape(4, -1)
     return xs, *_frozen(amps, _record_cdf(amps), p1), leaked
@@ -513,21 +508,21 @@ def run_bell_protocol(
     """
     _check_regime(alpha, engine)
     rng = _thread_rng(rng_seed, shot_index)
+    n_max = _map_cut(cutoff.n_max, engine)
     if isinstance(detection, HomodyneConfig):
-        law = _homodyne_law(coeffs, alpha, g, cutoff.n_max, engine, detection.lo_phase)
+        law = _homodyne_law(coeffs, alpha, g, n_max, engine, detection.lo_phase)
         xs, amps, cdf, p1, leaked = law
         record_x, idx = _draw_quadrature(xs, cdf, detection, rng)
         s1 = 0 if record_x > 0 else 1
         # cavity 2 reads the collapsed atoms of branch s1 only; their norm
         # cancels in p2 and the normalized states
-        t = revival_time(g) / 2.0
-        readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, _map_cut(cutoff.n_max, engine), engine)[0]
+        readout2 = _cavity(alpha * _CAVITY2_TURN, g, revival_time(g) / 2.0, n_max, engine)[0]
         gates, targets = _corrections(cmath.phase(alpha))
         p2, prob, states, fid = _second_cavity(
             readout2, amps[:, idx], p1[s1], (gates[s1], targets[s1])
         )
     elif detection == "ideal":
-        p1, p2, table = _ideal_law(coeffs, alpha, g, _map_cut(cutoff.n_max, engine), engine)
+        p1, p2, table = _ideal_law(coeffs, alpha, g, n_max, engine)
         s1 = 0 if rng.uniform() < p1[0] else 1
         p2, record_x = p2[s1], None
     else:
@@ -607,14 +602,22 @@ def _quadrature(span: float, amps: np.ndarray, lo_phase: float) -> tuple[np.ndar
 
 @lru_cache(maxsize=8)
 def _quadrature_map(
-    alpha: complex, g: float, t: float, n_max: int, engine: str, lo_phase: float
+    alpha: complex, g: float, t: float, n_max: int | None, engine: str, lo_phase: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cavity 1 read by homodyne detection as a Kraus map on the atoms: the
-    grid on +-(|alpha| + 5) and K (4 inputs, 4 atoms, points), the evolved
-    product-basis states read by `_quadrature`, so that atoms (4,) give the
-    (atoms, record) amplitudes sum_j atoms[j] K[j]."""
-    basis = _evolved_basis(alpha, g, t, n_max, engine)
-    return _frozen(*_quadrature(abs(alpha) + 5.0, basis, lo_phase))
+    grid on +-(|alpha| + 5) and K (4 inputs, 4 atoms, points), so that atoms
+    (4,) give the (atoms, record) amplitudes sum_j atoms[j] K[j].  Analytic:
+    K = sum_b M_b^T <x|beta_b> over _branch_maps, beta_b = alpha e^{i(theta_b
+    - lo_phase)}, <x|beta> = (2/pi)^{1/4} exp(-(x - Re beta)^2 + i Im beta
+    (2x - Re beta))."""
+    span = abs(alpha) + 5.0
+    if engine == "exact":
+        return _frozen(*_quadrature(span, _evolved_basis(alpha, g, t, n_max), lo_phase))
+    maps, theta = _branch_maps(alpha, g, [t])
+    beta = alpha * np.exp(1j * (theta[0, :, None] - lo_phase))
+    xs = np.linspace(-span, span, _QUADRATURE_POINTS)
+    waves = np.exp(-((xs - beta.real) ** 2) + 1j * beta.imag * (2.0 * xs - beta.real))
+    return _frozen(xs, maps[0].T @ ((2.0 / math.pi) ** 0.25 * waves))
 
 
 def _record_cdf(amps: np.ndarray) -> np.ndarray:

@@ -400,28 +400,62 @@ class TestRunBellProtocol:
 class TestQuadratureMap:
     """Cavity 1 read by homodyne detection as one cached Kraus map."""
 
-    @pytest.mark.parametrize("engine", ["exact", "analytic"])
-    def test_map_matches_the_projected_joint_state(self, table20, cut20, alpha20, joint20, engine):
+    @pytest.mark.parametrize(
+        "engine, nbar, tol",
+        [
+            pytest.param("exact", 20.0, 1e-12, id="exact"),
+            pytest.param("analytic", 20.0, 1e-12, id="analytic"),
+            pytest.param("analytic", 50.0, 1e-12, id="analytic-50"),
+            pytest.param("analytic", 100.0, 1e-12, id="analytic-100"),
+            pytest.param("analytic", 1000.0, 1e-10, id="analytic-1000"),
+        ],
+    )
+    def test_map_matches_the_projected_joint_state(self, table20, joint20, engine, nbar, tol):
         """The record density |K c|^2 and the collapsed atoms at every grid
-        point are those of the flat joint state projected on the same grid."""
+        point are those of the flat joint state projected on the same grid.
+        The analytic map is closed form, so its oracle is the three-branch
+        form written out on a cutoff 60 photons past the working one, whose
+        truncation is below 1e-14 (on the working cutoff it is 1.7e-7 at
+        nbar = 20).  At nbar = 1000 the oracle's own Hermite sum over some
+        1,100 photon numbers rounds to 1.5e-11 (the closed form agrees with
+        a long-double evaluation of itself to 1e-16), hence its 1e-10."""
         from dicke2p import protocols
 
         c, _ = table20
         atoms = c.to_state().amplitudes
+        alpha = math.sqrt(nbar) * np.exp(1j * PHI)
+        cut = FockCutoff.for_mean_photon(nbar)
         if engine == "exact":
-            flat = joint20.amplitudes.reshape(4, -1)
+            n_max, flat = cut.n_max, joint20.amplitudes.reshape(4, -1)
         else:
-            flat = np.tensordot(atoms, coherent_branch_basis(alpha20, G, [T_HALF], cut20)[0], 1)
-        xs, kraus = protocols._quadrature_map(alpha20, G, T_HALF, cut20.n_max, engine, PHI)
-        grid = np.linspace(-abs(alpha20) - 5.0, abs(alpha20) + 5.0, protocols._QUADRATURE_POINTS)
-        bras = np.exp(-1j * PHI * np.arange(cut20.dim))[:, None] * hermite_sum(grid, np.eye(cut20.dim)).T
+            n_max, cut = None, FockCutoff(cut.n_max + 60)
+            flat = np.tensordot(atoms, coherent_branch_basis(alpha, G, [T_HALF], cut)[0], 1)
+        xs, kraus = protocols._quadrature_map(alpha, G, T_HALF, n_max, engine, PHI)
+        grid = np.linspace(-abs(alpha) - 5.0, abs(alpha) + 5.0, protocols._QUADRATURE_POINTS)
         np.testing.assert_array_equal(xs, grid)
-        assert xs[-1] == abs(alpha20) + 5.0
+        assert xs[-1] == abs(alpha) + 5.0
         assert kraus.shape == (4, 4, xs.size) and not kraus.flags.writeable
-        amps, ref = np.tensordot(atoms, kraus, 1), flat @ bras
+        rotated = flat * np.exp(-1j * PHI * np.arange(cut.dim))
+        amps, ref = np.tensordot(atoms, kraus, 1), hermite_sum(grid, rotated.T).T
         density = np.sum(np.abs(amps) ** 2, axis=0)
-        np.testing.assert_allclose(density, np.sum(np.abs(ref) ** 2, axis=0), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(amps, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(density, np.sum(np.abs(ref) ** 2, axis=0), rtol=0, atol=tol)
+        np.testing.assert_allclose(amps, ref, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("lo_phase", [0.7, -2.1])
+    def test_analytic_map_at_t0_is_the_rotated_coherent_wavefunction(self, lo_phase):
+        """At t = 0 the three branch maps sum to the identity and share the
+        label alpha, so K[j, a] = delta_ja <x|alpha e^{-i lo_phase}>: the
+        closed form, with its -i Re beta Im beta phase, against the Hermite
+        sum of the rotated coherent amplitudes on a cutoff 60 photons past
+        the working one."""
+        from dicke2p import protocols
+
+        alpha = 3.0 - 4.0j
+        cut = FockCutoff(FockCutoff.for_mean_photon(abs(alpha) ** 2).n_max + 60)
+        xs, kraus = protocols._quadrature_map(alpha, G, 0.0, None, "analytic", lo_phase)
+        rotated = coherent_state(alpha, cut).amplitudes * np.exp(-1j * lo_phase * np.arange(cut.dim))
+        want = np.eye(4)[:, :, None] * hermite_sum(xs, rotated)
+        np.testing.assert_allclose(kraus, want, rtol=0, atol=1e-13)
 
 
 class TestRegimeWarning:
@@ -468,7 +502,9 @@ def fresh_caches():
     map built under a patched builder outlives the test."""
     from dicke2p import protocols
 
-    caches = (protocols._cavity, protocols._ideal_law, protocols._homodyne_law)
+    caches = (
+        protocols._cavity, protocols._ideal_law, protocols._homodyne_law, protocols._quadrature_map
+    )
     for cache in caches:
         cache.cache_clear()
     yield
@@ -609,36 +645,53 @@ class TestCavityMaps:
         cut = FockCutoff.for_mean_photon(50.0)
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
         gram = protocols._cavity(alpha, G, T_HALF, cut.n_max, "exact")[1]
-        basis = protocols._evolved_basis(alpha, G, T_HALF, cut.n_max, "exact")
+        basis = protocols._evolved_basis(alpha, G, T_HALF, cut.n_max)
         flat = basis.reshape(4, -1)
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
         np.testing.assert_array_equal(gram, np.eye(4))
 
     def test_analytic_caches_ignore_the_cutoff(self, fresh_caches):
-        """The analytic maps build no field, so two cutoffs share one
-        cavity pair and one law."""
+        """The analytic maps build no field, so three cutoffs share one
+        cavity pair, one ideal law, one homodyne law and one quadrature
+        map, down to a cutoff too small for the field at nbar = 50."""
         from dicke2p import protocols
 
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
         coeffs = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
-        tables = [bell_outcome_table(coeffs, alpha, G, FockCutoff(n), "analytic") for n in (60, 80)]
-        for a, b in zip(*tables):
-            assert_same_result(a, b)
+        cuts = [FockCutoff(n) for n in (30, 60, 80)]
+        tables = [bell_outcome_table(coeffs, alpha, G, cut, "analytic") for cut in cuts]
+        cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
+        shots = [
+            [run_bell_protocol(coeffs, alpha, G, cut, "analytic", cfg, 7, i) for i in range(5)]
+            for cut in cuts
+        ]
+        for rows in (tables, shots):
+            for a, *others in zip(*rows):
+                for b in others:
+                    assert_same_result(a, b)
+        assert all(shot.record_x is not None for shot in shots[0])
         assert protocols._cavity.cache_info().misses == 2
         assert protocols._ideal_law.cache_info().misses == 1
+        assert protocols._homodyne_law.cache_info().misses == 1
+        assert protocols._quadrature_map.cache_info().misses == 1
 
 
 class TestTimingSensitivity:
-    def test_analytic_sweep_builds_no_field(self, monkeypatch):
-        """The 321-time analytic sweep at nbar = 50 reads both cavities from
-        closed-form coherent overlaps: it builds no coherent state and no
-        Bell state."""
-        from dicke2p import dynamics, protocols
+    @pytest.mark.parametrize(
+        "entry", ["ghz", "table", "sweep", "ideal-shot", "homodyne-shot", "homodyne-table"]
+    )
+    def test_analytic_entries_build_no_field(self, monkeypatch, fresh_caches, entry):
+        """Every analytic entry point at nbar = 50, on empty caches, reads
+        the cavities from closed-form coherent overlaps and homodyne
+        detection from closed-form quadrature wavefunctions: it builds no
+        coherent state and sums no Hermite series.  The 321-time sweep
+        also builds no Bell state."""
+        from dicke2p import analysis, dynamics, hilbert, protocols
 
         cut = FockCutoff.for_mean_photon(50.0)
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
         protocols._corrections(np.angle(alpha))  # the outcome targets, cached per phase
-        calls = {"bell_state": 0, "coherent_state": 0}
+        calls = {"bell_state": 0, "coherent_state": 0, "hermite_sum": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -647,14 +700,28 @@ class TestTimingSensitivity:
 
             return wrapper
 
-        for module in (dynamics, protocols):
+        for module in (hilbert, dynamics, analysis, protocols):
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        window = T_HALF + np.linspace(-0.08, 0.08, 321) / abs(G)
         c = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
-        bell_outcome_arrays(c.to_state().amplitudes, alpha, G, cut, window, engine="analytic")
-        assert calls == {"bell_state": 0, "coherent_state": 0}
+        cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
+        window = T_HALF + np.linspace(-0.08, 0.08, 321) / abs(G)
+        {
+            "ghz": lambda: run_ghz(abs(alpha), PHI, G, cut, engine="analytic"),
+            "table": lambda: bell_outcome_table(c, alpha, G, cut, engine="analytic"),
+            "sweep": lambda: bell_outcome_arrays(
+                c.to_state().amplitudes, alpha, G, cut, window, engine="analytic"
+            ),
+            "ideal-shot": lambda: run_bell_protocol(c, alpha, G, cut, engine="analytic"),
+            "homodyne-shot": lambda: run_bell_protocol(
+                c, alpha, G, cut, engine="analytic", detection=cfg
+            ),
+            "homodyne-table": lambda: homodyne_outcome_table(c, alpha, G, cut, cfg, "analytic"),
+        }[entry]()
+        assert calls["coherent_state"] == calls["hermite_sum"] == 0
+        if entry == "sweep":
+            assert calls["bell_state"] == 0
 
     def test_analytic_memory_does_not_grow_with_nbar(self):
         """One analytic call holds no field, so its tracemalloc peak at
