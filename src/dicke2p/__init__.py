@@ -16,7 +16,6 @@ from .models import (
 )
 from .dynamics import (
     analytic_state,
-    coherent_branch_basis,
     rabi_see_analytic,
     revival_time,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "effective_coupling",
     "validity_report",
     "analytic_state",
-    "coherent_branch_basis",
     "rabi_see_analytic",
     "revival_time",
     "DensityMatrix",

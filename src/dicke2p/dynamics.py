@@ -22,8 +22,7 @@ into a superposition of a few rotating coherent branches.  _branch_maps is
 the paper's large-nbar form of that result: three branches on the labels
 alpha and e^{-+2igt} alpha, as maps on the atoms at every time.  The
 protocols' analytic engine reads them through closed-form coherent-state
-overlaps and quadrature wavefunctions; coherent_branch_basis writes them out
-on the Fock basis, as the tests' oracle.
+overlaps and quadrature wavefunctions; no field vector is built.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ __all__ = [
     "check_capture",
     "check_branch_regime",
     "analytic_state",
-    "coherent_branch_basis",
     "rabi_see_analytic",
     "revival_time",
 ]
@@ -228,24 +226,6 @@ def check_branch_regime(alpha: complex, stacklevel: int = 1) -> None:
             f"got |alpha|^2 = {abs(alpha) ** 2:.3g}",
             stacklevel=stacklevel + 1,
         )
-
-
-def coherent_branch_basis(
-    alpha: complex, g: float, times: np.ndarray, cutoff: FockCutoff
-) -> np.ndarray:
-    """The paper's large-nbar three-branch form (_branch_maps) on the Fock
-    basis: each product-basis atomic state (x) |alpha> at every t,
-    unnormalized; shape (len(times), 4, 4, dim), indexed [t, input state,
-    atoms, field] as SectorSpectrum.propagate gives them for the exact
-    engine: the tests' Fock oracle, read by no engine.  Warns by
-    check_branch_regime.  |alpha e^{i theta}> is |alpha> turned by
-    e^{i theta n}, so one coherent state serves every label."""
-    check_branch_regime(alpha, stacklevel=2)
-    maps, theta = _branch_maps(alpha, g, times)
-    n = np.arange(cutoff.dim)
-    fields = coherent_state(alpha, cutoff).amplitudes * np.exp(1j * theta[..., None] * n)
-    flat = maps.transpose(0, 3, 2, 1).reshape(len(maps), 16, 3) @ fields
-    return flat.reshape(len(maps), 4, 4, cutoff.dim)
 
 
 def _branch_maps(alpha: complex, g: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -55,8 +55,8 @@ class FockCutoff:
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
     @property
     def dim(self) -> int:

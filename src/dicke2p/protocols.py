@@ -17,10 +17,12 @@ table against the sector-eigenbasis weights of the product-basis states
 (x) |+-alpha>, by the analytic one from its three-branch maps and
 closed-form coherent overlaps.  They are cached per (alpha, g, t, engine)
 at one time, the exact ones per cutoff too; run_ghz reads the GHZ overlap
-from the same map.  One array-valued chain composes both cavities on any
-batch of atomic states (bell_outcome_arrays).  Repeated shots on one input
-draw from its cached law, each from its seeded stream on one Philox
-generator per thread.
+from the same map, and cavity 2 from it too: a^dag a + 2 n_e is conserved,
+so turning the field by pi/4 acts on the atoms as D = e^{i pi n_e/2}, and
+cavity 2 reads cavity 1's readouts R as D R D^dag.  One array-valued chain
+composes both cavities on any batch of atomic states (bell_outcome_arrays).
+Repeated shots on one input draw from its cached law, each from its seeded
+stream on one Philox generator per thread.
 
 Homodyne detection of cavity 1 reads the evolved basis at one time through
 the rotated quadrature wavefunctions on +-(|alpha| + 5), in closed form for
@@ -82,8 +84,8 @@ _DEGENERATE_PROB = 1e-12
 # Quadrature grid of homodyne sampling, over +-(|alpha| + 5) for protocol
 # shots and +-(sqrt(nbar) + 5) for homodyne_measure.
 _QUADRATURE_POINTS = 2001
-# The field of cavity 2 is that of cavity 1 turned by pi/4.
-_CAVITY2_TURN = cmath.exp(1j * math.pi / 4.0)
+# D = e^{i pi n_e/2} on (gg, ge, eg, ee): the pi/4 turn of cavity 2's field.
+_TURN = np.array([1.0, 1j, 1j, -1.0])
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,8 @@ def _cavity(
     alpha: complex, g: float, t: float, n_max: int | None, engine: str
 ) -> tuple[np.ndarray, ...]:
     """_cavity_maps (readout, Gram) at the one time t, without the time axis
-    and read-only, kept for repeated shots and tables at fixed parameters."""
+    and read-only, kept for repeated shots and tables at fixed parameters;
+    a Bell chain reads cavity 2 from the same entry (_turned)."""
     return _frozen(*(arr[0] for arr in _cavity_maps(alpha, g, np.array([t]), n_max, engine)))
 
 
@@ -360,6 +363,11 @@ def _corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
     return gates.reshape(2, 2, 4, 4), targets.reshape(2, 2, 4)
 
 
+def _turned(readout: np.ndarray) -> np.ndarray:
+    """Cavity 1's readouts (..., 4, 4) as cavity 2 reads them, D R D^dag."""
+    return _TURN[:, None] * readout * _TURN.conj()
+
+
 def _read(readout: np.ndarray, atoms: np.ndarray, check=True) -> tuple[np.ndarray, ...]:
     """One cavity read out on atomic amplitudes atoms (..., 4): per field
     sign the atomic amplitudes (..., 2, 4) and weights (..., 2), and the
@@ -398,17 +406,17 @@ def _first_cavity(cavity1, atoms: np.ndarray) -> tuple[np.ndarray, ...]:
     return amps1, raw1 / total1[..., None], leaked
 
 
-def _chain(cavity1, readout2: np.ndarray, atoms: np.ndarray, phi: float) -> tuple[np.ndarray, ...]:
+def _chain(cavity1, atoms: np.ndarray, phi: float) -> tuple[np.ndarray, ...]:
     """The ideal two-cavity chain on product-basis atomic amplitudes atoms
-    (..., 4), by maps (cavity 1 as (readout, Gram)) whose batch shapes
-    broadcast against theirs.  Returns p1 (..., 2); p2, p1*p2, the corrected
-    atomic states and their fidelities, (..., 2, 2) indexed [d1, d2]; and
-    the weight leaked outside the cavity-1 reference states (...).  Below
-    _DEGENERATE_PROB a fidelity is NaN and its state unnormalized; a
-    degenerate cavity-1 branch is split evenly and not read."""
+    (..., 4), by maps (cavity 1 as (readout, Gram), cavity 2 as its readout
+    _turned) whose batch shapes broadcast against theirs.  Returns p1 (..., 2);
+    p2, p1*p2, the corrected atomic states and their fidelities, (..., 2, 2)
+    indexed [d1, d2]; and the weight leaked outside the cavity-1 reference
+    states (...).  Below _DEGENERATE_PROB a fidelity is NaN and its state
+    unnormalized; a degenerate cavity-1 branch is split evenly and not read."""
     amps1, p1, leaked = _first_cavity(cavity1, atoms)
-    cavity2 = _second_cavity(readout2[..., None, :, :, :], amps1, p1, _corrections(phi))
-    return (p1, *cavity2, leaked)
+    readout2 = _turned(cavity1[0])[..., None, :, :, :]
+    return (p1, *_second_cavity(readout2, amps1, p1, _corrections(phi)), leaked)
 
 
 def _result(outcome: OutcomeLabel, prob, fid, state, leaked, record_x=None) -> ProtocolResult:
@@ -426,11 +434,9 @@ def _ideal_law(
     """One input's ideal Bell measurement at half the revival time as its
     four-outcome law, kept for repeated shots and tables: p1 (2,), p2 (2, 2)
     indexed [d1, d2], and the results of ALL_OUTCOMES."""
-    t = revival_time(g) / 2.0
-    cavity1 = _cavity(alpha, g, t, n_max, engine)
-    readout2 = _cavity(alpha * _CAVITY2_TURN, g, t, n_max, engine)[0]
+    cavity1 = _cavity(alpha, g, revival_time(g) / 2.0, n_max, engine)
     atoms = coeffs.to_state().amplitudes
-    p1, p2, prob, states, fid, leaked = _chain(cavity1, readout2, atoms, cmath.phase(alpha))
+    p1, p2, prob, states, fid, leaked = _chain(cavity1, atoms, cmath.phase(alpha))
     entries = zip(ALL_OUTCOMES, prob.ravel(), fid.ravel(), states.reshape(4, 4))
     return *_frozen(p1, p2), tuple(_result(*entry, leaked) for entry in entries)
 
@@ -459,10 +465,8 @@ def bell_outcome_arrays(
     ensemble (a batch of inputs at one time) and the timing sweep (one
     input, atoms (4,), at T times: columns fid[:, k] and prob[:, k])."""
     _check_regime(alpha, engine)
-    n_max = _map_cut(cutoff.n_max, engine)
-    cavity1 = _cavity_maps(alpha, g, times, n_max, engine)
-    readout2 = _cavity_maps(alpha * _CAVITY2_TURN, g, times, n_max, engine)[0]
-    _, _, prob, _, fid, leaked = _chain(cavity1, readout2, atoms, cmath.phase(alpha))
+    cavity1 = _cavity_maps(alpha, g, times, _map_cut(cutoff.n_max, engine), engine)
+    _, _, prob, _, fid, leaked = _chain(cavity1, atoms, cmath.phase(alpha))
     shape = prob.shape[:-2] + (4,)
     return prob.reshape(shape), fid.reshape(shape), leaked
 
@@ -474,13 +478,14 @@ def _homodyne_law(
     """One input's cavity 1 read by homodyne detection at half the revival
     time, kept for repeated shots (a miss does one shot's work): the grid,
     the (atoms, record) amplitudes (4, points), their cumulative density,
-    and the ideal readout's p1 (2,) and leaked weight."""
+    the ideal readout's p1 (2,), cavity 2's readout and the leaked weight."""
     t = revival_time(g) / 2.0
     atoms = coeffs.to_state().amplitudes
-    _, p1, leaked = _first_cavity(_cavity(alpha, g, t, n_max, engine), atoms)
+    cavity1 = _cavity(alpha, g, t, n_max, engine)
+    _, p1, leaked = _first_cavity(cavity1, atoms)
     xs, kraus = _quadrature_map(alpha, g, t, n_max, engine, lo_phase)
     amps = (atoms @ kraus.reshape(4, -1)).reshape(4, -1)
-    return xs, *_frozen(amps, _record_cdf(amps), p1), leaked
+    return xs, *_frozen(amps, _record_cdf(amps), p1, _turned(cavity1[0])), leaked
 
 
 def run_bell_protocol(
@@ -511,12 +516,11 @@ def run_bell_protocol(
     n_max = _map_cut(cutoff.n_max, engine)
     if isinstance(detection, HomodyneConfig):
         law = _homodyne_law(coeffs, alpha, g, n_max, engine, detection.lo_phase)
-        xs, amps, cdf, p1, leaked = law
+        xs, amps, cdf, p1, readout2, leaked = law
         record_x, idx = _draw_quadrature(xs, cdf, detection, rng)
         s1 = 0 if record_x > 0 else 1
         # cavity 2 reads the collapsed atoms of branch s1 only; their norm
         # cancels in p2 and the normalized states
-        readout2 = _cavity(alpha * _CAVITY2_TURN, g, revival_time(g) / 2.0, n_max, engine)[0]
         gates, targets = _corrections(cmath.phase(alpha))
         p2, prob, states, fid = _second_cavity(
             readout2, amps[:, idx], p1[s1], (gates[s1], targets[s1])

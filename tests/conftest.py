@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dicke2p.analysis import DensityMatrix, _haar_atoms, ensemble_stats, sample_rng
+from dicke2p.dynamics import _branch_maps, check_branch_regime
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
@@ -190,6 +191,24 @@ def blockwise_state(coeffs, alpha, g, t, cutoff):
     return prod / np.linalg.norm(prod)
 
 
+def coherent_branch_basis(
+    alpha: complex, g: float, times: np.ndarray, cutoff: FockCutoff
+) -> np.ndarray:
+    """The paper's large-nbar three-branch form (_branch_maps) on the Fock
+    basis: each product-basis atomic state (x) |alpha> at every t,
+    unnormalized; shape (len(times), 4, 4, dim), indexed [t, input state,
+    atoms, field] as SectorSpectrum.propagate gives them for the exact
+    engine: the tests' Fock oracle, read by no engine.  Warns by
+    check_branch_regime.  |alpha e^{i theta}> is |alpha> turned by
+    e^{i theta n}, so one coherent state serves every label."""
+    check_branch_regime(alpha, stacklevel=2)
+    maps, theta = _branch_maps(alpha, g, times)
+    n = np.arange(cutoff.dim)
+    fields = coherent_state(alpha, cutoff).amplitudes * np.exp(1j * theta[..., None] * n)
+    flat = maps.transpose(0, 3, 2, 1).reshape(len(maps), 16, 3) @ fields
+    return flat.reshape(len(maps), 4, 4, cutoff.dim)
+
+
 def three_branch_state(coeffs, alpha, g, t, cutoff):
     """The large-nbar three-branch form of |atoms>|alpha> at one time t,
     unnormalized flat amplitudes in the product atomic basis x Fock.
@@ -238,7 +257,7 @@ def cavity_maps_oracle(alpha, g, times, n_max, engine):
     three-branch form on the Fock basis for the analytic one.  Deliberately
     free of the sector-eigenbasis readout and the closed-form coherent
     overlaps that protocols._cavity_maps takes."""
-    from dicke2p.dynamics import coherent_branch_basis, sector_spectrum
+    from dicke2p.dynamics import sector_spectrum
 
     cutoff, times = FockCutoff(n_max), np.asarray(times, dtype=np.float64)
     field = coherent_state(alpha, cutoff).amplitudes

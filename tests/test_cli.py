@@ -548,6 +548,36 @@ class TestEmit:
         assert list(tmp_path.iterdir()) == []
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`bell --efficiency 0.5` and `bell-timing` at their defaults write the
+    same bytes, wall_time_s aside, under OPENBLAS_NUM_THREADS=1 and =2.
+    `wigner` is left out: its `analysis._wigner_pairs` gives cells that
+    differ by up to 2.8e-17 between those thread counts."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys; from dicke2p.cli import main; out = sys.argv[1]; "
+        "main(['bell', '--efficiency', '0.5', '--out', out + '/bell.csv']); "
+        "main(['bell-timing', '--out', out + '/bell_timing.csv'])"
+    )
+    runs = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        runs.append(subprocess.Popen([sys.executable, "-c", code, str(tmp_path / threads)],
+                                     env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
+    written = []
+    for run, threads in zip(runs, ("1", "2")):
+        assert run.wait(timeout=60) == 0, run.stderr.read()
+        run.stderr.close()
+        written.append({
+            p.name: [line for line in p.read_text().splitlines() if "wall_time_s" not in line]
+            for p in sorted((tmp_path / threads).iterdir())
+        })
+    assert len(written[0]) == 4
+    assert written[0] == written[1]
+
+
 @pytest.fixture(scope="module")
 def output_schema():
     """A validator for the published shape of a --format json payload."""

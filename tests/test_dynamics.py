@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 from conftest import (
     blockwise_state,
+    coherent_branch_basis,
     constant_of_motion,
     embed_two_level_state,
     full_hamiltonian,
@@ -25,7 +26,6 @@ from dicke2p import models
 from dicke2p.analysis import sample_rng
 from dicke2p.dynamics import (
     analytic_state,
-    coherent_branch_basis,
     evolve_linearized_many,
     linearized_spectrum,
     rabi_see_analytic,

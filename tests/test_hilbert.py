@@ -47,6 +47,16 @@ class TestFockCutoff:
         with pytest.raises(ValueError):
             FockCutoff.for_mean_photon(-1.0)
 
+    @pytest.mark.parametrize("n_max,shown", [(2.5, "2.5"), (math.nan, "nan"), ("3", "'3'")])
+    def test_rejects_non_integral_n_max(self, n_max, shown):
+        """A float or string cutoff would reach the Fock kernels as a float
+        dim; it is refused at construction, naming the value."""
+        with pytest.raises(ValueError, match=f"^n_max must be an integer >= 1, got {shown}$"):
+            FockCutoff(n_max)
+
+    def test_accepts_numpy_integers(self):
+        assert FockCutoff(np.int64(40)).dim == 41
+
     @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, nbar):
         with pytest.raises(ValueError, match="^nbar must be finite and non-negative$"):

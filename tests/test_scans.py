@@ -375,10 +375,11 @@ class TestBellTiming:
         assert r.rows[0, 0] < 0.5 < r.rows[-1, 0]
 
     def test_sweep_evolves_nothing_and_projects_each_cavity_once(self, monkeypatch):
-        """The default 321-point sweep reads each cavity from one projection
-        of its references on the sector eigenvectors and its phase table,
-        built in chunks of times; it evolves no state and leaves the
-        single-time cache alone."""
+        """The default 321-point sweep reads both cavities from one
+        projection of cavity 1's references on the sector eigenvectors and
+        one phase table, built in chunks of times; cavity 2 is the same map
+        turned.  It evolves no state and leaves the single-time cache
+        alone."""
         counts = {"project": 0, "phases": 0, "propagate": 0}
 
         def counting(name, fn):
@@ -396,7 +397,7 @@ class TestBellTiming:
         entries = protocols._w_operator(-0.002, cut.n_max).values.size
         chunks = math.ceil(321 / (protocols._BASIS_CHUNK // entries))
         assert chunks > 1
-        assert counts == {"project": 2, "phases": 2 * chunks, "propagate": 0}
+        assert counts == {"project": 1, "phases": chunks, "propagate": 0}
         assert protocols._cavity.cache_info().misses == misses
 
 
