@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import warnings
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ class DensityMatrix:
         vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape != (dim := math.prod(dims),):
             raise ValueError(f"vector shape {vec.shape} != space dim {dim}")
-        return cls._positive(np.outer(vec, vec.conj()), dims, float(np.vdot(vec, vec).real))
+        return cls._positive(vec[:, None] * vec.conj(), dims, float(np.vdot(vec, vec).real))
 
     @classmethod
     def _positive(cls, mat: np.ndarray, dims: tuple[int, ...], tr: float) -> "DensityMatrix":
@@ -261,25 +262,41 @@ def _haar_atoms(rngs: Iterable[np.random.Generator]) -> np.ndarray:
     return q[:, :, 0] * (r[:, :1, 0] / np.abs(r[:, :1, 0]))
 
 
+def _philox_key(master_seed: int, index: int) -> tuple[int, int]:
+    """The Philox key of sample (master_seed, index): each part an integer,
+    Python or NumPy, taken mod 2**64; anything else is refused."""
+    try:
+        return operator.index(master_seed) % 2**64, operator.index(index) % 2**64
+    except TypeError:
+        raise ValueError(
+            f"seed and sample index must be integers, got {master_seed!r} and {index!r}"
+        ) from None
+
+
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:
     """Counter-based per-sample stream; independent of evaluation order."""
-    key = np.array([master_seed % 2**64, index % 2**64], dtype=np.uint64)
+    key = np.array(_philox_key(master_seed, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_THREAD, _ZERO4 = threading.local(), np.zeros(4, dtype=np.uint64)
-# a new Philox generator's state but for its key: counter zero, empty buffer
-_PHILOX_ZERO = dict(bit_generator="Philox", buffer=_ZERO4, buffer_pos=4, has_uint32=0, uinteger=0)
+_THREAD = threading.local()
 
 
 def _thread_rng(master_seed: int, index: int) -> np.random.Generator:
     """sample_rng(master_seed, index) as this thread's one Philox generator
-    reset in place, at a quarter of the cost; the next call resets it again,
-    so only draws that never leave the library may use it."""
+    reset in place to a new generator's state but for its key (counter
+    zero, empty buffer), at a fraction of the cost; the next call resets it
+    again, so only draws that never leave the library may use it."""
     if (gen := getattr(_THREAD, "gen", None)) is None:
         gen = _THREAD.gen = np.random.Generator(np.random.Philox())
-    key = np.array([master_seed % 2**64, index % 2**64], dtype=np.uint64)
-    gen.bit_generator.state = dict(_PHILOX_ZERO, state={"counter": _ZERO4, "key": key})
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": _philox_key(master_seed, index)},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return gen
 
 

@@ -127,10 +127,12 @@ class SectorSpectrum:
 
 
 def _unit_phases(angle: np.ndarray) -> np.ndarray:
-    """exp(-i angle) from real cos and sin: half the cost of a complex exp."""
+    """exp(-i angle) from real cos and sin: half the cost of a complex exp.
+    The angle table is negated in place for the sine, so no second table
+    is held; callers pass a fresh one."""
     phases = np.empty(angle.shape, dtype=np.complex128)
     np.cos(angle, out=phases.real)
-    np.sin(-angle, out=phases.imag)
+    np.sin(np.negative(angle, out=angle), out=phases.imag)
     return phases
 
 

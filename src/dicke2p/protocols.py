@@ -22,13 +22,21 @@ so turning the field by pi/4 acts on the atoms as D = e^{i pi n_e/2}, and
 cavity 2 reads cavity 1's readouts R as D R D^dag.  One array-valued chain
 composes both cavities on any batch of atomic states (bell_outcome_arrays).
 Repeated shots on one input draw from its cached law, each from its seeded
-stream on one Philox generator per thread.
+stream on one Philox generator per thread: the ideal law is the table's
+four entries, and the homodyne law holds cavity 2 read once, in one GEMM,
+on the atoms collapsed at every quadrature-grid column, so a shot costs
+its draws, a column lookup and one correction gate.
 
-Homodyne detection of cavity 1 reads the evolved basis at one time through
-the rotated quadrature wavefunctions on +-(|alpha| + 5), in closed form for
-the analytic engine: a Kraus map from the atoms to the (atoms, record)
-amplitudes, cached like the readouts.  A shot draws the true quadrature from
-it, collapses the atoms there and smears only the reported record.
+Homodyne detection of cavity 1 reads the evolved joint state at one time
+through the rotated quadrature wavefunctions on +-(|alpha| + 5), in closed
+form for the analytic engine, as (atoms, record) amplitudes: a shot's law
+reads its input's own state and keeps only what its shots read; an
+ensemble reads the evolved product basis, a Kraus map from the atoms to
+those amplitudes, cached like the readouts.  A shot draws the true quadrature from it, collapses the atoms there
+and smears only the reported record.  A Haar ensemble takes one homodyne
+shot per input as arrays (_homodyne_outcomes): the record densities as a
+quadratic form in the atoms, each input collapsed at its drawn column only,
+and cavity 2 read on the whole batch.
 """
 
 from __future__ import annotations
@@ -250,10 +258,13 @@ def _cavity_maps(
     return readout, np.tile(eye, (times.size, 1, 1))
 
 
-def _evolved_basis(alpha: complex, g: float, t: float, n_max: int) -> np.ndarray:
-    """The product-basis states (x) |alpha> evolved exactly to t, (4 inputs, 4 atoms, dim)."""
-    kets = np.kron(np.eye(4), coherent_state(alpha, FockCutoff(n_max)).amplitudes)
-    return np.stack([_w_operator(g, n_max).propagate(k, [t])[0] for k in kets]).reshape(4, 4, -1)
+def _evolved_basis(alpha: complex, g: float, t: float, n_max: int, inputs=None) -> np.ndarray:
+    """Each atomic state of inputs (r, 4), by default the product basis,
+    times |alpha>, evolved exactly to t: shape (r, 4 atoms, dim)."""
+    inputs = np.eye(4) if inputs is None else inputs
+    kets = np.kron(inputs, coherent_state(alpha, FockCutoff(n_max)).amplitudes)
+    spectrum = _w_operator(g, n_max)
+    return np.stack([spectrum.propagate(k, [t])[0] for k in kets]).reshape(len(kets), 4, -1)
 
 
 def _check_regime(alpha: complex, engine: str) -> None:
@@ -368,40 +379,51 @@ def _turned(readout: np.ndarray) -> np.ndarray:
     return _TURN[:, None] * readout * _TURN.conj()
 
 
-def _read(readout: np.ndarray, atoms: np.ndarray, check=True) -> tuple[np.ndarray, ...]:
-    """One cavity read out on atomic amplitudes atoms (..., 4): per field
-    sign the atomic amplitudes (..., 2, 4) and weights (..., 2), and the
-    total weight (...), which must be positive wherever check holds."""
-    amps = np.matvec(readout, atoms[..., None, :])
-    raw = np.vecdot(amps, amps).real
-    total = raw.sum(axis=-1)
-    if ((total <= 0.0) & check).any():
+def _read(readout: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A cavity's readouts (..., 2, 4, 4) read out on the rows (..., r, 4)
+    of atomic amplitudes by one matmul with the (..., 4, 8) map: per row
+    and field sign the atomic amplitudes (..., r, 2, 4) and weights
+    (..., r, 2).  A state read alone is a row of its own, a vector-matrix
+    product whose bits do not depend on the batch; the homodyne law reads
+    its grid's (points, 4) collapsed columns as one block, one GEMM."""
+    amps = rows @ readout.reshape(readout.shape[:-3] + (8, 4)).mT
+    amps = amps.reshape(amps.shape[:-1] + (2, 4))
+    return amps, np.vecdot(amps, amps).real
+
+
+def _branch_probs(raw: np.ndarray, p1) -> tuple[np.ndarray, np.ndarray]:
+    """p2 and p1*p2, (..., 2), of cavity-2 weights raw (..., 2) on a cavity-1
+    branch of probability p1 (...).  A branch below _DEGENERATE_PROB is split
+    evenly; any other must have weight on the reference states."""
+    keep = np.asarray(p1 >= _DEGENERATE_PROB)[..., None]
+    total = raw[..., :1] + raw[..., 1:]
+    if np.count_nonzero(keep & (total <= 0.0)):
         raise ValueError("cavity field has no weight on the reference states")
-    return amps, raw, total
+    p2 = np.divide(raw, total, out=np.full(raw.shape, 0.5), where=keep)
+    return p2, p1[..., None] * p2
 
 
-def _second_cavity(readout, amps1, p1, corrections) -> tuple[np.ndarray, ...]:
-    """Cavity 2 read out on cavity-1 branches amps1 (..., 4) of probability
-    p1 (...), corrected by (gates (..., 2, 4, 4), targets (..., 2, 4)) per
-    d2: p2, p1*p2, the states and their fidelities, (..., 2); see _chain."""
-    gates, targets = corrections
-    split = p1 < _DEGENERATE_PROB
-    amps, raw, total = _read(readout, amps1, check=~split)
-    p2 = np.divide(raw, total[..., None], out=np.full_like(raw, 0.5), where=~split[..., None])
-    prob = p1[..., None] * p2
+def _corrected(gates, targets, amps, raw, prob) -> tuple[np.ndarray, np.ndarray]:
+    """Cavity-2 branches amps (..., 4) of weights raw and probabilities prob
+    (...) corrected by gates (..., 4, 4): the normalized states and their
+    fidelities to targets (..., 4).  Below _DEGENERATE_PROB a fidelity is NaN
+    and its state unnormalized; the gates are unitary, so raw is also the
+    squared norm of each corrected state."""
     dead = prob < _DEGENERATE_PROB
-    # the gates are unitary, so raw is also the squared norm of each state
     states = np.matvec(gates, amps)
     np.divide(states, np.sqrt(raw)[..., None], out=states, where=~dead[..., None])
-    fid = np.where(dead, np.nan, np.abs(np.vecdot(targets, states)) ** 2)
-    return p2, prob, states, fid
+    return states, np.where(dead, np.nan, np.abs(np.vecdot(targets, states)) ** 2)
 
 
 def _first_cavity(cavity1, atoms: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cavity 1, as (readout, Gram), read out on atoms (..., 4): the atomic
     amplitudes (..., 2, 4) and probabilities p1 (..., 2) per field sign, and
     the weight leaked outside the reference states (...)."""
-    amps1, raw1, total1 = _read(cavity1[0], atoms)
+    amps1, raw1 = _read(cavity1[0], atoms[..., None, :])
+    amps1, raw1 = amps1[..., 0, :, :], raw1[..., 0, :]
+    total1 = raw1.sum(axis=-1)
+    if (total1 <= 0.0).any():
+        raise ValueError("cavity field has no weight on the reference states")
     leaked = 1.0 - total1 / np.vecdot(atoms, np.matvec(cavity1[1], atoms)).real
     return amps1, raw1 / total1[..., None], leaked
 
@@ -413,10 +435,14 @@ def _chain(cavity1, atoms: np.ndarray, phi: float) -> tuple[np.ndarray, ...]:
     p2, p1*p2, the corrected atomic states and their fidelities, (..., 2, 2)
     indexed [d1, d2]; and the weight leaked outside the cavity-1 reference
     states (...).  Below _DEGENERATE_PROB a fidelity is NaN and its state
-    unnormalized; a degenerate cavity-1 branch is split evenly and not read."""
+    unnormalized; a degenerate cavity-1 branch is split evenly."""
     amps1, p1, leaked = _first_cavity(cavity1, atoms)
-    readout2 = _turned(cavity1[0])[..., None, :, :, :]
-    return (p1, *_second_cavity(readout2, amps1, p1, _corrections(phi)), leaked)
+    turned = _turned(cavity1[0])[..., None, :, :, :]
+    amps2, raw2 = _read(turned, amps1[..., None, :])
+    amps2, raw2 = amps2[..., 0, :, :], raw2[..., 0, :]
+    p2, prob = _branch_probs(raw2, p1)
+    states, fid = _corrected(*_corrections(phi), amps2, raw2, prob)
+    return p1, p2, prob, states, fid, leaked
 
 
 def _result(outcome: OutcomeLabel, prob, fid, state, leaked, record_x=None) -> ProtocolResult:
@@ -432,13 +458,14 @@ def _ideal_law(
     coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int | None, engine: str
 ) -> tuple:
     """One input's ideal Bell measurement at half the revival time as its
-    four-outcome law, kept for repeated shots and tables: p1 (2,), p2 (2, 2)
-    indexed [d1, d2], and the results of ALL_OUTCOMES."""
+    four-outcome law, kept for repeated shots and tables: p1 (2,) and p2
+    (2, 2) indexed [d1, d2], as floats, and the results of ALL_OUTCOMES."""
     cavity1 = _cavity(alpha, g, revival_time(g) / 2.0, n_max, engine)
     atoms = coeffs.to_state().amplitudes
     p1, p2, prob, states, fid, leaked = _chain(cavity1, atoms, cmath.phase(alpha))
     entries = zip(ALL_OUTCOMES, prob.ravel(), fid.ravel(), states.reshape(4, 4))
-    return *_frozen(p1, p2), tuple(_result(*entry, leaked) for entry in entries)
+    results = tuple(_result(*entry, leaked) for entry in entries)
+    return tuple(p1.tolist()), tuple(map(tuple, p2.tolist())), results
 
 
 def bell_outcome_table(
@@ -475,17 +502,20 @@ def bell_outcome_arrays(
 def _homodyne_law(
     coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int | None, engine: str, lo_phase: float
 ) -> tuple:
-    """One input's cavity 1 read by homodyne detection at half the revival
-    time, kept for repeated shots (a miss does one shot's work): the grid,
-    the (atoms, record) amplitudes (4, points), their cumulative density,
-    the ideal readout's p1 (2,), cavity 2's readout and the leaked weight."""
+    """One input's Bell chain with cavity 1 read by homodyne detection at
+    half the revival time, kept for repeated shots: the grid, the record's
+    cumulative density, cavity 2 read once on the atoms collapsed at every
+    grid column (one GEMM, _read) as amplitudes (points, 2, 4) and weights
+    (points, 2) per d2, and the ideal cavity-1 readout's p1 (2,) and leaked
+    weight.  Its record amplitudes come from its own joint state: one
+    evolution and one Hermite sum, and no Kraus map is kept."""
     t = revival_time(g) / 2.0
     atoms = coeffs.to_state().amplitudes
     cavity1 = _cavity(alpha, g, t, n_max, engine)
     _, p1, leaked = _first_cavity(cavity1, atoms)
-    xs, kraus = _quadrature_map(alpha, g, t, n_max, engine, lo_phase)
-    amps = (atoms @ kraus.reshape(4, -1)).reshape(4, -1)
-    return xs, *_frozen(amps, _record_cdf(amps), p1, _turned(cavity1[0])), leaked
+    xs, (amps,) = _record_amplitudes(alpha, g, t, n_max, engine, lo_phase, atoms[None])
+    amps2, raw2 = _read(_turned(cavity1[0]), amps.T)
+    return xs, *_frozen(_record_cdf(amps), amps2, raw2.copy(), p1), float(leaked)
 
 
 def run_bell_protocol(
@@ -507,35 +537,36 @@ def run_bell_protocol(
     projector there; the record, whose sign picks the cavity-1 branch, is
     that value smeared by the detector's read noise, so the atoms collapse
     at the true quadrature, not at the record.  Cavity 2 is always read out
-    ideally.  The reported probability is the ideal Born probability of the
-    realized outcome.  The draws are those of sample_rng(rng_seed,
-    shot_index).
+    ideally, from the input's cached law: it was read once on the atoms
+    collapsed at every grid column, so a shot looks up its column and
+    applies the one correction gate of its outcome.  The reported
+    probability is the ideal Born probability of the realized outcome.
+    The draws are those of sample_rng(rng_seed, shot_index): a uniform
+    (d1, or the quadrature), a normal if efficiency < 1, then a uniform
+    (d2) unless the cavity-1 branch is degenerate.
     """
     _check_regime(alpha, engine)
     rng = _thread_rng(rng_seed, shot_index)
     n_max = _map_cut(cutoff.n_max, engine)
     if isinstance(detection, HomodyneConfig):
         law = _homodyne_law(coeffs, alpha, g, n_max, engine, detection.lo_phase)
-        xs, amps, cdf, p1, readout2, leaked = law
+        xs, cdf, amps2, raw2, p1, leaked = law
         record_x, idx = _draw_quadrature(xs, cdf, detection, rng)
         s1 = 0 if record_x > 0 else 1
-        # cavity 2 reads the collapsed atoms of branch s1 only; their norm
-        # cancels in p2 and the normalized states
-        gates, targets = _corrections(cmath.phase(alpha))
-        p2, prob, states, fid = _second_cavity(
-            readout2, amps[:, idx], p1[s1], (gates[s1], targets[s1])
-        )
+        p2, prob = _branch_probs(raw2[idx], p1[s1])
     elif detection == "ideal":
         p1, p2, table = _ideal_law(coeffs, alpha, g, n_max, engine)
-        s1 = 0 if rng.uniform() < p1[0] else 1
+        s1 = 0 if rng.random() < p1[0] else 1
         p2, record_x = p2[s1], None
     else:
         raise ValueError("detection must be 'ideal' or a HomodyneConfig")
     # a degenerate cavity-1 branch draws nothing more and reports (s1, +)
-    s2 = 0 if p1[s1] < _DEGENERATE_PROB or rng.uniform() < p2[0] else 1
+    s2 = 0 if p1[s1] < _DEGENERATE_PROB or rng.random() < p2[0] else 1
     if record_x is None:
         return table[2 * s1 + s2]
-    return _result(ALL_OUTCOMES[2 * s1 + s2], prob[s2], fid[s2], states[s2], leaked, record_x)
+    gates, targets = _corrections(cmath.phase(alpha))
+    state, fid = _corrected(gates[s1, s2], targets[s1, s2], amps2[idx, s2], raw2[idx, s2], prob[s2])
+    return _result(ALL_OUTCOMES[2 * s1 + s2], prob[s2], fid, state, leaked, record_x)
 
 
 def homodyne_outcome_table(
@@ -604,24 +635,34 @@ def _quadrature(span: float, amps: np.ndarray, lo_phase: float) -> tuple[np.ndar
     return xs, np.ascontiguousarray(np.moveaxis(read, 0, -1))
 
 
-@lru_cache(maxsize=8)
-def _quadrature_map(
-    alpha: complex, g: float, t: float, n_max: int | None, engine: str, lo_phase: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cavity 1 read by homodyne detection as a Kraus map on the atoms: the
-    grid on +-(|alpha| + 5) and K (4 inputs, 4 atoms, points), so that atoms
-    (4,) give the (atoms, record) amplitudes sum_j atoms[j] K[j].  Analytic:
-    K = sum_b M_b^T <x|beta_b> over _branch_maps, beta_b = alpha e^{i(theta_b
-    - lo_phase)}, <x|beta> = (2/pi)^{1/4} exp(-(x - Re beta)^2 + i Im beta
+def _record_amplitudes(alpha, g, t, n_max, engine, lo_phase, inputs) -> tuple[np.ndarray, ...]:
+    """Cavity 1 read by homodyne detection at t on the atomic states inputs
+    (r, 4): the grid on +-(|alpha| + 5) and the (atoms, record) amplitudes
+    (r, 4 atoms, points).  Exact: the states (x) |alpha> evolved and read
+    through one Hermite sum.  Analytic: inputs times the Kraus map K = sum_b
+    M_b^T <x|beta_b> over _branch_maps, beta_b = alpha e^{i(theta_b -
+    lo_phase)}, <x|beta> = (2/pi)^{1/4} exp(-(x - Re beta)^2 + i Im beta
     (2x - Re beta))."""
     span = abs(alpha) + 5.0
     if engine == "exact":
-        return _frozen(*_quadrature(span, _evolved_basis(alpha, g, t, n_max), lo_phase))
+        return _quadrature(span, _evolved_basis(alpha, g, t, n_max, inputs), lo_phase)
     maps, theta = _branch_maps(alpha, g, [t])
     beta = alpha * np.exp(1j * (theta[0, :, None] - lo_phase))
     xs = np.linspace(-span, span, _QUADRATURE_POINTS)
     waves = np.exp(-((xs - beta.real) ** 2) + 1j * beta.imag * (2.0 * xs - beta.real))
-    return _frozen(xs, maps[0].T @ ((2.0 / math.pi) ** 0.25 * waves))
+    kraus = maps[0].T @ ((2.0 / math.pi) ** 0.25 * waves)
+    return xs, (inputs @ kraus.reshape(4, -1)).reshape(len(inputs), 4, -1)
+
+
+@lru_cache(maxsize=8)
+def _quadrature_map(
+    alpha: complex, g: float, t: float, n_max: int | None, engine: str, lo_phase: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cavity 1 read by homodyne detection as a Kraus map on the atoms, kept
+    for ensembles: the grid and K (4 inputs, 4 atoms, points), the (atoms,
+    record) amplitudes of the product basis (_record_amplitudes), so that
+    atoms (4,) give sum_j atoms[j] K[j]."""
+    return _frozen(*_record_amplitudes(alpha, g, t, n_max, engine, lo_phase, np.eye(4)))
 
 
 def _record_cdf(amps: np.ndarray) -> np.ndarray:
@@ -639,11 +680,57 @@ def _draw_quadrature(
     is that value smeared by one normal of the detector's read-noise
     variance.  Returns the record and the grid index of the true
     quadrature."""
-    idx = min(int(np.searchsorted(cdf, rng.uniform())), xs.size - 1)
+    idx = min(int(cdf.searchsorted(rng.random())), xs.size - 1)
     x_rec = float(xs[idx])
-    if cfg.smear_variance > 0.0:
-        x_rec += float(rng.normal(0.0, math.sqrt(cfg.smear_variance)))
+    if (variance := cfg.smear_variance) > 0.0:
+        x_rec += rng.normal(0.0, math.sqrt(variance))
     return x_rec, idx
+
+
+# Record densities of one chunk of batched homodyne shots held at once (1 MB).
+_RECORD_CHUNK = 2**17
+
+
+def _homodyne_outcomes(atoms, alpha, g, cutoff, engine, config, rngs) -> tuple[np.ndarray, ...]:
+    """run_bell_protocol's homodyne shot on each input of atoms (N, 4) as
+    arrays, the i-th drawing from the i-th of rngs in the shot's order (a
+    uniform, a normal if efficiency < 1, a uniform): the outcome indices in
+    ALL_OUTCOMES order and the fidelities, (N,).  The record density of
+    input a is Re <a|H(x)|a>, H(x) = K(x) K(x)^dag summed over the atoms of
+    the cached quadrature map K, so its cumulative density comes from the
+    prefix sums of H by one real product, a chunk of inputs at a time; each
+    input is collapsed at its drawn column only, and cavity 2 is read on the
+    whole batch at once (_read).  No per-input law or result is built."""
+    _check_regime(alpha, engine)
+    n_max, t = _map_cut(cutoff.n_max, engine), revival_time(g) / 2.0
+    sigma = math.sqrt(config.smear_variance)
+    u1, noise, u2 = np.array(
+        [(r.random(), r.normal(0.0, sigma) if sigma > 0.0 else 0.0, r.random()) for r in rngs]
+    ).T
+    cavity1 = _cavity(alpha, g, t, n_max, engine)
+    _, p1, _ = _first_cavity(cavity1, atoms)
+    xs, kraus = _quadrature_map(alpha, g, t, n_max, engine, config.lo_phase)
+    # Re sum_jk conj(a_j) a_k C_jk(x), C(x) = sum_{y <= x} H(y): the record's
+    # cumulative density (points, inputs), as a real product of float views
+    gram = kraus.conj().transpose(2, 0, 1) @ kraus.transpose(2, 1, 0)
+    cum = np.cumsum(gram.reshape(-1, 16), axis=0).view(np.float64)
+    idx = np.empty(len(atoms), dtype=np.intp)
+    step = max(1, _RECORD_CHUNK // xs.size)
+    for lo in range(0, len(atoms), step):
+        a = atoms[lo : lo + step]
+        cdf = cum @ (a[:, :, None] * a.conj()[:, None, :]).reshape(-1, 16).view(np.float64).T
+        cdf /= cdf[-1].copy()
+        idx[lo : lo + step] = np.sum(cdf < u1[lo : lo + step], axis=0)
+    np.minimum(idx, xs.size - 1, out=idx)
+    rows = np.arange(len(atoms))
+    s1 = (xs[idx] + noise <= 0.0).astype(np.intp)  # 0 for a positive record
+    amps2, raw2 = _read(_turned(cavity1[0]), np.matvec(kraus[:, :, idx].transpose(2, 1, 0), atoms))
+    p1 = p1[rows, s1]
+    p2, prob = _branch_probs(raw2, p1)
+    s2 = ((p1 >= _DEGENERATE_PROB) & (u2 >= p2[:, 0])).astype(np.intp)
+    gates, targets = _corrections(cmath.phase(alpha))
+    picked = amps2[rows, s2], raw2[rows, s2], prob[rows, s2]
+    return 2 * s1 + s2, _corrected(gates[s1, s2], targets[s1, s2], *picked)[1]
 
 
 @lru_cache(maxsize=4)

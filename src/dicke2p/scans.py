@@ -32,7 +32,6 @@ from .dynamics import (
 from .hilbert import (
     AtomCoeffs,
     FockCutoff,
-    StateVector,
     coherent_state,
 )
 from .models import (
@@ -46,8 +45,8 @@ from .models import (
 from .protocols import (
     ALL_OUTCOMES,
     HomodyneConfig,
+    _homodyne_outcomes,
     bell_outcome_arrays,
-    run_bell_protocol,
     run_ghz,
 )
 
@@ -143,7 +142,7 @@ def fidelity_scan(
         idx = embed_indices(cutoff)
         rngs = [sample_rng(seed + k * _SEED_STRIDE, i) for i in range(ensemble)]
         atoms = _haar_atoms(rngs)
-        theta = 2.0 * math.pi * np.array([rng.uniform() for rng in rngs])
+        theta = 2.0 * math.pi * np.array([rng.random() for rng in rngs])
         fields = np.exp(1j * np.outer(theta, np.arange(cutoff.dim)))  # e^{i n theta} on |n>
         fields *= coherent_state(math.sqrt(nbar), cutoff).amplitudes
         inputs = (atoms[:, :, None] * fields[:, None, :]).reshape(ensemble, -1)
@@ -320,8 +319,11 @@ def bell_ensemble(
     Ideal detection reads all four outcomes of every Haar input (drawn
     first, input i from sample_rng(base, 2i)) off one batched chain
     (postselected averages, rate = mean Born probability).  With a
-    HomodyneConfig one shot is sampled per input and outcomes accumulate
-    conditionally, so rates become empirical frequencies.
+    HomodyneConfig one shot is sampled per input, run_bell_protocol's shot
+    on the stream sample_rng(base, 2i + 1), and outcomes accumulate
+    conditionally, so rates become empirical frequencies; the shots run as
+    arrays on one batched chain (protocols._homodyne_outcomes), not one
+    protocol call per input.
     """
     if ensemble < 1:
         raise ValueError(f"ensemble must be >= 1, got {ensemble}")
@@ -339,12 +341,10 @@ def bell_ensemble(
         # lazily: each reset stream is drawn from before the next reset
         atoms = _haar_atoms(_thread_rng(base, 2 * i) for i in range(ensemble))
         if isinstance(detection, HomodyneConfig):
-            fids, rates = np.full((ensemble, n_out), np.nan), np.zeros((ensemble, n_out))
-            for i, a in enumerate(atoms):
-                c = AtomCoeffs.from_state(StateVector(a, (2, 2)))
-                res = run_bell_protocol(c, alpha, g, cutoff, engine, detection, base, 2 * i + 1)
-                j = ALL_OUTCOMES.index(res.outcome)
-                fids[i, j], rates[i, j] = res.fidelity, 1.0
+            shots = (_thread_rng(base, 2 * i + 1) for i in range(ensemble))
+            outcome, fid = _homodyne_outcomes(atoms, alpha, g, cutoff, engine, detection, shots)
+            rates = np.eye(n_out)[outcome]
+            fids = np.where(rates == 1.0, fid[:, None], np.nan)
         else:
             t = [revival_time(g) / 2.0]
             rates, fids, _ = bell_outcome_arrays(atoms, alpha, g, cutoff, t, engine)

@@ -391,20 +391,28 @@ class TestThreadStream:
     """The library's internal draws: one Philox generator per thread, reset
     to each shot's key, must be the public stream sample_rng."""
 
-    @pytest.mark.parametrize("seed,index", [(0, 0), (12345, 7), (-3, 5), (9, 2**64 + 11)])
+    @pytest.mark.parametrize(
+        "seed,index",
+        [(0, 0), (12345, 7), (-3, 5), (9, 2**64 + 11), (0, -1), (-1, 2**63), (2**63, 2**64 - 1),
+         (2**64 - 1, 0)],
+    )
     def test_reset_stream_is_sample_rng(self, seed, index):
+        """The reset generator and sample_rng both give the stream of a
+        Philox generator keyed [seed, index] mod 2**64, built here without
+        the library's key (the pairs are asymmetric, so swapped parts fail),
+        in a shot's draw order; random() is uniform() bit for bit."""
         from dicke2p.analysis import _thread_rng
 
         # leave the generator mid-stream, with a half-used 32-bit buffer
         _thread_rng(seed + 1, index).random(3, dtype=np.float32)
-        got, want = _thread_rng(seed, index), sample_rng(seed, index)
-        draws = (
-            lambda r: r.uniform(),
-            lambda r: r.normal(),
-            lambda r: r.uniform(),
-            lambda r: r.random(dtype=np.float32),
-        )
-        assert [d(got) for d in draws] == [d(want) for d in draws]
+        key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        want = [ref.uniform(), ref.normal(), ref.uniform(), ref.random(dtype=np.float32),
+                ref.integers(2**40)]
+        for got in (_thread_rng(seed, index), sample_rng(seed, index)):
+            draws = [got.random(), got.normal(), got.random(), got.random(dtype=np.float32),
+                     got.integers(2**40)]
+            assert [float(v).hex() for v in draws] == [float(v).hex() for v in want]
 
     def test_threads_keep_their_own_streams(self):
         """Threads sampling 200 seeded ideal and 200 homodyne shots each at

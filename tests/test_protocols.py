@@ -44,6 +44,52 @@ T_HALF = math.pi / (2.0 * abs(G))
 # cavity 2's field is cavity 1's turned by pi/4: tests build its map afresh
 CAVITY2_TURN = np.exp(1j * math.pi / 4.0)
 
+# 40 seeded homodyne shots (seed 7, shots 0-39) at nbar = 20, efficiency 0.5,
+# lo_phase = phi = pi/8, g = -0.002, on AtomCoeffs.normalized(0.3, 0.85, 0.35,
+# 0.3): outcome indices in ALL_OUTCOMES order and record_x.hex(), as the shots
+# drawn one at a time from a per-shot law gave them before the law read cavity
+# 2 at every grid column.
+FROZEN_HOMODYNE_SHOTS = {
+    "exact": (
+        "0000120301300203000000020010003000000010",
+        (
+            "0x1.50a630a21b433p+2", "0x1.19e8b9ba7153ap+2", "0x1.fc045e75d750ep+1",
+            "0x1.c9c7bc20e29a9p+1", "0x1.0c051d1ee8cdap+2", "-0x1.1aed6a6be730ap+2",
+            "0x1.e8151a03e572cp+1", "-0x1.4daae199fdb9ep+2", "0x1.1839346a5b4b1p+2",
+            "0x1.07b5969b13e0fp+2", "-0x1.8346e90706b42p+2", "0x1.cbe7fe8974ca8p+1",
+            "0x1.bdbdb390da2c8p+1", "-0x1.4896227e8da08p+2", "0x1.1262290ae73d7p+2",
+            "-0x1.4ea2e8fbe2a1ap+2", "0x1.245d1b84922a2p+2", "0x1.7ea41c8e51873p+2",
+            "0x1.64fe5fd164f72p+1", "0x1.e4462ac4faae0p+1", "0x1.3b0eb39cba35ep+2",
+            "0x1.1abe1e747b1acp+2", "0x1.274504de1f45cp+2", "-0x1.3909ed74e42f3p+2",
+            "0x1.4837d7a3bf44cp+2", "0x1.f7b9bc39bb49ap+1", "0x1.ff742abb05c2ep+1",
+            "0x1.20767857b474ep+2", "0x1.230189ee09eb3p+2", "0x1.5af0ac69d6ec1p+2",
+            "-0x1.3d6584860e2b0p+2", "0x1.38c1f9d37c0abp+2", "0x1.20149f745a22ep+2",
+            "0x1.06f1d446c0f77p+2", "0x1.142614d8706fcp+2", "0x1.3dfe9ee2a3c89p+2",
+            "0x1.2df26fd56f714p+2", "0x1.bc7eca4b313a5p+1", "0x1.b098fd5be9fddp+1",
+            "0x1.133710a550824p+2",
+        ),
+    ),
+    "analytic": (
+        "0000120201300203000000020010003000100010",
+        (
+            "0x1.500aff9d91a9dp+2", "0x1.194d88b5e7ba4p+2", "0x1.fd3ac07eea83ap+1",
+            "0x1.c9c7bc20e29a9p+1", "0x1.0c051d1ee8cdap+2", "-0x1.1880a659c0cafp+2",
+            "0x1.e8151a03e572cp+1", "-0x1.4a07bb7ec4216p+2", "0x1.179e0365d1b19p+2",
+            "0x1.0850c79f9d7a5p+2", "-0x1.7e6d60e2b9e8dp+2", "0x1.ce54c29b9b304p+1",
+            "0x1.bef41599ed5f4p+1", "-0x1.47faf17a04072p+2", "0x1.11c6f8065da3fp+2",
+            "-0x1.4a6491dc1f6fbp+2", "0x1.24f84c891bc38p+2", "0x1.7d6dba853e547p+2",
+            "0x1.68a185ec9e8fap+1", "0x1.e4462ac4faae0p+1", "0x1.3b0eb39cba35ep+2",
+            "0x1.1a22ed6ff1816p+2", "0x1.26a9d3d995ac4p+2", "-0x1.3b76b1870a94ep+2",
+            "0x1.479ca69f35ab4p+2", "0x1.fa26804be1af6p+1", "0x1.005546620c7adp+2",
+            "0x1.2111a95c3e0e4p+2", "0x1.230189ee09eb3p+2", "0x1.59ba4a60c3b95p+2",
+            "-0x1.3a5d8f6f5e2bep+2", "0x1.3826c8cef2713p+2", "0x1.21e63281f6ef2p+2",
+            "0x1.078d054b4a90dp+2", "0x1.14c145dcfa094p+2", "0x1.3d636dde1a2f3p+2",
+            "0x1.2e8da0d9f90aap+2", "0x1.beeb8e5d579fdp+1", "0x1.b572858036c91p+1",
+            "0x1.13d241a9da1bap+2",
+        ),
+    ),
+}
+
 
 def assert_same_result(a: ProtocolResult, b: ProtocolResult) -> None:
     """Every field equal bit for bit; a NaN fidelity equals a NaN."""
@@ -311,6 +357,17 @@ class TestRunBellProtocol:
                     )
         assert seen == set(ALL_OUTCOMES)
 
+    @pytest.mark.parametrize("engine", ["exact", "analytic"])
+    def test_seeded_homodyne_shots_are_frozen(self, table20, cut20, alpha20, engine):
+        """Seeded homodyne shots reproduce their outcomes and records bit for
+        bit across versions, not only within one process."""
+        c, _ = table20
+        cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
+        shots = [run_bell_protocol(c, alpha20, G, cut20, engine, cfg, 7, i) for i in range(40)]
+        outcomes, records = FROZEN_HOMODYNE_SHOTS[engine]
+        assert "".join(str(ALL_OUTCOMES.index(s.outcome)) for s in shots) == outcomes
+        assert tuple(s.record_x.hex() for s in shots) == records
+
     def test_homodyne_shot_carries_record(self, table20, cut20, alpha20):
         c, _ = table20
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=1.0)
@@ -326,8 +383,8 @@ class TestRunBellProtocol:
         """The first shot projects cavity 1's references on the sector
         eigenvectors once, reads cavity 2 from the same map turned, and
         evolves no state for its readouts; homodyne detection also evolves
-        the four cavity-1 basis states once, for one Hermite sum and one
-        quadrature map.  Later shots on the same input
+        the input's joint state once, for one Hermite sum.  Later shots on
+        the same input
         read the cached laws only, a shot read from them equals the same
         shot built afresh, and the homodyne record is the one drawn from
         the cavity-1 joint state on the shots' grid."""
@@ -354,8 +411,8 @@ class TestRunBellProtocol:
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
         det = cfg if detection == "homodyne" else "ideal"
         fresh = run_bell_protocol(c, alpha20, G, cut20, detection=det, rng_seed=3, shot_index=1)
-        # the propagations project their basis states once each
-        first = {"project": 5, "propagate": 4, "hermite": 1} if detection == "homodyne" else {
+        # the propagation projects the joint state once
+        first = {"project": 2, "propagate": 1, "hermite": 1} if detection == "homodyne" else {
             "project": 1, "propagate": 0, "hermite": 0}
         assert counts == first
         shots = [
@@ -371,25 +428,30 @@ class TestRunBellProtocol:
             assert shots[0].record_x == x
 
     def test_homodyne_shot_reads_each_cavity_once(self, table20, cut20, alpha20, monkeypatch):
-        """Cavity 1 is read for p1 and the leaked weight once per input,
-        and cavity 2 on every shot, only on the atoms the homodyne record
-        collapsed."""
+        """A new input reads cavity 1 once, for p1 and the leaked weight,
+        and cavity 2 once, on the atoms collapsed at every grid column in
+        one block; a repeated shot reads neither cavity."""
         from dicke2p import protocols
 
         reads = []
         read = protocols._read
 
-        def counting(readout, atoms, check=True):
-            reads.append(atoms.shape)
-            return read(readout, atoms, check)
+        def counting(readout, rows):
+            reads.append(rows.shape)
+            return read(readout, rows)
 
         monkeypatch.setattr(protocols, "_read", counting)
         protocols._homodyne_law.cache_clear()
         c, _ = table20
+        points = protocols._QUADRATURE_POINTS
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.8)
-        for i in range(2):
+        for i in range(3):
             run_bell_protocol(c, alpha20, G, cut20, detection=cfg, rng_seed=3, shot_index=i)
-        assert reads == [(4,), (4,), (4,)]
+        assert reads == [(1, 4), (points, 4)]
+        other = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
+        for i in range(2):
+            run_bell_protocol(other, alpha20, G, cut20, detection=cfg, rng_seed=3, shot_index=i)
+        assert reads == [(1, 4), (points, 4)] * 2
 
     def test_degenerate_homodyne_branch_keeps_its_record(self):
         """|psi-> never leaves |alpha>, so a misread record lands on a branch
@@ -691,8 +753,9 @@ class TestCavityMaps:
 
     def test_analytic_caches_ignore_the_cutoff(self, fresh_caches):
         """The analytic maps build no field, so three cutoffs share one
-        cavity map, one ideal law, one homodyne law and one quadrature
-        map, down to a cutoff too small for the field at nbar = 50."""
+        cavity map, one ideal law and one homodyne law, down to a cutoff
+        too small for the field at nbar = 50; the homodyne law keeps no
+        quadrature map."""
         from dicke2p import protocols
 
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
@@ -712,7 +775,7 @@ class TestCavityMaps:
         assert protocols._cavity.cache_info().misses == 1
         assert protocols._ideal_law.cache_info().misses == 1
         assert protocols._homodyne_law.cache_info().misses == 1
-        assert protocols._quadrature_map.cache_info().misses == 1
+        assert protocols._quadrature_map.cache_info().currsize == 0
 
 
 class TestTimingSensitivity:
@@ -834,12 +897,11 @@ class TestBatchedChain:
 
         readout2 = protocols._cavity(alpha20 * CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[0]
         branches = np.stack([np.array([0.3, 0.85, 0.35, 0.3], dtype=complex), np.zeros(4)])
-        corrections = protocols._corrections(PHI)
+        amps, raw = (arr[:, 0] for arr in protocols._read(readout2[None], branches[:, None, :]))
         with pytest.raises(ValueError, match="no weight on the reference states"):
-            protocols._second_cavity(readout2[None], branches, np.array([0.5, 0.5]), corrections)
-        p2, prob, _, fid = protocols._second_cavity(
-            readout2[None], branches, np.array([1.0, 0.0]), corrections
-        )
+            protocols._branch_probs(raw, np.array([0.5, 0.5]))
+        p2, prob = protocols._branch_probs(raw, np.array([1.0, 0.0]))
+        _, fid = protocols._corrected(*protocols._corrections(PHI), amps, raw, prob)
         np.testing.assert_array_equal(p2[1], [0.5, 0.5])
         np.testing.assert_array_equal(prob[1], [0.0, 0.0])
         assert np.isnan(fid[1]).all() and np.isfinite(fid[0]).all()

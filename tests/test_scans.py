@@ -349,22 +349,112 @@ class TestBellEnsemble:
 
     def test_homodyne_ensemble_builds_one_quadrature_map(self, monkeypatch):
         """Every Haar input reads cavity 1 through the one quadrature map of
-        (alpha, lo_phase): one Hermite sum for 50 shots."""
-        builds = []
+        (alpha, lo_phase): one Hermite sum for 50 shots, taken on one
+        batched chain that builds no per-input law, shot or result."""
+        builds, shots = [], []
         hermite = protocols.hermite_sum
 
         def counting(*args):
             builds.append(args)
             return hermite(*args)
 
+        def forbidden(*args):
+            raise AssertionError("the batched ensemble built a per-input result")
+
         monkeypatch.setattr(protocols, "hermite_sum", counting)
+        monkeypatch.setattr(protocols, "run_bell_protocol", lambda *a, **k: shots.append(a))
+        monkeypatch.setattr(protocols, "ProtocolResult", forbidden)
+        monkeypatch.setattr(protocols, "DensityMatrix", forbidden)
         protocols._quadrature_map.cache_clear()
+        protocols._homodyne_law.cache_clear()
         cfg = protocols.HomodyneConfig(lo_phase=math.pi / 8.0, efficiency=0.5)
         r = bell_ensemble(nbars=(20,), ensemble=50, seed=0, detection=cfg)
         assert r.rows[0, [3, 6, 9, 12]].sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(builds) == 1
+        assert len(builds) == 1 and shots == []
         info = protocols._quadrature_map.cache_info()
-        assert (info.misses, info.hits) == (1, 49)
+        assert (info.misses, info.hits) == (1, 0)
+        assert protocols._homodyne_law.cache_info().misses == 0
+
+    @pytest.mark.parametrize("engine, efficiency", [("exact", 0.5), ("analytic", 1.0),
+                                                    ("exact", 0.05)])
+    def test_homodyne_rows_match_per_input_shots(self, engine, efficiency):
+        """The batched shots are run_bell_protocol's shot of each Haar input
+        on the same streams sample_rng(seed, 2i + 1): the same outcomes and
+        fidelities to 1e-14, NaN where the cavity-1 branch is degenerate
+        (inputs 3 and 16 are |psi->; at efficiency 0.05, input 16 is misread)."""
+        nbar, seed, n, psi_minus = 20, 5, 40, AtomCoeffs(0, 1, 0, 0)
+        cut = FockCutoff.for_mean_photon(float(nbar))
+        alpha = math.sqrt(nbar) * np.exp(1j * math.pi / 8.0)
+        cfg = protocols.HomodyneConfig(lo_phase=math.pi / 8.0, efficiency=efficiency)
+        inputs = [haar_random_two_qubit(sample_rng(seed, 2 * i)) for i in range(n)]
+        inputs[3] = inputs[16] = psi_minus
+        atoms = np.array([c.to_state().amplitudes for c in inputs])
+        rngs = (sample_rng(seed, 2 * i + 1) for i in range(n))
+        outcome, fid = protocols._homodyne_outcomes(atoms, alpha, -0.002, cut, engine, cfg, rngs)
+        shots = [protocols.run_bell_protocol(c, alpha, -0.002, cut, engine, cfg, seed, 2 * i + 1)
+                 for i, c in enumerate(inputs)]
+        assert outcome.tolist() == [ALL_OUTCOMES.index(s.outcome) for s in shots]
+        want = np.array([s.fidelity for s in shots])
+        np.testing.assert_array_equal(np.isnan(fid), np.isnan(want))
+        assert np.nanmax(np.abs(fid - want)) <= 1e-14
+        assert len(set(outcome.tolist())) == 4
+        assert np.isnan(fid[16]) == (efficiency == 0.05)
+
+    def test_homodyne_row_is_frozen(self):
+        """The 200-input homodyne row at nbar = 20, seed 0, efficiency 0.5,
+        as the per-input shots of an earlier version gave it."""
+        cfg = protocols.HomodyneConfig(lo_phase=math.pi / 8.0, efficiency=0.5)
+        row = bell_ensemble(nbars=(20,), ensemble=200, seed=0, detection=cfg).rows[0]
+        want = [20.0, 0.9534203876601389, 0.013308062585530758, 0.27,
+                0.996432924833802, 2.5513730211892615e-05, 0.17,
+                0.9969720810907049, 0.0001572687624393187, 0.25,
+                0.9557050504548915, 0.009033364808751356, 0.31]
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-14)
+
+    def test_homodyne_working_memory_does_not_grow_with_the_ensemble(self):
+        """The record densities are taken a chunk of inputs at a time: the
+        traced peak at 1,000 inputs is that at 200 within 10%."""
+        cfg = protocols.HomodyneConfig(lo_phase=math.pi / 8.0, efficiency=0.5)
+        bell_ensemble(nbars=(50,), ensemble=10, seed=0, detection=cfg)  # fill the caches
+        peaks = []
+        for n in (200, 1000):
+            with traced_peak() as mem:
+                bell_ensemble(nbars=(50,), ensemble=n, seed=0, detection=cfg)
+            peaks.append(mem.peak)
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestSeedTypes:
+    """Every seeded entry point takes a Python or NumPy integer seed, the
+    latter as the same stream, and refuses any other number by name."""
+
+    @staticmethod
+    def entry_points():
+        cut = FockCutoff.for_mean_photon(20.0)
+        alpha = math.sqrt(20.0) * np.exp(1j * math.pi / 8.0)
+        c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        cfg = protocols.HomodyneConfig(lo_phase=math.pi / 8.0, efficiency=0.5)
+        return {
+            "shot": lambda seed: protocols.run_bell_protocol(
+                c, alpha, -0.002, cut, detection=cfg, rng_seed=seed, shot_index=3).record_x,
+            "bell_ensemble": lambda seed: bell_ensemble(
+                nbars=(6,), ensemble=4, seed=seed, detection=cfg).rows,
+            "fidelity_scan": lambda seed: fidelity_scan(
+                nbars=(4,), ensemble=2, seed=seed, time_points=3).rows,
+        }
+
+    @pytest.mark.parametrize("entry", ["shot", "bell_ensemble", "fidelity_scan"])
+    def test_numpy_integer_seeds_give_the_int_stream(self, entry):
+        run = self.entry_points()[entry]
+        want = run(7)
+        for seed in (np.int64(7), np.uint64(7)):
+            np.testing.assert_array_equal(run(seed), want)
+
+    @pytest.mark.parametrize("entry", ["shot", "bell_ensemble", "fidelity_scan"])
+    @pytest.mark.parametrize("seed", [3.7, 3.0, math.nan])
+    def test_non_integer_seeds_are_refused(self, entry, seed):
+        with pytest.raises(ValueError, match=f"must be integers, got {seed!r}"):
+            self.entry_points()[entry](seed)
 
 
 class TestBellTiming:
