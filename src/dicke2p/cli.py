@@ -242,11 +242,14 @@ def _check_validity(args: argparse.Namespace, nbar_max: float) -> int:
         return 0
     parts = []
     if not report.stark_closeness_ok:
-        parts.append("photon-dependent Stark shift is not negligible (|ge^2-gg^2| >= ge^3/delta)")
+        parts.append(
+            f"photon-dependent Stark shift is not negligible (|ge^2-gg^2| = "
+            f"{report.stark_shift:.4g} vs ge^3/delta = {report.stark_limit:.4g})"
+        )
     if not report.revival_reachable_ok:
         parts.append(
             f"revival time exceeds the adiabatic horizon (ge*nbar*pi = "
-            f"{args.g_e * nbar_max * math.pi:.4g} vs 0.1*delta = {0.1 * args.delta:.4g})"
+            f"{report.revival_phase:.4g} vs margin*delta = {report.revival_limit:.4g})"
         )
     print("validity warning: " + "; ".join(parts), file=sys.stderr)
     return 3 if args.strict else 0

@@ -9,7 +9,8 @@ sector eigenvectors once, build the phase table exp(-i lambda t) once per
 spectrum and set of times, and rotate back to the flat basis.
 SectorSpectrum.propagate is the exact engine's one entry point; in the
 package only evolve_linearized_many, scans.wigner_panels and the homodyne
-quadrature map rotate.  Every phase table comes from one cos/sin kernel,
+readout (protocols._evolved_basis: the ensemble's quadrature map, and a
+shot's law on its input's own state) rotate.  Every phase table comes from one cos/sin kernel,
 _unit_phases: SectorSpectrum.phases and scans.fidelity_scan (per chunk of
 sectors) call it.  An overlap between states of two spectra skips the
 rotation: it is a sum over sector pairs of weights, phases and the
@@ -69,8 +70,9 @@ class SectorSpectrum:
     propagate(psi, times) is rotate(project(psi), phases(times)): project
     depends on the state alone and phases on the times alone, so a caller
     evolving many states to the same times builds each once.  Only
-    evolve_linearized_many, scans.wigner_panels and the homodyne quadrature
-    map (protocols._evolved_basis) rotate; overlaps and expectation values
+    evolve_linearized_many, scans.wigner_panels and the homodyne readout
+    (protocols._evolved_basis, for the ensemble's quadrature map and for a
+    shot's law on its input's own state) rotate; overlaps and expectation values
     stop at the phases, which scans.fidelity_scan takes from values through
     _unit_phases directly.
     """

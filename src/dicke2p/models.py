@@ -173,14 +173,26 @@ def embed_indices(cutoff: FockCutoff) -> np.ndarray:
 class ValidityReport:
     """Where the effective description can be trusted.
 
-    time_horizon bounds the usable evolution time; the two booleans check
-    that the Stark shifts nearly cancel and that a full revival fits inside
-    the dispersive regime.
+    time_horizon bounds the usable evolution time.  Each check compares two
+    numbers: the Stark shifts nearly cancel when stark_shift = |g_e^2 -
+    g_g^2| is below stark_limit = g_e^3/delta, and a full revival fits
+    inside the dispersive regime when revival_phase = g_e nbar pi is below
+    revival_limit = VALIDITY_MARGIN delta.
     """
 
     time_horizon: float
-    stark_closeness_ok: bool
-    revival_reachable_ok: bool
+    stark_shift: float
+    stark_limit: float
+    revival_phase: float
+    revival_limit: float
+
+    @property
+    def stark_closeness_ok(self) -> bool:
+        return self.stark_shift < self.stark_limit
+
+    @property
+    def revival_reachable_ok(self) -> bool:
+        return self.revival_phase < self.revival_limit
 
     @property
     def ok(self) -> bool:
@@ -190,7 +202,10 @@ class ValidityReport:
 def validity_report(params: FullModelParams, nbar: float) -> ValidityReport:
     if not nbar > 0:
         raise ValueError("nbar must be positive")
-    horizon = VALIDITY_MARGIN * params.delta**2 / (params.g_e**3 * nbar)
-    stark_ok = abs(params.g_e**2 - params.g_g**2) < params.g_e**3 / params.delta
-    revival_ok = params.g_e * nbar * math.pi < VALIDITY_MARGIN * params.delta
-    return ValidityReport(horizon, stark_ok, revival_ok)
+    return ValidityReport(
+        VALIDITY_MARGIN * params.delta**2 / (params.g_e**3 * nbar),
+        abs(params.g_e**2 - params.g_g**2),
+        params.g_e**3 / params.delta,
+        params.g_e * nbar * math.pi,
+        VALIDITY_MARGIN * params.delta,
+    )

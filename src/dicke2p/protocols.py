@@ -5,7 +5,10 @@ time, discriminate the field between two nearly orthogonal coherent states
 (ideally or by balanced homodyne detection), repeat in a second cavity
 whose field phase is advanced by pi/4, then apply a conditional one-qubit
 gate.  The composed field measurements act on the atoms as the four
-elements of a complete Bell-basis POVM.
+elements of a complete Bell-basis POVM.  An outcome is the detector pair
+(d1, d2) of cavities 1 and 2; inside the module it is its index k = 2 d1 +
+d2 into ALL_OUTCOMES, '+' first (as 0), and the chain's gates, targets and
+results are indexed [d1, d2] or k in that order.
 
 The paper's operators are plain read-only 4x4 arrays in the product basis
 (gg, ge, eg, ee): the readouts M_phi^+- (measurement_operator), the two
@@ -32,11 +35,12 @@ through the rotated quadrature wavefunctions on +-(|alpha| + 5), in closed
 form for the analytic engine, as (atoms, record) amplitudes: a shot's law
 reads its input's own state and keeps only what its shots read; an
 ensemble reads the evolved product basis, a Kraus map from the atoms to
-those amplitudes, cached like the readouts.  A shot draws the true quadrature from it, collapses the atoms there
-and smears only the reported record.  A Haar ensemble takes one homodyne
-shot per input as arrays (_homodyne_outcomes): the record densities as a
-quadratic form in the atoms, each input collapsed at its drawn column only,
-and cavity 2 read on the whole batch.
+those amplitudes, cached like the readouts.  A shot draws the true
+quadrature from it, collapses the atoms there and smears only the reported
+record.  A Haar ensemble takes one homodyne shot per input as arrays
+(_homodyne_outcomes): the record densities as a quadratic form in the
+atoms, each input collapsed at its drawn column only, and cavity 2 read on
+the whole batch.
 """
 
 from __future__ import annotations
@@ -119,14 +123,8 @@ ALL_OUTCOMES = (
     OutcomeLabel("-", "-"),
 )
 
-# Per-outcome targets and single-qubit corrections (on atom A), keyed by
-# physical detector signs (cavity 1, cavity 2).
-_TARGET_KIND = {
-    ("+", "+"): "psi-",
-    ("+", "-"): "phi-",
-    ("-", "+"): "psi+",
-    ("-", "-"): "phi+",
-}
+# Bell-state target of each outcome, in ALL_OUTCOMES order.
+_TARGET_KIND = ("psi-", "phi-", "psi+", "phi+")
 
 
 @dataclass(frozen=True)
@@ -258,27 +256,25 @@ def _cavity_maps(
     return readout, np.tile(eye, (times.size, 1, 1))
 
 
-def _evolved_basis(alpha: complex, g: float, t: float, n_max: int, inputs=None) -> np.ndarray:
-    """Each atomic state of inputs (r, 4), by default the product basis,
-    times |alpha>, evolved exactly to t: shape (r, 4 atoms, dim)."""
-    inputs = np.eye(4) if inputs is None else inputs
+def _evolved_basis(alpha: complex, g: float, t: float, n_max: int, inputs) -> np.ndarray:
+    """Each atomic state of inputs (r, 4) times |alpha>, evolved exactly to
+    t: shape (r, 4 atoms, dim)."""
     kets = np.kron(inputs, coherent_state(alpha, FockCutoff(n_max)).amplitudes)
     spectrum = _w_operator(g, n_max)
     return np.stack([spectrum.propagate(k, [t])[0] for k in kets]).reshape(len(kets), 4, -1)
 
 
-def _check_regime(alpha: complex, engine: str) -> None:
-    """The engine name, and the analytic engine's |alpha|^2 >> 1 warning,
-    once per public call, whether its maps come from the cache or not."""
+def _map_cut(alpha: complex, cutoff: FockCutoff, engine: str) -> int | None:
+    """The entry check of every public call: the engine name, and the
+    analytic engine's |alpha|^2 >> 1 warning once per call, whether its maps
+    come from the cache or not.  Returns n_max as the cavity caches key it,
+    None for the analytic maps, which build no field."""
     if engine not in ("exact", "analytic"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "analytic":
-        check_branch_regime(alpha, stacklevel=3)
-
-
-def _map_cut(n_max: int, engine: str) -> int | None:
-    """n_max as the cavity caches key it: the analytic maps build no field."""
-    return n_max if engine == "exact" else None
+    if engine == "exact":
+        return cutoff.n_max
+    check_branch_regime(alpha, stacklevel=3)
+    return None
 
 
 @lru_cache(maxsize=16)
@@ -301,8 +297,7 @@ def run_ghz(
     |<GHZ|psi>| = |<phi_2phi^-|plus> - s <phi_2phi^+|minus>| / sqrt(2), s
     the sign of g, over the norm of psi from the cavity's Gram matrix."""
     amp = abs(alpha) * cmath.exp(1j * phi)
-    _check_regime(amp, engine)
-    readout, gram = _cavity(amp, g, revival_time(g) / 2.0, _map_cut(cutoff.n_max, engine), engine)
+    readout, gram = _cavity(amp, g, revival_time(g) / 2.0, _map_cut(amp, cutoff, engine), engine)
     atoms = ghz_input(phi)[0].to_state().amplitudes
     plus, minus = readout @ atoms
     sign = 1.0 if g > 0 else -1.0
@@ -351,13 +346,12 @@ def correction_gate(outcome: OutcomeLabel, phi: float) -> np.ndarray:
     as a read-only 4x4 array in the product basis (it is cached and shared):
     (+,+) -> 1, (-,+) -> i sigma_2phi, (+,-) -> sigma_2phi sigma_z,
     (-,-) -> i sigma_z."""
-    return _corrections(phi)[0][int(outcome.d1 == "-"), int(outcome.d2 == "-")]
+    return _corrections(phi)[0].reshape(4, 4, 4)[ALL_OUTCOMES.index(outcome)]
 
 
 def bell_target(outcome: OutcomeLabel, phi: float) -> StateVector:
     """Bell state the corrected protocol leaves behind for this outcome."""
-    kind = _TARGET_KIND[(outcome.d1, outcome.d2)]
-    return bell_state(kind, 2.0 * phi)
+    return bell_state(_TARGET_KIND[ALL_OUTCOMES.index(outcome)], 2.0 * phi)
 
 
 _MIXED = DensityMatrix(np.eye(4, dtype=np.complex128) / 4.0, (2, 2))
@@ -369,7 +363,7 @@ def _corrections(phi: float) -> tuple[np.ndarray, np.ndarray]:
     outcomes, indexed [d1, d2] with '+' first (ALL_OUTCOMES order)."""
     s = _sigma_phi(2.0 * phi)
     gates = np.kron(np.stack([np.eye(2), s @ _SIGMA_Z, 1j * s, 1j * _SIGMA_Z]), np.eye(2))
-    targets = np.stack([bell_target(o, phi).amplitudes for o in ALL_OUTCOMES])
+    targets = np.stack([bell_state(kind, 2.0 * phi).amplitudes for kind in _TARGET_KIND])
     _frozen(gates, targets)
     return gates.reshape(2, 2, 4, 4), targets.reshape(2, 2, 4)
 
@@ -445,12 +439,13 @@ def _chain(cavity1, atoms: np.ndarray, phi: float) -> tuple[np.ndarray, ...]:
     return p1, p2, prob, states, fid, leaked
 
 
-def _result(outcome: OutcomeLabel, prob, fid, state, leaked, record_x=None) -> ProtocolResult:
-    """One chain outcome at the API boundary; a NaN fidelity leaves the
-    atoms maximally mixed, and state is not read."""
-    kind = _TARGET_KIND[(outcome.d1, outcome.d2)]
+def _result(k: int, prob, fid, state, leaked, record_x=None) -> ProtocolResult:
+    """Chain outcome k at the API boundary; a NaN fidelity leaves the atoms
+    maximally mixed, and state is not read."""
     post = _MIXED if math.isnan(fid) else DensityMatrix.outer(state, (2, 2))
-    return ProtocolResult(outcome, float(prob), post, kind, float(fid), float(leaked), record_x)
+    return ProtocolResult(
+        ALL_OUTCOMES[k], float(prob), post, _TARGET_KIND[k], float(fid), float(leaked), record_x
+    )
 
 
 @lru_cache(maxsize=64)
@@ -463,8 +458,8 @@ def _ideal_law(
     cavity1 = _cavity(alpha, g, revival_time(g) / 2.0, n_max, engine)
     atoms = coeffs.to_state().amplitudes
     p1, p2, prob, states, fid, leaked = _chain(cavity1, atoms, cmath.phase(alpha))
-    entries = zip(ALL_OUTCOMES, prob.ravel(), fid.ravel(), states.reshape(4, 4))
-    results = tuple(_result(*entry, leaked) for entry in entries)
+    entries = enumerate(zip(prob.ravel(), fid.ravel(), states.reshape(4, 4)))
+    results = tuple(_result(k, *entry, leaked) for k, entry in entries)
     return tuple(p1.tolist()), tuple(map(tuple, p2.tolist())), results
 
 
@@ -477,8 +472,7 @@ def bell_outcome_table(
 ) -> tuple[ProtocolResult, ProtocolResult, ProtocolResult, ProtocolResult]:
     """Deterministic enumeration of all four outcomes with ideal coherent
     discrimination in both cavities; probabilities sum to one."""
-    _check_regime(alpha, engine)
-    return _ideal_law(coeffs, alpha, g, _map_cut(cutoff.n_max, engine), engine)[2]
+    return _ideal_law(coeffs, alpha, g, _map_cut(alpha, cutoff, engine), engine)[2]
 
 
 def bell_outcome_arrays(
@@ -491,8 +485,7 @@ def bell_outcome_arrays(
     once per call for all times and not cached.  This serves the Haar
     ensemble (a batch of inputs at one time) and the timing sweep (one
     input, atoms (4,), at T times: columns fid[:, k] and prob[:, k])."""
-    _check_regime(alpha, engine)
-    cavity1 = _cavity_maps(alpha, g, times, _map_cut(cutoff.n_max, engine), engine)
+    cavity1 = _cavity_maps(alpha, g, times, _map_cut(alpha, cutoff, engine), engine)
     _, _, prob, _, fid, leaked = _chain(cavity1, atoms, cmath.phase(alpha))
     shape = prob.shape[:-2] + (4,)
     return prob.reshape(shape), fid.reshape(shape), leaked
@@ -545,9 +538,8 @@ def run_bell_protocol(
     (d1, or the quadrature), a normal if efficiency < 1, then a uniform
     (d2) unless the cavity-1 branch is degenerate.
     """
-    _check_regime(alpha, engine)
+    n_max = _map_cut(alpha, cutoff, engine)
     rng = _thread_rng(rng_seed, shot_index)
-    n_max = _map_cut(cutoff.n_max, engine)
     if isinstance(detection, HomodyneConfig):
         law = _homodyne_law(coeffs, alpha, g, n_max, engine, detection.lo_phase)
         xs, cdf, amps2, raw2, p1, leaked = law
@@ -566,7 +558,7 @@ def run_bell_protocol(
         return table[2 * s1 + s2]
     gates, targets = _corrections(cmath.phase(alpha))
     state, fid = _corrected(gates[s1, s2], targets[s1, s2], amps2[idx, s2], raw2[idx, s2], prob[s2])
-    return _result(ALL_OUTCOMES[2 * s1 + s2], prob[s2], fid, state, leaked, record_x)
+    return _result(2 * s1 + s2, prob[s2], fid, state, leaked, record_x)
 
 
 def homodyne_outcome_table(
@@ -600,30 +592,19 @@ def homodyne_outcome_table(
     table = bell_outcome_table(coeffs, alpha, g, cutoff, engine)
     leaked = table[0].leaked_weight
     q_mis = config.misclassification_probability(abs(alpha) * math.cos(phi - config.lo_phase))
-    out: list[ProtocolResult] = []
-    for k, outcome in enumerate(ALL_OUTCOMES):
+    out = []
+    for k, target in enumerate(_corrections(phi)[1].reshape(4, 4)):
         # records classified as d1: the true branch d1, or the other one
         # misread (the entry of the other d1, at k ^ 2), each post state
         # corrected with the gate of its true branch
         mix = ((1.0 - q_mis, table[k]), (q_mis, table[k ^ 2]))
         prob = sum(w * r.probability for w, r in mix)
-        if prob < _DEGENERATE_PROB:
-            out.append(_result(outcome, prob, math.nan, None, leaked))
-            continue
-        rho = sum(w * r.probability * r.post_state.matrix for w, r in mix) / prob
-        target = bell_target(outcome, phi).amplitudes
-        fid = float(np.real(target.conj() @ rho @ target))
-        out.append(
-            ProtocolResult(
-                outcome,
-                prob,
-                DensityMatrix(rho, (2, 2)),
-                _TARGET_KIND[(outcome.d1, outcome.d2)],
-                fid,
-                leaked,
-            )
-        )
-    return (out[0], out[1], out[2], out[3])
+        post, fid = _MIXED, math.nan
+        if prob >= _DEGENERATE_PROB:
+            rho = sum(w * r.probability * r.post_state.matrix for w, r in mix) / prob
+            post, fid = DensityMatrix(rho, (2, 2)), float(np.real(target.conj() @ rho @ target))
+        out.append(ProtocolResult(ALL_OUTCOMES[k], prob, post, _TARGET_KIND[k], fid, leaked))
+    return tuple(out)
 
 
 def _quadrature(span: float, amps: np.ndarray, lo_phase: float) -> tuple[np.ndarray, np.ndarray]:
@@ -701,8 +682,7 @@ def _homodyne_outcomes(atoms, alpha, g, cutoff, engine, config, rngs) -> tuple[n
     prefix sums of H by one real product, a chunk of inputs at a time; each
     input is collapsed at its drawn column only, and cavity 2 is read on the
     whole batch at once (_read).  No per-input law or result is built."""
-    _check_regime(alpha, engine)
-    n_max, t = _map_cut(cutoff.n_max, engine), revival_time(g) / 2.0
+    n_max, t = _map_cut(alpha, cutoff, engine), revival_time(g) / 2.0
     sigma = math.sqrt(config.smear_variance)
     u1, noise, u2 = np.array(
         [(r.random(), r.normal(0.0, sigma) if sigma > 0.0 else 0.0, r.random()) for r in rngs]

@@ -91,6 +91,21 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(4, dtype=complex), (2, 2))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.eye(4, 2, dtype=complex) / 2.0, (2, 2))
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.full(4, 0.25, dtype=complex), (2, 2))
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="matrix dim 4 != space dim 8"):
+            DensityMatrix(np.eye(4, dtype=complex) / 4.0, (2, 2, 2))
+
+    def test_rejects_negative_eigenvalue(self):
+        bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(bad, (2, 2))
+
     def test_outer_product_checks_the_norm(self):
         v = bell_state("psi+").amplitudes * (1.0 + 1e-6)
         with pytest.raises(ValueError, match="trace"):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator, ValidationError
 
 from conftest import traced_peak
-from dicke2p import __version__, cli, scans
+from dicke2p import __version__, cli, models, scans
 from dicke2p.cli import main
 from dicke2p.models import effective_coupling
 
@@ -155,6 +155,25 @@ class TestArgumentHandling:
             main(argv + ["--out", str(tmp_path / "out.csv")])
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: must be finite, got {argv[-1]!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ghz", "--nbar", "ten"], "argument --nbar: bad nbar list 'ten'"),
+            (["ghz", "--nbar", "4", "--phi", "pi"], "argument --phi: expected a number, got 'pi'"),
+            (["rabi", "--nbar", "4", "--points", "2.5"],
+             "argument --points: expected an integer, got '2.5'"),
+        ],
+        ids=["nbar", "phi", "points"],
+    )
+    def test_rejects_non_numeric_text(self, tmp_path, capsys, argv, message):
+        """Text that is not a number exits 2 with a message that names its
+        flag and the text, and writes nothing."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_config_floats_meet_the_same_type(self, tmp_path, capsys):
@@ -548,16 +567,35 @@ class TestEmit:
         assert list(tmp_path.iterdir()) == []
 
 
+# Subcommands, at their defaults but for these flags, whose files must not
+# depend on the BLAS thread count.
+THREAD_INVARIANT_RUNS = {
+    "fidelity_scan": ["fidelity-scan"],
+    "rabi": ["rabi"],
+    "ghz": ["ghz"],
+    "ghz_analytic": ["ghz", "--engine", "analytic"],
+    "bell": ["bell"],
+    "bell_analytic": ["bell", "--engine", "analytic"],
+    "bell_homodyne": ["bell", "--efficiency", "0.5"],
+    "bell_analytic_homodyne": ["bell", "--engine", "analytic", "--efficiency", "0.5"],
+    "bell_timing": ["bell-timing"],
+}
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """`bell --efficiency 0.5` and `bell-timing` at their defaults write the
-    same bytes, wall_time_s aside, under OPENBLAS_NUM_THREADS=1 and =2.
-    `wigner` is left out: its `analysis._wigner_pairs` gives cells that
-    differ by up to 2.8e-17 between those thread counts."""
+    """Every run of THREAD_INVARIANT_RUNS writes the same bytes, wall_time_s
+    aside, under OPENBLAS_NUM_THREADS=1 and =2.  `wigner` is left out: its
+    `analysis._wigner_pairs` gives cells that differ by up to 2.8e-17
+    between those thread counts; so is `bell-timing` away from its default
+    nbar = 50, whose bits move with the thread count at nbar = 10, 20, 100
+    and 200.  A 2-thread fidelity-scan can take about 1 s on its first call
+    (the OpenBLAS first-call stall), well inside the timeout."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         "import sys; from dicke2p.cli import main; out = sys.argv[1]; "
-        "main(['bell', '--efficiency', '0.5', '--out', out + '/bell.csv']); "
-        "main(['bell-timing', '--out', out + '/bell_timing.csv'])"
+        f"runs = {THREAD_INVARIANT_RUNS!r}; "
+        "sys.exit(max(main(argv + ['--out', f'{out}/{name}.csv'])"
+        "             for name, argv in runs.items()))"
     )
     runs = []
     for threads in ("1", "2"):
@@ -574,7 +612,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             p.name: [line for line in p.read_text().splitlines() if "wall_time_s" not in line]
             for p in sorted((tmp_path / threads).iterdir())
         })
-    assert len(written[0]) == 4
+    assert len(written[0]) == 2 * len(THREAD_INVARIANT_RUNS)
     assert written[0] == written[1]
 
 
@@ -699,6 +737,30 @@ class TestConfigFile:
         _, _, rows = read_csv_table(out)
         assert rows.shape[0] == 9
 
+    def test_config_skips_blank_and_comment_lines(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# small field\n\nnbar = 4\n   \n  # g set\ng = -0.02\npoints = 3\n")
+        out = tmp_path / "r.csv"
+        assert main(["rabi", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_csv_table(out)[2].shape[0] == 3
+
+    @pytest.mark.parametrize("value, code", [("yes", 3), ("True", 3), ("no", 0), ("0", 0)])
+    def test_config_strict_is_a_boolean(self, tmp_path, capsys, value, code):
+        """strict = yes escalates the nbar = 50 validity warning to exit 3;
+        strict = no leaves it a warning."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"strict = {value}\n")
+        argv = ["ghz", "--nbar", "50", "--engine", "analytic", "--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "g.csv")]) == code
+        assert "validity warning" in capsys.readouterr().err
+        assert (tmp_path / "g.csv").exists() == (code == 0)
+
+    def test_config_strict_refuses_other_words(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strict = maybe\n")
+        assert main(["ghz", "--nbar", "4", "--config", str(cfg)]) == 2
+        assert f"{cfg}:1: strict must be boolean" in capsys.readouterr().err
+
     def test_config_needs_a_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nbar = 4\n")
@@ -721,6 +783,21 @@ class TestValidityGate:
         assert code == 0
         assert "validity warning" in capsys.readouterr().err
         assert out.exists()
+
+    def test_printed_limit_is_the_reports(self, capsys, monkeypatch):
+        """The warning prints the numbers that validity_report compared, so
+        a different margin moves the printed limit with it."""
+        monkeypatch.setattr(models, "VALIDITY_MARGIN", 0.2)
+        assert main(["ghz", "--nbar", "50", "--strict"]) == 3
+        err = capsys.readouterr().err
+        assert "(ge*nbar*pi = 157.1 vs margin*delta = 100)" in err
+        assert "Stark" not in err
+
+    def test_stark_warning_prints_both_numbers(self, capsys):
+        assert main(["ghz", "--nbar", "10", "--gg", "1", "--ge", "1.1", "--strict"]) == 3
+        err = capsys.readouterr().err
+        assert "Stark shift is not negligible (|ge^2-gg^2| = 0.21 vs ge^3/delta = 0.002662)" in err
+        assert "revival" not in err
 
     def test_explicit_g_skips_gate(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

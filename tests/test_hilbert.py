@@ -209,6 +209,10 @@ class TestBellStates:
         assert amps[3] == pytest.approx(np.exp(+0.3j) / np.sqrt(2))
         assert amps[1] == amps[2] == 0
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown Bell state kind 'psi'"):
+            bell_state("psi")
+
     def test_psi_ignores_phase(self):
         np.testing.assert_allclose(
             bell_state("psi-", 0.0).amplitudes, bell_state("psi-", 1.1).amplitudes
@@ -258,6 +262,12 @@ class TestAtomCoeffs:
     def test_norm_guard(self):
         with pytest.raises(ValueError):
             AtomCoeffs(0.9, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 2, 1), (2,)])
+    def test_from_state_needs_two_qubits(self, dims):
+        state = StateVector.normalized(np.ones(math.prod(dims)), dims)
+        with pytest.raises(ValueError, match="expected a two-qubit state"):
+            AtomCoeffs.from_state(state)
 
     def test_bell_component_extraction(self):
         psi_minus = AtomCoeffs.from_state(bell_state("psi-"))

@@ -288,3 +288,34 @@ class TestValidityReport:
         t2 = validity_report(p, 20.0).time_horizon
         assert t1 == pytest.approx(2.0 * t2)
         assert t1 == pytest.approx(VALIDITY_MARGIN * 500.0**2 / 10.0)
+
+    def test_report_carries_the_numbers_it_compares(self):
+        p = FullModelParams(omega=0.0, delta=500.0, g_g=1.0, g_e=1.1, cutoff=FockCutoff(8))
+        report = validity_report(p, 10.0)
+        assert report.stark_shift == abs(1.1**2 - 1.0)
+        assert report.stark_limit == 1.1**3 / 500.0
+        assert report.revival_phase == 1.1 * 10.0 * math.pi
+        assert report.revival_limit == VALIDITY_MARGIN * 500.0
+        assert not report.stark_closeness_ok and report.revival_reachable_ok
+
+    @pytest.mark.parametrize("nbar", [0.0, -1.0, math.nan])
+    def test_refuses_nonpositive_photon_number(self, nbar):
+        p = FullModelParams(omega=0.0, delta=500.0, g_g=1.0, g_e=1.0, cutoff=FockCutoff(8))
+        with pytest.raises(ValueError, match="nbar must be positive"):
+            validity_report(p, nbar)
+
+
+class TestModelGuards:
+    @pytest.mark.parametrize("delta", [0.0, -500.0])
+    def test_full_model_needs_a_positive_detuning(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            FullModelParams(omega=0.0, delta=delta, g_g=1.0, g_e=1.0, cutoff=FockCutoff(8))
+
+    @pytest.mark.parametrize("levels", [1, 4])
+    def test_labels_know_two_and_three_levels_only(self, levels):
+        with pytest.raises(ValueError, match="levels must be 2 or 3"):
+            excitation_labels(FockCutoff(4), levels=levels)
+
+    def test_blocks_need_model_parameters(self):
+        with pytest.raises(TypeError, match="expected FullModelParams or EffectiveModelParams"):
+            sector_blocks(FockCutoff(4))

@@ -642,7 +642,7 @@ class TestReadoutOracle:
             mp.setattr(protocols, "_cavity_maps", cavity_maps_oracle)
             # the oracle builds the truncated fields, so it needs the cutoff
             # that the analytic cache keys leave out
-            mp.setattr(protocols, "_map_cut", lambda n_max, engine: n_max)
+            mp.setattr(protocols, "_map_cut", lambda alpha, cutoff, engine: cutoff.n_max)
             for cache in (protocols._cavity, protocols._ideal_law):
                 cache.cache_clear()
             want = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
@@ -746,7 +746,7 @@ class TestCavityMaps:
         cut = FockCutoff.for_mean_photon(50.0)
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
         gram = protocols._cavity(alpha, G, T_HALF, cut.n_max, "exact")[1]
-        basis = protocols._evolved_basis(alpha, G, T_HALF, cut.n_max)
+        basis = protocols._evolved_basis(alpha, G, T_HALF, cut.n_max, np.eye(4))
         flat = basis.reshape(4, -1)
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
         np.testing.assert_array_equal(gram, np.eye(4))
@@ -1087,3 +1087,72 @@ class TestHomodyneOutcomeTable:
             for i in range(n)
         )
         assert binomtest(hits, n, p_plus).pvalue > 1e-4
+
+    def test_degenerate_outcomes_leave_the_atoms_maximally_mixed(self, cut20, alpha20):
+        """psi- alone lands on (+,+) only; an outcome whose mixed probability
+        is below the degenerate threshold has NaN fidelity and the
+        maximally mixed post state, and keeps its label and target."""
+        psi_minus = AtomCoeffs.from_state(bell_state("psi-"))
+        table = homodyne_outcome_table(psi_minus, alpha20, G, cut20, HomodyneConfig(PHI))
+        assert table[0].probability == pytest.approx(1.0, abs=1e-9)
+        assert table[0].fidelity == pytest.approx(1.0, abs=1e-6)
+        for k, row in enumerate(table[1:], start=1):
+            assert row.outcome == ALL_OUTCOMES[k]
+            assert row.target == ("psi-", "phi-", "psi+", "phi+")[k]
+            assert row.probability < 1e-12
+            assert math.isnan(row.fidelity)
+            np.testing.assert_array_equal(row.post_state.matrix, np.eye(4) / 4.0)
+
+
+class TestGuards:
+    """Inputs the protocol entry points refuse, each with its own message."""
+
+    @pytest.mark.parametrize("signs", [("0", "+"), ("+", "x"), ("++", "-")])
+    def test_outcome_label_refuses_other_signs(self, signs):
+        with pytest.raises(ValueError, match="outcome signs must be"):
+            OutcomeLabel(*signs)
+
+    @pytest.mark.parametrize("entry", ["ghz", "table", "arrays", "shot", "homodyne", "ensemble"])
+    def test_unknown_engine_is_refused_by_every_entry(self, entry, cut20, alpha20):
+        from dicke2p import scans
+
+        c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        call = {
+            "ghz": lambda: run_ghz(4.0, PHI, G, cut20, engine="fock"),
+            "table": lambda: bell_outcome_table(c, alpha20, G, cut20, engine="fock"),
+            "arrays": lambda: bell_outcome_arrays(
+                c.to_state().amplitudes, alpha20, G, cut20, [T_HALF], engine="fock"
+            ),
+            "shot": lambda: run_bell_protocol(c, alpha20, G, cut20, engine="fock"),
+            "homodyne": lambda: homodyne_outcome_table(
+                c, alpha20, G, cut20, HomodyneConfig(PHI), engine="fock"
+            ),
+            "ensemble": lambda: scans.bell_ensemble(
+                nbars=(20,), ensemble=2, engine="fock", detection=HomodyneConfig(PHI)
+            ),
+        }[entry]
+        with pytest.raises(ValueError, match="unknown engine 'fock'"):
+            call()
+
+    def test_measurement_operator_refuses_other_signs(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            measurement_operator(PHI, "0")
+
+    def test_unknown_detection_is_refused(self, cut20, alpha20):
+        c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
+        with pytest.raises(ValueError, match="detection must be"):
+            run_bell_protocol(c, alpha20, G, cut20, detection="homodyne")
+
+    @pytest.mark.parametrize("dims", [(2, 5), (4, 5), (2, 2, 2, 2)])
+    def test_homodyne_measure_needs_two_qubits_and_a_field(self, dims):
+        from dicke2p.analysis import sample_rng
+
+        state = StateVector.normalized(np.ones(math.prod(dims)), dims)
+        with pytest.raises(ValueError, match="expected a two-qubit"):
+            homodyne_measure(state, HomodyneConfig(PHI), sample_rng(0, 0))
+
+    @pytest.mark.parametrize("entry", [bell_target, correction_gate])
+    @pytest.mark.parametrize("outcome", ["++", ("+", "+"), None])
+    def test_targets_and_gates_need_an_outcome(self, entry, outcome):
+        with pytest.raises(ValueError):
+            entry(outcome, PHI)

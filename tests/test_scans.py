@@ -90,6 +90,13 @@ def test_scan_result_refuses_a_header_outside_the_schema(columns, meta, match):
         ScanResult(columns, np.zeros((2, len(columns))), meta)
 
 
+@pytest.mark.parametrize("rows", [np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2, 2))],
+                         ids=["wrong-width", "one-axis", "three-axes"])
+def test_scan_result_refuses_rows_that_do_not_match_the_columns(rows):
+    with pytest.raises(ValueError, match="row matrix does not match the column list"):
+        ScanResult(("gt_over_pi", "fidelity_pp"), rows, {})
+
+
 class TestRabiCurve:
     def test_columns_and_start(self):
         r = rabi_curve(nbar=4.0, points=9)
