@@ -8,14 +8,14 @@ the full dimension.  Propagation has three stages: project a state onto the
 sector eigenvectors once, build the phase table exp(-i lambda t) once per
 spectrum and set of times, and rotate back to the flat basis.
 SectorSpectrum.propagate is the exact engine's one entry point; in the
-package only evolve_linearized_many, scans.wigner_panels and the homodyne
-readout (protocols._evolved_basis: the ensemble's quadrature map, and a
-shot's law on its input's own state) rotate.  Every phase table comes from one cos/sin kernel,
-_unit_phases: SectorSpectrum.phases and scans.fidelity_scan (per chunk of
-sectors) call it.  An overlap between states of two spectra skips the
-rotation: it is a sum over sector pairs of weights, phases and the
-eigenvector overlap maps of sector_overlaps; an expectation value
-(scans.rabi_curve) is a sum over the sector frequency pairs.  The analytic
+package only evolve_linearized_many, scans.wigner_panels and the protocols'
+homodyne readout (atomic states times |alpha>, evolved to one time)
+rotate.  Every phase table comes from one cos/sin kernel, _unit_phases:
+SectorSpectrum.phases and scans.fidelity_scan (per chunk of sectors) call
+it.  An overlap between states of two spectra skips the rotation: it is a
+sum over sector pairs of weights, phases and the eigenvector overlap maps
+of sector_overlaps; an expectation value (scans.rabi_curve) is a sum over
+the sector frequency pairs.  The analytic
 layer runs the same engine on the large-N linearization of the two-photon
 interaction W: each sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a
 spectrum linear in N, (0, +-g(2N-3)), which turns a coherent-state input
@@ -70,10 +70,10 @@ class SectorSpectrum:
     propagate(psi, times) is rotate(project(psi), phases(times)): project
     depends on the state alone and phases on the times alone, so a caller
     evolving many states to the same times builds each once.  Only
-    evolve_linearized_many, scans.wigner_panels and the homodyne readout
-    (protocols._evolved_basis, for the ensemble's quadrature map and for a
-    shot's law on its input's own state) rotate; overlaps and expectation values
-    stop at the phases, which scans.fidelity_scan takes from values through
+    evolve_linearized_many, scans.wigner_panels and the protocols' homodyne
+    readout (the atomic states times |alpha> that cavity 1 reads, evolved
+    to one time) rotate; overlaps and expectation values stop at the
+    phases, which scans.fidelity_scan takes from values through
     _unit_phases directly.
     """
 

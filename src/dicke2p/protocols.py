@@ -18,29 +18,30 @@ atoms, the finite-nbar form of M_phi^+-, read for a whole array of
 interaction times at once: by the exact engine as one matmul of the phase
 table against the sector-eigenbasis weights of the product-basis states
 (x) |+-alpha>, by the analytic one from its three-branch maps and
-closed-form coherent overlaps.  They are cached per (alpha, g, t, engine)
-at one time, the exact ones per cutoff too; run_ghz reads the GHZ overlap
-from the same map, and cavity 2 from it too: a^dag a + 2 n_e is conserved,
-so turning the field by pi/4 acts on the atoms as D = e^{i pi n_e/2}, and
-cavity 2 reads cavity 1's readouts R as D R D^dag.  One array-valued chain
-composes both cavities on any batch of atomic states (bell_outcome_arrays).
-Repeated shots on one input draw from its cached law, each from its seeded
-stream on one Philox generator per thread: the ideal law is the table's
-four entries, and the homodyne law holds cavity 2 read once, in one GEMM,
-on the atoms collapsed at every quadrature-grid column, so a shot costs
-its draws, a column lookup and one correction gate.
+closed-form coherent overlaps.  They are cached at one time per (alpha, g,
+t) and the key of _map_cut, which names the engine; run_ghz reads the GHZ
+overlap from the same map, and cavity 2 from it too: a^dag a + 2 n_e is
+conserved, so turning the field by pi/4 acts on the atoms as D = e^{i pi
+n_e/2}, and cavity 2 reads cavity 1's readouts R as D R D^dag.  One
+array-valued chain composes both cavities on any batch of atomic states
+(bell_outcome_arrays).  Repeated shots on one input draw from its cached
+law, each from its seeded stream on one Philox generator per thread: the
+ideal law is the table's four entries, and the homodyne law holds cavity 2
+read once, in one GEMM, on the atoms collapsed at every quadrature-grid
+column, so a shot costs its draws, a column lookup and one correction
+gate.
 
 Homodyne detection of cavity 1 reads the evolved joint state at one time
 through the rotated quadrature wavefunctions on +-(|alpha| + 5), in closed
 form for the analytic engine, as (atoms, record) amplitudes: a shot's law
 reads its input's own state and keeps only what its shots read; an
 ensemble reads the evolved product basis, a Kraus map from the atoms to
-those amplitudes, cached like the readouts.  A shot draws the true
-quadrature from it, collapses the atoms there and smears only the reported
-record.  A Haar ensemble takes one homodyne shot per input as arrays
-(_homodyne_outcomes): the record densities as a quadratic form in the
-atoms, each input collapsed at its drawn column only, and cavity 2 read on
-the whole batch.
+those amplitudes, built once per call and not cached.  A shot draws the
+true quadrature from it, collapses the atoms there and smears only the
+reported record.  A Haar ensemble takes one homodyne shot per input as
+arrays (_homodyne_outcomes): the record densities as a quadratic form in
+the atoms, each input collapsed at its drawn column only, and cavity 2
+read on the whole batch.
 """
 
 from __future__ import annotations
@@ -221,21 +222,21 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _cavity_maps(
-    alpha: complex, g: float, times: np.ndarray, n_max: int | None, engine: str
+    alpha: complex, g: float, times: np.ndarray, n_max: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One cavity as a linear map on the atoms at each of T times: the
     readouts of the product-basis atomic states (x) |alpha> onto |+-alpha>,
     (T, 2, 4, 4) indexed [t, sign, atoms, input], and the Gram matrices of
     the evolved basis, (T, 4, 4), which carry the analytic form's norm.
-    Analytic: with M_b the maps of _branch_maps and <alpha e^{ia}|alpha
-    e^{ib}> = exp(nbar (e^{i(b-a)} - 1)), readout[+-] = sum_b <+-alpha|b> M_b
-    and Gram = sum_bc M_b^dag <b|c> M_c; no field is built.  Exact: the
-    evolution is unitary (Gram = identity); with w[+-, a] the sector
-    eigenvector weights of e_a (x) |+-alpha>, readout[t, +-, a, j] =
+    Analytic (n_max None): with M_b the maps of _branch_maps and <alpha
+    e^{ia}|alpha e^{ib}> = exp(nbar (e^{i(b-a)} - 1)), readout[+-] = sum_b
+    <+-alpha|b> M_b and Gram = sum_bc M_b^dag <b|c> M_c; no field is built.
+    Exact: the evolution is unitary (Gram = identity); with w[+-, a] the
+    sector eigenvector weights of e_a (x) |+-alpha>, readout[t, +-, a, j] =
     sum conj(w[+-, a]) e^{-i lambda t} w[+, j] is a matmul of the phase
     table, _BASIS_CHUNK entries at a time, and no state is evolved."""
     times = np.asarray(times, dtype=np.float64)
-    if engine == "analytic":
+    if n_max is None:
         maps, theta = _branch_maps(alpha, g, times)
         # bra labels: the references +-alpha, then the branches themselves
         bras = np.concatenate([np.broadcast_to([0.0, math.pi], (times.size, 2)), theta], axis=1)
@@ -256,19 +257,12 @@ def _cavity_maps(
     return readout, np.tile(eye, (times.size, 1, 1))
 
 
-def _evolved_basis(alpha: complex, g: float, t: float, n_max: int, inputs) -> np.ndarray:
-    """Each atomic state of inputs (r, 4) times |alpha>, evolved exactly to
-    t: shape (r, 4 atoms, dim)."""
-    kets = np.kron(inputs, coherent_state(alpha, FockCutoff(n_max)).amplitudes)
-    spectrum = _w_operator(g, n_max)
-    return np.stack([spectrum.propagate(k, [t])[0] for k in kets]).reshape(len(kets), 4, -1)
-
-
 def _map_cut(alpha: complex, cutoff: FockCutoff, engine: str) -> int | None:
     """The entry check of every public call: the engine name, and the
     analytic engine's |alpha|^2 >> 1 warning once per call, whether its maps
-    come from the cache or not.  Returns n_max as the cavity caches key it,
-    None for the analytic maps, which build no field."""
+    come from the cache or not.  Returns the key that every internal map
+    branches on and every cache keys on in place of the engine name: the
+    cutoff n_max for the exact engine, None for the analytic maps."""
     if engine not in ("exact", "analytic"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "exact":
@@ -278,13 +272,11 @@ def _map_cut(alpha: complex, cutoff: FockCutoff, engine: str) -> int | None:
 
 
 @lru_cache(maxsize=16)
-def _cavity(
-    alpha: complex, g: float, t: float, n_max: int | None, engine: str
-) -> tuple[np.ndarray, ...]:
+def _cavity(alpha: complex, g: float, t: float, n_max: int | None) -> tuple[np.ndarray, ...]:
     """_cavity_maps (readout, Gram) at the one time t, without the time axis
     and read-only, kept for repeated shots and tables at fixed parameters;
     a Bell chain reads cavity 2 from the same entry (_turned)."""
-    return _frozen(*(arr[0] for arr in _cavity_maps(alpha, g, np.array([t]), n_max, engine)))
+    return _frozen(*(arr[0] for arr in _cavity_maps(alpha, g, np.array([t]), n_max)))
 
 
 def run_ghz(
@@ -297,7 +289,7 @@ def run_ghz(
     |<GHZ|psi>| = |<phi_2phi^-|plus> - s <phi_2phi^+|minus>| / sqrt(2), s
     the sign of g, over the norm of psi from the cavity's Gram matrix."""
     amp = abs(alpha) * cmath.exp(1j * phi)
-    readout, gram = _cavity(amp, g, revival_time(g) / 2.0, _map_cut(amp, cutoff, engine), engine)
+    readout, gram = _cavity(amp, g, revival_time(g) / 2.0, _map_cut(amp, cutoff, engine))
     atoms = ghz_input(phi)[0].to_state().amplitudes
     plus, minus = readout @ atoms
     sign = 1.0 if g > 0 else -1.0
@@ -449,13 +441,11 @@ def _result(k: int, prob, fid, state, leaked, record_x=None) -> ProtocolResult:
 
 
 @lru_cache(maxsize=64)
-def _ideal_law(
-    coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int | None, engine: str
-) -> tuple:
+def _ideal_law(coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int | None) -> tuple:
     """One input's ideal Bell measurement at half the revival time as its
     four-outcome law, kept for repeated shots and tables: p1 (2,) and p2
     (2, 2) indexed [d1, d2], as floats, and the results of ALL_OUTCOMES."""
-    cavity1 = _cavity(alpha, g, revival_time(g) / 2.0, n_max, engine)
+    cavity1 = _cavity(alpha, g, revival_time(g) / 2.0, n_max)
     atoms = coeffs.to_state().amplitudes
     p1, p2, prob, states, fid, leaked = _chain(cavity1, atoms, cmath.phase(alpha))
     entries = enumerate(zip(prob.ravel(), fid.ravel(), states.reshape(4, 4)))
@@ -472,7 +462,7 @@ def bell_outcome_table(
 ) -> tuple[ProtocolResult, ProtocolResult, ProtocolResult, ProtocolResult]:
     """Deterministic enumeration of all four outcomes with ideal coherent
     discrimination in both cavities; probabilities sum to one."""
-    return _ideal_law(coeffs, alpha, g, _map_cut(alpha, cutoff, engine), engine)[2]
+    return _ideal_law(coeffs, alpha, g, _map_cut(alpha, cutoff, engine))[2]
 
 
 def bell_outcome_arrays(
@@ -485,7 +475,7 @@ def bell_outcome_arrays(
     once per call for all times and not cached.  This serves the Haar
     ensemble (a batch of inputs at one time) and the timing sweep (one
     input, atoms (4,), at T times: columns fid[:, k] and prob[:, k])."""
-    cavity1 = _cavity_maps(alpha, g, times, _map_cut(alpha, cutoff, engine), engine)
+    cavity1 = _cavity_maps(alpha, g, times, _map_cut(alpha, cutoff, engine))
     _, _, prob, _, fid, leaked = _chain(cavity1, atoms, cmath.phase(alpha))
     shape = prob.shape[:-2] + (4,)
     return prob.reshape(shape), fid.reshape(shape), leaked
@@ -493,7 +483,7 @@ def bell_outcome_arrays(
 
 @lru_cache(maxsize=4)
 def _homodyne_law(
-    coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int | None, engine: str, lo_phase: float
+    coeffs: AtomCoeffs, alpha: complex, g: float, n_max: int | None, lo_phase: float
 ) -> tuple:
     """One input's Bell chain with cavity 1 read by homodyne detection at
     half the revival time, kept for repeated shots: the grid, the record's
@@ -504,9 +494,9 @@ def _homodyne_law(
     evolution and one Hermite sum, and no Kraus map is kept."""
     t = revival_time(g) / 2.0
     atoms = coeffs.to_state().amplitudes
-    cavity1 = _cavity(alpha, g, t, n_max, engine)
+    cavity1 = _cavity(alpha, g, t, n_max)
     _, p1, leaked = _first_cavity(cavity1, atoms)
-    xs, (amps,) = _record_amplitudes(alpha, g, t, n_max, engine, lo_phase, atoms[None])
+    xs, (amps,) = _record_amplitudes(alpha, g, t, n_max, lo_phase, atoms[None])
     amps2, raw2 = _read(_turned(cavity1[0]), amps.T)
     return xs, *_frozen(_record_cdf(amps), amps2, raw2.copy(), p1), float(leaked)
 
@@ -525,11 +515,11 @@ def run_bell_protocol(
 
     detection='ideal' discriminates cavity 1 by coherent-state projection:
     the shot is its outcome's bell_outcome_table entry.  A HomodyneConfig
-    instead draws the true quadrature from the cavity-1 quadrature map on
-    the grid +-(|alpha| + 5) and collapses the atoms with the quadrature
-    projector there; the record, whose sign picks the cavity-1 branch, is
-    that value smeared by the detector's read noise, so the atoms collapse
-    at the true quadrature, not at the record.  Cavity 2 is always read out
+    instead draws the true quadrature from the input's cavity-1 record
+    density on the grid +-(|alpha| + 5) and collapses the atoms with the
+    quadrature projector there; the record, whose sign picks the cavity-1
+    branch, is that value smeared by the detector's read noise, so the
+    atoms collapse at the true quadrature, not at the record.  Cavity 2 is always read out
     ideally, from the input's cached law: it was read once on the atoms
     collapsed at every grid column, so a shot looks up its column and
     applies the one correction gate of its outcome.  The reported
@@ -541,13 +531,13 @@ def run_bell_protocol(
     n_max = _map_cut(alpha, cutoff, engine)
     rng = _thread_rng(rng_seed, shot_index)
     if isinstance(detection, HomodyneConfig):
-        law = _homodyne_law(coeffs, alpha, g, n_max, engine, detection.lo_phase)
+        law = _homodyne_law(coeffs, alpha, g, n_max, detection.lo_phase)
         xs, cdf, amps2, raw2, p1, leaked = law
         record_x, idx = _draw_quadrature(xs, cdf, detection, rng)
         s1 = 0 if record_x > 0 else 1
         p2, prob = _branch_probs(raw2[idx], p1[s1])
     elif detection == "ideal":
-        p1, p2, table = _ideal_law(coeffs, alpha, g, n_max, engine)
+        p1, p2, table = _ideal_law(coeffs, alpha, g, n_max)
         s1 = 0 if rng.random() < p1[0] else 1
         p2, record_x = p2[s1], None
     else:
@@ -616,34 +606,27 @@ def _quadrature(span: float, amps: np.ndarray, lo_phase: float) -> tuple[np.ndar
     return xs, np.ascontiguousarray(np.moveaxis(read, 0, -1))
 
 
-def _record_amplitudes(alpha, g, t, n_max, engine, lo_phase, inputs) -> tuple[np.ndarray, ...]:
+def _record_amplitudes(alpha, g, t, n_max, lo_phase, inputs) -> tuple[np.ndarray, ...]:
     """Cavity 1 read by homodyne detection at t on the atomic states inputs
     (r, 4): the grid on +-(|alpha| + 5) and the (atoms, record) amplitudes
-    (r, 4 atoms, points).  Exact: the states (x) |alpha> evolved and read
-    through one Hermite sum.  Analytic: inputs times the Kraus map K = sum_b
-    M_b^T <x|beta_b> over _branch_maps, beta_b = alpha e^{i(theta_b -
-    lo_phase)}, <x|beta> = (2/pi)^{1/4} exp(-(x - Re beta)^2 + i Im beta
-    (2x - Re beta))."""
+    (r, 4 atoms, points); on inputs = eye(4) these are the Kraus map K
+    (4 inputs, 4 atoms, points), and atoms (4,) read sum_j atoms[j] K[j].
+    Exact: the states (x) |alpha> evolved to t and read through one Hermite
+    sum.  Analytic (n_max None): inputs times K = sum_b M_b^T <x|beta_b>
+    over _branch_maps, beta_b = alpha e^{i(theta_b - lo_phase)}, <x|beta> =
+    (2/pi)^{1/4} exp(-(x - Re beta)^2 + i Im beta (2x - Re beta))."""
     span = abs(alpha) + 5.0
-    if engine == "exact":
-        return _quadrature(span, _evolved_basis(alpha, g, t, n_max, inputs), lo_phase)
+    if n_max is not None:
+        kets = np.kron(inputs, coherent_state(alpha, FockCutoff(n_max)).amplitudes)
+        spectrum = _w_operator(g, n_max)
+        evolved = np.stack([spectrum.propagate(k, [t])[0] for k in kets])
+        return _quadrature(span, evolved.reshape(len(kets), 4, -1), lo_phase)
     maps, theta = _branch_maps(alpha, g, [t])
     beta = alpha * np.exp(1j * (theta[0, :, None] - lo_phase))
     xs = np.linspace(-span, span, _QUADRATURE_POINTS)
     waves = np.exp(-((xs - beta.real) ** 2) + 1j * beta.imag * (2.0 * xs - beta.real))
     kraus = maps[0].T @ ((2.0 / math.pi) ** 0.25 * waves)
     return xs, (inputs @ kraus.reshape(4, -1)).reshape(len(inputs), 4, -1)
-
-
-@lru_cache(maxsize=8)
-def _quadrature_map(
-    alpha: complex, g: float, t: float, n_max: int | None, engine: str, lo_phase: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cavity 1 read by homodyne detection as a Kraus map on the atoms, kept
-    for ensembles: the grid and K (4 inputs, 4 atoms, points), the (atoms,
-    record) amplitudes of the product basis (_record_amplitudes), so that
-    atoms (4,) give sum_j atoms[j] K[j]."""
-    return _frozen(*_record_amplitudes(alpha, g, t, n_max, engine, lo_phase, np.eye(4)))
 
 
 def _record_cdf(amps: np.ndarray) -> np.ndarray:
@@ -678,18 +661,19 @@ def _homodyne_outcomes(atoms, alpha, g, cutoff, engine, config, rngs) -> tuple[n
     uniform, a normal if efficiency < 1, a uniform): the outcome indices in
     ALL_OUTCOMES order and the fidelities, (N,).  The record density of
     input a is Re <a|H(x)|a>, H(x) = K(x) K(x)^dag summed over the atoms of
-    the cached quadrature map K, so its cumulative density comes from the
-    prefix sums of H by one real product, a chunk of inputs at a time; each
-    input is collapsed at its drawn column only, and cavity 2 is read on the
-    whole batch at once (_read).  No per-input law or result is built."""
+    the Kraus map K that _record_amplitudes builds for this call, so its
+    cumulative density comes from the prefix sums of H by one real product,
+    a chunk of inputs at a time; each input is collapsed at its drawn column
+    only, and cavity 2 is read on the whole batch at once (_read).  No
+    per-input law or result is built."""
     n_max, t = _map_cut(alpha, cutoff, engine), revival_time(g) / 2.0
     sigma = math.sqrt(config.smear_variance)
     u1, noise, u2 = np.array(
         [(r.random(), r.normal(0.0, sigma) if sigma > 0.0 else 0.0, r.random()) for r in rngs]
     ).T
-    cavity1 = _cavity(alpha, g, t, n_max, engine)
+    cavity1 = _cavity(alpha, g, t, n_max)
     _, p1, _ = _first_cavity(cavity1, atoms)
-    xs, kraus = _quadrature_map(alpha, g, t, n_max, engine, config.lo_phase)
+    xs, kraus = _record_amplitudes(alpha, g, t, n_max, config.lo_phase, np.eye(4))
     # Re sum_jk conj(a_j) a_k C_jk(x), C(x) = sum_{y <= x} H(y): the record's
     # cumulative density (points, inputs), as a real product of float views
     gram = kraus.conj().transpose(2, 0, 1) @ kraus.transpose(2, 1, 0)

@@ -28,5 +28,5 @@ def test_caches_are_bounded(name):
     caches = {k: v for k, v in vars(module).items() if hasattr(v, "cache_info")}
     assert [k for k, v in caches.items() if v.cache_info().maxsize is None] == []
     if name == "dicke2p.protocols":
-        required = {"_cavity", "_ideal_law", "_homodyne_law", "_quadrature_map", "_measure_law"}
+        required = {"_cavity", "_ideal_law", "_homodyne_law", "_measure_law"}
         assert required <= caches.keys()

@@ -311,7 +311,7 @@ class TestBellOutcomeTable:
         from dicke2p.analysis import DensityMatrix
 
         c, table = table20
-        cavity1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max, "exact")
+        cavity1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max)
         atoms, phi = c.to_state().amplitudes, float(np.angle(alpha20))
         states = protocols._chain(cavity1, atoms, phi)[3]
         for v, r in zip(states.reshape(4, 4), table):
@@ -404,8 +404,7 @@ class TestRunBellProtocol:
         for name in ("project", "propagate"):
             monkeypatch.setattr(SectorSpectrum, name, counting(name, getattr(SectorSpectrum, name)))
         monkeypatch.setattr(protocols, "hermite_sum", counting("hermite", hermite_sum))
-        for cache in (protocols._cavity, protocols._ideal_law, protocols._homodyne_law,
-                      protocols._quadrature_map):
+        for cache in (protocols._cavity, protocols._ideal_law, protocols._homodyne_law):
             cache.cache_clear()
         c, _ = table20
         cfg = HomodyneConfig(lo_phase=PHI, efficiency=0.5)
@@ -476,7 +475,24 @@ class TestRunBellProtocol:
 
 
 class TestQuadratureMap:
-    """Cavity 1 read by homodyne detection as one cached Kraus map."""
+    """Cavity 1 read by homodyne detection as one Kraus map on the atoms,
+    _record_amplitudes on the product basis, built per ensemble call."""
+
+    @pytest.mark.parametrize("nbar", [20.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("engine", ["exact", "analytic"])
+    def test_shot_law_and_ensemble_read_the_same_field(self, engine, nbar):
+        """A shot's law reads its input's own state and an ensemble the map
+        of the product basis: the same record amplitudes to 1e-15 (at most
+        3.6e-16 apart on the exact engine, equal on the analytic one)."""
+        from dicke2p import protocols
+
+        atoms = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3).to_state().amplitudes
+        alpha = math.sqrt(nbar) * np.exp(1j * PHI)
+        n_max = FockCutoff.for_mean_photon(nbar).n_max if engine == "exact" else None
+        xs, shot = protocols._record_amplitudes(alpha, G, T_HALF, n_max, PHI, atoms[None])
+        grid, kraus = protocols._record_amplitudes(alpha, G, T_HALF, n_max, PHI, np.eye(4))
+        np.testing.assert_array_equal(xs, grid)
+        assert np.max(np.abs(shot[0] - np.tensordot(atoms, kraus, 1))) <= 1e-15
 
     @pytest.mark.parametrize(
         "engine, nbar, tol",
@@ -508,11 +524,11 @@ class TestQuadratureMap:
         else:
             n_max, cut = None, FockCutoff(cut.n_max + 60)
             flat = np.tensordot(atoms, coherent_branch_basis(alpha, G, [T_HALF], cut)[0], 1)
-        xs, kraus = protocols._quadrature_map(alpha, G, T_HALF, n_max, engine, PHI)
+        xs, kraus = protocols._record_amplitudes(alpha, G, T_HALF, n_max, PHI, np.eye(4))
         grid = np.linspace(-abs(alpha) - 5.0, abs(alpha) + 5.0, protocols._QUADRATURE_POINTS)
         np.testing.assert_array_equal(xs, grid)
         assert xs[-1] == abs(alpha) + 5.0
-        assert kraus.shape == (4, 4, xs.size) and not kraus.flags.writeable
+        assert kraus.shape == (4, 4, xs.size)
         rotated = flat * np.exp(-1j * PHI * np.arange(cut.dim))
         amps, ref = np.tensordot(atoms, kraus, 1), hermite_sum(grid, rotated.T).T
         density = np.sum(np.abs(amps) ** 2, axis=0)
@@ -530,7 +546,7 @@ class TestQuadratureMap:
 
         alpha = 3.0 - 4.0j
         cut = FockCutoff(FockCutoff.for_mean_photon(abs(alpha) ** 2).n_max + 60)
-        xs, kraus = protocols._quadrature_map(alpha, G, 0.0, None, "analytic", lo_phase)
+        xs, kraus = protocols._record_amplitudes(alpha, G, 0.0, None, lo_phase, np.eye(4))
         rotated = coherent_state(alpha, cut).amplitudes * np.exp(-1j * lo_phase * np.arange(cut.dim))
         want = np.eye(4)[:, :, None] * hermite_sum(xs, rotated)
         np.testing.assert_allclose(kraus, want, rtol=0, atol=1e-13)
@@ -580,9 +596,7 @@ def fresh_caches():
     map built under a patched builder outlives the test."""
     from dicke2p import protocols
 
-    caches = (
-        protocols._cavity, protocols._ideal_law, protocols._homodyne_law, protocols._quadrature_map
-    )
+    caches = (protocols._cavity, protocols._ideal_law, protocols._homodyne_law)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -609,7 +623,8 @@ class TestReadoutOracle:
             for turn in (1.0, CAVITY2_TURN):
                 alpha = math.sqrt(nbar) * np.exp(1j * PHI) * turn
                 for times in (self.SWEEP, np.array([0.0])):
-                    got, gram = protocols._cavity_maps(alpha, G, times, n_max, engine)
+                    key = n_max if engine == "exact" else None
+                    got, gram = protocols._cavity_maps(alpha, G, times, key)
                     want, want_gram = cavity_maps_oracle(alpha, G, times, n_max, engine)
                     assert got.shape == want.shape == (times.size, 2, 4, 4)
                     if engine == "exact":
@@ -623,7 +638,9 @@ class TestReadoutOracle:
         from dicke2p import protocols, scans
 
         rows = scans.bell_timing(points=321).rows
-        monkeypatch.setattr(protocols, "_cavity_maps", cavity_maps_oracle)
+        monkeypatch.setattr(
+            protocols, "_cavity_maps", lambda *args: cavity_maps_oracle(*args, "exact")
+        )
         want = scans.bell_timing(points=321).rows
         assert np.isfinite(rows).all()
         assert np.max(np.abs(rows - want)) <= 1e-14
@@ -638,11 +655,13 @@ class TestReadoutOracle:
         tol = 1e-14 if engine == "exact" else 1e-12
         c, _ = table20
         table = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
+        # the oracle builds the truncated fields, so it needs the cutoff that
+        # the analytic key leaves out
+        def oracle(alpha, g, times, n_max):
+            return cavity_maps_oracle(alpha, g, times, cut20.n_max, engine)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(protocols, "_cavity_maps", cavity_maps_oracle)
-            # the oracle builds the truncated fields, so it needs the cutoff
-            # that the analytic cache keys leave out
-            mp.setattr(protocols, "_map_cut", lambda alpha, cutoff, engine: cutoff.n_max)
+            mp.setattr(protocols, "_cavity_maps", oracle)
             for cache in (protocols._cavity, protocols._ideal_law):
                 cache.cache_clear()
             want = bell_outcome_table(c, alpha20, G, cut20, engine=engine)
@@ -670,9 +689,10 @@ class TestCavityTurn:
         n_max = FockCutoff.for_mean_photon(nbar).n_max
         alpha = math.sqrt(nbar) * np.exp(1j * PHI)
         tol = max(1e-13, float(np.spacing(n_max * math.pi)))
+        key = n_max if engine == "exact" else None
         for times in (np.array([T_HALF]), TestReadoutOracle.SWEEP):
-            readout, gram = protocols._cavity_maps(alpha, G, times, n_max, engine)
-            want, want_gram = protocols._cavity_maps(alpha * CAVITY2_TURN, G, times, n_max, engine)
+            readout, gram = protocols._cavity_maps(alpha, G, times, key)
+            want, want_gram = protocols._cavity_maps(alpha * CAVITY2_TURN, G, times, key)
             assert np.max(np.abs(protocols._turned(readout) - want)) <= tol
             assert np.max(np.abs(protocols._turned(gram) - want_gram)) <= tol
 
@@ -684,11 +704,11 @@ class TestCavityMaps:
     def gaps(nbar: float, engine: str) -> list[float]:
         from dicke2p import protocols
 
-        cut = FockCutoff.for_mean_photon(nbar)
+        key = FockCutoff.for_mean_photon(nbar).n_max if engine == "exact" else None
         out = []
         for phi in (PHI, PHI + math.pi / 4.0):
             alpha = math.sqrt(nbar) * np.exp(1j * phi)
-            readout = protocols._cavity(alpha, G, T_HALF, cut.n_max, engine)[0]
+            readout = protocols._cavity(alpha, G, T_HALF, key)[0]
             paper = (
                 measurement_operator(phi, "+"),
                 np.sign(G) * measurement_operator(phi, "-"),
@@ -727,7 +747,8 @@ class TestCavityMaps:
         coeffs = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
         readout, fids = {}, {}
         for engine in ("exact", "analytic"):
-            readout[engine] = protocols._cavity(alpha, G, T_HALF, cut.n_max, engine)[0]
+            key = cut.n_max if engine == "exact" else None
+            readout[engine] = protocols._cavity(alpha, G, T_HALF, key)[0]
             table = bell_outcome_table(coeffs, alpha, G, cut, engine)
             fids[engine] = np.array([row.fidelity for row in table])
         gap = float(np.max(np.abs(readout["exact"] - readout["analytic"])))
@@ -745,17 +766,17 @@ class TestCavityMaps:
 
         cut = FockCutoff.for_mean_photon(50.0)
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
-        gram = protocols._cavity(alpha, G, T_HALF, cut.n_max, "exact")[1]
-        basis = protocols._evolved_basis(alpha, G, T_HALF, cut.n_max, np.eye(4))
-        flat = basis.reshape(4, -1)
+        gram = protocols._cavity(alpha, G, T_HALF, cut.n_max)[1]
+        kets = np.kron(np.eye(4), coherent_state(alpha, cut).amplitudes)
+        spectrum = protocols._w_operator(G, cut.n_max)
+        flat = np.stack([spectrum.propagate(k, [T_HALF])[0] for k in kets])
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
         np.testing.assert_array_equal(gram, np.eye(4))
 
     def test_analytic_caches_ignore_the_cutoff(self, fresh_caches):
         """The analytic maps build no field, so three cutoffs share one
         cavity map, one ideal law and one homodyne law, down to a cutoff
-        too small for the field at nbar = 50; the homodyne law keeps no
-        quadrature map."""
+        too small for the field at nbar = 50."""
         from dicke2p import protocols
 
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
@@ -775,7 +796,6 @@ class TestCavityMaps:
         assert protocols._cavity.cache_info().misses == 1
         assert protocols._ideal_law.cache_info().misses == 1
         assert protocols._homodyne_law.cache_info().misses == 1
-        assert protocols._quadrature_map.cache_info().currsize == 0
 
 
 class TestTimingSensitivity:
@@ -881,7 +901,7 @@ class TestBatchedChain:
 
         good = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3).to_state().amplitudes
         atoms = np.stack([good, np.zeros(4), good])
-        cavity1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max, "exact")
+        cavity1 = protocols._cavity(alpha20, G, T_HALF, cut20.n_max)
         with pytest.raises(ValueError) as alone:
             protocols._chain(cavity1, atoms[1], PHI)
         with pytest.raises(ValueError) as batch:
@@ -895,7 +915,7 @@ class TestBatchedChain:
         one below the degeneracy threshold is split evenly, unread."""
         from dicke2p import protocols
 
-        readout2 = protocols._cavity(alpha20 * CAVITY2_TURN, G, T_HALF, cut20.n_max, "exact")[0]
+        readout2 = protocols._cavity(alpha20 * CAVITY2_TURN, G, T_HALF, cut20.n_max)[0]
         branches = np.stack([np.array([0.3, 0.85, 0.35, 0.3], dtype=complex), np.zeros(4)])
         amps, raw = (arr[:, 0] for arr in protocols._read(readout2[None], branches[:, None, :]))
         with pytest.raises(ValueError, match="no weight on the reference states"):

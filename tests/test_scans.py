@@ -357,7 +357,9 @@ class TestBellEnsemble:
     def test_homodyne_ensemble_builds_one_quadrature_map(self, monkeypatch):
         """Every Haar input reads cavity 1 through the one quadrature map of
         (alpha, lo_phase): one Hermite sum for 50 shots, taken on one
-        batched chain that builds no per-input law, shot or result."""
+        batched chain that builds no per-input law, shot or result.  The
+        map is built where it is read and not cached: a second identical
+        call sums the Hermite series again."""
         builds, shots = [], []
         hermite = protocols.hermite_sum
 
@@ -372,15 +374,15 @@ class TestBellEnsemble:
         monkeypatch.setattr(protocols, "run_bell_protocol", lambda *a, **k: shots.append(a))
         monkeypatch.setattr(protocols, "ProtocolResult", forbidden)
         monkeypatch.setattr(protocols, "DensityMatrix", forbidden)
-        protocols._quadrature_map.cache_clear()
         protocols._homodyne_law.cache_clear()
         cfg = protocols.HomodyneConfig(lo_phase=math.pi / 8.0, efficiency=0.5)
         r = bell_ensemble(nbars=(20,), ensemble=50, seed=0, detection=cfg)
         assert r.rows[0, [3, 6, 9, 12]].sum() == pytest.approx(1.0, abs=1e-12)
         assert len(builds) == 1 and shots == []
-        info = protocols._quadrature_map.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
         assert protocols._homodyne_law.cache_info().misses == 0
+        again = bell_ensemble(nbars=(20,), ensemble=50, seed=0, detection=cfg)
+        np.testing.assert_array_equal(again.rows, r.rows)
+        assert len(builds) == 2
 
     @pytest.mark.parametrize("engine, efficiency", [("exact", 0.5), ("analytic", 1.0),
                                                     ("exact", 0.05)])
