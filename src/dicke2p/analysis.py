@@ -149,8 +149,8 @@ def wigner(
     mode cut at n_max = dim - 1.
 
     The sum runs over the pairs of rho = sum_j lam_j |v_j><v_j| from one
-    eigh (`_wigner_pairs`; `scans.wigner_panels` passes it a field of rank
-    <= 4 from one thin SVD), keeping those with |lam_j| > 1e-14 max|lam|;
+    eigh (`_wigner_pairs`, which `scans.wigner_panels` passes three fields
+    of rank <= 4 at once), keeping those with |lam_j| > 1e-14 max|lam|;
     a normalized pure state has |W| <= 2/pi, so the dropped pairs move W
     by at most (2/pi) sum |lam_dropped|.  The integrand vanishes once
     |x +- y| passes z_max, where h_{dim-1}, the widest wavefunction of the
@@ -169,16 +169,17 @@ def wigner(
     k = 0..K = ceil(z_max / dy), then lies on the one lattice u_n = x_0 +
     n h of (N - 1) m + 2qK + 1 points, where one `hermite_sum` gives every
     psi_j (in pieces of at most _GATHER complex values on long runs).
-    The y sum runs over blocks of rows of the kernel (4 dy/pi) e^{4i y_k p},
-    each of at most _GATHER complex entries and built in place, once (once
-    a piece if the kernel takes several blocks).  For each block, rho(x -
-    y, x + y) is read from the psi_j through strided views, for as many x
-    at a time as keep the J products psi_j(x - y) conj psi_j(x + y) within
-    _GATHER complex entries, and one matrix product adds the block's share
-    to W.  So the working memory is O(_GATHER) plus the output, and does
-    not grow with the photon number.  Any other axis goes point by point,
-    with dy = step and 2K + 1 lattice points each, as does a run whose
-    spacing lies so far below step that its lattice would be longer.
+    W is real, so the y sum runs over blocks of rows of the real kernel
+    (4 dy/pi) (cos, -sin)(4 y_k p), each of at most _GATHER row pairs and
+    built in place, once (once a piece if the kernel takes several
+    blocks).  For each block, rho(x - y, x + y) is read from the psi_j
+    through strided views, for as many x at a time as keep the J products
+    psi_j(x - y) conj psi_j(x + y) and their sum C within _GATHER / 2
+    complex entries; one real matrix product of (Re C, Im C) adds the block's
+    share to W.  So the working memory is O(_GATHER) plus the output, and
+    does not grow with the photon number.  Any other axis goes point by
+    point, with dy = step and 2K + 1 lattice points each, as does a run
+    whose spacing lies so far below step that its lattice would be longer.
 
     Default axes span |beta| <= sqrt(<n>) + 5 with 201 points each; a
     warning is raised when the spacing is too coarse to resolve the
@@ -186,13 +187,17 @@ def wigner(
     """
     if len(rho_f.dims) != 1:
         raise ValueError("wigner expects a single-mode field density matrix")
-    return _wigner_pairs(*np.linalg.eigh(rho_f.matrix), beta_re, beta_im)
+    lam, vecs = np.linalg.eigh(rho_f.matrix)
+    grid = _wigner_pairs(lam[None], vecs[None], beta_re, beta_im)
+    return WignerGrid(grid.beta_re, grid.beta_im, grid.values[0])
 
 
 def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> WignerGrid:
-    """`wigner` of rho = sum_j lam_j |v_j><v_j|, v_j the columns of vecs."""
-    dim = vecs.shape[0]
-    nbar = max(float(np.arange(dim) @ np.abs(vecs) ** 2 @ lam), 0.0)
+    """`wigner` of P states rho_p = sum_j lam[p, j] |v_pj><v_pj| (v_pj the columns
+    of vecs[p]) as values[p]: one z_max probe, and one `hermite_sum` a lattice and
+    one kernel block for all P; default axes and warning follow the largest <n>."""
+    panels, dim, _ = vecs.shape
+    nbar = max(float(np.max(np.sum((np.arange(dim) @ np.abs(vecs) ** 2) * lam, axis=1))), 0.0)
     beta_re, beta_im = (
         np.linspace(-math.sqrt(nbar) - 5.0, math.sqrt(nbar) + 5.0, 201)
         if axis is None
@@ -205,9 +210,11 @@ def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> Wigner
             "grid spacing may be too coarse to resolve interference fringes", stacklevel=3
         )
 
-    keep = np.abs(lam) > 1e-14 * np.max(np.abs(lam))
-    lam, vecs = lam[keep], vecs[:, keep]
-    cols = np.concatenate([vecs, vecs.conj()], axis=1)  # psi_j and conj psi_j
+    keep = np.abs(lam) > 1e-14 * np.max(np.abs(lam), axis=1, keepdims=True)
+    panel, pair = np.nonzero(keep)
+    pairs = panel.size  # kept pairs of all states, psi_j in column j
+    weights = np.where(np.arange(panels)[:, None] == panel, lam[keep], 0.0)  # (P, pairs)
+    vecs = vecs[panel, :, pair].T
     zs = math.sqrt(dim + 0.5) + np.arange(0.0, 6.0, 0.05)
     tail = np.abs(hermite_sum(zs, np.arange(dim) == dim - 1)) < 1e-16  # h_{dim-1}
     if not tail.any():
@@ -215,41 +222,43 @@ def _wigner_pairs(lam: np.ndarray, vecs: np.ndarray, beta_re, beta_im) -> Wigner
     z_max = float(zs[np.argmax(tail)])
     step = math.pi / (2.0 * (z_max + max(z_max, float(np.max(np.abs(beta_im))))))
 
-    values = np.empty((beta_im.size, beta_re.size))
-    rows = max(1, _GATHER // beta_im.size)  # kernel rows in one block
-    for lo, hi, lattice, dx_n, dy_n, k_max, dy in _lattices(beta_re, step, z_max, 2 * lam.size):
-        psi = hermite_sum(lattice, cols)
-        s_n, s_j = psi.strides
+    ny = beta_im.size
+    values = np.empty((panels, ny, beta_re.size))
+    rows = max(1, _GATHER // ny)  # kernel rows (pairs of real rows) in one block
+    for lo, hi, lattice, dx_n, dy_n, k_max, dy in _lattices(beta_re, step, z_max, 2 * pairs):
+        psi = hermite_sum(lattice, vecs)
+        conj, (s_n, s_j) = psi.conj(), psi.strides
         if lo == 0:  # every piece of the axis has the same dy and K
-            block = np.empty((min(rows, k_max + 1), beta_im.size), dtype=np.complex128)
+            block = np.empty((min(rows, k_max + 1), 2, ny))
         for k0 in range(0, k_max + 1, rows):
             k1 = min(k0 + rows, k_max + 1)
             kernel = block[: k1 - k0]
             if lo == 0 or rows <= k_max:  # a one-block kernel serves every piece
-                # (4 dy / pi) e^{4i y_k p_j} in place, the phases in the real part
-                arg = np.outer(np.arange(k0, k1) * dy, 4.0 * beta_im, out=kernel.real)
-                np.sin(arg, out=kernel.imag)
+                # (4 dy / pi) (cos, -sin)(4 y_k p_i) in place, the phases in the cos rows
+                arg = np.outer(np.arange(k0, k1) * dy, 4.0 * beta_im, out=kernel[:, 0])
+                np.sin(arg, out=kernel[:, 1])
                 np.cos(arg, out=arg)
-                kernel *= 4.0 * dy / math.pi
+                kernel *= np.array([[4.0 * dy / math.pi], [-4.0 * dy / math.pi]])
                 if k0 == 0:
                     kernel[0] /= 2.0  # trapezoid end point at y = 0
-            chunk = max(1, _GATHER // (lam.size * (k1 - k0)))
+            # the products and C within _GATHER / 2 complex entries: a gather of
+            # _GATHER raised the peak RSS of a default `wigner` run by 0.9 MB
+            chunk = max(1, _GATHER // (2 * (pairs + panels) * (k1 - k0)))
             for a in range(lo, hi, chunk):
                 b = min(a + chunk, hi)
                 # psi at x_i - y_k and conj psi at x_i + y_k, as read-only strided views
-                at, shape = abs(dy_n) * k_max + (a - lo) * dx_n, (b - a, k1 - k0, lam.size)
+                at, shape = abs(dy_n) * k_max + (a - lo) * dx_n, (b - a, k1 - k0, pairs)
                 minus, plus = (
                     as_strided(part, shape, (dx_n * s_n, sign * dy_n * s_n, s_j), writeable=False)
                     for part, sign in (
-                        (psi[at - k0 * dy_n :, : lam.size], -1),
-                        (psi[at + k0 * dy_n :, lam.size :], 1),
+                        (psi[at - k0 * dy_n :], -1),
+                        (conj[at + k0 * dy_n :], 1),
                     )
                 )
-                w = ((minus * plus) @ lam @ kernel).real.T
-                if k0 == 0:
-                    values[:, a:b] = w
-                else:
-                    values[:, a:b] += w
+                c = weights @ (minus * plus).reshape(-1, pairs).T  # C, (P, (b - a)(k1 - k0))
+                w = c.view(np.float64).reshape(-1, 2 * (k1 - k0)) @ kernel.reshape(-1, ny)
+                w = w.reshape(panels, b - a, ny).transpose(0, 2, 1)
+                values[:, :, a:b] = w if k0 == 0 else values[:, :, a:b] + w
     return WignerGrid(beta_re, beta_im, values)
 
 

@@ -6,10 +6,10 @@ Output is CSV with '#' metadata header lines plus a JSON sidecar
 CSV cells are '.17g' text, so every float64 reads back exactly; NaN and
 +-inf cells are written 'nan', 'inf' and '-inf' in CSV, and every
 non-finite cell or parameter is null in JSON, which stays RFC 8259 valid.
-The '.17g' text is written by an exact array formatter: a cell whose
-rounding the extended-precision bound cannot prove falls back to CPython's
-formatter, and where np.longdouble is float64 every cell does, so the bytes
-are the same on every platform; only the speed differs.
+The '.17g' text of each distinct value of a chunk is written once by an
+exact array formatter: a value whose rounding the extended-precision bound
+cannot prove falls back to CPython's formatter, and where np.longdouble is
+float64 every value does, so the bytes are the same on every platform.
 Each subcommand's flags are its scan's keyword arguments (--gg is g_g):
 main calls the scan by keyword, once --gg/--ge/--delta have given g (unless
 --g is set) and --efficiency/--lo-phase the detection.
@@ -42,10 +42,10 @@ from .protocols import HomodyneConfig
 _DEF_GG = 1.0
 _DEF_GE = 1.0
 _DEF_DELTA = 500.0
-# Rows per CSV write: _csv_bytes builds a chunk's '.17g' text as one array,
-# exact to the byte, with CPython's formatter only for the cells whose
-# rounding the extended-precision bound cannot prove, so the text and the
-# memory stay per chunk, never per table.
+# Rows per CSV write: _csv_bytes formats each distinct value of a chunk once,
+# exact to the byte, with CPython's formatter only for the values whose
+# rounding the extended-precision bound cannot prove, and gathers the cells'
+# text from them, so the text and the memory stay per chunk, never per table.
 _CSV_CHUNK = 4096
 # Powers of ten 10**k for k in _POW_LO.._POW_HI: 10**(16 - e) over the
 # float64 decimal exponents e from 308 down to -324.
@@ -304,9 +304,8 @@ def _g17_tables() -> tuple:
     - zeros[q]: trailing zeros of q as 4 digits (4 for q = 0);
     - head[5 * negative + lead]: the sign, then for lead = -e in 1..4 the
       '0.' and lead - 1 zeros of fixed notation below 1;
-    - tail[2 * (e + 324) + last]: a free byte for digit 17, then 'e+XX' or
-      'e-XXX' outside fixed notation (-4 <= e <= 16), then ',' or, for the
-      last cell of a row, '\n';
+    - tail[e + 324]: a free byte for digit 17, then 'e+XX' or 'e-XXX'
+      outside fixed notation (-4 <= e <= 16), then ',';
     - lanes[k]: the mask of the first k 16-bit lanes;
     - point[lane + 1]: '.' in the high byte of lane 0..3, and 0 for lane
       -1 or 4, outside the word;
@@ -324,7 +323,7 @@ def _g17_tables() -> tuple:
     zeros = np.where(np.arange(100) == 0, 2 + pair_zeros[:, None], pair_zeros).ravel()
     heads = [sign + ("0." + "0" * (lead - 1) if lead else "") for sign in ("", "-") for lead in range(5)]
     head = np.array(heads, dtype="S8").view(np.uint64)
-    e = np.repeat(np.arange(-324, 309), 2)
+    e = np.arange(-324, 309)
     m = np.abs(e)
     sci = (e < -4) | (e > 16)
     tail = np.zeros((e.size, 8), np.uint8)
@@ -333,7 +332,7 @@ def _g17_tables() -> tuple:
     tail[:, 3] = sci * (m >= 100) * (m // 100 + 48)
     tail[:, 4] = sci * (m // 10 % 10 + 48)
     tail[:, 5] = sci * (m % 10 + 48)
-    tail[:, 6] = np.tile([ord(","), ord("\n")], e.size // 2)
+    tail[:, 6] = ord(",")
     lanes = np.array([(1 << 16 * k) - 1 for k in range(5)], dtype=np.uint64)
     point = np.array([0, *(ord(".") << 8 + 16 * k for k in range(4)), 0], dtype=np.uint64)
     info = np.finfo(ld)
@@ -367,29 +366,31 @@ def _g17_significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _csv_bytes(chunk: np.ndarray) -> bytes:
     """The CSV rows of a 2-D float64 array as ASCII: each cell byte for byte
-    '%.17g' % v, cells joined by ',' and each row ended by '\n'. Cells off
-    the fast path of _g17_significand are '%.17g' % v as text."""
-    cols = chunk.shape[1]
-    x = np.ascontiguousarray(chunk).ravel()
-    last = np.arange(x.size) % cols == cols - 1
-    words, fast = _g17_words(x, last)
+    '%.17g' % v, cells joined by ',' and each row ended by '\n'. Each
+    distinct bit pattern is formatted once, ',' at byte 46 of its 48 (off
+    the fast path of _g17_significand, '%.17g' % v zero-padded to it);
+    cells gather their value's bytes, and one XOR ends each row."""
+    bits, inverse = np.unique(np.ascontiguousarray(chunk).view(np.int64), return_inverse=True)
+    x = bits.view(np.float64)
+    words, fast = _g17_words(x)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        cells = zip(x[slow].tolist(), np.where(last[slow], "\n", ",").tolist())
-        text = np.array(["%.17g%s" % cell for cell in cells], dtype="S48")
-        words[:, slow] = text.view(np.uint64).reshape(-1, 6).T
-    return words.T.tobytes().translate(None, b"\0")
+        text = [(b"%.17g" % v).ljust(46, b"\0") + b"," for v in x[slow].tolist()]
+        words[:, slow] = np.array(text, dtype="S48").view(np.uint64).reshape(-1, 6).T
+    cells = np.take(words.T, inverse, axis=0)  # (rows, columns, 6)
+    cells[:, -1, 5] ^= np.uint64((ord(",") ^ ord("\n")) << 48)
+    return cells.tobytes().translate(None, b"\0")
 
 
-def _g17_words(x: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(words, fast): the '.17g' text of each cell of x on the fast path,
-    and its separator (',' or, where last, '\n'), laid out in six 64-bit
-    words, words[:, i] for cell i, padded with zero bytes:
+def _g17_words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(words, fast): the '.17g' text of each value of x on the fast path,
+    and the separator ',', laid out in six 64-bit words, words[:, i] for
+    value i, padded with zero bytes:
     - word 0: the sign and the '0.000' lead of fixed notation below 1;
     - words 1-4: significand digits 1-16 in the low bytes of 16-bit lanes,
       the decimal point in the high byte of the lane of the digit before it,
       and trailing zeros after the point masked away;
-    - word 5: digit 17, the exponent in scientific notation, the separator."""
+    - word 5: digit 17, the exponent in scientific notation, ',' at byte 6."""
     _, wide, zeros, head, tail, lanes, point, _ = _g17_tables()
     digits, e, fast = _g17_significand(x)
     groups = np.empty((5, x.size), np.intp)  # digits 1-4, .., 13-16, then 17
@@ -409,7 +410,7 @@ def _g17_words(x: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     for j in range(4):  # word 1 + j holds digits 4j + 1 to 4j + 4
         words[1 + j] = wide[groups[j]] & lanes[np.clip(kept - 4 * j, 0, 4)]
         words[1 + j] |= point[np.clip(after - 4 * j, -1, 4) + 1]
-    words[5] = tail[2 * (e + 324) + last] | np.where(kept == 17, groups[4] + 48, 0).astype(np.uint64)
+    words[5] = tail[e + 324] | np.where(kept == 17, groups[4] + 48, 0).astype(np.uint64)
     return words, fast
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    WignerGrid,
     _haar_atoms,
     _thread_rng,
     _wigner_pairs,
@@ -61,8 +62,9 @@ __all__ = [
     "OUTCOME_SUFFIX",
 ]
 
-# One short tag per detector outcome, used in column names.
-OUTCOME_SUFFIX = {o: f"{'p' if o.d1 == '+' else 'm'}{'p' if o.d2 == '+' else 'm'}" for o in ALL_OUTCOMES}
+# One short tag per detector outcome, used in column names, in the outcome
+# order k of ALL_OUTCOMES: 'p' for a '+' and 'm' for a '-' of d1, then of d2.
+OUTCOME_SUFFIX = dict(zip(ALL_OUTCOMES, ("pp", "pm", "mp", "mm")))
 
 # Stride between per-nbar seed offsets so RNG streams never collide.
 _SEED_STRIDE = 10007
@@ -253,7 +255,8 @@ def wigner_panels(
 ) -> dict[str, ScanResult]:
     """Field Wigner function of |ee>|alpha e^{i phi}> under the two-photon
     interaction at t = 0, t_r/4, t_r/2: single Gaussian, then correlated
-    coherent components, then a fringe-free two-lobe mixture."""
+    coherent components, then a fringe-free two-lobe mixture.  The three
+    panels share one transform (`analysis._wigner_pairs`)."""
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     cutoff = FockCutoff.for_mean_photon(nbar)
@@ -264,27 +267,26 @@ def wigner_panels(
     span = math.sqrt(nbar) + 5.0
     axis = np.linspace(-span, span, grid_points)
 
-    panels: dict[str, ScanResult] = {}
     times = (0.0, revival_time(g) / 4.0, revival_time(g) / 2.0)
     amplitudes = w_spec.propagate(psi0, np.array(times)).reshape(3, 4, cutoff.dim)
-    for label, t, m in zip(("t0", "tr4", "tr2"), times, amplitudes):
-        # rho_f = M^T M* = U diag(s^2) U^dag, from the thin SVD M^T = U diag(s) V^dag
-        u, s, _ = np.linalg.svd(m.T, full_matrices=False)
-        grid = _wigner_pairs(s**2, u, axis, axis)
+    # rho_f = M^T M* = U diag(s^2) U^dag, from the thin SVD M^T = U diag(s) V^dag
+    u, s, _ = np.linalg.svd(amplitudes.transpose(0, 2, 1), full_matrices=False)
+    grids = _wigner_pairs(s**2, u, axis, axis)
+    panels: dict[str, ScanResult] = {}
+    for label, t, values in zip(("t0", "tr4", "tr2"), times, grids.values):
         rows = np.empty((grid_points, grid_points, 3))  # [i, j] = (re_j, im_i, W_ij)
-        rows[..., 0], rows[..., 1], rows[..., 2] = grid.beta_re, grid.beta_im[:, None], grid.values
-        rows = rows.reshape(-1, 3)
+        rows[..., 0], rows[..., 1], rows[..., 2] = axis, axis[:, None], values
         meta = {
             "nbar": nbar,
             "phi": phi,
             "g": g,
             "time": t,
             "time_label": label,
-            "integral": grid.integral(),
+            "integral": WignerGrid(axis, axis, values).integral(),
             "grid_points": grid_points,
             "span": span,
         }
-        panels[label] = ScanResult(("beta_re", "beta_im", "wigner"), rows, meta)
+        panels[label] = ScanResult(("beta_re", "beta_im", "wigner"), rows.reshape(-1, 3), meta)
     return panels
 
 
@@ -329,8 +331,7 @@ def bell_ensemble(
         raise ValueError(f"ensemble must be >= 1, got {ensemble}")
     n_out = len(ALL_OUTCOMES)
     cols = ["nbar"]
-    for o in ALL_OUTCOMES:
-        s = OUTCOME_SUFFIX[o]
+    for s in OUTCOME_SUFFIX.values():
         cols += [f"mean_F_{s}", f"stderr_F_{s}", f"rate_{s}"]
 
     rows = np.full((len(nbars), 1 + 3 * n_out), np.nan)
@@ -400,8 +401,7 @@ def bell_timing(
 
     cols = ["gt_over_pi"]
     data = [gts / math.pi]
-    for k, o in enumerate(ALL_OUTCOMES):
-        s = OUTCOME_SUFFIX[o]
+    for k, s in enumerate(OUTCOME_SUFFIX.values()):
         cols += [f"fidelity_{s}", f"probability_{s}"]
         data += [fid[:, k], prob[:, k]]
     meta = {

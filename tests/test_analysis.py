@@ -365,7 +365,8 @@ class TestWigner:
             monkeypatch.setattr(
                 analysis, "_lattices", lambda *a: (pieces.append(p) or p for p in lattices(*a))
             )
-            runs.append((pieces, analysis._wigner_pairs(np.ones(1), field[:, None], axis, axis)))
+            grid = analysis._wigner_pairs(np.ones((1, 1)), field[None, :, None], axis, axis)
+            runs.append((pieces, grid))
         (blocked, grid), (whole, one) = runs
         for p, q in zip(blocked, whole, strict=True):
             np.testing.assert_array_equal(p[2], q[2])

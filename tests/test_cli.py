@@ -382,22 +382,26 @@ class TestEmit:
 
     @staticmethod
     def edge_table():
-        """Three chunks and five rows holding the repeats that a float-keyed
-        lookup gets wrong: 0.0 beside -0.0, NaNs with two payloads, one
-        negative, one value down a column and across columns over a chunk
-        edge, and a middle chunk of one constant."""
+        """Three chunks and seven rows holding the repeats that a float-keyed
+        lookup gets wrong: 0.0 beside -0.0, NaNs with three payloads (one
+        negative, one signalling) beside +-inf, one value down a column and
+        across columns over a chunk edge, the exact ties of '%.17g', a run
+        of repeats cut by a chunk edge, and a middle chunk of one constant."""
         c = cli._CSV_CHUNK
         rng = np.random.default_rng(11)
-        rows = rng.standard_normal((3 * c + 5, 3))
-        nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64)
-        nan_a, nan_b = nans.view(np.float64)
+        rows = rng.standard_normal((3 * c + 7, 3))
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000002, 0x7FF0000000000003], np.uint64)
+        nan_a, nan_b, nan_c = nans.view(np.float64)
         rows[c - 50 : c, 0] = 1.0 / 3.0  # repeated down a column ...
         rows[c - 50 : c, 2] = 1.0 / 3.0  # ... and across columns
         rows[c : 2 * c] = 7.25  # a whole chunk of one constant
         rows[2 * c : 2 * c + 50, 1] = 1.0 / 3.0
+        rows[2 * c + 100 : 2 * c + 300] = TestEmit.TIES.reshape(-1, 3)
+        rows[3 * c - 13 : 3 * c + 7, 1] = np.repeat(rng.standard_normal(4), 5)  # runs of 5
         for r in (0, c - 2, 2 * c + 1, 3 * c + 3):
             rows[r] = [0.0, -0.0, nan_a]
             rows[r + 1] = [-0.0, nan_b, 0.0]
+            rows[r + 2] = [np.inf, nan_c, -np.inf]
         return rows
 
     @pytest.mark.parametrize(
@@ -411,12 +415,24 @@ class TestEmit:
     )
     def test_repeated_cells_keep_their_own_text(self, tmp_path, monkeypatch, layout):
         rows = layout(self.edge_table())
-        assert np.signbit(rows).any() and np.isnan(rows).sum() == 8
+        assert np.signbit(rows).any() and np.isnan(rows).sum() == 12
         fake_rabi(monkeypatch, self.COLUMNS, rows)
         out = tmp_path / "r.csv"
         assert main(["rabi", "--g", "-0.02", "--out", str(out)]) == 0
         body = out.read_text().splitlines()[6:]
         assert body == [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
+
+    @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")
+    def test_default_wigner_panels_are_their_rows_as_17g_text(self, tmp_path):
+        """A default `wigner` run writes ten chunks a panel: every cell, on
+        both sides of all 30 chunk edges, is its scan row's '.17g' text."""
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "--out", str(out)]) == 0
+        g = effective_coupling(cli._DEF_GG, cli._DEF_GE, cli._DEF_DELTA)
+        for label, result in scans.wigner_panels(50.0, 2.0 * math.pi / 3.0, g, 201).items():
+            assert len(result.rows) > 9 * cli._CSV_CHUNK
+            body = (tmp_path / f"w_{label}.csv").read_text().splitlines()[6:]
+            assert body == self.g17_lines(result.rows)
 
     def test_writer_memory_stays_per_chunk(self, tmp_path):
         """The peak of writing 12 chunks stays near that of one chunk, so

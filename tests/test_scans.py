@@ -14,7 +14,7 @@ from conftest import (
     rabi_oracle,
     traced_peak,
 )
-from dicke2p import dynamics, protocols, scans
+from dicke2p import analysis, dynamics, protocols, scans
 from dicke2p.analysis import sample_rng, wigner
 from dicke2p.dynamics import (
     SectorSpectrum,
@@ -39,8 +39,11 @@ from dicke2p.scans import (
 
 
 def test_outcome_suffixes_cover_all_outcomes():
-    assert set(OUTCOME_SUFFIX) == set(ALL_OUTCOMES)
+    assert list(OUTCOME_SUFFIX) == list(ALL_OUTCOMES)
     assert sorted(OUTCOME_SUFFIX.values()) == ["mm", "mp", "pm", "pp"]
+    # each suffix spells its outcome's signs, d1 then d2
+    for o, s in OUTCOME_SUFFIX.items():
+        assert s == "".join("p" if d == "+" else "m" for d in (o.d1, o.d2))
 
 
 @pytest.mark.parametrize(
@@ -524,6 +527,24 @@ class TestWignerPanels:
         with traced_peak() as mem:
             panels = wigner_panels(nbar=300.0, grid_points=401)
         assert mem.peak - sum(p.rows.nbytes for p in panels.values()) <= 8e6
+
+    @pytest.mark.filterwarnings("ignore:grid spacing:UserWarning")
+    def test_three_panels_share_one_transform(self, monkeypatch):
+        """The three panels at nbar = 50 take one transform: two Hermite sums
+        (the z_max probe and one lattice over every panel's columns) and one
+        y kernel, whose sin sees (K + 1) x 201 angles once; a transform per
+        panel makes six sums and three kernels."""
+        sums, angles, pieces = [], [], []
+        hermite, sin, lattices = analysis.hermite_sum, np.sin, analysis._lattices
+        monkeypatch.setattr(analysis, "hermite_sum", lambda x, c: sums.append(x) or hermite(x, c))
+        monkeypatch.setattr(np, "sin", lambda x, *a, **k: angles.append(np.shape(x)) or sin(x, *a, **k))
+        monkeypatch.setattr(
+            analysis, "_lattices", lambda *a: (pieces.append(p) or p for p in lattices(*a))
+        )
+        wigner_panels(50.0)
+        assert len(sums) == 2 and len(pieces) == 1
+        k_max = pieces[0][5]
+        assert [s for s in angles if s[1:] == (201,)] == [(k_max + 1, 201)]
 
     def test_three_panels_with_metadata(self):
         with pytest.warns(UserWarning, match="fringe"):
