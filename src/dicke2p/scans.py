@@ -68,9 +68,9 @@ OUTCOME_SUFFIX = dict(zip(ALL_OUTCOMES, ("pp", "pm", "mp", "mm")))
 
 # Stride between per-nbar seed offsets so RNG streams never collide.
 _SEED_STRIDE = 10007
-# Entries of the phase tables, sample coefficients C and phase products E of
-# one chunk of fidelity_scan sectors together, or of a rabi_curve cosine table
-# for one chunk of times (2 MB as complex).
+# Entries of the phase tables, every nbar's coefficients C and the phase
+# products E of one chunk of fidelity_scan sectors together, or of a rabi_curve
+# cosine table for one chunk of times (2 MB as complex).
 _CHUNK = 2**17
 
 
@@ -114,82 +114,96 @@ def fidelity_scan(
 
     Sample i at the k-th nbar draws two 4x4 normals (the Haar state), then
     one uniform (the phase) from sample_rng(seed + k * _SEED_STRIDE, i).
-    Overlaps are taken in the sector eigenbasis (sector_overlaps), whose
-    maps pair each sector with the same index in all three spectra (each
-    sorts its sectors by excitation number).  So one chunk of sectors at a time
-    gets its phase tables exp(-i lambda t), the full model's eigenvalues
-    shifted by -2gN for the counter-rotation, and adds C @ E per overlap:
-    C the samples' weights conj(w_bra) w_ket times the map, E the phase
-    products.  The closed form is renormalized by its weight past the
-    cutoff, a quadratic form taken the same way.
+    Every nbar evolves on the largest nbar's cutoff (meta n_max), where the
+    sectors N <= n_max(nbar) + 4 its input reaches are complete.  Overlaps
+    are taken in the sector eigenbasis (sector_overlaps), whose maps pair
+    each sector with the same index in all three spectra (each sorts its
+    sectors by excitation number).  So one pass over chunks of sectors
+    builds, once for every nbar, the phase tables exp(-i lambda t) (the full
+    model's shifted by -2gN for the counter-rotation) and the phase products
+    E; each nbar the chunk reaches adds C @ E per overlap, C its weights
+    conj(w_bra) w_ket times the map.  The closed form is renormalized by its
+    weight past the cutoff, a quadratic form taken the same way.
     """
     if time_points < 1:
         raise ValueError(f"time_points must be >= 1, got {time_points}")
     if ensemble < 1:
         raise ValueError(f"ensemble must be >= 1, got {ensemble}")
+    if len(set(map(str, nbars))) < len(nbars):
+        raise ValueError(f"repeated column names: nbars {tuple(nbars)} repeat a value")
     g = effective_coupling(g_g, g_e, delta)
     grid = np.linspace(0.0, 1.0, time_points)
     times = grid * math.pi / abs(g)
 
     cols: list[str] = ["gt_over_pi"]
     data: list[np.ndarray] = [grid]
-    validity: dict[str, bool] = {}
-    for k, nbar in enumerate(nbars):
-        cutoff = FockCutoff.for_mean_photon(float(nbar))
-        params = FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
-        validity[str(nbar)] = validity_report(params, float(nbar)).ok
-        full_spec = sector_spectrum(params)
-        w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
-        lin_spec = linearized_spectrum(g, cutoff)
-        idx = embed_indices(cutoff)
+    cutoff = FockCutoff.for_mean_photon(float(max(nbars, default=0)))
+    params = FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
+    validity = {str(nbar): validity_report(params, float(nbar)).ok for nbar in nbars}
+    full_spec = sector_spectrum(params)
+    w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
+    lin_spec = linearized_spectrum(g, cutoff)
+    idx = embed_indices(cutoff)
+    # the closed form lives on the cutoff n_max + 4 (linearized_spectrum)
+    n_lin = math.prod(lin_spec.dims)
+    at = np.flatnonzero(np.arange(n_lin) % (cutoff.dim + 4) < cutoff.dim)
+    kept = np.full(n_lin, -1)
+    kept[at] = idx
+    # (bra, ket, sectors, M) of <psi_W|R psi_full>, of <kept psi_lin|R psi_full>,
+    # and of the weight of psi_lin past the cutoff
+    overlaps = []
+    for bra, ket, to_ket in (
+        (w_spec, full_spec, idx),
+        (lin_spec, full_spec, kept),
+        (lin_spec, lin_spec, np.where(kept < 0, np.arange(kept.size), -1)),
+    ):
+        pairs, partner, m = sector_overlaps(bra, ket, to_ket)
+        if not np.array_equal(pairs, partner):
+            raise ValueError("an overlap map pairs sectors of different index")
+        overlaps.append((bra, ket, pairs, m))
+    # per nbar: the sectors its input reaches, N <= n_max + 4 of its own cutoff, and their weights
+    reach = np.array([FockCutoff.for_mean_photon(float(nbar)).n_max + 5 for nbar in nbars])
+    weights = {}
+    for k, nbar in sorted(enumerate(nbars), key=lambda item: -item[1]):  # largest first
+        own = FockCutoff(int(reach[k]) - 5)
         rngs = [sample_rng(seed + k * _SEED_STRIDE, i) for i in range(ensemble)]
         atoms = _haar_atoms(rngs)
         theta = 2.0 * math.pi * np.array([rng.random() for rng in rngs])
-        fields = np.exp(1j * np.outer(theta, np.arange(cutoff.dim)))  # e^{i n theta} on |n>
-        fields *= coherent_state(math.sqrt(nbar), cutoff).amplitudes
+        fields = np.exp(1j * np.outer(theta, np.arange(own.dim)))  # e^{i n theta} on |n>
+        fields *= coherent_state(math.sqrt(nbar), own).amplitudes
         inputs = (atoms[:, :, None] * fields[:, None, :]).reshape(ensemble, -1)
-        # the closed form lives on the cutoff n_max + 4 (linearized_spectrum)
-        n_lin = math.prod(lin_spec.dims)
-        at = np.flatnonzero(np.arange(n_lin) % (cutoff.dim + 4) < cutoff.dim)
-        kept = np.full(n_lin, -1)
-        kept[at] = idx
-        weights = {full_spec: full_spec.project(inputs, idx), w_spec: w_spec.project(inputs)}
-        weights[lin_spec] = lin_spec.project(inputs, at)
-        # (bra, ket, sectors, M) of <psi_W|R psi_full>, of <kept psi_lin|R psi_full>,
-        # and of the weight of psi_lin past the cutoff
-        overlaps = []
-        for bra, ket, to_ket in (
-            (w_spec, full_spec, idx),
-            (lin_spec, full_spec, kept),
-            (lin_spec, lin_spec, np.where(kept < 0, np.arange(kept.size), -1)),
-        ):
-            pairs, partner, m = sector_overlaps(bra, ket, to_ket)
-            if not np.array_equal(pairs, partner):
-                raise ValueError("an overlap map pairs sectors of different index")
-            overlaps.append((bra, ket, pairs, m))
-        # the counter-rotation R by the (omega + 2g) I part of the effective model
-        shift = 2.0 * g * excitation_labels(cutoff, levels=3)[full_spec.index[:, :1]]
-        lam = {full_spec: full_spec.values - shift, w_spec: w_spec.values, lin_spec: lin_spec.values}
-        # per sector: the phase tables, and C and E of every overlap
-        per_sector = time_points * sum(v.shape[1] for v in lam.values())
-        per_sector += (ensemble + time_points) * sum(m[0].size for *_, m in overlaps)
-        step = max(1, _CHUNK // per_sector)
-        values = np.zeros((3, ensemble, time_points), dtype=np.complex128)
-        # every E is written into one buffer: a fresh table per overlap and
-        # chunk would take a page fault per 4 KiB of it
-        work = np.empty(step * max(m[0].size for *_, m in overlaps) * time_points, np.complex128)
-        for lo in range(0, max(len(v) for v in lam.values()), step):
-            ph = {spec: _unit_phases(v[lo : lo + step, :, None] * times) for spec, v in lam.items()}
-            for b, (bra, ket, pairs, m) in enumerate(overlaps):
-                first, end = np.searchsorted(pairs, (lo, lo + step))
-                p, m = pairs[first:end], m[first:end]
-                c = weights[bra][:, p, :, None].conj() * weights[ket][:, p, None, :] * m
-                e = work[: m.size * time_points].reshape(m.shape + (time_points,))
-                np.multiply(ph[bra][p - lo, :, None].conj(), ph[ket][p - lo, None], out=e)
-                values[b] += c.reshape(ensemble, -1) @ e.reshape(-1, time_points)
-        check_capture(values[2].real, cutoff.n_max)
-        fids = np.abs(values[:2]) ** 2
-        fids[1] /= np.sum(np.abs(weights[lin_spec]) ** 2, axis=(1, 2))[:, None] - values[2].real
+        sub = np.flatnonzero(np.arange(4 * cutoff.dim) % cutoff.dim < own.dim)  # own in shared
+        on = ((full_spec, idx[sub]), (w_spec, sub), (lin_spec, at[sub]))
+        weights[k] = {spec: spec.project(inputs, i)[:, : reach[k]].copy() for spec, i in on}
+        del rngs, atoms, fields, inputs  # with the largest nbar first, this lowers peak RSS
+    # the counter-rotation R by the (omega + 2g) I part of the effective model
+    shift = 2.0 * g * excitation_labels(cutoff, levels=3)[full_spec.index[:, :1]]
+    top = max(reach, default=0)  # every full and W sector; the last four linearized stay empty
+    lam = {full_spec: full_spec.values - shift, w_spec: w_spec.values, lin_spec: lin_spec.values[:top]}
+    # per sector: the phase tables, and C of every nbar and E of every overlap
+    per_sector = time_points * sum(v.shape[1] for v in lam.values())
+    per_sector += (len(nbars) * ensemble + time_points) * sum(m[0].size for *_, m in overlaps)
+    step = max(1, _CHUNK // per_sector)
+    values = np.zeros((len(nbars), 3, ensemble, time_points), dtype=np.complex128)
+    # every E is written into one buffer: a fresh table per overlap and
+    # chunk would take a page fault per 4 KiB of it
+    work = np.empty(step * max(m[0].size for *_, m in overlaps) * time_points, np.complex128)
+    for lo in range(0, top, step):
+        ph = {spec: _unit_phases(v[lo : lo + step, :, None] * times) for spec, v in lam.items()}
+        active = np.flatnonzero(reach > lo)
+        for b, (bra, ket, pairs, m) in enumerate(overlaps):
+            first, *ends = np.searchsorted(pairs, [lo, *np.minimum(lo + step, reach[active])])
+            p, m = pairs[first : max(ends)], m[first : max(ends)]
+            e = work[: m.size * time_points].reshape(m.shape + (time_points,))
+            np.multiply(ph[bra][p - lo, :, None].conj(), ph[ket][p - lo, None], out=e)
+            for k, end in zip(active, ends):
+                q, w = p[: end - first], weights[k]
+                c = w[bra][:, q, :, None].conj() * w[ket][:, q, None, :] * m[: end - first]
+                values[k, b] += c.reshape(ensemble, -1) @ e[: end - first].reshape(-1, time_points)
+    for k, nbar in enumerate(nbars):
+        check_capture(values[k, 2].real, cutoff.n_max)
+        fids = np.abs(values[k, :2]) ** 2
+        fids[1] /= np.sum(np.abs(weights[k][lin_spec]) ** 2, axis=(1, 2))[:, None] - values[k, 2].real
         mean, err = ensemble_stats(fids.transpose(1, 0, 2))
         cols += [f"{c}_nbar{nbar}" for c in ("mean_FW", "stderr_FW", "mean_F", "stderr_F")]
         data += [mean[0], err[0], mean[1], err[1]]
@@ -202,6 +216,7 @@ def fidelity_scan(
         "g": g,
         "ensemble": ensemble,
         "seed": seed,
+        "n_max": cutoff.n_max,
         "validity": validity,
     }
     return ScanResult(tuple(cols), np.column_stack(data), meta)

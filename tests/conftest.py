@@ -298,12 +298,15 @@ def rabi_oracle(nbar, g=-0.002, gt_max_over_pi=1.2, points=481):
     return np.abs(traj) ** 2 @ np.repeat([0.0, 1.0, 1.0, 2.0], traj.shape[1] // 4)
 
 
-def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, delta=500.0):
+def fidelity_scan_oracle(
+    nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, delta=500.0, cutoff=None
+):
     """Rows of scans.fidelity_scan computed one Haar sample at a time: each
     sample propagated to every time by SectorSpectrum.propagate (the full
     model and W) and evolve_linearized_many, and averaged by
     ensemble_average.  Deliberately free of shared phase tables and time
-    chunks."""
+    chunks.  The spectra live on `cutoff`, by default each nbar's own; each
+    input is built on its nbar's own cutoff and zero-padded onto it."""
     import cmath
 
     from dicke2p.dynamics import evolve_linearized_many, linearized_spectrum, sector_spectrum
@@ -322,20 +325,23 @@ def fidelity_scan_oracle(nbars, ensemble, seed, time_points, g_g=1.0, g_e=1.0, d
     times = grid * math.pi / abs(g)
     data = [grid]
     for k, nbar in enumerate(nbars):
-        cutoff = FockCutoff.for_mean_photon(float(nbar))
+        own = FockCutoff.for_mean_photon(float(nbar))
+        shared = cutoff or own
         full_spec = sector_spectrum(
-            FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
+            FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=shared)
         )
-        w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
-        lin_spec = linearized_spectrum(g, cutoff)
-        idx = embed_indices(cutoff)
-        rot = np.exp(2j * g * np.outer(times, excitation_labels(cutoff, levels=2)))
+        w_spec = sector_spectrum(EffectiveModelParams(g, shared))
+        lin_spec = linearized_spectrum(g, shared)
+        idx = embed_indices(shared)
+        rot = np.exp(2j * g * np.outer(times, excitation_labels(shared, levels=2)))
 
         def task(rng):
             coeffs = haar_random_two_qubit(rng)
             phi = 2.0 * math.pi * rng.uniform()
             alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
-            psi0 = tensor(coeffs.to_state(), coherent_state(alpha, cutoff))
+            field = np.zeros(shared.dim, dtype=np.complex128)
+            field[: own.dim] = coherent_state(alpha, own).amplitudes
+            psi0 = tensor(coeffs.to_state(), StateVector(field, (shared.dim,)))
             full0 = np.zeros(math.prod(full_spec.dims), dtype=np.complex128)
             full0[idx] = psi0.amplitudes
             traj_full = full_spec.propagate(full0, times)

@@ -19,6 +19,7 @@ from jsonschema import Draft7Validator, ValidationError
 from conftest import traced_peak
 from dicke2p import __version__, cli, models, scans
 from dicke2p.cli import main
+from dicke2p.hilbert import FockCutoff
 from dicke2p.models import effective_coupling
 
 
@@ -328,6 +329,17 @@ class TestJsonOutput:
         sidecar = json.loads((tmp_path / "g.csv.meta.json").read_text())
         assert "wall_time_s" not in sidecar["params"]
         assert sidecar["wall_time_s"] >= 0.0
+
+    def test_multi_nbar_scan_names_its_shared_cutoff(self, tmp_path):
+        """Every nbar of a fidelity scan evolves on the largest nbar's cutoff;
+        the params line and the sidecar name it."""
+        out = tmp_path / "f.csv"
+        argv = ["fidelity-scan", "--nbar", "4,20", "--ensemble", "1", "--time-points", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        n_max = FockCutoff.for_mean_photon(20).n_max
+        header, _, _ = read_csv_table(out)
+        assert json.loads(header["params"])["n_max"] == n_max
+        assert json.loads((tmp_path / "f.csv.meta.json").read_text())["params"]["n_max"] == n_max
 
     def test_seeded_scan_reproducible(self, tmp_path):
         argv = ["fidelity-scan", "--nbar", "4", "--ensemble", "2",

@@ -1,5 +1,6 @@
 """Batch runners that back the CLI subcommands."""
 
+import collections
 import itertools
 import math
 
@@ -184,7 +185,8 @@ class TestFidelityScan:
         """Make fidelity_scan take `step` sectors per chunk.  Per sector a
         chunk holds the phase tables of the full, W and linearized spectra
         (9 + 4 + 4 slots per time) and C and E of its three overlaps (4 x 9,
-        4 x 9 and 4 x 4 entries per sample and per time)."""
+        4 x 9 and 4 x 4 entries per sample and per time); `ensemble` counts
+        the samples of every nbar."""
         per_sector = time_points * (9 + 4 + 4) + (ensemble + time_points) * (36 + 36 + 16)
         monkeypatch.setattr(scans, "_CHUNK", step * per_sector)
 
@@ -209,28 +211,33 @@ class TestFidelityScan:
         self._sector_chunks(monkeypatch, 4, 7, 17)
         r = fidelity_scan(nbars=(4,), ensemble=7, seed=9, time_points=17)
         full, _, lin = self._spectra(4)
-        # one table per spectrum and chunk of 4 sectors, times last; the last
-        # chunk of each spectrum is ragged
-        chunks = math.ceil(len(lin.values) / 4)
+        # one table per spectrum and chunk of 4 sectors, times last, over the
+        # sectors the inputs reach: all of the full model's, and all but the
+        # last four of the linearized spectrum's; the last chunk is ragged
+        chunks = math.ceil(len(full.values) / 4)
+        assert len(lin.values) == len(full.values) + 4 and len(full.values) % 4
         assert len(shapes) == 3 * chunks and {s[2] for s in shapes} == {17}
-        assert len(full.values) % 4 and len(lin.values) % 4
         want = [len(full.values[lo : lo + 4]) for lo in range(0, 4 * chunks, 4)]
-        assert [s[0] for s in shapes if s[1] == 9] == want
+        assert [s[0] for s in shapes] == [n for n in want for _ in range(3)]
         oracle = fidelity_scan_oracle((4,), 7, 9, 17)
         np.testing.assert_allclose(r.rows, oracle, rtol=0, atol=1e-13)
 
     def test_phase_tables_do_not_grow_with_the_ensemble(self, monkeypatch):
         """Each phase exp(-i lambda t) of every spectrum, sector slot and time
-        is evaluated exactly once, however many samples share it."""
+        the loop visits (the sectors the inputs reach, as many as the full
+        model has) is evaluated exactly once, however many samples share it."""
         shapes = self._phase_spy(monkeypatch)
         for nbar, ensemble in itertools.product((4, 20), (2, 12)):
             shapes.clear()
             self._sector_chunks(monkeypatch, 5, ensemble, 17)
             fidelity_scan(nbars=(nbar,), ensemble=ensemble, seed=9, time_points=17)
-            want = 17 * sum(spec.values.size for spec in self._spectra(nbar))
+            spectra = self._spectra(nbar)
+            reach = len(spectra[0].values)
+            want = 17 * sum(spec.values[:reach].size for spec in spectra)
             assert sum(math.prod(s) for s in shapes) == want
 
     def test_overlap_maps_pair_each_sector_with_its_own_index(self, monkeypatch):
+        """One map per overlap serves every nbar."""
         maps = []
         overlaps = scans.sector_overlaps
 
@@ -240,7 +247,7 @@ class TestFidelityScan:
 
         monkeypatch.setattr(scans, "sector_overlaps", recording)
         fidelity_scan(nbars=(4, 20), ensemble=2, seed=9, time_points=3)
-        assert len(maps) == 6
+        assert len(maps) == 3
         for pairs, partner, _ in maps:
             np.testing.assert_array_equal(pairs, partner)
 
@@ -255,12 +262,36 @@ class TestFidelityScan:
         with pytest.raises(ValueError, match="pairs sectors of different index"):
             fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=3)
 
-    def test_repeated_nbar_is_refused(self):
-        """Two tables under the same column names are refused, not written."""
+    def test_repeated_nbar_is_refused(self, monkeypatch):
+        """Two tables under the same column names are refused, not written,
+        and the scan refuses them before it builds a spectrum."""
         with pytest.raises(ValueError, match="repeated column names"):
             ScanResult(("gt_over_pi", "gt_over_pi"), np.zeros((1, 2)), {})
+        built = []
+        monkeypatch.setattr(scans, "sector_spectrum", built.append)
         with pytest.raises(ValueError, match="repeated column names"):
             fidelity_scan(nbars=(4, 4), ensemble=1, seed=9, time_points=2)
+        assert built == []
+
+    def test_no_nbar_gives_the_time_column_alone(self):
+        r = fidelity_scan(nbars=(), ensemble=2, seed=9, time_points=3)
+        assert r.columns == ("gt_over_pi",)
+        np.testing.assert_array_equal(r.rows, np.linspace(0.0, 1.0, 3)[:, None])
+
+    def test_one_pass_on_the_largest_cutoff_serves_every_nbar(self, monkeypatch):
+        """A (4, 20) scan builds its spectra and overlap maps once, on nbar
+        20's cutoff, which the metadata names; nbar 4's input, built on its
+        own cutoff, evolves there too."""
+        calls = collections.Counter()
+        for name in ("sector_spectrum", "linearized_spectrum", "sector_overlaps"):
+            build = getattr(scans, name)
+            monkeypatch.setattr(scans, name, lambda *a, f=build, n=name: calls.update([n]) or f(*a))
+        r = fidelity_scan(nbars=(4, 20), ensemble=3, seed=9, time_points=5)
+        assert calls == {"sector_spectrum": 2, "linearized_spectrum": 1, "sector_overlaps": 3}
+        shared = FockCutoff.for_mean_photon(20)
+        assert r.meta["n_max"] == shared.n_max
+        oracle = fidelity_scan_oracle((4, 20), 3, 9, 5, cutoff=shared)
+        np.testing.assert_allclose(r.rows, oracle, rtol=0, atol=1e-13)
 
     def test_scan_never_rotates_to_the_flat_basis(self, monkeypatch):
         calls = []
@@ -277,10 +308,11 @@ class TestFidelityScan:
     def test_memory_stays_flat_at_the_bench_size(self):
         """The hierarchy benchmark's scan (nbar 20/50/100, ensemble 10, 101
         times) in chunks: its coefficient matrix for nbar 100 alone would
-        take 2.2 MB, its full table of phase products 22 MB."""
+        take 2.2 MB, its full table of phase products 22 MB.  The shared
+        pass peaks at 2.83 MB."""
         with traced_peak() as mem:
             fidelity_scan(nbars=(20, 50, 100), ensemble=10, seed=0, time_points=101)
-        assert mem.peak <= 6e6
+        assert mem.peak <= 3.4e6
 
     def test_single_sample_has_zero_stderr(self):
         r = fidelity_scan(nbars=(4,), ensemble=1, seed=9, time_points=5)
