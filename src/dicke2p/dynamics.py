@@ -1,29 +1,30 @@
 """Exact and analytic time evolution for the two-photon two-atom model.
 
 Both Hamiltonians conserve the excitation number, so the exact engine works
-sector by sector: `sector_spectrum` stacks the (at most 9x9) sector blocks,
-diagonalizes them with one batched eigh, and the resulting SectorSpectrum
-propagates a state to any number of times without ever forming a matrix of
-the full dimension.  Propagation has three stages: project a state onto the
-sector eigenvectors once, build the phase table exp(-i lambda t) once per
-spectrum and set of times, and rotate back to the flat basis.
-SectorSpectrum.propagate is the exact engine's one entry point; in the
-package only evolve_linearized_many, scans.wigner_panels and the protocols'
-homodyne readout (atomic states times |alpha>, evolved to one time)
-rotate.  Every phase table comes from one cos/sin kernel, _unit_phases:
-SectorSpectrum.phases and scans.fidelity_scan (per chunk of sectors) call
-it.  An overlap between states of two spectra skips the rotation: it is a
-sum over sector pairs of weights, phases and the eigenvector overlap maps
-of sector_overlaps; an expectation value (scans.rabi_curve) is a sum over
-the sector frequency pairs.  The analytic
-layer runs the same engine on the large-N linearization of the two-photon
-interaction W: each sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a
-spectrum linear in N, (0, +-g(2N-3)), which turns a coherent-state input
-into a superposition of a few rotating coherent branches.  _branch_maps is
-the paper's large-nbar form of that result: three branches on the labels
-alpha and e^{-+2igt} alpha, as maps on the atoms at every time.  The
-protocols' analytic engine reads them through closed-form coherent-state
-overlaps and quadrature wavefunctions; no field vector is built.
+sector by sector: `sector_spectrum` diagonalizes the full model's (at most
+9x9) sector blocks with one batched eigh and W's in closed form, and the
+resulting SectorSpectrum propagates a state to any number of times without
+ever forming a matrix of the full dimension.  Propagation has three stages:
+project a state onto the sector eigenvectors once, build the phase table
+exp(-i lambda t) once per spectrum and set of times, and rotate back to the
+flat basis.  SectorSpectrum.propagate is the exact engine's one entry
+point; in the package only evolve_linearized_many, scans.wigner_panels and
+the protocols' homodyne readout (atomic states times |alpha>, evolved to
+one time) rotate.  Every phase table comes from one cos/sin kernel,
+_unit_phases: SectorSpectrum.phases and scans.fidelity_scan (per chunk of
+sectors) call it.  An overlap between states of two spectra skips the
+rotation: it is a sum over sector pairs of weights, phases and the
+eigenvector overlap maps of sector_overlaps; an expectation value
+(scans.rabi_curve) is a sum over the sector frequency pairs.  The analytic
+layer runs the same engine, on the state's own cutoff, on the large-N
+linearization of the two-photon interaction W: each sector N couples
+{|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in N, (0, +-g(2N-3)),
+which turns a coherent-state input into a superposition of a few rotating
+coherent branches.  _branch_maps is the paper's large-nbar form of that
+result: three branches on the labels alpha and e^{-+2igt} alpha, as maps on
+the atoms at every time.  The protocols' analytic engine reads them through
+closed-form coherent-state overlaps and quadrature wavefunctions; no field
+vector is built.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .hilbert import (
     coherent_state,
     tensor,
 )
-from .models import EffectiveModelParams, FullModelParams, excitation_labels, sector_blocks
+from .models import EffectiveModelParams, FullModelParams, sector_blocks
 
 __all__ = [
     "SectorSpectrum",
@@ -63,18 +64,14 @@ class SectorSpectrum:
     """Eigensystem of an excitation-conserving Hamiltonian, sector by sector.
 
     index[s] lists the flat basis indices of sector s, padded with the
-    sentinel prod(dims) (see models.sector_index); values[s] and vectors[s]
-    are the eigenvalues and eigenvector columns of that sector's block.
-    position maps each flat basis index to its slot in index.ravel().
+    sentinel prod(dims) (see models.sector_index and _w_spectrum);
+    values[s] and vectors[s] are the eigenvalues and eigenvector columns of
+    that sector's block.  position maps each flat basis index to its slot
+    in index.ravel().
 
     propagate(psi, times) is rotate(project(psi), phases(times)): project
     depends on the state alone and phases on the times alone, so a caller
-    evolving many states to the same times builds each once.  Only
-    evolve_linearized_many, scans.wigner_panels and the protocols' homodyne
-    readout (the atomic states times |alpha> that cavity 1 reads, evolved
-    to one time) rotate; overlaps and expectation values stop at the
-    phases, which scans.fidelity_scan takes from values through
-    _unit_phases directly.
+    evolving many states to the same times builds each once.
     """
 
     index: np.ndarray
@@ -89,18 +86,6 @@ class SectorSpectrum:
         position = np.empty(dim, dtype=np.intp)
         position[self.index[real]] = np.flatnonzero(real)
         object.__setattr__(self, "position", position)
-
-    @classmethod
-    def from_blocks(
-        cls, index: np.ndarray, blocks: np.ndarray, dims: tuple[int, ...]
-    ) -> "SectorSpectrum":
-        """Diagonalize all sector blocks with one batched eigh.  Padded rows
-        and columns are zeroed first, so padding never mixes into a sector's
-        propagator."""
-        real = index < math.prod(dims)
-        blocks = np.where(real[:, :, None] & real[:, None, :], blocks, 0.0)
-        values, vectors = np.linalg.eigh(blocks)
-        return cls(index, values, vectors, dims)
 
     def project(self, amplitudes: np.ndarray, at: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Weights on the sector eigenvectors of flat amplitudes (..., n) at
@@ -139,26 +124,52 @@ def _unit_phases(angle: np.ndarray) -> np.ndarray:
 
 
 def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpectrum:
-    """Sector spectrum of the full Hamiltonian (FullModelParams) or of the
-    two-photon interaction W (EffectiveModelParams), built block by block
-    from the parameters."""
-    return SectorSpectrum.from_blocks(*sector_blocks(params))
+    """Sector spectrum of the full Hamiltonian (FullModelParams), by one
+    batched eigh of its blocks (padding zeroed), or of W
+    (EffectiveModelParams) in closed form, where a pair couples only if
+    both of its states lie on the cutoff."""
+    if isinstance(params, EffectiveModelParams):
+        n, top = np.arange(params.cutoff.dim + 4.0), params.cutoff.n_max
+        upper, lower = np.sqrt(n * (n - 1)) * (n <= top), np.sqrt((n - 2) * (n - 3)) * (n <= top + 2)
+        return _w_spectrum(params, upper, lower)
+    index, blocks, dims = sector_blocks(params)
+    real = index < math.prod(dims)
+    values, vectors = np.linalg.eigh(np.where(real[:, :, None] & real[:, None, :], blocks, 0.0))
+    return SectorSpectrum(index, values, vectors, dims)
 
 
 def linearized_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:
     """Sector spectrum of W linearized at large excitation N: every pair
     coupling of sector N has the field factor (2N-3)/2 in place of
-    sqrt(m(m-1)), so the sector spectrum is (0, 0, -g(2N-3), +g(2N-3)).
+    sqrt(m(m-1)), so the sector spectrum is (0, 0, -+g(2N-3)).  Its sectors
+    are complete, so a propagation loses the weight it moves past the
+    cutoff (evolve_linearized_many)."""
+    factor = np.arange(cutoff.dim + 4) - 1.5
+    return _w_spectrum(EffectiveModelParams(g, cutoff), factor, factor)
 
-    Built on the cutoff n_max + 4, where every amplitude stored at `cutoff`
-    sits in its complete sector (see evolve_linearized_many).
-    """
-    padded = FockCutoff(cutoff.n_max + 4)
-    index, blocks, dims = sector_blocks(EffectiveModelParams(g, padded))
-    n = excitation_labels(padded)[index[:, 0], None, None]
-    # W has a zero diagonal and couples each pair with g times a positive field factor
-    blocks = np.where(blocks != 0.0, g * (2 * n - 3) / 2.0, 0.0)
-    return SectorSpectrum.from_blocks(index, blocks, dims)
+
+def _w_spectrum(params: EffectiveModelParams, upper: np.ndarray, lower: np.ndarray) -> SectorSpectrum:
+    """W's sector spectrum with the field factors upper[N] of |gg,N> to
+    |ge,N-2> and |eg,N-2>, and lower[N] of those to |ee,N-4>, in these
+    slots of the sectors N = 0 .. n_max + 4 (off the cutoff, the sentinel).
+    With (a, b) = sign(g) (upper, lower) / |(upper, lower)| and lambda =
+    sqrt(2) |g| |(upper, lower)|, the eigenvectors in (|gg>, |psi+>, |ee>)
+    are (a, -+1, b)/sqrt(2) at -+lambda and (b, 0, -a) at 0, beside |psi->
+    at 0; (a, b) = (0, 1) where no pair couples."""
+    nf = params.cutoff.dim
+    n = np.arange(nf + 4)
+    photons = n[:, None] - np.array([0, 2, 2, 4])
+    index = np.where((photons >= 0) & (photons < nf), nf * np.arange(4) + photons, 4 * nf)
+    pair = np.stack([upper * (n >= 2), lower * (n >= 4)], axis=1)  # no negative photon numbers
+    square = np.sum(pair**2, axis=1, keepdims=True)
+    ab = np.tile([0.0, 1.0], (n.size, 1))
+    a, b = np.divide(np.sign(params.g) * pair, np.sqrt(square), out=ab, where=square > 0.0).T
+    lam, z = abs(params.g) * np.sqrt(2.0 * square[:, 0]), np.zeros_like(a)
+    h, q = z + 0.5, z + math.sqrt(0.5)
+    # rows the slots; columns bright at -lambda, dark, |psi->, bright at +lambda
+    vectors = np.array([[q * a, b, z, q * a], [-h, z, q, h], [-h, z, -q, h], [q * b, -a, z, q * b]])
+    values = np.stack([-lam, z, z, lam], axis=1)
+    return SectorSpectrum(index, values, vectors.transpose(2, 0, 1), (2, 2, nf))
 
 
 def sector_overlaps(
@@ -193,16 +204,14 @@ def evolve_linearized_many(
     spectrum: SectorSpectrum, psi0: StateVector, times: np.ndarray
 ) -> np.ndarray:
     """Amplitudes of psi0 evolved under linearized_spectrum for every t,
-    zero-padded onto the spectrum's cutoff and cut back and renormalized
-    after check_capture; shape (len(times), psi0.dim)."""
-    nf = psi0.dims[-1]
-    if spectrum.dims != (2, 2, nf + 4):
+    renormalized after check_capture of the norm lost past the cutoff;
+    shape (len(times), psi0.dim)."""
+    if spectrum.dims != psi0.dims:
         raise ValueError("spectrum is not the linearized W for this state's cutoff")
-    padded = np.pad(psi0.amplitudes.reshape(4, nf), ((0, 0), (0, 4)))
-    out = spectrum.propagate(padded.ravel(), times).reshape(-1, 4, nf + 4)
-    check_capture(np.sum(np.abs(out[:, :, nf:]) ** 2, axis=(1, 2)), nf - 1)
-    kept = out[:, :, :nf].reshape(len(out), -1)
-    return kept / np.linalg.norm(kept, axis=1, keepdims=True)
+    out = spectrum.propagate(psi0.amplitudes, times)
+    kept = np.sum(np.abs(out) ** 2, axis=1)
+    check_capture(np.sum(np.abs(psi0.amplitudes) ** 2) - kept, psi0.dims[-1] - 1)
+    return out / np.sqrt(kept)[:, None]
 
 
 def analytic_state(

@@ -8,7 +8,8 @@ n_max + 1) for three-level ones, (2, 2) for the atoms alone and
 (n_max + 1,) for the field alone; every module relies on it.  Atomic
 levels are ordered g, e for two-level atoms and g, i, e for three-level
 atoms.  The Hamiltonians are never built here as matrices of the full
-dimension (see models.sector_blocks), nor <x|n> as a table (hermite_sum).
+dimension (see dynamics.sector_spectrum), nor <x|n> as a table
+(hermite_sum).
 """
 
 from __future__ import annotations

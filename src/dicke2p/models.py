@@ -6,12 +6,11 @@ level is far detuned it can be eliminated, leaving an effective two-photon
 interaction W between |gg> and |ee> plus Stark shifts.
 
 Both Hamiltonians conserve the excitation number a^dag a + 2 S_ee + S_ii,
-so they are built here block by block: `sector_blocks` returns each
-excitation sector's matrix (at most 9 states for three-level atoms, 4 for
-two-level ones) straight from the parameters, and `excitation_labels` is
-the one place that knows the conserved quantity.  No matrix of the full
-dimension is ever formed; the sector engine in dynamics diagonalizes these
-blocks and nothing else.
+which `excitation_labels` alone knows.  `sector_blocks` builds the full
+model's sector matrices (at most 9 states) straight from the parameters,
+for dynamics to diagonalize; W's sectors (at most 4 states) need none, as
+their spectrum is in closed form.  No matrix of the full dimension is ever
+formed.
 """
 
 from __future__ import annotations
@@ -111,48 +110,36 @@ def sector_index(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:
     return index
 
 
-def sector_blocks(
-    params: FullModelParams | EffectiveModelParams,
-) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+def sector_blocks(params: FullModelParams) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
     """Sector index map (see sector_index), the real symmetric block of the
-    Hamiltonian in every sector, and the dims it acts on: the full H for
-    FullModelParams, W for EffectiveModelParams.  Built from the
-    parameters; padded rows and columns hold arbitrary values and are
+    full Hamiltonian in every sector, and the dims it acts on, built from
+    the parameters; padded rows and columns hold arbitrary values and are
     masked by the caller.
 
     Every interaction term moves one atom across one coupled transition and
-    absorbs or emits `photons` quanta, with field factor
-    sqrt(n (n-1) ... (n-photons+1)) at the larger photon number n.
+    absorbs or emits one photon, with field factor sqrt(n) at the larger
+    photon number n.
     """
-    if isinstance(params, FullModelParams):
-        levels, photons, photon_energy = 3, 1, params.omega
-        level_energy = np.array([0.0, params.omega + params.delta, 2.0 * params.omega])
-        coupling = np.array(
-            [[0.0, params.g_g, 0.0], [params.g_g, 0.0, params.g_e], [0.0, params.g_e, 0.0]]
-        )
-    elif isinstance(params, EffectiveModelParams):
-        levels, photons, photon_energy = 2, 2, 0.0
-        level_energy = np.zeros(2)
-        coupling = np.array([[0.0, params.g], [params.g, 0.0]])
-    else:
-        raise TypeError("expected FullModelParams or EffectiveModelParams")
+    if not isinstance(params, FullModelParams):
+        raise TypeError("expected FullModelParams")
     nf = params.cutoff.dim
-    index = sector_index(params.cutoff, levels)
-    atom_a, rest = np.divmod(np.minimum(index, levels * levels * nf - 1), levels * nf)
+    level_energy = np.array([0.0, params.omega + params.delta, 2.0 * params.omega])
+    coupling = np.array(
+        [[0.0, params.g_g, 0.0], [params.g_g, 0.0, params.g_e], [0.0, params.g_e, 0.0]]
+    )
+    index = sector_index(params.cutoff, 3)
+    atom_a, rest = np.divmod(np.minimum(index, 9 * nf - 1), 3 * nf)
     atom_b, n = np.divmod(rest, nf)
 
     a_row, a_col = atom_a[:, :, None], atom_a[:, None, :]
     b_row, b_col = atom_b[:, :, None], atom_b[:, None, :]
-    top = np.maximum(n[:, :, None], n[:, None, :])
-    field = np.ones(top.shape)
-    for k in range(photons):
-        field *= np.sqrt(np.maximum(top - k, 0))
+    field = np.sqrt(np.maximum(n[:, :, None], n[:, None, :]))
     blocks = field * (
         coupling[a_row, a_col] * (b_row == b_col) + coupling[b_row, b_col] * (a_row == a_col)
     )
     diag = np.arange(index.shape[1])
-    blocks[:, diag, diag] = photon_energy * n + level_energy[atom_a] + level_energy[atom_b]
-    return index, blocks, (levels, levels, nf)
+    blocks[:, diag, diag] = params.omega * n + level_energy[atom_a] + level_energy[atom_b]
+    return index, blocks, (3, 3, nf)
 
 
 _EMBED_ATOM = (0, 2)  # two-level g, e -> three-level indices

@@ -144,23 +144,17 @@ def fidelity_scan(
     w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
     lin_spec = linearized_spectrum(g, cutoff)
     idx = embed_indices(cutoff)
-    # the closed form lives on the cutoff n_max + 4 (linearized_spectrum)
-    n_lin = math.prod(lin_spec.dims)
-    at = np.flatnonzero(np.arange(n_lin) % (cutoff.dim + 4) < cutoff.dim)
-    kept = np.full(n_lin, -1)
-    kept[at] = idx
-    # (bra, ket, sectors, M) of <psi_W|R psi_full>, of <kept psi_lin|R psi_full>,
-    # and of the weight of psi_lin past the cutoff
+    # (bra, ket, sectors, M) of <psi_W|R psi_full>, <psi_lin|R psi_full> and the weight of
+    # psi_lin past the cutoff (V^dag V on its sentinel slots); each pairs a range of sectors
     overlaps = []
-    for bra, ket, to_ket in (
-        (w_spec, full_spec, idx),
-        (lin_spec, full_spec, kept),
-        (lin_spec, lin_spec, np.where(kept < 0, np.arange(kept.size), -1)),
-    ):
-        pairs, partner, m = sector_overlaps(bra, ket, to_ket)
+    for bra in (w_spec, lin_spec):
+        pairs, partner, m = sector_overlaps(bra, full_spec, idx)
         if not np.array_equal(pairs, partner):
             raise ValueError("an overlap map pairs sectors of different index")
-        overlaps.append((bra, ket, pairs, m))
+        overlaps.append((bra, full_spec, pairs, m))
+    edge = np.arange(cutoff.dim, cutoff.dim + 4)
+    v, off = lin_spec.vectors[edge], lin_spec.index[edge, :, None] == math.prod(lin_spec.dims)
+    overlaps.append((lin_spec, lin_spec, edge, v.mT @ (off * v)))
     # per nbar: the sectors its input reaches, N <= n_max + 4 of its own cutoff, and their weights
     reach = np.array([FockCutoff.for_mean_photon(float(nbar)).n_max + 5 for nbar in nbars])
     weights = {}
@@ -173,13 +167,12 @@ def fidelity_scan(
         fields *= coherent_state(math.sqrt(nbar), own).amplitudes
         inputs = (atoms[:, :, None] * fields[:, None, :]).reshape(ensemble, -1)
         sub = np.flatnonzero(np.arange(4 * cutoff.dim) % cutoff.dim < own.dim)  # own in shared
-        on = ((full_spec, idx[sub]), (w_spec, sub), (lin_spec, at[sub]))
+        on = ((full_spec, idx[sub]), (w_spec, sub), (lin_spec, sub))
         weights[k] = {spec: spec.project(inputs, i)[:, : reach[k]].copy() for spec, i in on}
         del rngs, atoms, fields, inputs  # with the largest nbar first, this lowers peak RSS
     # the counter-rotation R by the (omega + 2g) I part of the effective model
     shift = 2.0 * g * excitation_labels(cutoff, levels=3)[full_spec.index[:, :1]]
-    top = max(reach, default=0)  # every full and W sector; the last four linearized stay empty
-    lam = {full_spec: full_spec.values - shift, w_spec: w_spec.values, lin_spec: lin_spec.values[:top]}
+    lam = {full_spec: full_spec.values - shift, w_spec: w_spec.values, lin_spec: lin_spec.values}
     # per sector: the phase tables, and C of every nbar and E of every overlap
     per_sector = time_points * sum(v.shape[1] for v in lam.values())
     per_sector += (len(nbars) * ensemble + time_points) * sum(m[0].size for *_, m in overlaps)
@@ -188,17 +181,19 @@ def fidelity_scan(
     # every E is written into one buffer: a fresh table per overlap and
     # chunk would take a page fault per 4 KiB of it
     work = np.empty(step * max(m[0].size for *_, m in overlaps) * time_points, np.complex128)
-    for lo in range(0, top, step):
+    for lo in range(0, max(reach, default=0), step):
         ph = {spec: _unit_phases(v[lo : lo + step, :, None] * times) for spec, v in lam.items()}
         active = np.flatnonzero(reach > lo)
         for b, (bra, ket, pairs, m) in enumerate(overlaps):
             first, *ends = np.searchsorted(pairs, [lo, *np.minimum(lo + step, reach[active])])
-            p, m = pairs[first : max(ends)], m[first : max(ends)]
+            m, r = m[first : max(ends)], slice(pairs[0] + first - lo, pairs[0] + max(ends) - lo)
             e = work[: m.size * time_points].reshape(m.shape + (time_points,))
-            np.multiply(ph[bra][p - lo, :, None].conj(), ph[ket][p - lo, None], out=e)
+            np.conjugate(ph[bra][r, :, None], out=e)
+            e *= ph[ket][r, None]
             for k, end in zip(active, ends):
-                q, w = p[: end - first], weights[k]
-                c = w[bra][:, q, :, None].conj() * w[ket][:, q, None, :] * m[: end - first]
+                q, w = slice(pairs[0] + first, pairs[0] + end), weights[k]
+                c = w[bra][:, q, :, None].conj() * w[ket][:, q, None, :]
+                c *= m[: end - first]
                 values[k, b] += c.reshape(ensemble, -1) @ e[: end - first].reshape(-1, time_points)
     for k, nbar in enumerate(nbars):
         check_capture(values[k, 2].real, cutoff.n_max)

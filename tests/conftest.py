@@ -358,11 +358,12 @@ def fidelity_scan_oracle(
 
 
 # Dense reference operators on the flat layout atom A (x) atom B (x) field.
-# The library builds each Hamiltonian only as excitation-sector blocks
-# (models.sector_blocks); these Kronecker-product forms are the independent
-# oracles the blocks are checked against, and the Stark-shift and
-# dispersive-reduction tests check the elimination of the intermediate
-# level on them.
+# The library builds the full Hamiltonian only as excitation-sector blocks
+# (models.sector_blocks) and W only as its closed-form sector spectrum;
+# these Kronecker-product forms are the independent oracles both are
+# checked against (w_sector_blocks reads W's blocks off them), and the
+# Stark-shift and dispersive-reduction tests check the elimination of the
+# intermediate level on them.
 
 
 Level = Literal["g", "i", "e"]
@@ -464,6 +465,20 @@ def two_photon_w(params: EffectiveModelParams) -> Operator:
     s_ge = collective_op("g", "e", 2).matrix
     w = params.g * (np.kron(s_eg, a @ a) + np.kron(s_ge, ad @ ad))
     return Operator(w, (2, 2, cutoff.dim), hermitian=True)
+
+
+def w_sector_blocks(params: EffectiveModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The sector blocks of two_photon_w, in the layout of W's closed-form
+    spectrum: sector N = 0 .. n_max + 4 holds the slots |gg,N>, |ge,N-2>,
+    |eg,N-2>, |ee,N-4>, and a slot off the cutoff keeps zero rows and
+    columns.  Returns the blocks (sectors, 4, 4) and which slots lie on the
+    cutoff (sectors, 4)."""
+    nf = params.cutoff.dim
+    photons = np.arange(nf + 4)[:, None] - np.array([0, 2, 2, 4])
+    real = (photons >= 0) & (photons < nf)
+    flat = np.where(real, nf * np.arange(4) + photons, 0)
+    dense = two_photon_w(params).matrix.real[flat[:, :, None], flat[:, None, :]]
+    return np.where(real[:, :, None] & real[:, None, :], dense, 0.0), real
 
 
 def stark_shift(params: FullModelParams) -> Operator:

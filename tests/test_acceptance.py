@@ -9,15 +9,16 @@ import time
 
 import numpy as np
 import pytest
-from conftest import blockwise_state, random_coeffs
+from conftest import blockwise_state, random_coeffs, w_sector_blocks
 
 from dicke2p.dynamics import (
     analytic_state,
     rabi_see_analytic,
     revival_time,
+    sector_spectrum,
 )
 from dicke2p.hilbert import AtomCoeffs, FockCutoff
-from dicke2p.models import EffectiveModelParams, excitation_labels, sector_blocks
+from dicke2p.models import EffectiveModelParams
 from dicke2p.protocols import (
     ALL_OUTCOMES,
     HomodyneConfig,
@@ -53,17 +54,19 @@ def report(number, ok, detail, elapsed, limit):
 
 def test_criterion_1_block_spectrum():
     t0 = time.perf_counter()
-    cut = FockCutoff(300)
-    index, blocks, _ = sector_blocks(EffectiveModelParams(1.3, cut))
-    n = excitation_labels(cut)[index[:, 0]]
+    params = EffectiveModelParams(1.3, FockCutoff(300))
+    # the sector blocks of the dense W, and W's closed-form spectrum
+    blocks, real = w_sector_blocks(params)
+    n = np.arange(len(blocks))
     full = (n >= 4) & (n <= 300)
-    assert full.sum() == 297 and np.all(index[full] < 4 * cut.dim)
+    assert full.sum() == 297 and np.all(real[full])
     numeric = np.linalg.eigvalsh(blocks[full])
+    closed = sector_spectrum(params).values[full]
     # W's exact sector spectrum; the second 0 is |psi->
     w = 1.3 * np.sqrt((2 * n[full] - 3) ** 2 + 3)
     zero = np.zeros_like(w)
     exact = np.stack([-w, zero, zero, w], axis=1)
-    worst = float(np.max(np.abs(numeric - exact) / w[:, None]))
+    worst = float(max(np.max(np.abs(v - exact) / w[:, None]) for v in (numeric, closed)))
     elapsed = time.perf_counter() - t0
     report(1, worst < 1e-10,
            f"eigenvalue relative error {worst:.2e} < 1e-10 for n in [4, 300]",

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from conftest import (
     blockwise_state,
@@ -21,8 +20,8 @@ from conftest import (
     three_branch_state,
     traced_peak,
     two_photon_w,
+    w_sector_blocks,
 )
-from dicke2p import models
 from dicke2p.analysis import sample_rng
 from dicke2p.dynamics import (
     analytic_state,
@@ -61,6 +60,17 @@ def sector_propagator(spectrum, n, t):
     return (v * np.exp(-1j * spectrum.values[n] * t)) @ v.conj().T
 
 
+def propagators(values, vectors, t):
+    """exp(-i H t) of every sector from its eigenvalues and eigenvectors."""
+    return (vectors * np.exp(-1j * values * t)[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
+
+
+def spectrum_blocks(spectrum):
+    """Every sector block V diag(values) V^dag that a spectrum diagonalizes."""
+    v = spectrum.vectors
+    return (v * spectrum.values[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
 # |gg>, |psi+>, |ee> in the slot order of a full two-level sector
 _SQ = 1 / math.sqrt(2.0)
 _BELL3 = np.array([[1, 0, 0, 0], [0, _SQ, _SQ, 0], [0, 0, 0, 1]])
@@ -68,17 +78,24 @@ _BELL3 = np.array([[1, 0, 0, 0], [0, _SQ, _SQ, 0], [0, 0, 0, 1]])
 
 class TestBlocks:
     def test_couplings_at_n10(self):
-        _, blocks, _ = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(12)))
+        blocks = spectrum_blocks(sector_spectrum(EffectiveModelParams(1.0, FockCutoff(12))))
         m = _BELL3 @ blocks[10] @ _BELL3.T
         assert m[0, 1] == pytest.approx(13.416407864998739, abs=1e-12)
         assert m[1, 2] == pytest.approx(10.583005244258363, abs=1e-12)
 
     def test_hermitian(self):
-        _, blocks, _ = models.sector_blocks(EffectiveModelParams(0.7, FockCutoff(12)))
-        np.testing.assert_allclose(blocks, blocks.transpose(0, 2, 1).conj())
+        """The closed-form eigenvectors are real and orthonormal in every
+        sector, so the blocks they diagonalize are real symmetric."""
+        spec = sector_spectrum(EffectiveModelParams(0.7, FockCutoff(12)))
+        v = spec.vectors
+        assert v.dtype == np.float64
+        np.testing.assert_allclose(v.transpose(0, 2, 1) @ v, np.broadcast_to(np.eye(4), v.shape), atol=1e-15)
+        blocks = spectrum_blocks(spec)
+        np.testing.assert_allclose(blocks, blocks.transpose(0, 2, 1).conj(), rtol=0, atol=1e-14)
 
     def test_low_sectors_decouple_third_slot(self):
-        index, _, dims = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(12)))
+        spec = sector_spectrum(EffectiveModelParams(1.0, FockCutoff(12)))
+        index, dims = spec.index, spec.dims
         for n in (2, 3):
             assert list(index[n] < math.prod(dims)) == [True, True, True, False]
 
@@ -109,7 +126,7 @@ class TestBlocks:
     def test_asymptotic_eigenvectors(self, n):
         """The fixed large-n frame diagonalizes the sector up to a relative
         error that dies off as 1/n (the two pair couplings differ by O(1))."""
-        _, blocks, _ = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(n)))
+        blocks, _ = w_sector_blocks(EffectiveModelParams(1.0, FockCutoff(n)))
         sq = 1 / math.sqrt(2)
         frame = np.array([[sq, 0, -sq], [0.5, -sq, 0.5], [0.5, sq, 0.5]])
         rotated = frame @ _BELL3 @ blocks[n] @ _BELL3.T @ frame.T
@@ -143,16 +160,70 @@ class TestBlockPropagator:
 
     def test_approaches_exact_exponential(self):
         # the linearized spectrum converges to the true one as n grows
-        cut = FockCutoff(1996)
+        cut = FockCutoff(2000)
         lin = linearized_spectrum(1.0, cut)
-        _, blocks, _ = models.sector_blocks(EffectiveModelParams(1.0, FockCutoff(2000)))
+        exact = sector_spectrum(EffectiveModelParams(1.0, cut))
 
         def gap(n, t):
-            u = sector_propagator(lin, n, t)
-            return np.max(np.abs(u - expm(-1j * blocks[n] * t)))
+            return np.max(np.abs(sector_propagator(lin, n, t) - sector_propagator(exact, n, t)))
 
         assert gap(400, 0.05) < 5e-3
         assert gap(2000, 0.01) < gap(400, 0.05) / 3.0
+
+
+class TestClosedFormSpectrum:
+    """W and its linearization come in closed form; eigh of the dense
+    oracle's sector blocks checks both, sector by sector, through the
+    eigenvalues and the propagators on the slots the blocks hold."""
+
+    @staticmethod
+    def check_sectors(spec, blocks, real, edges):
+        """Sorted eigenvalues and exp(-i H t) at three times against eigh
+        of blocks, on the slots real holds; the sectors in edges first, by
+        name."""
+        values, vectors = np.linalg.eigh(blocks)
+        scale = max(np.abs(values).max(), 1.0)  # W is zero on n_max = 1
+        on = real[:, :, None] & real[:, None, :]
+        got = [np.sort(spec.values, axis=1)]
+        want = [values]
+        for t in (0.0, 1.0 / scale, 5.0 / scale):
+            got.append(propagators(spec.values, spec.vectors, t) * on)
+            want.append(propagators(values, vectors, t) * on)
+        for n in (*edges, *range(len(blocks))):
+            np.testing.assert_allclose(got[0][n], want[0][n], rtol=0, atol=1e-14 * scale, err_msg=f"N = {n}")
+            for g, w in zip(got[1:], want[1:]):
+                np.testing.assert_allclose(g[n], w[n], rtol=0, atol=1e-14, err_msg=f"N = {n}")
+
+    @pytest.mark.parametrize("n_max", [1, 4, 22, 60])
+    def test_exact_w_is_eigh_of_the_truncated_oracle_blocks(self, n_max):
+        """Every sector of the exact W, the truncated top sectors N = n_max
+        + 1 .. n_max + 4 and the sectors N = 0, 1 that hold |gg,N> alone
+        included."""
+        params = EffectiveModelParams(-0.7, FockCutoff(n_max))
+        spec = sector_spectrum(params)
+        blocks, real = w_sector_blocks(params)
+        np.testing.assert_array_equal(spec.index < math.prod(spec.dims), real)
+        for n in (0, 1):
+            assert list(real[n]) == [True, False, False, False]
+            np.testing.assert_array_equal(spec.values[n], 0.0)
+            np.testing.assert_allclose(sector_propagator(spec, n, 3.0)[0, 0], 1.0, rtol=0, atol=1e-15)
+        self.check_sectors(spec, blocks, real, (0, 1, *range(n_max + 1, n_max + 5)))
+
+    @pytest.mark.parametrize("n_max", [1, 4, 22, 60])
+    def test_linearized_w_is_eigh_of_the_padded_linearized_blocks(self, n_max):
+        """The linearized W on the cutoff n_max keeps the complete sectors
+        N = 0 .. n_max + 4 that a state on it reaches: those of the W blocks
+        on n_max + 4 with every pair coupling g(2N-3)/2, slots past n_max
+        (the sentinel slots of the spectrum) included."""
+        g = 0.45
+        spec = linearized_spectrum(g, FockCutoff(n_max))
+        _, on_cutoff = w_sector_blocks(EffectiveModelParams(g, FockCutoff(n_max)))
+        np.testing.assert_array_equal(spec.index < math.prod(spec.dims), on_cutoff)
+        blocks, real = w_sector_blocks(EffectiveModelParams(g, FockCutoff(n_max + 4)))
+        blocks, real = blocks[: n_max + 5], real[: n_max + 5]
+        n = np.arange(n_max + 5)[:, None, None]
+        blocks = np.where(blocks != 0.0, g * (2 * n - 3) / 2.0, 0.0)
+        self.check_sectors(spec, blocks, real, (0, 1, *range(n_max + 1, n_max + 5)))
 
 
 class TestEvolveExact:
@@ -281,26 +352,36 @@ class TestSectorOverlaps:
             sector_overlaps(w, w, np.roll(np.arange(math.prod(w.dims)), 1))
 
     def test_dropped_weight_is_a_quadratic_form(self):
-        """The linearized weight past the cutoff from the overlap maps of the
-        sectors that hold such states equals the flat weight there, for |ee>
-        at half a revival on the tightest cutoff at nbar = 4, where it is
-        large enough to raise."""
+        """The linearized weight past the cutoff, V^dag V on the sentinel
+        slots of the four sectors past it (as fidelity_scan takes it),
+        equals the flat weight past the cutoff of the same evolution on a
+        cutoff four photons larger, and the norm that propagate loses, for
+        |ee> at half a revival on the tightest cutoff at nbar = 4, where it
+        is large enough to raise.  The sentinel slots of the sectors N < 4,
+        states of negative photon number, hold no weight."""
         g, cut = -0.002, FockCutoff(22)
-        lin = linearized_spectrum(g, cut)
+        t = np.array([revival_time(g) / 2.0])
+        psi0 = np.kron([0, 0, 0, 1], coherent_state(2.0, cut).amplitudes)
         padded = np.zeros((4, cut.dim + 4), dtype=np.complex128)
         padded[3, : cut.dim] = coherent_state(2.0, cut).amplitudes
-        t = np.array([revival_time(g) / 2.0])
-        flat = lin.propagate(padded.ravel(), t).reshape(4, cut.dim + 4)
-        expected = np.sum(np.abs(flat[:, cut.dim :]) ** 2)
+        flat = linearized_spectrum(g, FockCutoff(26)).propagate(padded.ravel(), t)
+        expected = np.sum(np.abs(flat.reshape(4, cut.dim + 4)[:, cut.dim :]) ** 2)
 
-        inside = np.arange(math.prod(lin.dims)) % (cut.dim + 4) < cut.dim
-        pairs, partner, maps = sector_overlaps(lin, lin, np.where(inside, -1, np.arange(inside.size)))
-        assert len(pairs) == 8
-        u = lin.phases(t)[0] * lin.project(padded.ravel())
-        dropped = np.einsum("pk,pkl,pl->", u[pairs].conj(), maps, u[partner])
+        lin = linearized_spectrum(g, cut)
+        off = lin.index == math.prod(lin.dims)
+        np.testing.assert_array_equal(np.flatnonzero(off.any(axis=1)), [0, 1, 2, 3, 23, 24, 25, 26])
+        u = lin.phases(t)[0] * lin.project(psi0)
+        dropped = {}
+        for name, pairs in (("past", np.arange(23, 27)), ("low", np.arange(4))):
+            v = lin.vectors[pairs]
+            maps = v.transpose(0, 2, 1) @ (off[pairs, :, None] * v)
+            dropped[name] = np.einsum("pk,pkl,pl->", u[pairs].conj(), maps, u[pairs])
         assert 1.3e-8 < expected < 1.5e-8
-        assert dropped.real == pytest.approx(expected, rel=1e-9)
-        assert abs(dropped.imag) < 1e-20
+        assert dropped["past"].real == pytest.approx(expected, rel=1e-9)
+        assert abs(dropped["past"].imag) < 1e-20
+        assert dropped["low"] == 0.0
+        lost = 1.0 - np.sum(np.abs(lin.propagate(psi0, t)) ** 2)
+        assert lost == pytest.approx(expected, rel=1e-6)
 
     def test_project_takes_a_batch_of_states(self, rng):
         w = sector_spectrum(EffectiveModelParams(1.0, FockCutoff(9)))

@@ -19,6 +19,7 @@ from conftest import (
     trapped_ion_coupling,
     two_photon_w,
 )
+from dicke2p.dynamics import sector_spectrum
 from dicke2p.hilbert import FockCutoff, tensor
 from dicke2p.models import (
     EffectiveModelParams,
@@ -157,10 +158,14 @@ class TestExcitationSectors:
         if which == "full":
             params = FullModelParams(omega=0.7, delta=3.0, g_g=1.1, g_e=0.6, cutoff=cut)
             dense = full_hamiltonian(params).matrix
+            index, blocks, dims = sector_blocks(params)
         else:
+            # W has no blocks: its closed-form spectrum rebuilds them
             params = EffectiveModelParams(g=-0.8, cutoff=cut)
             dense = two_photon_w(params).matrix
-        index, blocks, dims = sector_blocks(params)
+            spec = sector_spectrum(params)
+            index, dims = spec.index, spec.dims
+            blocks = (spec.vectors * spec.values[:, None, :]) @ spec.vectors.transpose(0, 2, 1)
         assert math.prod(dims) == dense.shape[0]
         assert index.shape[1] == (9 if which == "full" else 4)
         real = index < dense.shape[0]
@@ -317,5 +322,7 @@ class TestModelGuards:
             excitation_labels(FockCutoff(4), levels=levels)
 
     def test_blocks_need_model_parameters(self):
-        with pytest.raises(TypeError, match="expected FullModelParams or EffectiveModelParams"):
-            sector_blocks(FockCutoff(4))
+        """Only the full model has blocks; W's spectrum is in closed form."""
+        for params in (FockCutoff(4), EffectiveModelParams(1.0, FockCutoff(4))):
+            with pytest.raises(TypeError, match="expected FullModelParams"):
+                sector_blocks(params)

@@ -426,6 +426,27 @@ class TestRunBellProtocol:
             x, _ = protocols._draw_quadrature(xs, cdf, cfg, sample_rng(3, 1))
             assert shots[0].record_x == x
 
+    @pytest.mark.parametrize("detection", ["ideal", "homodyne"])
+    def test_exact_shot_runs_no_eigh(self, table20, cut20, alpha20, monkeypatch, detection):
+        """An exact shot on an empty cache builds W's spectrum, in closed
+        form: neither eigh nor eigvalsh runs."""
+        from dicke2p import protocols
+
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(*args, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append(_fn.__name__)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        caches = (protocols._w_operator, protocols._cavity, protocols._ideal_law, protocols._homodyne_law)
+        for cache in caches:
+            cache.cache_clear()
+        det = HomodyneConfig(lo_phase=PHI, efficiency=0.5) if detection == "homodyne" else "ideal"
+        run_bell_protocol(table20[0], alpha20, G, cut20, detection=det, rng_seed=3, shot_index=1)
+        assert protocols._w_operator.cache_info().misses == 1
+        assert calls == []
+
     def test_homodyne_shot_reads_each_cavity_once(self, table20, cut20, alpha20, monkeypatch):
         """A new input reads cavity 1 once, for p1 and the leaked weight,
         and cavity 2 once, on the atoms collapsed at every grid column in

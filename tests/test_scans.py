@@ -125,10 +125,10 @@ class TestRabiCurve:
         np.testing.assert_allclose(r.rows[:, 1], rabi_oracle(nbar), rtol=0, atol=1e-14)
 
 
-def test_rabi_evolves_no_state_and_revival_diagonalizes_only_sectors(monkeypatch):
+def test_rabi_evolves_no_state_and_revival_runs_no_eigh(monkeypatch):
     """rabi_curve evolves no state, and neither revival command runs an
-    eigh or eigvalsh past a sector block: no 112 x 112 field matrix at
-    nbar 50."""
+    eigh or eigvalsh: W's spectrum is in closed form, and the Wigner panels
+    take the field's eigenpairs from one thin SVD."""
     shapes, propagated = [], []
     for name in ("eigh", "eigvalsh"):
         def spy(a, *args, _fn=getattr(np.linalg, name), **kwargs):
@@ -144,7 +144,7 @@ def test_rabi_evolves_no_state_and_revival_diagonalizes_only_sectors(monkeypatch
     assert not propagated
     with pytest.warns(UserWarning, match="fringe"):
         wigner_panels(nbar=50.0, grid_points=21)
-    assert shapes and max(shape[-1] for shape in shapes) <= 9
+    assert shapes == []
 
 
 class TestFidelityScan:
@@ -212,10 +212,9 @@ class TestFidelityScan:
         r = fidelity_scan(nbars=(4,), ensemble=7, seed=9, time_points=17)
         full, _, lin = self._spectra(4)
         # one table per spectrum and chunk of 4 sectors, times last, over the
-        # sectors the inputs reach: all of the full model's, and all but the
-        # last four of the linearized spectrum's; the last chunk is ragged
+        # one sector layout of all three spectra; the last chunk is ragged
         chunks = math.ceil(len(full.values) / 4)
-        assert len(lin.values) == len(full.values) + 4 and len(full.values) % 4
+        assert len(lin.values) == len(full.values) and len(full.values) % 4
         assert len(shapes) == 3 * chunks and {s[2] for s in shapes} == {17}
         want = [len(full.values[lo : lo + 4]) for lo in range(0, 4 * chunks, 4)]
         assert [s[0] for s in shapes] == [n for n in want for _ in range(3)]
@@ -237,7 +236,8 @@ class TestFidelityScan:
             assert sum(math.prod(s) for s in shapes) == want
 
     def test_overlap_maps_pair_each_sector_with_its_own_index(self, monkeypatch):
-        """One map per overlap serves every nbar."""
+        """One map per overlap between two spectra serves every nbar; the
+        weight past the cutoff needs none."""
         maps = []
         overlaps = scans.sector_overlaps
 
@@ -247,7 +247,7 @@ class TestFidelityScan:
 
         monkeypatch.setattr(scans, "sector_overlaps", recording)
         fidelity_scan(nbars=(4, 20), ensemble=2, seed=9, time_points=3)
-        assert len(maps) == 3
+        assert len(maps) == 2
         for pairs, partner, _ in maps:
             np.testing.assert_array_equal(pairs, partner)
 
@@ -287,7 +287,7 @@ class TestFidelityScan:
             build = getattr(scans, name)
             monkeypatch.setattr(scans, name, lambda *a, f=build, n=name: calls.update([n]) or f(*a))
         r = fidelity_scan(nbars=(4, 20), ensemble=3, seed=9, time_points=5)
-        assert calls == {"sector_spectrum": 2, "linearized_spectrum": 1, "sector_overlaps": 3}
+        assert calls == {"sector_spectrum": 2, "linearized_spectrum": 1, "sector_overlaps": 2}
         shared = FockCutoff.for_mean_photon(20)
         assert r.meta["n_max"] == shared.n_max
         oracle = fidelity_scan_oracle((4, 20), 3, 9, 5, cutoff=shared)
