@@ -1,10 +1,11 @@
 """Exact and analytic time evolution for the two-photon two-atom model.
 
 Both Hamiltonians conserve the excitation number, so the exact engine works
-sector by sector: `sector_spectrum` diagonalizes the full model's (at most
-9x9) sector blocks with one batched eigh and W's in closed form, and the
-resulting SectorSpectrum propagates a state to any number of times without
-ever forming a matrix of the full dimension.  Propagation has three stages:
+sector by sector, on the one layout of models.sector_index: `sector_spectrum`
+diagonalizes the full model's (at most 9x9) sector blocks with one batched
+eigh and W's in closed form, and the resulting SectorSpectrum propagates a
+state to any number of times without ever forming a matrix of the full
+dimension.  Propagation has three stages:
 project a state onto the sector eigenvectors once, build the phase table
 exp(-i lambda t) once per spectrum and set of times, and rotate back to the
 flat basis.  SectorSpectrum.propagate is the exact engine's one entry
@@ -13,8 +14,8 @@ the protocols' homodyne readout (atomic states times |alpha>, evolved to
 one time) rotate.  Every phase table comes from one cos/sin kernel,
 _unit_phases: SectorSpectrum.phases and scans.fidelity_scan (per chunk of
 sectors) call it.  An overlap between states of two spectra skips the
-rotation: it is a sum over sector pairs of weights, phases and the
-eigenvector overlap maps of sector_overlaps; an expectation value
+rotation: it is a sum over rows N of weights, phases and the eigenvector
+overlap maps of row N (scans.fidelity_scan); an expectation value
 (scans.rabi_curve) is a sum over the sector frequency pairs.  The analytic
 layer runs the same engine, on the state's own cutoff, on the large-N
 linearization of the two-photon interaction W: each sector N couples
@@ -44,13 +45,12 @@ from .hilbert import (
     coherent_state,
     tensor,
 )
-from .models import EffectiveModelParams, FullModelParams, sector_blocks
+from .models import EffectiveModelParams, FullModelParams, sector_blocks, sector_index
 
 __all__ = [
     "SectorSpectrum",
     "sector_spectrum",
     "linearized_spectrum",
-    "sector_overlaps",
     "evolve_linearized_many",
     "check_capture",
     "check_branch_regime",
@@ -63,8 +63,8 @@ __all__ = [
 class SectorSpectrum:
     """Eigensystem of an excitation-conserving Hamiltonian, sector by sector.
 
-    index[s] lists the flat basis indices of sector s, padded with the
-    sentinel prod(dims) (see models.sector_index and _w_spectrum);
+    index[s] lists the flat basis indices of sector s, excitation s, with
+    the sentinel prod(dims) on slots off the cutoff (see models.sector_index);
     values[s] and vectors[s] are the eigenvalues and eigenvector columns of
     that sector's block.  position maps each flat basis index to its slot
     in index.ravel().
@@ -87,13 +87,12 @@ class SectorSpectrum:
         position[self.index[real]] = np.flatnonzero(real)
         object.__setattr__(self, "position", position)
 
-    def project(self, amplitudes: np.ndarray, at: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Weights on the sector eigenvectors of flat amplitudes (..., n) at
-        the flat indices `at` (all of them by default) and zero elsewhere;
-        shape (..., sectors, m), m the padded sector size."""
+    def project(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Weights on the sector eigenvectors of flat amplitudes (..., dim);
+        shape (..., sectors, m), m the slots of a sector."""
         lead = np.shape(amplitudes)[:-1]
         per_slot = np.zeros(lead + (self.index.size,), dtype=np.complex128)
-        per_slot[..., self.position[at]] = amplitudes
+        per_slot[..., self.position] = amplitudes
         slots = per_slot.reshape(lead + self.index.shape)[..., None, :]
         return (slots @ self.vectors.conj())[..., 0, :]
 
@@ -125,7 +124,7 @@ def _unit_phases(angle: np.ndarray) -> np.ndarray:
 
 def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpectrum:
     """Sector spectrum of the full Hamiltonian (FullModelParams), by one
-    batched eigh of its blocks (padding zeroed), or of W
+    batched eigh of its blocks with their real slots first, or of W
     (EffectiveModelParams) in closed form, where a pair couples only if
     both of its states lie on the cutoff."""
     if isinstance(params, EffectiveModelParams):
@@ -133,8 +132,12 @@ def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpe
         upper, lower = np.sqrt(n * (n - 1)) * (n <= top), np.sqrt((n - 2) * (n - 3)) * (n <= top + 2)
         return _w_spectrum(params, upper, lower)
     index, blocks, dims = sector_blocks(params)
-    real = index < math.prod(dims)
-    values, vectors = np.linalg.eigh(np.where(real[:, :, None] & real[:, None, :], blocks, 0.0))
+    # real slots first in each block, so that no zero eigenvalue mixes real and sentinel slots
+    order = np.argsort(index == math.prod(dims), axis=1, kind="stable")
+    rows = np.arange(len(index))[:, None]
+    values, compact = np.linalg.eigh(blocks[rows[:, :, None], order[:, :, None], order[:, None, :]])
+    vectors = np.empty_like(compact)
+    vectors[rows, order] = compact
     return SectorSpectrum(index, values, vectors, dims)
 
 
@@ -158,8 +161,6 @@ def _w_spectrum(params: EffectiveModelParams, upper: np.ndarray, lower: np.ndarr
     at 0; (a, b) = (0, 1) where no pair couples."""
     nf = params.cutoff.dim
     n = np.arange(nf + 4)
-    photons = n[:, None] - np.array([0, 2, 2, 4])
-    index = np.where((photons >= 0) & (photons < nf), nf * np.arange(4) + photons, 4 * nf)
     pair = np.stack([upper * (n >= 2), lower * (n >= 4)], axis=1)  # no negative photon numbers
     square = np.sum(pair**2, axis=1, keepdims=True)
     ab = np.tile([0.0, 1.0], (n.size, 1))
@@ -169,26 +170,7 @@ def _w_spectrum(params: EffectiveModelParams, upper: np.ndarray, lower: np.ndarr
     # rows the slots; columns bright at -lambda, dark, |psi->, bright at +lambda
     vectors = np.array([[q * a, b, z, q * a], [-h, z, q, h], [-h, z, -q, h], [q * b, -a, z, q * b]])
     values = np.stack([-lam, z, z, lam], axis=1)
-    return SectorSpectrum(index, values, vectors.transpose(2, 0, 1), (2, 2, nf))
-
-
-def sector_overlaps(
-    bra: SectorSpectrum, ket: SectorSpectrum, to_ket: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Overlap maps V_bra^dag P V_ket of the sector eigenvectors of two
-    spectra, through the index map P that sends bra's flat index i to ket's
-    flat index to_ket[i], or drops it where to_ket[i] = -1.  Returns the bra
-    sectors that keep a state, the ket sector that receives each of them and
-    their maps, shape (pairs, m_bra, m_ket); raises when P splits a sector."""
-    target = np.append(to_ket, -1)[bra.index]  # the sentinel slots drop too
-    kept = target >= 0
-    sector, slot = np.divmod(ket.position[np.where(kept, target, 0)], ket.index.shape[1])
-    pairs = np.flatnonzero(kept.any(axis=1))
-    partner = sector[pairs, np.argmax(kept[pairs], axis=1)]
-    if np.any(kept[pairs] & (sector[pairs] != partner[:, None])):
-        raise ValueError("the index map splits an excitation sector")
-    rows = np.where(kept[pairs, :, None], ket.vectors[partner[:, None], slot[pairs]], 0.0)
-    return pairs, partner, bra.vectors[pairs].conj().transpose(0, 2, 1) @ rows
+    return SectorSpectrum(sector_index(params.cutoff, 2), values, vectors.transpose(2, 0, 1), (2, 2, nf))
 
 
 def check_capture(dropped: np.ndarray, n_max: int) -> None:

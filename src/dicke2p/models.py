@@ -6,11 +6,12 @@ level is far detuned it can be eliminated, leaving an effective two-photon
 interaction W between |gg> and |ee> plus Stark shifts.
 
 Both Hamiltonians conserve the excitation number a^dag a + 2 S_ee + S_ii,
-which `excitation_labels` alone knows.  `sector_blocks` builds the full
-model's sector matrices (at most 9 states) straight from the parameters,
-for dynamics to diagonalize; W's sectors (at most 4 states) need none, as
-their spectrum is in closed form.  No matrix of the full dimension is ever
-formed.
+so both split into sectors on one closed-form layout (`sector_index`), in
+which W's atom pairs are the full model's slots W_SLOTS.  `sector_blocks`
+builds the full model's sector matrices (at most 9 states) straight from
+the parameters, for dynamics to diagonalize; W's sectors (at most 4 states)
+need none, as their spectrum is in closed form.  No matrix of the full
+dimension is ever formed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "EffectiveModelParams",
     "ValidityReport",
     "VALIDITY_MARGIN",
-    "excitation_labels",
+    "W_SLOTS",
     "sector_index",
     "sector_blocks",
     "effective_coupling",
@@ -36,8 +37,8 @@ __all__ = [
 
 VALIDITY_MARGIN = 0.1
 
-# Excitation carried by each atomic level, g, e or g, i, e.
-_LEVEL_EXCITATION = {2: (0, 2), 3: (0, 1, 2)}
+# The two-level pairs gg, ge, eg, ee among the three-level slots 3 a + b.
+W_SLOTS = (0, 2, 6, 8)
 
 
 @dataclass(frozen=True)
@@ -82,41 +83,29 @@ def effective_coupling(g_g: float, g_e: float, delta: float) -> float:
     return -g_g * g_e / delta
 
 
-def excitation_labels(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:
-    """Excitation number a^dag a + 2 S_ee (+ S_ii for three-level atoms) of
-    every basis state in the flat layout atom A (x) atom B (x) field.  Every
-    interaction term conserves it, so both Hamiltonians split into sectors
-    of equal label (see sector_index)."""
-    if levels not in _LEVEL_EXCITATION:
-        raise ValueError("levels must be 2 or 3")
-    x = np.array(_LEVEL_EXCITATION[levels])
-    return (x[:, None, None] + x[None, :, None] + np.arange(cutoff.dim)).ravel()
-
-
 def sector_index(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:
-    """Flat basis indices of each excitation sector, one row per sector in
-    increasing excitation, padded at the end with the sentinel index `dim`.
-
-    Shape (sectors, m) with m = 9 for three-level atoms and m = 4 for
-    two-level ones (once the cutoff holds a full sector).
+    """Flat basis indices, in the layout atom A (x) atom B (x) field, of the
+    sectors of excitation a^dag a + 2 S_ee (+ S_ii) N = 0 .. n_max + 4, one
+    row each: slot s is atom pair s in flat order, of atomic excitation x_s,
+    at photon number N - x_s, or the sentinel `dim` off the cutoff.  Shape
+    (n_max + 5, 9) for three-level atoms, (n_max + 5, 4) for two-level ones.
     """
-    labels = excitation_labels(cutoff, levels)
-    order = np.argsort(labels, kind="stable")
-    _, counts = np.unique(labels, return_counts=True)
-    sector = np.repeat(np.arange(counts.size), counts)
-    slot = np.arange(labels.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.full((counts.size, counts.max()), labels.size)
-    index[sector, slot] = order
-    return index
+    if levels not in (2, 3):
+        raise ValueError("levels must be 2 or 3")
+    x = np.array((0, 2) if levels == 2 else (0, 1, 2))  # the excitation of g, e or g, i, e
+    pair, nf = (x[:, None] + x).ravel(), cutoff.dim
+    photons = np.arange(nf + 4)[:, None] - pair
+    on = (photons >= 0) & (photons < nf)
+    return np.where(on, nf * np.arange(pair.size) + photons, pair.size * nf)
 
 
 def sector_blocks(params: FullModelParams) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
     """Sector index map (see sector_index), the real symmetric block of the
     full Hamiltonian in every sector, and the dims it acts on, built from
-    the parameters; padded rows and columns hold arbitrary values and are
-    masked by the caller.
+    the parameters; the rows and columns of sentinel slots are zero.
 
-    Every interaction term moves one atom across one coupled transition and
+    Slot s = 3 a + b holds the fixed atom levels (a, b).  Every
+    interaction term moves one atom across one coupled transition and
     absorbs or emits one photon, with field factor sqrt(n) at the larger
     photon number n.
     """
@@ -128,32 +117,14 @@ def sector_blocks(params: FullModelParams) -> tuple[np.ndarray, np.ndarray, tupl
         [[0.0, params.g_g, 0.0], [params.g_g, 0.0, params.g_e], [0.0, params.g_e, 0.0]]
     )
     index = sector_index(params.cutoff, 3)
-    atom_a, rest = np.divmod(np.minimum(index, 9 * nf - 1), 3 * nf)
-    atom_b, n = np.divmod(rest, nf)
-
-    a_row, a_col = atom_a[:, :, None], atom_a[:, None, :]
-    b_row, b_col = atom_b[:, :, None], atom_b[:, None, :]
+    real = index < 9 * nf
+    n = np.where(real, index - nf * np.arange(9), 0)
+    pair = np.kron(coupling, np.eye(3)) + np.kron(np.eye(3), coupling)  # one atom moves
     field = np.sqrt(np.maximum(n[:, :, None], n[:, None, :]))
-    blocks = field * (
-        coupling[a_row, a_col] * (b_row == b_col) + coupling[b_row, b_col] * (a_row == a_col)
-    )
-    diag = np.arange(index.shape[1])
-    blocks[:, diag, diag] = params.omega * n + level_energy[atom_a] + level_energy[atom_b]
+    blocks = field * pair * (real[:, :, None] & real[:, None, :])
+    diag = np.arange(9)
+    blocks[:, diag, diag] = real * (params.omega * n + level_energy.repeat(3) + np.tile(level_energy, 3))
     return index, blocks, (3, 3, nf)
-
-
-_EMBED_ATOM = (0, 2)  # two-level g, e -> three-level indices
-
-
-def embed_indices(cutoff: FockCutoff) -> np.ndarray:
-    """Flat indices of the two-level subspace inside the three-level layout."""
-    nf = cutoff.dim
-    idx = []
-    for i3 in _EMBED_ATOM:
-        for j3 in _EMBED_ATOM:
-            base = (i3 * 3 + j3) * nf
-            idx.extend(range(base, base + nf))
-    return np.array(idx, dtype=np.intp)
 
 
 @dataclass(frozen=True)

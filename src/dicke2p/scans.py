@@ -27,7 +27,6 @@ from .dynamics import (
     linearized_spectrum,
     rabi_see_analytic,
     revival_time,
-    sector_overlaps,
     sector_spectrum,
 )
 from .hilbert import (
@@ -38,9 +37,9 @@ from .hilbert import (
 from .models import (
     EffectiveModelParams,
     FullModelParams,
+    W_SLOTS,
     effective_coupling,
-    embed_indices,
-    excitation_labels,
+    sector_index,
     validity_report,
 )
 from .protocols import (
@@ -116,12 +115,13 @@ def fidelity_scan(
     one uniform (the phase) from sample_rng(seed + k * _SEED_STRIDE, i).
     Every nbar evolves on the largest nbar's cutoff (meta n_max), where the
     sectors N <= n_max(nbar) + 4 its input reaches are complete.  Overlaps
-    are taken in the sector eigenbasis (sector_overlaps), whose maps pair
-    each sector with the same index in all three spectra (each sorts its
-    sectors by excitation number).  So one pass over chunks of sectors
-    builds, once for every nbar, the phase tables exp(-i lambda t) (the full
-    model's shifted by -2gN for the counter-rotation) and the phase products
-    E; each nbar the chunk reaches adds C @ E per overlap, C its weights
+    are taken in the sector eigenbasis, on the one layout of
+    models.sector_index: row N holds excitation N in all three spectra, and
+    W's slots are the full model's slots W_SLOTS, so the map of row N is
+    V_bra^dag V_full[W_SLOTS].  So one pass over chunks of sectors builds,
+    once for every nbar, the phase tables exp(-i lambda t) (the full model's
+    shifted by -2gN for the counter-rotation) and the phase products E; each
+    nbar the chunk reaches adds C @ E per overlap, C its weights
     conj(w_bra) w_ket times the map.  The closed form is renormalized by its
     weight past the cutoff, a quadratic form taken the same way.
     """
@@ -143,20 +143,15 @@ def fidelity_scan(
     full_spec = sector_spectrum(params)
     w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
     lin_spec = linearized_spectrum(g, cutoff)
-    idx = embed_indices(cutoff)
-    # (bra, ket, sectors, M) of <psi_W|R psi_full>, <psi_lin|R psi_full> and the weight of
-    # psi_lin past the cutoff (V^dag V on its sentinel slots); each pairs a range of sectors
-    overlaps = []
-    for bra in (w_spec, lin_spec):
-        pairs, partner, m = sector_overlaps(bra, full_spec, idx)
-        if not np.array_equal(pairs, partner):
-            raise ValueError("an overlap map pairs sectors of different index")
-        overlaps.append((bra, full_spec, pairs, m))
-    edge = np.arange(cutoff.dim, cutoff.dim + 4)
-    v, off = lin_spec.vectors[edge], lin_spec.index[edge, :, None] == math.prod(lin_spec.dims)
-    overlaps.append((lin_spec, lin_spec, edge, v.mT @ (off * v)))
+    # (bra, ket, first row, maps) of <psi_W|R psi_full> and <psi_lin|R psi_full> on every row,
+    # and of psi_lin's weight past the cutoff: V^dag V on the sentinels of its top four rows
+    w_slots = full_spec.vectors[:, W_SLOTS]
+    overlaps = [(bra, full_spec, 0, bra.vectors.conj().mT @ w_slots) for bra in (w_spec, lin_spec)]
+    v, off = lin_spec.vectors[cutoff.dim :], lin_spec.index[cutoff.dim :, :, None] == 4 * cutoff.dim
+    overlaps.append((lin_spec, lin_spec, cutoff.dim, v.mT @ (off * v)))
     # per nbar: the sectors its input reaches, N <= n_max + 4 of its own cutoff, and their weights
     reach = np.array([FockCutoff.for_mean_photon(float(nbar)).n_max + 5 for nbar in nbars])
+    bases = {full_spec: w_slots, w_spec: w_spec.vectors, lin_spec: lin_spec.vectors}
     weights = {}
     for k, nbar in sorted(enumerate(nbars), key=lambda item: -item[1]):  # largest first
         own = FockCutoff(int(reach[k]) - 5)
@@ -166,12 +161,12 @@ def fidelity_scan(
         fields = np.exp(1j * np.outer(theta, np.arange(own.dim)))  # e^{i n theta} on |n>
         fields *= coherent_state(math.sqrt(nbar), own).amplitudes
         inputs = (atoms[:, :, None] * fields[:, None, :]).reshape(ensemble, -1)
-        sub = np.flatnonzero(np.arange(4 * cutoff.dim) % cutoff.dim < own.dim)  # own in shared
-        on = ((full_spec, idx[sub]), (w_spec, sub), (lin_spec, sub))
-        weights[k] = {spec: spec.project(inputs, i)[:, : reach[k]].copy() for spec, i in on}
-        del rngs, atoms, fields, inputs  # with the largest nbar first, this lowers peak RSS
-    # the counter-rotation R by the (omega + 2g) I part of the effective model
-    shift = 2.0 * g * excitation_labels(cutoff, levels=3)[full_spec.index[:, :1]]
+        # the amplitudes on W's slots of the rows N < reach, zero off own's cutoff
+        slots = np.pad(inputs, ((0, 0), (0, 1)))[:, sector_index(own, 2)[:, None]]
+        weights[k] = {spec: (slots @ v[: reach[k]].conj())[:, :, 0] for spec, v in bases.items()}
+        del rngs, atoms, fields, inputs, slots  # with the largest nbar first, this lowers peak RSS
+    # the counter-rotation R by the (omega + 2g) I part of the effective model, I = N on row N
+    shift = 2.0 * g * np.arange(len(full_spec.values))[:, None]
     lam = {full_spec: full_spec.values - shift, w_spec: w_spec.values, lin_spec: lin_spec.values}
     # per sector: the phase tables, and C of every nbar and E of every overlap
     per_sector = time_points * sum(v.shape[1] for v in lam.values())
@@ -184,14 +179,15 @@ def fidelity_scan(
     for lo in range(0, max(reach, default=0), step):
         ph = {spec: _unit_phases(v[lo : lo + step, :, None] * times) for spec, v in lam.items()}
         active = np.flatnonzero(reach > lo)
-        for b, (bra, ket, pairs, m) in enumerate(overlaps):
-            first, *ends = np.searchsorted(pairs, [lo, *np.minimum(lo + step, reach[active])])
-            m, r = m[first : max(ends)], slice(pairs[0] + first - lo, pairs[0] + max(ends) - lo)
+        for b, (bra, ket, start, m) in enumerate(overlaps):
+            bounds = [lo, *np.minimum(lo + step, reach[active])]  # the chunk's start, each active end
+            first, *ends = np.clip(np.subtract(bounds, start), 0, len(m))  # as rows of m
+            m, r = m[first : max(ends)], slice(start + first - lo, start + max(ends) - lo)
             e = work[: m.size * time_points].reshape(m.shape + (time_points,))
             np.conjugate(ph[bra][r, :, None], out=e)
             e *= ph[ket][r, None]
             for k, end in zip(active, ends):
-                q, w = slice(pairs[0] + first, pairs[0] + end), weights[k]
+                q, w = slice(start + first, start + end), weights[k]
                 c = w[bra][:, q, :, None].conj() * w[ket][:, q, None, :]
                 c *= m[: end - first]
                 values[k, b] += c.reshape(ensemble, -1) @ e[: end - first].reshape(-1, time_points)

@@ -16,12 +16,7 @@ from dicke2p.hilbert import (
     StateVector,
     coherent_state,
 )
-from dicke2p.models import (
-    EffectiveModelParams,
-    FullModelParams,
-    embed_indices,
-    excitation_labels,
-)
+from dicke2p.models import EffectiveModelParams, FullModelParams
 
 
 @pytest.fixture
@@ -311,13 +306,7 @@ def fidelity_scan_oracle(
 
     from dicke2p.dynamics import evolve_linearized_many, linearized_spectrum, sector_spectrum
     from dicke2p.hilbert import tensor
-    from dicke2p.models import (
-        EffectiveModelParams,
-        FullModelParams,
-        effective_coupling,
-        embed_indices,
-        excitation_labels,
-    )
+    from dicke2p.models import effective_coupling
     from dicke2p.scans import _SEED_STRIDE
 
     g = effective_coupling(g_g, g_e, delta)
@@ -497,6 +486,23 @@ def stark_shift(params: FullModelParams) -> Operator:
     mat += -((params.g_e**2 - params.g_g**2) / params.delta) * np.kron(s_ee, a @ ad)
     mat += 3.0 * (params.g_g**2 / params.delta) * np.kron(s_ee, eye_f)
     return Operator(mat, (2, 2, cutoff.dim), hermitian=True)
+
+
+def excitation_labels(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:
+    """Excitation number a^dag a + 2 S_ee (+ S_ii for three-level atoms) of
+    every basis state in the flat layout atom A (x) atom B (x) field; the
+    oracle of the sector rows of models.sector_index."""
+    if levels not in (2, 3):
+        raise ValueError("levels must be 2 or 3")
+    x = np.array((0, 2) if levels == 2 else (0, 1, 2))
+    return (x[:, None, None] + x[None, :, None] + np.arange(cutoff.dim)).ravel()
+
+
+def embed_indices(cutoff: FockCutoff) -> np.ndarray:
+    """Flat indices of the two-level subspace (g, e of each atom) inside the
+    three-level layout, where g, e are levels 0 and 2."""
+    nf = cutoff.dim
+    return np.concatenate([(3 * a + b) * nf + np.arange(nf) for a in (0, 2) for b in (0, 2)])
 
 
 def constant_of_motion(cutoff: FockCutoff, levels: int = 2) -> Operator:

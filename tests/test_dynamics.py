@@ -13,6 +13,7 @@ from conftest import (
     blockwise_state,
     coherent_branch_basis,
     constant_of_motion,
+    embed_indices,
     embed_two_level_state,
     full_hamiltonian,
     haar_random_two_qubit,
@@ -29,7 +30,6 @@ from dicke2p.dynamics import (
     linearized_spectrum,
     rabi_see_analytic,
     revival_time,
-    sector_overlaps,
     sector_spectrum,
 )
 from dicke2p.hilbert import (
@@ -43,8 +43,8 @@ from dicke2p.hilbert import (
 from dicke2p.models import (
     EffectiveModelParams,
     FullModelParams,
+    W_SLOTS,
     effective_coupling,
-    embed_indices,
 )
 
 
@@ -292,6 +292,34 @@ class TestSectorSpectrum:
             got = sector_spectrum(params).propagate(psi, times)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("omega", [0.0, 0.7])
+    @pytest.mark.parametrize(
+        "cut", [FockCutoff(1), FockCutoff(6), FockCutoff.for_mean_photon(20.0)], ids=["1", "6", "nbar20"]
+    )
+    def test_edge_sectors_on_fixed_slots(self, cut, omega):
+        """The rows N = 0 .. 3 and N > n_max hold sentinel slots among their
+        real ones.  Every eigenvector column of those sectors is supported
+        on the real slots or is a unit vector on one sentinel slot, and the
+        real columns rebuild the dense full_hamiltonian on the sector's
+        real states.  At omega = 0 a zero eigenvalue of a real state meets
+        the zero ones of the sentinel slots."""
+        params = FullModelParams(omega, 500.0, 1.0, 1.0, cut)
+        spec = sector_spectrum(params)
+        dense = full_hamiltonian(params).matrix.real
+        scale = np.abs(dense).max()
+        for n in sorted({*range(4), *range(cut.n_max + 1, cut.n_max + 5)}):
+            real = spec.index[n] < math.prod(spec.dims)
+            v = spec.vectors[n]
+            on, off = np.sum(v[real] ** 2, axis=0), np.sum(v[~real] ** 2, axis=0)
+            assert np.minimum(on, off).max() <= 1e-15, f"N = {n}"
+            sentinel = off > 0.5
+            assert sentinel.sum() == (~real).sum(), f"N = {n}"
+            unit = np.abs(v[~real][:, sentinel]).max(axis=0)
+            np.testing.assert_allclose(unit, 1.0, rtol=0, atol=1e-15)
+            sel, u = spec.index[n][real], v[real][:, ~sentinel]
+            rebuilt = (u * spec.values[n][~sentinel]) @ u.T
+            np.testing.assert_allclose(rebuilt, dense[np.ix_(sel, sel)], rtol=0, atol=1e-14 * scale)
+
     def test_sector_sizes(self):
         cut = FockCutoff.for_mean_photon(20.0)
         full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
@@ -329,27 +357,30 @@ def dense_vectors(spectrum):
 
 class TestSectorOverlaps:
     def test_maps_match_dense_overlap(self):
-        """Every M_s is its block of V_W^dag P V_full, built densely from
-        index and vectors through the embedding P, and W sector N pairs with
-        full sector N."""
+        """Every map V_W^dag V_full[W_SLOTS] of row N is the block (N, N) of
+        V_W^dag P V_full, built densely from index and vectors through the
+        embedding P, on the full model's columns supported on real slots;
+        its other columns are unit vectors on sentinel slots, so no
+        two-level state has weight on them, and every block (N, M != N) of
+        the dense overlap is zero."""
         cut = FockCutoff.for_mean_photon(4.0)
         full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
         w = sector_spectrum(EffectiveModelParams(effective_coupling(1.0, 1.0, 500.0), cut))
         embed = np.zeros((math.prod(w.dims), math.prod(full.dims)))
         embed[np.arange(math.prod(w.dims)), embed_indices(cut)] = 1.0
-        dense = dense_vectors(w).T @ embed @ dense_vectors(full)
+        rows = cut.dim + 4
+        dense = (dense_vectors(w).T @ embed @ dense_vectors(full)).reshape(rows, 4, rows, 9)
 
-        pairs, partner, maps = sector_overlaps(w, full, embed_indices(cut))
-        np.testing.assert_array_equal(pairs, np.arange(cut.dim + 4))
-        np.testing.assert_array_equal(partner, pairs)
-        blocks = dense.reshape(len(pairs), 4, len(pairs), 9)[pairs, :, partner]
-        np.testing.assert_allclose(maps, blocks, rtol=0, atol=1e-14)
-
-    def test_map_that_splits_a_sector_raises(self):
-        cut = FockCutoff(6)
-        w = sector_spectrum(EffectiveModelParams(1.0, cut))
-        with pytest.raises(ValueError, match="splits an excitation sector"):
-            sector_overlaps(w, w, np.roll(np.arange(math.prod(w.dims)), 1))
+        maps = w.vectors.conj().mT @ full.vectors[:, W_SLOTS]
+        assert maps.shape == (rows, 4, 9)
+        real = full.index < math.prod(full.dims)
+        on_real = np.sum(full.vectors**2 * real[:, :, None], axis=1) > 0.5
+        n = np.arange(rows)
+        np.testing.assert_allclose(maps * on_real[:, None], dense[n, :, n], rtol=0, atol=1e-14)
+        sentinel_on_real = real[:, :, None] & ~on_real[:, None, :]
+        np.testing.assert_array_equal(np.where(sentinel_on_real, full.vectors, 0.0), 0.0)
+        dense[n, :, n] = 0.0
+        np.testing.assert_array_equal(dense, 0.0)
 
     def test_dropped_weight_is_a_quadratic_form(self):
         """The linearized weight past the cutoff, V^dag V on the sentinel

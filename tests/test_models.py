@@ -11,7 +11,9 @@ from conftest import (
     DENSE_DIM_LIMIT,
     constant_of_motion,
     dispersive_generator,
+    embed_indices,
     embed_two_level_state,
+    excitation_labels,
     fock_state,
     full_hamiltonian,
     stark_shift,
@@ -25,10 +27,10 @@ from dicke2p.models import (
     EffectiveModelParams,
     FullModelParams,
     VALIDITY_MARGIN,
+    W_SLOTS,
     effective_coupling,
-    embed_indices,
-    excitation_labels,
     sector_blocks,
+    sector_index,
     validity_report,
 )
 
@@ -146,11 +148,24 @@ class TestExcitationSectors:
             excitation_labels(cut, levels), np.diag(constant_of_motion(cut, levels).matrix).real
         )
 
-    def test_two_level_labels_embed_into_three_level(self):
-        cut = FockCutoff(9)
-        np.testing.assert_array_equal(
-            excitation_labels(cut, 3)[embed_indices(cut)], excitation_labels(cut, 2)
-        )
+    def test_one_layout_for_both_models(self):
+        """W's layout is the full model's slots W_SLOTS on the same rows,
+        the flat two-level index mapped by the two-to-three-level embedding
+        and the sentinel to the sentinel, on every row: N < 4, where some
+        photon numbers are negative, and N > n_max included.  Every row of
+        both layouts holds the states of excitation N alone."""
+        for cut in (FockCutoff(1), FockCutoff(3), FockCutoff(9)):
+            two, three = sector_index(cut, 2), sector_index(cut, 3)
+            assert two.shape == (cut.dim + 4, 4) and three.shape == (cut.dim + 4, 9)
+            embed = np.append(embed_indices(cut), 9 * cut.dim)  # the sentinel 4 dim -> 9 dim
+            np.testing.assert_array_equal(three[:, W_SLOTS], embed[two])
+            for levels, index in ((2, two), (3, three)):
+                dim = levels * levels * cut.dim
+                real = index < dim
+                labels = np.append(excitation_labels(cut, levels), -1)[index]
+                rows = np.broadcast_to(np.arange(len(index))[:, None], index.shape)
+                np.testing.assert_array_equal(labels[real], rows[real])
+                np.testing.assert_array_equal(np.sort(index[real]), np.arange(dim))
 
     @pytest.mark.parametrize("which", ["full", "w"])
     def test_blocks_equal_dense_operator_per_sector(self, which):
@@ -171,6 +186,8 @@ class TestExcitationSectors:
         real = index < dense.shape[0]
         np.testing.assert_array_equal(np.sort(index[real]), np.arange(dense.shape[0]))
         labels = np.diag(constant_of_motion(cut, 3 if which == "full" else 2).matrix).real
+        if which == "full":  # the rows and columns of sentinel slots come zeroed
+            np.testing.assert_array_equal(blocks * ~(real[:, :, None] & real[:, None, :]), 0.0)
         for row, block, ok in zip(index, blocks, real):
             sel = row[ok]
             assert np.all(labels[sel] == labels[sel[0]])
@@ -319,7 +336,7 @@ class TestModelGuards:
     @pytest.mark.parametrize("levels", [1, 4])
     def test_labels_know_two_and_three_levels_only(self, levels):
         with pytest.raises(ValueError, match="levels must be 2 or 3"):
-            excitation_labels(FockCutoff(4), levels=levels)
+            sector_index(FockCutoff(4), levels=levels)
 
     def test_blocks_need_model_parameters(self):
         """Only the full model has blocks; W's spectrum is in closed form."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    embed_indices,
     excited_state_evolved,
     fidelity_scan_oracle,
     haar_random_two_qubit,
@@ -24,8 +25,8 @@ from dicke2p.dynamics import (
     revival_time,
     sector_spectrum,
 )
-from dicke2p.hilbert import AtomCoeffs, FockCutoff, StateVector
-from dicke2p.models import EffectiveModelParams, FullModelParams, effective_coupling
+from dicke2p.hilbert import CAPTURE_ATOL, AtomCoeffs, FockCutoff, StateVector, coherent_state
+from dicke2p.models import EffectiveModelParams, FullModelParams, effective_coupling, sector_index
 from dicke2p.protocols import ALL_OUTCOMES, bell_outcome_table
 from dicke2p.scans import (
     OUTCOME_SUFFIX,
@@ -236,31 +237,47 @@ class TestFidelityScan:
             assert sum(math.prod(s) for s in shapes) == want
 
     def test_overlap_maps_pair_each_sector_with_its_own_index(self, monkeypatch):
-        """One map per overlap between two spectra serves every nbar; the
-        weight past the cutoff needs none."""
-        maps = []
-        overlaps = scans.sector_overlaps
-
-        def recording(*args):
-            maps.append(overlaps(*args))
-            return maps[-1]
-
-        monkeypatch.setattr(scans, "sector_overlaps", recording)
+        """The three spectra of a (4, 20) scan lie on the one layout of
+        sector_index on nbar 20's cutoff, one sector per layout row, so its
+        overlap maps, one per row, pair row N of a reduced model with row N
+        of the full one; the weight past the cutoff needs no map between
+        two spectra."""
+        built = []
+        for name in ("sector_spectrum", "linearized_spectrum"):
+            build = getattr(scans, name)
+            monkeypatch.setattr(scans, name, lambda *a, f=build: built.append(f(*a)) or built[-1])
         fidelity_scan(nbars=(4, 20), ensemble=2, seed=9, time_points=3)
-        assert len(maps) == 2
-        for pairs, partner, _ in maps:
-            np.testing.assert_array_equal(pairs, partner)
+        shared = FockCutoff.for_mean_photon(20)
+        assert len(built) == 3  # the full model, W and the linearized W
+        for spec, levels in zip(built, (3, 2, 2)):
+            np.testing.assert_array_equal(spec.index, sector_index(shared, levels))
+            assert len(spec.values) == len(spec.vectors) == shared.dim + 4
 
-    def test_a_map_between_different_sectors_raises(self, monkeypatch):
-        overlaps = scans.sector_overlaps
-
-        def shifted(*args):
-            pairs, partner, m = overlaps(*args)
-            return pairs, partner + 1, m
-
-        monkeypatch.setattr(scans, "sector_overlaps", shifted)
-        with pytest.raises(ValueError, match="pairs sectors of different index"):
-            fidelity_scan(nbars=(4,), ensemble=2, seed=9, time_points=3)
+    @pytest.mark.parametrize("seed, ensemble", [(0, 10), (1, 10), (12345, 10), (0, 100)])
+    def test_inputs_leave_the_truncated_top_rows_empty(self, seed, ensemble):
+        """The full model's rows N > n_max of the shared cutoff miss their
+        states past n_max.  The weight each nbar's inputs put on them, read
+        from the full model's spectrum, is below CAPTURE_ATOL at the bench
+        size (nbar 20/50/100, ensemble 10, its three seeds) and at the
+        defaults: zero at nbar 20 and 50, whose inputs reach no row past
+        their own n_max + 4, and 1.0e-13 to 1.7e-13 at nbar 100.  The
+        inputs follow the scan's draws (see fidelity_scan_oracle)."""
+        shared = FockCutoff.for_mean_photon(100.0)
+        full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, shared))
+        worst = {}
+        for k, nbar in enumerate((20, 50, 100)):
+            own = FockCutoff.for_mean_photon(float(nbar))
+            inputs = np.zeros((ensemble, 9 * shared.dim), dtype=np.complex128)
+            for i in range(ensemble):
+                rng = sample_rng(seed + k * scans._SEED_STRIDE, i)
+                atoms = haar_random_two_qubit(rng).to_state().amplitudes
+                alpha = math.sqrt(nbar) * np.exp(2j * math.pi * rng.uniform())
+                field = np.pad(coherent_state(alpha, own).amplitudes, (0, shared.dim - own.dim))
+                inputs[i, embed_indices(shared)] = np.kron(atoms, field)
+            top = full.project(inputs)[:, shared.n_max + 1 :]
+            worst[nbar] = np.max(np.sum(np.abs(top) ** 2, axis=(1, 2)))
+        assert worst[20] == worst[50] == 0.0
+        assert 1e-13 < worst[100] < CAPTURE_ATOL
 
     def test_repeated_nbar_is_refused(self, monkeypatch):
         """Two tables under the same column names are refused, not written,
@@ -279,15 +296,15 @@ class TestFidelityScan:
         np.testing.assert_array_equal(r.rows, np.linspace(0.0, 1.0, 3)[:, None])
 
     def test_one_pass_on_the_largest_cutoff_serves_every_nbar(self, monkeypatch):
-        """A (4, 20) scan builds its spectra and overlap maps once, on nbar
-        20's cutoff, which the metadata names; nbar 4's input, built on its
-        own cutoff, evolves there too."""
+        """A (4, 20) scan builds its spectra once, on nbar 20's cutoff, which
+        the metadata names; nbar 4's input, built on its own cutoff, evolves
+        there too."""
         calls = collections.Counter()
-        for name in ("sector_spectrum", "linearized_spectrum", "sector_overlaps"):
+        for name in ("sector_spectrum", "linearized_spectrum"):
             build = getattr(scans, name)
             monkeypatch.setattr(scans, name, lambda *a, f=build, n=name: calls.update([n]) or f(*a))
         r = fidelity_scan(nbars=(4, 20), ensemble=3, seed=9, time_points=5)
-        assert calls == {"sector_spectrum": 2, "linearized_spectrum": 1, "sector_overlaps": 2}
+        assert calls == {"sector_spectrum": 2, "linearized_spectrum": 1}
         shared = FockCutoff.for_mean_photon(20)
         assert r.meta["n_max"] == shared.n_max
         oracle = fidelity_scan_oracle((4, 20), 3, 9, 5, cutoff=shared)
