@@ -7,11 +7,12 @@ eigh and W's in closed form, and the resulting SectorSpectrum propagates a
 state to any number of times without ever forming a matrix of the full
 dimension.  Propagation has three stages:
 project a state onto the sector eigenvectors once, build the phase table
-exp(-i lambda t) once per spectrum and set of times, and rotate back to the
-flat basis.  SectorSpectrum.propagate is the exact engine's one entry
-point; in the package only evolve_linearized_many, scans.wigner_panels and
-the protocols' homodyne readout (atomic states times |alpha>, evolved to
-one time) rotate.  Every phase table comes from one cos/sin kernel,
+exp(-i lambda t) once per spectrum and set of times, and scatter the
+advanced weights back to the flat basis through the layout.
+SectorSpectrum.propagate is the exact engine's one entry point; in the
+package only evolve_linearized_many, scans.wigner_panels and the
+protocols' homodyne readout (atomic states times |alpha>, evolved to one
+time) propagate.  Every phase table comes from one cos/sin kernel,
 _unit_phases: SectorSpectrum.phases and scans.fidelity_scan (per chunk of
 sectors) call it.  An overlap between states of two spectra skips the
 rotation: it is a sum over rows N of weights, phases and the eigenvector
@@ -33,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,50 +67,42 @@ class SectorSpectrum:
     index[s] lists the flat basis indices of sector s, excitation s, with
     the sentinel prod(dims) on slots off the cutoff (see models.sector_index);
     values[s] and vectors[s] are the eigenvalues and eigenvector columns of
-    that sector's block.  position maps each flat basis index to its slot
-    in index.ravel().
+    that sector's block.  index is the one layout: project gathers through
+    it and propagate scatters through it, the sentinel reading and writing
+    one extra flat entry that is zero on the way in and dropped on the way
+    out.
 
-    propagate(psi, times) is rotate(project(psi), phases(times)): project
-    depends on the state alone and phases on the times alone, so a caller
-    evolving many states to the same times builds each once.
+    project depends on the state alone and phases on the times alone, so a
+    caller evolving many states to the same times builds each once.
     """
 
     index: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
     dims: tuple[int, ...]
-    position: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        dim = math.prod(self.dims)
-        real = self.index < dim
-        position = np.empty(dim, dtype=np.intp)
-        position[self.index[real]] = np.flatnonzero(real)
-        object.__setattr__(self, "position", position)
 
     def project(self, amplitudes: np.ndarray) -> np.ndarray:
         """Weights on the sector eigenvectors of flat amplitudes (..., dim);
         shape (..., sectors, m), m the slots of a sector."""
-        lead = np.shape(amplitudes)[:-1]
-        per_slot = np.zeros(lead + (self.index.size,), dtype=np.complex128)
-        per_slot[..., self.position] = amplitudes
-        slots = per_slot.reshape(lead + self.index.shape)[..., None, :]
-        return (slots @ self.vectors.conj())[..., 0, :]
+        dim = math.prod(self.dims)
+        if np.shape(amplitudes)[-1:] != (dim,):
+            raise ValueError(f"amplitudes of shape {np.shape(amplitudes)}, not (..., {dim})")
+        padded = np.zeros(np.shape(amplitudes)[:-1] + (dim + 1,), dtype=np.complex128)
+        padded[..., :dim] = amplitudes
+        return (padded[..., self.index][..., None, :] @ self.vectors.conj())[..., 0, :]
 
     def phases(self, times: np.ndarray) -> np.ndarray:
         """exp(-i values t) for every t, shared by every state propagated to
         these times; shape (len(times), sectors, m)."""
         return _unit_phases(np.asarray(times, dtype=np.float64)[:, None, None] * self.values)
 
-    def rotate(self, weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """Flat amplitudes of the eigenvector weights (project) advanced by
-        a phase table (phases); shape (len(phases), dim)."""
-        rotated = (phases * weights).transpose(1, 0, 2) @ self.vectors.transpose(0, 2, 1)
-        return rotated.transpose(1, 0, 2).reshape(len(phases), -1)[:, self.position]
-
     def propagate(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Amplitudes of exp(-i H t) psi for every t; shape (len(times), dim)."""
-        return self.rotate(self.project(amplitudes), self.phases(times))
+        phases = self.phases(times)
+        rotated = (phases * self.project(amplitudes)).transpose(1, 0, 2) @ self.vectors.mT
+        flat = np.zeros((len(phases), math.prod(self.dims) + 1), dtype=np.complex128)
+        flat[:, self.index] = rotated.transpose(1, 0, 2)
+        return flat[:, :-1]
 
 
 def _unit_phases(angle: np.ndarray) -> np.ndarray:

@@ -54,13 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import DensityMatrix, _thread_rng
-from .dynamics import (
-    SectorSpectrum,
-    _branch_maps,
-    check_branch_regime,
-    revival_time,
-    sector_spectrum,
-)
+from .dynamics import _branch_maps, check_branch_regime, revival_time, sector_spectrum
 from .hilbert import (
     AtomCoeffs,
     FockCutoff,
@@ -174,12 +168,6 @@ class HomodyneConfig:
         return 0.5 * math.erfc(alpha_abs / (sigma * _SQRT2))
 
 
-@lru_cache(maxsize=8)
-def _w_operator(g: float, n_max: int) -> SectorSpectrum:
-    """Sector spectrum of W, shared by every exact evolution at (g, n_max)."""
-    return sector_spectrum(EffectiveModelParams(g, FockCutoff(n_max)))
-
-
 def ghz_input(phi: float) -> tuple[AtomCoeffs, StateVector]:
     """Product preparation that turns the half-revival state into a GHZ
     state: each atom in e^{i pi/4}(e^{-i phi}|g> - i e^{i phi}|e>)/sqrt(2)."""
@@ -246,7 +234,7 @@ def _cavity_maps(
         return mixed[:, :2].reshape(times.size, 2, 4, 4), gram
     refs = np.stack([coherent_state(a, FockCutoff(n_max)).amplitudes for a in (alpha, -alpha)])
     eye = np.eye(4, dtype=np.complex128)
-    spectrum = _w_operator(g, n_max)
+    spectrum = sector_spectrum(EffectiveModelParams(g, FockCutoff(n_max)))
     w = spectrum.project(np.kron(eye, refs[:, None])).reshape(8, -1)  # rows [sign, a]
     pairs = (w.conj()[:, None] * w[:4]).reshape(32, -1).T  # columns [sign, a, j]
     readout = np.empty((times.size, 2, 4, 4), dtype=np.complex128)
@@ -618,7 +606,7 @@ def _record_amplitudes(alpha, g, t, n_max, lo_phase, inputs) -> tuple[np.ndarray
     span = abs(alpha) + 5.0
     if n_max is not None:
         kets = np.kron(inputs, coherent_state(alpha, FockCutoff(n_max)).amplitudes)
-        spectrum = _w_operator(g, n_max)
+        spectrum = sector_spectrum(EffectiveModelParams(g, FockCutoff(n_max)))
         evolved = np.stack([spectrum.propagate(k, [t])[0] for k in kets])
         return _quadrature(span, evolved.reshape(len(kets), 4, -1), lo_phase)
     maps, theta = _branch_maps(alpha, g, [t])

@@ -41,6 +41,34 @@ def random_coeffs(rng):
     return AtomCoeffs.normalized(*raw)
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.eigh and eigvalsh
+    over the test, in call order."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return shapes
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the per-parameter and per-input caches before and after, so no
+    map built under a patched builder outlives the test."""
+    from dicke2p import protocols
+
+    caches = (protocols._cavity, protocols._ideal_law, protocols._homodyne_law)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 @contextlib.contextmanager
 def traced_peak():
     """Trace allocations over the block; its tracemalloc peak, in bytes, is

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator, ValidationError
 
 from conftest import traced_peak
-from dicke2p import __version__, cli, models, scans
+from dicke2p import __version__, cli, models, protocols, scans
 from dicke2p.cli import main
 from dicke2p.hilbert import FockCutoff
 from dicke2p.models import effective_coupling
@@ -259,6 +259,22 @@ class TestDispatch:
             flags = {o for a in sp._actions for o in a.option_strings}
             for flag in flags & set(shown):
                 assert shown[flag] in usage, (command, flag)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ghz"], ["bell"], ["bell", "--efficiency", "0.5"], ["bell-timing"]],
+    ids=["ghz", "bell", "bell-homodyne", "bell-timing"],
+)
+def test_exact_protocol_subcommands_run_no_eigh(argv, tmp_path, monkeypatch, eigh_calls, fresh_caches):
+    """Every exact protocol subcommand, on empty caches, builds W's
+    spectrum in closed form: neither eigh nor eigvalsh runs."""
+    builds = []
+    build = protocols.sector_spectrum
+    monkeypatch.setattr(protocols, "sector_spectrum", lambda p: builds.append(p) or build(p))
+    assert main([*argv, "--nbar", "20", "--out", str(tmp_path / "o.csv")]) == 0
+    assert builds
+    assert eigh_calls == []
 
 
 class TestCsvOutput:

@@ -328,6 +328,25 @@ class TestSectorSpectrum:
         assert w.index.shape == (cut.dim + 4, 4)
         assert full.vectors.shape == (cut.dim + 4, 9, 9)
 
+    @pytest.mark.parametrize("kind", ["w", "linearized", "full"])
+    def test_wrong_state_length_raises(self, kind):
+        """project and propagate refuse a state whose length is not the
+        spectrum's dimension: one amplitude, one too few or one too many,
+        and a three-level state on W's two-level space."""
+        cut = FockCutoff(6)
+        full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
+        spec = {
+            "w": sector_spectrum(EffectiveModelParams(-0.002, cut)),
+            "linearized": linearized_spectrum(-0.002, cut),
+            "full": full,
+        }[kind]
+        dim = math.prod(spec.dims)
+        lengths = [1, dim - 1, dim + 1] + ([math.prod(full.dims)] if kind != "full" else [])
+        for n in lengths:
+            for call in (spec.project, lambda psi: spec.propagate(psi, [0.5])):
+                with pytest.raises(ValueError, match=rf"\({n},\).*\b{dim}\b"):
+                    call(np.ones(n))
+
     def test_nbar_1000_without_dense_matrices(self):
         """Three-level dimension 11,322: a dense matrix would take 2 GB."""
         cut = FockCutoff.for_mean_photon(1000.0)

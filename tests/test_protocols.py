@@ -427,25 +427,21 @@ class TestRunBellProtocol:
             assert shots[0].record_x == x
 
     @pytest.mark.parametrize("detection", ["ideal", "homodyne"])
-    def test_exact_shot_runs_no_eigh(self, table20, cut20, alpha20, monkeypatch, detection):
-        """An exact shot on an empty cache builds W's spectrum, in closed
-        form: neither eigh nor eigvalsh runs."""
+    def test_exact_shot_runs_no_eigh(
+        self, table20, cut20, alpha20, monkeypatch, eigh_calls, fresh_caches, detection
+    ):
+        """An exact shot on empty caches builds W's spectrum, in closed
+        form, once per cavity read: neither eigh nor eigvalsh runs."""
         from dicke2p import protocols
 
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            def spy(*args, _fn=getattr(np.linalg, name), **kwargs):
-                calls.append(_fn.__name__)
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, spy)
-        caches = (protocols._w_operator, protocols._cavity, protocols._ideal_law, protocols._homodyne_law)
-        for cache in caches:
-            cache.cache_clear()
+        builds = []
+        build = protocols.sector_spectrum
+        monkeypatch.setattr(protocols, "sector_spectrum", lambda p: builds.append(p) or build(p))
         det = HomodyneConfig(lo_phase=PHI, efficiency=0.5) if detection == "homodyne" else "ideal"
         run_bell_protocol(table20[0], alpha20, G, cut20, detection=det, rng_seed=3, shot_index=1)
-        assert protocols._w_operator.cache_info().misses == 1
-        assert calls == []
+        # the cavity map, and for homodyne detection cavity 1's record too
+        assert len(builds) == (2 if detection == "homodyne" else 1)
+        assert eigh_calls == []
 
     def test_homodyne_shot_reads_each_cavity_once(self, table20, cut20, alpha20, monkeypatch):
         """A new input reads cavity 1 once, for p1 and the leaked weight,
@@ -609,20 +605,6 @@ class TestRegimeWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bell_outcome_table(c, 2.0, G, FockCutoff.for_mean_photon(4.0))
-
-
-@pytest.fixture
-def fresh_caches():
-    """Empty the per-parameter and per-input caches before and after, so no
-    map built under a patched builder outlives the test."""
-    from dicke2p import protocols
-
-    caches = (protocols._cavity, protocols._ideal_law, protocols._homodyne_law)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
 
 
 class TestReadoutOracle:
@@ -789,7 +771,7 @@ class TestCavityMaps:
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
         gram = protocols._cavity(alpha, G, T_HALF, cut.n_max)[1]
         kets = np.kron(np.eye(4), coherent_state(alpha, cut).amplitudes)
-        spectrum = protocols._w_operator(G, cut.n_max)
+        spectrum = sector_spectrum(EffectiveModelParams(G, cut))
         flat = np.stack([spectrum.propagate(k, [T_HALF])[0] for k in kets])
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
         np.testing.assert_array_equal(gram, np.eye(4))
@@ -906,7 +888,7 @@ class TestBatchedChain:
         c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
         # across the exact engine's phase-table chunk; the analytic engine
         # has no chunks, and its batch must match single-time calls too
-        chunk = protocols._BASIS_CHUNK // protocols._w_operator(G, cut20.n_max).values.size
+        chunk = protocols._BASIS_CHUNK // sector_spectrum(EffectiveModelParams(G, cut20)).values.size
         window = T_HALF + np.linspace(-0.05, 0.05, chunk + 3) / abs(G)
         atoms = c.to_state().amplitudes
         prob, fid, leaked = bell_outcome_arrays(atoms, alpha20, G, cut20, window, engine=engine)

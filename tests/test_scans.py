@@ -126,17 +126,11 @@ class TestRabiCurve:
         np.testing.assert_allclose(r.rows[:, 1], rabi_oracle(nbar), rtol=0, atol=1e-14)
 
 
-def test_rabi_evolves_no_state_and_revival_runs_no_eigh(monkeypatch):
+def test_rabi_evolves_no_state_and_revival_runs_no_eigh(monkeypatch, eigh_calls):
     """rabi_curve evolves no state, and neither revival command runs an
     eigh or eigvalsh: W's spectrum is in closed form, and the Wigner panels
     take the field's eigenpairs from one thin SVD."""
-    shapes, propagated = [], []
-    for name in ("eigh", "eigvalsh"):
-        def spy(a, *args, _fn=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
-            return _fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, spy)
+    propagated = []
     propagate = SectorSpectrum.propagate
     monkeypatch.setattr(
         SectorSpectrum, "propagate", lambda *a: propagated.append(1) or propagate(*a)
@@ -145,7 +139,7 @@ def test_rabi_evolves_no_state_and_revival_runs_no_eigh(monkeypatch):
     assert not propagated
     with pytest.warns(UserWarning, match="fringe"):
         wigner_panels(nbar=50.0, grid_points=21)
-    assert shapes == []
+    assert eigh_calls == []
 
 
 class TestFidelityScan:
@@ -312,13 +306,13 @@ class TestFidelityScan:
 
     def test_scan_never_rotates_to_the_flat_basis(self, monkeypatch):
         calls = []
-        rotate = SectorSpectrum.rotate
+        propagate = SectorSpectrum.propagate
 
         def counting(self, *args):
             calls.append(1)
-            return rotate(self, *args)
+            return propagate(self, *args)
 
-        monkeypatch.setattr(SectorSpectrum, "rotate", counting)
+        monkeypatch.setattr(SectorSpectrum, "propagate", counting)
         fidelity_scan(nbars=(4, 6), ensemble=3, seed=9, time_points=5)
         assert calls == []
 
@@ -545,7 +539,7 @@ class TestBellTiming:
         misses = protocols._cavity.cache_info().misses
         bell_timing(points=321)
         cut = FockCutoff.for_mean_photon(50.0)
-        entries = protocols._w_operator(-0.002, cut.n_max).values.size
+        entries = sector_spectrum(EffectiveModelParams(-0.002, cut)).values.size
         chunks = math.ceil(321 / (protocols._BASIS_CHUNK // entries))
         assert chunks > 1
         assert counts == {"project": 1, "phases": chunks, "propagate": 0}
