@@ -14,19 +14,19 @@ package only evolve_linearized_many, scans.wigner_panels and the
 protocols' homodyne readout (atomic states times |alpha>, evolved to one
 time) propagate.  Every phase table comes from one cos/sin kernel,
 _unit_phases: SectorSpectrum.phases and scans.fidelity_scan (per chunk of
-sectors) call it.  An overlap between states of two spectra skips the
-rotation: it is a sum over rows N of weights, phases and the eigenvector
-overlap maps of row N (scans.fidelity_scan); an expectation value
-(scans.rabi_curve) is a sum over the sector frequency pairs.  The analytic
-layer runs the same engine, on the state's own cutoff, on the large-N
-linearization of the two-photon interaction W: each sector N couples
-{|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in N, (0, +-g(2N-3)),
-which turns a coherent-state input into a superposition of a few rotating
-coherent branches.  _branch_maps is the paper's large-nbar form of that
-result: three branches on the labels alpha and e^{-+2igt} alpha, as maps on
-the atoms at every time.  The protocols' analytic engine reads them through
-closed-form coherent-state overlaps and quadrature wavefunctions; no field
-vector is built.
+rows) call it.  An overlap skips the rotation: scans.fidelity_scan sums,
+over rows N, the full model's weights and phases (one ket) against those of
+W or its linearization (two bras) through the eigenvector overlap map of row
+N; an expectation value (scans.rabi_curve) is a sum over the sector
+frequency pairs.  The analytic layer runs the same engine, on the state's
+own cutoff, on the large-N linearization of the two-photon interaction W:
+each sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear
+in N, (0, +-g(2N-3)), which turns a coherent-state input into a
+superposition of a few rotating coherent branches.  _branch_maps is the
+paper's large-nbar form of that result: three branches on the labels alpha
+and e^{-+2igt} alpha, as maps on the atoms at every time.  The protocols'
+analytic engine reads them through closed-form coherent-state overlaps and
+quadrature wavefunctions; no field vector is built.
 """
 
 from __future__ import annotations

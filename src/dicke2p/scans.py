@@ -114,16 +114,17 @@ def fidelity_scan(
     Sample i at the k-th nbar draws two 4x4 normals (the Haar state), then
     one uniform (the phase) from sample_rng(seed + k * _SEED_STRIDE, i).
     Every nbar evolves on the largest nbar's cutoff (meta n_max), where the
-    sectors N <= n_max(nbar) + 4 its input reaches are complete.  Overlaps
-    are taken in the sector eigenbasis, on the one layout of
-    models.sector_index: row N holds excitation N in all three spectra, and
-    W's slots are the full model's slots W_SLOTS, so the map of row N is
-    V_bra^dag V_full[W_SLOTS].  So one pass over chunks of sectors builds,
-    once for every nbar, the phase tables exp(-i lambda t) (the full model's
-    shifted by -2gN for the counter-rotation) and the phase products E; each
-    nbar the chunk reaches adds C @ E per overlap, C its weights
-    conj(w_bra) w_ket times the map.  The closed form is renormalized by its
-    weight past the cutoff, a quadratic form taken the same way.
+    sectors N <= n_max(nbar) + 4 its input reaches are complete.  On the
+    one layout of models.sector_index, slot s of row N holds e^{iN theta}
+    a_s e^{-i x_s theta} c_{N - x_s}, x = (0, 2, 2, 4) and c the real
+    amplitudes of |sqrt(nbar)>; the row phase cancels, so it is left out.
+    One ket, the full model on W_SLOTS counter-rotated by -2gN, meets two
+    bras, W and its linearization: one pass over chunks of rows builds the
+    phase tables exp(-i lambda t) and each bra's phase products E once for
+    every nbar, and each nbar adds C @ E, C its weights conj(w_bra) w_ket
+    times the map V_bra^dag V_full[W_SLOTS] of the row.  The closed form is
+    renormalized by its weight past the cutoff, |V psi|^2 on the sentinels
+    of its top four rows, the only rows with slots past the cutoff.
     """
     if time_points < 1:
         raise ValueError(f"time_points must be >= 1, got {time_points}")
@@ -132,69 +133,69 @@ def fidelity_scan(
     if len(set(map(str, nbars))) < len(nbars):
         raise ValueError(f"repeated column names: nbars {tuple(nbars)} repeat a value")
     g = effective_coupling(g_g, g_e, delta)
+    cutoff = FockCutoff.for_mean_photon(float(max(nbars, default=0)))
+    params = FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
     grid = np.linspace(0.0, 1.0, time_points)
-    times = grid * math.pi / abs(g)
+    times = grid * math.pi / abs(g)  # after FullModelParams has refused g_g = 0 or g_e = 0
 
     cols: list[str] = ["gt_over_pi"]
     data: list[np.ndarray] = [grid]
-    cutoff = FockCutoff.for_mean_photon(float(max(nbars, default=0)))
-    params = FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
     validity = {str(nbar): validity_report(params, float(nbar)).ok for nbar in nbars}
     full_spec = sector_spectrum(params)
-    w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
     lin_spec = linearized_spectrum(g, cutoff)
-    # (bra, ket, first row, maps) of <psi_W|R psi_full> and <psi_lin|R psi_full> on every row,
-    # and of psi_lin's weight past the cutoff: V^dag V on the sentinels of its top four rows
-    w_slots = full_spec.vectors[:, W_SLOTS]
-    overlaps = [(bra, full_spec, 0, bra.vectors.conj().mT @ w_slots) for bra in (w_spec, lin_spec)]
-    v, off = lin_spec.vectors[cutoff.dim :], lin_spec.index[cutoff.dim :, :, None] == 4 * cutoff.dim
-    overlaps.append((lin_spec, lin_spec, cutoff.dim, v.mT @ (off * v)))
-    # per nbar: the sectors its input reaches, N <= n_max + 4 of its own cutoff, and their weights
-    reach = np.array([FockCutoff.for_mean_photon(float(nbar)).n_max + 5 for nbar in nbars])
-    bases = {full_spec: w_slots, w_spec: w_spec.vectors, lin_spec: lin_spec.vectors}
+    bras = (sector_spectrum(EffectiveModelParams(g, cutoff)), lin_spec)
+    ket = full_spec.vectors[:, W_SLOTS]
+    maps = [bra.vectors.conj().mT @ ket for bra in bras]
+    bases = (ket, *(bra.vectors for bra in bras))
+    # per nbar: the ket's and each bra's weights on the rows N <= n_max + 4 of its own cutoff
     weights = {}
     for k, nbar in sorted(enumerate(nbars), key=lambda item: -item[1]):  # largest first
-        own = FockCutoff(int(reach[k]) - 5)
+        own = FockCutoff.for_mean_photon(float(nbar))
         rngs = [sample_rng(seed + k * _SEED_STRIDE, i) for i in range(ensemble)]
         atoms = _haar_atoms(rngs)
         theta = 2.0 * math.pi * np.array([rng.random() for rng in rngs])
-        fields = np.exp(1j * np.outer(theta, np.arange(own.dim)))  # e^{i n theta} on |n>
-        fields *= coherent_state(math.sqrt(nbar), own).amplitudes
-        inputs = (atoms[:, :, None] * fields[:, None, :]).reshape(ensemble, -1)
-        # the amplitudes on W's slots of the rows N < reach, zero off own's cutoff
-        slots = np.pad(inputs, ((0, 0), (0, 1)))[:, sector_index(own, 2)[:, None]]
-        weights[k] = {spec: (slots @ v[: reach[k]].conj())[:, :, 0] for spec, v in bases.items()}
-        del rngs, atoms, fields, inputs, slots  # with the largest nbar first, this lowers peak RSS
+        atoms *= np.exp(-1j * np.outer(theta, (0, 2, 2, 4)))  # a_s e^{-i x_s theta}
+        field = np.append(np.tile(coherent_state(math.sqrt(nbar), own).amplitudes, 4), 0.0)
+        slots = atoms[:, None, None, :] * field[sector_index(own, 2)[:, None]]
+        weights[k] = [(slots @ v[: slots.shape[1]].conj())[:, :, 0] for v in bases]
+        del rngs, atoms, slots  # with the largest nbar first, this lowers peak RSS
+    reach = np.array([weights[k][0].shape[1] for k in range(len(nbars))])
     # the counter-rotation R by the (omega + 2g) I part of the effective model, I = N on row N
-    shift = 2.0 * g * np.arange(len(full_spec.values))[:, None]
-    lam = {full_spec: full_spec.values - shift, w_spec: w_spec.values, lin_spec: lin_spec.values}
-    # per sector: the phase tables, and C of every nbar and E of every overlap
-    per_sector = time_points * sum(v.shape[1] for v in lam.values())
-    per_sector += (len(nbars) * ensemble + time_points) * sum(m[0].size for *_, m in overlaps)
+    lam = full_spec.values - 2.0 * g * np.arange(len(full_spec.values))[:, None]
+    # per row: the phase tables, and C of every nbar and E of every bra
+    per_sector = time_points * (lam.shape[1] + sum(b.values.shape[1] for b in bras))
+    per_sector += (len(nbars) * ensemble + time_points) * sum(m[0].size for m in maps)
     step = max(1, _CHUNK // per_sector)
-    values = np.zeros((len(nbars), 3, ensemble, time_points), dtype=np.complex128)
-    # every E is written into one buffer: a fresh table per overlap and
+    values = np.zeros((len(nbars), 2, ensemble, time_points), dtype=np.complex128)
+    # every E is written into one buffer: a fresh table per bra and
     # chunk would take a page fault per 4 KiB of it
-    work = np.empty(step * max(m[0].size for *_, m in overlaps) * time_points, np.complex128)
+    work = np.empty(step * maps[0][0].size * time_points, np.complex128)
     for lo in range(0, max(reach, default=0), step):
-        ph = {spec: _unit_phases(v[lo : lo + step, :, None] * times) for spec, v in lam.items()}
-        active = np.flatnonzero(reach > lo)
-        for b, (bra, ket, start, m) in enumerate(overlaps):
-            bounds = [lo, *np.minimum(lo + step, reach[active])]  # the chunk's start, each active end
-            first, *ends = np.clip(np.subtract(bounds, start), 0, len(m))  # as rows of m
-            m, r = m[first : max(ends)], slice(start + first - lo, start + max(ends) - lo)
+        ket_ph = _unit_phases(lam[lo : lo + step, :, None] * times)
+        for b, (bra, m) in enumerate(zip(bras, maps)):
+            m = m[lo : lo + step]
             e = work[: m.size * time_points].reshape(m.shape + (time_points,))
-            np.conjugate(ph[bra][r, :, None], out=e)
-            e *= ph[ket][r, None]
-            for k, end in zip(active, ends):
-                q, w = slice(start + first, start + end), weights[k]
-                c = w[bra][:, q, :, None].conj() * w[ket][:, q, None, :]
-                c *= m[: end - first]
-                values[k, b] += c.reshape(ensemble, -1) @ e[: end - first].reshape(-1, time_points)
+            np.conjugate(_unit_phases(bra.values[lo : lo + step, :, None] * times)[:, :, None], out=e)
+            e *= ket_ph[:, None]
+            for k in np.flatnonzero(reach > lo):
+                n = min(step, reach[k] - lo)  # the chunk's rows that nbar's input reaches
+                w_ket, w_bra = weights[k][0][:, lo : lo + n], weights[k][1 + b][:, lo : lo + n]
+                c = w_bra[:, :, :, None].conj() * w_ket[:, :, None, :]
+                c *= m[:n]
+                values[k, b] += c.reshape(ensemble, -1) @ e[:n].reshape(-1, time_points)
+        del ket_ph, c  # before the next chunk builds its tables: this lowers peak memory
+    # the closed form's weight past the cutoff, on its top four rows, the only ones with slots
+    # past it: their phase products times V^dag V on the sentinels, as C @ E per nbar
+    v, off = lin_spec.vectors[cutoff.dim :], lin_spec.index[cutoff.dim :, :, None] == 4 * cutoff.dim
+    top = _unit_phases(lin_spec.values[cutoff.dim :, :, None] * times)
+    past = (v.mT @ (off * v))[..., None] * top[:, :, None].conj() * top[:, None]
     for k, nbar in enumerate(nbars):
-        check_capture(values[k, 2].real, cutoff.n_max)
-        fids = np.abs(values[k, :2]) ** 2
-        fids[1] /= np.sum(np.abs(weights[k][lin_spec]) ** 2, axis=(1, 2))[:, None] - values[k, 2].real
+        w = weights[k][2]
+        c = w[:, cutoff.dim :, :, None].conj() * w[:, cutoff.dim :, None, :]
+        lost = (c.reshape(ensemble, -1) @ past[: c.shape[1]].reshape(-1, time_points)).real
+        check_capture(lost, cutoff.n_max)
+        fids = np.abs(values[k]) ** 2
+        fids[1] /= np.sum(np.abs(w) ** 2, axis=(1, 2))[:, None] - lost
         mean, err = ensemble_stats(fids.transpose(1, 0, 2))
         cols += [f"{c}_nbar{nbar}" for c in ("mean_FW", "stderr_FW", "mean_F", "stderr_F")]
         data += [mean[0], err[0], mean[1], err[1]]
@@ -335,6 +336,8 @@ def bell_ensemble(
     """
     if ensemble < 1:
         raise ValueError(f"ensemble must be >= 1, got {ensemble}")
+    if not (isinstance(detection, HomodyneConfig) or detection == "ideal"):
+        raise ValueError("detection must be 'ideal' or a HomodyneConfig")
     n_out = len(ALL_OUTCOMES)
     cols = ["nbar"]
     for s in OUTCOME_SUFFIX.values():
@@ -371,10 +374,7 @@ def bell_ensemble(
         "engine": engine,
         "detection": "ideal"
         if not isinstance(detection, HomodyneConfig)
-        else {
-            "efficiency": detection.efficiency,
-            "lo_phase": detection.lo_phase,
-        },
+        else {"efficiency": detection.efficiency, "lo_phase": detection.lo_phase},
     }
     return ScanResult(tuple(cols), rows, meta)
 

@@ -1,13 +1,16 @@
 """Every exported name resolves: no __all__ names code that is gone."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
 MODULES = ("dicke2p",) + tuple(
     f"dicke2p.{m}" for m in ("hilbert", "models", "dynamics", "analysis", "protocols", "scans", "cli")
 )
+SOURCES = sorted(Path(importlib.import_module("dicke2p").__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,3 +36,20 @@ def test_caches_are_bounded(name):
     if name == "dicke2p.protocols":
         required = {"_cavity", "_ideal_law", "_homodyne_law", "_measure_law"}
         assert required <= caches.keys()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """Every name a module of the package imports is read in it or
+    exported by its __all__, so a deletion leaves no stale import behind.
+    A submodule import such as `import numpy.random` counts as used."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name for a in node.names if a.asname or "." not in a.name}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names if a.name != "*"}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module(f"dicke2p.{path.stem}".removesuffix(".__init__"))
+    assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []

@@ -71,12 +71,22 @@ def test_scans_reject_sizes_below_one(scan, size, monkeypatch):
         scan(**{size: 0})
 
 
-@pytest.mark.parametrize("scan", [rabi_curve, bell_timing])
-def test_time_scans_refuse_zero_coupling_before_dividing(scan):
-    """g = 0 is refused by the coupling check, not run into a division by
-    zero (a RuntimeWarning, which the suite turns into an error)."""
-    with pytest.raises(ValueError, match="^coupling g must be nonzero$"):
-        scan(g=0.0)
+@pytest.mark.parametrize(
+    "scan, coupling, match",
+    [
+        pytest.param(rabi_curve, "g", "^coupling g must be nonzero$", id="rabi_curve"),
+        pytest.param(bell_timing, "g", "^coupling g must be nonzero$", id="bell_timing"),
+        pytest.param(
+            fidelity_scan, "g_g", "^couplings g_g, g_e must be positive$", id="fidelity_scan"
+        ),
+    ],
+)
+def test_time_scans_refuse_zero_coupling_before_dividing(scan, coupling, match):
+    """A zero coupling is refused by the coupling check, not run into a
+    division by zero (a RuntimeWarning, which the suite turns into an
+    error)."""
+    with pytest.raises(ValueError, match=match):
+        scan(**{coupling: 0.0})
 
 
 @pytest.mark.parametrize(
@@ -179,10 +189,10 @@ class TestFidelityScan:
     def _sector_chunks(monkeypatch, step, ensemble, time_points):
         """Make fidelity_scan take `step` sectors per chunk.  Per sector a
         chunk holds the phase tables of the full, W and linearized spectra
-        (9 + 4 + 4 slots per time) and C and E of its three overlaps (4 x 9,
-        4 x 9 and 4 x 4 entries per sample and per time); `ensemble` counts
-        the samples of every nbar."""
-        per_sector = time_points * (9 + 4 + 4) + (ensemble + time_points) * (36 + 36 + 16)
+        (9 + 4 + 4 slots per time) and C and E of its two bras against the
+        one ket (4 x 9 entries each per sample and per time); `ensemble`
+        counts the samples of every nbar."""
+        per_sector = time_points * (9 + 4 + 4) + (ensemble + time_points) * (36 + 36)
         monkeypatch.setattr(scans, "_CHUNK", step * per_sector)
 
     @staticmethod
@@ -207,19 +217,22 @@ class TestFidelityScan:
         r = fidelity_scan(nbars=(4,), ensemble=7, seed=9, time_points=17)
         full, _, lin = self._spectra(4)
         # one table per spectrum and chunk of 4 sectors, times last, over the
-        # one sector layout of all three spectra; the last chunk is ragged
+        # one sector layout of all three spectra; the last chunk is ragged;
+        # then one of the linearized spectrum's top four rows
         chunks = math.ceil(len(full.values) / 4)
         assert len(lin.values) == len(full.values) and len(full.values) % 4
-        assert len(shapes) == 3 * chunks and {s[2] for s in shapes} == {17}
+        assert len(shapes) == 3 * chunks + 1 and {s[2] for s in shapes} == {17}
         want = [len(full.values[lo : lo + 4]) for lo in range(0, 4 * chunks, 4)]
-        assert [s[0] for s in shapes] == [n for n in want for _ in range(3)]
+        assert [s[0] for s in shapes] == [n for n in want for _ in range(3)] + [4]
         oracle = fidelity_scan_oracle((4,), 7, 9, 17)
         np.testing.assert_allclose(r.rows, oracle, rtol=0, atol=1e-13)
 
     def test_phase_tables_do_not_grow_with_the_ensemble(self, monkeypatch):
         """Each phase exp(-i lambda t) of every spectrum, sector slot and time
         the loop visits (the sectors the inputs reach, as many as the full
-        model has) is evaluated exactly once, however many samples share it."""
+        model has) is evaluated exactly once, however many samples share it,
+        and those of the linearized spectrum's top four rows once more, for
+        its weight past the cutoff."""
         shapes = self._phase_spy(monkeypatch)
         for nbar, ensemble in itertools.product((4, 20), (2, 12)):
             shapes.clear()
@@ -228,6 +241,7 @@ class TestFidelityScan:
             spectra = self._spectra(nbar)
             reach = len(spectra[0].values)
             want = 17 * sum(spec.values[:reach].size for spec in spectra)
+            want += 17 * spectra[2].values[-4:].size
             assert sum(math.prod(s) for s in shapes) == want
 
     def test_overlap_maps_pair_each_sector_with_its_own_index(self, monkeypatch):
@@ -292,17 +306,20 @@ class TestFidelityScan:
     def test_one_pass_on_the_largest_cutoff_serves_every_nbar(self, monkeypatch):
         """A (4, 20) scan builds its spectra once, on nbar 20's cutoff, which
         the metadata names; nbar 4's input, built on its own cutoff, evolves
-        there too."""
+        there too.  So do the bench's three nbar, the largest one first in
+        the input loop, whose input reaches the top four rows."""
         calls = collections.Counter()
         for name in ("sector_spectrum", "linearized_spectrum"):
             build = getattr(scans, name)
             monkeypatch.setattr(scans, name, lambda *a, f=build, n=name: calls.update([n]) or f(*a))
-        r = fidelity_scan(nbars=(4, 20), ensemble=3, seed=9, time_points=5)
-        assert calls == {"sector_spectrum": 2, "linearized_spectrum": 1}
-        shared = FockCutoff.for_mean_photon(20)
-        assert r.meta["n_max"] == shared.n_max
-        oracle = fidelity_scan_oracle((4, 20), 3, 9, 5, cutoff=shared)
-        np.testing.assert_allclose(r.rows, oracle, rtol=0, atol=1e-13)
+        for nbars, seed in [((4, 20), 9), ((20, 50, 100), 0), ((20, 50, 100), 12345)]:
+            calls.clear()
+            r = fidelity_scan(nbars=nbars, ensemble=3, seed=seed, time_points=5)
+            assert calls == {"sector_spectrum": 2, "linearized_spectrum": 1}
+            shared = FockCutoff.for_mean_photon(max(nbars))
+            assert r.meta["n_max"] == shared.n_max
+            oracle = fidelity_scan_oracle(nbars, 3, seed, 5, cutoff=shared)
+            np.testing.assert_allclose(r.rows, oracle, rtol=0, atol=1e-13)
 
     def test_scan_never_rotates_to_the_flat_basis(self, monkeypatch):
         calls = []
@@ -318,9 +335,9 @@ class TestFidelityScan:
 
     def test_memory_stays_flat_at_the_bench_size(self):
         """The hierarchy benchmark's scan (nbar 20/50/100, ensemble 10, 101
-        times) in chunks: its coefficient matrix for nbar 100 alone would
-        take 2.2 MB, its full table of phase products 22 MB.  The shared
-        pass peaks at 2.83 MB."""
+        times) in chunks: its coefficient matrices of the two bras for nbar
+        100 alone would take 2.2 MB, its full table of phase products 22 MB.
+        The shared pass peaks at 2.60 MB."""
         with traced_peak() as mem:
             fidelity_scan(nbars=(20, 50, 100), ensemble=10, seed=0, time_points=101)
         assert mem.peak <= 3.4e6
@@ -354,6 +371,13 @@ class TestGhzSweep:
 
 
 class TestBellEnsemble:
+    @pytest.mark.parametrize("detection", ["homodyne", None])
+    def test_unknown_detection_is_refused(self, detection):
+        """Only 'ideal' or a HomodyneConfig names a detector, as in
+        run_bell_protocol; anything else is refused, not run as ideal."""
+        with pytest.raises(ValueError, match="^detection must be 'ideal' or a HomodyneConfig$"):
+            bell_ensemble(nbars=(6,), ensemble=2, seed=2, detection=detection)
+
     def test_tiny_run_structure(self):
         r = bell_ensemble(nbars=(6,), ensemble=4, seed=2)
         assert r.rows.shape == (1, 13)
