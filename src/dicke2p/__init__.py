@@ -9,7 +9,6 @@ from .hilbert import (
     tensor,
 )
 from .models import (
-    EffectiveModelParams,
     FullModelParams,
     effective_coupling,
     validity_report,
@@ -46,7 +45,6 @@ __all__ = [
     "bell_state",
     "coherent_state",
     "tensor",
-    "EffectiveModelParams",
     "FullModelParams",
     "effective_coupling",
     "validity_report",

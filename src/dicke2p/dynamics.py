@@ -3,9 +3,10 @@
 Both Hamiltonians conserve the excitation number, so the exact engine works
 sector by sector, on the one layout of models.sector_index: `sector_spectrum`
 diagonalizes the full model's (at most 9x9) sector blocks with one batched
-eigh and W's in closed form, and the resulting SectorSpectrum propagates a
-state to any number of times without ever forming a matrix of the full
-dimension.  Propagation has three stages:
+eigh, `w_spectrum` gives W's in closed form from the coupling g (after
+check_coupling) and the cutoff, and the resulting SectorSpectrum
+propagates a state to any number of times without ever forming a matrix
+of the full dimension.  Propagation has three stages:
 project a state onto the sector eigenvectors once, build the phase table
 exp(-i lambda t) once per spectrum and set of times, and scatter the
 advanced weights back to the flat basis through the layout.
@@ -46,13 +47,15 @@ from .hilbert import (
     coherent_state,
     tensor,
 )
-from .models import EffectiveModelParams, FullModelParams, sector_blocks, sector_index
+from .models import FullModelParams, sector_blocks, sector_index
 
 __all__ = [
     "SectorSpectrum",
     "sector_spectrum",
+    "w_spectrum",
     "linearized_spectrum",
     "evolve_linearized_many",
+    "check_coupling",
     "check_capture",
     "check_branch_regime",
     "analytic_state",
@@ -115,15 +118,9 @@ def _unit_phases(angle: np.ndarray) -> np.ndarray:
     return phases
 
 
-def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpectrum:
-    """Sector spectrum of the full Hamiltonian (FullModelParams), by one
-    batched eigh of its blocks with their real slots first, or of W
-    (EffectiveModelParams) in closed form, where a pair couples only if
-    both of its states lie on the cutoff."""
-    if isinstance(params, EffectiveModelParams):
-        n, top = np.arange(params.cutoff.dim + 4.0), params.cutoff.n_max
-        upper, lower = np.sqrt(n * (n - 1)) * (n <= top), np.sqrt((n - 2) * (n - 3)) * (n <= top + 2)
-        return _w_spectrum(params, upper, lower)
+def sector_spectrum(params: FullModelParams) -> SectorSpectrum:
+    """Sector spectrum of the full Hamiltonian, by one batched eigh of its
+    blocks with their real slots first."""
     index, blocks, dims = sector_blocks(params)
     # real slots first in each block, so that no zero eigenvalue mixes real and sentinel slots
     order = np.argsort(index == math.prod(dims), axis=1, kind="stable")
@@ -134,6 +131,13 @@ def sector_spectrum(params: FullModelParams | EffectiveModelParams) -> SectorSpe
     return SectorSpectrum(index, values, vectors, dims)
 
 
+def w_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:
+    """W's closed-form sector spectrum: a pair couples only if both its states lie on the cutoff."""
+    n, top = np.arange(cutoff.dim + 4.0), cutoff.n_max
+    upper, lower = np.sqrt(n * (n - 1)) * (n <= top), np.sqrt((n - 2) * (n - 3)) * (n <= top + 2)
+    return _w_spectrum(g, cutoff, upper, lower)
+
+
 def linearized_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:
     """Sector spectrum of W linearized at large excitation N: every pair
     coupling of sector N has the field factor (2N-3)/2 in place of
@@ -141,10 +145,10 @@ def linearized_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:
     are complete, so a propagation loses the weight it moves past the
     cutoff (evolve_linearized_many)."""
     factor = np.arange(cutoff.dim + 4) - 1.5
-    return _w_spectrum(EffectiveModelParams(g, cutoff), factor, factor)
+    return _w_spectrum(g, cutoff, factor, factor)
 
 
-def _w_spectrum(params: EffectiveModelParams, upper: np.ndarray, lower: np.ndarray) -> SectorSpectrum:
+def _w_spectrum(g: float, cutoff: FockCutoff, upper: np.ndarray, lower: np.ndarray) -> SectorSpectrum:
     """W's sector spectrum with the field factors upper[N] of |gg,N> to
     |ge,N-2> and |eg,N-2>, and lower[N] of those to |ee,N-4>, in these
     slots of the sectors N = 0 .. n_max + 4 (off the cutoff, the sentinel).
@@ -152,18 +156,29 @@ def _w_spectrum(params: EffectiveModelParams, upper: np.ndarray, lower: np.ndarr
     sqrt(2) |g| |(upper, lower)|, the eigenvectors in (|gg>, |psi+>, |ee>)
     are (a, -+1, b)/sqrt(2) at -+lambda and (b, 0, -a) at 0, beside |psi->
     at 0; (a, b) = (0, 1) where no pair couples."""
-    nf = params.cutoff.dim
+    check_coupling(g)
+    nf = cutoff.dim
     n = np.arange(nf + 4)
     pair = np.stack([upper * (n >= 2), lower * (n >= 4)], axis=1)  # no negative photon numbers
     square = np.sum(pair**2, axis=1, keepdims=True)
     ab = np.tile([0.0, 1.0], (n.size, 1))
-    a, b = np.divide(np.sign(params.g) * pair, np.sqrt(square), out=ab, where=square > 0.0).T
-    lam, z = abs(params.g) * np.sqrt(2.0 * square[:, 0]), np.zeros_like(a)
+    a, b = np.divide(np.sign(g) * pair, np.sqrt(square), out=ab, where=square > 0.0).T
+    lam, z = abs(g) * np.sqrt(2.0 * square[:, 0]), np.zeros_like(a)
     h, q = z + 0.5, z + math.sqrt(0.5)
     # rows the slots; columns bright at -lambda, dark, |psi->, bright at +lambda
     vectors = np.array([[q * a, b, z, q * a], [-h, z, q, h], [-h, z, -q, h], [q * b, -a, z, q * b]])
     values = np.stack([-lam, z, z, lam], axis=1)
-    return SectorSpectrum(sector_index(params.cutoff, 2), values, vectors.transpose(2, 0, 1), (2, 2, nf))
+    return SectorSpectrum(sector_index(cutoff, 2), values, vectors.transpose(2, 0, 1), (2, 2, nf))
+
+
+def check_coupling(g: float) -> None:
+    """Raise unless g is finite and nonzero with a finite revival time pi/|g|."""
+    if not math.isfinite(g):
+        raise ValueError(f"coupling g must be finite, got {g}")
+    if g == 0:
+        raise ValueError("coupling g must be nonzero")
+    if math.isinf(math.pi / abs(g)):
+        raise ValueError(f"coupling g = {g} is too small: its revival time pi/|g| overflows")
 
 
 def check_capture(dropped: np.ndarray, n_max: int) -> None:
@@ -255,9 +270,6 @@ def rabi_see_analytic(alpha: complex, g: float, t):
 
 
 def revival_time(g: float) -> float:
-    """Revival period pi/|g|; independent of the field amplitude."""
-    if not math.isfinite(g):
-        raise ValueError(f"revival time needs a finite g, got {g}")
-    if g == 0:
-        raise ValueError("revival time undefined for g = 0")
+    """Revival period pi/|g| (see check_coupling); independent of the field amplitude."""
+    check_coupling(g)
     return math.pi / abs(g)

@@ -8,7 +8,7 @@ n_max + 1) for three-level ones, (2, 2) for the atoms alone and
 (n_max + 1,) for the field alone; every module relies on it.  Atomic
 levels are ordered g, e for two-level atoms and g, i, e for three-level
 atoms.  The Hamiltonians are never built here as matrices of the full
-dimension (see dynamics.sector_spectrum), nor <x|n> as a table
+dimension (see dynamics.sector_spectrum and w_spectrum), nor <x|n> as a table
 (hermite_sum).
 """
 

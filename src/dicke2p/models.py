@@ -1,17 +1,18 @@
 """Hamiltonians for two three-level atoms coupled to a single cavity mode.
 
 The full model couples the g-i and i-e transitions of both atoms to the
-same mode within the rotating-wave approximation.  When the intermediate
-level is far detuned it can be eliminated, leaving an effective two-photon
-interaction W between |gg> and |ee> plus Stark shifts.
+same mode within the rotating-wave approximation (FullModelParams).  When
+the intermediate level is far detuned it can be eliminated, leaving an
+effective two-photon interaction W between |gg> and |ee> plus Stark shifts.
 
 Both Hamiltonians conserve the excitation number a^dag a + 2 S_ee + S_ii,
 so both split into sectors on one closed-form layout (`sector_index`), in
 which W's atom pairs are the full model's slots W_SLOTS.  `sector_blocks`
 builds the full model's sector matrices (at most 9 states) straight from
 the parameters, for dynamics to diagonalize; W's sectors (at most 4 states)
-need none, as their spectrum is in closed form.  No matrix of the full
-dimension is ever formed.
+need none: their spectrum is in closed form in W's one parameter, the
+coupling g (effective_coupling), and the cutoff (dynamics.w_spectrum).
+No matrix of the full dimension is ever formed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .hilbert import FockCutoff
 
 __all__ = [
     "FullModelParams",
-    "EffectiveModelParams",
     "ValidityReport",
     "VALIDITY_MARGIN",
     "W_SLOTS",
@@ -59,20 +59,6 @@ class FullModelParams:
             raise ValueError("delta must be positive")
         if not (self.g_g > 0 and self.g_e > 0):
             raise ValueError("couplings g_g, g_e must be positive")
-
-
-@dataclass(frozen=True)
-class EffectiveModelParams:
-    """Two-photon model with a single coupling g (sign included)."""
-
-    g: float
-    cutoff: FockCutoff
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.g):
-            raise ValueError(f"coupling g must be finite, got {self.g}")
-        if self.g == 0:
-            raise ValueError("coupling g must be nonzero")
 
 
 def effective_coupling(g_g: float, g_e: float, delta: float) -> float:
@@ -160,10 +146,8 @@ class ValidityReport:
 def validity_report(params: FullModelParams, nbar: float) -> ValidityReport:
     if not nbar > 0:
         raise ValueError("nbar must be positive")
-    return ValidityReport(
-        VALIDITY_MARGIN * params.delta**2 / (params.g_e**3 * nbar),
-        abs(params.g_e**2 - params.g_g**2),
-        params.g_e**3 / params.delta,
-        params.g_e * nbar * math.pi,
-        VALIDITY_MARGIN * params.delta,
-    )
+    delta, g_g, g_e = np.array([params.delta, params.g_g, params.g_e])
+    with np.errstate(all="ignore"):  # a number past the float range reads inf, as does x / 0
+        horizon = float(VALIDITY_MARGIN * delta**2 / (g_e**3 * nbar))
+        stark = float(abs(g_e**2 - g_g**2)), float(g_e**3 / delta)
+    return ValidityReport(horizon, *stark, params.g_e * nbar * math.pi, VALIDITY_MARGIN * params.delta)

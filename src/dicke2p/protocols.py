@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import DensityMatrix, _thread_rng
-from .dynamics import _branch_maps, check_branch_regime, revival_time, sector_spectrum
+from .dynamics import _branch_maps, check_branch_regime, revival_time, w_spectrum
 from .hilbert import (
     AtomCoeffs,
     FockCutoff,
@@ -65,7 +65,6 @@ from .hilbert import (
     hermite_sum,
     tensor,
 )
-from .models import EffectiveModelParams
 
 __all__ = [
     "OutcomeLabel",
@@ -234,7 +233,7 @@ def _cavity_maps(
         return mixed[:, :2].reshape(times.size, 2, 4, 4), gram
     refs = np.stack([coherent_state(a, FockCutoff(n_max)).amplitudes for a in (alpha, -alpha)])
     eye = np.eye(4, dtype=np.complex128)
-    spectrum = sector_spectrum(EffectiveModelParams(g, FockCutoff(n_max)))
+    spectrum = w_spectrum(g, FockCutoff(n_max))
     w = spectrum.project(np.kron(eye, refs[:, None])).reshape(8, -1)  # rows [sign, a]
     pairs = (w.conj()[:, None] * w[:4]).reshape(32, -1).T  # columns [sign, a, j]
     readout = np.empty((times.size, 2, 4, 4), dtype=np.complex128)
@@ -589,7 +588,7 @@ def _quadrature(span: float, amps: np.ndarray, lo_phase: float) -> tuple[np.ndar
     """The grid on [-span, span] and the field amplitudes amps (..., dim) read
     there, sum_n amps[..., n] e^{-i lo_phase n} h_n(x), shape (..., points)."""
     xs = np.linspace(-span, span, _QUADRATURE_POINTS)
-    rotated = amps * np.exp(-1j * lo_phase * np.arange(amps.shape[-1]))
+    rotated = amps * np.exp(-1j * math.remainder(lo_phase, 2.0 * math.pi) * np.arange(amps.shape[-1]))
     read = hermite_sum(xs, np.moveaxis(rotated, -1, 0))
     return xs, np.ascontiguousarray(np.moveaxis(read, 0, -1))
 
@@ -606,11 +605,11 @@ def _record_amplitudes(alpha, g, t, n_max, lo_phase, inputs) -> tuple[np.ndarray
     span = abs(alpha) + 5.0
     if n_max is not None:
         kets = np.kron(inputs, coherent_state(alpha, FockCutoff(n_max)).amplitudes)
-        spectrum = sector_spectrum(EffectiveModelParams(g, FockCutoff(n_max)))
+        spectrum = w_spectrum(g, FockCutoff(n_max))
         evolved = np.stack([spectrum.propagate(k, [t])[0] for k in kets])
         return _quadrature(span, evolved.reshape(len(kets), 4, -1), lo_phase)
     maps, theta = _branch_maps(alpha, g, [t])
-    beta = alpha * np.exp(1j * (theta[0, :, None] - lo_phase))
+    beta = alpha * np.exp(1j * (theta[0, :, None] - math.remainder(lo_phase, 2.0 * math.pi)))
     xs = np.linspace(-span, span, _QUADRATURE_POINTS)
     waves = np.exp(-((xs - beta.real) ** 2) + 1j * beta.imag * (2.0 * xs - beta.real))
     kraus = maps[0].T @ ((2.0 / math.pi) ** 0.25 * waves)

@@ -24,10 +24,12 @@ from .analysis import (
 from .dynamics import (
     _unit_phases,
     check_capture,
+    check_coupling,
     linearized_spectrum,
     rabi_see_analytic,
     revival_time,
     sector_spectrum,
+    w_spectrum,
 )
 from .hilbert import (
     AtomCoeffs,
@@ -35,7 +37,6 @@ from .hilbert import (
     coherent_state,
 )
 from .models import (
-    EffectiveModelParams,
     FullModelParams,
     W_SLOTS,
     effective_coupling,
@@ -135,15 +136,16 @@ def fidelity_scan(
     g = effective_coupling(g_g, g_e, delta)
     cutoff = FockCutoff.for_mean_photon(float(max(nbars, default=0)))
     params = FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=cutoff)
+    check_coupling(g)  # g_g g_e / delta may underflow to zero
     grid = np.linspace(0.0, 1.0, time_points)
-    times = grid * math.pi / abs(g)  # after FullModelParams has refused g_g = 0 or g_e = 0
+    times = grid * math.pi / abs(g)
 
     cols: list[str] = ["gt_over_pi"]
     data: list[np.ndarray] = [grid]
     validity = {str(nbar): validity_report(params, float(nbar)).ok for nbar in nbars}
     full_spec = sector_spectrum(params)
     lin_spec = linearized_spectrum(g, cutoff)
-    bras = (sector_spectrum(EffectiveModelParams(g, cutoff)), lin_spec)
+    bras = (w_spectrum(g, cutoff), lin_spec)
     ket = full_spec.vectors[:, W_SLOTS]
     maps = [bra.vectors.conj().mT @ ket for bra in bras]
     bases = (ket, *(bra.vectors for bra in bras))
@@ -208,6 +210,7 @@ def fidelity_scan(
         "g": g,
         "ensemble": ensemble,
         "seed": seed,
+        "time_points": time_points,
         "n_max": cutoff.n_max,
         "validity": validity,
     }
@@ -230,7 +233,7 @@ def rabi_curve(
         raise ValueError(f"points must be >= 1, got {points}")
     cutoff = FockCutoff.for_mean_photon(nbar)
     alpha = math.sqrt(nbar)
-    spec = sector_spectrum(EffectiveModelParams(g, cutoff))  # refuses g = 0 before the division
+    spec = w_spectrum(g, cutoff)  # check_coupling before the division
     grid = np.linspace(0.0, gt_max_over_pi, points)
     times = grid * math.pi / abs(g)
 
@@ -250,7 +253,7 @@ def rabi_curve(
         numeric[lo : lo + step] += cos_t @ pairs
     analytic = rabi_see_analytic(alpha, g, times)
     rows = np.column_stack([grid, numeric, analytic])
-    meta = {"nbar": nbar, "g": g, "alpha": alpha, "points": points}
+    meta = {"nbar": nbar, "g": g, "gt_max_over_pi": gt_max_over_pi, "alpha": alpha, "points": points}
     return ScanResult(("gt_over_pi", "see_numeric", "see_analytic"), rows, meta)
 
 
@@ -269,7 +272,7 @@ def wigner_panels(
     cutoff = FockCutoff.for_mean_photon(nbar)
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
     psi0 = np.kron([0, 0, 0, 1], coherent_state(alpha, cutoff).amplitudes)  # |ee>|alpha>
-    w_spec = sector_spectrum(EffectiveModelParams(g, cutoff))
+    w_spec = w_spectrum(g, cutoff)
 
     span = math.sqrt(nbar) + 5.0
     axis = np.linspace(-span, span, grid_points)
@@ -398,7 +401,7 @@ def bell_timing(
     if coeffs is None:
         coeffs = AtomCoeffs.normalized(0.5, 0.5, 0.5, 0.5)
     cutoff = FockCutoff.for_mean_photon(nbar)
-    EffectiveModelParams(g, cutoff)  # refuses g = 0 before the division
+    check_coupling(g)
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
     center = math.pi / 2.0
     gts = np.linspace(center - half_width_gt, center + half_width_gt, points)

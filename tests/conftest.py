@@ -16,7 +16,7 @@ from dicke2p.hilbert import (
     StateVector,
     coherent_state,
 )
-from dicke2p.models import EffectiveModelParams, FullModelParams
+from dicke2p.models import FullModelParams
 
 
 @pytest.fixture
@@ -280,13 +280,13 @@ def cavity_maps_oracle(alpha, g, times, n_max, engine):
     three-branch form on the Fock basis for the analytic one.  Deliberately
     free of the sector-eigenbasis readout and the closed-form coherent
     overlaps that protocols._cavity_maps takes."""
-    from dicke2p.dynamics import sector_spectrum
+    from dicke2p.dynamics import w_spectrum
 
     cutoff, times = FockCutoff(n_max), np.asarray(times, dtype=np.float64)
     field = coherent_state(alpha, cutoff).amplitudes
     refs = np.stack([field, coherent_state(-alpha, cutoff).amplitudes]).conj().T
     if engine == "exact":
-        spectrum = sector_spectrum(EffectiveModelParams(g, cutoff))
+        spectrum = w_spectrum(g, cutoff)
         kets = np.kron(np.eye(4), field)
         basis = np.stack([spectrum.propagate(k, times) for k in kets], axis=1)
         gram = np.tile(np.eye(4, dtype=np.complex128), (times.size, 1, 1))
@@ -301,13 +301,13 @@ def cavity_maps_oracle(alpha, g, times, n_max, engine):
 def excited_state_evolved(nbar, phi, g, times):
     """|ee>|sqrt(nbar) e^{i phi}> on the cutoff for nbar, evolved under W to
     every time by SectorSpectrum.propagate; amplitudes (T, 4 dim)."""
-    from dicke2p.dynamics import sector_spectrum
+    from dicke2p.dynamics import w_spectrum
     from dicke2p.hilbert import tensor
 
     cutoff = FockCutoff.for_mean_photon(nbar)
     atoms = StateVector(np.array([0, 0, 0, 1], dtype=np.complex128), (2, 2))
     psi0 = tensor(atoms, coherent_state(np.sqrt(nbar) * np.exp(1j * phi), cutoff))
-    spectrum = sector_spectrum(EffectiveModelParams(g, cutoff))
+    spectrum = w_spectrum(g, cutoff)
     return spectrum.propagate(psi0.amplitudes, np.asarray(times, dtype=np.float64))
 
 
@@ -332,7 +332,12 @@ def fidelity_scan_oracle(
     input is built on its nbar's own cutoff and zero-padded onto it."""
     import cmath
 
-    from dicke2p.dynamics import evolve_linearized_many, linearized_spectrum, sector_spectrum
+    from dicke2p.dynamics import (
+        evolve_linearized_many,
+        linearized_spectrum,
+        sector_spectrum,
+        w_spectrum,
+    )
     from dicke2p.hilbert import tensor
     from dicke2p.models import effective_coupling
     from dicke2p.scans import _SEED_STRIDE
@@ -347,7 +352,7 @@ def fidelity_scan_oracle(
         full_spec = sector_spectrum(
             FullModelParams(omega=0.0, delta=delta, g_g=g_g, g_e=g_e, cutoff=shared)
         )
-        w_spec = sector_spectrum(EffectiveModelParams(g, shared))
+        w_spec = w_spectrum(g, shared)
         lin_spec = linearized_spectrum(g, shared)
         idx = embed_indices(shared)
         rot = np.exp(2j * g * np.outer(times, excitation_labels(shared, levels=2)))
@@ -474,27 +479,26 @@ def full_hamiltonian(params: FullModelParams) -> Operator:
     return Operator(h, (3, 3, cutoff.dim), hermitian=True)
 
 
-def two_photon_w(params: EffectiveModelParams) -> Operator:
+def two_photon_w(g: float, cutoff: FockCutoff) -> Operator:
     """Two-photon interaction W = g (a^2 S_eg + a^dag^2 S_ge) on two-level atoms."""
-    cutoff = params.cutoff
     a, ad, _, _ = _field_ops(cutoff, 2)
     s_eg = collective_op("e", "g", 2).matrix
     s_ge = collective_op("g", "e", 2).matrix
-    w = params.g * (np.kron(s_eg, a @ a) + np.kron(s_ge, ad @ ad))
+    w = g * (np.kron(s_eg, a @ a) + np.kron(s_ge, ad @ ad))
     return Operator(w, (2, 2, cutoff.dim), hermitian=True)
 
 
-def w_sector_blocks(params: EffectiveModelParams) -> tuple[np.ndarray, np.ndarray]:
+def w_sector_blocks(g: float, cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
     """The sector blocks of two_photon_w, in the layout of W's closed-form
     spectrum: sector N = 0 .. n_max + 4 holds the slots |gg,N>, |ge,N-2>,
     |eg,N-2>, |ee,N-4>, and a slot off the cutoff keeps zero rows and
     columns.  Returns the blocks (sectors, 4, 4) and which slots lie on the
     cutoff (sectors, 4)."""
-    nf = params.cutoff.dim
+    nf = cutoff.dim
     photons = np.arange(nf + 4)[:, None] - np.array([0, 2, 2, 4])
     real = (photons >= 0) & (photons < nf)
     flat = np.where(real, nf * np.arange(4) + photons, 0)
-    dense = two_photon_w(params).matrix.real[flat[:, :, None], flat[:, None, :]]
+    dense = two_photon_w(g, cutoff).matrix.real[flat[:, :, None], flat[:, None, :]]
     return np.where(real[:, :, None] & real[:, None, :], dense, 0.0), real
 
 

@@ -15,10 +15,9 @@ from dicke2p.dynamics import (
     analytic_state,
     rabi_see_analytic,
     revival_time,
-    sector_spectrum,
+    w_spectrum,
 )
 from dicke2p.hilbert import AtomCoeffs, FockCutoff
-from dicke2p.models import EffectiveModelParams
 from dicke2p.protocols import (
     ALL_OUTCOMES,
     HomodyneConfig,
@@ -54,14 +53,14 @@ def report(number, ok, detail, elapsed, limit):
 
 def test_criterion_1_block_spectrum():
     t0 = time.perf_counter()
-    params = EffectiveModelParams(1.3, FockCutoff(300))
+    params = (1.3, FockCutoff(300))
     # the sector blocks of the dense W, and W's closed-form spectrum
-    blocks, real = w_sector_blocks(params)
+    blocks, real = w_sector_blocks(*params)
     n = np.arange(len(blocks))
     full = (n >= 4) & (n <= 300)
     assert full.sum() == 297 and np.all(real[full])
     numeric = np.linalg.eigvalsh(blocks[full])
-    closed = sector_spectrum(params).values[full]
+    closed = w_spectrum(*params).values[full]
     # W's exact sector spectrum; the second 0 is |psi->
     w = 1.3 * np.sqrt((2 * n[full] - 3) ** 2 + 3)
     zero = np.zeros_like(w)

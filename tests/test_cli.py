@@ -23,6 +23,10 @@ from dicke2p.hilbert import FockCutoff
 from dicke2p.models import effective_coupling
 
 
+# The coupling check's message for a g whose revival time pi/|g| overflows.
+_TINY_G = "coupling g = 1e-310 is too small: its revival time pi/|g| overflows"
+
+
 def read_csv_table(path):
     header = {}
     with open(path, encoding="utf-8") as fh:
@@ -112,6 +116,49 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "validity warning" not in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rabi", "--g", "1e-310", "--points", "3"], _TINY_G),
+            (["ghz", "--g", "1e-310"], _TINY_G),
+            (["bell", "--ensemble", "3", "--g", "1e-310"], _TINY_G),
+            (["ghz", "--g", "0"], "coupling g must be nonzero"),
+            (["bell", "--ensemble", "2", "--g", "0"], "coupling g must be nonzero"),
+            (["fidelity-scan", "--ensemble", "2", "--time-points", "3", "--gg", "1e-300",
+              "--ge", "1e-300"], "coupling g must be nonzero"),
+            (["fidelity-scan", "--ensemble", "2", "--time-points", "3", "--delta", "1e308",
+              "--gg", "1e-300"], "coupling g must be nonzero"),
+            (["rabi", "--ge", "1e-120", "--points", "3"], None),
+            (["ghz", "--ge", "1e-120"], None),
+            (["bell-timing", "--ge", "1e-120", "--points", "3"], None),
+            (["bell", "--ensemble", "3", "--phi", "1e308", "--efficiency", "0.5"], None),
+        ],
+        ids=["rabi-tiny-g", "ghz-tiny-g", "bell-tiny-g", "ghz-g0", "bell-g0",
+             "fidelity-scan-g-underflows", "fidelity-scan-delta-squared-overflows",
+             "rabi-tiny-ge", "ghz-tiny-ge", "bell-timing-tiny-ge", "bell-huge-lo-phase"],
+    )
+    def test_extreme_finite_values_exit_cleanly(self, tmp_path, capsys, argv, message):
+        """Finite values at the ends of the float range neither raise nor
+        write NaN: a coupling g that is zero, or whose revival time pi/|g|
+        overflows, exits 2 with the coupling check's one error line and
+        writes nothing; otherwise the run exits 0 (the validity report
+        reads inf where its numbers overflow) with finite time,
+        probability, rate and fidelity columns.  Only a postselected
+        fidelity of an outcome that no shot reached is NaN."""
+        out = tmp_path / "out.csv"
+        code = main([argv[0], "--nbar", "4", *argv[1:], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        if message is not None:
+            assert code == 2 and errors == [f"error: {message}"]
+            assert not list(tmp_path.iterdir())
+            return
+        assert code == 0 and errors == []
+        _, columns, rows = read_csv_table(out)
+        kept = [j for j, c in enumerate(columns) if not c.startswith(("mean_F_", "stderr_F_"))]
+        assert rows.size and np.all(np.isfinite(rows[:, kept]))
 
     @pytest.mark.parametrize(
         "argv",
@@ -270,8 +317,8 @@ def test_exact_protocol_subcommands_run_no_eigh(argv, tmp_path, monkeypatch, eig
     """Every exact protocol subcommand, on empty caches, builds W's
     spectrum in closed form: neither eigh nor eigvalsh runs."""
     builds = []
-    build = protocols.sector_spectrum
-    monkeypatch.setattr(protocols, "sector_spectrum", lambda p: builds.append(p) or build(p))
+    build = protocols.w_spectrum
+    monkeypatch.setattr(protocols, "w_spectrum", lambda *p: builds.append(p) or build(*p))
     assert main([*argv, "--nbar", "20", "--out", str(tmp_path / "o.csv")]) == 0
     assert builds
     assert eigh_calls == []

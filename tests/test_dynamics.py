@@ -31,6 +31,7 @@ from dicke2p.dynamics import (
     rabi_see_analytic,
     revival_time,
     sector_spectrum,
+    w_spectrum,
 )
 from dicke2p.hilbert import (
     AtomCoeffs,
@@ -41,7 +42,6 @@ from dicke2p.hilbert import (
     tensor,
 )
 from dicke2p.models import (
-    EffectiveModelParams,
     FullModelParams,
     W_SLOTS,
     effective_coupling,
@@ -50,7 +50,7 @@ from dicke2p.models import (
 
 @pytest.fixture(scope="module")
 def w_small():
-    return sector_spectrum(EffectiveModelParams(g=1.0, cutoff=FockCutoff(24)))
+    return w_spectrum(1.0, FockCutoff(24))
 
 
 def sector_propagator(spectrum, n, t):
@@ -78,7 +78,7 @@ _BELL3 = np.array([[1, 0, 0, 0], [0, _SQ, _SQ, 0], [0, 0, 0, 1]])
 
 class TestBlocks:
     def test_couplings_at_n10(self):
-        blocks = spectrum_blocks(sector_spectrum(EffectiveModelParams(1.0, FockCutoff(12))))
+        blocks = spectrum_blocks(w_spectrum(1.0, FockCutoff(12)))
         m = _BELL3 @ blocks[10] @ _BELL3.T
         assert m[0, 1] == pytest.approx(13.416407864998739, abs=1e-12)
         assert m[1, 2] == pytest.approx(10.583005244258363, abs=1e-12)
@@ -86,7 +86,7 @@ class TestBlocks:
     def test_hermitian(self):
         """The closed-form eigenvectors are real and orthonormal in every
         sector, so the blocks they diagonalize are real symmetric."""
-        spec = sector_spectrum(EffectiveModelParams(0.7, FockCutoff(12)))
+        spec = w_spectrum(0.7, FockCutoff(12))
         v = spec.vectors
         assert v.dtype == np.float64
         np.testing.assert_allclose(v.transpose(0, 2, 1) @ v, np.broadcast_to(np.eye(4), v.shape), atol=1e-15)
@@ -94,20 +94,20 @@ class TestBlocks:
         np.testing.assert_allclose(blocks, blocks.transpose(0, 2, 1).conj(), rtol=0, atol=1e-14)
 
     def test_low_sectors_decouple_third_slot(self):
-        spec = sector_spectrum(EffectiveModelParams(1.0, FockCutoff(12)))
+        spec = w_spectrum(1.0, FockCutoff(12))
         index, dims = spec.index, spec.dims
         for n in (2, 3):
             assert list(index[n] < math.prod(dims)) == [True, True, True, False]
 
     def test_exact_eigenvalues_at_n4(self):
-        values = sector_spectrum(EffectiveModelParams(1.0, FockCutoff(8))).values[4]
+        values = w_spectrum(1.0, FockCutoff(8)).values[4]
         np.testing.assert_allclose(values[1:3], 0.0, atol=1e-14)
         assert values[3] == pytest.approx(5.291502622129181, abs=1e-12)
         assert values[0] == pytest.approx(-values[3])
 
     @pytest.mark.parametrize("n", [4, 7, 23, 120])
     def test_exact_matches_numeric(self, n):
-        values = sector_spectrum(EffectiveModelParams(0.31, FockCutoff(n))).values[n]
+        values = w_spectrum(0.31, FockCutoff(n)).values[n]
         w = 0.31 * math.sqrt((2 * n - 3) ** 2 + 3)
         np.testing.assert_allclose(values, [-w, 0.0, 0.0, w], rtol=1e-12, atol=1e-12)
 
@@ -126,7 +126,7 @@ class TestBlocks:
     def test_asymptotic_eigenvectors(self, n):
         """The fixed large-n frame diagonalizes the sector up to a relative
         error that dies off as 1/n (the two pair couplings differ by O(1))."""
-        blocks, _ = w_sector_blocks(EffectiveModelParams(1.0, FockCutoff(n)))
+        blocks, _ = w_sector_blocks(1.0, FockCutoff(n))
         sq = 1 / math.sqrt(2)
         frame = np.array([[sq, 0, -sq], [0.5, -sq, 0.5], [0.5, sq, 0.5]])
         rotated = frame @ _BELL3 @ blocks[n] @ _BELL3.T @ frame.T
@@ -162,7 +162,7 @@ class TestBlockPropagator:
         # the linearized spectrum converges to the true one as n grows
         cut = FockCutoff(2000)
         lin = linearized_spectrum(1.0, cut)
-        exact = sector_spectrum(EffectiveModelParams(1.0, cut))
+        exact = w_spectrum(1.0, cut)
 
         def gap(n, t):
             return np.max(np.abs(sector_propagator(lin, n, t) - sector_propagator(exact, n, t)))
@@ -199,9 +199,9 @@ class TestClosedFormSpectrum:
         """Every sector of the exact W, the truncated top sectors N = n_max
         + 1 .. n_max + 4 and the sectors N = 0, 1 that hold |gg,N> alone
         included."""
-        params = EffectiveModelParams(-0.7, FockCutoff(n_max))
-        spec = sector_spectrum(params)
-        blocks, real = w_sector_blocks(params)
+        params = (-0.7, FockCutoff(n_max))
+        spec = w_spectrum(*params)
+        blocks, real = w_sector_blocks(*params)
         np.testing.assert_array_equal(spec.index < math.prod(spec.dims), real)
         for n in (0, 1):
             assert list(real[n]) == [True, False, False, False]
@@ -217,9 +217,9 @@ class TestClosedFormSpectrum:
         (the sentinel slots of the spectrum) included."""
         g = 0.45
         spec = linearized_spectrum(g, FockCutoff(n_max))
-        _, on_cutoff = w_sector_blocks(EffectiveModelParams(g, FockCutoff(n_max)))
+        _, on_cutoff = w_sector_blocks(g, FockCutoff(n_max))
         np.testing.assert_array_equal(spec.index < math.prod(spec.dims), on_cutoff)
-        blocks, real = w_sector_blocks(EffectiveModelParams(g, FockCutoff(n_max + 4)))
+        blocks, real = w_sector_blocks(g, FockCutoff(n_max + 4))
         blocks, real = blocks[: n_max + 5], real[: n_max + 5]
         n = np.arange(n_max + 5)[:, None, None]
         blocks = np.where(blocks != 0.0, g * (2 * n - 3) / 2.0, 0.0)
@@ -281,15 +281,15 @@ class TestSectorSpectrum:
         rng = np.random.default_rng(seed)
         cut = FockCutoff(n_max)
         times = rng.uniform(-5.0, 5.0, size=4)
-        for params, dense in (
-            (FullModelParams(omega, delta, g_g, g_e, cut), full_hamiltonian),
-            (EffectiveModelParams(g_sign * g, cut), two_photon_w),
+        full = FullModelParams(omega, delta, g_g, g_e, cut)
+        for op, spec in (
+            (full_hamiltonian(full), sector_spectrum(full)),
+            (two_photon_w(g_sign * g, cut), w_spectrum(g_sign * g, cut)),
         ):
-            op = dense(params)
             psi = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
             psi /= np.linalg.norm(psi)
             expected = _dense_evolution(op, psi, times)
-            got = sector_spectrum(params).propagate(psi, times)
+            got = spec.propagate(psi, times)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("omega", [0.0, 0.7])
@@ -323,7 +323,7 @@ class TestSectorSpectrum:
     def test_sector_sizes(self):
         cut = FockCutoff.for_mean_photon(20.0)
         full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
-        w = sector_spectrum(EffectiveModelParams(-0.002, cut))
+        w = w_spectrum(-0.002, cut)
         assert full.index.shape == (cut.dim + 4, 9)
         assert w.index.shape == (cut.dim + 4, 4)
         assert full.vectors.shape == (cut.dim + 4, 9, 9)
@@ -336,7 +336,7 @@ class TestSectorSpectrum:
         cut = FockCutoff(6)
         full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
         spec = {
-            "w": sector_spectrum(EffectiveModelParams(-0.002, cut)),
+            "w": w_spectrum(-0.002, cut),
             "linearized": linearized_spectrum(-0.002, cut),
             "full": full,
         }[kind]
@@ -384,7 +384,7 @@ class TestSectorOverlaps:
         the dense overlap is zero."""
         cut = FockCutoff.for_mean_photon(4.0)
         full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cut))
-        w = sector_spectrum(EffectiveModelParams(effective_coupling(1.0, 1.0, 500.0), cut))
+        w = w_spectrum(effective_coupling(1.0, 1.0, 500.0), cut)
         embed = np.zeros((math.prod(w.dims), math.prod(full.dims)))
         embed[np.arange(math.prod(w.dims)), embed_indices(cut)] = 1.0
         rows = cut.dim + 4
@@ -434,7 +434,7 @@ class TestSectorOverlaps:
         assert lost == pytest.approx(expected, rel=1e-6)
 
     def test_project_takes_a_batch_of_states(self, rng):
-        w = sector_spectrum(EffectiveModelParams(1.0, FockCutoff(9)))
+        w = w_spectrum(1.0, FockCutoff(9))
         shape = (3, 2, math.prod(w.dims))
         amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         batch = w.project(amps)
@@ -470,7 +470,7 @@ class TestAnalyticState:
 
     def test_tracks_exact_evolution_at_high_photon_number(self):
         cut = FockCutoff.for_mean_photon(100.0)
-        w = sector_spectrum(EffectiveModelParams(g=1.0, cutoff=cut))
+        w = w_spectrum(1.0, cut)
         c = AtomCoeffs.normalized(0.5, 0.1, 0.6, 0.45)
         psi0 = tensor(c.to_state(), coherent_state(10.0, cut))
         for t in (0.3 * math.pi, 0.8 * math.pi):
@@ -589,7 +589,7 @@ class TestCoherentBranches:
     @pytest.mark.parametrize("nbar,floor", [(50.0, 0.975), (100.0, 0.986)])
     def test_reconstruction_accuracy_grows_with_photons(self, nbar, floor):
         cut = FockCutoff.for_mean_photon(nbar)
-        w = sector_spectrum(EffectiveModelParams(g=1.0, cutoff=cut))
+        w = w_spectrum(1.0, cut)
         alpha = math.sqrt(nbar)
         times = np.linspace(0.0, math.pi, 11)
         fids = []

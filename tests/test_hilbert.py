@@ -23,8 +23,8 @@ from dicke2p.hilbert import (
     tensor,
 )
 from dicke2p.analysis import DensityMatrix
-from dicke2p.dynamics import revival_time
-from dicke2p.models import EffectiveModelParams, FullModelParams, effective_coupling
+from dicke2p.dynamics import revival_time, w_spectrum
+from dicke2p.models import FullModelParams, effective_coupling
 from dicke2p.protocols import bell_outcome_table, measurement_operator
 
 SQRT12 = 3.4641016151377544  # sqrt(12), the |4> -> |2> pair-lowering element
@@ -293,8 +293,8 @@ def _full_params(**changes):
         lambda: DensityMatrix.outer(np.array([math.nan, 0]), (2,)),
         lambda: coherent_state(math.nan, _CUT),
         lambda: bell_outcome_table(AtomCoeffs(1, 0, 0, 0), math.nan, -0.002, _CUT),
-        lambda: EffectiveModelParams(math.nan, _CUT),
-        lambda: EffectiveModelParams(math.inf, _CUT),
+        lambda: w_spectrum(math.nan, _CUT),
+        lambda: w_spectrum(math.inf, _CUT),
         lambda: _full_params(delta=math.nan),
         lambda: _full_params(g_g=math.nan),
         lambda: _full_params(g_e=math.nan),
@@ -305,7 +305,7 @@ def _full_params(**changes):
     ],
     ids=["AtomCoeffs", "AtomCoeffs.normalized", "StateVector", "StateVector.normalized",
          "DensityMatrix", "DensityMatrix.outer", "coherent_state", "bell_outcome_table",
-         "EffectiveModelParams-nan", "EffectiveModelParams-inf", "FullModelParams-delta",
+         "w_spectrum-nan", "w_spectrum-inf", "FullModelParams-delta",
          "FullModelParams-g_g", "FullModelParams-g_e", "FullModelParams-omega",
          "revival_time-nan", "revival_time-inf", "effective_coupling"],
 )

@@ -21,10 +21,9 @@ from conftest import (
     trapped_ion_coupling,
     two_photon_w,
 )
-from dicke2p.dynamics import sector_spectrum
+from dicke2p.dynamics import w_spectrum
 from dicke2p.hilbert import FockCutoff, tensor
 from dicke2p.models import (
-    EffectiveModelParams,
     FullModelParams,
     VALIDITY_MARGIN,
     W_SLOTS,
@@ -44,7 +43,8 @@ def full_params():
 
 @pytest.fixture(scope="module")
 def eff_params():
-    return EffectiveModelParams(g=-0.002, cutoff=FockCutoff(20))
+    """W's coupling g and cutoff."""
+    return -0.002, FockCutoff(20)
 
 
 def max_commutator(a, b):
@@ -92,17 +92,17 @@ class TestFullModel:
 
 class TestTwoPhotonW:
     def test_hermitian(self, eff_params):
-        w = two_photon_w(eff_params).matrix
+        w = two_photon_w(*eff_params).matrix
         np.testing.assert_allclose(w, w.conj().T, atol=1e-14)
 
     def test_conserves_excitation_number(self, eff_params):
-        w = two_photon_w(eff_params).matrix
-        i2 = constant_of_motion(eff_params.cutoff, levels=2).matrix
+        w = two_photon_w(*eff_params).matrix
+        i2 = constant_of_motion(eff_params[1], levels=2).matrix
         assert max_commutator(w, i2) < 1e-12
 
     def test_pair_exchange_element(self):
         # <psi+, 2| W |gg, 4> = g sqrt(2) sqrt(4*3) at unit coupling
-        w = two_photon_w(EffectiveModelParams(g=1.0, cutoff=FockCutoff(8))).matrix
+        w = two_photon_w(1.0, FockCutoff(8)).matrix
         nf = 9
         gg4 = np.zeros(4 * nf)
         gg4[4] = 1.0
@@ -115,9 +115,10 @@ class TestTwoPhotonW:
         """The interaction decomposes exactly into the photon-sector blocks
         of the paper: couplings g sqrt(2) sqrt(n^2-n) and
         g sqrt(2) sqrt(n^2-5n+6) in the layout {|gg,n>, |psi+,n-2>, |ee,n-4>}."""
-        w = two_photon_w(eff_params).matrix
-        nf = eff_params.cutoff.dim
-        n_max = eff_params.cutoff.n_max
+        g, cut = eff_params
+        w = two_photon_w(g, cut).matrix
+        nf = cut.dim
+        n_max = cut.n_max
         sq = 1 / math.sqrt(2)
         rebuilt = np.zeros_like(w)
         for n in range(2, n_max + 5):
@@ -133,8 +134,8 @@ class TestTwoPhotonW:
                         vec[level * nf + idx_f] = 1.0
                 basis.append(vec)
             b = np.stack(basis, axis=1)
-            upper = eff_params.g * math.sqrt(2.0) * math.sqrt(n * n - n)
-            lower = eff_params.g * math.sqrt(2.0) * math.sqrt(n * n - 5 * n + 6)
+            upper = g * math.sqrt(2.0) * math.sqrt(n * n - n)
+            lower = g * math.sqrt(2.0) * math.sqrt(n * n - 5 * n + 6)
             block = np.array([[0.0, upper, 0.0], [upper, 0.0, lower], [0.0, lower, 0.0]])
             rebuilt += b @ block @ b.T
         np.testing.assert_allclose(rebuilt, w, atol=1e-14)
@@ -176,9 +177,8 @@ class TestExcitationSectors:
             index, blocks, dims = sector_blocks(params)
         else:
             # W has no blocks: its closed-form spectrum rebuilds them
-            params = EffectiveModelParams(g=-0.8, cutoff=cut)
-            dense = two_photon_w(params).matrix
-            spec = sector_spectrum(params)
+            dense = two_photon_w(-0.8, cut).matrix
+            spec = w_spectrum(-0.8, cut)
             index, dims = spec.index, spec.dims
             blocks = (spec.vectors * spec.values[:, None, :]) @ spec.vectors.transpose(0, 2, 1)
         assert math.prod(dims) == dense.shape[0]
@@ -201,7 +201,7 @@ class TestDenseGuard:
         "build,dim",
         [
             (lambda c: full_hamiltonian(FullModelParams(0.0, 500.0, 1.0, 1.0, c)), 9009),
-            (lambda c: two_photon_w(EffectiveModelParams(-0.002, c)), 4004),
+            (lambda c: two_photon_w(-0.002, c), 4004),
             (lambda c: stark_shift(FullModelParams(0.0, 500.0, 1.0, 1.0, c)), 4004),
             (lambda c: dispersive_generator(FullModelParams(0.0, 500.0, 1.0, 1.0, c)), 9009),
             (lambda c: constant_of_motion(c, levels=3), 9009),
@@ -267,9 +267,7 @@ class TestDispersiveReduction:
         u = expm(dispersive_generator(params))
         idx = embed_indices(cut)
         transformed = (u @ h @ u.conj().T)[np.ix_(idx, idx)]
-        w = two_photon_w(
-            EffectiveModelParams(g=effective_coupling(1.0, 1.0, 500.0), cutoff=cut)
-        ).matrix
+        w = two_photon_w(effective_coupling(1.0, 1.0, 500.0), cut).matrix
         target = stark_shift(params).matrix + w
         # compare where a state of mean photon number nbar actually lives;
         # the top Fock level only misses its clipped upward pathway
@@ -340,6 +338,5 @@ class TestModelGuards:
 
     def test_blocks_need_model_parameters(self):
         """Only the full model has blocks; W's spectrum is in closed form."""
-        for params in (FockCutoff(4), EffectiveModelParams(1.0, FockCutoff(4))):
-            with pytest.raises(TypeError, match="expected FullModelParams"):
-                sector_blocks(params)
+        with pytest.raises(TypeError, match="expected FullModelParams"):
+            sector_blocks(FockCutoff(4))

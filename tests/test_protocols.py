@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cavity_maps_oracle, coherent_branch_basis, traced_peak
-from dicke2p.dynamics import sector_spectrum
+from dicke2p.dynamics import w_spectrum
 from dicke2p.hilbert import (
     AtomCoeffs,
     FockCutoff,
@@ -18,7 +18,6 @@ from dicke2p.hilbert import (
     hermite_sum,
     tensor,
 )
-from dicke2p.models import EffectiveModelParams
 from dicke2p.protocols import (
     ALL_OUTCOMES,
     HomodyneConfig,
@@ -122,7 +121,7 @@ def joint20(table20, cut20, alpha20):
     """Cavity-1 joint state at t_r/2, evolved without the protocol's maps."""
     c, _ = table20
     psi0 = tensor(c.to_state(), coherent_state(alpha20, cut20))
-    spectrum = sector_spectrum(EffectiveModelParams(G, cut20))
+    spectrum = w_spectrum(G, cut20)
     amps = spectrum.propagate(psi0.amplitudes, [T_HALF])[0]
     return StateVector(amps, psi0.dims)
 
@@ -435,8 +434,8 @@ class TestRunBellProtocol:
         from dicke2p import protocols
 
         builds = []
-        build = protocols.sector_spectrum
-        monkeypatch.setattr(protocols, "sector_spectrum", lambda p: builds.append(p) or build(p))
+        build = protocols.w_spectrum
+        monkeypatch.setattr(protocols, "w_spectrum", lambda *p: builds.append(p) or build(*p))
         det = HomodyneConfig(lo_phase=PHI, efficiency=0.5) if detection == "homodyne" else "ideal"
         run_bell_protocol(table20[0], alpha20, G, cut20, detection=det, rng_seed=3, shot_index=1)
         # the cavity map, and for homodyne detection cavity 1's record too
@@ -771,7 +770,7 @@ class TestCavityMaps:
         alpha = math.sqrt(50.0) * np.exp(1j * PHI)
         gram = protocols._cavity(alpha, G, T_HALF, cut.n_max)[1]
         kets = np.kron(np.eye(4), coherent_state(alpha, cut).amplitudes)
-        spectrum = sector_spectrum(EffectiveModelParams(G, cut))
+        spectrum = w_spectrum(G, cut)
         flat = np.stack([spectrum.propagate(k, [T_HALF])[0] for k in kets])
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
         np.testing.assert_array_equal(gram, np.eye(4))
@@ -888,7 +887,7 @@ class TestBatchedChain:
         c = AtomCoeffs.normalized(0.3, 0.85, 0.35, 0.3)
         # across the exact engine's phase-table chunk; the analytic engine
         # has no chunks, and its batch must match single-time calls too
-        chunk = protocols._BASIS_CHUNK // sector_spectrum(EffectiveModelParams(G, cut20)).values.size
+        chunk = protocols._BASIS_CHUNK // w_spectrum(G, cut20).values.size
         window = T_HALF + np.linspace(-0.05, 0.05, chunk + 3) / abs(G)
         atoms = c.to_state().amplitudes
         prob, fid, leaked = bell_outcome_arrays(atoms, alpha20, G, cut20, window, engine=engine)

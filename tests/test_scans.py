@@ -1,6 +1,7 @@
 """Batch runners that back the CLI subcommands."""
 
 import collections
+import inspect
 import itertools
 import math
 
@@ -24,9 +25,10 @@ from dicke2p.dynamics import (
     rabi_see_analytic,
     revival_time,
     sector_spectrum,
+    w_spectrum,
 )
 from dicke2p.hilbert import CAPTURE_ATOL, AtomCoeffs, FockCutoff, StateVector, coherent_state
-from dicke2p.models import EffectiveModelParams, FullModelParams, effective_coupling, sector_index
+from dicke2p.models import FullModelParams, effective_coupling, sector_index
 from dicke2p.protocols import ALL_OUTCOMES, bell_outcome_table
 from dicke2p.scans import (
     OUTCOME_SUFFIX,
@@ -87,6 +89,31 @@ def test_time_scans_refuse_zero_coupling_before_dividing(scan, coupling, match):
     error)."""
     with pytest.raises(ValueError, match=match):
         scan(**{coupling: 0.0})
+
+
+@pytest.mark.parametrize(
+    "scan, sizes",
+    [
+        pytest.param(
+            fidelity_scan, {"nbars": (4,), "ensemble": 2, "time_points": 3}, id="fidelity_scan"
+        ),
+        pytest.param(rabi_curve, {"nbar": 4.0, "points": 3}, id="rabi_curve"),
+        pytest.param(wigner_panels, {"nbar": 4.0, "grid_points": 81}, id="wigner_panels"),
+        pytest.param(ghz_sweep, {"nbars": (4,)}, id="ghz_sweep"),
+        pytest.param(bell_ensemble, {"nbars": (4,), "ensemble": 2}, id="bell_ensemble"),
+        pytest.param(bell_timing, {"nbar": 4.0, "points": 3}, id="bell_timing"),
+    ],
+)
+def test_meta_names_every_parameter(scan, sizes):
+    """Every parameter of a scan has a key in its params (each panel's, for
+    wigner_panels), so two runs that differ in any argument write different
+    params.  The one exception is bell_timing's library-only coeffs: an
+    AtomCoeffs has no JSON form, and the CLI never sets it."""
+    result = scan(**sizes)
+    metas = [r.meta for r in result.values()] if isinstance(result, dict) else [result.meta]
+    names = set(inspect.signature(scan).parameters) - ({"coeffs"} if scan is bell_timing else set())
+    for meta in metas:
+        assert sorted(names - meta.keys()) == []
 
 
 @pytest.mark.parametrize(
@@ -183,7 +210,7 @@ class TestFidelityScan:
         cutoff = FockCutoff.for_mean_photon(float(nbar))
         g = effective_coupling(1.0, 1.0, 500.0)
         full = sector_spectrum(FullModelParams(0.0, 500.0, 1.0, 1.0, cutoff))
-        return full, sector_spectrum(EffectiveModelParams(g, cutoff)), linearized_spectrum(g, cutoff)
+        return full, w_spectrum(g, cutoff), linearized_spectrum(g, cutoff)
 
     @staticmethod
     def _sector_chunks(monkeypatch, step, ensemble, time_points):
@@ -251,7 +278,7 @@ class TestFidelityScan:
         of the full one; the weight past the cutoff needs no map between
         two spectra."""
         built = []
-        for name in ("sector_spectrum", "linearized_spectrum"):
+        for name in ("sector_spectrum", "w_spectrum", "linearized_spectrum"):
             build = getattr(scans, name)
             monkeypatch.setattr(scans, name, lambda *a, f=build: built.append(f(*a)) or built[-1])
         fidelity_scan(nbars=(4, 20), ensemble=2, seed=9, time_points=3)
@@ -309,13 +336,13 @@ class TestFidelityScan:
         there too.  So do the bench's three nbar, the largest one first in
         the input loop, whose input reaches the top four rows."""
         calls = collections.Counter()
-        for name in ("sector_spectrum", "linearized_spectrum"):
+        for name in ("sector_spectrum", "w_spectrum", "linearized_spectrum"):
             build = getattr(scans, name)
             monkeypatch.setattr(scans, name, lambda *a, f=build, n=name: calls.update([n]) or f(*a))
         for nbars, seed in [((4, 20), 9), ((20, 50, 100), 0), ((20, 50, 100), 12345)]:
             calls.clear()
             r = fidelity_scan(nbars=nbars, ensemble=3, seed=seed, time_points=5)
-            assert calls == {"sector_spectrum": 2, "linearized_spectrum": 1}
+            assert calls == {"sector_spectrum": 1, "w_spectrum": 1, "linearized_spectrum": 1}
             shared = FockCutoff.for_mean_photon(max(nbars))
             assert r.meta["n_max"] == shared.n_max
             oracle = fidelity_scan_oracle(nbars, 3, seed, 5, cutoff=shared)
@@ -563,7 +590,7 @@ class TestBellTiming:
         misses = protocols._cavity.cache_info().misses
         bell_timing(points=321)
         cut = FockCutoff.for_mean_photon(50.0)
-        entries = sector_spectrum(EffectiveModelParams(-0.002, cut)).values.size
+        entries = w_spectrum(-0.002, cut).values.size
         chunks = math.ceil(321 / (protocols._BASIS_CHUNK // entries))
         assert chunks > 1
         assert counts == {"project": 1, "phases": chunks, "propagate": 0}
