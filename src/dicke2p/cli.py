@@ -35,6 +35,7 @@ import time
 import numpy as np
 
 from . import __version__, scans
+from .dynamics import check_coupling
 from .hilbert import FockCutoff
 from .models import FullModelParams, effective_coupling, validity_report
 from .protocols import HomodyneConfig
@@ -96,13 +97,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with all six subcommands or the one given alone, which
+    parses its lines and prints its help, usage and errors as all six do."""
     parser = argparse.ArgumentParser(
         prog="dicke2p",
         description="Two-atom two-photon cavity model: scans and protocols.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_SCANS) + "}"  # the usage of all six
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+
+    def add(name: str, text: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, help=text) if command in (None, name) else None
 
     def common(sp: argparse.ArgumentParser, *, seeded: bool = False) -> None:
         sp.add_argument("--out", default=None, help="output path (default <command>.<fmt>)")
@@ -128,54 +135,53 @@ def build_parser() -> argparse.ArgumentParser:
     def nbars(sp: argparse.ArgumentParser, default: tuple[int, ...]) -> None:
         sp.add_argument("--nbar", dest="nbars", metavar="NBAR", type=_nbar_list, default=default)
 
-    sp = sub.add_parser("fidelity-scan",
-                        help="Haar-ensemble fidelity of reduced models vs the full one")
-    nbars(sp, (20, 50, 100))
-    couplings(sp)
-    sp.add_argument("--time-points", type=_positive_int, default=101)
-    common(sp, seeded=True)
+    if sp := add("fidelity-scan", "Haar-ensemble fidelity of reduced models vs the full one"):
+        nbars(sp, (20, 50, 100))
+        couplings(sp)
+        sp.add_argument("--time-points", type=_positive_int, default=101)
+        common(sp, seeded=True)
 
-    sp = sub.add_parser("rabi", help="collapse and revival of <S_ee> for |ee>|alpha>")
-    sp.add_argument("--nbar", type=_one_nbar, default=50.0)
-    sp.add_argument("--gt-max", dest="gt_max_over_pi", metavar="GT_MAX", type=_finite,
-                    default=1.2, help="window end in units of pi")
-    sp.add_argument("--points", type=_positive_int, default=481)
-    coupling(sp)
-    common(sp)
+    if sp := add("rabi", "collapse and revival of <S_ee> for |ee>|alpha>"):
+        sp.add_argument("--nbar", type=_one_nbar, default=50.0)
+        sp.add_argument("--gt-max", dest="gt_max_over_pi", metavar="GT_MAX", type=_finite,
+                        default=1.2, help="window end in units of pi")
+        sp.add_argument("--points", type=_positive_int, default=481)
+        coupling(sp)
+        common(sp)
 
-    sp = sub.add_parser("wigner", help="field Wigner function at t=0, tr/4, tr/2")
-    sp.add_argument("--nbar", type=_one_nbar, default=50.0)
-    sp.add_argument("--phi", type=_finite, default=2.0 * math.pi / 3.0)
-    sp.add_argument("--grid-points", type=_positive_int, default=201)
-    coupling(sp)
-    common(sp)
+    if sp := add("wigner", "field Wigner function at t=0, tr/4, tr/2"):
+        sp.add_argument("--nbar", type=_one_nbar, default=50.0)
+        sp.add_argument("--phi", type=_finite, default=2.0 * math.pi / 3.0)
+        sp.add_argument("--grid-points", type=_positive_int, default=201)
+        coupling(sp)
+        common(sp)
 
-    sp = sub.add_parser("ghz", help="GHZ fidelity at half revival vs mean photon number")
-    nbars(sp, (10, 20, 50, 100))
-    sp.add_argument("--phi", type=_finite, default=math.pi / 4.0)
-    sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
-    coupling(sp)
-    common(sp)
+    if sp := add("ghz", "GHZ fidelity at half revival vs mean photon number"):
+        nbars(sp, (10, 20, 50, 100))
+        sp.add_argument("--phi", type=_finite, default=math.pi / 4.0)
+        sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
+        coupling(sp)
+        common(sp)
 
-    sp = sub.add_parser("bell", help="Bell-protocol fidelity per outcome, Haar ensemble")
-    nbars(sp, (10, 20, 50))
-    sp.add_argument("--phi", type=_finite, default=math.pi / 8.0)
-    sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
-    sp.add_argument("--efficiency", type=_finite, default=None,
-                    help="homodyne efficiency in (0,1]; omit for ideal detection")
-    sp.add_argument("--lo-phase", type=_finite, default=None,
-                    help="local-oscillator phase (default: the field phase phi)")
-    coupling(sp)
-    common(sp, seeded=True)
+    if sp := add("bell", "Bell-protocol fidelity per outcome, Haar ensemble"):
+        nbars(sp, (10, 20, 50))
+        sp.add_argument("--phi", type=_finite, default=math.pi / 8.0)
+        sp.add_argument("--engine", choices=("exact", "analytic"), default="exact")
+        sp.add_argument("--efficiency", type=_finite, default=None,
+                        help="homodyne efficiency in (0,1]; omit for ideal detection")
+        sp.add_argument("--lo-phase", type=_finite, default=None,
+                        help="local-oscillator phase (default: the field phase phi)")
+        coupling(sp)
+        common(sp, seeded=True)
 
-    sp = sub.add_parser("bell-timing", help="protocol fidelity around the optimal gt = pi/2")
-    sp.add_argument("--nbar", type=_one_nbar, default=50.0)
-    sp.add_argument("--phi", type=_finite, default=math.pi / 8.0)
-    sp.add_argument("--half-width", dest="half_width_gt", metavar="HALF_WIDTH", type=_finite,
-                    default=0.08, help="half width of the gt window")
-    sp.add_argument("--points", type=_positive_int, default=321)
-    coupling(sp)
-    common(sp)
+    if sp := add("bell-timing", "protocol fidelity around the optimal gt = pi/2"):
+        sp.add_argument("--nbar", type=_one_nbar, default=50.0)
+        sp.add_argument("--phi", type=_finite, default=math.pi / 8.0)
+        sp.add_argument("--half-width", dest="half_width_gt", metavar="HALF_WIDTH", type=_finite,
+                        default=0.08, help="half width of the gt window")
+        sp.add_argument("--points", type=_positive_int, default=321)
+        coupling(sp)
+        common(sp)
 
     return parser
 
@@ -237,6 +243,7 @@ def _check_validity(args: argparse.Namespace, nbar_max: float) -> int:
         g_e=args.g_e,
         cutoff=FockCutoff.for_mean_photon(float(nbar_max)),
     )
+    check_coupling(effective_coupling(args.g_g, args.g_e, args.delta))  # a bad g exits 2, never 3
     report = validity_report(params, float(nbar_max))
     if report.ok:
         return 0
@@ -481,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    args = build_parser().parse_args(rest)
+    args = build_parser(rest[0] if rest and rest[0] in _SCANS else None).parse_args(rest)
     try:
         # before the validity check, so --strict cannot exit 3 on a bad input
         kwargs = _scan_kwargs(args)

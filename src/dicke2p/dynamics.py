@@ -2,30 +2,26 @@
 
 Both Hamiltonians conserve the excitation number, so the exact engine works
 sector by sector, on the one layout of models.sector_index: `sector_spectrum`
-diagonalizes the full model's (at most 9x9) sector blocks with one batched
-eigh, `w_spectrum` gives W's in closed form from the coupling g (after
-check_coupling) and the cutoff, and the resulting SectorSpectrum
-propagates a state to any number of times without ever forming a matrix
-of the full dimension.  Propagation has three stages:
-project a state onto the sector eigenvectors once, build the phase table
-exp(-i lambda t) once per spectrum and set of times, and scatter the
-advanced weights back to the flat basis through the layout.
-SectorSpectrum.propagate is the exact engine's one entry point; in the
-package only evolve_linearized_many, scans.wigner_panels and the
-protocols' homodyne readout (atomic states times |alpha>, evolved to one
-time) propagate.  Every phase table comes from one cos/sin kernel,
-_unit_phases: SectorSpectrum.phases and scans.fidelity_scan (per chunk of
-rows) call it.  An overlap skips the rotation: scans.fidelity_scan sums,
-over rows N, the full model's weights and phases (one ket) against those of
-W or its linearization (two bras) through the eigenvector overlap map of row
-N; an expectation value (scans.rabi_curve) is a sum over the sector
-frequency pairs.  The analytic layer runs the same engine, on the state's
-own cutoff, on the large-N linearization of the two-photon interaction W:
-each sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear
-in N, (0, +-g(2N-3)), which turns a coherent-state input into a
-superposition of a few rotating coherent branches.  _branch_maps is the
-paper's large-nbar form of that result: three branches on the labels alpha
-and e^{-+2igt} alpha, as maps on the atoms at every time.  The protocols'
+diagonalizes the full model's sector blocks, split by the atom swap into
+6 + 3 (models.sector_blocks), with two batched eigh calls, and `w_spectrum`
+gives W's in closed form from the coupling g (after check_coupling) and the
+cutoff.  A SectorSpectrum propagates a state to any number of times without
+a matrix of the full dimension: it projects the state onto the sector
+eigenvectors once, builds the phase table exp(-i lambda t) once per set of
+times, and scatters the advanced weights back through the layout.  In the
+package only evolve_linearized_many, scans.wigner_panels and the protocols'
+homodyne readout (atomic states times |alpha>, evolved to one time)
+propagate.  Every phase table comes from one cos/sin kernel, _unit_phases.
+An overlap skips the rotation: scans.fidelity_scan sums each row's phase
+products into a kernel that holds no sample, met by every input as a
+quadratic form in its atoms; an expectation value (scans.rabi_curve) is a
+sum over the sector frequency pairs.  The analytic layer runs the same
+engine, on the state's own cutoff, on the large-N linearization of W: each
+sector N couples {|gg,N>, |psi+,N-2>, |ee,N-4>} with a spectrum linear in
+N, (0, +-g(2N-3)), which turns a coherent-state input into a superposition
+of a few rotating coherent branches.  _branch_maps is the paper's
+large-nbar form of that result: three branches on the labels alpha and
+e^{-+2igt} alpha, as maps on the atoms at every time.  The protocols'
 analytic engine reads them through closed-form coherent-state overlaps and
 quadrature wavefunctions; no field vector is built.
 """
@@ -119,16 +115,23 @@ def _unit_phases(angle: np.ndarray) -> np.ndarray:
 
 
 def sector_spectrum(params: FullModelParams) -> SectorSpectrum:
-    """Sector spectrum of the full Hamiltonian, by one batched eigh of its
-    blocks with their real slots first."""
-    index, blocks, dims = sector_blocks(params)
-    # real slots first in each block, so that no zero eigenvalue mixes real and sentinel slots
-    order = np.argsort(index == math.prod(dims), axis=1, kind="stable")
-    rows = np.arange(len(index))[:, None]
-    values, compact = np.linalg.eigh(blocks[rows[:, :, None], order[:, :, None], order[:, None, :]])
-    vectors = np.empty_like(compact)
-    vectors[rows, order] = compact
-    return SectorSpectrum(index, values, vectors, dims)
+    """Sector spectrum of the full Hamiltonian: one batched eigh for each of
+    its two blocks per sector (models.sector_blocks), real states first.  On
+    the product slots of sector_index its eigenvectors are 6 exactly
+    symmetric columns, then 3 exactly antisymmetric ones."""
+    sector, spectra = np.arange(params.cutoff.dim + 4)[:, None], []
+    for blocks, real in sector_blocks(params):
+        # real states first, so that no zero eigenvalue mixes real and sentinel states
+        order = np.argsort(~real, axis=1, kind="stable")
+        values, compact = np.linalg.eigh(blocks[sector[:, :, None], order[:, :, None], order[:, None, :]])
+        spectra.append((values, compact[sector, np.argsort(order, axis=1)]))  # back in order
+    (values, v_s), (anti_values, v_a) = spectra
+    h, vectors = math.sqrt(0.5), np.zeros((len(sector), 9, 9))
+    # gg, ii, ee on slots 0, 4, 8; the pairs on (1, 3), (2, 6), (5, 7), + then - in the second
+    vectors[:, (0, 4, 8), :6], vectors[:, (1, 2, 5)] = v_s[:, :3], h * np.concatenate([v_s[:, 3:], v_a], 2)
+    vectors[:, (3, 6, 7)] = vectors[:, (1, 2, 5)] * np.repeat([1.0, -1.0], (6, 3))
+    values = np.concatenate([values, anti_values], axis=1)
+    return SectorSpectrum(sector_index(params.cutoff, 3), values, vectors, (3, 3, params.cutoff.dim))
 
 
 def w_spectrum(g: float, cutoff: FockCutoff) -> SectorSpectrum:

@@ -9,10 +9,11 @@ Both Hamiltonians conserve the excitation number a^dag a + 2 S_ee + S_ii,
 so both split into sectors on one closed-form layout (`sector_index`), in
 which W's atom pairs are the full model's slots W_SLOTS.  `sector_blocks`
 builds the full model's sector matrices (at most 9 states) straight from
-the parameters, for dynamics to diagonalize; W's sectors (at most 4 states)
-need none: their spectrum is in closed form in W's one parameter, the
-coupling g (effective_coupling), and the cutoff (dynamics.w_spectrum).
-No matrix of the full dimension is ever formed.
+the parameters, split by the atom swap into 6 + 3, for dynamics to
+diagonalize; W's sectors (at most 4 states) need none: their spectrum is
+in closed form in W's one parameter, the coupling g (effective_coupling),
+and the cutoff (dynamics.w_spectrum).  No matrix of the full dimension is
+ever formed.
 """
 
 from __future__ import annotations
@@ -85,32 +86,30 @@ def sector_index(cutoff: FockCutoff, levels: int = 2) -> np.ndarray:
     return np.where(on, nf * np.arange(pair.size) + photons, pair.size * nf)
 
 
-def sector_blocks(params: FullModelParams) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
-    """Sector index map (see sector_index), the real symmetric block of the
-    full Hamiltonian in every sector, and the dims it acts on, built from
-    the parameters; the rows and columns of sentinel slots are zero.
-
-    Slot s = 3 a + b holds the fixed atom levels (a, b).  Every
-    interaction term moves one atom across one coupled transition and
-    absorbs or emits one photon, with field factor sqrt(n) at the larger
-    photon number n.
-    """
+def sector_blocks(params: FullModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The full Hamiltonian's sector blocks N = 0 .. n_max + 4, split by the atom
+    swap: (blocks, real) on gg, ii, ee, gi+ig, ge+eg, ie+ei, then on gi-ig,
+    ge-eg, ie-ei (pairs of slots 3 a + b over sqrt 2), real marking the states
+    on the cutoff, whose rows and columns alone are nonzero.  The diagonal is
+    omega N + delta (atoms in i); a coupling moves one atom and one photon,
+    with field factor sqrt(n) at the larger photon number n."""
     if not isinstance(params, FullModelParams):
         raise TypeError("expected FullModelParams")
-    nf = params.cutoff.dim
-    level_energy = np.array([0.0, params.omega + params.delta, 2.0 * params.omega])
-    coupling = np.array(
-        [[0.0, params.g_g, 0.0], [params.g_g, 0.0, params.g_e], [0.0, params.g_e, 0.0]]
-    )
-    index = sector_index(params.cutoff, 3)
-    real = index < 9 * nf
-    n = np.where(real, index - nf * np.arange(9), 0)
-    pair = np.kron(coupling, np.eye(3)) + np.kron(np.eye(3), coupling)  # one atom moves
-    field = np.sqrt(np.maximum(n[:, :, None], n[:, None, :]))
-    blocks = field * pair * (real[:, :, None] & real[:, None, :])
-    diag = np.arange(9)
-    blocks[:, diag, diag] = real * (params.omega * n + level_energy.repeat(3) + np.tile(level_energy, 3))
-    return index, blocks, (3, 3, nf)
+    nf, r, g_g, g_e = params.cutoff.dim, math.sqrt(2.0), params.g_g, params.g_e
+    sym, anti = np.zeros((6, 6)), np.zeros((3, 3))
+    sym[(0, 3, 3, 4, 1, 5), (3, 1, 4, 5, 5, 2)] = r * g_g, r * g_g, g_e, g_g, r * g_e, r * g_e
+    anti[(0, 1), (1, 2)] = g_e, g_g
+    sector, out = np.arange(nf + 4)[:, None], []
+    # per block: the couplings, and each state's atomic excitation x and atoms in i
+    for coupling, x, inner in ((sym, (0, 2, 4, 1, 2, 3), (0, 2, 0, 1, 0, 1)), (anti, (1, 2, 3), (1, 0, 1))):
+        photons, d = sector - np.array(x), np.arange(len(x))
+        real = (photons >= 0) & (photons < nf)
+        n = np.where(real, photons, 0)
+        blocks = np.sqrt(np.maximum(n[:, :, None], n[:, None, :])) * (coupling + coupling.T)
+        blocks *= real[:, :, None] & real[:, None, :]
+        blocks[:, d, d] = real * (params.omega * sector + params.delta * np.array(inner))
+        out.append((blocks, real))
+    return out
 
 
 @dataclass(frozen=True)

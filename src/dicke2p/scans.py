@@ -19,7 +19,6 @@ from .analysis import (
     _thread_rng,
     _wigner_pairs,
     ensemble_stats,
-    sample_rng,
 )
 from .dynamics import (
     _unit_phases,
@@ -68,10 +67,15 @@ OUTCOME_SUFFIX = dict(zip(ALL_OUTCOMES, ("pp", "pm", "mp", "mm")))
 
 # Stride between per-nbar seed offsets so RNG streams never collide.
 _SEED_STRIDE = 10007
-# Entries of the phase tables, every nbar's coefficients C and the phase
-# products E of one chunk of fidelity_scan sectors together, or of a rabi_curve
-# cosine table for one chunk of times (2 MB as complex).
+# Entries of a rabi_curve cosine table for one chunk of times (2 MB as complex).
 _CHUNK = 2**17
+# Multiply-adds of one fidelity_scan kernel GEMM at most: within the 1e6 that OpenBLAS runs on
+# one thread, with bits free of the thread count, and a chunk's tables stay near 0.5 MB.
+_GEMM_SIZE = 4 * 10**5
+# W's slots gg, ge, eg, ee in the atom-swap basis: gg, S = (ge + eg)/sqrt 2, ee | A = (ge - eg)/sqrt 2.
+_SWAP = np.array([[1.0, 0, 0, 0], [0, 0.5**0.5, 0.5**0.5, 0], [0, 0, 0, 1], [0, 0.5**0.5, -(0.5**0.5), 0]])
+# The entries (s, t) of a fidelity_scan kernel K: the symmetric block's nine, then A's one.
+_PAIRS = (np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 3]), np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 3]))
 
 
 @dataclass(frozen=True)
@@ -113,19 +117,18 @@ def fidelity_scan(
     number, which carries the only surviving Stark contribution.
 
     Sample i at the k-th nbar draws two 4x4 normals (the Haar state), then
-    one uniform (the phase) from sample_rng(seed + k * _SEED_STRIDE, i).
-    Every nbar evolves on the largest nbar's cutoff (meta n_max), where the
-    sectors N <= n_max(nbar) + 4 its input reaches are complete.  On the
-    one layout of models.sector_index, slot s of row N holds e^{iN theta}
-    a_s e^{-i x_s theta} c_{N - x_s}, x = (0, 2, 2, 4) and c the real
-    amplitudes of |sqrt(nbar)>; the row phase cancels, so it is left out.
-    One ket, the full model on W_SLOTS counter-rotated by -2gN, meets two
-    bras, W and its linearization: one pass over chunks of rows builds the
-    phase tables exp(-i lambda t) and each bra's phase products E once for
-    every nbar, and each nbar adds C @ E, C its weights conj(w_bra) w_ket
-    times the map V_bra^dag V_full[W_SLOTS] of the row.  The closed form is
-    renormalized by its weight past the cutoff, |V psi|^2 on the sentinels
-    of its top four rows, the only rows with slots past the cutoff.
+    one uniform (the phase), the bits of sample_rng(seed + k * _SEED_STRIDE,
+    i).  Every nbar evolves on the largest nbar's cutoff (meta n_max), where
+    the sectors N <= n_max(nbar) + 4 its input reaches are complete.  On W's
+    slots in the atom-swap basis (gg, S, ee | A), row N of an input holds
+    b_s c_{N - x_s}: x = (0, 2, 4, 2), b = _SWAP a e^{-i x theta}, c the real
+    amplitudes of |sqrt(nbar)>, and the row phase e^{iN theta} cancels.  So
+    the overlap of the ket, the full model counter-rotated by -2gN, with a
+    bra, W or its linearization, is b^dag K(t) b, with K built once per nbar
+    and bra from no sample: its 9 + 1 entries (_PAIRS) sum, over chunks of
+    rows, 21 phase products per row, as a bra's eigenvalues are (-lambda, 0,
+    0, +lambda).  The closed form is renormalized by two more quadratic
+    forms in b: its norm, and its weight on the sentinels of its top rows.
     """
     if time_points < 1:
         raise ValueError(f"time_points must be >= 1, got {time_points}")
@@ -146,58 +149,55 @@ def fidelity_scan(
     full_spec = sector_spectrum(params)
     lin_spec = linearized_spectrum(g, cutoff)
     bras = (w_spectrum(g, cutoff), lin_spec)
-    ket = full_spec.vectors[:, W_SLOTS]
-    maps = [bra.vectors.conj().mT @ ket for bra in bras]
-    bases = (ket, *(bra.vectors for bra in bras))
-    # per nbar: the ket's and each bra's weights on the rows N <= n_max + 4 of its own cutoff
-    weights = {}
-    for k, nbar in sorted(enumerate(nbars), key=lambda item: -item[1]):  # largest first
-        own = FockCutoff.for_mean_photon(float(nbar))
-        rngs = [sample_rng(seed + k * _SEED_STRIDE, i) for i in range(ensemble)]
-        atoms = _haar_atoms(rngs)
-        theta = 2.0 * math.pi * np.array([rng.random() for rng in rngs])
-        atoms *= np.exp(-1j * np.outer(theta, (0, 2, 2, 4)))  # a_s e^{-i x_s theta}
-        field = np.append(np.tile(coherent_state(math.sqrt(nbar), own).amplitudes, 4), 0.0)
-        slots = atoms[:, None, None, :] * field[sector_index(own, 2)[:, None]]
-        weights[k] = [(slots @ v[: slots.shape[1]].conj())[:, :, 0] for v in bases]
-        del rngs, atoms, slots  # with the largest nbar first, this lowers peak RSS
-    reach = np.array([weights[k][0].shape[1] for k in range(len(nbars))])
-    # the counter-rotation R by the (omega + 2g) I part of the effective model, I = N on row N
-    lam = full_spec.values - 2.0 * g * np.arange(len(full_spec.values))[:, None]
-    # per row: the phase tables, and C of every nbar and E of every bra
-    per_sector = time_points * (lam.shape[1] + sum(b.values.shape[1] for b in bras))
-    per_sector += (len(nbars) * ensemble + time_points) * sum(m[0].size for m in maps)
-    step = max(1, _CHUNK // per_sector)
-    values = np.zeros((len(nbars), 2, ensemble, time_points), dtype=np.complex128)
-    # every E is written into one buffer: a fresh table per bra and
-    # chunk would take a page fault per 4 KiB of it
-    work = np.empty(step * maps[0][0].size * time_points, np.complex128)
-    for lo in range(0, max(reach, default=0), step):
-        ket_ph = _unit_phases(lam[lo : lo + step, :, None] * times)
-        for b, (bra, m) in enumerate(zip(bras, maps)):
-            m = m[lo : lo + step]
-            e = work[: m.size * time_points].reshape(m.shape + (time_points,))
-            np.conjugate(_unit_phases(bra.values[lo : lo + step, :, None] * times)[:, :, None], out=e)
-            e *= ket_ph[:, None]
-            for k in np.flatnonzero(reach > lo):
-                n = min(step, reach[k] - lo)  # the chunk's rows that nbar's input reaches
-                w_ket, w_bra = weights[k][0][:, lo : lo + n], weights[k][1 + b][:, lo : lo + n]
-                c = w_bra[:, :, :, None].conj() * w_ket[:, :, None, :]
-                c *= m[:n]
-                values[k, b] += c.reshape(ensemble, -1) @ e[:n].reshape(-1, time_points)
-        del ket_ph, c  # before the next chunk builds its tables: this lowers peak memory
-    # the closed form's weight past the cutoff, on its top four rows, the only ones with slots
-    # past it: their phase products times V^dag V on the sentinels, as C @ E per nbar
-    v, off = lin_spec.vectors[cutoff.dim :], lin_spec.index[cutoff.dim :, :, None] == 4 * cutoff.dim
-    top = _unit_phases(lin_spec.values[cutoff.dim :, :, None] * times)
-    past = (v.mT @ (off * v))[..., None] * top[:, :, None].conj() * top[:, None]
+    rows, s, t = cutoff.dim + 4, *_PAIRS
+    ket = _SWAP @ full_spec.vectors[:, W_SLOTS]  # 6 symmetric columns, then 3 antisymmetric
+    # per bra [pair (s, t), product, row]: u_sk (u^T ket)_kl ket_tl summed by the bra's frequency,
+    # -lambda (k = 0) and +lambda (k = 3) on the 6 symmetric ket columns l, 0 (k = 1, 2) on all 9
+    coefs, groups = [], (((0,), 6), ((3,), 6), ((1, 2), 9))
+    for u in (_SWAP @ bra.vectors for bra in bras):
+        u, m, v = (np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (u, u.mT @ ket, ket))
+        coefs.append(np.concatenate([sum(u[s, k, None] * m[k, :n] for k in ks) * v[t, :n]
+                                     for ks, n in groups], axis=1))
+    # per nbar: c_{N - x_s} on gg, S, ee, A of its input's field, zero past the rows it reaches
+    amps, reach = np.zeros((len(nbars), rows, 4)), []
     for k, nbar in enumerate(nbars):
-        w = weights[k][2]
-        c = w[:, cutoff.dim :, :, None].conj() * w[:, cutoff.dim :, None, :]
-        lost = (c.reshape(ensemble, -1) @ past[: c.shape[1]].reshape(-1, time_points)).real
+        own = FockCutoff.for_mean_photon(float(nbar))
+        field = np.append(np.tile(coherent_state(math.sqrt(nbar), own).amplitudes.real, 4), 0.0)
+        amps[k, : own.dim + 4] = field[sector_index(own, 2)[:, [0, 1, 3, 2]]]  # gg, ge, ee, eg
+        reach.append(own.dim + 4)
+    # the counter-rotation R by the (omega + 2g) I part of the effective model, I = N on row N
+    lam = (full_spec.values - 2.0 * g * np.arange(rows)[:, None]).T
+    step = max(1, _GEMM_SIZE // (len(s) * coefs[0].shape[1] * 2 * time_points))
+    kernels = np.zeros((len(nbars), len(bras), len(s), time_points), dtype=np.complex128)
+    # one buffer for every bra's products: a fresh table would take a page fault per 4 KiB
+    work = np.empty(coefs[0].shape[1] * step * time_points, np.complex128)
+    for lo in range(0, max(reach, default=0), step):
+        ket_ph = _unit_phases(lam[:, lo : lo + step, None] * times)
+        reached = np.flatnonzero(np.array(reach) > lo)  # the nbars whose input reaches the chunk
+        for j, (bra, coef) in enumerate(zip(bras, coefs)):
+            e = work[: coef.shape[1] * ket_ph[0].size].reshape(-1, *ket_ph.shape[1:])
+            z = _unit_phases(bra.values[lo : lo + step, 3, None] * times)
+            np.multiply(z, ket_ph[:6], out=e[:6])
+            np.multiply(z.conj(), ket_ph[:6], out=e[6:12])
+            e[12:] = ket_ph
+            for k, amp in zip(reached, amps[reached, lo : lo + step]):
+                w = (amp[:, s] * amp[:, t]).T[:, None] * coef[:, :, lo : lo + step]
+                kernels[k, j] += _real_matmul(w.reshape(len(s), -1), e.reshape(-1, time_points))
+    # the closed form's weight past the cutoff, on its top four rows' sentinels: |G c b|^2
+    u = _SWAP @ lin_spec.vectors[cutoff.dim :]
+    off = lin_spec.index[cutoff.dim :, [0, 1, 3, 1]] == 4 * cutoff.dim  # gg, S, ee, A
+    top = _unit_phases(lin_spec.values[cutoff.dim :, :, None] * times)
+    prop = (u[:, :, None, :] * u[:, None, :, :]) @ top[:, None]  # G = u e^{-i mu t} u^T
+    for k, nbar in enumerate(nbars):
+        h = (prop * amps[k, cutoff.dim :, None, :, None])[off]  # [sentinel, slot, t]
+        past = np.einsum("ist,iut->sut", h.conj(), h)[s, t]
+        atoms, theta = _haar_inputs(seed + k * _SEED_STRIDE, ensemble)
+        b = (atoms * np.exp(-1j * np.outer(theta, (0, 2, 2, 4)))) @ _SWAP.T  # a_s e^{-i x_s theta}
+        pairs = b[:, s].conj() * b[:, t]
+        lost = (pairs @ past).real
         check_capture(lost, cutoff.n_max)
-        fids = np.abs(values[k]) ** 2
-        fids[1] /= np.sum(np.abs(w) ** 2, axis=(1, 2))[:, None] - lost
+        fids = np.abs(pairs @ kernels[k]) ** 2
+        fids[1] /= (pairs @ np.where(s == t, np.sum(amps[k] ** 2, axis=0)[s], 0.0)).real[:, None] - lost
         mean, err = ensemble_stats(fids.transpose(1, 0, 2))
         cols += [f"{c}_nbar{nbar}" for c in ("mean_FW", "stderr_FW", "mean_F", "stderr_F")]
         data += [mean[0], err[0], mean[1], err[1]]
@@ -217,6 +217,23 @@ def fidelity_scan(
     return ScanResult(tuple(cols), np.column_stack(data), meta)
 
 
+def _haar_inputs(base: int, ensemble: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample i's Haar atoms, then its phase in [0, 2pi): sample_rng(base, i)'s bits, in order."""
+    theta = []
+
+    def streams():
+        for i in range(ensemble):
+            yield (rng := _thread_rng(base, i))
+            theta.append(rng.random())  # once _haar_atoms has drawn the atoms' normals
+
+    return _haar_atoms(streams()), 2.0 * math.pi * np.array(theta)
+
+
+def _real_matmul(c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """c @ e for real c and C-contiguous complex e: one real GEMM, half a complex one's work."""
+    return (c @ e.view(np.float64)).view(np.complex128)
+
+
 def rabi_curve(
     nbar: float = 50.0,
     g: float = -0.002,
@@ -234,6 +251,8 @@ def rabi_curve(
     cutoff = FockCutoff.for_mean_photon(nbar)
     alpha = math.sqrt(nbar)
     spec = w_spectrum(g, cutoff)  # check_coupling before the division
+    if not math.isfinite(gt_max_over_pi * math.pi / abs(g)):  # the grid's last time
+        raise ValueError(f"gt_max_over_pi = {gt_max_over_pi:g} puts the time grid past the float range")
     grid = np.linspace(0.0, gt_max_over_pi, points)
     times = grid * math.pi / abs(g)
 
@@ -403,8 +422,10 @@ def bell_timing(
     cutoff = FockCutoff.for_mean_photon(nbar)
     check_coupling(g)
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
-    center = math.pi / 2.0
-    gts = np.linspace(center - half_width_gt, center + half_width_gt, points)
+    lo, hi = math.pi / 2.0 - half_width_gt, math.pi / 2.0 + half_width_gt
+    if not (math.isfinite(hi - lo) and math.isfinite(max(abs(lo), abs(hi)) / abs(g))):
+        raise ValueError(f"half_width_gt = {half_width_gt:g} puts the time grid past the float range")
+    gts = np.linspace(lo, hi, points)
     atoms = coeffs.to_state().amplitudes
     prob, fid, _ = bell_outcome_arrays(atoms, alpha, g, cutoff, gts / abs(g))
 

@@ -381,7 +381,7 @@ def fidelity_scan_oracle(
 
 # Dense reference operators on the flat layout atom A (x) atom B (x) field.
 # The library builds the full Hamiltonian only as excitation-sector blocks
-# (models.sector_blocks) and W only as its closed-form sector spectrum;
+# (dynamics.sector_spectrum) and W only as its closed-form sector spectrum;
 # these Kronecker-product forms are the independent oracles both are
 # checked against (w_sector_blocks reads W's blocks off them), and the
 # Stark-shift and dispersive-reduction tests check the elimination of the

@@ -105,13 +105,20 @@ class TestArgumentHandling:
             (["rabi", "--nbar", "4", "--delta", "0", "--strict"], "delta must be positive"),
             (["rabi", "--nbar", "4", "--g", "0"], "coupling g must be nonzero"),
             (["bell-timing", "--nbar", "4", "--g", "0"], "coupling g must be nonzero"),
+            (["fidelity-scan", "--nbar", "4", "--ensemble", "2", "--time-points", "3",
+              "--gg", "1e-300", "--ge", "1e-300", "--strict"], "coupling g must be nonzero"),
+            (["rabi", "--nbar", "4", "--gg", "1e200", "--ge", "1e200", "--points", "3"],
+             "coupling g must be finite, got -inf"),
         ],
-        ids=["efficiency", "efficiency-strict", "delta", "rabi-g0", "bell-timing-g0"],
+        ids=["efficiency", "efficiency-strict", "delta", "rabi-g0", "bell-timing-g0",
+             "fidelity-scan-g-underflows-strict", "rabi-g-overflows"],
     )
     def test_out_of_range_values_exit_2(self, tmp_path, capsys, argv, message):
         """A value that a library constructor refuses exits 2 with its
         message, before and inside the validity check, so --strict cannot
-        turn it into exit 3."""
+        turn it into exit 3.  The coupling g that --gg, --ge and --delta
+        give is checked before the validity report, which would otherwise
+        read its under- or overflow as a validity failure."""
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "validity warning" not in err
@@ -133,10 +140,15 @@ class TestArgumentHandling:
             (["ghz", "--ge", "1e-120"], None),
             (["bell-timing", "--ge", "1e-120", "--points", "3"], None),
             (["bell", "--ensemble", "3", "--phi", "1e308", "--efficiency", "0.5"], None),
+            (["rabi", "--gt-max", "1e308", "--points", "3"],
+             "gt_max_over_pi = 1e+308 puts the time grid past the float range"),
+            (["bell-timing", "--half-width", "1e308", "--points", "3"],
+             "half_width_gt = 1e+308 puts the time grid past the float range"),
         ],
         ids=["rabi-tiny-g", "ghz-tiny-g", "bell-tiny-g", "ghz-g0", "bell-g0",
              "fidelity-scan-g-underflows", "fidelity-scan-delta-squared-overflows",
-             "rabi-tiny-ge", "ghz-tiny-ge", "bell-timing-tiny-ge", "bell-huge-lo-phase"],
+             "rabi-tiny-ge", "ghz-tiny-ge", "bell-timing-tiny-ge", "bell-huge-lo-phase",
+             "rabi-time-grid-overflows", "bell-timing-time-grid-overflows"],
     )
     def test_extreme_finite_values_exit_cleanly(self, tmp_path, capsys, argv, message):
         """Finite values at the ends of the float range neither raise nor
@@ -297,6 +309,19 @@ class TestDispatch:
                 dests = dests - {"efficiency", "lo_phase"} | {"detection"}
             assert dests <= set(params), command
             assert all(params[d].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for d in dests)
+
+    @pytest.mark.parametrize("command", list(cli._SCANS))
+    def test_one_subcommand_parses_and_prints_as_all_six(self, command):
+        """main builds only the running subcommand's arguments; that parser
+        prints the same help and top-level usage as the full one, and
+        parses the same line to the same namespace."""
+        parser = cli.build_parser(command)
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(action.choices) == [command]
+        assert action.choices[command].format_help() == subparsers()[command].format_help()
+        assert parser.format_usage() == cli.build_parser().format_usage()
+        line = [command, "--format", "json"]
+        assert parser.parse_args(line) == cli.build_parser().parse_args(line)
 
     def test_usage_keeps_the_flag_metavars(self):
         shown = {"--nbar": "--nbar NBAR", "--gg": "--gg GG", "--ge": "--ge GE",

@@ -299,10 +299,12 @@ class TestSectorSpectrum:
     def test_edge_sectors_on_fixed_slots(self, cut, omega):
         """The rows N = 0 .. 3 and N > n_max hold sentinel slots among their
         real ones.  Every eigenvector column of those sectors is supported
-        on the real slots or is a unit vector on one sentinel slot, and the
-        real columns rebuild the dense full_hamiltonian on the sector's
-        real states.  At omega = 0 a zero eigenvalue of a real state meets
-        the zero ones of the sentinel slots."""
+        on the real slots or is a unit vector on sentinel slots alone: on
+        one (gg, ii or ee) or, as a swap-symmetric or antisymmetric pair, on
+        two, each entry 0, +-1 or +-sqrt(1/2).  The real columns rebuild the
+        dense full_hamiltonian on the sector's real states.  At omega = 0 a
+        zero eigenvalue of a real state meets the zero ones of the sentinel
+        slots."""
         params = FullModelParams(omega, 500.0, 1.0, 1.0, cut)
         spec = sector_spectrum(params)
         dense = full_hamiltonian(params).matrix.real
@@ -314,11 +316,44 @@ class TestSectorSpectrum:
             assert np.minimum(on, off).max() <= 1e-15, f"N = {n}"
             sentinel = off > 0.5
             assert sentinel.sum() == (~real).sum(), f"N = {n}"
-            unit = np.abs(v[~real][:, sentinel]).max(axis=0)
-            np.testing.assert_allclose(unit, 1.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(off[sentinel], 1.0, rtol=0, atol=1e-15)
+            entries = np.abs(v[~real][:, sentinel])
+            assert np.all(np.isin(entries, [0.0, 1.0, math.sqrt(0.5)])), f"N = {n}"
             sel, u = spec.index[n][real], v[real][:, ~sentinel]
             rebuilt = (u * spec.values[n][~sentinel]) @ u.T
             np.testing.assert_allclose(rebuilt, dense[np.ix_(sel, sel)], rtol=0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize(
+        "cut, omega, delta, g_g, g_e",
+        [(FockCutoff(1), 0.0, 500.0, 1.0, 1.0), (FockCutoff(6), 0.7, 500.0, 1.0, 1.0),
+         (FockCutoff(30), 0.7, 3.0, 1.1, 1.3), (FockCutoff.for_mean_photon(100.0), 0.0, 500.0, 1.0, 1.0)],
+        ids=["1", "6", "30", "nbar100"],
+    )
+    def test_every_eigenvector_is_swap_symmetric_or_antisymmetric(self, cut, omega, delta, g_g, g_e):
+        """The atoms couple alike, so each sector's eigenvectors split under
+        the swap of the atoms (slot 3a + b to 3b + a): the first 6 columns
+        are exactly symmetric and the last 3 exactly antisymmetric, bit for
+        bit, on every row, sentinel columns included."""
+        spec = sector_spectrum(FullModelParams(omega, delta, g_g, g_e, cut))
+        swap = [3 * b + a for a in range(3) for b in range(3)]
+        np.testing.assert_array_equal(spec.vectors[:, swap, :6], spec.vectors[:, :, :6])
+        np.testing.assert_array_equal(spec.vectors[:, swap, 6:], -spec.vectors[:, :, 6:])
+
+    @pytest.mark.parametrize("omega", [0.0, 0.7])
+    @pytest.mark.parametrize("cut", [FockCutoff(1), FockCutoff(6), FockCutoff(30)], ids=["1", "6", "30"])
+    def test_values_match_the_dense_oracle(self, cut, omega):
+        """The eigenvalues of the columns on real slots are those of the
+        dense full_hamiltonian, to 1e-12 of its largest one, at delta 500
+        and at a detuning comparable to the couplings."""
+        for delta, g_g, g_e in ((500.0, 1.0, 1.0), (3.0, 1.1, 1.3)):
+            params = FullModelParams(omega, delta, g_g, g_e, cut)
+            spec = sector_spectrum(params)
+            want = np.linalg.eigvalsh(full_hamiltonian(params).matrix)
+            real = spec.index < math.prod(spec.dims)
+            on_real = np.sum(spec.vectors**2 * real[:, :, None], axis=1) > 0.5
+            got = np.sort(spec.values[on_real])
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_sector_sizes(self):
         cut = FockCutoff.for_mean_photon(20.0)
@@ -403,8 +438,8 @@ class TestSectorOverlaps:
 
     def test_dropped_weight_is_a_quadratic_form(self):
         """The linearized weight past the cutoff, V^dag V on the sentinel
-        slots of the four sectors past it (as fidelity_scan takes it),
-        equals the flat weight past the cutoff of the same evolution on a
+        slots of the four sectors past it (fidelity_scan takes the same
+        weight as a quadratic form in its inputs), equals the flat weight past the cutoff of the same evolution on a
         cutoff four photons larger, and the norm that propagate loses, for
         |ee> at half a revival on the tightest cutoff at nbar = 4, where it
         is large enough to raise.  The sentinel slots of the sectors N < 4,

@@ -174,7 +174,19 @@ class TestExcitationSectors:
         if which == "full":
             params = FullModelParams(omega=0.7, delta=3.0, g_g=1.1, g_e=0.6, cutoff=cut)
             dense = full_hamiltonian(params).matrix
-            index, blocks, dims = sector_blocks(params)
+            (sym, real_sym), (anti, real_anti) = sector_blocks(params)
+            index, dims = sector_index(cut, 3), (3, 3, cut.dim)
+            # the atom-swap basis as columns on the slots 3 a + b: gg, ii, ee, then the
+            # pairs gi, ge, ie over sqrt 2, symmetric, then antisymmetric
+            basis, h = np.zeros((9, 9)), math.sqrt(0.5)
+            basis[(0, 4, 8), (0, 1, 2)] = 1.0
+            basis[(1, 2, 5, 3, 6, 7), (3, 4, 5, 3, 4, 5)] = h
+            basis[(1, 2, 5, 3, 6, 7), (6, 7, 8, 6, 7, 8)] = (h, h, h, -h, -h, -h)
+            real = index < dense.shape[0]
+            np.testing.assert_array_equal(np.hstack([real_sym, real_anti]), real[:, [0, 4, 8, 1, 2, 5, 1, 2, 5]])
+            split = np.zeros((len(index), 9, 9))
+            split[:, :6, :6], split[:, 6:, 6:] = sym, anti
+            blocks = basis @ split @ basis.T
         else:
             # W has no blocks: its closed-form spectrum rebuilds them
             dense = two_photon_w(-0.8, cut).matrix
@@ -186,7 +198,7 @@ class TestExcitationSectors:
         real = index < dense.shape[0]
         np.testing.assert_array_equal(np.sort(index[real]), np.arange(dense.shape[0]))
         labels = np.diag(constant_of_motion(cut, 3 if which == "full" else 2).matrix).real
-        if which == "full":  # the rows and columns of sentinel slots come zeroed
+        if which == "full":  # the rows and columns of sentinel slots come zeroed, also in the swap basis
             np.testing.assert_array_equal(blocks * ~(real[:, :, None] & real[:, None, :]), 0.0)
         for row, block, ok in zip(index, blocks, real):
             sel = row[ok]

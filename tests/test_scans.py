@@ -213,63 +213,94 @@ class TestFidelityScan:
         return full, w_spectrum(g, cutoff), linearized_spectrum(g, cutoff)
 
     @staticmethod
-    def _sector_chunks(monkeypatch, step, ensemble, time_points):
-        """Make fidelity_scan take `step` sectors per chunk.  Per sector a
-        chunk holds the phase tables of the full, W and linearized spectra
-        (9 + 4 + 4 slots per time) and C and E of its two bras against the
-        one ket (4 x 9 entries each per sample and per time); `ensemble`
-        counts the samples of every nbar."""
-        per_sector = time_points * (9 + 4 + 4) + (ensemble + time_points) * (36 + 36)
-        monkeypatch.setattr(scans, "_CHUNK", step * per_sector)
+    def _sector_chunks(monkeypatch, step, time_points):
+        """Make fidelity_scan take `step` rows per chunk.  Each GEMM of a
+        chunk contracts the 10 kernel entries of one bra (9 pairs of the
+        symmetric block, 1 of the antisymmetric one) with its 21 phase
+        products per row, times each the real and imaginary part of every
+        time; the number of samples does not enter."""
+        monkeypatch.setattr(scans, "_GEMM_SIZE", step * 10 * 21 * 2 * time_points)
 
     @staticmethod
-    def _phase_spy(monkeypatch):
+    def _phase_spy(monkeypatch, tables=None):
         """Record the shape of every angle table fidelity_scan hands to its
-        phase kernel."""
+        phase kernel, and in `tables` a copy of the table itself."""
         shapes = []
         unit_phases = scans._unit_phases
 
         def counting(angle):
             shapes.append(angle.shape)
+            if tables is not None:
+                tables.append(angle.copy())
             return unit_phases(angle)
 
         monkeypatch.setattr(scans, "_unit_phases", counting)
         return shapes
 
     def test_chunked_scan_matches_per_sample_oracle(self, monkeypatch):
-        """Ragged chunks of sectors give the rows of the one-sample-at-a-time
+        """Ragged chunks of rows give the rows of the one-sample-at-a-time
         computation in the flat basis."""
         shapes = self._phase_spy(monkeypatch)
-        self._sector_chunks(monkeypatch, 4, 7, 17)
+        self._sector_chunks(monkeypatch, 4, 17)
         r = fidelity_scan(nbars=(4,), ensemble=7, seed=9, time_points=17)
         full, _, lin = self._spectra(4)
-        # one table per spectrum and chunk of 4 sectors, times last, over the
-        # one sector layout of all three spectra; the last chunk is ragged;
-        # then one of the linearized spectrum's top four rows
+        # per chunk of 4 rows, the last one ragged, times last: the ket's table over
+        # its 9 slots, then one frequency per row for each bra, W and the linearized
+        # W, on the one sector layout of all three spectra; then one table of the
+        # linearized spectrum's top four rows
         chunks = math.ceil(len(full.values) / 4)
         assert len(lin.values) == len(full.values) and len(full.values) % 4
-        assert len(shapes) == 3 * chunks + 1 and {s[2] for s in shapes} == {17}
+        assert len(shapes) == 3 * chunks + 1 and {s[-1] for s in shapes} == {17}
         want = [len(full.values[lo : lo + 4]) for lo in range(0, 4 * chunks, 4)]
-        assert [s[0] for s in shapes] == [n for n in want for _ in range(3)] + [4]
+        assert shapes[:-1] == [s for n in want for s in ((9, n, 17), (n, 17), (n, 17))]
+        assert shapes[-1] == (4, 4, 17)
         oracle = fidelity_scan_oracle((4,), 7, 9, 17)
         np.testing.assert_allclose(r.rows, oracle, rtol=0, atol=1e-13)
 
     def test_phase_tables_do_not_grow_with_the_ensemble(self, monkeypatch):
-        """Each phase exp(-i lambda t) of every spectrum, sector slot and time
-        the loop visits (the sectors the inputs reach, as many as the full
-        model has) is evaluated exactly once, however many samples share it,
-        and those of the linearized spectrum's top four rows once more, for
-        its weight past the cutoff."""
+        """Each phase exp(-i lambda t) the loop visits (the rows the inputs
+        reach, as many as the full model has) is evaluated exactly once,
+        however many samples share it: the ket's on each of its slots, and
+        each bra's at its one frequency per row (its eigenvalues are
+        (-lambda, 0, 0, +lambda)); those of the linearized spectrum's top
+        four rows once more, for its weight past the cutoff."""
         shapes = self._phase_spy(monkeypatch)
         for nbar, ensemble in itertools.product((4, 20), (2, 12)):
             shapes.clear()
-            self._sector_chunks(monkeypatch, 5, ensemble, 17)
+            self._sector_chunks(monkeypatch, 5, 17)
             fidelity_scan(nbars=(nbar,), ensemble=ensemble, seed=9, time_points=17)
-            spectra = self._spectra(nbar)
-            reach = len(spectra[0].values)
-            want = 17 * sum(spec.values[:reach].size for spec in spectra)
-            want += 17 * spectra[2].values[-4:].size
+            full, w, lin = self._spectra(nbar)
+            reach = len(full.values)
+            want = 17 * (full.values[:reach].size + len(w.values[:reach]) + len(lin.values[:reach]))
+            want += 17 * lin.values[-4:].size
             assert sum(math.prod(s) for s in shapes) == want
+
+    def test_kernel_does_not_depend_on_the_samples(self, monkeypatch):
+        """The phase tables and the operands of every GEMM that build the
+        kernels K are the same, bit for bit, for 2 samples and for 50 at
+        nbar (4, 20): no sample enters them, and the samples meet K only
+        in their quadratic forms b^dag K b."""
+        seen = {}
+        for ensemble in (2, 50):
+            tables, operands = [], []
+            self._phase_spy(monkeypatch, tables)
+            real_matmul = scans._real_matmul
+
+            def spy(c, e):
+                operands.append((c.copy(), e.copy()))
+                return real_matmul(c, e)
+
+            monkeypatch.setattr(scans, "_real_matmul", spy)
+            fidelity_scan(nbars=(4, 20), ensemble=ensemble, seed=9, time_points=17)
+            monkeypatch.undo()
+            seen[ensemble] = tables, operands
+        (tables, operands), (tables50, operands50) = seen[2], seen[50]
+        assert len(tables) == len(tables50) and len(operands) == len(operands50) > 2
+        for a, b in zip(tables, tables50):
+            np.testing.assert_array_equal(a, b)
+        for (c, e), (c50, e50) in zip(operands, operands50):
+            np.testing.assert_array_equal(c, c50)
+            np.testing.assert_array_equal(e, e50)
 
     def test_overlap_maps_pair_each_sector_with_its_own_index(self, monkeypatch):
         """The three spectra of a (4, 20) scan lie on the one layout of
@@ -362,9 +393,8 @@ class TestFidelityScan:
 
     def test_memory_stays_flat_at_the_bench_size(self):
         """The hierarchy benchmark's scan (nbar 20/50/100, ensemble 10, 101
-        times) in chunks: its coefficient matrices of the two bras for nbar
-        100 alone would take 2.2 MB, its full table of phase products 22 MB.
-        The shared pass peaks at 2.60 MB."""
+        times) in chunks of rows: the full tables of phase products of its
+        two bras would take 12.8 MB.  The pass peaks at 2.21 MB."""
         with traced_peak() as mem:
             fidelity_scan(nbars=(20, 50, 100), ensemble=10, seed=0, time_points=101)
         assert mem.peak <= 3.4e6
